@@ -9,7 +9,9 @@
 //!   `simprobe`, `telemetry`) must stay free of wall-clock time, real
 //!   sockets, threads, and libc. Time and packets *enter* the machine as
 //!   values; drivers own the syscalls. Driver files are exempted by the
-//!   policy, one line each, with a reason.
+//!   policy, one line each, with a reason; a sans-IO core living inside a
+//!   crate that is rightly *not* sans-IO (the receiver's protocol core in
+//!   `sockets`) is held to the rule by a per-file `sans-io module` line.
 //! * **AL002 `trace-mint`** — [`TraceEvent`] values are *minted* only by
 //!   the session machine (`slops::machine`). Everything else relays or
 //!   matches them. A driver inventing trace events would forge the very
@@ -171,6 +173,8 @@ pub struct Policy {
     pub sans_io_crates: Vec<String>,
     /// Files inside sans-IO crates that are drivers/endpoints (exempt).
     pub sans_io_exempt: Vec<String>,
+    /// Single files held to AL001 inside crates that are not sans-IO.
+    pub sans_io_modules: Vec<String>,
     /// Files allowed to construct `TraceEvent` values (AL002).
     pub trace_mint: Vec<String>,
     /// Files allowed to contain `unsafe` (AL003).
@@ -218,6 +222,7 @@ impl Policy {
                 }
                 "sans-io" => match rest.split_once(char::is_whitespace) {
                     Some(("crate", dir)) => p.sans_io_crates.push(dir.trim().to_string()),
+                    Some(("module", file)) => p.sans_io_modules.push(file.trim().to_string()),
                     Some(("exempt", spec)) => {
                         let (path, _reason) = split_reason(spec).ok_or_else(|| {
                             err("`sans-io exempt` needs `<file> -- <reason>`".into())
@@ -226,7 +231,8 @@ impl Policy {
                     }
                     _ => {
                         return Err(err(
-                            "`sans-io` takes `crate <dir>` or `exempt <file> -- <reason>`".into(),
+                            "`sans-io` takes `crate <dir>`, `module <file>` or `exempt <file> -- <reason>`"
+                                .into(),
                         ))
                     }
                 },
@@ -552,8 +558,9 @@ fn is_cfg_gate_line(code: &str) -> bool {
 /// This is the pure core: the fixture tests drive it directly with
 /// in-memory sources.
 pub fn check_file(policy: &Policy, rel_path: &str, source: &str, mod_gated: bool) -> Vec<Finding> {
-    let sans_io = Policy::in_crate(rel_path, &policy.sans_io_crates)
-        && !Policy::listed(rel_path, &policy.sans_io_exempt);
+    let sans_io = Policy::listed(rel_path, &policy.sans_io_modules)
+        || Policy::in_crate(rel_path, &policy.sans_io_crates)
+            && !Policy::listed(rel_path, &policy.sans_io_exempt);
     let can_mint = Policy::listed(rel_path, &policy.trace_mint);
     let ffi_ok = Policy::listed(rel_path, &policy.unsafe_ffi);
     let panic_free = Policy::listed(rel_path, &policy.panic_free);
@@ -603,7 +610,7 @@ pub fn check_file(policy: &Policy, rel_path: &str, source: &str, mod_gated: bool
                 if has_token(code, tok) {
                     push(
                         Rule::SansIo,
-                        format!("`{tok}` in a sans-IO crate: real time/sockets/threads belong to drivers (policy: `sans-io exempt` for driver files)"),
+                        format!("`{tok}` in sans-IO code: real time/sockets/threads belong to drivers (policy: `sans-io exempt` for driver files)"),
                     );
                 }
             }

@@ -63,6 +63,36 @@ use std::thread;
     assert!(findings_for("fix/src/pure.rs", src).is_empty());
 }
 
+/// A crate that is not sans-IO, with one core file declared sans-IO.
+fn module_policy() -> Policy {
+    Policy::parse("crate wire\nsans-io module wire/src/core.rs\n").expect("fixture policy parses")
+}
+
+#[test]
+fn sans_io_module_fires_only_in_the_declared_file() {
+    let src = "let t0 = std::time::Instant::now();";
+    let rules = |path: &str| -> Vec<Rule> {
+        check_file(&module_policy(), path, src, false)
+            .into_iter()
+            .map(|f| f.rule)
+            .collect()
+    };
+    assert_eq!(rules("wire/src/core.rs"), vec![Rule::SansIo]);
+    assert!(
+        rules("wire/src/pump.rs").is_empty(),
+        "the rest of the crate may touch the real world"
+    );
+}
+
+#[test]
+fn sans_io_module_suppression() {
+    let src = "\
+// archlint: allow(sans-io) -- fixture exercises the escape hatch
+use std::thread;
+";
+    assert!(check_file(&module_policy(), "wire/src/core.rs", src, false).is_empty());
+}
+
 // --- AL002 trace-mint ------------------------------------------------------
 
 #[test]

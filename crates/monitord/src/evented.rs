@@ -1,7 +1,7 @@
 //! The event-loop fleet driver: hundreds of socket paths on **one
 //! thread**.
 //!
-//! [`run_socket_fleet_async`] hosts N non-blocking
+//! [`run_socket_fleet_async_with_telemetry`] hosts N non-blocking
 //! [`pathload_net::EventedSession`]s plus the unchanged sans-IO
 //! [`Scheduler`] on a single [`pathload_net::mux::EventLoop`]. Where the
 //! thread-backed driver ([`crate::thread`]) burns one blocking worker per
@@ -53,10 +53,9 @@ use crate::metrics::FleetTelemetry;
 use crate::scheduler::{PathId, Poll, ScheduleConfig, Scheduler};
 use crate::socket::{connect_transports, SocketPathSpec};
 use crate::store::{ChangeCursor, PathSeries, SeriesConfig};
-use crate::thread::{FleetEvent, ShutdownFlag};
+use crate::thread::{record_outcome, FleetEvent, ShutdownFlag};
 use pathload_net::mux::{EventLoop, MuxEvent};
 use pathload_net::{EventedSession, SessionTokens, SocketTransport};
-use slops::series::RangeSample;
 use slops::{ProbeTransport, SlopsConfig, SlopsError, TransportError};
 use std::sync::Arc;
 use std::time::Duration;
@@ -131,46 +130,16 @@ fn io_err(e: std::io::Error) -> SlopsError {
 /// Returns the per-path series in path order. Connection failures are
 /// fatal; failures of individual measurements after that are counted on
 /// the path's series and monitoring continues.
-pub fn run_socket_fleet_async(
-    specs: Vec<SocketPathSpec>,
-    sched_cfg: &ScheduleConfig,
-    series_cfg: &SeriesConfig,
-    horizon: TimeNs,
-    observer: impl FnMut(FleetEvent<'_>),
-) -> Result<Vec<PathSeries>, SlopsError> {
-    run_socket_fleet_async_with_shutdown(
-        specs,
-        sched_cfg,
-        series_cfg,
-        horizon,
-        &ShutdownFlag::new(),
-        observer,
-    )
-}
-
-/// [`run_socket_fleet_async`] plus a cooperative [`ShutdownFlag`]: when
-/// requested, the scheduler stops issuing starts, pending (not yet begun)
-/// starts are cancelled without being measured, in-flight measurements
-/// land and are recorded, and the series collected so far are returned —
-/// the same contract as [`crate::thread::run_fleet_with_shutdown`].
-pub fn run_socket_fleet_async_with_shutdown(
-    specs: Vec<SocketPathSpec>,
-    sched_cfg: &ScheduleConfig,
-    series_cfg: &SeriesConfig,
-    horizon: TimeNs,
-    stop: &ShutdownFlag,
-    observer: impl FnMut(FleetEvent<'_>),
-) -> Result<Vec<PathSeries>, SlopsError> {
-    run_socket_fleet_async_with_telemetry(
-        specs, sched_cfg, series_cfg, horizon, stop, None, observer,
-    )
-}
-
-/// [`run_socket_fleet_async_with_shutdown`] plus an optional
-/// [`FleetTelemetry`] hub: every session's machine trace is forwarded to
-/// the hub's per-path sinks, per-packet pacing error goes to the same
-/// `pacing_error_ns{path="…"}` histograms the thread driver fills, and the
-/// event loop reports its wakeup count and timer lag
+///
+/// When `stop` is requested, the scheduler stops issuing starts, pending
+/// (not yet begun) starts are cancelled without being measured, in-flight
+/// measurements land and are recorded, and the series collected so far
+/// are returned — the same contract as
+/// [`run_fleet_with_telemetry`](crate::thread::run_fleet_with_telemetry).
+/// With a [`FleetTelemetry`] hub, every session's machine trace is
+/// forwarded to the hub's per-path sinks, per-packet pacing error goes to
+/// the same `pacing_error_ns{path="…"}` histograms the thread driver
+/// fills, and the event loop reports its wakeup count and timer lag
 /// (`eventloop_wakeups_total`, `eventloop_timer_lag_ns`).
 pub fn run_socket_fleet_async_with_telemetry(
     specs: Vec<SocketPathSpec>,
@@ -235,38 +204,20 @@ pub fn run_socket_fleet_async_with_telemetry(
     let mut change_cursors = vec![ChangeCursor::new(); n];
     let mut shutdown_applied = false;
 
-    // One path's completed measurement: record it, notify, feed the
-    // scheduler — identical bookkeeping to the thread driver's feed loop.
+    // One path's completed measurement: record it (the completion path
+    // shared with the thread driver), retire its tokens, feed the
+    // scheduler.
     macro_rules! complete {
         ($p:expr, $at:expr, $outcome:expr, $finished:expr) => {{
             let p = $p;
-            match $outcome {
-                Ok(est) => {
-                    let sample = RangeSample::from_estimate($at, &est);
-                    series[p].push(sample);
-                    observer(FleetEvent::Sample {
-                        path: p,
-                        label: series[p].label(),
-                        sample,
-                    });
-                    let changes = series[p].changes();
-                    for change in change_cursors[p].fresh(&changes) {
-                        observer(FleetEvent::Change {
-                            path: p,
-                            label: series[p].label(),
-                            change: *change,
-                        });
-                    }
-                }
-                Err(error) => {
-                    series[p].record_error();
-                    observer(FleetEvent::Failed {
-                        path: p,
-                        label: series[p].label(),
-                        error: &error,
-                    });
-                }
-            }
+            record_outcome(
+                p,
+                $at,
+                $outcome,
+                &mut series[p],
+                &mut change_cursors[p],
+                &mut observer,
+            );
             generation[p] += 1;
             sched.on_complete(PathId(p as u32), $finished);
         }};
@@ -378,7 +329,7 @@ pub fn run_socket_fleet_async_with_telemetry(
                                     complete!(
                                         p,
                                         at,
-                                        Err::<slops::Estimate, _>(io_err(e)),
+                                        Err(io_err(e)),
                                         TimeNs::from_nanos(epoch.now_ns())
                                     );
                                     continue;
@@ -415,14 +366,14 @@ pub fn run_socket_fleet_async_with_telemetry(
                                     let finished = transport.elapsed();
                                     let error = io_err(e);
                                     park!(p, transport, error);
-                                    complete!(p, at, Err::<slops::Estimate, _>(error), finished);
+                                    complete!(p, at, Err(error), finished);
                                 }
                             }
                         }
                         Err((transport, error)) => {
                             let finished = transport.elapsed();
                             park!(p, transport, error);
-                            complete!(p, at, Err::<slops::Estimate, _>(error), finished);
+                            complete!(p, at, Err(error), finished);
                         }
                     }
                 }
@@ -492,11 +443,13 @@ mod tests {
             seed: 1,
         };
         let mut samples = 0usize;
-        let series = run_socket_fleet_async(
+        let series = run_socket_fleet_async_with_telemetry(
             specs,
             &sched,
             &SeriesConfig::default(),
             TimeNs::from_secs(4),
+            &ShutdownFlag::new(),
+            None,
             |ev| {
                 if matches!(ev, FleetEvent::Sample { .. }) {
                     samples += 1;
@@ -530,12 +483,13 @@ mod tests {
             cfg: gentle_cfg(),
             rate_cap: None,
         }];
-        let series = run_socket_fleet_async_with_shutdown(
+        let series = run_socket_fleet_async_with_telemetry(
             specs,
             &ScheduleConfig::default(),
             &SeriesConfig::default(),
             TimeNs::from_secs(600),
             &stop,
+            None,
             |_| panic!("no event may fire after shutdown was requested"),
         )
         .unwrap();
@@ -558,11 +512,13 @@ mod tests {
             cfg: gentle_cfg(),
             rate_cap: None,
         }];
-        let err = run_socket_fleet_async(
+        let err = run_socket_fleet_async_with_telemetry(
             specs,
             &ScheduleConfig::default(),
             &SeriesConfig::default(),
             TimeNs::from_secs(1),
+            &ShutdownFlag::new(),
+            None,
             |_| {},
         );
         assert!(matches!(err, Err(SlopsError::Transport(_))));

@@ -45,7 +45,9 @@
 //! the whole stack against in-process receivers.
 //!
 //! ```
-//! use monitord::{run_fleet, ScheduleConfig, SeriesConfig, ThreadPathSpec};
+//! use monitord::{
+//!     run_fleet_with_telemetry, ScheduleConfig, SeriesConfig, ShutdownFlag, ThreadPathSpec,
+//! };
 //! use slops::testutil::OracleTransport;
 //! use slops::SlopsConfig;
 //! use units::{Rate, TimeNs};
@@ -58,12 +60,15 @@
 //!         transport: Box::new(OracleTransport::new(Rate::from_mbps(30.0 + 10.0 * i as f64), i as u64)),
 //!     })
 //!     .collect();
-//! let series = run_fleet(
+//! let series = run_fleet_with_telemetry(
 //!     paths,
 //!     &ScheduleConfig::default(),
 //!     &SeriesConfig::default(),
 //!     TimeNs::from_secs(120),
-//!     0,
+//!     0,                    // one worker per CPU
+//!     &ShutdownFlag::new(), // never requested: run to the horizon
+//!     None,                 // no telemetry hub
+//!     |_event| {},          // no live observer
 //! )
 //! .unwrap();
 //! for (i, s) in series.iter().enumerate() {
@@ -91,20 +96,11 @@ pub mod thread;
 
 pub use config::{ConfigError, DaemonConfig, PathEntry, ProbeOverrides};
 #[cfg(unix)]
-pub use evented::{
-    run_socket_fleet_async, run_socket_fleet_async_with_shutdown,
-    run_socket_fleet_async_with_telemetry,
-};
+pub use evented::run_socket_fleet_async_with_telemetry;
 pub use export::{fleet_summary, telemetry_line, write_fleet_jsonl};
 pub use metrics::FleetTelemetry;
 pub use scheduler::{PathId, Poll, ScheduleConfig, Scheduler};
 pub use sim::{SimEngine, SimFleetMonitor, SimPathSpec};
-pub use socket::{
-    connect_fleet, connect_fleet_with_telemetry, run_socket_fleet, run_socket_fleet_with_shutdown,
-    run_socket_fleet_with_telemetry, SocketPathSpec,
-};
+pub use socket::{connect_fleet_with_telemetry, run_socket_fleet_with_telemetry, SocketPathSpec};
 pub use store::{ChangeCursor, ChangeDirection, ChangeEvent, PathSeries, SeriesConfig};
-pub use thread::{
-    run_fleet, run_fleet_with, run_fleet_with_shutdown, run_fleet_with_telemetry, FleetEvent,
-    ShutdownFlag, ThreadPathSpec,
-};
+pub use thread::{run_fleet_with_telemetry, FleetEvent, ShutdownFlag, ThreadPathSpec};

@@ -11,7 +11,7 @@
 //! per-path `elapsed()` clocks must agree on what "now" means.
 //!
 //! This module adds no policy of its own — it connects transports and
-//! hands them to the thread-backed driver ([`crate::thread::run_fleet_with`]),
+//! hands them to the thread-backed driver ([`crate::thread::run_fleet_with_telemetry`]),
 //! which takes every scheduling decision from the shared [`Scheduler`] and
 //! every estimate from the sans-IO `slops::SessionMachine`. Both repo
 //! invariants hold by construction: estimation logic lives in the machine,
@@ -23,7 +23,7 @@
 //! survive; the exact tick grid does not — see `crate::thread`).
 //!
 //! The `monitord` binary (`crates/monitord/src/bin/monitord.rs`) is a thin
-//! shell around [`run_socket_fleet`] plus the JSONL export layer.
+//! shell around [`run_socket_fleet_with_telemetry`] plus the JSONL export layer.
 //!
 //! [`Scheduler`]: crate::scheduler::Scheduler
 
@@ -55,8 +55,9 @@ pub struct SocketPathSpec {
 /// Connect one [`SocketTransport`] per path, all sharing a single clock
 /// epoch. Returns the epoch clock (so an event loop can read the same
 /// timeline) and the connected `(spec, transport)` pairs in path order.
-/// Shared by the thread-backed ([`connect_fleet`]) and event-loop
-/// ([`crate::evented::run_socket_fleet_async`]) drivers.
+/// Shared by the thread-backed ([`connect_fleet_with_telemetry`]) and
+/// event-loop ([`crate::evented::run_socket_fleet_async_with_telemetry`])
+/// drivers.
 pub(crate) fn connect_transports(
     specs: Vec<SocketPathSpec>,
     telemetry: Option<&FleetTelemetry>,
@@ -78,18 +79,13 @@ pub(crate) fn connect_transports(
 }
 
 /// Connect one [`SocketTransport`] per path, all sharing a single clock
-/// epoch, and package them for the thread-backed fleet driver.
+/// epoch, and package them for the thread-backed fleet driver. With a
+/// [`FleetTelemetry`] hub, each transport's per-packet pacing error is
+/// observed into the hub's `pacing_error_ns{path="…"}` histogram.
 ///
 /// The control connections are long-lived: each receiver serves this
 /// fleet's path for the whole monitoring run (every periodic measurement
 /// reuses the same control channel and UDP socket).
-pub fn connect_fleet(specs: Vec<SocketPathSpec>) -> io::Result<Vec<ThreadPathSpec>> {
-    connect_fleet_with_telemetry(specs, None)
-}
-
-/// [`connect_fleet`] plus an optional [`FleetTelemetry`] hub: each
-/// transport's per-packet pacing error is observed into the hub's
-/// `pacing_error_ns{path="…"}` histogram.
 pub fn connect_fleet_with_telemetry(
     specs: Vec<SocketPathSpec>,
     telemetry: Option<&FleetTelemetry>,
@@ -115,47 +111,13 @@ pub fn connect_fleet_with_telemetry(
 /// fatal (a fleet that cannot reach a receiver is misconfigured); failures
 /// of individual *measurements* after that are counted on the path's
 /// series and monitoring continues.
-pub fn run_socket_fleet(
-    specs: Vec<SocketPathSpec>,
-    sched_cfg: &ScheduleConfig,
-    series_cfg: &SeriesConfig,
-    horizon: TimeNs,
-    threads: usize,
-    observer: impl FnMut(FleetEvent<'_>),
-) -> Result<Vec<PathSeries>, SlopsError> {
-    run_socket_fleet_with_shutdown(
-        specs,
-        sched_cfg,
-        series_cfg,
-        horizon,
-        threads,
-        &ShutdownFlag::new(),
-        observer,
-    )
-}
-
-/// [`run_socket_fleet`] plus a cooperative [`ShutdownFlag`] (see
-/// [`crate::thread::run_fleet_with_shutdown`]): what the `monitord` binary runs so
-/// SIGINT/SIGTERM can stop new starts, let in-flight measurements land,
-/// and still flush per-path summaries for the data collected so far.
-pub fn run_socket_fleet_with_shutdown(
-    specs: Vec<SocketPathSpec>,
-    sched_cfg: &ScheduleConfig,
-    series_cfg: &SeriesConfig,
-    horizon: TimeNs,
-    threads: usize,
-    stop: &ShutdownFlag,
-    observer: impl FnMut(FleetEvent<'_>),
-) -> Result<Vec<PathSeries>, SlopsError> {
-    run_socket_fleet_with_telemetry(
-        specs, sched_cfg, series_cfg, horizon, threads, stop, None, observer,
-    )
-}
-
-/// [`run_socket_fleet_with_shutdown`] plus an optional [`FleetTelemetry`]
-/// hub: pacing-error histograms on every transport, machine trace events
-/// forwarded per path, scheduler gauges mirrored live — everything a
-/// `monitord --metrics` scrape serves mid-run.
+///
+/// `stop` and `telemetry` behave as in
+/// [`run_fleet_with_telemetry`]:
+/// SIGINT/SIGTERM stop new starts, let in-flight measurements land and
+/// still flush per-path summaries; the hub gets pacing-error histograms
+/// on every transport, machine trace events per path and live scheduler
+/// gauges — everything a `monitord --metrics` scrape serves mid-run.
 #[allow(clippy::too_many_arguments)]
 pub fn run_socket_fleet_with_telemetry(
     specs: Vec<SocketPathSpec>,
@@ -214,12 +176,14 @@ mod tests {
             seed: 1,
         };
         let mut samples = 0usize;
-        let series = run_socket_fleet(
+        let series = run_socket_fleet_with_telemetry(
             specs,
             &sched,
             &SeriesConfig::default(),
             TimeNs::from_secs(4),
             2,
+            &ShutdownFlag::new(),
+            None,
             |ev| {
                 if matches!(ev, FleetEvent::Sample { .. }) {
                     samples += 1;
@@ -246,7 +210,6 @@ mod tests {
     /// after the signal.
     #[test]
     fn shutdown_cancels_a_dispatched_but_unstarted_measurement() {
-        use crate::thread::ShutdownFlag;
         use std::time::{Duration, Instant};
 
         let rx = Receiver::bind("127.0.0.1:0".parse().unwrap()).unwrap();
@@ -275,13 +238,14 @@ mod tests {
             })
         };
         let begun = Instant::now();
-        let series = crate::socket::run_socket_fleet_with_shutdown(
+        let series = run_socket_fleet_with_telemetry(
             specs,
             &sched,
             &SeriesConfig::default(),
             TimeNs::from_secs(60),
             2,
             &stop,
+            None,
             |_| {},
         )
         .unwrap();
@@ -314,12 +278,14 @@ mod tests {
             cfg: gentle_cfg(),
             rate_cap: None,
         }];
-        let err = run_socket_fleet(
+        let err = run_socket_fleet_with_telemetry(
             specs,
             &ScheduleConfig::default(),
             &SeriesConfig::default(),
             TimeNs::from_secs(1),
             1,
+            &ShutdownFlag::new(),
+            None,
             |_| {},
         );
         assert!(matches!(err, Err(SlopsError::Transport(_))));

@@ -74,8 +74,9 @@ pub struct ThreadPathSpec {
 }
 
 /// A live notification from a running fleet, streamed to the observer of
-/// [`run_fleet_with`] as completions are fed to the scheduler (in the same
-/// tick-granular order the series are built in).
+/// [`run_fleet_with_telemetry`] (and of the socket drivers built on the
+/// same completion path) as completions are fed to the scheduler, in the
+/// same tick-granular order the series are built in.
 #[derive(Debug)]
 pub enum FleetEvent<'a> {
     /// A measurement finished; `sample` was just appended to the path's
@@ -114,75 +115,72 @@ pub enum FleetEvent<'a> {
     },
 }
 
+/// Fold one finished measurement into its path's series and tell the
+/// observer: a stored sample (plus every change the detector newly
+/// flags), or a counted failure. The one completion path of every fleet
+/// driver that measures over transports — the thread driver's feed loop
+/// and the event-loop driver call it with the same arguments, so their
+/// series and event streams cannot drift apart.
+pub(crate) fn record_outcome(
+    path: usize,
+    at: TimeNs,
+    outcome: Result<Estimate, SlopsError>,
+    series: &mut PathSeries,
+    cursor: &mut ChangeCursor,
+    observer: &mut impl FnMut(FleetEvent<'_>),
+) {
+    match outcome {
+        Ok(est) => {
+            let sample = RangeSample::from_estimate(at, &est);
+            series.push(sample);
+            observer(FleetEvent::Sample {
+                path,
+                label: series.label(),
+                sample,
+            });
+            let changes = series.changes();
+            for change in cursor.fresh(&changes) {
+                observer(FleetEvent::Change {
+                    path,
+                    label: series.label(),
+                    change: *change,
+                });
+            }
+        }
+        Err(error) => {
+            series.record_error();
+            observer(FleetEvent::Failed {
+                path,
+                label: series.label(),
+                error: &error,
+            });
+        }
+    }
+}
+
 /// Run a thread-backed monitoring fleet to completion: measure every path
 /// periodically (staggered, jittered, capped — see [`ScheduleConfig`])
 /// until `horizon` on the transports' clock, using `threads` workers per
-/// wave (`0` = one per CPU). Failed measurements are counted on the
-/// path's series ([`PathSeries::errors`]) and monitoring continues.
+/// wave (`0` = one per CPU). Returns the per-path series in path order.
 ///
-/// Returns the per-path series in path order.
-pub fn run_fleet(
-    paths: Vec<ThreadPathSpec>,
-    sched_cfg: &ScheduleConfig,
-    series_cfg: &SeriesConfig,
-    horizon: TimeNs,
-    threads: usize,
-) -> Result<Vec<PathSeries>, SlopsError> {
-    run_fleet_with(paths, sched_cfg, series_cfg, horizon, threads, |_| {})
-}
-
-/// [`run_fleet`] with a live observer: every stored sample, failed
-/// measurement, and newly flagged change is reported as a [`FleetEvent`]
-/// the moment the driver learns of it — what a daemon needs to stream
-/// JSONL records while the fleet is still running (the `monitord` binary
-/// is built on this).
-pub fn run_fleet_with(
-    paths: Vec<ThreadPathSpec>,
-    sched_cfg: &ScheduleConfig,
-    series_cfg: &SeriesConfig,
-    horizon: TimeNs,
-    threads: usize,
-    observer: impl FnMut(FleetEvent<'_>),
-) -> Result<Vec<PathSeries>, SlopsError> {
-    run_fleet_with_shutdown(
-        paths,
-        sched_cfg,
-        series_cfg,
-        horizon,
-        threads,
-        &ShutdownFlag::new(),
-        observer,
-    )
-}
-
-/// [`run_fleet_with`] plus a cooperative [`ShutdownFlag`]: when the flag
-/// is requested (from a signal handler, another thread, or the observer
-/// itself), the scheduler stops issuing new starts, measurements already
-/// *probing* complete and are recorded normally, and the function
-/// returns the series collected so far. A start that was already handed
-/// to a worker but is still idling toward its start instant is cancelled
-/// without being measured (neither a sample nor an error), so shutdown
-/// latency is bounded by the longest measurement in flight, not by the
-/// schedule period.
-pub fn run_fleet_with_shutdown(
-    paths: Vec<ThreadPathSpec>,
-    sched_cfg: &ScheduleConfig,
-    series_cfg: &SeriesConfig,
-    horizon: TimeNs,
-    threads: usize,
-    stop: &ShutdownFlag,
-    observer: impl FnMut(FleetEvent<'_>),
-) -> Result<Vec<PathSeries>, SlopsError> {
-    run_fleet_with_telemetry(
-        paths, sched_cfg, series_cfg, horizon, threads, stop, None, observer,
-    )
-}
-
-/// [`run_fleet_with_shutdown`] plus an optional [`FleetTelemetry`] hub:
-/// per-path machine trace events are forwarded to the hub's sinks (the
-/// driver only relays — every event is minted by the sans-IO machine) and
-/// the scheduler's deterministic accessors are mirrored into its gauges
-/// after every feed, so a scrape mid-run sees live values.
+/// * **Observer** — every stored sample, failed measurement, and newly
+///   flagged change is reported as a [`FleetEvent`] the moment the driver
+///   learns of it — what a daemon needs to stream JSONL records while the
+///   fleet is still running. Failed measurements are counted on the
+///   path's series ([`PathSeries::errors`]) and monitoring continues.
+/// * **Shutdown** — when `stop` is requested (from a signal handler,
+///   another thread, or the observer itself), the scheduler stops issuing
+///   new starts, measurements already *probing* complete and are recorded
+///   normally, and the function returns the series collected so far. A
+///   start that was already handed to a worker but is still idling toward
+///   its start instant is cancelled without being measured (neither a
+///   sample nor an error), so shutdown latency is bounded by the longest
+///   measurement in flight, not by the schedule period.
+/// * **Telemetry** — with a [`FleetTelemetry`] hub, per-path machine
+///   trace events are forwarded to the hub's sinks (the driver only
+///   relays — every event is minted by the sans-IO machine) and the
+///   scheduler's deterministic accessors are mirrored into its gauges
+///   after every feed, so a scrape mid-run sees live values.
 #[allow(clippy::too_many_arguments)]
 pub fn run_fleet_with_telemetry(
     paths: Vec<ThreadPathSpec>,
@@ -309,36 +307,18 @@ pub fn run_fleet_with_telemetry(
                 }
                 let (_, p) = *entry.key();
                 let (at, finished, outcome) = entry.remove();
-                match outcome {
-                    Some(Ok(est)) => {
-                        let sample = RangeSample::from_estimate(at, &est);
-                        series[p].push(sample);
-                        observer(FleetEvent::Sample {
-                            path: p,
-                            label: series[p].label(),
-                            sample,
-                        });
-                        let changes = series[p].changes();
-                        for change in change_cursors[p].fresh(&changes) {
-                            observer(FleetEvent::Change {
-                                path: p,
-                                label: series[p].label(),
-                                change: *change,
-                            });
-                        }
-                    }
-                    Some(Err(error)) => {
-                        series[p].record_error();
-                        observer(FleetEvent::Failed {
-                            path: p,
-                            label: series[p].label(),
-                            error: &error,
-                        });
-                    }
-                    // Cancelled by shutdown before probing began: not a
-                    // sample, not an error — the path simply was not
-                    // measured.
-                    None => {}
+                // `None`: cancelled by shutdown before probing began —
+                // not a sample, not an error, the path simply was not
+                // measured.
+                if let Some(outcome) = outcome {
+                    record_outcome(
+                        p,
+                        at,
+                        outcome,
+                        &mut series[p],
+                        &mut change_cursors[p],
+                        &mut observer,
+                    );
                 }
                 sched.on_complete(PathId(p as u32), finished);
             }
@@ -358,6 +338,21 @@ mod tests {
     use super::*;
     use slops::testutil::OracleTransport;
     use units::Rate;
+
+    /// `run_fleet_with_telemetry` without a hub.
+    fn run(
+        paths: Vec<ThreadPathSpec>,
+        sched: &ScheduleConfig,
+        horizon: TimeNs,
+        threads: usize,
+        stop: &ShutdownFlag,
+        observer: impl FnMut(FleetEvent<'_>),
+    ) -> Result<Vec<PathSeries>, SlopsError> {
+        let series = SeriesConfig::default();
+        run_fleet_with_telemetry(
+            paths, sched, &series, horizon, threads, stop, None, observer,
+        )
+    }
 
     fn oracle_fleet(n: usize) -> Vec<ThreadPathSpec> {
         (0..n)
@@ -380,12 +375,13 @@ mod tests {
             max_concurrent: 2,
             seed: 7,
         };
-        let series = run_fleet(
+        let series = run(
             oracle_fleet(3),
             &sched,
-            &SeriesConfig::default(),
             TimeNs::from_secs(120),
             2,
+            &ShutdownFlag::new(),
+            |_| {},
         )
         .unwrap();
         assert_eq!(series.len(), 3);
@@ -413,12 +409,13 @@ mod tests {
                 max_concurrent: 0,
                 seed: 3,
             };
-            run_fleet(
+            run(
                 oracle_fleet(4),
                 &sched,
-                &SeriesConfig::default(),
                 TimeNs::from_secs(90),
                 threads,
+                &ShutdownFlag::new(),
+                |_| {},
             )
             .unwrap()
             .into_iter()
@@ -437,12 +434,12 @@ mod tests {
             seed: 11,
         };
         let mut streamed: Vec<(usize, RangeSample)> = Vec::new();
-        let series = run_fleet_with(
+        let series = run(
             oracle_fleet(3),
             &sched,
-            &SeriesConfig::default(),
             TimeNs::from_secs(100),
             2,
+            &ShutdownFlag::new(),
             |ev| {
                 if let FleetEvent::Sample { path, sample, .. } = ev {
                     streamed.push((path, sample));
@@ -469,10 +466,9 @@ mod tests {
         let stop = ShutdownFlag::new();
         stop.request();
         assert!(stop.is_requested());
-        let series = run_fleet_with_shutdown(
+        let series = run(
             oracle_fleet(2),
             &ScheduleConfig::default(),
-            &SeriesConfig::default(),
             TimeNs::from_secs(600),
             1,
             &stop,
@@ -497,10 +493,9 @@ mod tests {
         let stop = ShutdownFlag::new();
         let handle = stop.clone();
         let mut streamed = 0usize;
-        let series = run_fleet_with_shutdown(
+        let series = run(
             oracle_fleet(2),
             &sched,
-            &SeriesConfig::default(),
             TimeNs::from_secs(10_000),
             1,
             &stop,
@@ -525,12 +520,13 @@ mod tests {
     fn bad_config_rejected_up_front() {
         let mut paths = oracle_fleet(1);
         paths[0].cfg.fleet_fraction = 0.1;
-        let err = run_fleet(
+        let err = run(
             paths,
             &ScheduleConfig::default(),
-            &SeriesConfig::default(),
             TimeNs::from_secs(10),
             1,
+            &ShutdownFlag::new(),
+            |_| {},
         );
         assert!(matches!(err, Err(SlopsError::BadConfig(_))));
     }

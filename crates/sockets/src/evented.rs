@@ -36,11 +36,13 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::mux::{EventLoop, Interest, MuxEvent};
-use crate::proto::{CtrlMsg, ProbeKind, ProbePacket, PROBE_HEADER_LEN};
+use crate::proto::{
+    CtrlBuf, CtrlMsg, ProbeKind, ProbePacket, MAX_FRAME_TO_SENDER, PROBE_HEADER_LEN,
+};
 use crate::sender::{ctrl_error_text, stream_record, SocketTransport};
 use slops::machine::{Command, Event, SessionMachine};
 use slops::{Estimate, ProbeTransport, SlopsConfig, SlopsError, StreamRequest, TransportError};
-use std::io::{self, Read, Write};
+use std::io;
 use std::os::fd::AsRawFd;
 use std::sync::Arc;
 use telemetry::{Histogram, TraceSink};
@@ -163,10 +165,8 @@ pub struct EventedSession {
     cfg: Option<SlopsConfig>,
     tokens: SessionTokens,
     start: TimeNs,
-    /// Control-channel inbound bytes not yet forming a complete frame.
-    rbuf: Vec<u8>,
-    /// Control-channel outbound bytes not yet accepted by the socket.
-    wbuf: Vec<u8>,
+    /// Control-channel frames in flight, either direction.
+    ctrl_buf: CtrlBuf,
     exec: Exec,
     outcome: Option<Result<Estimate, SlopsError>>,
     registered: bool,
@@ -205,8 +205,7 @@ impl EventedSession {
             cfg: Some(cfg),
             tokens,
             start,
-            rbuf: Vec::new(),
-            wbuf: Vec::new(),
+            ctrl_buf: CtrlBuf::new(MAX_FRAME_TO_SENDER),
             exec: Exec::Rtt {
                 t_sent,
                 rtts: Vec::with_capacity(RTT_PROBES),
@@ -216,7 +215,7 @@ impl EventedSession {
             sink: None,
             pacing_hist: None,
         };
-        CtrlMsg::Echo { token: 0 }.append_to(&mut session.wbuf);
+        session.ctrl_buf.queue(&CtrlMsg::Echo { token: 0 });
         Ok(session)
     }
 
@@ -361,19 +360,16 @@ impl EventedSession {
     // ---- control channel ----------------------------------------------
 
     fn ctrl_interest(&self) -> Interest {
-        if self.wbuf.is_empty() {
-            Interest::READ
-        } else {
+        if self.ctrl_buf.wants_write() {
             Interest::BOTH
+        } else {
+            Interest::READ
         }
     }
 
-    fn queue_ctrl(&mut self, lp: Option<&EventLoop>, msg: &CtrlMsg) -> Result<(), TransportError> {
-        msg.append_to(&mut self.wbuf);
-        if let Some(lp) = lp {
-            self.update_ctrl_interest(lp)?;
-        }
-        Ok(())
+    fn queue_ctrl(&mut self, lp: &EventLoop, msg: &CtrlMsg) -> Result<(), TransportError> {
+        self.ctrl_buf.queue(msg);
+        self.update_ctrl_interest(lp)
     }
 
     fn update_ctrl_interest(&self, lp: &EventLoop) -> Result<(), TransportError> {
@@ -394,80 +390,31 @@ impl EventedSession {
         readable: bool,
         writable: bool,
     ) -> Result<(), TransportError> {
-        if writable && !self.wbuf.is_empty() {
-            self.flush_ctrl(lp)?;
+        if writable && self.ctrl_buf.wants_write() {
+            self.ctrl_buf
+                .flush(&mut self.transport.ctrl())
+                .map_err(ctrl_io_error)?;
+            self.update_ctrl_interest(lp)?;
         }
         if readable {
-            self.fill_rbuf()?;
-            while let Some(msg) = self.take_frame()? {
+            let open = self
+                .ctrl_buf
+                .fill(&mut self.transport.ctrl())
+                .map_err(ctrl_io_error)?;
+            while let Some(msg) = self.ctrl_buf.take_frame().map_err(ctrl_io_error)? {
                 self.on_ctrl_msg(lp, msg)?;
                 if matches!(self.exec, Exec::Done) {
                     break;
                 }
             }
+            if !open && !matches!(self.exec, Exec::Done) {
+                return Err(ctrl_io_error(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    "EOF on the control channel",
+                )));
+            }
         }
         Ok(())
-    }
-
-    fn flush_ctrl(&mut self, lp: &EventLoop) -> Result<(), TransportError> {
-        while !self.wbuf.is_empty() {
-            match self.transport.ctrl().write(&self.wbuf) {
-                Ok(0) => {
-                    return Err(TransportError::Io(ctrl_error_text(&io::Error::new(
-                        io::ErrorKind::BrokenPipe,
-                        "write returned 0",
-                    ))))
-                }
-                Ok(n) => {
-                    self.wbuf.drain(..n);
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(TransportError::Io(ctrl_error_text(&e))),
-            }
-        }
-        self.update_ctrl_interest(lp)
-    }
-
-    fn fill_rbuf(&mut self) -> Result<(), TransportError> {
-        let mut chunk = [0u8; 16 * 1024];
-        loop {
-            match self.transport.ctrl().read(&mut chunk) {
-                Ok(0) => {
-                    return Err(TransportError::Io(ctrl_error_text(&io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "EOF on the control channel",
-                    ))))
-                }
-                // `read` contracts n <= chunk.len(); `get` keeps the
-                // defensive bound out of the panic path.
-                Ok(n) => {
-                    if let Some(read) = chunk.get(..n) {
-                        self.rbuf.extend_from_slice(read);
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(TransportError::Io(ctrl_error_text(&e))),
-            }
-        }
-    }
-
-    /// Pop one complete control frame off the inbound buffer, if present.
-    fn take_frame(&mut self) -> Result<Option<CtrlMsg>, TransportError> {
-        let Some(&header) = self.rbuf.first_chunk::<4>() else {
-            return Ok(None); // length prefix not complete yet
-        };
-        let len = u32::from_le_bytes(header) as usize;
-        if len == 0 || len > 16 * 1024 * 1024 {
-            return Err(TransportError::Io("bad control frame length".into()));
-        }
-        let Some(mut frame) = self.rbuf.get(..4 + len) else {
-            return Ok(None); // body not complete yet
-        };
-        let msg = CtrlMsg::read_from(&mut frame).map_err(|e| TransportError::Io(e.to_string()))?;
-        self.rbuf.drain(..4 + len);
-        Ok(Some(msg))
     }
 
     fn protocol_error(&self, got: &CtrlMsg) -> TransportError {
@@ -489,7 +436,7 @@ impl EventedSession {
                 if rtts.len() < RTT_PROBES {
                     let next = rtts.len() as u64;
                     self.exec = Exec::Rtt { t_sent: now, rtts };
-                    self.queue_ctrl(Some(lp), &CtrlMsg::Echo { token: next })
+                    self.queue_ctrl(lp, &CtrlMsg::Echo { token: next })
                 } else {
                     rtts.sort_unstable();
                     // rtts holds RTT_PROBES (> 0) samples here, so the
@@ -759,7 +706,7 @@ impl EventedSession {
                 let size = (size as usize).max(PROBE_HEADER_LEN) as u32;
                 let id = self.transport.next_stream_id();
                 self.queue_ctrl(
-                    Some(lp),
+                    lp,
                     &CtrlMsg::TrainAnnounce {
                         id,
                         count: len,
@@ -773,7 +720,7 @@ impl EventedSession {
                 let size = (req.packet_size as usize).max(PROBE_HEADER_LEN) as u32;
                 let id = self.transport.next_stream_id();
                 self.queue_ctrl(
-                    Some(lp),
+                    lp,
                     &CtrlMsg::StreamAnnounce {
                         id,
                         count: req.count,
@@ -799,6 +746,12 @@ impl EventedSession {
             }
         }
     }
+}
+
+/// A control-channel failure as the session's transport error (with the
+/// dead-receiver diagnosis of [`ctrl_error_text`]).
+fn ctrl_io_error(e: io::Error) -> TransportError {
+    TransportError::Io(ctrl_error_text(&e))
 }
 
 /// A break of the command/event protocol between this session and the

@@ -17,7 +17,10 @@
 //! Layout:
 //!
 //! * [`proto`] — wire formats: UDP probe packets and framed control
-//!   messages (hand-rolled, dependency-free encoding).
+//!   messages (hand-rolled, dependency-free encoding), and
+//!   [`proto::CtrlBuf`], the one control-channel frame buffer every
+//!   endpoint shape reads and writes through — inbound frames bounded per
+//!   role, nothing reserved on a length field's word.
 //! * [`clock`] — monotonic nanosecond clocks. Sender and receiver use
 //!   *different epochs* on purpose: SLoPS needs only relative OWDs.
 //! * [`pacing`] — absolute-deadline packet pacing (sleep-then-spin), the
@@ -37,15 +40,20 @@
 //!   batching (one syscall, many datagrams) behind scalar fallbacks, and
 //!   a `SO_REUSEADDR` listener bind so a restarted receiver reclaims its
 //!   port through `TIME_WAIT`.
-//! * [`receiver`] — the threaded `pathload_rcv` side: accepts concurrent
-//!   sender sessions (a thread per session plus a demux thread), demuxes
-//!   the shared probe socket by session token, collects (de-duplicating,
-//!   loss-tolerant), timestamps arrivals, ships records back.
-//! * [`receiver_evented`] — [`EventedReceiver`], the same receiver
-//!   contract hosted on one [`mux::EventLoop`] thread: non-blocking
-//!   accept, per-session control state machines, batched probe reads,
-//!   silence windows as timer entries. Thousands of sessions, one
-//!   thread.
+//! * [`rx`] — the receiver's sans-IO protocol core: [`rx::Admission`]
+//!   (token mint, session cap, counters) and [`rx::RxSession`] (announce
+//!   handling, de-duplicating loss-tolerant collection, silence-window
+//!   and deadline stop rules, report construction), driven by
+//!   `on_ctrl` / `on_probe` / `on_tick` with time passed in. Every
+//!   receiver decision lives here, once.
+//! * [`receiver`] — [`Receiver`], the threaded pump over that core (the
+//!   `pathload_rcv` default): a thread per session plus a demux thread
+//!   that timestamps arrivals at the socket read and routes them by
+//!   session token. Portable — the only receiver off Linux.
+//! * [`receiver_evented`] — [`EventedReceiver`], the evented pump over
+//!   the same core on one [`mux::EventLoop`] thread: non-blocking accept,
+//!   a slab of sessions, batched probe reads, the core's tick as a timer
+//!   entry. Thousands of sessions, one thread.
 //! * [`sender`] — the `pathload_snd` side: [`SocketTransport`].
 //! * [`driver`] — [`SocketDriver`], the explicit command/event pump of the
 //!   sans-IO `slops::SessionMachine` over this transport (the reference
@@ -79,6 +87,7 @@ pub mod proto;
 pub mod receiver;
 #[cfg(unix)]
 pub mod receiver_evented;
+pub mod rx;
 pub mod sender;
 
 pub use batch::UdpRecvBatch;

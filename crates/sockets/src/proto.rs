@@ -2,6 +2,18 @@
 //!
 //! Everything is hand-encoded little-endian — the formats are tiny and a
 //! serialization framework would be the heaviest dependency in the crate.
+//!
+//! Everything that arrives here is hostile until parsed: decoding never
+//! indexes, never unwraps, and never reserves memory on the word of a
+//! length field — a frame is bounded per role ([`MAX_FRAME_TO_RECEIVER`],
+//! [`MAX_FRAME_TO_SENDER`]) before a body byte is buffered, and a sample
+//! count must account for exactly the bytes present. [`CtrlBuf`] is the
+//! one control-channel frame buffer every endpoint shape reads and writes
+//! through.
+
+// Datapath module: a panicking branch here takes the whole fleet down,
+// so `unwrap`/`expect` are denied outright (errors must travel as values).
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use std::io::{self, Read, Write};
 
@@ -18,6 +30,73 @@ pub const PROTO_VERSION: u8 = 2;
 
 /// Fixed UDP probe header length (the rest of the packet is padding).
 pub const PROBE_HEADER_LEN: usize = 32;
+
+/// Upper bound on the `count` a single announce may name. Collection
+/// allocates per-stream state proportional to `count` (the seen-index
+/// set, the sample vector), so without a cap one malicious
+/// `StreamAnnounce { count: u32::MAX, .. }` frame would make the receiver
+/// allocate gigabytes. Far above any real configuration (default stream
+/// length is 100 packets); an announce beyond it is a protocol error that
+/// closes the offending session — other sessions are unaffected.
+pub const MAX_ANNOUNCE_COUNT: u32 = 1 << 16;
+
+/// Encoded size of one [`SampleWire`] inside a `StreamReport`.
+const SAMPLE_WIRE_LEN: usize = 20;
+
+/// Largest control-frame body a **receiver** accepts. Its biggest
+/// legitimate inbound frame is the 21-byte `StreamAnnounce`; anything
+/// longer is refused on the 4-byte prefix alone, so a hostile peer cannot
+/// make a session buffer more than a few dozen bytes.
+pub const MAX_FRAME_TO_RECEIVER: usize = 32;
+
+/// Largest control-frame body a **sender** accepts: a `StreamReport`
+/// (tag, id, sample count) carrying [`MAX_ANNOUNCE_COUNT`] samples — the
+/// most a receiver can ever have been asked to collect.
+pub const MAX_FRAME_TO_SENDER: usize = 9 + SAMPLE_WIRE_LEN * MAX_ANNOUNCE_COUNT as usize;
+
+fn invalid(what: &'static str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, what)
+}
+
+/// Little-endian cursor over untrusted bytes: every read is bounds-checked
+/// and a short buffer is an error value, never a panic.
+struct Reader<'a>(&'a [u8]);
+
+impl Reader<'_> {
+    fn bytes<const N: usize>(&mut self) -> io::Result<[u8; N]> {
+        let (head, rest) = self
+            .0
+            .split_first_chunk::<N>()
+            .ok_or_else(|| invalid("short frame"))?;
+        self.0 = rest;
+        Ok(*head)
+    }
+
+    fn u8(&mut self) -> io::Result<u8> {
+        self.bytes::<1>().map(|[b]| b)
+    }
+
+    fn u16(&mut self) -> io::Result<u16> {
+        self.bytes().map(u16::from_le_bytes)
+    }
+
+    fn u32(&mut self) -> io::Result<u32> {
+        self.bytes().map(u32::from_le_bytes)
+    }
+
+    fn u64(&mut self) -> io::Result<u64> {
+        self.bytes().map(u64::from_le_bytes)
+    }
+}
+
+/// Write `bytes` at the front of `out` and advance past them (the encode
+/// twin of [`Reader::bytes`]; a too-short `out` is left untouched).
+fn put<const N: usize>(out: &mut &mut [u8], bytes: [u8; N]) {
+    if let Some((head, rest)) = std::mem::take(out).split_first_chunk_mut::<N>() {
+        *head = bytes;
+        *out = rest;
+    }
+}
 
 /// Kind byte of a probe packet.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -49,42 +128,46 @@ impl ProbePacket {
     /// bytes beyond the header are left untouched as padding).
     pub fn encode(&self, buf: &mut [u8]) {
         assert!(buf.len() >= PROBE_HEADER_LEN);
-        buf[0..4].copy_from_slice(&PROBE_MAGIC.to_le_bytes());
-        buf[4] = match self.kind {
+        let Some(head) = buf.first_chunk_mut::<PROBE_HEADER_LEN>() else {
+            return; // excluded by the assert above
+        };
+        let kind = match self.kind {
             ProbeKind::Stream => 0,
             ProbeKind::Train => 1,
         };
-        buf[5] = PROTO_VERSION;
-        buf[6..8].fill(0);
-        buf[8..12].copy_from_slice(&self.id.to_le_bytes());
-        buf[12..16].copy_from_slice(&self.idx.to_le_bytes());
-        buf[16..24].copy_from_slice(&self.send_ns.to_le_bytes());
-        buf[24..32].copy_from_slice(&self.session.to_le_bytes());
+        let mut out: &mut [u8] = head;
+        put(&mut out, PROBE_MAGIC.to_le_bytes());
+        put(&mut out, [kind, PROTO_VERSION, 0, 0]);
+        put(&mut out, self.id.to_le_bytes());
+        put(&mut out, self.idx.to_le_bytes());
+        put(&mut out, self.send_ns.to_le_bytes());
+        put(&mut out, self.session.to_le_bytes());
     }
 
     /// Decode from a received datagram; `None` if it is not ours (wrong
     /// magic, wrong version, unknown kind, or too short).
     pub fn decode(buf: &[u8]) -> Option<ProbePacket> {
-        if buf.len() < PROBE_HEADER_LEN {
+        let mut r = Reader(buf.first_chunk::<PROBE_HEADER_LEN>()?);
+        if r.u32().ok()? != PROBE_MAGIC {
             return None;
         }
-        if u32::from_le_bytes(buf[0..4].try_into().unwrap()) != PROBE_MAGIC {
-            return None;
-        }
-        let kind = match buf[4] {
+        let kind = match r.u8().ok()? {
             0 => ProbeKind::Stream,
             1 => ProbeKind::Train,
             _ => return None,
         };
-        if buf[5] != PROTO_VERSION {
+        if r.u8().ok()? != PROTO_VERSION {
             return None;
         }
+        r.u16().ok()?; // reserved
+        let (id, idx) = (r.u32().ok()?, r.u32().ok()?);
+        let (send_ns, session) = (r.u64().ok()?, r.u64().ok()?);
         Some(ProbePacket {
-            session: u64::from_le_bytes(buf[24..32].try_into().unwrap()),
+            session,
             kind,
-            id: u32::from_le_bytes(buf[8..12].try_into().unwrap()),
-            idx: u32::from_le_bytes(buf[12..16].try_into().unwrap()),
-            send_ns: u64::from_le_bytes(buf[16..24].try_into().unwrap()),
+            id,
+            idx,
+            send_ns,
         })
     }
 }
@@ -196,17 +279,6 @@ impl CtrlMsg {
         }
     }
 
-    /// Queue the message as one length-prefixed frame onto `out`.
-    ///
-    /// Infallible counterpart of [`CtrlMsg::write_to`] for the evented
-    /// shapes, whose write buffers are plain byte queues: `Vec<u8>`'s
-    /// `io::Write` impl never errors, so queueing a frame has no error
-    /// path and the datapath stays panic-free.
-    pub fn append_to(&self, out: &mut Vec<u8>) {
-        // Vec<u8> as io::Write cannot fail; discard the impossible Err.
-        let _ = self.write_to(out);
-    }
-
     /// Write the message as one length-prefixed frame.
     pub fn write_to<W: Write>(&self, w: &mut W) -> io::Result<()> {
         let mut body = Vec::with_capacity(32);
@@ -269,84 +341,233 @@ impl CtrlMsg {
         w.write_all(&body)
     }
 
-    /// Read one length-prefixed frame.
+    /// Read one length-prefixed frame, consuming exactly its bytes (the
+    /// blocking endpoints' reader; a stream of frames is read one call at
+    /// a time). The prefix is bounded by [`MAX_FRAME_TO_SENDER`], the
+    /// largest frame either role accepts, and the body buffer grows only
+    /// with the bytes that actually arrive.
     pub fn read_from<R: Read>(r: &mut R) -> io::Result<CtrlMsg> {
-        let mut len4 = [0u8; 4];
-        r.read_exact(&mut len4)?;
-        let len = u32::from_le_bytes(len4) as usize;
-        if len == 0 || len > 16 * 1024 * 1024 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "bad frame length",
-            ));
+        let mut prefix = [0u8; 4];
+        r.read_exact(&mut prefix)?;
+        let len = frame_len(prefix, MAX_FRAME_TO_SENDER)?;
+        let mut body = Vec::new();
+        r.by_ref().take(len as u64).read_to_end(&mut body)?;
+        if body.len() < len {
+            return Err(io::ErrorKind::UnexpectedEof.into());
         }
-        let mut body = vec![0u8; len];
-        r.read_exact(&mut body)?;
-        let tag = body[0];
-        let mut cur = &body[1..];
-        let mut take = |n: usize| -> io::Result<&[u8]> {
-            if cur.len() < n {
-                return Err(io::Error::new(io::ErrorKind::InvalidData, "short frame"));
-            }
-            let (head, rest) = cur.split_at(n);
-            cur = rest;
-            Ok(head)
-        };
-        let msg = match tag {
+        CtrlMsg::decode(&body)
+    }
+
+    /// Decode one frame body (tag byte plus fields, without the length
+    /// prefix). Short, over-long (trailing bytes) and unknown-tag bodies
+    /// are errors; nothing is reserved beyond the bytes present.
+    pub fn decode(body: &[u8]) -> io::Result<CtrlMsg> {
+        let mut r = Reader(body);
+        let msg = match r.u8()? {
             1 => CtrlMsg::Hello {
-                version: take(1)?[0],
-                udp_port: u16::from_le_bytes(take(2)?.try_into().unwrap()),
-                session: u64::from_le_bytes(take(8)?.try_into().unwrap()),
+                version: r.u8()?,
+                udp_port: r.u16()?,
+                session: r.u64()?,
             },
             2 => CtrlMsg::StreamAnnounce {
-                id: u32::from_le_bytes(take(4)?.try_into().unwrap()),
-                count: u32::from_le_bytes(take(4)?.try_into().unwrap()),
-                period_ns: u64::from_le_bytes(take(8)?.try_into().unwrap()),
-                size: u32::from_le_bytes(take(4)?.try_into().unwrap()),
+                id: r.u32()?,
+                count: r.u32()?,
+                period_ns: r.u64()?,
+                size: r.u32()?,
             },
-            3 => CtrlMsg::Ready {
-                id: u32::from_le_bytes(take(4)?.try_into().unwrap()),
-            },
+            3 => CtrlMsg::Ready { id: r.u32()? },
             4 => {
-                let id = u32::from_le_bytes(take(4)?.try_into().unwrap());
-                let n = u32::from_le_bytes(take(4)?.try_into().unwrap()) as usize;
-                let mut samples = Vec::with_capacity(n.min(1 << 20));
+                let id = r.u32()?;
+                let n = r.u32()? as usize;
+                // The count must account for exactly the bytes that
+                // follow, so the reservation below is backed by data the
+                // peer really sent, not by 4 bytes of header.
+                if n.checked_mul(SAMPLE_WIRE_LEN) != Some(r.0.len()) {
+                    return Err(invalid("sample count does not match the frame length"));
+                }
+                let mut samples = Vec::with_capacity(n);
                 for _ in 0..n {
                     samples.push(SampleWire {
-                        idx: u32::from_le_bytes(take(4)?.try_into().unwrap()),
-                        send_ns: u64::from_le_bytes(take(8)?.try_into().unwrap()),
-                        recv_ns: u64::from_le_bytes(take(8)?.try_into().unwrap()),
+                        idx: r.u32()?,
+                        send_ns: r.u64()?,
+                        recv_ns: r.u64()?,
                     });
                 }
                 CtrlMsg::StreamReport { id, samples }
             }
             5 => CtrlMsg::TrainAnnounce {
-                id: u32::from_le_bytes(take(4)?.try_into().unwrap()),
-                count: u32::from_le_bytes(take(4)?.try_into().unwrap()),
-                size: u32::from_le_bytes(take(4)?.try_into().unwrap()),
+                id: r.u32()?,
+                count: r.u32()?,
+                size: r.u32()?,
             },
             6 => CtrlMsg::TrainReport {
-                id: u32::from_le_bytes(take(4)?.try_into().unwrap()),
-                received: u32::from_le_bytes(take(4)?.try_into().unwrap()),
-                first_ns: u64::from_le_bytes(take(8)?.try_into().unwrap()),
-                last_ns: u64::from_le_bytes(take(8)?.try_into().unwrap()),
+                id: r.u32()?,
+                received: r.u32()?,
+                first_ns: r.u64()?,
+                last_ns: r.u64()?,
             },
-            7 => CtrlMsg::Echo {
-                token: u64::from_le_bytes(take(8)?.try_into().unwrap()),
-            },
+            7 => CtrlMsg::Echo { token: r.u64()? },
             8 => CtrlMsg::Bye,
             9 => CtrlMsg::Deny {
-                version: take(1)?[0],
-                code: take(1)?[0],
+                version: r.u8()?,
+                code: r.u8()?,
             },
-            _ => return Err(io::Error::new(io::ErrorKind::InvalidData, "unknown tag")),
+            _ => return Err(invalid("unknown tag")),
         };
+        if !r.0.is_empty() {
+            return Err(invalid("trailing bytes in frame"));
+        }
         Ok(msg)
+    }
+}
+
+/// Validate a frame's length prefix against the reader's bound.
+fn frame_len(prefix: [u8; 4], max_frame: usize) -> io::Result<usize> {
+    match u32::from_le_bytes(prefix) as usize {
+        0 => Err(invalid("empty control frame")),
+        len if len > max_frame => Err(invalid("control frame exceeds the inbound bound")),
+        len => Ok(len),
+    }
+}
+
+/// Bytes read from the control stream per `read` call.
+const READ_CHUNK: usize = 16 * 1024;
+
+/// The control-channel frame buffer: inbound bytes not yet forming a
+/// complete frame, outbound bytes the socket has not accepted yet. One
+/// implementation serves the evented sender, the evented receiver (both
+/// non-blocking: [`fill`](Self::fill) / [`take_frame`](Self::take_frame) /
+/// [`flush`](Self::flush)) and the threaded receiver's blocking session
+/// threads ([`read_msg`](Self::read_msg)).
+///
+/// Inbound memory is bounded by construction: a length prefix above
+/// `max_frame` is an error the moment its 4 bytes are in, and `fill`
+/// stops reading once a whole frame must already be buffered, so the
+/// buffer never holds more than one bound plus one read chunk.
+#[derive(Debug)]
+pub struct CtrlBuf {
+    rbuf: Vec<u8>,
+    wbuf: Vec<u8>,
+    max_frame: usize,
+}
+
+impl CtrlBuf {
+    /// An empty buffer accepting inbound frame bodies up to `max_frame`
+    /// bytes ([`MAX_FRAME_TO_RECEIVER`] or [`MAX_FRAME_TO_SENDER`]).
+    pub fn new(max_frame: usize) -> CtrlBuf {
+        CtrlBuf {
+            rbuf: Vec::new(),
+            wbuf: Vec::new(),
+            max_frame,
+        }
+    }
+
+    /// One `read` call appended to the inbound buffer.
+    fn read_some<R: Read>(&mut self, r: &mut R, chunk: &mut [u8]) -> io::Result<usize> {
+        let n = r.read(chunk)?;
+        // `read` contracts n <= chunk.len(); `get` keeps the defensive
+        // bound out of the panic path.
+        if let Some(read) = chunk.get(..n) {
+            self.rbuf.extend_from_slice(read);
+        }
+        Ok(n)
+    }
+
+    /// Read what a non-blocking stream has available. `Ok(false)` on a
+    /// clean EOF. Returns early once a complete frame is certainly
+    /// buffered (the caller drains frames; a level-triggered poller then
+    /// reports the rest), which is what bounds the buffer against a peer
+    /// that never stops sending.
+    pub fn fill<R: Read>(&mut self, r: &mut R) -> io::Result<bool> {
+        let mut chunk = [0u8; READ_CHUNK];
+        while self.rbuf.len() < 4 + self.max_frame {
+            match self.read_some(r, &mut chunk) {
+                Ok(0) => return Ok(false),
+                Ok(_) => {}
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(true)
+    }
+
+    /// Pop one complete frame off the inbound buffer, if present.
+    pub fn take_frame(&mut self) -> io::Result<Option<CtrlMsg>> {
+        let Some(&prefix) = self.rbuf.first_chunk::<4>() else {
+            return Ok(None); // length prefix not complete yet
+        };
+        let len = frame_len(prefix, self.max_frame)?;
+        let Some(body) = self.rbuf.get(4..4 + len) else {
+            return Ok(None); // body not complete yet
+        };
+        let msg = CtrlMsg::decode(body)?;
+        self.rbuf.drain(..4 + len);
+        Ok(Some(msg))
+    }
+
+    /// Block on `r` until one whole frame is in (`UnexpectedEof` when the
+    /// peer closes first). Bytes read past the frame stay buffered for
+    /// the next call.
+    pub fn read_msg<R: Read>(&mut self, r: &mut R) -> io::Result<CtrlMsg> {
+        let mut chunk = [0u8; READ_CHUNK];
+        loop {
+            if let Some(msg) = self.take_frame()? {
+                return Ok(msg);
+            }
+            match self.read_some(r, &mut chunk) {
+                Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+                Ok(_) => {}
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// Queue `msg` as one outbound frame.
+    pub fn queue(&mut self, msg: &CtrlMsg) {
+        // Vec<u8> as io::Write cannot fail; discard the impossible Err.
+        let _ = msg.write_to(&mut self.wbuf);
+    }
+
+    /// True while queued outbound bytes wait for the socket.
+    pub fn wants_write(&self) -> bool {
+        !self.wbuf.is_empty()
+    }
+
+    /// Write as much of the outbound queue as `w` accepts. `Ok` with
+    /// [`wants_write`](Self::wants_write) still true means back-pressure
+    /// (wait for writability).
+    pub fn flush<W: Write>(&mut self, w: &mut W) -> io::Result<()> {
+        while !self.wbuf.is_empty() {
+            match w.write(&self.wbuf) {
+                Ok(0) => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::BrokenPipe,
+                        "write returned 0",
+                    ))
+                }
+                Ok(n) => {
+                    self.wbuf.drain(..n.min(self.wbuf.len()));
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
+    }
+
+    /// Bytes of memory currently held for inbound data (diagnostics; the
+    /// hostile-input tests pin it under the bound).
+    pub fn inbound_capacity(&self) -> usize {
+        self.rbuf.capacity()
     }
 }
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
 
     #[test]

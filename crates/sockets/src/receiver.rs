@@ -1,50 +1,54 @@
-//! The receiver side (`pathload_rcv`): timestamps probe arrivals and ships
-//! records back over the control channel — for **many concurrent senders**
-//! on one control port and one shared UDP socket.
+//! The threaded receiver (`pathload_rcv`): timestamps probe arrivals and
+//! ships records back over the control channel — for **many concurrent
+//! senders** on one control port and one shared UDP socket.
 //!
-//! Session multiplexing works like this:
+//! [`Receiver`] is a *pump* over the sans-IO protocol core in
+//! [`crate::rx`]: which connections are admitted, which packets count,
+//! when a collection ends and what its report says are all decided there.
+//! This module owns the threads and the sockets:
 //!
-//! * every accepted control connection becomes a *session*: the receiver
-//!   mints a session token, registers a collector channel under it, and
-//!   advertises the token (plus the shared UDP port) in the `Hello`;
-//! * the sender stamps the token into every [`ProbePacket`] it emits;
+//! * every accepted control connection is offered to the core's
+//!   [`Admission`] desk; an admitted one becomes a *session* — an
+//!   [`RxSession`] on a thread of its own, with a bounded arrival channel
+//!   registered under the minted token — and a refused one gets the
+//!   core's versioned `Deny`;
 //! * one background *demux* thread owns the shared UDP socket: it
-//!   timestamps each datagram at arrival, decodes the header, and routes
-//!   the packet to the owning session's collector by token. Datagrams
-//!   carrying an unknown (stale, never-issued, foreign) token are dropped,
-//!   so a late packet from a finished session can never contaminate a live
-//!   collection. Tokens count up from a random 64-bit base, so an off-path
-//!   attacker cannot guess a live one; collector channels are bounded, so
-//!   a datagram flood cannot grow receiver memory;
+//!   timestamps each datagram **at the socket read**, decodes the header,
+//!   and routes the packet to the owning session's channel by token.
+//!   Datagrams carrying an unknown (stale, never-issued, foreign) token
+//!   are dropped, so a late packet from a finished session can never
+//!   contaminate a live collection; channels are bounded, so a datagram
+//!   flood cannot grow receiver memory;
+//! * a session thread blocks on its control channel between collections
+//!   and on its arrival channel during one, feeding the core each frame,
+//!   each arrival, and a tick every [`POLL_TIMEOUT`], and writing back
+//!   whatever frame the core returns;
 //! * [`Receiver::serve_forever`] accepts concurrently, one thread per
 //!   session, with bounded backoff on persistent accept errors (EMFILE &
 //!   co.) so a starved listener does not hot-loop at 100% CPU.
 //!
-//! Collection is loss- and reorder-tolerant: stream packets are
-//! de-duplicated on index (a duplicated datagram is counted once), and a
-//! stream with a lost or reordered tail stops after a short silence window
-//! once its nominal duration has passed instead of blocking for the full
-//! multi-second deadline.
+//! This is the only receiver shape that runs off Linux (the evented one
+//! needs epoll), which is why it stays.
 
 // Datapath module: a panicking branch here takes the whole fleet down,
 // so `unwrap`/`expect` are denied outright (errors must travel as values).
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::clock::MonoClock;
-use crate::proto::{CtrlMsg, ProbeKind, ProbePacket, SampleWire, DENY_AT_CAPACITY, PROTO_VERSION};
-use std::collections::hash_map::RandomState;
+use crate::proto::{
+    CtrlBuf, CtrlMsg, ProbePacket, DENY_AT_CAPACITY, MAX_FRAME_TO_RECEIVER, PROTO_VERSION,
+};
+use crate::rx::{Admission, CtrlAction, RxSession, POLL_TIMEOUT};
 use std::collections::HashMap;
-use std::hash::{BuildHasher, Hasher};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver as ChanReceiver, RecvTimeoutError, SyncSender};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
-use telemetry::Counter;
 
-/// A probe packet as the demux thread hands it to a session's collector:
+/// A probe packet as the demux thread hands it to a session thread:
 /// decoded header plus the arrival timestamp (receiver clock, stamped at
 /// the socket read, before any queueing).
 #[derive(Clone, Copy, Debug)]
@@ -55,103 +59,12 @@ struct Arrival {
 
 type Registry = Mutex<HashMap<u64, SyncSender<Arrival>>>;
 
-/// How long a collector waits on its channel per wakeup (also bounds how
-/// fast the demux thread notices shutdown). The evented receiver uses the
-/// same period for its collection-check timers, so both shapes notice
-/// silence windows and deadlines at the same cadence.
-pub(crate) const POLL_TIMEOUT: Duration = Duration::from_millis(50);
-
-/// Bound on a session's collector channel. Far above any stream or train
+/// Bound on a session's arrival channel. Far above any stream or train
 /// the sender announces (default stream length is 100 packets), so a
 /// datagram flood cannot grow receiver memory without bound — the demux
 /// drops for that session once full (dropped probes read as loss, which
 /// collection already tolerates) and other sessions are unaffected.
 const COLLECTOR_CAPACITY: usize = 4096;
-
-/// Upper bound on the `count` a single announce may name. Collection
-/// allocates per-stream state proportional to `count` (the seen-index
-/// set, the sample vector), so without a cap one malicious
-/// `StreamAnnounce { count: u32::MAX, .. }` frame would make the receiver
-/// allocate gigabytes. Far above any real configuration (default stream
-/// length is 100 packets); an announce beyond it is a protocol error that
-/// closes the offending session — other sessions are unaffected.
-pub const MAX_ANNOUNCE_COUNT: u32 = 1 << 16;
-
-/// A stream whose nominal duration has passed is considered over after
-/// this much silence (covers a lost or reordered final packet without
-/// waiting out the full deadline).
-pub(crate) const STREAM_SILENCE_NS: u64 = 200_000_000;
-
-/// A back-to-back train is considered over after this much silence.
-pub(crate) const TRAIN_SILENCE_NS: u64 = 50_000_000;
-
-/// A session whose collections have dropped at least this many datagrams
-/// (duplicates, malformed indices) earns a stderr warning — silent loss of
-/// this magnitude usually means a broken sender or a duplicating path.
-pub(crate) const DROP_WARN_THRESHOLD: u64 = 32;
-
-/// Minimum spacing between drop warnings across all sessions, so a flood
-/// of duplicates cannot turn the log into its own flood.
-pub(crate) const DROP_WARN_INTERVAL_NS: u64 = 5_000_000_000;
-
-/// Route/drop accounting for the shared demux thread and the per-session
-/// collectors. Dropping a datagram is often *by design* here (stale
-/// tokens, duplicated datagrams, bounded collector channels); these
-/// counters make the by-design drops visible instead of silent. Handles
-/// are created at [`Receiver::bind`] time and can be attached to any
-/// [`telemetry::Registry`] later via [`Receiver::register_metrics`].
-///
-/// The evented receiver shares this struct (and [`RecvCounters::register`])
-/// so both receiver shapes expose the exact same metric families — the
-/// structural-equivalence test pins that.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct RecvCounters {
-    /// Datagrams routed to a live session's collector.
-    pub(crate) routed: Counter,
-    /// Datagrams carrying a token no live session owns (stale session,
-    /// never issued, foreign).
-    pub(crate) drop_unknown_token: Counter,
-    /// Datagrams dropped because the owning session's collector channel
-    /// was full (flood protection; reads as loss to the session).
-    pub(crate) drop_collector_full: Counter,
-    /// Stream/train packets discarded by a collector: duplicated datagram
-    /// or out-of-range index.
-    pub(crate) drop_dedup: Counter,
-    /// Collections ended by the silence window instead of a complete
-    /// arrival set (the missing tail is treated as lost).
-    pub(crate) silence_stops: Counter,
-    /// Control connections refused with `Deny` at the session cap.
-    pub(crate) denied: Counter,
-}
-
-impl RecvCounters {
-    /// Register every family under its canonical name (both receiver
-    /// shapes go through here, so the families can never drift apart).
-    pub(crate) fn register(&self, reg: &telemetry::Registry) {
-        reg.register_counter("receiver_demux_routed_total", &[], self.routed.clone());
-        reg.register_counter(
-            "receiver_demux_drops_total",
-            &[("reason", "unknown_token")],
-            self.drop_unknown_token.clone(),
-        );
-        reg.register_counter(
-            "receiver_demux_drops_total",
-            &[("reason", "collector_full")],
-            self.drop_collector_full.clone(),
-        );
-        reg.register_counter(
-            "receiver_demux_drops_total",
-            &[("reason", "dedup")],
-            self.drop_dedup.clone(),
-        );
-        reg.register_counter(
-            "receiver_collect_silence_stops_total",
-            &[],
-            self.silence_stops.clone(),
-        );
-        reg.register_counter("receiver_sessions_denied_total", &[], self.denied.clone());
-    }
-}
 
 fn lock_registry(reg: &Registry) -> MutexGuard<'_, HashMap<u64, SyncSender<Arrival>>> {
     // A poisoned registry only means some session thread panicked while
@@ -162,18 +75,9 @@ fn lock_registry(reg: &Registry) -> MutexGuard<'_, HashMap<u64, SyncSender<Arriv
 /// Session-serving state shared by the accept loop, the session threads,
 /// and the demux thread.
 struct Shared {
-    udp_port: u16,
     clock: MonoClock,
     registry: Registry,
-    next_token: AtomicU64,
-    /// Concurrent-session cap; 0 = unlimited. When full, a new control
-    /// connection is refused with a versioned `Deny` instead of `Hello`.
-    /// (Atomic only so [`Receiver::with_max_sessions`] can set it after
-    /// the demux thread already shares the struct.)
-    max_sessions: AtomicUsize,
-    counters: RecvCounters,
-    /// Receiver-clock timestamp of the last drop warning (rate limiting).
-    last_drop_warn_ns: AtomicU64,
+    admission: Admission,
 }
 
 /// The pathload receiver: one TCP control listener plus one **shared** UDP
@@ -204,19 +108,10 @@ impl Receiver {
         udp_addr.set_port(0);
         let udp = UdpSocket::bind(udp_addr)?;
         udp.set_read_timeout(Some(POLL_TIMEOUT))?;
-        // Tokens count up from a random 64-bit base (std's OS-seeded
-        // hasher entropy): an off-path attacker who cannot observe the
-        // control channel cannot guess a live token to spoof probe
-        // datagrams into a session's collection.
-        let token_base = RandomState::new().build_hasher().finish();
         let shared = Arc::new(Shared {
-            udp_port: udp.local_addr()?.port(),
             clock: MonoClock::new(),
             registry: Mutex::new(HashMap::new()),
-            next_token: AtomicU64::new(token_base),
-            max_sessions: AtomicUsize::new(0),
-            counters: RecvCounters::default(),
-            last_drop_warn_ns: AtomicU64::new(0),
+            admission: Admission::new(udp.local_addr()?.port()),
         });
         let stop = Arc::new(AtomicBool::new(false));
         let demux = {
@@ -241,14 +136,14 @@ impl Receiver {
     /// Cap concurrent sessions at `max` (`0` = unlimited, the default).
     ///
     /// A receiver serving a fleet cannot accept sessions unboundedly:
-    /// every session costs a serving thread, a collector channel, and
+    /// every session costs a serving thread, an arrival channel, and
     /// demux-registry space. Beyond the cap a new control connection is
     /// answered with a **versioned [`CtrlMsg::Deny`]** (code
     /// [`DENY_AT_CAPACITY`]) instead of `Hello` — the sender gets a clean
     /// "receiver at capacity" error instead of a hung or half-open
     /// session, and sessions already running are untouched.
     pub fn with_max_sessions(self, max: usize) -> Receiver {
-        self.shared.max_sessions.store(max, Ordering::SeqCst);
+        self.shared.admission.set_max_sessions(max);
         self
     }
 
@@ -257,7 +152,7 @@ impl Receiver {
     /// [`Receiver::bind`] on; registering merely names them. Safe to call
     /// any number of times, on any number of registries.
     pub fn register_metrics(&self, reg: &telemetry::Registry) {
-        self.shared.counters.register(reg);
+        self.shared.admission.counters().register(reg);
     }
 
     /// Serve exactly one sender session (blocking), then return. Other
@@ -389,6 +284,7 @@ impl Default for AcceptBackoff {
 /// The demux loop: read the shared probe socket, stamp arrivals, route by
 /// session token. Runs until the receiver sets `stop`.
 fn demux_loop(udp: &UdpSocket, shared: &Shared, stop: &AtomicBool) {
+    let counters = shared.admission.counters();
     let mut buf = [0u8; 2048];
     while !stop.load(Ordering::Relaxed) {
         match udp.recv_from(&mut buf) {
@@ -398,15 +294,15 @@ fn demux_loop(udp: &UdpSocket, shared: &Shared, stop: &AtomicBool) {
                 // defensive bound out of the panic path.
                 if let Some(packet) = buf.get(..n).and_then(ProbePacket::decode) {
                     // Unknown token (stale session, never issued): drop.
-                    // A full collector also drops (never block the demux
+                    // A full channel also drops (never block the demux
                     // — other sessions' packets are behind this one).
                     if let Some(tx) = lock_registry(&shared.registry).get(&packet.session) {
                         match tx.try_send(Arrival { packet, recv_ns }) {
-                            Ok(()) => shared.counters.routed.inc(),
-                            Err(_) => shared.counters.drop_collector_full.inc(),
+                            Ok(()) => counters.routed.inc(),
+                            Err(_) => counters.drop_collector_full.inc(),
                         }
                     } else {
-                        shared.counters.drop_unknown_token.inc();
+                        counters.drop_unknown_token.inc();
                     }
                 }
             }
@@ -422,276 +318,78 @@ fn demux_loop(udp: &UdpSocket, shared: &Shared, stop: &AtomicBool) {
 }
 
 impl Shared {
-    fn mint_token(&self) -> u64 {
-        self.next_token.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Serve one control connection to completion: mint a session, say
-    /// `Hello`, answer announces with collections, deregister on the way
-    /// out (any exit path). A receiver at its session cap refuses the
-    /// connection with a versioned `Deny` instead (see
-    /// [`Receiver::with_max_sessions`]).
+    /// Serve one control connection to completion: offer it to the
+    /// admission desk, say `Hello` (or `Deny`), pump the session,
+    /// deregister on the way out (any exit path).
     fn serve_session(&self, mut ctrl: TcpStream) -> io::Result<()> {
         ctrl.set_nodelay(true)?;
-        let token = self.mint_token();
         let (tx, arrivals) = mpsc::sync_channel(COLLECTOR_CAPACITY);
-        {
-            // Check-and-insert under one lock, so racing accepts cannot
+        let admitted = {
+            // Admit-and-insert under one lock, so racing accepts cannot
             // both squeeze into the last slot.
             let mut registry = lock_registry(&self.registry);
-            let max = self.max_sessions.load(Ordering::SeqCst);
-            if max != 0 && registry.len() >= max {
-                drop(registry);
-                self.counters.denied.inc();
-                CtrlMsg::Deny {
-                    version: PROTO_VERSION,
-                    code: DENY_AT_CAPACITY,
-                }
-                .write_to(&mut ctrl)?;
-                return Ok(());
+            let admitted = self.admission.admit(registry.len());
+            if let Ok((session, _)) = &admitted {
+                registry.insert(session.token(), tx);
             }
-            registry.insert(token, tx);
-        }
-        let result = self.session_loop(&mut ctrl, token, &arrivals);
-        lock_registry(&self.registry).remove(&token);
+            admitted
+        };
+        let (mut session, hello) = match admitted {
+            Ok(admitted) => admitted,
+            Err(deny) => return deny.write_to(&mut ctrl),
+        };
+        let result = self.pump_session(&mut ctrl, &mut session, &hello, &arrivals);
+        lock_registry(&self.registry).remove(&session.token());
         result
     }
 
-    fn session_loop(
+    /// The session pump: control frames while idle, arrivals and ticks
+    /// while collecting, every decision taken by `session`.
+    fn pump_session(
         &self,
         ctrl: &mut TcpStream,
-        token: u64,
+        session: &mut RxSession,
+        hello: &CtrlMsg,
         arrivals: &ChanReceiver<Arrival>,
     ) -> io::Result<()> {
-        CtrlMsg::Hello {
-            version: PROTO_VERSION,
-            udp_port: self.udp_port,
-            session: token,
-        }
-        .write_to(ctrl)?;
-        // Per-session drop tally across all of the session's collections
-        // (the total counters aggregate every session; this one names the
-        // offender in the warning).
-        let mut session_drops = 0u64;
+        hello.write_to(ctrl)?;
+        let mut inbound = CtrlBuf::new(MAX_FRAME_TO_RECEIVER);
         loop {
-            let msg = match CtrlMsg::read_from(ctrl) {
+            let msg = match inbound.read_msg(ctrl) {
                 Ok(m) => m,
                 Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(()),
                 Err(e) => return Err(e),
             };
-            match msg {
-                CtrlMsg::StreamAnnounce {
-                    id,
-                    count,
-                    period_ns,
-                    size: _,
-                } => {
-                    check_count(count)?;
-                    drain(arrivals);
-                    CtrlMsg::Ready { id }.write_to(ctrl)?;
-                    let (samples, dropped) = self.collect_stream(arrivals, id, count, period_ns);
-                    session_drops += dropped;
-                    self.maybe_warn_drops(token, session_drops);
-                    CtrlMsg::StreamReport { id, samples }.write_to(ctrl)?;
-                }
-                CtrlMsg::TrainAnnounce { id, count, size: _ } => {
-                    check_count(count)?;
-                    drain(arrivals);
-                    CtrlMsg::Ready { id }.write_to(ctrl)?;
-                    let (received, first_ns, last_ns, dropped) =
-                        self.collect_train(arrivals, id, count);
-                    session_drops += dropped;
-                    self.maybe_warn_drops(token, session_drops);
-                    CtrlMsg::TrainReport {
-                        id,
-                        received,
-                        first_ns,
-                        last_ns,
+            // Arrivals queued since the last report are leftovers of
+            // finished streams; the idle core discards them.
+            while let Ok(stale) = arrivals.try_recv() {
+                session.on_probe(&stale.packet, stale.recv_ns);
+            }
+            match session.on_ctrl(msg, self.clock.now_ns())? {
+                CtrlAction::Reply(reply) => reply.write_to(ctrl)?,
+                CtrlAction::Close => return Ok(()),
+            }
+            let mut next_tick = self.clock.now_ns() + POLL_TIMEOUT.as_nanos() as u64;
+            while session.is_collecting() {
+                let now = self.clock.now_ns();
+                let report = if now >= next_tick {
+                    next_tick = now + POLL_TIMEOUT.as_nanos() as u64;
+                    session.on_tick(now)
+                } else {
+                    match arrivals.recv_timeout(Duration::from_nanos(next_tick - now)) {
+                        Ok(Arrival { packet, recv_ns }) => session.on_probe(&packet, recv_ns),
+                        Err(RecvTimeoutError::Timeout) => None,
+                        Err(RecvTimeoutError::Disconnected) => {
+                            return Err(io::Error::other("probe demux went away"))
+                        }
                     }
-                    .write_to(ctrl)?;
-                }
-                CtrlMsg::Echo { token } => {
-                    CtrlMsg::Echo { token }.write_to(ctrl)?;
-                }
-                CtrlMsg::Bye => return Ok(()),
-                other => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("unexpected control message {other:?}"),
-                    ))
+                };
+                if let Some(report) = report {
+                    report.write_to(ctrl)?;
                 }
             }
         }
     }
-
-    /// Collect packets of stream `id` until all `count` **distinct**
-    /// indices arrived, or the stream has clearly ended: its nominal
-    /// duration (measured from the first arrival) has passed and a
-    /// silence window elapsed with nothing new — which covers a lost or
-    /// reordered final packet without stalling to the full deadline.
-    /// Duplicated datagrams are counted once (first arrival wins).
-    /// Returns the samples plus how many datagrams the dedup discarded.
-    fn collect_stream(
-        &self,
-        arrivals: &ChanReceiver<Arrival>,
-        id: u32,
-        count: u32,
-        period_ns: u64,
-    ) -> (Vec<SampleWire>, u64) {
-        let mut samples = Vec::with_capacity(count as usize);
-        let mut seen = vec![false; count as usize];
-        let mut dropped = 0u64;
-        let start = self.clock.now_ns();
-        // Arm-to-end budget: 2 s to start + nominal duration + 1 s grace.
-        let deadline = start + 2_000_000_000 + count as u64 * period_ns + 1_000_000_000;
-        let mut first_arrival: Option<u64> = None;
-        let mut last_activity = start;
-        while (samples.len() as u32) < count && self.clock.now_ns() < deadline {
-            match arrivals.recv_timeout(POLL_TIMEOUT) {
-                Ok(Arrival { packet: p, recv_ns }) => {
-                    if p.kind != ProbeKind::Stream || p.id != id {
-                        continue; // leftover of an earlier train/stream
-                    }
-                    last_activity = recv_ns;
-                    first_arrival.get_or_insert(recv_ns);
-                    let idx = p.idx as usize;
-                    match seen.get_mut(idx) {
-                        // In range and fresh: mark and record below.
-                        Some(mark @ false) => *mark = true,
-                        // Malformed index or duplicated datagram.
-                        _ => {
-                            dropped += 1;
-                            self.counters.drop_dedup.inc();
-                            continue;
-                        }
-                    }
-                    samples.push(SampleWire {
-                        idx: p.idx,
-                        send_ns: p.send_ns,
-                        recv_ns,
-                    });
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    if let Some(first) = first_arrival {
-                        let nominal_end = first + count as u64 * period_ns;
-                        let now = self.clock.now_ns();
-                        if now >= nominal_end
-                            && now.saturating_sub(last_activity) >= STREAM_SILENCE_NS
-                        {
-                            // Stream over; the missing tail is lost.
-                            self.counters.silence_stops.inc();
-                            break;
-                        }
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-        }
-        (samples, dropped)
-    }
-
-    /// Collect a back-to-back train: distinct packets of train `id`,
-    /// de-duplicated on index, until all arrived or a silence window
-    /// passed after the first arrival. The last tuple element counts the
-    /// datagrams the dedup discarded.
-    fn collect_train(
-        &self,
-        arrivals: &ChanReceiver<Arrival>,
-        id: u32,
-        count: u32,
-    ) -> (u32, u64, u64, u64) {
-        let mut received = 0u32;
-        let mut first_ns = 0u64;
-        let mut last_ns = 0u64;
-        let mut seen = vec![false; count as usize];
-        let mut dropped = 0u64;
-        let start = self.clock.now_ns();
-        let deadline = start + 5_000_000_000;
-        let mut last_activity = start;
-        while received < count && self.clock.now_ns() < deadline {
-            match arrivals.recv_timeout(POLL_TIMEOUT) {
-                Ok(Arrival { packet: p, recv_ns }) => {
-                    if p.kind != ProbeKind::Train || p.id != id {
-                        continue;
-                    }
-                    last_activity = recv_ns;
-                    let idx = p.idx as usize;
-                    match seen.get_mut(idx) {
-                        // In range and fresh: mark and count below.
-                        Some(mark @ false) => *mark = true,
-                        // Malformed index or duplicated datagram.
-                        _ => {
-                            dropped += 1;
-                            self.counters.drop_dedup.inc();
-                            continue;
-                        }
-                    }
-                    if received == 0 {
-                        first_ns = recv_ns;
-                    }
-                    last_ns = last_ns.max(recv_ns);
-                    received += 1;
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    // Back-to-back train: a silence window after the first
-                    // arrival means it ended (possibly with losses).
-                    if received > 0
-                        && self.clock.now_ns().saturating_sub(last_activity) >= TRAIN_SILENCE_NS
-                    {
-                        self.counters.silence_stops.inc();
-                        break;
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-        }
-        (received, first_ns, last_ns, dropped)
-    }
-
-    /// Warn (rate-limited) once a session's collections have discarded a
-    /// suspicious number of datagrams. The threshold keeps the occasional
-    /// duplicated datagram quiet; the interval keeps a duplicate *flood*
-    /// from flooding stderr too.
-    fn maybe_warn_drops(&self, token: u64, session_drops: u64) {
-        if session_drops < DROP_WARN_THRESHOLD {
-            return;
-        }
-        let now = self.clock.now_ns();
-        let last = self.last_drop_warn_ns.load(Ordering::Relaxed);
-        if now.saturating_sub(last) < DROP_WARN_INTERVAL_NS {
-            return;
-        }
-        if self
-            .last_drop_warn_ns
-            .compare_exchange(last, now, Ordering::Relaxed, Ordering::Relaxed)
-            .is_ok()
-        {
-            eprintln!(
-                "receiver: session {token:#018x} dropped {session_drops} \
-                 duplicate/malformed probe datagrams ({} across all sessions)",
-                self.counters.drop_dedup.get()
-            );
-        }
-    }
-}
-
-/// Discard any arrivals buffered from this session's previous streams.
-fn drain(arrivals: &ChanReceiver<Arrival>) {
-    while arrivals.try_recv().is_ok() {}
-}
-
-/// Bound per-session collection memory: refuse an announce whose `count`
-/// would make the receiver allocate absurd per-stream state (see
-/// [`MAX_ANNOUNCE_COUNT`]). The offending session is closed with a
-/// protocol error; other sessions are unaffected.
-pub(crate) fn check_count(count: u32) -> io::Result<()> {
-    if count > MAX_ANNOUNCE_COUNT {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("announced count {count} exceeds the {MAX_ANNOUNCE_COUNT} cap"),
-        ));
-    }
-    Ok(())
 }
 
 /// Connect a control channel to a receiver and perform the hello
@@ -765,11 +463,17 @@ mod tests {
         assert_eq!(b.on_error(), AcceptBackoff::INITIAL);
     }
 
+    /// The token the receiver's admission desk would hand the next sender.
+    fn mint_token(rx: &Receiver) -> u64 {
+        let (session, _hello) = rx.shared.admission.admit(0).expect("uncapped");
+        session.token()
+    }
+
     #[test]
     fn tokens_are_unique_per_receiver() {
         let rx = Receiver::bind("127.0.0.1:0".parse().unwrap()).unwrap();
-        let a = rx.shared.mint_token();
-        let b = rx.shared.mint_token();
+        let a = mint_token(&rx);
+        let b = mint_token(&rx);
         assert_ne!(a, b);
     }
 
@@ -780,10 +484,10 @@ mod tests {
     #[test]
     fn token_bases_differ_across_receiver_incarnations() {
         let a = Receiver::bind("127.0.0.1:0".parse().unwrap()).unwrap();
-        let base_a = a.shared.mint_token();
+        let base_a = mint_token(&a);
         drop(a);
         let b = Receiver::bind("127.0.0.1:0".parse().unwrap()).unwrap();
-        let base_b = b.shared.mint_token();
+        let base_b = mint_token(&b);
         assert_ne!(base_a, base_b, "restarted receiver reused its token base");
     }
 
@@ -817,7 +521,7 @@ mod tests {
     /// counted*: the by-design drop is visible in the registry.
     #[test]
     fn unknown_token_datagrams_are_counted_as_drops() {
-        use crate::proto::PROBE_HEADER_LEN;
+        use crate::proto::{ProbeKind, PROBE_HEADER_LEN};
 
         let rx = Receiver::bind("127.0.0.1:0".parse().unwrap()).unwrap();
         let reg = telemetry::Registry::new();

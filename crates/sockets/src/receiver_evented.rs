@@ -1,38 +1,34 @@
 //! The evented receiver: one thread, thousands of concurrent sessions.
 //!
-//! [`EventedReceiver`] is to [`Receiver`](crate::Receiver) what
-//! [`EventedSession`](crate::EventedSession) is to the blocking sender
-//! driver: the same wire behavior — `Hello` with a minted token,
-//! announce/`Ready`/collect/report, `Echo`, `Bye`, a versioned `Deny` at
-//! the session cap — but hosted on one [`mux::EventLoop`](crate::mux::EventLoop) instead of a
-//! thread per session plus a demux thread. Concretely:
+//! [`EventedReceiver`] is the second *pump* over the sans-IO protocol
+//! core in [`crate::rx`] — same admission, same collection and stop
+//! rules, same reports as the threaded [`Receiver`](crate::Receiver),
+//! because they are the same code — hosted on one
+//! [`mux::EventLoop`](crate::mux::EventLoop) instead of a thread per
+//! session plus a demux thread. What this module owns is the substrate:
 //!
-//! * the control listener accepts non-blocking; each accepted connection
-//!   becomes a slot in a session slab with its own buffered, non-blocking
-//!   control state machine (the `rbuf`/`wbuf` framing idiom of
-//!   [`EventedSession`](crate::EventedSession));
+//! * the control listener accepts non-blocking; each connection the
+//!   core's [`Admission`] desk admits becomes a slot in a session slab: a
+//!   non-blocking control stream, its [`CtrlBuf`] frame buffer, and its
+//!   [`RxSession`];
 //! * the shared UDP probe socket is folded into the same loop: datagrams
 //!   are drained in `recvmmsg` batches ([`batch::UdpRecvBatch`]), the
 //!   arrival timestamp is stamped **once per batch at the socket read** —
-//!   before any per-packet work, preserving the threaded demux's
-//!   timestamp-at-read contract — and each packet is routed to its
-//!   session by token;
-//! * silence-window and deadline stops are timer entries: an active
-//!   collection re-arms a check timer every `POLL_TIMEOUT` (the cadence
-//!   the threaded collectors poll at) and the stop conditions are
-//!   evaluated against the same constants, so both receiver shapes end
-//!   collections identically. The timers are armed under the session
-//!   token as a [`TimerQueue`](crate::mux::TimerQueue) *generation* and
-//!   cancelled eagerly when the collection (or session) ends.
+//!   before any per-packet work, the same timestamp-at-read contract as
+//!   the threaded demux — and each packet is handed to its session's core
+//!   by token;
+//! * the core's tick is a timer entry: a collecting session re-arms one
+//!   every [`POLL_TIMEOUT`] under the session token as a
+//!   [`TimerQueue`](crate::mux::TimerQueue) *generation*, cancelled
+//!   eagerly when the report ships (or the session ends).
 //!
-//! Route/drop accounting shares `receiver::RecvCounters`, so both shapes
+//! Route/drop accounting is the core's `RecvCounters`, so both shapes
 //! expose the exact same metric families; the evented receiver adds a
 //! `receiver_sessions` gauge (live sessions) and a
 //! `receiver_recv_batch_size` histogram (datagrams per kernel crossing).
-//! `collector_full` can never fire here — arrivals are routed straight
-//! into collection state, there is no bounded channel — but the family
-//! is still registered, so dashboards and the structural-equivalence
-//! test see an identical metric surface.
+//! `collector_full` can never fire here — arrivals go straight into the
+//! core, there is no bounded channel — but the family is still
+//! registered, so dashboards see an identical metric surface.
 
 // Datapath module: a panicking branch here takes the whole fleet down,
 // so `unwrap`/`expect` are denied outright (errors must travel as values).
@@ -41,21 +37,16 @@
 use crate::batch::{self, UdpRecvBatch};
 use crate::clock::MonoClock;
 use crate::mux::{EventLoop, Interest, MuxEvent};
-use crate::proto::{CtrlMsg, ProbeKind, ProbePacket, SampleWire, DENY_AT_CAPACITY, PROTO_VERSION};
-use crate::receiver::{
-    check_count, AcceptBackoff, RecvCounters, DROP_WARN_INTERVAL_NS, DROP_WARN_THRESHOLD,
-    POLL_TIMEOUT, STREAM_SILENCE_NS, TRAIN_SILENCE_NS,
-};
-use std::collections::hash_map::RandomState;
+use crate::proto::{CtrlBuf, CtrlMsg, ProbePacket, MAX_FRAME_TO_RECEIVER};
+use crate::receiver::AcceptBackoff;
+use crate::rx::{Admission, CtrlAction, RxSession, POLL_TIMEOUT};
 use std::collections::HashMap;
-use std::hash::{BuildHasher, Hasher};
-use std::io::{self, Read, Write};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 use telemetry::{Gauge, Histogram};
 
 /// Event-loop token of the control listener.
@@ -76,59 +67,40 @@ const MAX_BATCHES_PER_WAKEUP: usize = 64;
 /// threaded demux's stack buffer).
 const RECV_BUF_LEN: usize = 2048;
 
-/// An in-progress stream collection (the evented analogue of the threaded
-/// `collect_stream` local state).
+/// One live session: a non-blocking control connection, its frame
+/// buffer, and the protocol core deciding what it means.
 #[derive(Debug)]
-struct StreamCollect {
-    id: u32,
-    count: u32,
-    period_ns: u64,
-    samples: Vec<SampleWire>,
-    seen: Vec<bool>,
-    /// Hard deadline: `start + 2 s + count·period + 1 s` (same budget as
-    /// the threaded collector).
-    deadline: u64,
-    first_arrival: Option<u64>,
-    last_activity: u64,
-}
-
-/// An in-progress train collection.
-#[derive(Debug)]
-struct TrainCollect {
-    id: u32,
-    count: u32,
-    received: u32,
-    first_ns: u64,
-    last_ns: u64,
-    seen: Vec<bool>,
-    /// Hard deadline: `start + 5 s`.
-    deadline: u64,
-    last_activity: u64,
-}
-
-/// What a session's probe arrivals currently feed.
-#[derive(Debug)]
-enum Collect {
-    /// Between collections: routed arrivals are discarded (the threaded
-    /// shape queues then drains them before the next `Ready`).
-    Idle,
-    Stream(StreamCollect),
-    Train(TrainCollect),
-}
-
-/// One live session slot: a non-blocking control connection plus its
-/// collection state.
-#[derive(Debug)]
-struct RxSession {
+struct Slot {
     ctrl: TcpStream,
-    token: u64,
-    rbuf: Vec<u8>,
-    wbuf: Vec<u8>,
-    collect: Collect,
-    /// Drop tally across the session's collections (duplicates, malformed
-    /// indices) — feeds the same rate-limited warning as the threaded
-    /// shape.
-    drops: u64,
+    io: CtrlBuf,
+    core: RxSession,
+}
+
+impl Slot {
+    /// Move bytes and frames between the socket and the core. `Ok(false)`
+    /// means the session ended cleanly (`Bye`, or EOF).
+    fn on_io(&mut self, readable: bool, writable: bool, now_ns: u64) -> io::Result<bool> {
+        if writable {
+            self.io.flush(&mut self.ctrl)?;
+        }
+        if readable {
+            let open = self.io.fill(&mut self.ctrl)?;
+            while let Some(msg) = self.io.take_frame()? {
+                match self.core.on_ctrl(msg, now_ns)? {
+                    CtrlAction::Reply(reply) => self.io.queue(&reply),
+                    CtrlAction::Close => {
+                        // Best-effort flush of anything still queued.
+                        let _ = self.io.flush(&mut self.ctrl);
+                        return Ok(false);
+                    }
+                }
+            }
+            if !open {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
 }
 
 /// The evented pathload receiver: one TCP control listener, one shared
@@ -141,26 +113,19 @@ pub struct EventedReceiver {
     /// error (or panic) path.
     ctrl_addr: SocketAddr,
     udp: UdpSocket,
-    udp_port: u16,
     clock: MonoClock,
     lp: EventLoop,
     batch: UdpRecvBatch,
-    sessions: Vec<Option<RxSession>>,
+    sessions: Vec<Option<Slot>>,
     free: Vec<usize>,
     by_token: HashMap<u64, usize>,
-    next_token: u64,
-    /// Concurrent-session cap; 0 = unlimited (see
-    /// [`EventedReceiver::with_max_sessions`]).
-    max_sessions: usize,
-    counters: RecvCounters,
+    admission: Admission,
     /// Live sessions right now.
     sessions_gauge: Gauge,
     /// Datagrams per kernel crossing of the probe socket.
     batch_hist: Histogram,
-    last_drop_warn_ns: u64,
     backoff: AcceptBackoff,
     accept_paused: bool,
-    events: Vec<MuxEvent>,
 }
 
 impl EventedReceiver {
@@ -178,34 +143,26 @@ impl EventedReceiver {
         udp_addr.set_port(0);
         let udp = UdpSocket::bind(udp_addr)?;
         udp.set_nonblocking(true)?;
-        let udp_port = udp.local_addr()?.port();
+        let admission = Admission::new(udp.local_addr()?.port());
         let clock = MonoClock::new();
         let lp = EventLoop::new(clock.clone())?;
         lp.register(listener.as_raw_fd(), TOK_LISTEN, Interest::READ)?;
         lp.register(udp.as_raw_fd(), TOK_UDP, Interest::READ)?;
-        // Same token scheme as the threaded shape: count up from a random
-        // 64-bit base so off-path probe spoofing cannot guess a live one.
-        let next_token = RandomState::new().build_hasher().finish();
         Ok(EventedReceiver {
             listener,
             ctrl_addr,
             udp,
-            udp_port,
             clock,
             lp,
             batch: UdpRecvBatch::new(batch::MAX_BATCH, RECV_BUF_LEN),
             sessions: Vec::new(),
             free: Vec::new(),
             by_token: HashMap::new(),
-            next_token,
-            max_sessions: 0,
-            counters: RecvCounters::default(),
+            admission,
             sessions_gauge: Gauge::new(),
             batch_hist: Histogram::new(),
-            last_drop_warn_ns: 0,
             backoff: AcceptBackoff::new(),
             accept_paused: false,
-            events: Vec::new(),
         })
     }
 
@@ -216,10 +173,10 @@ impl EventedReceiver {
 
     /// Cap concurrent sessions at `max` (`0` = unlimited, the default).
     /// Beyond the cap a new connection is answered with a versioned
-    /// [`CtrlMsg::Deny`] (code [`DENY_AT_CAPACITY`]) — same contract as
+    /// [`CtrlMsg::Deny`] — same contract as
     /// [`Receiver::with_max_sessions`](crate::Receiver::with_max_sessions).
-    pub fn with_max_sessions(mut self, max: usize) -> EventedReceiver {
-        self.max_sessions = max;
+    pub fn with_max_sessions(self, max: usize) -> EventedReceiver {
+        self.admission.set_max_sessions(max);
         self
     }
 
@@ -235,50 +192,40 @@ impl EventedReceiver {
     /// families as the threaded shape, plus the `receiver_sessions` gauge
     /// and the `receiver_recv_batch_size` histogram.
     pub fn register_metrics(&self, reg: &telemetry::Registry) {
-        self.counters.register(reg);
+        self.admission.counters().register(reg);
         reg.register_gauge("receiver_sessions", &[], self.sessions_gauge.clone());
         reg.register_histogram("receiver_recv_batch_size", &[], self.batch_hist.clone());
-    }
-
-    /// Live session count (diagnostics; the `receiver_sessions` gauge
-    /// carries the same number).
-    pub fn sessions_live(&self) -> usize {
-        self.by_token.len()
     }
 
     /// Serve until `stop` turns true (checked between event-loop waits,
     /// so shutdown latency is bounded by `POLL_TIMEOUT`).
     pub fn run(&mut self, stop: &AtomicBool) -> io::Result<()> {
+        let mut events = Vec::new();
         while !stop.load(Ordering::Relaxed) {
-            self.poll_once(POLL_TIMEOUT)?;
+            events.clear();
+            self.lp.wait(&mut events, POLL_TIMEOUT)?;
+            for ev in &events {
+                self.dispatch(ev);
+            }
         }
         Ok(())
     }
 
-    /// One event-loop turn: wait up to `max_wait`, then dispatch every
-    /// event. Exposed so tests can single-step the receiver.
-    pub fn poll_once(&mut self, max_wait: Duration) -> io::Result<()> {
-        let mut events = std::mem::take(&mut self.events);
-        events.clear();
-        self.lp.wait(&mut events, max_wait)?;
-        for ev in &events {
-            match *ev {
-                MuxEvent::Io(r) if r.token == TOK_LISTEN => self.on_accept_ready(),
-                MuxEvent::Io(r) if r.token == TOK_UDP && r.readable => self.on_udp_ready(),
-                MuxEvent::Io(r) if r.token < TOK_SLOT_MAX => {
-                    self.on_session_io(r.token as usize, r.readable, r.writable);
-                }
-                MuxEvent::Timer {
-                    token: TOK_ACCEPT_RESUME,
-                } => self.resume_accepting(),
-                MuxEvent::Timer { token } if token < TOK_SLOT_MAX => {
-                    self.on_collect_timer(token as usize);
-                }
-                _ => {}
+    fn dispatch(&mut self, ev: &MuxEvent) {
+        match *ev {
+            MuxEvent::Io(r) if r.token == TOK_LISTEN => self.on_accept_ready(),
+            MuxEvent::Io(r) if r.token == TOK_UDP && r.readable => self.on_udp_ready(),
+            MuxEvent::Io(r) if r.token < TOK_SLOT_MAX => {
+                self.on_session_io(r.token as usize, r.readable, r.writable);
             }
+            MuxEvent::Timer {
+                token: TOK_ACCEPT_RESUME,
+            } => self.resume_accepting(),
+            MuxEvent::Timer { token } if token < TOK_SLOT_MAX => {
+                self.on_tick_timer(token as usize);
+            }
+            _ => {}
         }
-        self.events = events;
-        Ok(())
     }
 
     /// Move the receiver onto its own thread; the handle stops and joins
@@ -294,12 +241,6 @@ impl EventedReceiver {
     }
 
     // ---- accept path ---------------------------------------------------
-
-    fn mint_token(&mut self) -> u64 {
-        let t = self.next_token;
-        self.next_token = self.next_token.wrapping_add(1);
-        t
-    }
 
     fn on_accept_ready(&mut self) {
         loop {
@@ -339,41 +280,27 @@ impl EventedReceiver {
         }
     }
 
-    /// Admit one accepted control connection: `Deny` past the cap, else
-    /// mint a token, queue the `Hello`, and register the slot.
+    /// Offer one accepted control connection to the admission desk: queue
+    /// the `Hello` and register the slot, or send the `Deny` and drop it.
     fn admit(&mut self, mut ctrl: TcpStream) {
         let _ = ctrl.set_nodelay(true);
         if ctrl.set_nonblocking(true).is_err() {
             return;
         }
-        if self.max_sessions != 0 && self.by_token.len() >= self.max_sessions {
-            self.counters.denied.inc();
-            // Best-effort single write: the frame is a handful of bytes
-            // and the socket buffer of a fresh connection always holds it.
-            let mut frame = Vec::new();
-            let _ = CtrlMsg::Deny {
-                version: PROTO_VERSION,
-                code: DENY_AT_CAPACITY,
+        let mut io = CtrlBuf::new(MAX_FRAME_TO_RECEIVER);
+        let core = match self.admission.admit(self.by_token.len()) {
+            Ok((core, hello)) => {
+                io.queue(&hello);
+                core
             }
-            .write_to(&mut frame);
-            let _ = ctrl.write(&frame);
-            return;
-        }
-        let token = self.mint_token();
-        let mut sess = RxSession {
-            ctrl,
-            token,
-            rbuf: Vec::new(),
-            wbuf: Vec::new(),
-            collect: Collect::Idle,
-            drops: 0,
+            Err(deny) => {
+                // Best-effort single write: the frame is a handful of bytes
+                // and the socket buffer of a fresh connection always holds it.
+                io.queue(&deny);
+                let _ = io.flush(&mut ctrl);
+                return;
+            }
         };
-        CtrlMsg::Hello {
-            version: PROTO_VERSION,
-            udp_port: self.udp_port,
-            session: token,
-        }
-        .append_to(&mut sess.wbuf);
         let slot = match self.free.pop() {
             Some(slot) => slot,
             None => {
@@ -383,15 +310,15 @@ impl EventedReceiver {
         };
         if self
             .lp
-            .register(sess.ctrl.as_raw_fd(), slot as u64, Interest::BOTH)
+            .register(ctrl.as_raw_fd(), slot as u64, Interest::BOTH)
             .is_err()
         {
             self.free.push(slot);
             return;
         }
-        self.by_token.insert(token, slot);
+        self.by_token.insert(core.token(), slot);
         if let Some(entry) = self.sessions.get_mut(slot) {
-            *entry = Some(sess);
+            *entry = Some(Slot { ctrl, io, core });
         }
         self.sessions_gauge.set(self.by_token.len() as i64);
     }
@@ -400,81 +327,49 @@ impl EventedReceiver {
     fn close_session(&mut self, slot: usize) {
         if let Some(sess) = self.sessions.get_mut(slot).and_then(Option::take) {
             let _ = self.lp.deregister(sess.ctrl.as_raw_fd());
-            self.lp.cancel_timer_generation(sess.token);
-            self.by_token.remove(&sess.token);
+            self.lp.cancel_timer_generation(sess.core.token());
+            self.by_token.remove(&sess.core.token());
             self.free.push(slot);
             self.sessions_gauge.set(self.by_token.len() as i64);
         }
     }
 
+    /// A session failed (socket or protocol error): say so, close it.
+    fn fail_session(&mut self, slot: usize, e: &io::Error) {
+        if let Some(sess) = self.sessions.get(slot).and_then(Option::as_ref) {
+            eprintln!("session error: {e} (session {:#018x})", sess.core.token());
+        }
+        self.close_session(slot);
+    }
+
     // ---- control channel per session -----------------------------------
 
     fn on_session_io(&mut self, slot: usize, readable: bool, writable: bool) {
+        let now = self.clock.now_ns();
         let Some(sess) = self.sessions.get_mut(slot).and_then(Option::as_mut) else {
             return; // stale event for an already-closed slot
         };
-        if writable && !sess.wbuf.is_empty() {
-            match flush_wbuf(&mut sess.ctrl, &mut sess.wbuf) {
-                Ok(()) => {}
-                Err(e) => {
-                    self.log_session_error(slot, &e);
-                    self.close_session(slot);
-                    return;
+        let was_collecting = sess.core.is_collecting();
+        match sess.on_io(readable, writable, now) {
+            Ok(true) => {
+                if !was_collecting && sess.core.is_collecting() {
+                    let token = sess.core.token();
+                    self.arm_tick(slot, token, now);
                 }
+                self.update_interest(slot);
             }
-        }
-        if readable {
-            match fill_rbuf(&mut sess.ctrl, &mut sess.rbuf) {
-                Ok(true) => {}
-                Ok(false) => {
-                    // Peer closed cleanly (EOF): same as the threaded
-                    // session loop returning Ok on UnexpectedEof.
-                    self.close_session(slot);
-                    return;
-                }
-                Err(e) => {
-                    self.log_session_error(slot, &e);
-                    self.close_session(slot);
-                    return;
-                }
-            }
-            loop {
-                let Some(sess) = self.sessions.get_mut(slot).and_then(Option::as_mut) else {
-                    return; // a frame closed the session
-                };
-                match take_frame(&mut sess.rbuf) {
-                    Ok(Some(msg)) => {
-                        if let Err(e) = self.on_ctrl_msg(slot, msg) {
-                            self.log_session_error(slot, &e);
-                            self.close_session(slot);
-                            return;
-                        }
-                    }
-                    Ok(None) => break,
-                    Err(e) => {
-                        self.log_session_error(slot, &e);
-                        self.close_session(slot);
-                        return;
-                    }
-                }
-            }
-        }
-        self.update_interest(slot);
-    }
-
-    fn log_session_error(&self, slot: usize, e: &io::Error) {
-        if let Some(sess) = self.sessions.get(slot).and_then(Option::as_ref) {
-            eprintln!("session error: {e} (session {:#018x})", sess.token);
+            Ok(false) => self.close_session(slot),
+            Err(e) => self.fail_session(slot, &e),
         }
     }
 
     /// Re-point epoll at what the slot's write buffer implies.
     fn update_interest(&mut self, slot: usize) {
         if let Some(sess) = self.sessions.get(slot).and_then(Option::as_ref) {
-            let interest = if sess.wbuf.is_empty() {
-                Interest::READ
-            } else {
+            let interest = if sess.io.wants_write() {
                 Interest::BOTH
+            } else {
+                Interest::READ
             };
             let _ = self
                 .lp
@@ -482,85 +377,9 @@ impl EventedReceiver {
         }
     }
 
-    /// One control frame, mirroring the threaded `session_loop` arms.
-    fn on_ctrl_msg(&mut self, slot: usize, msg: CtrlMsg) -> io::Result<()> {
-        let now = self.clock.now_ns();
-        let Some(sess) = self.sessions.get_mut(slot).and_then(Option::as_mut) else {
-            return Ok(()); // slot already torn down; frame raced the close
-        };
-        match msg {
-            CtrlMsg::StreamAnnounce {
-                id,
-                count,
-                period_ns,
-                size: _,
-            } => {
-                check_count(count)?;
-                if !matches!(sess.collect, Collect::Idle) {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "announce while a collection is active",
-                    ));
-                }
-                CtrlMsg::Ready { id }.write_to(&mut sess.wbuf)?;
-                sess.collect = Collect::Stream(StreamCollect {
-                    id,
-                    count,
-                    period_ns,
-                    samples: Vec::with_capacity(count as usize),
-                    seen: vec![false; count as usize],
-                    // Same arm-to-end budget as the threaded collector:
-                    // 2 s to start + nominal duration + 1 s grace.
-                    deadline: now + 2_000_000_000 + count as u64 * period_ns + 1_000_000_000,
-                    first_arrival: None,
-                    last_activity: now,
-                });
-                let token = sess.token;
-                self.arm_check(slot, token, now);
-            }
-            CtrlMsg::TrainAnnounce { id, count, size: _ } => {
-                check_count(count)?;
-                if !matches!(sess.collect, Collect::Idle) {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "announce while a collection is active",
-                    ));
-                }
-                CtrlMsg::Ready { id }.write_to(&mut sess.wbuf)?;
-                sess.collect = Collect::Train(TrainCollect {
-                    id,
-                    count,
-                    received: 0,
-                    first_ns: 0,
-                    last_ns: 0,
-                    seen: vec![false; count as usize],
-                    deadline: now + 5_000_000_000,
-                    last_activity: now,
-                });
-                let token = sess.token;
-                self.arm_check(slot, token, now);
-            }
-            CtrlMsg::Echo { token } => {
-                CtrlMsg::Echo { token }.write_to(&mut sess.wbuf)?;
-            }
-            CtrlMsg::Bye => {
-                // Best-effort flush of anything still queued, then close.
-                let _ = flush_wbuf(&mut sess.ctrl, &mut sess.wbuf);
-                self.close_session(slot);
-            }
-            other => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("unexpected control message {other:?}"),
-                ));
-            }
-        }
-        Ok(())
-    }
-
-    /// Arm the next collection-check timer under the session token (its
-    /// cancellation generation).
-    fn arm_check(&mut self, slot: usize, token: u64, now: u64) {
+    /// Arm the session's next tick under its token (the cancellation
+    /// generation).
+    fn arm_tick(&mut self, slot: usize, token: u64, now: u64) {
         self.lp
             .arm_timer_with_generation(now + POLL_TIMEOUT.as_nanos() as u64, slot as u64, token);
     }
@@ -578,7 +397,7 @@ impl EventedReceiver {
                     self.batch_hist.observe(n as u64);
                     for i in 0..n {
                         if let Some(packet) = ProbePacket::decode(self.batch.msg(i)) {
-                            self.route(packet, recv_ns);
+                            self.demux(&packet, recv_ns);
                         }
                     }
                 }
@@ -588,257 +407,57 @@ impl EventedReceiver {
         }
     }
 
-    /// Route one decoded probe packet into its session's collection —
-    /// the same decisions as the threaded demux + collectors, inline.
-    fn route(&mut self, packet: ProbePacket, recv_ns: u64) {
+    /// Hand one decoded probe packet to the session owning its token.
+    fn demux(&mut self, packet: &ProbePacket, recv_ns: u64) {
+        let counters = self.admission.counters();
         let Some(&slot) = self.by_token.get(&packet.session) else {
-            self.counters.drop_unknown_token.inc();
+            counters.drop_unknown_token.inc();
             return;
         };
-        self.counters.routed.inc();
-        let Some(sess) = self.sessions.get_mut(slot).and_then(Option::as_mut) else {
-            return; // token map raced a slot teardown; nothing to feed
-        };
-        let finished = match &mut sess.collect {
-            // Between collections: the threaded shape queues the arrival
-            // and drains it before the next Ready; discarding here is the
-            // same observable outcome.
-            Collect::Idle => false,
-            Collect::Stream(st) => {
-                if packet.kind != ProbeKind::Stream || packet.id != st.id {
-                    return; // leftover of an earlier train/stream
-                }
-                st.last_activity = recv_ns;
-                st.first_arrival.get_or_insert(recv_ns);
-                let idx = packet.idx as usize;
-                // Out of range or already seen: duplicate/malformed.
-                if !matches!(st.seen.get(idx), Some(false)) {
-                    sess.drops += 1;
-                    self.counters.drop_dedup.inc();
-                    let (token, drops) = (sess.token, sess.drops);
-                    self.maybe_warn_drops(token, drops);
-                    return;
-                }
-                if let Some(seen) = st.seen.get_mut(idx) {
-                    *seen = true;
-                }
-                st.samples.push(SampleWire {
-                    idx: packet.idx,
-                    send_ns: packet.send_ns,
-                    recv_ns,
-                });
-                st.samples.len() as u32 >= st.count
-            }
-            Collect::Train(tr) => {
-                if packet.kind != ProbeKind::Train || packet.id != tr.id {
-                    return;
-                }
-                tr.last_activity = recv_ns;
-                let idx = packet.idx as usize;
-                // Out of range or already seen: duplicate/malformed.
-                if !matches!(tr.seen.get(idx), Some(false)) {
-                    sess.drops += 1;
-                    self.counters.drop_dedup.inc();
-                    let (token, drops) = (sess.token, sess.drops);
-                    self.maybe_warn_drops(token, drops);
-                    return;
-                }
-                if let Some(seen) = tr.seen.get_mut(idx) {
-                    *seen = true;
-                }
-                if tr.received == 0 {
-                    tr.first_ns = recv_ns;
-                }
-                tr.last_ns = tr.last_ns.max(recv_ns);
-                tr.received += 1;
-                tr.received >= tr.count
-            }
-        };
-        if finished {
-            self.finish_collection(slot);
+        counters.routed.inc();
+        let report = self
+            .sessions
+            .get_mut(slot)
+            .and_then(Option::as_mut)
+            .and_then(|sess| sess.core.on_probe(packet, recv_ns));
+        if let Some(report) = report {
+            self.send_report(slot, &report);
         }
     }
 
-    // ---- collection completion -----------------------------------------
+    // ---- ticks and reports ---------------------------------------------
 
-    /// A collection-check timer fired: evaluate the deadline and silence
-    /// stop conditions — the same predicates the threaded collectors
-    /// check on their channel timeouts — and re-arm if still collecting.
-    fn on_collect_timer(&mut self, slot: usize) {
+    /// A session's tick timer fired: let the core evaluate its stop
+    /// rules; re-arm while it keeps collecting.
+    fn on_tick_timer(&mut self, slot: usize) {
+        let now = self.clock.now_ns();
         let Some(sess) = self.sessions.get_mut(slot).and_then(Option::as_mut) else {
             return; // stale timer (slot closed; eager cancel usually beats this)
         };
-        let now = self.clock.now_ns();
-        let (token, verdict) = (
-            sess.token,
-            match &sess.collect {
-                Collect::Idle => CheckVerdict::Stale,
-                Collect::Stream(st) => {
-                    if now >= st.deadline {
-                        CheckVerdict::Stop { silence: false }
-                    } else if let Some(first) = st.first_arrival {
-                        let nominal_end = first + st.count as u64 * st.period_ns;
-                        if now >= nominal_end
-                            && now.saturating_sub(st.last_activity) >= STREAM_SILENCE_NS
-                        {
-                            CheckVerdict::Stop { silence: true }
-                        } else {
-                            CheckVerdict::KeepGoing
-                        }
-                    } else {
-                        CheckVerdict::KeepGoing
-                    }
-                }
-                Collect::Train(tr) => {
-                    if now >= tr.deadline {
-                        CheckVerdict::Stop { silence: false }
-                    } else if tr.received > 0
-                        && now.saturating_sub(tr.last_activity) >= TRAIN_SILENCE_NS
-                    {
-                        CheckVerdict::Stop { silence: true }
-                    } else {
-                        CheckVerdict::KeepGoing
-                    }
-                }
-            },
-        );
-        match verdict {
-            CheckVerdict::Stale => {}
-            CheckVerdict::KeepGoing => self.arm_check(slot, token, now),
-            CheckVerdict::Stop { silence } => {
-                if silence {
-                    self.counters.silence_stops.inc();
-                }
-                self.finish_collection(slot);
+        match sess.core.on_tick(now) {
+            Some(report) => self.send_report(slot, &report),
+            None if sess.core.is_collecting() => {
+                let token = sess.core.token();
+                self.arm_tick(slot, token, now);
             }
+            None => {}
         }
     }
 
-    /// End the slot's active collection: queue the report frame, return
-    /// to `Idle`, cancel the pending check timer.
-    fn finish_collection(&mut self, slot: usize) {
+    /// Ship a finished collection's report: cancel the pending tick,
+    /// queue the frame, push what the socket takes now (the rest rides on
+    /// writability).
+    fn send_report(&mut self, slot: usize, report: &CtrlMsg) {
         let Some(sess) = self.sessions.get_mut(slot).and_then(Option::as_mut) else {
             return;
         };
-        let report = match std::mem::replace(&mut sess.collect, Collect::Idle) {
-            Collect::Idle => return,
-            Collect::Stream(st) => CtrlMsg::StreamReport {
-                id: st.id,
-                samples: st.samples,
-            },
-            Collect::Train(tr) => CtrlMsg::TrainReport {
-                id: tr.id,
-                received: tr.received,
-                first_ns: tr.first_ns,
-                last_ns: tr.last_ns,
-            },
-        };
-        report.append_to(&mut sess.wbuf);
-        let token = sess.token;
-        self.lp.cancel_timer_generation(token);
-        // Push what the socket takes now; the rest rides on writability.
-        if let Some(sess) = self.sessions.get_mut(slot).and_then(Option::as_mut) {
-            if let Err(e) = flush_wbuf(&mut sess.ctrl, &mut sess.wbuf) {
-                self.log_session_error(slot, &e);
-                self.close_session(slot);
-                return;
-            }
-        }
-        self.update_interest(slot);
-    }
-
-    /// Rate-limited stderr warning for suspicious drop totals (same
-    /// threshold and interval as the threaded shape; plain fields — the
-    /// whole receiver is one thread).
-    fn maybe_warn_drops(&mut self, token: u64, session_drops: u64) {
-        if session_drops < DROP_WARN_THRESHOLD {
-            return;
-        }
-        let now = self.clock.now_ns();
-        if now.saturating_sub(self.last_drop_warn_ns) < DROP_WARN_INTERVAL_NS {
-            return;
-        }
-        self.last_drop_warn_ns = now;
-        eprintln!(
-            "receiver: session {token:#018x} dropped {session_drops} \
-             duplicate/malformed probe datagrams ({} across all sessions)",
-            self.counters.drop_dedup.get()
-        );
-    }
-}
-
-/// What a collection-check timer decided.
-enum CheckVerdict {
-    /// No collection active (stale timer).
-    Stale,
-    /// Still collecting: re-arm.
-    KeepGoing,
-    /// Finish the collection; `silence` says the silence window (not the
-    /// hard deadline or completeness) ended it.
-    Stop { silence: bool },
-}
-
-/// Flush as much of `wbuf` as the socket accepts. `Ok` with a non-empty
-/// remainder means back-pressure (wait for writability).
-fn flush_wbuf(ctrl: &mut TcpStream, wbuf: &mut Vec<u8>) -> io::Result<()> {
-    while !wbuf.is_empty() {
-        match ctrl.write(wbuf) {
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::BrokenPipe,
-                    "write returned 0",
-                ))
-            }
-            Ok(n) => {
-                wbuf.drain(..n);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
+        self.lp.cancel_timer_generation(sess.core.token());
+        sess.io.queue(report);
+        match sess.io.flush(&mut sess.ctrl) {
+            Ok(()) => self.update_interest(slot),
+            Err(e) => self.fail_session(slot, &e),
         }
     }
-    Ok(())
-}
-
-/// Read whatever is available into `rbuf`. `Ok(false)` on a clean EOF.
-fn fill_rbuf(ctrl: &mut TcpStream, rbuf: &mut Vec<u8>) -> io::Result<bool> {
-    let mut chunk = [0u8; 16 * 1024];
-    loop {
-        match ctrl.read(&mut chunk) {
-            Ok(0) => return Ok(false),
-            Ok(n) => {
-                // `read` contracts n <= chunk.len(); `get` keeps the
-                // defensive bound out of the panic path.
-                if let Some(read) = chunk.get(..n) {
-                    rbuf.extend_from_slice(read);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(true),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// Pop one complete control frame off `rbuf`, if present (the same
-/// length-prefix framing as the evented sender).
-fn take_frame(rbuf: &mut Vec<u8>) -> io::Result<Option<CtrlMsg>> {
-    let Some(&header) = rbuf.first_chunk::<4>() else {
-        return Ok(None); // length prefix not complete yet
-    };
-    let len = u32::from_le_bytes(header) as usize;
-    if len == 0 || len > 16 * 1024 * 1024 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "bad control frame length",
-        ));
-    }
-    let Some(mut frame) = rbuf.get(..4 + len) else {
-        return Ok(None); // body not complete yet
-    };
-    let msg = CtrlMsg::read_from(&mut frame)?;
-    rbuf.drain(..4 + len);
-    Ok(Some(msg))
 }
 
 /// A spawned [`EventedReceiver`]: stoppable, joinable.
@@ -869,6 +488,7 @@ impl EventedReceiverHandle {
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
+    use crate::proto::PROTO_VERSION;
     use crate::receiver::connect_ctrl;
     use crate::sender::SocketTransport;
 

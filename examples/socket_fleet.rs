@@ -18,7 +18,8 @@
 
 use availbw::monitord::export::{change_line, fleet_summary, sample_line, summary_line};
 use availbw::monitord::{
-    run_socket_fleet, FleetEvent, ScheduleConfig, SeriesConfig, SocketPathSpec,
+    run_socket_fleet_with_telemetry, FleetEvent, ScheduleConfig, SeriesConfig, ShutdownFlag,
+    SocketPathSpec,
 };
 use availbw::pathload_net::Receiver;
 use availbw::slops::SlopsConfig;
@@ -55,12 +56,14 @@ fn main() {
         max_concurrent: 1, // loopback paths share the host
         seed: 7,
     };
-    let series = run_socket_fleet(
+    let series = run_socket_fleet_with_telemetry(
         specs,
         &sched,
         &SeriesConfig::default(),
         TimeNs::from_secs(8),
-        0,
+        0,                    // one worker per CPU
+        &ShutdownFlag::new(), // run to the horizon
+        None,                 // no telemetry hub
         |ev| match ev {
             FleetEvent::Sample {
                 path,

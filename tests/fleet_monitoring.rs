@@ -10,8 +10,8 @@
 //!     extension of the driver-equivalence invariant.
 
 use availbw::monitord::{
-    run_fleet, ChangeDirection, ScheduleConfig, SeriesConfig, SimFleetMonitor, SimPathSpec,
-    ThreadPathSpec,
+    run_fleet_with_telemetry, ChangeDirection, ScheduleConfig, SeriesConfig, ShutdownFlag,
+    SimFleetMonitor, SimPathSpec, ThreadPathSpec,
 };
 use availbw::netsim::{Chain, ChainConfig, LinkConfig, Simulator};
 use availbw::simprobe::scenarios::{
@@ -213,7 +213,9 @@ fn in_sim_and_thread_drivers_produce_identical_series() {
                 }
             })
             .collect();
-        run_fleet(paths, &sched, &series_cfg, horizon, 2).unwrap()
+        let stop = ShutdownFlag::new();
+        run_fleet_with_telemetry(paths, &sched, &series_cfg, horizon, 2, &stop, None, |_| {})
+            .unwrap()
     };
 
     assert_eq!(in_sim.len(), threaded.len());
@@ -287,7 +289,9 @@ fn drivers_agree_when_a_measurement_overruns_its_period() {
                 }
             })
             .collect();
-        run_fleet(paths, &sched, &series_cfg, horizon, 0).unwrap()
+        let stop = ShutdownFlag::new();
+        run_fleet_with_telemetry(paths, &sched, &series_cfg, horizon, 0, &stop, None, |_| {})
+            .unwrap()
     };
 
     // Premises: the slow path overruns the period, the fast ones do not.

@@ -20,9 +20,8 @@
 
 use availbw::monitord::export::{sample_line, summary_line};
 use availbw::monitord::{
-    run_socket_fleet_async, run_socket_fleet_async_with_telemetry, run_socket_fleet_with_shutdown,
-    run_socket_fleet_with_telemetry, FleetEvent, FleetTelemetry, ScheduleConfig, SeriesConfig,
-    ShutdownFlag, SocketPathSpec,
+    run_socket_fleet_async_with_telemetry, run_socket_fleet_with_telemetry, FleetEvent,
+    FleetTelemetry, ScheduleConfig, SeriesConfig, ShutdownFlag, SocketPathSpec,
 };
 use availbw::pathload_net::clock::MonoClock;
 use availbw::pathload_net::mux::{EventLoop, MuxEvent};
@@ -159,11 +158,13 @@ fn thirty_two_path_fleet_on_one_event_loop_thread() {
 
     // Collect the JSONL lines exactly as the binary would emit them.
     let mut lines: Vec<String> = Vec::new();
-    let series = run_socket_fleet_async(
+    let series = run_socket_fleet_async_with_telemetry(
         specs,
         &sched,
         &SeriesConfig::default(),
         TimeNs::from_secs(6),
+        &ShutdownFlag::new(),
+        None,
         |ev| match ev {
             FleetEvent::Sample {
                 path,
@@ -249,20 +250,30 @@ fn run_driver(
             lines.push(sample_line(path, label, &sample));
         }
     };
+    let (series_cfg, stop) = (SeriesConfig::default(), ShutdownFlag::new());
     let series = if use_async {
-        run_socket_fleet_async(specs, sched, &SeriesConfig::default(), horizon, observer).unwrap()
-    } else {
-        run_socket_fleet_with_shutdown(
+        run_socket_fleet_async_with_telemetry(
             specs,
             sched,
-            &SeriesConfig::default(),
+            &series_cfg,
             horizon,
-            2,
-            &ShutdownFlag::new(),
+            &stop,
+            None,
             observer,
         )
-        .unwrap()
-    };
+    } else {
+        run_socket_fleet_with_telemetry(
+            specs,
+            sched,
+            &series_cfg,
+            horizon,
+            2,
+            &stop,
+            None,
+            observer,
+        )
+    }
+    .unwrap();
     server.join().unwrap().unwrap();
     let samples = series
         .iter()

@@ -1,5 +1,5 @@
 //! The socket-backed monitoring fleet, end to end over loopback: the
-//! `monitord` binary's driver ([`run_socket_fleet`]) multiplexing several
+//! `monitord` binary's driver ([`run_socket_fleet_with_telemetry`]) multiplexing several
 //! real UDP/TCP paths through the sans-IO scheduler, with the JSONL
 //! records it would emit validated line by line.
 //!
@@ -15,7 +15,8 @@
 
 use availbw::monitord::export::{sample_line, summary_line};
 use availbw::monitord::{
-    run_socket_fleet, FleetEvent, ScheduleConfig, SeriesConfig, SocketPathSpec,
+    run_socket_fleet_with_telemetry, FleetEvent, ScheduleConfig, SeriesConfig, ShutdownFlag,
+    SocketPathSpec,
 };
 use availbw::pathload_net::Receiver;
 use availbw::slops::SlopsConfig;
@@ -66,12 +67,14 @@ fn loopback_fleet_emits_valid_jsonl_and_converges() {
 
     // Collect the JSONL lines exactly as the binary would emit them.
     let mut lines: Vec<String> = Vec::new();
-    let series = run_socket_fleet(
+    let series = run_socket_fleet_with_telemetry(
         specs,
         &sched,
         &SeriesConfig::default(),
         TimeNs::from_secs(8),
         2,
+        &ShutdownFlag::new(),
+        None,
         |ev| match ev {
             FleetEvent::Sample {
                 path,
@@ -161,12 +164,14 @@ fn concurrency_cap_holds_on_the_wall_clock() {
         max_concurrent: 1,
         seed: 3,
     };
-    let series = run_socket_fleet(
+    let series = run_socket_fleet_with_telemetry(
         specs,
         &sched,
         &SeriesConfig::default(),
         TimeNs::from_secs(5),
         2,
+        &ShutdownFlag::new(),
+        None,
         |_| {},
     )
     .unwrap();

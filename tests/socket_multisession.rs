@@ -10,17 +10,21 @@
 
 #[cfg(target_os = "linux")]
 use availbw::monitord::{
-    run_socket_fleet_async, FleetEvent, ScheduleConfig, SeriesConfig, SocketPathSpec,
+    run_socket_fleet_async_with_telemetry, FleetEvent, ScheduleConfig, SeriesConfig, ShutdownFlag,
+    SocketPathSpec,
 };
-use availbw::pathload_net::proto::{CtrlMsg, ProbeKind, ProbePacket, PROTO_VERSION};
+use availbw::pathload_net::proto::{CtrlMsg, PROTO_VERSION};
 #[cfg(target_os = "linux")]
 use availbw::pathload_net::EventedReceiver;
 use availbw::pathload_net::{Receiver, SocketTransport};
 use availbw::slops::{stream_params, Estimate, ProbeTransport, Session, SlopsConfig};
 use availbw::units::{Rate, TimeNs};
-use std::net::{SocketAddr, TcpStream, UdpSocket};
+use std::net::{SocketAddr, UdpSocket};
 use std::thread;
 use std::time::{Duration, Instant};
+
+mod wire;
+use wire::RawClient;
 
 const RATE_CAP_MBPS: f64 = 40.0;
 
@@ -156,83 +160,6 @@ fn interleaved_stream_and_train_do_not_cross_contaminate() {
     );
 }
 
-/// A hand-rolled control client: speaks just enough of the wire protocol
-/// to announce streams and inject exactly the datagrams a test wants.
-struct RawClient {
-    ctrl: TcpStream,
-    udp: UdpSocket,
-    session: u64,
-}
-
-impl RawClient {
-    fn connect(addr: SocketAddr) -> RawClient {
-        let mut ctrl = TcpStream::connect(addr).unwrap();
-        ctrl.set_nodelay(true).unwrap();
-        ctrl.set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        let (udp_port, session) = match CtrlMsg::read_from(&mut ctrl).unwrap() {
-            CtrlMsg::Hello {
-                version,
-                udp_port,
-                session,
-            } => {
-                assert_eq!(version, PROTO_VERSION);
-                (udp_port, session)
-            }
-            other => panic!("expected Hello, got {other:?}"),
-        };
-        let mut peer = addr;
-        peer.set_port(udp_port);
-        let udp = UdpSocket::bind("127.0.0.1:0").unwrap();
-        udp.connect(peer).unwrap();
-        RawClient { ctrl, udp, session }
-    }
-
-    /// Announce a stream and wait for `Ready`.
-    fn announce_stream(&mut self, id: u32, count: u32, period_ns: u64) {
-        CtrlMsg::StreamAnnounce {
-            id,
-            count,
-            period_ns,
-            size: 64,
-        }
-        .write_to(&mut self.ctrl)
-        .unwrap();
-        match CtrlMsg::read_from(&mut self.ctrl).unwrap() {
-            CtrlMsg::Ready { id: got } => assert_eq!(got, id),
-            other => panic!("expected Ready, got {other:?}"),
-        }
-    }
-
-    /// Send one probe datagram with an arbitrary (possibly stale) token.
-    fn send_probe(&self, session: u64, id: u32, idx: u32, send_ns: u64) {
-        let mut buf = [0u8; 64];
-        ProbePacket {
-            session,
-            kind: ProbeKind::Stream,
-            id,
-            idx,
-            send_ns,
-        }
-        .encode(&mut buf);
-        self.udp.send(&buf).unwrap();
-    }
-
-    fn read_report(&mut self, id: u32) -> Vec<availbw::pathload_net::proto::SampleWire> {
-        match CtrlMsg::read_from(&mut self.ctrl).unwrap() {
-            CtrlMsg::StreamReport { id: got, samples } => {
-                assert_eq!(got, id);
-                samples
-            }
-            other => panic!("expected StreamReport, got {other:?}"),
-        }
-    }
-
-    fn bye(mut self) {
-        let _ = CtrlMsg::Bye.write_to(&mut self.ctrl);
-    }
-}
-
 /// The duplicate/reorder/loss injection scenario, against whichever
 /// receiver listens on `addr`: duplicated and reordered datagrams are
 /// collected once each, and a stream missing packets (including a hole
@@ -291,7 +218,7 @@ fn dedup_case(addr: SocketAddr) {
 /// stream missing packets (including a hole in the middle) terminates
 /// after a short silence window instead of stalling for the multi-second
 /// deadline — the regression test for the seed's double-count/stall bug
-/// cluster in `collect_stream`.
+/// cluster in stream collection (now `rx::RxSession`).
 #[test]
 fn duplicate_datagrams_are_deduplicated_and_losses_do_not_stall() {
     let rx = Receiver::bind("127.0.0.1:0".parse().unwrap()).unwrap();
@@ -477,6 +404,50 @@ fn evented_receiver_drops_stale_session_probe_packets() {
     handle.stop().unwrap();
 }
 
+/// The framing attack, against whichever receiver listens on `addr`:
+/// four hostile bytes — a length prefix naming a 16 MiB frame — close the
+/// offending session at once (the receiver's inbound bound is a few dozen
+/// bytes; nothing is allocated or awaited on the prefix's word) while
+/// another session keeps being served.
+fn oversized_prefix_case(addr: SocketAddr) {
+    let mut bad = RawClient::connect(addr);
+    let mut good = RawClient::connect(addr);
+    bad.send_raw(&(16u32 * 1024 * 1024).to_le_bytes());
+    let waited = Instant::now();
+    let closed = bad.recv().expect_err("the offending session must close");
+    assert_eq!(closed.kind(), std::io::ErrorKind::UnexpectedEof, "{closed}");
+    assert!(
+        waited.elapsed() < Duration::from_secs(2),
+        "the receiver waited for a body it should have refused"
+    );
+    good.send(&CtrlMsg::Echo { token: 7 });
+    assert_eq!(good.recv().unwrap(), CtrlMsg::Echo { token: 7 });
+    good.bye();
+}
+
+/// An oversized control-frame prefix closes only the offending session of
+/// the threaded receiver (and surfaces as that session's error).
+#[test]
+fn oversized_frame_prefix_closes_only_that_session() {
+    let rx = Receiver::bind("127.0.0.1:0".parse().unwrap()).unwrap();
+    let addr = rx.ctrl_addr();
+    let server = thread::spawn(move || rx.serve_n(2));
+    oversized_prefix_case(addr);
+    let err = server.join().unwrap().expect_err("the bad session errors");
+    assert!(err.to_string().contains("inbound bound"), "{err}");
+}
+
+/// The same framing attack against the **evented** receiver: one slot is
+/// torn down, the loop and every other session carry on.
+#[cfg(target_os = "linux")]
+#[test]
+fn evented_receiver_closes_only_the_session_with_an_oversized_prefix() {
+    let rx = EventedReceiver::bind("127.0.0.1:0".parse().unwrap()).unwrap();
+    let handle = rx.spawn();
+    oversized_prefix_case(handle.ctrl_addr());
+    handle.stop().unwrap();
+}
+
 /// One batching-correctness run: an evented receiver pinned to either
 /// the scalar or the `recvmmsg` receive path, fed a fixed injected
 /// sequence (per index: one unknown-token datagram, the real packet, a
@@ -616,11 +587,13 @@ fn receiver_restart_mid_fleet_redials_at_the_next_scheduled_start() {
         seed: 11,
     };
     let mut signalled = false;
-    let series = run_socket_fleet_async(
+    let series = run_socket_fleet_async_with_telemetry(
         specs,
         &sched,
         &SeriesConfig::default(),
         TimeNs::from_secs(12),
+        &ShutdownFlag::new(),
+        None,
         |ev| {
             // The moment path 0 lands its first sample, pull receiver A
             // out from under it.
