@@ -1,8 +1,34 @@
 //! Store-and-forward link: one transmission server plus a byte-bounded
 //! drop-tail FIFO, with per-link counters and optional fault injection.
+//!
+//! # Departures are fixed on arrival
+//!
+//! A work-conserving FIFO server is a deterministic function of its
+//! arrivals (Lindley's recursion; the min-plus view of Liebeherr, Fidler &
+//! Valaee): a packet accepted at `now` starts transmission at
+//! `max(now, departure of the packet ahead)` and departs one transmission
+//! time later. So `Link::on_arrival` *returns* the departure time and
+//! the engine schedules the next hop right there — there is no
+//! "transmission done" event, and the link never holds the packet itself
+//! (it stays in the engine's pool, see [`crate::pool`]). What the link
+//! keeps is a FIFO of `(departure, size, tx time)` per accepted packet:
+//! enough to answer occupancy questions (drop-tail, RED) and to credit the
+//! counters and the [`UtilMonitor`] *when the transmission completes*.
+//!
+//! That crediting is lazy: `Link::settle` retires every entry whose
+//! departure is `≤ now`. It runs at the top of every arrival and — via the
+//! engine — at every public run boundary, so `stats`, `monitor()` and the
+//! occupancy accessors read exactly what an event-per-departure engine
+//! shows at the same clock.
+//!
+//! **Tie rule.** A departure at `t` precedes an arrival at `t`: a packet
+//! arriving at the very nanosecond a transmission completes sees that
+//! packet gone (the server idle if nothing else waits, its bytes out of
+//! the queue). `queue_limit_bytes` and `max_queue_bytes` exclude the
+//! packet in service, so at such a tie the packet that *enters* service
+//! at `t` is already excluded too.
 
 use crate::monitor::UtilMonitor;
-use crate::packet::Packet;
 use crate::red::{RedConfig, RedState};
 use crate::rng::Prng;
 use std::collections::VecDeque;
@@ -109,24 +135,24 @@ impl LinkStats {
     }
 }
 
-/// Outcome of a packet arriving at a link (returned to the engine).
-#[derive(Debug, PartialEq, Eq)]
-pub(crate) enum Arrival {
-    /// Link was idle; transmission starts, completing at the given time.
-    StartTx(TimeNs),
-    /// Packet queued behind others.
-    Queued,
-    /// Packet dropped (queue overflow or fault injection).
-    Dropped,
+/// One accepted packet: when it leaves the link, and what to credit then.
+#[derive(Clone, Copy, Debug)]
+struct Tx {
+    depart: TimeNs,
+    size: u32,
+    tx_ns: u64,
 }
 
 /// A unidirectional store-and-forward link.
 #[derive(Debug)]
 pub struct Link {
     cfg: LinkConfig,
-    in_service: Option<Packet>,
-    queue: VecDeque<Packet>,
-    queued_bytes: u64,
+    /// Accepted packets not yet retired by `Link::settle`, in service
+    /// order. Once settled to `now`, the front entry is the packet in
+    /// service and the rest are waiting.
+    fifo: VecDeque<Tx>,
+    /// Bytes in `fifo` (waiting plus in service).
+    backlog_bytes: u64,
     /// Running counters.
     pub stats: LinkStats,
     monitor: UtilMonitor,
@@ -140,9 +166,8 @@ impl Link {
         let red = cfg.red.map(RedState::new);
         Link {
             cfg,
-            in_service: None,
-            queue: VecDeque::new(),
-            queued_bytes: 0,
+            fifo: VecDeque::new(),
+            backlog_bytes: 0,
             stats: LinkStats::default(),
             monitor,
             red,
@@ -172,17 +197,17 @@ impl Link {
 
     /// Bytes currently waiting (excluding the packet in service).
     pub fn queue_bytes(&self) -> u64 {
-        self.queued_bytes
+        self.backlog_bytes - self.fifo.front().map_or(0, |tx| tx.size as u64)
     }
 
     /// Bytes in the system: queued plus the packet in service.
     pub fn backlog_bytes(&self) -> u64 {
-        self.queued_bytes + self.in_service.as_ref().map_or(0, |p| p.size as u64)
+        self.backlog_bytes
     }
 
     /// Packets currently waiting (excluding the packet in service).
     pub fn queue_len(&self) -> usize {
-        self.queue.len()
+        self.fifo.len().saturating_sub(1)
     }
 
     /// The MRTG-style utilization monitor.
@@ -190,74 +215,66 @@ impl Link {
         &self.monitor
     }
 
-    pub(crate) fn on_arrival(&mut self, pkt: Packet, now: TimeNs) -> Arrival {
-        if self.cfg.drop_prob > 0.0 && self.rng.chance(self.cfg.drop_prob) {
-            self.stats.drops_fault += 1;
-            return Arrival::Dropped;
-        }
-        if let Some(red) = &mut self.red {
-            if red.should_drop(self.queued_bytes, &mut self.rng) {
-                self.stats.drops_overflow += 1;
-                return Arrival::Dropped;
+    /// Retire every transmission that completed at or before `now`:
+    /// credit the counters and the monitor at its departure time and free
+    /// its bytes.
+    pub(crate) fn settle(&mut self, now: TimeNs) {
+        while let Some(tx) = self.fifo.front() {
+            if tx.depart > now {
+                break;
             }
+            self.stats.tx_packets += 1;
+            self.stats.tx_bytes += tx.size as u64;
+            self.stats.busy_ns += tx.tx_ns;
+            self.monitor.record(tx.depart, tx.size as u64);
+            self.backlog_bytes -= tx.size as u64;
+            self.fifo.pop_front();
         }
-        if self.in_service.is_none() {
-            debug_assert!(self.queue.is_empty());
-            let done = now + self.cfg.capacity.tx_time(pkt.size);
-            self.in_service = Some(pkt);
-            return Arrival::StartTx(done);
-        }
-        if self.queued_bytes + pkt.size as u64 > self.cfg.queue_limit_bytes {
-            self.stats.drops_overflow += 1;
-            return Arrival::Dropped;
-        }
-        self.queued_bytes += pkt.size as u64;
-        self.stats.max_queue_bytes = self.stats.max_queue_bytes.max(self.queued_bytes);
-        self.queue.push_back(pkt);
-        Arrival::Queued
     }
 
-    /// Complete the in-service transmission. Returns the transmitted packet
-    /// and, if another packet was waiting, the completion time of its
-    /// transmission (which the engine must schedule).
-    pub(crate) fn on_tx_done(&mut self, now: TimeNs) -> (Packet, Option<TimeNs>) {
-        let pkt = self
-            .in_service
-            .take()
-            .expect("TxDone on an idle link: engine bug");
-        let tx_ns = self.cfg.capacity.tx_time_ns(pkt.size);
-        self.stats.tx_packets += 1;
-        self.stats.tx_bytes += pkt.size as u64;
-        self.stats.busy_ns += tx_ns;
-        self.monitor.record(now, pkt.size as u64);
-        let next = self.queue.pop_front().map(|next_pkt| {
-            self.queued_bytes -= next_pkt.size as u64;
-            let done = now + self.cfg.capacity.tx_time(next_pkt.size);
-            self.in_service = Some(next_pkt);
-            done
+    /// A packet of `size` bytes arrives at `now` (arrivals must come in
+    /// time order). Returns when its last bit leaves the link, or `None`
+    /// if it was dropped (queue overflow, RED, or fault injection).
+    pub(crate) fn on_arrival(&mut self, size: u32, now: TimeNs) -> Option<TimeNs> {
+        self.settle(now);
+        if self.cfg.drop_prob > 0.0 && self.rng.chance(self.cfg.drop_prob) {
+            self.stats.drops_fault += 1;
+            return None;
+        }
+        let queued = self.queue_bytes();
+        if let Some(red) = &mut self.red {
+            if red.should_drop(queued, &mut self.rng) {
+                self.stats.drops_overflow += 1;
+                return None;
+            }
+        }
+        let start = match self.fifo.back() {
+            None => now, // idle: transmission starts immediately
+            Some(ahead) => {
+                let queued = queued + size as u64;
+                if queued > self.cfg.queue_limit_bytes {
+                    self.stats.drops_overflow += 1;
+                    return None;
+                }
+                self.stats.max_queue_bytes = self.stats.max_queue_bytes.max(queued);
+                ahead.depart
+            }
+        };
+        let tx_ns = self.cfg.capacity.tx_time_ns(size);
+        let depart = start + TimeNs::from_nanos(tx_ns);
+        self.fifo.push_back(Tx {
+            depart,
+            size,
+            tx_ns,
         });
-        (pkt, next)
+        self.backlog_bytes += size as u64;
+        Some(depart)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::app::AppId;
-    use crate::packet::{FlowId, RouteSpec};
-    use std::sync::Arc;
-
-    fn pkt(size: u32, seq: u64) -> Packet {
-        Packet::new(
-            size,
-            FlowId(1),
-            seq,
-            Arc::new(RouteSpec {
-                links: vec![LinkId(0)],
-                dst: AppId(0),
-            }),
-        )
-    }
 
     fn link(limit: u64) -> Link {
         Link::new(
@@ -270,14 +287,10 @@ mod tests {
     fn idle_link_starts_transmission_immediately() {
         let mut l = link(10_000);
         let now = TimeNs::from_millis(10);
-        match l.on_arrival(pkt(1000, 0), now) {
-            Arrival::StartTx(done) => {
-                // 1000 B at 8 Mb/s = 1 ms
-                assert_eq!(done, now + TimeNs::from_millis(1));
-            }
-            other => panic!("expected StartTx, got {other:?}"),
-        }
+        // 1000 B at 8 Mb/s = 1 ms
+        assert_eq!(l.on_arrival(1000, now), Some(now + TimeNs::from_millis(1)));
         assert_eq!(l.queue_len(), 0);
+        assert_eq!(l.queue_bytes(), 0);
         assert_eq!(l.backlog_bytes(), 1000);
     }
 
@@ -285,43 +298,92 @@ mod tests {
     fn busy_link_queues_fifo_and_chains_transmissions() {
         let mut l = link(10_000);
         let t0 = TimeNs::ZERO;
-        assert!(matches!(
-            l.on_arrival(pkt(1000, 0), t0),
-            Arrival::StartTx(_)
-        ));
-        assert_eq!(l.on_arrival(pkt(500, 1), t0), Arrival::Queued);
-        assert_eq!(l.on_arrival(pkt(500, 2), t0), Arrival::Queued);
+        let ms = TimeNs::from_millis(1);
+        assert_eq!(l.on_arrival(1000, t0), Some(ms));
+        // 500 B at 8 Mb/s = 0.5 ms, each behind the one ahead.
+        assert_eq!(l.on_arrival(500, t0), Some(ms + TimeNs::from_micros(500)));
+        assert_eq!(l.on_arrival(500, t0), Some(ms * 2));
         assert_eq!(l.queue_bytes(), 1000);
+        assert_eq!(l.queue_len(), 2);
+        assert_eq!(l.stats.tx_packets, 0, "nothing has departed yet");
 
-        let t1 = TimeNs::from_millis(1);
-        let (done, next) = l.on_tx_done(t1);
-        assert_eq!(done.seq, 0);
-        // 500 B at 8 Mb/s = 0.5 ms
-        assert_eq!(next, Some(t1 + TimeNs::from_micros(500)));
-        let (done, next) = l.on_tx_done(t1 + TimeNs::from_micros(500));
-        assert_eq!(done.seq, 1);
-        assert!(next.is_some());
-        let (done, next) = l.on_tx_done(t1 + TimeNs::from_millis(1));
-        assert_eq!(done.seq, 2);
-        assert_eq!(next, None);
-        assert_eq!(l.stats.tx_packets, 3);
-        assert_eq!(l.stats.tx_bytes, 2000);
+        l.settle(ms);
+        assert_eq!((l.stats.tx_packets, l.stats.tx_bytes), (1, 1000));
+        assert_eq!(
+            (l.queue_len(), l.queue_bytes(), l.backlog_bytes()),
+            (1, 500, 1000)
+        );
+        l.settle(ms * 2);
+        assert_eq!((l.stats.tx_packets, l.stats.tx_bytes), (3, 2000));
         // busy: 1ms + 0.5ms + 0.5ms
         assert_eq!(l.stats.busy_ns, 2_000_000);
+        assert_eq!(l.backlog_bytes(), 0);
+        // The server went idle: the next packet starts on arrival.
+        let later = TimeNs::from_millis(7);
+        assert_eq!(l.on_arrival(1000, later), Some(later + ms));
     }
 
     #[test]
     fn queue_overflow_drops_tail() {
         let mut l = link(1000);
-        assert!(matches!(
-            l.on_arrival(pkt(1000, 0), TimeNs::ZERO),
-            Arrival::StartTx(_)
-        ));
-        assert_eq!(l.on_arrival(pkt(600, 1), TimeNs::ZERO), Arrival::Queued);
+        assert!(l.on_arrival(1000, TimeNs::ZERO).is_some());
+        assert!(l.on_arrival(600, TimeNs::ZERO).is_some());
         // 600 + 600 > 1000: dropped
-        assert_eq!(l.on_arrival(pkt(600, 2), TimeNs::ZERO), Arrival::Dropped);
+        assert_eq!(l.on_arrival(600, TimeNs::ZERO), None);
         assert_eq!(l.stats.drops_overflow, 1);
         assert_eq!(l.stats.max_queue_bytes, 600);
+    }
+
+    /// The tie rule on drop-tail: `queue_limit` excludes the packet in
+    /// service, and a departure at `t` precedes an arrival at `t`.
+    #[test]
+    fn departure_at_t_precedes_arrival_at_t_for_drop_tail() {
+        let ms = TimeNs::from_millis(1);
+        let mut l = link(1000);
+        assert_eq!(l.on_arrival(1000, TimeNs::ZERO), Some(ms)); // in service
+        assert_eq!(l.on_arrival(1000, TimeNs::ZERO), Some(ms * 2)); // fills the queue
+                                                                    // One nanosecond early the queue is still full...
+        assert_eq!(l.on_arrival(1000, ms - TimeNs::from_nanos(1)), None);
+        // ...but at exactly `ms` the first packet has left, the second is
+        // in service (so excluded from the limit), and the queue is empty.
+        assert_eq!(l.on_arrival(1000, ms), Some(ms * 3));
+        assert_eq!(l.stats.drops_overflow, 1);
+        assert_eq!(l.stats.tx_packets, 1);
+
+        // With nothing waiting, an arrival at the departure instant finds
+        // the server idle: it starts at once and never counts as queued.
+        let mut l = link(0);
+        assert_eq!(l.on_arrival(1000, TimeNs::ZERO), Some(ms));
+        assert_eq!(
+            l.on_arrival(1000, ms),
+            Some(ms * 2),
+            "a zero-byte queue admits it"
+        );
+        assert_eq!(l.stats.drops_overflow, 0);
+    }
+
+    /// The tie rule on the high-water mark: bytes that depart at `t` are
+    /// not in the queue an arrival at `t` joins.
+    #[test]
+    fn departure_at_t_precedes_arrival_at_t_for_max_queue_bytes() {
+        let ms = TimeNs::from_millis(1);
+        let mut l = link(10_000);
+        assert!(l.on_arrival(1000, TimeNs::ZERO).is_some());
+        assert!(l.on_arrival(1000, TimeNs::ZERO).is_some());
+        assert_eq!(l.stats.max_queue_bytes, 1000);
+        // At `ms` the queued packet enters service: the arrival queues
+        // behind it alone, so the mark stays at 1000 (not 2000).
+        assert_eq!(l.on_arrival(1000, ms), Some(ms * 3));
+        assert_eq!(l.stats.max_queue_bytes, 1000);
+        assert_eq!(l.queue_bytes(), 1000);
+        // At `2 ms` that one enters service too and the server is busy
+        // with it: a small arrival queues alone.
+        assert_eq!(
+            l.on_arrival(100, ms * 2),
+            Some(ms * 3 + TimeNs::from_micros(100))
+        );
+        assert_eq!(l.stats.max_queue_bytes, 1000);
+        assert_eq!(l.queue_bytes(), 100);
     }
 
     #[test]
@@ -330,8 +392,8 @@ mod tests {
             LinkConfig::new(Rate::from_mbps(8.0), TimeNs::ZERO).with_drop_prob(1.0),
             Prng::new(1),
         );
-        for i in 0..10 {
-            assert_eq!(l.on_arrival(pkt(100, i), TimeNs::ZERO), Arrival::Dropped);
+        for _ in 0..10 {
+            assert_eq!(l.on_arrival(100, TimeNs::ZERO), None);
         }
         assert_eq!(l.stats.drops_fault, 10);
     }
@@ -339,13 +401,131 @@ mod tests {
     #[test]
     fn utilization_accounting() {
         let mut l = link(100_000);
-        assert!(matches!(
-            l.on_arrival(pkt(1000, 0), TimeNs::ZERO),
-            Arrival::StartTx(_)
-        ));
-        l.on_tx_done(TimeNs::from_millis(1));
+        assert!(l.on_arrival(1000, TimeNs::ZERO).is_some());
+        l.settle(TimeNs::from_millis(1));
         // Busy 1 ms out of 4 ms elapsed => 25%.
         assert!((l.stats.utilization(TimeNs::from_millis(4)) - 0.25).abs() < 1e-9);
         assert_eq!(l.stats.utilization(TimeNs::ZERO), 0.0);
+    }
+
+    /// Reference FIFO: every accepted packet as `(depart, size, tx_ns)`,
+    /// occupancy recomputed from scratch at each arrival (Lindley's
+    /// recursion with a finite buffer, departures before arrivals on a
+    /// tie). Quadratic and obviously right.
+    #[derive(Default)]
+    struct RefFifo {
+        accepted: Vec<(u64, u32, u64)>,
+        drops: u64,
+        max_queue_bytes: u64,
+    }
+
+    impl RefFifo {
+        fn arrive(&mut self, size: u32, now: u64, tx_ns: u64, limit: u64) -> Option<u64> {
+            let mut in_system = self.accepted.iter().filter(|p| p.0 > now);
+            // The first packet still in the system is the one in service.
+            let start = match in_system.next() {
+                None => now,
+                Some(_) => {
+                    let queued = in_system.map(|p| p.1 as u64).sum::<u64>() + size as u64;
+                    if queued > limit {
+                        self.drops += 1;
+                        return None;
+                    }
+                    self.max_queue_bytes = self.max_queue_bytes.max(queued);
+                    self.accepted.last().map_or(now, |p| p.0)
+                }
+            };
+            self.accepted.push((start + tx_ns, size, tx_ns));
+            Some(start + tx_ns)
+        }
+
+        /// `(tx_packets, tx_bytes, busy_ns, bytes per monitor window)` of
+        /// the transmissions completed by `t`.
+        fn done_by(&self, t: u64, window: u64) -> (u64, u64, u64, Vec<u64>) {
+            let done = || self.accepted.iter().filter(move |p| p.0 <= t);
+            let mut windows = vec![
+                0u64;
+                done()
+                    .next_back()
+                    .map_or(0, |p| (p.0 / window) as usize + 1)
+            ];
+            for p in done() {
+                windows[(p.0 / window) as usize] += p.1 as u64;
+            }
+            (
+                done().count() as u64,
+                done().map(|p| p.1 as u64).sum(),
+                done().map(|p| p.2).sum(),
+                windows,
+            )
+        }
+    }
+
+    /// Property: `Link` agrees with the reference FIFO on every departure
+    /// time and drop decision, and — after `settle` at arbitrary instants,
+    /// mid-transmission and mid-queue included — on counters, occupancy
+    /// and monitor windows.
+    #[test]
+    fn link_matches_reference_fifo() {
+        let mut rng = Prng::new(0xF1F0);
+        let mut drops = 0;
+        for case in 0..200 {
+            let limit = [0, 1500, 4000, 20_000, 8 << 20][case % 5];
+            let cap = Rate::from_mbps([1.0, 8.0, 155.0][case % 3]);
+            let window = TimeNs::from_millis(1 + rng.below(5));
+            let mut l = Link::new(
+                LinkConfig::new(cap, TimeNs::ZERO)
+                    .with_queue_limit(limit)
+                    .with_monitor_window(window),
+                Prng::new(case as u64),
+            );
+            let mut model = RefFifo::default();
+            let mut now = 0u64;
+            for _ in 0..300 {
+                // Bursts (gap 0), exact departure-instant ties, and gaps
+                // long enough to drain.
+                now = match rng.below(4) {
+                    0 => now,
+                    1 => model
+                        .accepted
+                        .iter()
+                        .map(|p| p.0)
+                        .find(|&d| d >= now)
+                        .unwrap_or(now),
+                    _ => {
+                        let scale = 1 + rng.below(200);
+                        now + rng.below(20_000_000 / scale)
+                    }
+                };
+                let t = TimeNs::from_nanos(now);
+                if rng.below(3) == 0 {
+                    l.settle(t);
+                    let (pkts, bytes, busy, windows) = model.done_by(now, window.as_nanos());
+                    assert_eq!(
+                        (l.stats.tx_packets, l.stats.tx_bytes, l.stats.busy_ns),
+                        (pkts, bytes, busy)
+                    );
+                    let got: Vec<u64> = (0..l.monitor().num_windows())
+                        .map(|i| l.monitor().bytes_in_window(i))
+                        .collect();
+                    assert_eq!(got, windows);
+                    let left: Vec<u64> = (model.accepted.iter())
+                        .filter(|p| p.0 > now)
+                        .map(|p| p.1 as u64)
+                        .collect();
+                    assert_eq!(l.backlog_bytes(), left.iter().sum::<u64>());
+                    assert_eq!(l.queue_len(), left.len().saturating_sub(1));
+                    assert_eq!(l.queue_bytes(), left.iter().skip(1).sum::<u64>());
+                }
+                let size = 40 + rng.below(1461) as u32;
+                let want = model.arrive(size, now, cap.tx_time_ns(size), limit);
+                let got = l.on_arrival(size, t);
+                assert_eq!(got.map(TimeNs::as_nanos), want, "case {case} at {now}");
+            }
+            assert_eq!(l.stats.drops_overflow, model.drops);
+            assert_eq!(l.stats.max_queue_bytes, model.max_queue_bytes);
+            drops += model.drops;
+        }
+        assert!(drops > 1000, "the finite buffers must bite: {drops} drops");
     }
 }

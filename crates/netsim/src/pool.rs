@@ -7,6 +7,13 @@
 //! `Copy` values (cheap sifts) and reusing packet storage across the whole
 //! run instead of churning the allocator once per event.
 //!
+//! A packet is parked once, at injection, and stays in its slot until it
+//! is delivered or dropped: each hop borrows it in place (`get_mut`) to
+//! read its size and advance its hop counter, and the link it is crossing
+//! keeps only `(departure, size)` — never the packet. The pool's
+//! high-water mark therefore counts every packet inside the network,
+//! waiting in link queues included.
+//!
 //! The pool is deliberately dumb: `insert` hands out the most recently
 //! freed slot (LIFO, for cache warmth), `take` frees it. Both are O(1).
 //! Lookups are by `.get`, never by index, so a corrupted slot degrades to
@@ -49,6 +56,12 @@ impl PacketPool {
         PacketSlot(idx)
     }
 
+    /// Borrow a parked packet in place (a hop of its route). `None` for an
+    /// empty or unknown slot.
+    pub fn get_mut(&mut self, slot: PacketSlot) -> Option<&mut Packet> {
+        self.slots.get_mut(slot.0 as usize)?.as_mut()
+    }
+
     /// Redeem a slot, freeing it for reuse. `None` for an empty or unknown
     /// slot (an engine bug the caller turns into a dropped event).
     pub fn take(&mut self, slot: PacketSlot) -> Option<Packet> {
@@ -59,7 +72,8 @@ impl PacketPool {
     }
 
     /// High-water mark of simultaneously parked packets (how big the slab
-    /// grew; the engine's in-flight-packet peak).
+    /// grew): the peak number of packets inside the network, in flight or
+    /// waiting in a link queue.
     pub fn live_max(&self) -> usize {
         self.live_max
     }
@@ -93,6 +107,18 @@ mod tests {
         assert_eq!(c, a);
         assert_eq!(pool.take(b).map(|p| p.seq), Some(2));
         assert_eq!(pool.take(c).map(|p| p.seq), Some(3));
+    }
+
+    #[test]
+    fn get_mut_edits_in_place_without_freeing() {
+        let mut pool = PacketPool::default();
+        let a = pool.insert(pkt(1));
+        pool.get_mut(a).unwrap().hop += 1;
+        // Still parked: the next insert gets a fresh slot.
+        assert_ne!(pool.insert(pkt(2)), a);
+        assert_eq!(pool.take(a).map(|p| p.hop), Some(1));
+        assert!(pool.get_mut(a).is_none());
+        assert!(pool.get_mut(PacketSlot(999)).is_none());
     }
 
     #[test]

@@ -1,6 +1,22 @@
 //! The simulation engine: event loop, link forwarding, app dispatch — and
 //! the sharded event queues that make fleet-scale simulations cheap.
 //!
+//! # Events per packet
+//!
+//! A FIFO link fixes a packet's departure the moment it arrives (see
+//! [`crate::link`]), so the engine never schedules a "transmission done"
+//! event: an arrival at a link schedules the *next* arrival (or the
+//! delivery) one propagation delay after the departure the link returns.
+//! A packet injected from outside over a k-link route costs k + 1
+//! dispatched events. An app that sends at the current instant skips the
+//! first of those too — its first-hop arrival runs inside the send unless
+//! an arrival at that same link is already due at this very instant
+//! (`SimCore::arrives_inline`) — so a one-hop cross-traffic packet is two
+//! events: the source's `Timer` and the sink's `Deliver`. Pop order, and
+//! with it every observable, is exactly what queueing the arrival would
+//! have produced. Links credit their counters lazily, so every public
+//! entry point that advances the clock ends by settling all links to it.
+//!
 //! # Sharding model
 //!
 //! A fleet of disjoint paths needs no total event order: events on path A
@@ -35,13 +51,14 @@
 
 use crate::app::{App, AppId, Ctx};
 use crate::event::{Event, EventKind, EventQueue, QueueStats};
-use crate::link::{Arrival, Link, LinkConfig, LinkId};
+use crate::link::{Link, LinkConfig, LinkId};
 use crate::packet::{Packet, RouteSpec};
-use crate::pool::PacketPool;
+use crate::pool::{PacketPool, PacketSlot};
 use crate::rng::Prng;
 use crate::shard::{ShardRefusal, TopoMap, SHARD_NONE};
 use std::any::Any;
 use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::sync::Arc;
 use units::TimeNs;
 
@@ -127,6 +144,11 @@ pub struct SimCore {
     /// round-robin loop must rescan before declaring the slice done.
     rescan: bool,
     pub(crate) links: Vec<Link>,
+    /// Per link (parallel to `links`): the times of its pending
+    /// `ArriveAtLink` events, ascending — which is also their dispatch
+    /// order. Lets a send at `now` know in O(1) whether it would overtake
+    /// an arrival already due at this instant.
+    arrivals_due: Vec<VecDeque<TimeNs>>,
     pool: PacketPool,
     /// Union-find topology map. In a `RefCell` because
     /// [`Simulator::route`] takes `&self` but must record the union; the
@@ -148,7 +170,7 @@ impl SimCore {
             return 0;
         }
         match kind {
-            EventKind::ArriveAtLink { link, .. } | EventKind::TxDone { link } => self
+            EventKind::ArriveAtLink { link, .. } => self
                 .link_shard
                 .get(link.0 as usize)
                 .copied()
@@ -183,23 +205,70 @@ impl SimCore {
         self.shards[s].queue.push(time, kind);
     }
 
-    /// Inject a packet at `at` (≥ now): stamps id and `sent_at`, then
-    /// schedules its arrival at the first link of its route (or direct
-    /// delivery for an empty route).
+    /// Inject a packet at `at` (≥ now): stamps id and `sent_at`, parks it
+    /// in the pool, then schedules its arrival at the first link of its
+    /// route (or direct delivery for an empty route). An app sending at
+    /// the current instant skips the queue when that cannot reorder
+    /// anything (see `SimCore::arrives_inline`).
     pub(crate) fn inject(&mut self, mut pkt: Packet, at: TimeNs) {
         assert!(at >= self.now, "cannot inject into the past");
         pkt.id = self.next_pkt_id;
         self.next_pkt_id += 1;
         pkt.sent_at = at;
         pkt.hop = 0;
+        let first = pkt.next_link();
+        let app = pkt.route.dst;
+        let slot = self.pool.insert(pkt);
+        match first {
+            Some(link) if self.arrives_inline(link, at) => self.arrive(link, slot, at),
+            Some(link) => self.push_arrival(at, link, slot),
+            None => self.push(at, EventKind::Deliver { app, slot }),
+        }
+    }
+
+    /// Schedule an `ArriveAtLink`, keeping the link's due list in step.
+    fn push_arrival(&mut self, at: TimeNs, link: LinkId, slot: PacketSlot) {
+        let due = &mut self.arrivals_due[link.0 as usize];
+        due.insert(due.partition_point(|&t| t <= at), at);
+        self.push(at, EventKind::ArriveAtLink { link, slot });
+    }
+
+    /// Whether a send at `at` may run its first-hop arrival right now
+    /// instead of queueing a same-instant `ArriveAtLink`. That event would
+    /// carry the newest sequence number, i.e. pop after every event
+    /// already pending at this instant; of those, only an arrival at the
+    /// same link can tell the difference (anything else that reaches the
+    /// link at this instant does so by sending, after us either way). So
+    /// the shortcut is exact unless such an arrival is due — a property
+    /// of the link alone, hence independent of how the engine is sharded
+    /// — and the dispatching shard owns the link.
+    fn arrives_inline(&self, link: LinkId, at: TimeNs) -> bool {
+        self.in_dispatch
+            && at == self.now
+            && self.link_shard.get(link.0 as usize) == Some(&self.current_shard)
+            && self.arrivals_due[link.0 as usize].front() != Some(&at)
+    }
+
+    /// The packet parked in `slot` reaches the tail of `link` at `now`.
+    /// The link fixes its departure on the spot, so the next hop (or the
+    /// delivery) is scheduled here, one propagation delay after it; a
+    /// dropped packet frees its slot.
+    fn arrive(&mut self, link: LinkId, slot: PacketSlot, now: TimeNs) {
+        let Some(pkt) = self.pool.get_mut(slot) else {
+            debug_assert!(false, "arrival event with an empty packet slot");
+            return;
+        };
+        let l = &mut self.links[link.0 as usize];
+        let Some(depart) = l.on_arrival(pkt.size, now) else {
+            self.pool.take(slot);
+            return;
+        };
+        pkt.hop += 1;
+        let at = depart + l.prop_delay();
         match pkt.next_link() {
-            Some(link) => {
-                let slot = self.pool.insert(pkt);
-                self.push(at, EventKind::ArriveAtLink { link, slot });
-            }
+            Some(next) => self.push_arrival(at, next, slot),
             None => {
                 let app = pkt.route.dst;
-                let slot = self.pool.insert(pkt);
                 self.push(at, EventKind::Deliver { app, slot });
             }
         }
@@ -241,6 +310,7 @@ impl Simulator {
                 in_dispatch: false,
                 rescan: false,
                 links: Vec::new(),
+                arrivals_due: Vec::new(),
                 pool: PacketPool::default(),
                 topo: RefCell::new(TopoMap::default()),
                 carried: QueueStats::default(),
@@ -305,6 +375,7 @@ impl Simulator {
         let id = LinkId(self.core.links.len() as u32);
         let rng = self.master_rng.derive(0x11_0000 + id.0 as u64);
         self.core.links.push(Link::new(cfg, rng));
+        self.core.arrivals_due.push(VecDeque::new());
         self.core.topo.get_mut().add_link();
         // Post-freeze links start outside every shard until a route or
         // bind places them (or forces a collapse).
@@ -602,45 +673,28 @@ impl Simulator {
             .enumerate()
             .filter_map(|(i, s)| s.queue.peek_time().map(|t| (t, i)))
             .min();
-        match next {
-            Some((_, i)) => self.step_shard(i),
-            None => false,
+        let stepped = next.is_some_and(|(_, i)| self.step_shard(i));
+        self.settle_links();
+        stepped
+    }
+
+    /// Bring every link's counters, monitor and occupancy up to the
+    /// clock: links retire completed transmissions lazily (on their next
+    /// arrival), so every public entry point that advances the clock ends
+    /// here and [`Simulator::link`] never shows a stale reading.
+    fn settle_links(&mut self) {
+        let now = self.core.now;
+        for l in &mut self.core.links {
+            l.settle(now);
         }
     }
 
     fn dispatch(&mut self, ev: Event) {
         match ev.kind {
             EventKind::ArriveAtLink { link, slot } => {
-                let Some(pkt) = self.core.pool.take(slot) else {
-                    debug_assert!(false, "arrival event with an empty packet slot");
-                    return;
-                };
-                let l = &mut self.core.links[link.0 as usize];
-                if let Arrival::StartTx(done) = l.on_arrival(pkt, ev.time) {
-                    self.core.push(done, EventKind::TxDone { link });
-                }
-            }
-            EventKind::TxDone { link } => {
-                let l = &mut self.core.links[link.0 as usize];
-                let prop = l.prop_delay();
-                let (mut pkt, next_tx) = l.on_tx_done(ev.time);
-                if let Some(done) = next_tx {
-                    self.core.push(done, EventKind::TxDone { link });
-                }
-                pkt.hop += 1;
-                let arrive = ev.time + prop;
-                match pkt.next_link() {
-                    Some(next) => {
-                        let slot = self.core.pool.insert(pkt);
-                        self.core
-                            .push(arrive, EventKind::ArriveAtLink { link: next, slot });
-                    }
-                    None => {
-                        let app = pkt.route.dst;
-                        let slot = self.core.pool.insert(pkt);
-                        self.core.push(arrive, EventKind::Deliver { app, slot });
-                    }
-                }
+                let due = self.core.arrivals_due[link.0 as usize].pop_front();
+                debug_assert_eq!(due, Some(ev.time), "due list out of step");
+                self.core.arrive(link, slot, ev.time);
             }
             EventKind::Deliver { app, slot } => {
                 let Some(pkt) = self.core.pool.take(slot) else {
@@ -704,12 +758,12 @@ impl Simulator {
             s.now = t;
         }
         self.core.now = t;
+        self.settle_links();
     }
 
     /// Run until every event queue drains or the clock would pass
     /// `limit`; returns true if the queues drained. The clock is left at
-    /// the last processed event (like the single-queue engine always
-    /// did); events beyond `limit` stay pending.
+    /// the last processed event; events beyond `limit` stay pending.
     pub fn run_until_idle(&mut self, limit: TimeNs) -> bool {
         self.sync_topology();
         self.drain_until(limit);
@@ -724,6 +778,7 @@ impl Simulator {
         for s in &mut self.core.shards {
             s.now = self.core.now;
         }
+        self.settle_links();
         self.core.shards.iter().all(|s| s.queue.is_empty())
     }
 }
@@ -1080,10 +1135,154 @@ mod tests {
         assert!(sim.run_until_idle(TimeNs::from_secs(1)));
         let s = sim.engine_stats();
         assert_eq!(s.shards, 1);
-        assert!(s.events_processed >= 30, "3 events per packet");
+        // An injected k-hop packet costs k + 1 dispatched events: one
+        // arrival per link plus the delivery. Here k = 1.
+        assert_eq!(s.events_processed, 20, "2 events per one-hop packet");
         assert!(s.front_hits > 0, "front slot must see traffic");
         assert!(s.pool_live_max >= 1);
         // Conservation: everything pushed was popped (queues drained).
         assert_eq!(s.heap_pushes, s.heap_pops);
+    }
+
+    /// Sends one packet per timer, `left` times, `gap` apart.
+    struct Source {
+        route: Arc<RouteSpec>,
+        left: u32,
+        gap: TimeNs,
+    }
+
+    impl App for Source {
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
+            ctx.send(Packet::new(500, FlowId(1), 0, self.route.clone()));
+            self.left -= 1;
+            if self.left > 0 {
+                ctx.timer_in(self.gap, 0);
+            }
+        }
+    }
+
+    /// The op-count gate for the engine's headline claim: an app-sent
+    /// one-hop packet is two dispatched events (`Timer` + `Deliver`), an
+    /// injected k-hop packet is k + 1 — on either engine.
+    #[test]
+    fn events_per_packet_are_exact() {
+        // App-sent, one hop.
+        for shard in [false, true] {
+            let (mut sim, routes, _) = disjoint_sim();
+            let src = sim.add_app(Box::new(Source {
+                route: routes[0].clone(),
+                left: 100,
+                gap: TimeNs::from_micros(700),
+            }));
+            sim.bind_app(src, &routes[0]);
+            if shard {
+                assert_eq!(sim.try_shard().unwrap(), 2);
+            }
+            sim.schedule_timer(src, TimeNs::ZERO, 0);
+            assert!(sim.run_until_idle(TimeNs::from_secs(1)));
+            assert_eq!(sim.events_processed(), 2 * 100);
+            assert_eq!(sim.link(routes[0].links[0]).stats.tx_packets, 100);
+        }
+
+        // Injected, k = 2 hops, queueing at the second (slower) link.
+        let (mut sim, l0, l1, sink) = two_link_sim();
+        let route = sim.route(&[l0, l1], sink);
+        for i in 0..100 {
+            let at = TimeNs::from_micros(10 * i);
+            sim.inject(Packet::new(500, FlowId(1), i, route.clone()), at);
+        }
+        assert!(sim.run_until_idle(TimeNs::from_secs(1)));
+        assert_eq!(sim.events_processed(), 3 * 100);
+        assert_eq!(sim.app::<RecordingSink>(sink).records.len(), 100);
+    }
+
+    /// A send at `now` must not overtake an arrival already pending at
+    /// `now` on the same link; any other same-instant event leaves the
+    /// inline shortcut open.
+    #[test]
+    fn inline_send_keeps_same_instant_fifo_order() {
+        let mut sim = Simulator::new(1);
+        let l = sim.add_link(LinkConfig::new(Rate::from_mbps(8.0), TimeNs::ZERO));
+        let sink = sim.add_app(Box::new(RecordingSink::default()));
+        let route = sim.route(&[l], sink);
+        let src = sim.add_app(Box::new(Source {
+            route: route.clone(),
+            left: 1,
+            gap: TimeNs::ZERO,
+        }));
+        let t = TimeNs::from_millis(1);
+        // Scheduling order at `t`: the timer, then an external arrival.
+        // The timer's own send is scheduled last, so it queues behind.
+        sim.schedule_timer(src, t, 0);
+        sim.inject(Packet::new(500, FlowId(7), 0, route), t);
+        assert!(sim.run_until_idle(TimeNs::from_secs(1)));
+        let flows: Vec<u32> = (sim.app::<RecordingSink>(sink).records.iter())
+            .map(|r| r.flow.0)
+            .collect();
+        assert_eq!(flows, vec![7, 1]);
+        // Timer, pushed arrival x 2, delivery x 2: nothing went inline.
+        assert_eq!(sim.events_processed(), 5);
+
+        // An unrelated timer pending at the same instant changes nothing:
+        // the send still goes inline (timer x 2 + delivery).
+        let mut sim = Simulator::new(1);
+        let l = sim.add_link(LinkConfig::new(Rate::from_mbps(8.0), TimeNs::ZERO));
+        let sink = sim.add_app(Box::new(CountingSink::default()));
+        let route = sim.route(&[l], sink);
+        let src = sim.add_app(Box::new(Source {
+            route,
+            left: 1,
+            gap: TimeNs::ZERO,
+        }));
+        sim.schedule_timer(src, t, 0);
+        sim.schedule_timer(sink, t, 0);
+        assert!(sim.run_until_idle(TimeNs::from_secs(1)));
+        assert_eq!(sim.events_processed(), 3);
+    }
+
+    /// Stopping the clock mid-transmission and mid-queue: counters,
+    /// occupancy and the monitor count only transmissions completed by
+    /// the boundary, exactly as an event-per-departure engine shows them.
+    #[test]
+    fn run_until_boundary_counts_only_completed_transmissions() {
+        let mut sim = Simulator::new(1);
+        let l = sim.add_link(
+            LinkConfig::new(Rate::from_mbps(8.0), TimeNs::from_millis(5))
+                .with_monitor_window(TimeNs::from_millis(2)),
+        );
+        let sink = sim.add_app(Box::new(CountingSink::default()));
+        let route = sim.route(&[l], sink);
+        // Three 1000 B packets at t = 0: departures at 1, 2 and 3 ms.
+        for i in 0..3 {
+            sim.inject(Packet::new(1000, FlowId(1), i, route.clone()), TimeNs::ZERO);
+        }
+        let read = |sim: &Simulator| {
+            let link = sim.link(l);
+            (
+                link.stats.tx_packets,
+                link.stats.busy_ns,
+                link.backlog_bytes(),
+                link.queue_bytes(),
+                link.queue_len(),
+                link.monitor().bytes_in_window(0),
+                link.monitor().bytes_in_window(1),
+            )
+        };
+        // Mid-transmission of the first, two waiting.
+        sim.run_until(TimeNs::from_micros(500));
+        assert_eq!(read(&sim), (0, 0, 3000, 2000, 2, 0, 0));
+        // One nanosecond before the first departure: unchanged.
+        sim.run_until(TimeNs::from_nanos(999_999));
+        assert_eq!(read(&sim), (0, 0, 3000, 2000, 2, 0, 0));
+        // At the departure instant it counts, stamped at 1 ms (window 0).
+        sim.run_until(TimeNs::from_millis(1));
+        assert_eq!(read(&sim), (1, 1_000_000, 2000, 1000, 1, 1000, 0));
+        // Mid-queue: the second left at 2 ms (window 1), the third is in
+        // service, and nothing has been delivered yet (5 ms propagation).
+        sim.run_until(TimeNs::from_micros(2500));
+        assert_eq!(read(&sim), (2, 2_000_000, 1000, 0, 0, 1000, 1000));
+        assert_eq!(sim.app::<CountingSink>(sink).packets, 0);
+        sim.run_until(TimeNs::from_millis(3));
+        assert_eq!(read(&sim), (3, 3_000_000, 0, 0, 0, 1000, 2000));
     }
 }

@@ -14,7 +14,7 @@ pub mod stats;
 pub mod time;
 
 pub use stats::{cdf_points, mean, median, percentile, std_dev, Summary};
-pub use time::{TimeNs, NS_PER_MS, NS_PER_SEC, NS_PER_US};
+pub use time::{round_u64, TimeNs, NS_PER_MS, NS_PER_SEC, NS_PER_US};
 
 use core::fmt;
 
@@ -77,7 +77,7 @@ impl Rate {
     pub fn tx_time_ns(self, bytes: u32) -> u64 {
         debug_assert!(self.0 > 0.0, "tx_time_ns on zero rate");
         let ns = (bytes as f64) * 8.0 * 1e9 / self.0;
-        ns.round() as u64
+        round_u64(ns)
     }
 
     /// Time to transmit `bytes` bytes at this rate.

@@ -15,6 +15,17 @@ pub const NS_PER_MS: u64 = 1_000_000;
 /// Nanoseconds in one second.
 pub const NS_PER_SEC: u64 = 1_000_000_000;
 
+/// `x.round() as u64` — nearest integer, halves away from zero, saturating
+/// like the cast — in integer arithmetic. `f64::round` is a libm call on
+/// baseline x86-64, and this sits on the simulator's per-packet path
+/// (`Rate::tx_time_ns`). Note `(x + 0.5) as u64` is *not* equivalent: it
+/// is wrong at `0.49999999999999994` and for odd `x ≥ 2^52`.
+#[inline]
+pub fn round_u64(x: f64) -> u64 {
+    let t = x as u64; // truncates; NaN and negatives → 0, huge → MAX
+    t.saturating_add(u64::from(x - t as f64 >= 0.5))
+}
+
 /// A point in (or span of) simulated time, in nanoseconds.
 ///
 /// ```
@@ -60,7 +71,7 @@ impl TimeNs {
     #[inline]
     pub fn from_secs_f64(s: f64) -> Self {
         debug_assert!(s.is_finite() && s >= 0.0, "invalid seconds: {s}");
-        TimeNs((s * NS_PER_SEC as f64).round() as u64)
+        TimeNs(round_u64(s * NS_PER_SEC as f64))
     }
 
     /// Raw nanoseconds.

@@ -1,7 +1,7 @@
 //! Property tests for the unit types and statistics helpers.
 
 use proptest::prelude::*;
-use units::{percentile, Rate, Summary, TimeNs};
+use units::{percentile, round_u64, Rate, Summary, TimeNs};
 
 proptest! {
     /// Rate::tx_time and Rate::bytes_in are inverse within rounding.
@@ -62,4 +62,49 @@ proptest! {
         prop_assert!(s.min - 1e-9 <= s.mean && s.mean <= s.max + 1e-9);
         prop_assert_eq!(s.n, xs.len());
     }
+
+    /// The integer rounding on the simulator's per-packet path agrees with
+    /// `f64::round` at random magnitudes: any mantissa, any exponent from
+    /// far below 1 to past `u64::MAX`, including the fraction-free range.
+    #[test]
+    fn round_u64_matches_libm_round(mantissa in any::<u64>(), exp in -70i32..70) {
+        let x = (mantissa >> 11) as f64 * 2f64.powi(exp - 53);
+        prop_assert_eq!(round_u64(x), x.round() as u64, "x = {:e}", x);
+        // ...and right around the halfway points of that magnitude.
+        let h = x.trunc() + 0.5;
+        for y in [h, f64::from_bits(h.to_bits() - 1), f64::from_bits(h.to_bits() + 1)] {
+            prop_assert_eq!(round_u64(y), y.round() as u64, "y = {:e}", y);
+        }
+    }
+}
+
+/// The edges a naive `(x + 0.5) as u64` gets wrong, and the ones the cast
+/// saturates at.
+#[test]
+fn round_u64_edge_cases() {
+    let p52 = (1u64 << 52) as f64;
+    let p53 = (1u64 << 53) as f64;
+    for x in [
+        0.0,
+        0.49999999999999994, // largest double below one half
+        0.5,
+        1.5,
+        2.5,
+        p52 - 1.0,
+        p52 - 0.5,
+        p52,
+        p52 + 1.0, // odd, and x + 0.5 is not representable
+        p53,
+        p53 + 2.0,
+        u64::MAX as f64,
+        1e300,
+        f64::INFINITY,
+        -0.4,
+        -2.5,
+        f64::NAN,
+    ] {
+        assert_eq!(round_u64(x), x.round() as u64, "x = {x:e}");
+    }
+    assert_eq!(round_u64(0.49999999999999994), 0);
+    assert_eq!(round_u64(p52 + 1.0), (1 << 52) + 1);
 }
