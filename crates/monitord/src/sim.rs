@@ -61,6 +61,7 @@ struct EngineTelemetry {
     events: Counter,
     heap_ops: Counter,
     front_hits: Counter,
+    attached_arrivals: Counter,
     shards: Gauge,
     heap_max_depth: Gauge,
     last: EngineStats,
@@ -157,7 +158,9 @@ impl SimFleetMonitor {
 
     /// Wire the engine counters and per-path trace sinks into a fleet
     /// telemetry hub: `sim_events_processed_total`, `sim_heap_ops_total`,
-    /// `sim_front_hits_total`, `sim_shards`, `sim_heap_max_depth`. The
+    /// `sim_front_hits_total`, `sim_attached_arrivals_total` (packets the
+    /// links pulled from their one-hop sources without any event),
+    /// `sim_shards`, `sim_heap_max_depth`. The
     /// sans-IO simulator only exposes plain [`EngineStats`]; this driver
     /// drains them into the registry after every run slice (the
     /// `take_trace()` idiom).
@@ -172,6 +175,7 @@ impl SimFleetMonitor {
             events: reg.counter("sim_events_processed_total", &[]),
             heap_ops: reg.counter("sim_heap_ops_total", &[]),
             front_hits: reg.counter("sim_front_hits_total", &[]),
+            attached_arrivals: reg.counter("sim_attached_arrivals_total", &[]),
             shards: reg.gauge("sim_shards", &[]),
             heap_max_depth: reg.gauge("sim_heap_max_depth", &[]),
             last: EngineStats::default(),
@@ -182,6 +186,7 @@ impl SimFleetMonitor {
         t.events.add(stats.events_processed);
         t.heap_ops.add(stats.heap_ops());
         t.front_hits.add(stats.front_hits);
+        t.attached_arrivals.add(stats.attached_arrivals);
         t.shards.set(stats.shards as i64);
         t.heap_max_depth.set(stats.heap_max_depth as i64);
         t.last = stats;
@@ -199,6 +204,8 @@ impl SimFleetMonitor {
             .add(stats.events_processed - t.last.events_processed);
         t.heap_ops.add(stats.heap_ops() - t.last.heap_ops());
         t.front_hits.add(stats.front_hits - t.last.front_hits);
+        t.attached_arrivals
+            .add(stats.attached_arrivals - t.last.attached_arrivals);
         t.shards.set(stats.shards as i64);
         t.heap_max_depth.set(stats.heap_max_depth as i64);
         t.last = stats;

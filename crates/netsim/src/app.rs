@@ -1,6 +1,7 @@
 //! Application framework: boxed state machines that receive packets and
 //! timers, and act on the simulation through a [`Ctx`] handle.
 
+use crate::link::SinkCredit;
 use crate::packet::Packet;
 use crate::sim::SimCore;
 use std::any::Any;
@@ -77,6 +78,17 @@ pub struct CountingSink {
     pub bytes: u64,
     /// Time of the last delivery.
     pub last_arrival: TimeNs,
+}
+
+impl CountingSink {
+    /// Count deliveries the engine did not dispatch one by one: packets of
+    /// a link's attached arrival processes, the last of them delivered at
+    /// `credit.last_arrival` (never after the engine's clock).
+    pub(crate) fn credit(&mut self, credit: SinkCredit) {
+        self.packets += credit.packets;
+        self.bytes += credit.bytes;
+        self.last_arrival = self.last_arrival.max(credit.last_arrival);
+    }
 }
 
 impl App for CountingSink {

@@ -24,6 +24,10 @@
 //! * **Applications** are boxed state machines ([`app::App`]) dispatched by
 //!   id; they can send packets and arm timers re-entrantly through
 //!   [`app::Ctx`].
+//! * **One-hop cross traffic costs no events**: a source that enters and
+//!   exits at one link, into a sink that only counts, is an
+//!   [`link::ArrivalProcess`] the link owns and pulls
+//!   ([`Simulator::attach_arrivals`]).
 //! * **Built-in measurement**: per-link counters and MRTG-style windowed
 //!   utilization ([`monitor::UtilMonitor`]), a ping prober ([`ping`]), and
 //!   fault injection (random loss) for failure testing.
@@ -58,7 +62,7 @@ pub mod sim;
 pub mod topology;
 
 pub use app::{App, AppId, Ctx};
-pub use link::{Link, LinkConfig, LinkId, LinkStats};
+pub use link::{ArrivalProcess, Link, LinkConfig, LinkId, LinkStats};
 pub use packet::{FlowId, Packet, Payload, RouteSpec, TcpFlags, TcpHeader};
 pub use ping::{EchoReflector, PingStats, Pinger, PingerConfig};
 pub use pool::PacketSlot;

@@ -27,11 +27,45 @@
 //! the queue). `queue_limit_bytes` and `max_queue_bytes` exclude the
 //! packet in service, so at such a tie the packet that *enters* service
 //! at `t` is already excluded too.
+//!
+//! # Attached arrival processes
+//!
+//! The paper's cross traffic "enters and exits at each hop" (§V-A): a
+//! source whose whole route is this one link, into a sink that is only
+//! counted, depends on nothing in the simulation and is observed by
+//! nobody before a run boundary. Such a source needs no events at all.
+//! The link owns it as an [`ArrivalProcess`] and *pulls* its arrivals
+//! when it is next looked at: `Link::on_arrival` first fires every
+//! process due strictly before `now`, `Link::settle` every process due at
+//! or before it. A pulled arrival at `t` runs the very arithmetic an event
+//! arrival at `t` runs (retire departures `≤ t`, then accept or drop — one
+//! code path, so `drop_prob` and RED keep drawing from the link's `Prng`
+//! in arrival order); no packet, pool slot or packet id is made for it.
+//! What the sink would have counted is kept exact at any boundary: an
+//! accepted packet joins, on departure, a FIFO of packets in propagation
+//! and is credited once its delivery instant `depart + prop_delay` is `≤`
+//! the clock the drain has reached; the engine moves the credit into the
+//! `CountingSink` at every run boundary.
+//!
+//! **Tie rules.** An event arrival at `t` precedes an attached arrival at
+//! `t`. Attached arrivals at one instant fire in arming order: the heap of
+//! processes is keyed `(fire time, arming stamp)`, the stamp a per-link
+//! counter bumped on every (re)arm — the order event sequence numbers gave
+//! the same sources' timers. Both rules are what a timer-driven source
+//! does: its send at `t` queues behind an arrival already due at the link
+//! at `t` (`SimCore::arrives_inline` refuses the shortcut), and otherwise
+//! the arrival event had been dispatched before the timer anyway. The one
+//! order they do not reproduce is an *app* whose own send at `t` goes
+//! inline after a source timer armed earlier fired at that same
+//! nanosecond; there the event arrival now goes first.
 
+use crate::app::AppId;
 use crate::monitor::UtilMonitor;
 use crate::red::{RedConfig, RedState};
 use crate::rng::Prng;
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
+use std::fmt::Debug;
 use units::{Rate, TimeNs};
 
 /// Index of a link within a [`crate::Simulator`].
@@ -135,11 +169,36 @@ impl LinkStats {
     }
 }
 
+/// A packet source a link can own: a one-hop flow whose arrivals depend
+/// on nothing in the simulation. The one method mirrors a timer firing, so
+/// sources whose timers do not all send (on/off) fit the same shape.
+pub trait ArrivalProcess: Debug + Send {
+    /// The process's timer fires at `at`. Returns the size of the packet
+    /// it sends at that instant (`None`: this firing sends nothing) and
+    /// when it fires next (`≥ at`).
+    fn fire(&mut self, at: TimeNs) -> (Option<u32>, TimeNs);
+}
+
+/// What attached deliveries have added to one counting sink since the
+/// engine last collected it.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct SinkCredit {
+    pub(crate) packets: u64,
+    pub(crate) bytes: u64,
+    pub(crate) last_arrival: TimeNs,
+}
+
+/// `Tx::sink` of a packet that arrived by event: its delivery is the
+/// engine's business.
+const NO_SINK: u32 = u32::MAX;
+
 /// One accepted packet: when it leaves the link, and what to credit then.
 #[derive(Clone, Copy, Debug)]
 struct Tx {
     depart: TimeNs,
     size: u32,
+    /// Index into `Link::credits` for an attached arrival, else `NO_SINK`.
+    sink: u32,
     tx_ns: u64,
 }
 
@@ -158,6 +217,17 @@ pub struct Link {
     monitor: UtilMonitor,
     red: Option<RedState>,
     rng: Prng,
+    /// Attached processes, each with the index of its sink in `credits`.
+    attached: Vec<(Box<dyn ArrivalProcess>, u32)>,
+    /// Min-heap of `(fire time, arming stamp, index into attached)`.
+    due: BinaryHeap<Reverse<(TimeNs, u64, u32)>>,
+    next_stamp: u64,
+    /// Attached packets that left the link and have not reached their
+    /// sink yet: `(delivery instant, size, index into credits)`, ascending.
+    in_propagation: VecDeque<(TimeNs, u32, u32)>,
+    /// Per sink fed by an attached process: deliveries not yet collected.
+    credits: Vec<(AppId, SinkCredit)>,
+    attached_arrivals: u64,
 }
 
 impl Link {
@@ -172,6 +242,12 @@ impl Link {
             monitor,
             red,
             rng,
+            attached: Vec::new(),
+            due: BinaryHeap::new(),
+            next_stamp: 0,
+            in_propagation: VecDeque::new(),
+            credits: Vec::new(),
+            attached_arrivals: 0,
         }
     }
 
@@ -215,10 +291,89 @@ impl Link {
         &self.monitor
     }
 
-    /// Retire every transmission that completed at or before `now`:
-    /// credit the counters and the monitor at its departure time and free
-    /// its bytes.
+    /// Packets that attached processes have sent into this link so far
+    /// (accepted or dropped) — the arrivals no event was dispatched for.
+    pub fn attached_arrivals(&self) -> u64 {
+        self.attached_arrivals
+    }
+
+    /// Own `process`, first firing at `first_at`; what it gets through the
+    /// link is credited to `sink`.
+    pub(crate) fn attach(
+        &mut self,
+        process: Box<dyn ArrivalProcess>,
+        sink: AppId,
+        first_at: TimeNs,
+    ) {
+        let credit = match self.credits.iter().position(|(id, _)| *id == sink) {
+            Some(i) => i,
+            None => {
+                self.credits.push((sink, SinkCredit::default()));
+                self.credits.len() - 1
+            }
+        };
+        let process_idx = self.attached.len() as u32;
+        self.attached.push((process, credit as u32));
+        self.due
+            .push(Reverse((first_at, self.next_stamp, process_idx)));
+        self.next_stamp += 1;
+    }
+
+    /// Deliveries credited since the last call, per sink.
+    pub(crate) fn take_credits(&mut self) -> impl Iterator<Item = (AppId, SinkCredit)> + '_ {
+        self.credits
+            .iter_mut()
+            .filter(|(_, c)| c.packets > 0)
+            .map(|(sink, c)| (*sink, std::mem::take(c)))
+    }
+
+    /// Bring the link up to `now`: every attached arrival due at or before
+    /// it has happened, every transmission completed by it is retired.
     pub(crate) fn settle(&mut self, now: TimeNs) {
+        self.pull(now, true);
+        self.retire(now);
+    }
+
+    /// A packet of `size` bytes arrives by event at `now` (arrivals must
+    /// come in time order). Returns when its last bit leaves the link, or
+    /// `None` if it was dropped (queue overflow, RED, or fault injection).
+    pub(crate) fn on_arrival(&mut self, size: u32, now: TimeNs) -> Option<TimeNs> {
+        self.pull(now, false);
+        self.accept(size, now, NO_SINK)
+    }
+
+    /// Fire every attached process due before `now` — and those due at
+    /// `now` too if `through` — in `(fire time, arming stamp)` order, each
+    /// sent packet arriving at its fire time.
+    fn pull(&mut self, now: TimeNs, through: bool) {
+        while let Some(&Reverse((at, _, process))) = self.due.peek() {
+            if at > now || (at == now && !through) {
+                break;
+            }
+            let (source, sink) = &mut self.attached[process as usize];
+            let sink = *sink;
+            let (size, next) = source.fire(at);
+            assert!(next >= at, "an arrival process went back in time");
+            // Re-arm in place of the fired entry: one sift, not a pop and
+            // a push.
+            if let Some(mut top) = self.due.peek_mut() {
+                *top = Reverse((next, self.next_stamp, process));
+            }
+            self.next_stamp += 1;
+            if let Some(size) = size {
+                self.attached_arrivals += 1;
+                self.accept(size, at, sink);
+            }
+        }
+    }
+
+    /// Retire every transmission that completed at or before `now` —
+    /// credit the counters and the monitor at its departure time, free its
+    /// bytes, start an attached packet's propagation — then credit the
+    /// sinks with what has propagated by `now`. Crediting here, as the
+    /// drain advances, is what bounds `in_propagation` to one propagation
+    /// delay of arrivals however long the gap being settled.
+    fn retire(&mut self, now: TimeNs) {
         while let Some(tx) = self.fifo.front() {
             if tx.depart > now {
                 break;
@@ -228,15 +383,29 @@ impl Link {
             self.stats.busy_ns += tx.tx_ns;
             self.monitor.record(tx.depart, tx.size as u64);
             self.backlog_bytes -= tx.size as u64;
+            if tx.sink != NO_SINK {
+                let at = tx.depart + self.cfg.prop_delay;
+                self.in_propagation.push_back((at, tx.size, tx.sink));
+            }
             self.fifo.pop_front();
+        }
+        while let Some(&(at, size, sink)) = self.in_propagation.front() {
+            if at > now {
+                break;
+            }
+            let credit = &mut self.credits[sink as usize].1;
+            credit.packets += 1;
+            credit.bytes += size as u64;
+            credit.last_arrival = at;
+            self.in_propagation.pop_front();
         }
     }
 
-    /// A packet of `size` bytes arrives at `now` (arrivals must come in
-    /// time order). Returns when its last bit leaves the link, or `None`
-    /// if it was dropped (queue overflow, RED, or fault injection).
-    pub(crate) fn on_arrival(&mut self, size: u32, now: TimeNs) -> Option<TimeNs> {
-        self.settle(now);
+    /// The arrival arithmetic, shared by event and attached arrivals:
+    /// retire what has departed by `now`, then accept the packet (fixing
+    /// its departure) or drop it.
+    fn accept(&mut self, size: u32, now: TimeNs, sink: u32) -> Option<TimeNs> {
+        self.retire(now);
         if self.cfg.drop_prob > 0.0 && self.rng.chance(self.cfg.drop_prob) {
             self.stats.drops_fault += 1;
             return None;
@@ -265,6 +434,7 @@ impl Link {
         self.fifo.push_back(Tx {
             depart,
             size,
+            sink,
             tx_ns,
         });
         self.backlog_bytes += size as u64;
@@ -408,19 +578,242 @@ mod tests {
         assert_eq!(l.stats.utilization(TimeNs::ZERO), 0.0);
     }
 
-    /// Reference FIFO: every accepted packet as `(depart, size, tx_ns)`,
-    /// occupancy recomputed from scratch at each arrival (Lindley's
-    /// recursion with a finite buffer, departures before arrivals on a
-    /// tie). Quadratic and obviously right.
+    /// Fires at scripted instants, sending the scripted sizes (`None`: a
+    /// silent firing), then never again.
+    #[derive(Debug)]
+    struct Script(VecDeque<(TimeNs, Option<u32>)>);
+
+    impl Script {
+        fn attach(l: &mut Link, sink: u32, firings: &[(TimeNs, Option<u32>)]) {
+            let script = Script(firings.iter().copied().collect());
+            l.attach(Box::new(script), AppId(sink), firings[0].0);
+        }
+    }
+
+    impl ArrivalProcess for Script {
+        fn fire(&mut self, at: TimeNs) -> (Option<u32>, TimeNs) {
+            let (due, size) = self.0.pop_front().expect("fired past its script");
+            assert_eq!(due, at, "fired at the instant it armed");
+            (size, self.0.front().map_or(TimeNs::MAX, |next| next.0))
+        }
+    }
+
+    /// Packets credited per sink since the last call.
+    fn credited(l: &mut Link) -> Vec<(u32, u64, u64, TimeNs)> {
+        l.take_credits()
+            .map(|(sink, c)| (sink.0, c.packets, c.bytes, c.last_arrival))
+            .collect()
+    }
+
+    #[test]
+    fn attached_arrivals_are_pulled_and_credited_after_propagation() {
+        let ms = TimeNs::from_millis(1);
+        let mut l = link(10_000); // 8 Mb/s, 1 ms propagation
+        Script::attach(
+            &mut l,
+            7,
+            &[(ms, Some(1000)), (ms * 2, None), (ms * 3, Some(500))],
+        );
+        l.settle(ms - TimeNs::from_nanos(1));
+        assert_eq!((l.attached_arrivals(), l.backlog_bytes()), (0, 0));
+        // Due at the boundary: it has happened.
+        l.settle(ms);
+        assert_eq!((l.attached_arrivals(), l.backlog_bytes()), (1, 1000));
+        // Departed at 2 ms, still propagating at 3 ms − 1 ns.
+        l.settle(ms * 3 - TimeNs::from_nanos(1));
+        assert_eq!(l.stats.tx_packets, 1);
+        assert_eq!(credited(&mut l), vec![]);
+        l.settle(ms * 3);
+        assert_eq!(credited(&mut l), vec![(7, 1, 1000, ms * 3)]);
+        // One jump over the rest: 500 B sent at 3 ms departs at 3.5 ms and
+        // is delivered at 4.5 ms; the silent firing sent nothing.
+        l.settle(ms * 60);
+        assert_eq!(l.attached_arrivals(), 2);
+        assert_eq!(
+            credited(&mut l),
+            vec![(7, 1, 500, ms * 4 + TimeNs::from_micros(500))]
+        );
+        assert_eq!(credited(&mut l), vec![]);
+    }
+
+    /// The tie rule between the two kinds of arrival, made visible by a
+    /// queue with room for exactly one of them.
+    #[test]
+    fn event_arrival_at_t_precedes_attached_arrival_at_t() {
+        let ms = TimeNs::from_millis(1);
+        let t = TimeNs::from_micros(500);
+        for settle_first in [false, true] {
+            let mut l = link(1000);
+            Script::attach(&mut l, 0, &[(t, Some(600))]);
+            assert_eq!(l.on_arrival(1000, TimeNs::ZERO), Some(ms)); // in service
+            if settle_first {
+                // A boundary one nanosecond short of the tie changes nothing.
+                l.settle(t - TimeNs::from_nanos(1));
+            }
+            // The event arrival at `t` takes the queue's 1000 bytes...
+            assert_eq!(l.on_arrival(1000, t), Some(ms * 2));
+            assert_eq!(l.attached_arrivals(), 0, "not pulled ahead of it");
+            // ...and the attached arrival at `t` finds it full.
+            l.settle(t);
+            assert_eq!((l.attached_arrivals(), l.stats.drops_overflow), (1, 1));
+            l.settle(ms * 10);
+            assert_eq!(credited(&mut l), vec![]);
+        }
+        // One nanosecond earlier the attached arrival wins the room.
+        let mut l = link(1000);
+        Script::attach(&mut l, 0, &[(t - TimeNs::from_nanos(1), Some(600))]);
+        assert_eq!(l.on_arrival(1000, TimeNs::ZERO), Some(ms));
+        assert_eq!(l.on_arrival(1000, t), None);
+        l.settle(ms * 10);
+        assert_eq!(credited(&mut l).len(), 1);
+    }
+
+    /// Attached arrivals at one instant fire in the order their processes
+    /// were (re)armed — not the order they were attached in.
+    #[test]
+    fn attached_ties_fire_in_arming_order() {
+        let ms = TimeNs::from_millis(1);
+        let us = TimeNs::from_micros;
+        // Room for one waiting packet; whoever is second at a tie drops.
+        let winners = |a: &[(TimeNs, Option<u32>)], b: &[(TimeNs, Option<u32>)]| {
+            let mut l = link(700);
+            Script::attach(&mut l, 0, a);
+            Script::attach(&mut l, 1, b);
+            assert_eq!(l.on_arrival(1000, TimeNs::ZERO), Some(ms)); // in service
+            l.settle(ms * 10);
+            (credited(&mut l), l.stats.drops_overflow)
+        };
+        // First arming: attach order. A (sink 0) gets through.
+        let (got, drops) = winners(&[(us(500), Some(600))], &[(us(500), Some(700))]);
+        assert_eq!((got.len(), got[0].0, drops), (1, 0, 1));
+        // Silent firings re-arm both for 500 µs: A fires (and re-arms)
+        // first at 100 µs vs 200 µs, so A is first again...
+        let a = [(us(100), None), (us(500), Some(600))];
+        let b = [(us(200), None), (us(500), Some(700))];
+        let (got, drops) = winners(&a, &b);
+        assert_eq!((got.len(), got[0].0, drops), (1, 0, 1));
+        // ...but when B's earlier firing re-arms it first, B goes first
+        // although it was attached second.
+        let a = [(us(200), None), (us(500), Some(600))];
+        let b = [(us(100), None), (us(500), Some(700))];
+        let (got, drops) = winners(&a, &b);
+        assert_eq!((got.len(), got[0].0, drops), (1, 1, 1));
+        // A process re-armed at its own firing instant queues behind what
+        // was already due then (an on/off source starting an ON period).
+        let a = [(us(500), None), (us(500), Some(600))];
+        let b = [(us(500), Some(700))];
+        let (got, drops) = winners(&a, &b);
+        assert_eq!((got.len(), got[0].0, drops), (1, 1, 1));
+    }
+
+    /// Settling across a long gap with no events must not buffer the gap's
+    /// deliveries: sinks are credited as the drain advances, so neither
+    /// FIFO ever holds more than about one propagation delay (here 10 ms
+    /// at 1000 packets/s) of arrivals. `VecDeque` never shrinks, so its
+    /// capacity is the peak.
+    #[test]
+    fn a_long_settle_holds_one_propagation_delay_of_arrivals() {
+        #[derive(Debug)]
+        struct Cbr;
+        impl ArrivalProcess for Cbr {
+            fn fire(&mut self, at: TimeNs) -> (Option<u32>, TimeNs) {
+                (Some(500), at + TimeNs::from_millis(1))
+            }
+        }
+        let mut l = Link::new(
+            LinkConfig::new(Rate::from_mbps(8.0), TimeNs::from_millis(10)),
+            Prng::new(0),
+        );
+        l.attach(Box::new(Cbr), AppId(0), TimeNs::ZERO);
+        l.settle(TimeNs::from_secs(60));
+        assert_eq!(l.attached_arrivals(), 60_001);
+        let got = credited(&mut l);
+        assert_eq!((got[0].1, got[0].2), (59_990, 59_990 * 500));
+        assert!(l.in_propagation.len() <= 11);
+        assert!(
+            l.in_propagation.capacity() <= 32 && l.fifo.capacity() <= 8,
+            "peak in propagation {}, in the link {}",
+            l.in_propagation.capacity(),
+            l.fifo.capacity()
+        );
+    }
+
+    /// A renewal process with bursts (gap 0), silent firings and gaps on
+    /// the event arrivals' time scale. `Clone`, so the reference model
+    /// replays the very sequence the link pulls.
+    #[derive(Clone, Debug)]
+    struct Bursty {
+        rng: Prng,
+        scale: u64,
+    }
+
+    impl ArrivalProcess for Bursty {
+        fn fire(&mut self, at: TimeNs) -> (Option<u32>, TimeNs) {
+            let size = (self.rng.below(4) != 0).then(|| 40 + self.rng.below(1461) as u32);
+            let gap = match self.rng.below(4) {
+                0 => 0,
+                _ => self.rng.below(self.scale),
+            };
+            (size, at + TimeNs::from_nanos(gap))
+        }
+    }
+
+    /// Reference FIFO: every accepted packet as `(depart, size, tx_ns,
+    /// attached)`, occupancy recomputed from scratch at each arrival
+    /// (Lindley's recursion with a finite buffer, departures before
+    /// arrivals on a tie), attached processes merged in by a linear scan
+    /// for the least `(fire time, arming stamp)`. Quadratic and obviously
+    /// right.
     #[derive(Default)]
     struct RefFifo {
-        accepted: Vec<(u64, u32, u64)>,
+        accepted: Vec<(u64, u32, u64, bool)>,
         drops: u64,
         max_queue_bytes: u64,
+        /// `(process, next fire time, arming stamp)`.
+        procs: Vec<(Bursty, u64, u64)>,
+        next_stamp: u64,
+        pulled: u64,
     }
 
     impl RefFifo {
-        fn arrive(&mut self, size: u32, now: u64, tx_ns: u64, limit: u64) -> Option<u64> {
+        fn attach(&mut self, p: Bursty, first_at: u64) {
+            self.procs.push((p, first_at, self.next_stamp));
+            self.next_stamp += 1;
+        }
+
+        /// When the next attached process fires.
+        fn next_fire(&self) -> Option<u64> {
+            self.procs.iter().map(|p| p.1).min()
+        }
+
+        /// Attached arrivals before `now` (`through`: at `now` too).
+        fn pull(&mut self, now: u64, through: bool, cap: Rate, limit: u64) {
+            while let Some(i) =
+                (0..self.procs.len()).min_by_key(|&i| (self.procs[i].1, self.procs[i].2))
+            {
+                let at = self.procs[i].1;
+                if at > now || (at == now && !through) {
+                    break;
+                }
+                let (size, next) = self.procs[i].0.fire(TimeNs::from_nanos(at));
+                self.procs[i].1 = next.as_nanos();
+                self.procs[i].2 = self.next_stamp;
+                self.next_stamp += 1;
+                if let Some(size) = size {
+                    self.pulled += 1;
+                    self.arrive(size, at, cap.tx_time_ns(size), limit, true);
+                }
+            }
+        }
+
+        fn arrive(
+            &mut self,
+            size: u32,
+            now: u64,
+            tx_ns: u64,
+            limit: u64,
+            attached: bool,
+        ) -> Option<u64> {
             let mut in_system = self.accepted.iter().filter(|p| p.0 > now);
             // The first packet still in the system is the one in service.
             let start = match in_system.next() {
@@ -435,7 +828,7 @@ mod tests {
                     self.accepted.last().map_or(now, |p| p.0)
                 }
             };
-            self.accepted.push((start + tx_ns, size, tx_ns));
+            self.accepted.push((start + tx_ns, size, tx_ns, attached));
             Some(start + tx_ns)
         }
 
@@ -459,32 +852,55 @@ mod tests {
                 windows,
             )
         }
+
+        /// `(packets, bytes, last delivery)` of the attached packets that
+        /// reached their sink by `t`.
+        fn delivered_by(&self, t: u64, prop: u64) -> (u64, u64, u64) {
+            let got = || (self.accepted.iter()).filter(move |p| p.3 && p.0 + prop <= t);
+            (
+                got().count() as u64,
+                got().map(|p| p.1 as u64).sum(),
+                got().next_back().map_or(0, |p| p.0 + prop),
+            )
+        }
     }
 
     /// Property: `Link` agrees with the reference FIFO on every departure
-    /// time and drop decision, and — after `settle` at arbitrary instants,
-    /// mid-transmission and mid-queue included — on counters, occupancy
-    /// and monitor windows.
+    /// time and drop decision of merged event and attached arrivals, and —
+    /// after `settle` at arbitrary instants, mid-transmission, mid-queue
+    /// and mid-propagation included — on counters, occupancy, monitor
+    /// windows and what the sink has been credited.
     #[test]
     fn link_matches_reference_fifo() {
         let mut rng = Prng::new(0xF1F0);
-        let mut drops = 0;
+        let (mut drops, mut pulled) = (0, 0);
         for case in 0..200 {
             let limit = [0, 1500, 4000, 20_000, 8 << 20][case % 5];
             let cap = Rate::from_mbps([1.0, 8.0, 155.0][case % 3]);
             let window = TimeNs::from_millis(1 + rng.below(5));
+            let prop = rng.below(3_000_000);
             let mut l = Link::new(
-                LinkConfig::new(cap, TimeNs::ZERO)
+                LinkConfig::new(cap, TimeNs::from_nanos(prop))
                     .with_queue_limit(limit)
                     .with_monitor_window(window),
                 Prng::new(case as u64),
             );
             let mut model = RefFifo::default();
+            for i in 0..case % 3 {
+                let p = Bursty {
+                    rng: Prng::new((case * 3 + i) as u64),
+                    scale: 1 + rng.below(10_000_000),
+                };
+                let first_at = rng.below(1_000_000);
+                model.attach(p.clone(), first_at);
+                l.attach(Box::new(p), AppId(0), TimeNs::from_nanos(first_at));
+            }
+            let mut credit = (0, 0, 0);
             let mut now = 0u64;
             for _ in 0..300 {
-                // Bursts (gap 0), exact departure-instant ties, and gaps
-                // long enough to drain.
-                now = match rng.below(4) {
+                // Bursts (gap 0), exact ties with a departure or with an
+                // attached arrival, and gaps long enough to drain.
+                now = match rng.below(5) {
                     0 => now,
                     1 => model
                         .accepted
@@ -492,6 +908,7 @@ mod tests {
                         .map(|p| p.0)
                         .find(|&d| d >= now)
                         .unwrap_or(now),
+                    2 => model.next_fire().map_or(now, |t| t.max(now)),
                     _ => {
                         let scale = 1 + rng.below(200);
                         now + rng.below(20_000_000 / scale)
@@ -500,6 +917,7 @@ mod tests {
                 let t = TimeNs::from_nanos(now);
                 if rng.below(3) == 0 {
                     l.settle(t);
+                    model.pull(now, true, cap, limit);
                     let (pkts, bytes, busy, windows) = model.done_by(now, window.as_nanos());
                     assert_eq!(
                         (l.stats.tx_packets, l.stats.tx_bytes, l.stats.busy_ns),
@@ -516,16 +934,32 @@ mod tests {
                     assert_eq!(l.backlog_bytes(), left.iter().sum::<u64>());
                     assert_eq!(l.queue_len(), left.len().saturating_sub(1));
                     assert_eq!(l.queue_bytes(), left.iter().skip(1).sum::<u64>());
+                    for (_, c) in l.take_credits() {
+                        credit = (
+                            credit.0 + c.packets,
+                            credit.1 + c.bytes,
+                            c.last_arrival.as_nanos(),
+                        );
+                    }
+                    assert_eq!(
+                        credit,
+                        model.delivered_by(now, prop),
+                        "case {case} at {now}"
+                    );
+                    assert_eq!(l.attached_arrivals(), model.pulled);
                 }
                 let size = 40 + rng.below(1461) as u32;
-                let want = model.arrive(size, now, cap.tx_time_ns(size), limit);
+                model.pull(now, false, cap, limit);
+                let want = model.arrive(size, now, cap.tx_time_ns(size), limit, false);
                 let got = l.on_arrival(size, t);
                 assert_eq!(got.map(TimeNs::as_nanos), want, "case {case} at {now}");
             }
             assert_eq!(l.stats.drops_overflow, model.drops);
             assert_eq!(l.stats.max_queue_bytes, model.max_queue_bytes);
             drops += model.drops;
+            pulled += model.pulled;
         }
         assert!(drops > 1000, "the finite buffers must bite: {drops} drops");
+        assert!(pulled > 10_000, "attached arrivals must merge in: {pulled}");
     }
 }

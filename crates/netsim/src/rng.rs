@@ -122,14 +122,28 @@ impl Prng {
     /// alpha = 1.9 (finite mean, infinite variance).
     #[inline]
     pub fn pareto_mean(&mut self, alpha: f64, mean: f64) -> f64 {
+        self.pareto(Prng::pareto_scale(alpha, mean), 1.0 / alpha)
+    }
+
+    /// The scale x_m that [`Prng::pareto_mean`] uses for this shape and
+    /// mean — a loop invariant for callers that draw many variates.
+    #[inline]
+    pub fn pareto_scale(alpha: f64, mean: f64) -> f64 {
         debug_assert!(alpha > 0.0 && mean > 0.0);
-        let xm = if alpha > 1.0 {
+        if alpha > 1.0 {
             mean * (alpha - 1.0) / alpha
         } else {
             mean
-        };
+        }
+    }
+
+    /// Pareto variate from the precomputed scale `xm`
+    /// ([`Prng::pareto_scale`]) and reciprocal shape `1 / alpha`: the same
+    /// value, bit for bit, as [`Prng::pareto_mean`] draws.
+    #[inline]
+    pub fn pareto(&mut self, xm: f64, inv_alpha: f64) -> f64 {
         let u = 1.0 - self.f64(); // (0, 1]
-        xm / u.powf(1.0 / alpha)
+        xm / u.powf(inv_alpha)
     }
 
     /// Pick an index according to (unnormalized) non-negative weights.

@@ -3,19 +3,34 @@
 //!
 //! # Events per packet
 //!
+//! | packet | dispatched events |
+//! |---|---|
+//! | from a link's attached one-hop source | **0** |
+//! | sent by an app at the current instant, one hop | 2 (`Timer`, `Deliver`) |
+//! | injected from outside, k hops | k + 1 (k × `ArriveAtLink`, `Deliver`) |
+//!
 //! A FIFO link fixes a packet's departure the moment it arrives (see
 //! [`crate::link`]), so the engine never schedules a "transmission done"
 //! event: an arrival at a link schedules the *next* arrival (or the
 //! delivery) one propagation delay after the departure the link returns.
-//! A packet injected from outside over a k-link route costs k + 1
-//! dispatched events. An app that sends at the current instant skips the
-//! first of those too — its first-hop arrival runs inside the send unless
-//! an arrival at that same link is already due at this very instant
-//! (`SimCore::arrives_inline`) — so a one-hop cross-traffic packet is two
-//! events: the source's `Timer` and the sink's `Deliver`. Pop order, and
-//! with it every observable, is exactly what queueing the arrival would
-//! have produced. Links credit their counters lazily, so every public
-//! entry point that advances the clock ends by settling all links to it.
+//! An app that sends at the current instant skips the first arrival event
+//! too — its first-hop arrival runs inside the send unless an arrival at
+//! that same link is already due at this very instant
+//! (`SimCore::arrives_inline`). Pop order, and with it every observable,
+//! is exactly what queueing the arrival would have produced.
+//!
+//! A source whose whole route is one link into a [`CountingSink`] needs no
+//! events at all ([`Simulator::attach_arrivals`]): the link pulls its
+//! arrivals when it is next looked at and the sink is credited in bulk.
+//! The same-instant order is the link's to define and is written down
+//! there: an event arrival at `t` precedes an attached arrival at `t`;
+//! attached arrivals at one instant fire in arming order. What is left in
+//! the queues is probe packets × hops, TCP segments, multi-hop cross flows
+//! and app timers.
+//!
+//! Links pull and credit lazily, so every public entry point that advances
+//! the clock ends by settling all links — and through them the counting
+//! sinks — to it.
 //!
 //! # Sharding model
 //!
@@ -49,9 +64,9 @@
 //!   into one queue at the next API boundary and keeps going —
 //!   correctness never depends on the partition staying valid.
 
-use crate::app::{App, AppId, Ctx};
+use crate::app::{App, AppId, CountingSink, Ctx};
 use crate::event::{Event, EventKind, EventQueue, QueueStats};
-use crate::link::{Link, LinkConfig, LinkId};
+use crate::link::{ArrivalProcess, Link, LinkConfig, LinkId};
 use crate::packet::{Packet, RouteSpec};
 use crate::pool::{PacketPool, PacketSlot};
 use crate::rng::Prng;
@@ -98,6 +113,9 @@ pub struct EngineStats {
     pub shards: usize,
     /// High-water mark of simultaneously in-flight pooled packets.
     pub pool_live_max: usize,
+    /// Packets that links pulled from their attached arrival processes:
+    /// arrivals (and deliveries) that cost no event at all.
+    pub attached_arrivals: u64,
 }
 
 impl EngineStats {
@@ -352,6 +370,7 @@ impl Simulator {
             heap_max_depth: q.max_depth,
             shards: self.core.shards.len(),
             pool_live_max: self.core.pool.live_max(),
+            attached_arrivals: (self.core.links.iter()).map(Link::attached_arrivals).sum(),
         }
     }
 
@@ -440,6 +459,37 @@ impl Simulator {
             .expect("app is being dispatched or was removed");
         let any: &mut dyn Any = app.as_mut();
         any.downcast_mut::<T>().expect("app type mismatch")
+    }
+
+    /// Whether `app` is a plain [`CountingSink`]: a destination nobody
+    /// can observe between run boundaries, so deliveries to it may be
+    /// credited in bulk ([`Simulator::attach_arrivals`]).
+    pub fn is_counting_sink(&self, app: AppId) -> bool {
+        self.apps[app.0 as usize].as_ref().is_some_and(|a| {
+            let any: &dyn Any = a.as_ref();
+            any.is::<CountingSink>()
+        })
+    }
+
+    /// Hand `link` a one-hop source to own: `process` first fires at
+    /// `first_at` (≥ now), its packets cross `link` alone and are counted
+    /// by `sink`, which must be a [`CountingSink`]. No event is ever
+    /// scheduled for them — see [`crate::link`] for how the link pulls
+    /// them and the tie rules — and the sink reads exactly at every run
+    /// boundary.
+    pub fn attach_arrivals(
+        &mut self,
+        link: LinkId,
+        sink: AppId,
+        process: Box<dyn ArrivalProcess>,
+        first_at: TimeNs,
+    ) {
+        assert!(first_at >= self.core.now, "cannot attach into the past");
+        assert!(
+            self.is_counting_sink(sink),
+            "attached arrivals must end in a CountingSink"
+        );
+        self.core.links[link.0 as usize].attach(process, sink, first_at);
     }
 
     /// Build a route over the given links ending at `dst`. Also records
@@ -679,13 +729,24 @@ impl Simulator {
     }
 
     /// Bring every link's counters, monitor and occupancy up to the
-    /// clock: links retire completed transmissions lazily (on their next
-    /// arrival), so every public entry point that advances the clock ends
-    /// here and [`Simulator::link`] never shows a stale reading.
+    /// clock: links pull their attached arrivals and retire completed
+    /// transmissions lazily (on their next event arrival), so every public
+    /// entry point that advances the clock ends here and neither
+    /// [`Simulator::link`] nor a counting sink ever shows a stale reading.
     fn settle_links(&mut self) {
         let now = self.core.now;
         for l in &mut self.core.links {
             l.settle(now);
+            for (sink, credit) in l.take_credits() {
+                // A sink that was removed has gone away like any host:
+                // what was addressed to it is dropped.
+                if let Some(app) = &mut self.apps[sink.0 as usize] {
+                    let any: &mut dyn Any = app.as_mut();
+                    if let Some(sink) = any.downcast_mut::<CountingSink>() {
+                        sink.credit(credit);
+                    }
+                }
+            }
         }
     }
 
@@ -764,6 +825,12 @@ impl Simulator {
     /// Run until every event queue drains or the clock would pass
     /// `limit`; returns true if the queues drained. The clock is left at
     /// the last processed event; events beyond `limit` stay pending.
+    ///
+    /// "Idle" means no pending *events*. Attached arrival processes
+    /// ([`Simulator::attach_arrivals`]) never keep a simulator busy: they
+    /// go on for ever and nothing waits on them, so the links are settled
+    /// to the clock the run stops at — every attached arrival up to it has
+    /// happened and is counted — and no further.
     pub fn run_until_idle(&mut self, limit: TimeNs) -> bool {
         self.sync_topology();
         self.drain_until(limit);
@@ -1161,11 +1228,49 @@ mod tests {
         }
     }
 
-    /// The op-count gate for the engine's headline claim: an app-sent
-    /// one-hop packet is two dispatched events (`Timer` + `Deliver`), an
-    /// injected k-hop packet is k + 1 — on either engine.
+    /// Sends `size` bytes every `gap`, for ever: the attached counterpart
+    /// of `Source`.
+    #[derive(Debug)]
+    struct Every {
+        gap: TimeNs,
+        size: u32,
+    }
+
+    impl ArrivalProcess for Every {
+        fn fire(&mut self, at: TimeNs) -> (Option<u32>, TimeNs) {
+            (Some(self.size), at + self.gap)
+        }
+    }
+
+    /// The op-count gate for the engine's headline claims: an attached
+    /// one-hop source costs no events at all, an app-sent one-hop packet
+    /// is two dispatched events (`Timer` + `Deliver`), an injected k-hop
+    /// packet is k + 1 — on either engine.
     #[test]
     fn events_per_packet_are_exact() {
+        // Attached one-hop source: 0 events.
+        for shard in [false, true] {
+            let (mut sim, routes, _) = disjoint_sim();
+            let link = routes[0].links[0];
+            let sink = sim.add_app(Box::new(CountingSink::default()));
+            sim.route(&[link], sink);
+            let every = Every {
+                gap: TimeNs::from_micros(700),
+                size: 500,
+            };
+            sim.attach_arrivals(link, sink, Box::new(every), TimeNs::ZERO);
+            if shard {
+                assert_eq!(sim.try_shard().unwrap(), 2);
+            }
+            // The hundredth is sent at the boundary: 0.5 ms to transmit,
+            // 1 ms to propagate, so 99 are out and 97 have arrived.
+            sim.run_until(TimeNs::from_micros(700 * 99));
+            assert_eq!(sim.events_processed(), 0);
+            assert_eq!(sim.engine_stats().attached_arrivals, 100);
+            assert_eq!(sim.link(link).stats.tx_packets, 99);
+            assert_eq!(sim.app::<CountingSink>(sink).packets, 97);
+        }
+
         // App-sent, one hop.
         for shard in [false, true] {
             let (mut sim, routes, _) = disjoint_sim();
@@ -1284,5 +1389,103 @@ mod tests {
         assert_eq!(sim.app::<CountingSink>(sink).packets, 0);
         sim.run_until(TimeNs::from_millis(3));
         assert_eq!(read(&sim), (3, 3_000_000, 0, 0, 0, 1000, 2000));
+    }
+
+    /// Attached deliveries are counted exactly at any boundary — mid-
+    /// transmission, mid-propagation, at the delivery instant — through
+    /// every entry point that moves the clock, alongside deliveries that
+    /// did come by event.
+    #[test]
+    fn attached_deliveries_read_exactly_at_every_boundary() {
+        let ms = TimeNs::from_millis(1);
+        let mut sim = Simulator::new(1);
+        // 1000 B = 1 ms of transmission, 5 ms of propagation.
+        let l = sim.add_link(LinkConfig::new(Rate::from_mbps(8.0), ms * 5));
+        let sink = sim.add_app(Box::new(CountingSink::default()));
+        let route = sim.route(&[l], sink);
+        // Sent at 0, 2, 4, ... ms: delivered at 6, 8, 10, ... ms.
+        let every = Every {
+            gap: ms * 2,
+            size: 1000,
+        };
+        sim.attach_arrivals(l, sink, Box::new(every), TimeNs::ZERO);
+        let read = |sim: &Simulator| {
+            let s = sim.app::<CountingSink>(sink);
+            (s.packets, s.bytes, s.last_arrival)
+        };
+        sim.run_until(TimeNs::from_micros(500)); // mid-transmission
+        assert_eq!(read(&sim), (0, 0, TimeNs::ZERO));
+        assert_eq!(sim.link(l).backlog_bytes(), 1000);
+        sim.run_until(ms * 6 - TimeNs::from_nanos(1)); // mid-propagation
+        assert_eq!(read(&sim), (0, 0, TimeNs::ZERO));
+        assert_eq!(sim.link(l).stats.tx_packets, 3);
+        sim.run_until(ms * 6);
+        assert_eq!(read(&sim), (1, 1000, ms * 6));
+        // An event delivery in between (sent at 6.5 ms behind the packet
+        // in service, so out at 8 ms and delivered at 13 ms); `step` and
+        // `run_until_idle` are boundaries too.
+        sim.inject(
+            Packet::new(1000, FlowId(1), 0, route),
+            TimeNs::from_micros(6500),
+        );
+        assert!(sim.step()); // the arrival, at 6.5 ms
+        assert_eq!(read(&sim), (1, 1000, ms * 6));
+        assert!(sim.run_until_idle(TimeNs::from_secs(1))); // the delivery
+        assert_eq!(sim.now(), ms * 13);
+        // Attached packets sent at 0..=6 ms made it by 13 ms (the one sent
+        // at 8 ms queued behind the event packet: out at 10, there at 15).
+        assert_eq!(read(&sim), (5, 5000, ms * 13));
+        assert_eq!(sim.events_processed(), 2);
+        // A removed sink drops what is addressed to it, like any host.
+        let _ = sim.remove_app(sink);
+        sim.run_until(ms * 40);
+        assert_eq!(sim.link(l).stats.drops_overflow, 0);
+    }
+
+    /// "Idle" is about events: attached processes never keep the
+    /// simulator busy, and the links are settled to the clock it stops at.
+    #[test]
+    fn run_until_idle_ignores_attached_processes() {
+        let ms = TimeNs::from_millis(1);
+        let mut sim = Simulator::new(1);
+        let l = sim.add_link(LinkConfig::new(Rate::from_mbps(8.0), ms));
+        let sink = sim.add_app(Box::new(CountingSink::default()));
+        let probe_sink = sim.add_app(Box::new(RecordingSink::default()));
+        let probe_route = sim.route(&[l], probe_sink);
+        let every = Every {
+            gap: ms * 2,
+            size: 1000,
+        };
+        sim.attach_arrivals(l, sink, Box::new(every), TimeNs::ZERO);
+        // Nothing pending: idle at once, the clock does not move.
+        assert!(sim.run_until_idle(TimeNs::from_secs(1)));
+        assert_eq!(sim.now(), TimeNs::ZERO);
+        assert_eq!(
+            sim.link(l).backlog_bytes(),
+            1000,
+            "the arrival at 0 happened"
+        );
+        // One event packet at 10.5 ms, behind the attached packet sent at
+        // 10 ms: out at 12 ms, delivered at 13 ms — and that is where the
+        // run stops, not at the limit.
+        sim.inject(
+            Packet::new(1000, FlowId(1), 0, probe_route),
+            TimeNs::from_micros(10_500),
+        );
+        assert!(sim.run_until_idle(TimeNs::from_secs(1)));
+        assert_eq!(sim.now(), ms * 13);
+        assert_eq!(
+            sim.app::<RecordingSink>(probe_sink).records[0].recv_at,
+            ms * 13
+        );
+        // Settled to that clock: attached arrivals at 0..=12 ms, the last
+        // of them out at 13 ms with the event packet's eight in all, and
+        // in propagation.
+        assert_eq!(sim.engine_stats().attached_arrivals, 7);
+        assert_eq!(sim.link(l).stats.tx_packets, 8);
+        assert_eq!(sim.app::<CountingSink>(sink).packets, 6);
+        // A limit short of a pending event: not idle.
+        sim.schedule_timer(sink, ms * 50, 0);
+        assert!(!sim.run_until_idle(ms * 20));
     }
 }

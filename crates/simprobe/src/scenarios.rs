@@ -278,7 +278,7 @@ pub fn shared_tight_link(sim: &mut Simulator, cfg: &SharedTightLinkConfig) -> Sh
 /// renewal sources totalling `extra_rate`, sinking into `sink` — the §VI
 /// scenario where the avail-bw shifts under a running monitor. Works on
 /// any link of any topology ([`SharedTightLink`] exposes `tight` and
-/// `cross_sink` for exactly this). Returns the new source app ids.
+/// `cross_sink` for exactly this).
 pub fn step_link_load(
     sim: &mut Simulator,
     link: LinkId,
@@ -286,9 +286,9 @@ pub fn step_link_load(
     extra_rate: Rate,
     n_sources: usize,
     src: &SourceConfig,
-) -> Vec<netsim::AppId> {
+) {
     let route = sim.route(&[link], sink);
-    attach_sources(sim, route, extra_rate, n_sources, src)
+    attach_sources(sim, route, extra_rate, n_sources, src);
 }
 
 /// Configuration of the paper's default simulation topology (Fig. 4):

@@ -25,11 +25,57 @@ impl Interarrival {
     /// Draw one interarrival time with the given mean (seconds).
     #[inline]
     pub fn sample(&self, rng: &mut Prng, mean: f64) -> f64 {
+        self.gaps(mean).sample(rng)
+    }
+
+    /// Bind the model to a mean (seconds), working out once what every
+    /// draw would otherwise recompute.
+    pub fn gaps(self, mean: f64) -> Gaps {
         debug_assert!(mean > 0.0);
+        match self {
+            Interarrival::Exponential => Gaps::Exponential { mean },
+            Interarrival::Pareto { alpha } => Gaps::Pareto {
+                xm: Prng::pareto_scale(alpha, mean),
+                inv_alpha: 1.0 / alpha,
+            },
+            Interarrival::Constant => Gaps::Constant { mean },
+        }
+    }
+}
+
+/// An [`Interarrival`] model bound to its mean: the Pareto scale `x_m` and
+/// `1 / alpha` are loop invariants of a source's draws, computed here once
+/// by the same operations, so every gap is bit-identical to
+/// [`Interarrival::sample`]'s.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Gaps {
+    /// Exponential gaps with this mean.
+    Exponential {
+        /// Mean gap, seconds.
+        mean: f64,
+    },
+    /// Pareto gaps.
+    Pareto {
+        /// Scale x_m, seconds.
+        xm: f64,
+        /// Reciprocal of the shape.
+        inv_alpha: f64,
+    },
+    /// Always this gap.
+    Constant {
+        /// The gap, seconds.
+        mean: f64,
+    },
+}
+
+impl Gaps {
+    /// Draw one interarrival time (seconds).
+    #[inline]
+    pub fn sample(&self, rng: &mut Prng) -> f64 {
         match *self {
-            Interarrival::Exponential => rng.exponential(mean),
-            Interarrival::Pareto { alpha } => rng.pareto_mean(alpha, mean),
-            Interarrival::Constant => mean,
+            Gaps::Exponential { mean } => rng.exponential(mean),
+            Gaps::Pareto { xm, inv_alpha } => rng.pareto(xm, inv_alpha),
+            Gaps::Constant { mean } => mean,
         }
     }
 }

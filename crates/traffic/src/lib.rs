@@ -6,8 +6,11 @@
 //! constant-bit-rate sources, and Pareto ON/OFF sources whose aggregate
 //! models different degrees of statistical multiplexing (§VI-B).
 //!
-//! Every source is a [`netsim::App`] driven by its own seeded PRNG, so
-//! experiments are exactly reproducible.
+//! Every source is an [`netsim::ArrivalProcess`] over its own seeded PRNG,
+//! so experiments are exactly reproducible. A source whose route is one
+//! link into a counting sink — the paper's "enters and exits at each hop"
+//! — is owned by that link and costs no events; any other route gets the
+//! same process behind a timer ([`CrossTrafficSource`]).
 //!
 //! ```
 //! use netsim::{LinkConfig, Simulator};
@@ -32,7 +35,7 @@ pub mod onoff;
 pub mod sizes;
 pub mod source;
 
-pub use interarrival::Interarrival;
-pub use onoff::{attach_onoff_sources, OnOffConfig, OnOffSource};
+pub use interarrival::{Gaps, Interarrival};
+pub use onoff::{attach_onoff_sources, OnOffArrivals, OnOffConfig};
 pub use sizes::SizeDist;
-pub use source::{attach_sources, CrossTrafficSource, SourceConfig};
+pub use source::{attach_sources, CrossTrafficSource, RenewalArrivals, SourceConfig};

@@ -7,7 +7,8 @@
 //! total utilization produce a smoother aggregate, hence less variable
 //! avail-bw.
 
-use netsim::{App, Ctx, FlowId, Packet, Prng, RouteSpec, Simulator};
+use crate::source::place;
+use netsim::{ArrivalProcess, FlowId, Prng, RouteSpec, Simulator};
 use std::sync::Arc;
 use units::{Rate, TimeNs};
 
@@ -49,101 +50,84 @@ impl OnOffConfig {
     }
 }
 
-const TOKEN_PACKET: u64 = 0;
-const TOKEN_START_ON: u64 = 1;
+/// What an on/off source's next firing is.
+#[derive(Clone, Copy, Debug)]
+enum Next {
+    /// An ON period begins: draw its length.
+    StartOn,
+    /// A packet is due, if the ON period has not run out by then.
+    Packet,
+}
 
-/// A Pareto ON/OFF source. Kick off with one timer (token 1).
-pub struct OnOffSource {
-    cfg: OnOffConfig,
-    route: Arc<RouteSpec>,
-    flow: FlowId,
+/// The draws of one Pareto ON/OFF source, as an arrival process: a firing
+/// either starts an ON period (sends nothing, fires again at once), sends
+/// a packet (fires again one packet time later), or — the ON period over —
+/// sends nothing and sleeps through a drawn OFF period.
+#[derive(Debug)]
+pub struct OnOffArrivals {
+    packet_size: u32,
+    packet_gap: TimeNs,
+    /// Pareto scales of the ON and OFF period lengths and `1 / alpha`,
+    /// worked out once ([`Prng::pareto`]).
+    on_xm: f64,
+    off_xm: f64,
+    inv_alpha: f64,
     rng: Prng,
     on_until: TimeNs,
-    next_seq: u64,
-    /// Total bytes emitted.
-    pub bytes_sent: u64,
+    next: Next,
 }
 
-impl OnOffSource {
-    /// Create a source; schedule timer token 1 to start it.
-    pub fn new(cfg: OnOffConfig, route: Arc<RouteSpec>, flow: FlowId, rng: Prng) -> OnOffSource {
+impl OnOffArrivals {
+    /// A source that starts an ON period at its first firing.
+    pub fn new(cfg: &OnOffConfig, rng: Prng) -> OnOffArrivals {
         assert!(cfg.peak_rate.bps() > 0.0 && cfg.alpha > 1.0);
-        OnOffSource {
-            cfg,
-            route,
-            flow,
+        OnOffArrivals {
+            packet_size: cfg.packet_size,
+            packet_gap: cfg.peak_rate.tx_time(cfg.packet_size),
+            on_xm: Prng::pareto_scale(cfg.alpha, cfg.mean_on_secs),
+            off_xm: Prng::pareto_scale(cfg.alpha, cfg.mean_off_secs),
+            inv_alpha: 1.0 / cfg.alpha,
             rng,
             on_until: TimeNs::ZERO,
-            next_seq: 0,
-            bytes_sent: 0,
+            next: Next::StartOn,
         }
-    }
-
-    fn packet_gap(&self) -> TimeNs {
-        self.cfg.peak_rate.tx_time(self.cfg.packet_size)
     }
 }
 
-impl App for OnOffSource {
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        match token {
-            TOKEN_START_ON => {
-                let on = self.rng.pareto_mean(self.cfg.alpha, self.cfg.mean_on_secs);
-                self.on_until = ctx.now() + TimeNs::from_secs_f64(on);
-                ctx.timer_in(TimeNs::ZERO, TOKEN_PACKET);
+impl ArrivalProcess for OnOffArrivals {
+    fn fire(&mut self, at: TimeNs) -> (Option<u32>, TimeNs) {
+        match self.next {
+            Next::StartOn => {
+                let on = self.rng.pareto(self.on_xm, self.inv_alpha);
+                self.on_until = at + TimeNs::from_secs_f64(on);
+                self.next = Next::Packet;
+                (None, at)
             }
-            TOKEN_PACKET => {
-                if ctx.now() < self.on_until {
-                    let pkt = Packet::new(
-                        self.cfg.packet_size,
-                        self.flow,
-                        self.next_seq,
-                        self.route.clone(),
-                    );
-                    self.next_seq += 1;
-                    self.bytes_sent += self.cfg.packet_size as u64;
-                    ctx.send(pkt);
-                    ctx.timer_in(self.packet_gap(), TOKEN_PACKET);
-                } else {
-                    let off = self.rng.pareto_mean(self.cfg.alpha, self.cfg.mean_off_secs);
-                    ctx.timer_in(TimeNs::from_secs_f64(off), TOKEN_START_ON);
-                }
+            Next::Packet if at < self.on_until => (Some(self.packet_size), at + self.packet_gap),
+            Next::Packet => {
+                let off = self.rng.pareto(self.off_xm, self.inv_alpha);
+                self.next = Next::StartOn;
+                (None, at + TimeNs::from_secs_f64(off))
             }
-            _ => unreachable!("unknown timer token"),
         }
     }
 }
 
 /// Attach `n` ON/OFF sources with the given aggregate average rate.
 /// Start times are staggered uniformly over one mean ON+OFF cycle.
-pub fn attach_onoff_sources(
-    sim: &mut Simulator,
-    route: Arc<RouteSpec>,
-    aggregate: Rate,
-    n: usize,
-) -> Vec<netsim::AppId> {
+pub fn attach_onoff_sources(sim: &mut Simulator, route: Arc<RouteSpec>, aggregate: Rate, n: usize) {
     assert!(n > 0);
     let per_source = aggregate / n as f64;
     let cfg = OnOffConfig::with_avg_rate(per_source);
     let cycle = TimeNs::from_secs_f64(cfg.mean_on_secs + cfg.mean_off_secs);
-    let mut ids = Vec::with_capacity(n);
     for i in 0..n {
         let mut rng = sim.rng();
         let start = TimeNs::from_nanos(rng.below(cycle.as_nanos().max(1)));
-        let src = OnOffSource::new(
-            cfg.clone(),
-            route.clone(),
-            FlowId(0x4F4E_0000 + i as u32),
-            rng,
-        );
-        let id = sim.add_app(Box::new(src));
-        // Pure senders need an explicit anchor for the shard planner.
-        sim.bind_app(id, &route);
-        let now = sim.now();
-        sim.schedule_timer(id, now + start, TOKEN_START_ON);
-        ids.push(id);
+        let arrivals = OnOffArrivals::new(&cfg, rng);
+        let first_at = sim.now() + start;
+        let flow = FlowId(0x4F4E_0000 + i as u32);
+        place(sim, Box::new(arrivals), &route, flow, first_at);
     }
-    ids
 }
 
 #[cfg(test)]

@@ -20,12 +20,25 @@ impl SizeDist {
     /// Draw one packet size.
     #[inline]
     pub fn sample(&self, rng: &mut Prng) -> u32 {
+        self.sample_with_total(rng, self.total_weight())
+    }
+
+    /// The sum of the weights (0 for a fixed size): a loop invariant of a
+    /// source's draws, see [`SizeDist::sample_with_total`].
+    pub fn total_weight(&self) -> f64 {
+        match self {
+            SizeDist::Fixed(_) => 0.0,
+            SizeDist::Discrete(items) => items.iter().map(|(_, w)| *w).sum(),
+        }
+    }
+
+    /// [`SizeDist::sample`] with [`SizeDist::total_weight`] supplied by a
+    /// caller that computed it once.
+    #[inline]
+    pub fn sample_with_total(&self, rng: &mut Prng, total: f64) -> u32 {
         match self {
             SizeDist::Fixed(s) => *s,
             SizeDist::Discrete(items) => {
-                // Small vectors; weighted_choice over a stack copy would be
-                // nicer but the allocation-free loop below is just as clear.
-                let total: f64 = items.iter().map(|(_, w)| *w).sum();
                 let mut x = rng.f64() * total;
                 for (s, w) in items {
                     if x < *w {
@@ -43,8 +56,7 @@ impl SizeDist {
         match self {
             SizeDist::Fixed(s) => *s as f64,
             SizeDist::Discrete(items) => {
-                let total: f64 = items.iter().map(|(_, w)| *w).sum();
-                items.iter().map(|(s, w)| *s as f64 * *w).sum::<f64>() / total
+                items.iter().map(|(s, w)| *s as f64 * *w).sum::<f64>() / self.total_weight()
             }
         }
     }

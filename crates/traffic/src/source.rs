@@ -1,8 +1,9 @@
-//! Renewal cross-traffic sources.
+//! Renewal cross-traffic sources, and where a source lives: in the link it
+//! crosses when that is all it crosses, else behind a timer.
 
-use crate::interarrival::Interarrival;
+use crate::interarrival::{Gaps, Interarrival};
 use crate::sizes::SizeDist;
-use netsim::{App, Ctx, FlowId, Packet, Prng, RouteSpec, Simulator};
+use netsim::{App, AppId, ArrivalProcess, Ctx, FlowId, Packet, Prng, RouteSpec, Simulator};
 use std::sync::Arc;
 use units::{Rate, TimeNs};
 
@@ -45,103 +46,142 @@ impl SourceConfig {
             start_jitter: TimeNs::from_millis(100),
         }
     }
+
+    /// One source's start offset in `[0, start_jitter)`: the first draw
+    /// from its RNG stream.
+    pub fn start_offset(&self, rng: &mut Prng) -> TimeNs {
+        if self.start_jitter.is_zero() {
+            TimeNs::ZERO
+        } else {
+            TimeNs::from_nanos(rng.below(self.start_jitter.as_nanos()))
+        }
+    }
 }
 
-/// A renewal packet source: draws a packet size and an interarrival time
-/// per packet so its long-run average rate equals `rate`.
+/// The draws of one renewal source: a packet size and an interarrival
+/// time per packet, so the long-run average rate equals `rate`. Owns its
+/// `Prng`; whoever hosts it — a link ([`netsim::Simulator::attach_arrivals`])
+/// or a timer-driven [`CrossTrafficSource`] — sees the same sequence.
+#[derive(Debug)]
+pub struct RenewalArrivals {
+    sizes: SizeDist,
+    /// `sizes.total_weight()`, summed once instead of per draw.
+    total_weight: f64,
+    gaps: Gaps,
+    rng: Prng,
+}
+
+impl RenewalArrivals {
+    /// A source of `cfg`'s model averaging `rate`.
+    pub fn new(cfg: &SourceConfig, rate: Rate, rng: Prng) -> RenewalArrivals {
+        assert!(rate.bps() > 0.0, "source rate must be positive");
+        let mean_gap_secs = cfg.sizes.mean() * 8.0 / rate.bps();
+        RenewalArrivals {
+            sizes: cfg.sizes.clone(),
+            total_weight: cfg.sizes.total_weight(),
+            gaps: cfg.interarrival.gaps(mean_gap_secs),
+            rng,
+        }
+    }
+}
+
+impl ArrivalProcess for RenewalArrivals {
+    /// Every firing sends: the size is drawn first, then the gap.
+    fn fire(&mut self, at: TimeNs) -> (Option<u32>, TimeNs) {
+        let size = self
+            .sizes
+            .sample_with_total(&mut self.rng, self.total_weight);
+        let gap = self.gaps.sample(&mut self.rng);
+        (Some(size), at + TimeNs::from_secs_f64(gap))
+    }
+}
+
+/// An arrival process hosted as an [`App`]: one timer per firing, one
+/// packet per send. This is what a link cannot own — a multi-hop route, or
+/// a destination that is more than a counter — and the reference the
+/// attached form is tested against (`tests/attached_arrivals.rs`).
 pub struct CrossTrafficSource {
-    cfg: SourceConfig,
-    rate: Rate,
+    arrivals: Box<dyn ArrivalProcess>,
     route: Arc<RouteSpec>,
     flow: FlowId,
-    rng: Prng,
-    mean_gap_secs: f64,
     next_seq: u64,
-    /// Total bytes emitted (for rate verification in tests).
-    pub bytes_sent: u64,
 }
 
 impl CrossTrafficSource {
-    /// Create a source; drive it by scheduling its timer once (or use
-    /// [`attach_sources`], which does this for you).
-    pub fn new(
-        cfg: SourceConfig,
-        rate: Rate,
+    /// Add a timer-driven source to `sim`, first firing at `first_at`.
+    pub fn install(
+        sim: &mut Simulator,
+        arrivals: Box<dyn ArrivalProcess>,
         route: Arc<RouteSpec>,
         flow: FlowId,
-        rng: Prng,
-    ) -> CrossTrafficSource {
-        assert!(rate.bps() > 0.0, "source rate must be positive");
-        let mean_gap_secs = cfg.sizes.mean() * 8.0 / rate.bps();
-        CrossTrafficSource {
-            cfg,
-            rate,
-            route,
+        first_at: TimeNs,
+    ) -> AppId {
+        let id = sim.add_app(Box::new(CrossTrafficSource {
+            arrivals,
+            route: route.clone(),
             flow,
-            rng,
-            mean_gap_secs,
             next_seq: 0,
-            bytes_sent: 0,
-        }
-    }
-
-    /// The configured average rate.
-    pub fn rate(&self) -> Rate {
-        self.rate
+        }));
+        // Sources are pure senders (never a route destination), so anchor
+        // them to their route's component for the shard planner.
+        sim.bind_app(id, &route);
+        sim.schedule_timer(id, first_at, 0);
+        id
     }
 }
 
 impl App for CrossTrafficSource {
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
-        let size = self.cfg.sizes.sample(&mut self.rng);
-        let pkt = Packet::new(size, self.flow, self.next_seq, self.route.clone());
-        self.next_seq += 1;
-        self.bytes_sent += size as u64;
-        ctx.send(pkt);
-        let gap = self
-            .cfg
-            .interarrival
-            .sample(&mut self.rng, self.mean_gap_secs);
-        ctx.timer_in(TimeNs::from_secs_f64(gap), 0);
+        let (size, next) = self.arrivals.fire(ctx.now());
+        if let Some(size) = size {
+            let pkt = Packet::new(size, self.flow, self.next_seq, self.route.clone());
+            self.next_seq += 1;
+            ctx.send(pkt);
+        }
+        ctx.timer_at(next, 0);
+    }
+}
+
+/// Put one source on `route`, first firing at `first_at`. A route that is
+/// exactly one link into a counting sink hands the process to that link
+/// (no events); anything else gets a timer-driven [`CrossTrafficSource`].
+pub(crate) fn place(
+    sim: &mut Simulator,
+    arrivals: Box<dyn ArrivalProcess>,
+    route: &Arc<RouteSpec>,
+    flow: FlowId,
+    first_at: TimeNs,
+) {
+    match route.links[..] {
+        [link] if sim.is_counting_sink(route.dst) => {
+            sim.attach_arrivals(link, route.dst, arrivals, first_at);
+        }
+        _ => {
+            CrossTrafficSource::install(sim, arrivals, route.clone(), flow, first_at);
+        }
     }
 }
 
 /// Attach `n` sources with aggregate average rate `aggregate` to `route`,
 /// splitting the rate evenly. Each source gets its own RNG stream and a
-/// random start offset. Returns the source app ids.
+/// random start offset.
 pub fn attach_sources(
     sim: &mut Simulator,
     route: Arc<RouteSpec>,
     aggregate: Rate,
     n: usize,
     cfg: &SourceConfig,
-) -> Vec<netsim::AppId> {
+) {
     assert!(n > 0, "need at least one source");
     let per_source = aggregate / n as f64;
-    let mut ids = Vec::with_capacity(n);
     for i in 0..n {
         let mut rng = sim.rng();
-        let start = if cfg.start_jitter.is_zero() {
-            TimeNs::ZERO
-        } else {
-            TimeNs::from_nanos(rng.below(cfg.start_jitter.as_nanos()))
-        };
-        let src = CrossTrafficSource::new(
-            cfg.clone(),
-            per_source,
-            route.clone(),
-            FlowId(0x4352_0000 + i as u32), // 'CR' prefix for cross traffic
-            rng,
-        );
-        let id = sim.add_app(Box::new(src));
-        // Sources are pure senders (never a route destination), so anchor
-        // them to their route's component for the shard planner.
-        sim.bind_app(id, &route);
-        let now = sim.now();
-        sim.schedule_timer(id, now + start, 0);
-        ids.push(id);
+        let start = cfg.start_offset(&mut rng);
+        let arrivals = RenewalArrivals::new(cfg, per_source, rng);
+        let flow = FlowId(0x4352_0000 + i as u32); // 'CR' prefix for cross traffic
+        let first_at = sim.now() + start;
+        place(sim, Box::new(arrivals), &route, flow, first_at);
     }
-    ids
 }
 
 #[cfg(test)]
@@ -196,16 +236,103 @@ mod tests {
     #[test]
     #[should_panic(expected = "rate must be positive")]
     fn zero_rate_panics() {
-        let mut sim = Simulator::new(1);
-        let sink = sim.add_app(Box::new(CountingSink::default()));
-        let route = sim.route(&[], sink);
-        let rng = sim.rng();
-        let _ = CrossTrafficSource::new(
-            SourceConfig::paper_poisson(),
-            Rate::ZERO,
-            route,
-            FlowId(1),
-            rng,
-        );
+        let _ = RenewalArrivals::new(&SourceConfig::paper_poisson(), Rate::ZERO, Prng::new(1));
+    }
+
+    /// A route of exactly one link into a counting sink hands its sources
+    /// to the link; a second hop, or a sink that records, keeps them
+    /// behind timers. Same packets either way.
+    #[test]
+    fn placement_follows_the_route() {
+        use netsim::app::RecordingSink;
+        let run = |hops: usize, counting: bool| {
+            let mut sim = Simulator::new(5);
+            let links: Vec<_> = (0..hops)
+                .map(|_| {
+                    sim.add_link(LinkConfig::new(
+                        Rate::from_mbps(100.0),
+                        TimeNs::from_millis(1),
+                    ))
+                })
+                .collect();
+            let sink = if counting {
+                sim.add_app(Box::new(CountingSink::default()))
+            } else {
+                sim.add_app(Box::new(RecordingSink::default()))
+            };
+            let route = sim.route(&links, sink);
+            let cfg = SourceConfig::paper_pareto();
+            attach_sources(&mut sim, route, Rate::from_mbps(6.0), 3, &cfg);
+            sim.run_until(TimeNs::from_secs(2));
+            let stats = sim.engine_stats();
+            let sent = sim.link(links[0]).stats.tx_packets;
+            (stats.events_processed, stats.attached_arrivals, sent)
+        };
+        let (events, attached, sent) = run(1, true);
+        assert!(sent > 1000);
+        assert_eq!((events, attached >= sent), (0, true));
+        // Timer-driven: a timer per packet and a delivery per packet that
+        // has got there, and the same packets on the first link.
+        for (hops, counting) in [(1, false), (2, true)] {
+            let (events, attached, sent_by_timer) = run(hops, counting);
+            assert_eq!(attached, 0);
+            assert!(events > 2 * sent_by_timer - 20, "{events} events");
+            assert_eq!(sent_by_timer, sent);
+        }
+    }
+
+    /// The loop invariants hoisted out of the per-arrival draw — the
+    /// Pareto scale and `1 / alpha`, the size mix's weight total — change
+    /// no bit: a million draws against the functions as they were, which
+    /// recomputed all three every time.
+    #[test]
+    fn cached_draws_are_bit_identical_to_the_uncached_functions() {
+        fn pareto_uncached(rng: &mut Prng, alpha: f64, mean: f64) -> f64 {
+            let xm = if alpha > 1.0 {
+                mean * (alpha - 1.0) / alpha
+            } else {
+                mean
+            };
+            let u = 1.0 - rng.f64();
+            xm / u.powf(1.0 / alpha)
+        }
+        fn size_uncached(items: &[(u32, f64)], rng: &mut Prng) -> u32 {
+            let total: f64 = items.iter().map(|(_, w)| *w).sum();
+            let mut x = rng.f64() * total;
+            for (s, w) in items {
+                if x < *w {
+                    return *s;
+                }
+                x -= *w;
+            }
+            items.last().unwrap().0
+        }
+        let cfg = SourceConfig::paper_pareto();
+        let SizeDist::Discrete(items) = &cfg.sizes else {
+            panic!("the paper mix is discrete");
+        };
+        let rate = Rate::from_mbps(0.6);
+        let mean_gap = cfg.sizes.mean() * 8.0 / rate.bps();
+        let mut cached = RenewalArrivals::new(&cfg, rate, Prng::new(0xB175));
+        let mut rng = Prng::new(0xB175);
+        let mut at = TimeNs::ZERO;
+        for i in 0..1_000_000 {
+            let size = size_uncached(items, &mut rng);
+            let gap = pareto_uncached(&mut rng, 1.9, mean_gap);
+            let next = at + TimeNs::from_secs_f64(gap);
+            assert_eq!(cached.fire(at), (Some(size), next), "draw {i}");
+            at = next;
+        }
+        // The on/off periods use the same two invariants per mean, and
+        // alpha ≤ 1 takes the other branch of the scale.
+        let mut a = Prng::new(7);
+        let mut b = Prng::new(7);
+        for (alpha, mean) in [(1.5, 0.5), (1.5, 1.5), (0.8, 2.0)] {
+            let (xm, inv_alpha) = (Prng::pareto_scale(alpha, mean), 1.0 / alpha);
+            for _ in 0..100_000 {
+                let want = pareto_uncached(&mut b, alpha, mean);
+                assert_eq!(a.pareto(xm, inv_alpha).to_bits(), want.to_bits());
+            }
+        }
     }
 }

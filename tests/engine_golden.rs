@@ -7,14 +7,17 @@
 //! values it saw.
 
 use availbw::monitord::{ScheduleConfig, SeriesConfig, SimEngine, SimFleetMonitor, SimPathSpec};
-use availbw::netsim::{Chain, Simulator};
+use availbw::netsim::app::CountingSink;
+use availbw::netsim::{Chain, ChainConfig, LinkConfig, RedConfig, RouteSpec, Simulator};
 use availbw::simprobe::scenarios::{
-    build_disjoint_paths, shared_tight_link, LinkLoad, PaperPath, PaperPathConfig, PathOpts,
-    SharedTightLinkConfig, TrafficModel,
+    build_disjoint_paths, shared_tight_link, step_link_load, LinkLoad, PaperPath, PaperPathConfig,
+    PathOpts, SharedTightLinkConfig, TrafficModel,
 };
-use availbw::simprobe::{install_session, run_session};
+use availbw::simprobe::{install_session, run_session, ProbeReceiver, SimTransport};
 use availbw::slops::{Estimate, Session, SlopsConfig};
+use availbw::traffic::{attach_onoff_sources, attach_sources, SourceConfig};
 use availbw::units::{Rate, TimeNs};
+use std::sync::Arc;
 
 /// `(low, high)` as f64 bit patterns, the number of fleets spent, and the
 /// simulated nanoseconds the session took.
@@ -180,4 +183,181 @@ fn shared_tight_link_fleet_series_are_pinned() {
     let (fps, shards) = fleet_fingerprints(sim, topo.chains, 1, horizon, SimEngine::Auto);
     assert_eq!(shards, 1, "one component: the planner refuses");
     assert_eq!(fps, SHARED_FLEET, "shared tight link: {fps:#x?}");
+}
+
+// --- The neighbourhood of the golden set --------------------------------
+//
+// Recorded at the two-events-per-cross-packet engine, before links pulled
+// their one-hop arrival processes: the places where a link draws from its
+// own `Prng` in arrival order (`drop_prob`, RED), where acceptance depends
+// on exact occupancy (a drop-tail buffer that overflows), the second
+// traffic model (Pareto on/off), and sources attached mid-run.
+
+/// What a neighbourhood case pins: each session's estimate, then — at the
+/// clock the last session ended on — the loaded link's counters
+/// `[tx_packets, tx_bytes, drops_overflow, drops_fault, busy_ns,
+/// max_queue_bytes]` and the cross-traffic sink's `(packets, bytes,
+/// last_arrival)`.
+type Neighbour = (Vec<Golden>, [u64; 6], (u64, u64, u64));
+
+/// A 40 / 10 / 40 Mb/s chain whose middle link is `tight`; `load` attaches
+/// the cross traffic to the middle hop's one-link route into a counting
+/// sink. One second of warm-up, then `sessions` measurements back to back
+/// over the blocking shim, with `between` called on the simulator after
+/// each but the last.
+fn neighbourhood(
+    seed: u64,
+    tight: LinkConfig,
+    load: impl FnOnce(&mut Simulator, Arc<RouteSpec>),
+    sessions: usize,
+    mut between: impl FnMut(&mut Simulator, &Chain, availbw::netsim::AppId),
+) -> Neighbour {
+    let mut sim = Simulator::new(seed);
+    let edge = || LinkConfig::new(Rate::from_mbps(40.0), TimeNs::from_millis(5));
+    let chain = Chain::build(
+        &mut sim,
+        &ChainConfig::symmetric(vec![edge(), tight, edge()]),
+    );
+    let sink = sim.add_app(Box::new(CountingSink::default()));
+    let route = chain.hop_route(&sim, 1, sink);
+    load(&mut sim, route);
+    let rx = sim.add_app(Box::new(ProbeReceiver::default()));
+    sim.run_until(TimeNs::from_secs(1));
+    let mut t = SimTransport::new(sim, chain, rx);
+    let mut ests = Vec::new();
+    for i in 0..sessions {
+        let est = Session::new(SlopsConfig::default()).run(&mut t).unwrap();
+        ests.push(bits(&est));
+        if i + 1 < sessions {
+            let chain = t.chain().clone();
+            between(t.sim_mut(), &chain, sink);
+        }
+    }
+    let sim = t.sim();
+    let st = &sim.link(t.chain().forward[1]).stats;
+    let s = sim.app::<CountingSink>(sink);
+    (
+        ests,
+        [
+            st.tx_packets,
+            st.tx_bytes,
+            st.drops_overflow,
+            st.drops_fault,
+            st.busy_ns,
+            st.max_queue_bytes,
+        ],
+        (s.packets, s.bytes, s.last_arrival.as_nanos()),
+    )
+}
+
+fn tight_link() -> LinkConfig {
+    LinkConfig::new(Rate::from_mbps(10.0), TimeNs::from_millis(10))
+}
+
+fn pareto_6mbps(sim: &mut Simulator, route: Arc<RouteSpec>) {
+    attach_sources(
+        sim,
+        route,
+        Rate::from_mbps(6.0),
+        10,
+        &SourceConfig::paper_pareto(),
+    );
+}
+
+fn no_step(_: &mut Simulator, _: &Chain, _: availbw::netsim::AppId) {}
+
+#[test]
+fn drop_prob_link_is_pinned() {
+    let got = neighbourhood(
+        21,
+        tight_link().with_drop_prob(0.01),
+        pareto_6mbps,
+        1,
+        no_step,
+    );
+    let want: Neighbour = (
+        vec![(0x414d223be03aa769, 0x415851197f7d7341, 5, 40_722_100_000)],
+        [75_648, 31_891_950, 0, 778, 25_513_560_000, 66_010],
+        (69_642, 30_625_620, 41_721_358_793),
+    );
+    assert_eq!(got, want, "drop_prob: {got:#x?}");
+}
+
+#[test]
+fn red_link_is_pinned() {
+    let limit = 24 * 1024;
+    let tight = tight_link()
+        .with_queue_limit(limit)
+        .with_red(RedConfig::for_queue_limit(limit));
+    let got = neighbourhood(22, tight, pareto_6mbps, 1, no_step);
+    let want: Neighbour = (
+        vec![(0x4143d10d4c77b035, 0x4153d10d4c77b035, 3, 18_064_200_000)],
+        [35_904, 14_929_240, 34, 0, 11_943_392_000, 24_470],
+        (32_262, 14_165_960, 19_064_096_699),
+    );
+    assert_eq!(got, want, "RED: {got:#x?}");
+}
+
+#[test]
+fn overflowing_drop_tail_buffer_is_pinned() {
+    let got = neighbourhood(
+        23,
+        tight_link().with_queue_limit(6000),
+        pareto_6mbps,
+        1,
+        no_step,
+    );
+    let want: Neighbour = (
+        vec![(0x4155b87f8b634d70, 0x41586a0000000000, 4, 24_154_500_000)],
+        [47_079, 19_484_350, 278, 0, 15_587_480_000, 6_000],
+        (42_296, 18_502_690, 25_153_480_194),
+    );
+    assert_eq!(got, want, "drop-tail: {got:#x?}");
+}
+
+#[test]
+fn pareto_onoff_path_is_pinned() {
+    let onoff = |sim: &mut Simulator, route| {
+        attach_onoff_sources(sim, route, Rate::from_mbps(5.0), 8);
+    };
+    let got = neighbourhood(24, tight_link(), onoff, 1, no_step);
+    let want: Neighbour = (
+        vec![(0x41456a74c59d3168, 0x41556a74c59d3168, 3, 15_908_000_000)],
+        [12_786, 9_930_000, 0, 0, 7_944_000_000, 63_500],
+        (9_132, 9_132_000, 16_907_967_345),
+    );
+    assert_eq!(got, want, "on/off: {got:#x?}");
+}
+
+#[test]
+fn step_link_load_mid_run_is_pinned() {
+    let light = |sim: &mut Simulator, route| {
+        attach_sources(
+            sim,
+            route,
+            Rate::from_mbps(3.0),
+            5,
+            &SourceConfig::paper_pareto(),
+        );
+    };
+    let step = |sim: &mut Simulator, chain: &Chain, sink| {
+        step_link_load(
+            sim,
+            chain.forward[1],
+            sink,
+            Rate::from_mbps(3.0),
+            5,
+            &SourceConfig::paper_poisson(),
+        );
+    };
+    let got = neighbourhood(25, tight_link(), light, 2, step);
+    let want: Neighbour = (
+        vec![
+            (0x415ae3428995fdbf, 0x416025990ee643b9, 4, 12_174_800_000),
+            (0x41455749660abdc3, 0x41555749660abdc3, 3, 15_911_200_000),
+        ],
+        [46_615, 18_402_960, 0, 0, 14_722_368_000, 62_590],
+        (38_103, 16_573_220, 29_085_782_627),
+    );
+    assert_eq!(got, want, "step: {got:#x?}");
 }

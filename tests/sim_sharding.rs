@@ -262,6 +262,14 @@ fn engine_counters_reach_the_registry() {
         reg.counter("sim_front_hits_total", &[]).get(),
         stats.front_hits
     );
+    assert_eq!(
+        reg.counter("sim_attached_arrivals_total", &[]).get(),
+        stats.attached_arrivals
+    );
+    assert!(
+        stats.attached_arrivals > stats.events_processed,
+        "the cross traffic is the links' own: {stats:?}"
+    );
     assert_eq!(reg.gauge("sim_shards", &[]).get(), 2);
     assert!(reg.gauge("sim_heap_max_depth", &[]).get() > 0);
     assert!(stats.front_hits > 0, "the front slot must see traffic");
