@@ -9,7 +9,7 @@
 //! before the timed runs: events per estimate, real heap ops per event,
 //! and the comparison-weight proxy (Σ ceil(log2(depth)) per heap op)
 //! where the log(global) → log(per-shard) win shows even when raw op
-//! counts converge. Results are committed as `BENCH_9.json`.
+//! counts converge. Results are committed as `docs/history/BENCH_9.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use monitord::{ScheduleConfig, SeriesConfig, SimEngine, SimFleetMonitor, SimPathSpec};
@@ -68,7 +68,7 @@ fn run_fleet(engine: SimEngine) -> (EngineStats, u64, usize) {
 }
 
 /// One instrumented run per engine, printed as greppable `fleet256` lines
-/// (this is the op-count record for BENCH_9.json; the criterion loop below
+/// (this is the op-count record for docs/history/BENCH_9.json; the criterion loop below
 /// only adds wall-clock context).
 fn print_summary() {
     let mut per_engine = Vec::new();

@@ -14,7 +14,7 @@ use netsim::{
     AppId, Chain, ChainConfig, EchoReflector, FlowId, LinkConfig, LinkId, Pinger, PingerConfig,
     Simulator,
 };
-use simprobe::{ProbeReceiver, SimTransport};
+use simprobe::SimTransport;
 use tcpsim::{TcpConnection, TcpSenderConfig};
 use traffic::{attach_sources, SourceConfig};
 use units::{Rate, TimeNs};
@@ -32,8 +32,6 @@ pub struct BtcWorld {
     pub tight: LinkId,
     /// The RTT prober.
     pub pinger: AppId,
-    /// Probe receiver (for wrapping into a [`SimTransport`]).
-    pub receiver: AppId,
     /// The background TCP connections, in arrival order.
     pub background: Vec<TcpConnection>,
 }
@@ -145,13 +143,11 @@ pub fn build_btc_world(
     sim.app_mut::<Pinger>(pinger).set_route(fwd);
     sim.schedule_timer(pinger, TimeNs::ZERO, 0);
 
-    let receiver = sim.add_app(Box::new(ProbeReceiver::default()));
     BtcWorld {
         sim,
         chain,
         tight,
         pinger,
-        receiver,
         background,
     }
 }
@@ -160,7 +156,7 @@ impl BtcWorld {
     /// Wrap the world into a probe transport (consumes it; the pinger and
     /// background traffic keep running inside).
     pub fn into_transport(self) -> (SimTransport, LinkId, AppId) {
-        let t = SimTransport::new(self.sim, self.chain, self.receiver);
+        let t = SimTransport::new(self.sim, self.chain);
         (t, self.tight, self.pinger)
     }
 

@@ -95,7 +95,7 @@ pub fn run(opts: &RunOpts) -> String {
         // corrected band discounts that known footprint. The transport is
         // fresh per run and only probes inside this window, so the total
         // is exactly the window's footprint.
-        let footprint = Rate::from_transfer(t.probe_bytes_sent, window);
+        let footprint = Rate::from_transfer(t.probe_bytes_sent(), window);
         let (clo, chi) = (footprint + lo, footprint + hi);
         let cok = clo.bps() <= wavg.bps() && wavg.bps() <= chi.bps();
         inside_corrected += usize::from(cok);

@@ -10,7 +10,7 @@ use crate::report::{section, Table};
 use crate::RunOpts;
 use netsim::app::CountingSink;
 use netsim::{Chain, ChainConfig, LinkConfig, Simulator};
-use simprobe::{ProbeReceiver, SimTransport};
+use simprobe::SimTransport;
 use slops::{Session, SlopsConfig};
 use tcpsim::{TcpConnection, TcpSenderConfig};
 use traffic::{attach_sources, SourceConfig};
@@ -69,9 +69,8 @@ pub fn run(opts: &RunOpts) -> String {
     let mut out =
         section("Extension: ssthresh from an avail-bw estimate (Allman & Paxson, paper SSI/SSII)");
     // First, measure the path once with pathload.
-    let (mut sim, chain) = build_path(opts.seed ^ 0x55);
-    let rx = sim.add_app(Box::new(ProbeReceiver::default()));
-    let mut transport = SimTransport::new(sim, chain, rx);
+    let (sim, chain) = build_path(opts.seed ^ 0x55);
+    let mut transport = SimTransport::new(sim, chain);
     let est = Session::new(SlopsConfig::default())
         .run(&mut transport)
         .expect("measurement");

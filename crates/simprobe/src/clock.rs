@@ -1,5 +1,5 @@
-//! The endpoint clock model shared by the blocking transport shim and the
-//! in-sim session driver.
+//! The endpoint clock model: one per probe executor, i.e. one per
+//! sender/receiver pair, whichever app hosts it.
 //!
 //! The simulator has one global clock; real measurement endpoints have two
 //! unsynchronized ones. This model derives both endpoint readings from a

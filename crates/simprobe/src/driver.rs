@@ -1,77 +1,30 @@
 //! The in-sim session driver: a measurement session as a **native
 //! discrete-event application**.
 //!
-//! The blocking shim ([`crate::SimTransport`]) drives the simulator from
-//! the outside: every probe call seizes the event loop (`run_until` slices)
-//! until its stream completes, so exactly one measurement can run per
-//! simulator and nothing else can own the loop meanwhile. [`SessionApp`]
-//! inverts that: it runs the sans-IO [`slops::SessionMachine`] *inside*
-//! the simulation, executing its commands from packet and timer callbacks.
-//! The simulation is then free to host anything else concurrently — cross
-//! traffic, TCP flows, pingers, several measurement sessions on disjoint
-//! (or shared!) paths — under one ordinary `run_until` loop.
+//! [`crate::SimTransport`] keeps the measurement machine outside the event
+//! loop: every probe call seizes the loop until its stream completes, so
+//! exactly one measurement can run per simulator and nothing else can own
+//! the loop meanwhile. [`SessionApp`] inverts that: it runs the sans-IO
+//! [`slops::SessionMachine`] *inside* the simulation, answering its commands
+//! from packet and timer callbacks. The simulation is then free to host
+//! anything else concurrently — cross traffic, TCP flows, pingers, several
+//! measurement sessions on disjoint (or shared!) paths — under one ordinary
+//! `run_until` loop.
 //!
-//! Timing is deliberately bit-compatible with the blocking shim: the same
-//! lead-in (`LEAD_IN`) before the first packet, the same completion-poll
-//! grid (`POLL_SLICE`), the same straggler grace (`STREAM_GRACE`), the
-//! same probe flow
-//! id and payloads. For the same simulator seed and start instant, both
-//! drivers therefore inject identical packet sequences, observe identical
-//! OWDs, and report **identical estimates** — which is exactly what the
-//! driver-equivalence tests assert.
+//! Both host the same probe executor (`exec.rs`), so for the same simulator
+//! seed and start instant they inject identical packet sequences, observe
+//! identical OWDs, and report **identical estimates** — which the
+//! driver-equivalence tests assert, machine outside the loop against
+//! machine inside it.
 
 use crate::clock::ClockModel;
-use crate::transport::{LEAD_IN, POLL_SLICE, PROBE_FLOW, STREAM_GRACE};
-use netsim::{App, AppId, Chain, Ctx, Packet, Payload, RouteSpec, Simulator};
+use crate::exec::{ProbeExec, TOK_START};
+use netsim::{App, AppId, Chain, Ctx, Packet, Simulator};
 use slops::machine::{Command, Event, SessionMachine};
-use slops::{
-    Estimate, PacketSample, SlopsConfig, SlopsError, StreamRecord, StreamRequest, TrainRecord,
-};
+use slops::{Estimate, SlopsConfig, SlopsError};
 use std::sync::Arc;
 use telemetry::TraceSink;
-use units::{Rate, TimeNs};
-
-/// Timer-token kinds (high byte of the token).
-const TOK_START: u64 = 1 << 56;
-const TOK_SEND: u64 = 2 << 56;
-const TOK_CHECK: u64 = 3 << 56;
-const TOK_IDLE: u64 = 4 << 56;
-const TOK_KIND_MASK: u64 = 0xFF << 56;
-const TOK_GEN_MASK: u64 = !TOK_KIND_MASK;
-
-/// What the app is currently executing for the machine.
-#[derive(Debug)]
-enum Exec {
-    /// Waiting for the start timer.
-    NotStarted,
-    /// A periodic stream is in flight.
-    Stream {
-        req: StreamRequest,
-        tag: u32,
-        /// First-packet instant.
-        t0: TimeNs,
-        /// No completion past this point; missing packets are lost.
-        deadline: TimeNs,
-        /// Next packet index to send.
-        next_send: u32,
-        /// Arrivals `(idx, sender_ts, recv_at)` in arrival order.
-        arrivals: Vec<(u32, TimeNs, TimeNs)>,
-    },
-    /// A back-to-back train is in flight.
-    Train {
-        len: u32,
-        size: u32,
-        tag: u32,
-        deadline: TimeNs,
-        count: u32,
-        first: TimeNs,
-        last: TimeNs,
-    },
-    /// A pacing idle is in progress.
-    Idling,
-    /// The session finished.
-    Done,
-}
+use units::TimeNs;
 
 /// A pathload measurement session running as a simulator application.
 ///
@@ -82,19 +35,8 @@ pub struct SessionApp {
     machine: SessionMachine,
     /// Where the machine's trace events are forwarded (`None`: dropped).
     sink: Option<Arc<dyn TraceSink>>,
-    /// Forward route to this app; set by [`install_session`].
-    route: Option<Arc<RouteSpec>>,
-    /// Endpoint clock model (offset + quantization).
-    pub clock: ClockModel,
-    /// Narrowest forward capacity (train drain-time bound).
-    narrowest: Rate,
-    exec: Exec,
+    exec: ProbeExec,
     start_at: Option<TimeNs>,
-    next_stream_tag: u32,
-    next_train_tag: u32,
-    idle_gen: u32,
-    /// Total probe bytes injected (streams + trains).
-    pub probe_bytes_sent: u64,
     result: Option<Estimate>,
 }
 
@@ -116,6 +58,17 @@ impl SessionApp {
         self.sink = Some(sink);
     }
 
+    /// The endpoint clock model (offset + quantization) the session's
+    /// records are read through.
+    pub fn clock_mut(&mut self) -> &mut ClockModel {
+        &mut self.exec.clock
+    }
+
+    /// Total probe bytes injected (streams + trains).
+    pub fn probe_bytes_sent(&self) -> u64 {
+        self.exec.probe_bytes_sent
+    }
+
     /// Drain and forward (or drop, without a sink) the machine's trace.
     fn forward_trace(&mut self) {
         let events = self.machine.take_trace();
@@ -133,60 +86,14 @@ impl SessionApp {
             .poll()
             .expect("SessionApp always answers the previous command before advancing");
         self.forward_trace();
-        match cmd {
-            Command::SendTrain { len, size } => {
-                let now = ctx.now();
-                let t0 = now + LEAD_IN;
-                let tag = self.next_train_tag;
-                self.next_train_tag += 1;
-                // Worst-case drain time at the narrowest capacity, plus
-                // queueing grace (mirrors the blocking shim).
-                let drain = TimeNs::from_secs_f64(
-                    (len as u64 * size as u64 * 8) as f64 / self.narrowest.bps(),
-                );
-                let deadline = t0 + drain * 2 + TimeNs::from_secs(1);
-                self.exec = Exec::Train {
-                    len,
-                    size,
-                    tag,
-                    deadline,
-                    count: 0,
-                    first: TimeNs::ZERO,
-                    last: TimeNs::ZERO,
-                };
-                ctx.timer_at(t0, TOK_SEND | tag as u64);
-                ctx.timer_at((now + POLL_SLICE).min(deadline), TOK_CHECK | tag as u64);
-            }
-            Command::SendStream(req) => {
-                let now = ctx.now();
-                let t0 = now + LEAD_IN;
-                let tag = self.next_stream_tag;
-                self.next_stream_tag += 1;
-                let deadline = t0 + req.period * req.count as u64 + STREAM_GRACE;
-                self.exec = Exec::Stream {
-                    req,
-                    tag,
-                    t0,
-                    deadline,
-                    next_send: 0,
-                    arrivals: Vec::with_capacity(req.count as usize),
-                };
-                ctx.timer_at(t0, TOK_SEND | tag as u64);
-                ctx.timer_at((now + POLL_SLICE).min(deadline), TOK_CHECK | tag as u64);
-            }
-            Command::Idle(dur) => {
-                self.idle_gen += 1;
-                self.exec = Exec::Idling;
-                ctx.timer_in(dur, TOK_IDLE | self.idle_gen as u64);
-            }
-            Command::Finish(est) => {
-                let mut est = *est;
-                est.elapsed = ctx
-                    .now()
-                    .saturating_sub(self.start_at.expect("session was started"));
-                self.result = Some(est);
-                self.exec = Exec::Done;
-            }
+        if let Command::Finish(est) = cmd {
+            let mut est = *est;
+            est.elapsed = ctx
+                .now()
+                .saturating_sub(self.start_at.expect("session was started"));
+            self.result = Some(est);
+        } else {
+            self.exec.begin(ctx, &cmd);
         }
     }
 
@@ -198,213 +105,21 @@ impl SessionApp {
         self.forward_trace();
         self.advance(ctx);
     }
-
-    /// Send the next pending stream packet (exactly on its schedule).
-    fn send_stream_packet(&mut self, ctx: &mut Ctx<'_>) {
-        let route = self.route.clone().expect("route installed");
-        let Exec::Stream {
-            req,
-            tag,
-            t0,
-            next_send,
-            ..
-        } = &mut self.exec
-        else {
-            return; // stale timer from an already-finalized stream
-        };
-        let i = *next_send;
-        let pkt = Packet::with_payload(
-            req.packet_size,
-            PROBE_FLOW,
-            i as u64,
-            route,
-            Payload::Probe {
-                stream: *tag,
-                idx: i,
-                sender_ts: ctx.now(),
-            },
-        );
-        ctx.send(pkt);
-        self.probe_bytes_sent += req.packet_size as u64;
-        *next_send += 1;
-        if *next_send < req.count {
-            ctx.timer_at(*t0 + req.period * *next_send as u64, TOK_SEND | *tag as u64);
-        }
-    }
-
-    /// Inject the whole train back to back (the first link's FIFO
-    /// serializes it, exactly like a sender NIC at line rate).
-    fn send_train_packets(&mut self, ctx: &mut Ctx<'_>) {
-        let route = self.route.clone().expect("route installed");
-        let Exec::Train { len, size, tag, .. } = self.exec else {
-            return; // stale timer
-        };
-        for i in 0..len {
-            let pkt = Packet::with_payload(
-                size,
-                PROBE_FLOW,
-                i as u64,
-                route.clone(),
-                Payload::Train { train: tag, idx: i },
-            );
-            ctx.send(pkt);
-            self.probe_bytes_sent += size as u64;
-        }
-    }
-
-    /// Completion poll: finalize when everything arrived or the deadline
-    /// passed; otherwise re-arm on the poll grid.
-    fn check_completion(&mut self, ctx: &mut Ctx<'_>, gen: u32) {
-        let now = ctx.now();
-        match &self.exec {
-            Exec::Stream {
-                req,
-                tag,
-                deadline,
-                arrivals,
-                ..
-            } if *tag == gen => {
-                if arrivals.len() as u32 >= req.count || now >= *deadline {
-                    self.finalize_stream(ctx);
-                } else {
-                    let at = (now + POLL_SLICE).min(*deadline);
-                    ctx.timer_at(at, TOK_CHECK | gen as u64);
-                }
-            }
-            Exec::Train {
-                len,
-                tag,
-                deadline,
-                count,
-                ..
-            } if *tag == gen => {
-                if *count >= *len || now >= *deadline {
-                    self.finalize_train(ctx);
-                } else {
-                    let at = (now + POLL_SLICE).min(*deadline);
-                    ctx.timer_at(at, TOK_CHECK | gen as u64);
-                }
-            }
-            // Stale check timers (from finished commands) are ignored.
-            _ => {}
-        }
-    }
-
-    /// Build the stream record and hand it to the machine.
-    fn finalize_stream(&mut self, ctx: &mut Ctx<'_>) {
-        let Exec::Stream {
-            req, t0, arrivals, ..
-        } = std::mem::replace(&mut self.exec, Exec::Idling)
-        else {
-            unreachable!("finalize_stream outside a stream");
-        };
-        let event = if arrivals.is_empty() {
-            // Nothing came back at all: the stream is lost outright.
-            Event::StreamLost
-        } else {
-            let first_send = self.clock.sender_reading(t0);
-            let samples = arrivals
-                .iter()
-                .map(|&(idx, sender_ts, recv_at)| PacketSample {
-                    idx,
-                    send_offset: TimeNs::from_nanos(
-                        (self.clock.sender_reading(sender_ts) - first_send).max(0) as u64,
-                    ),
-                    owd_ns: self.clock.owd_ns(sender_ts, recv_at),
-                })
-                .collect();
-            Event::StreamDone(StreamRecord {
-                sent: req.count,
-                samples,
-            })
-        };
-        self.feed(ctx, event);
-    }
-
-    /// Build the train record and hand it to the machine.
-    fn finalize_train(&mut self, ctx: &mut Ctx<'_>) {
-        let Exec::Train {
-            len,
-            size,
-            count,
-            first,
-            last,
-            ..
-        } = std::mem::replace(&mut self.exec, Exec::Idling)
-        else {
-            unreachable!("finalize_train outside a train");
-        };
-        // Dispersion is a timestamp difference, so the clock offset
-        // cancels; report quantized sender-clock readings of the global
-        // instants (mirrors the blocking shim).
-        let rec = TrainRecord {
-            sent: len,
-            received: count,
-            size,
-            first_recv: TimeNs::from_nanos(self.clock.sender_reading(first).max(0) as u64),
-            last_recv: TimeNs::from_nanos(self.clock.sender_reading(last).max(0) as u64),
-        };
-        self.feed(ctx, Event::TrainDone(rec));
-    }
 }
 
 impl App for SessionApp {
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
-        let now = ctx.now();
-        match (&mut self.exec, pkt.payload) {
-            (
-                Exec::Stream { tag, arrivals, .. },
-                Payload::Probe {
-                    stream,
-                    idx,
-                    sender_ts,
-                },
-            ) if *tag == stream => {
-                arrivals.push((idx, sender_ts, now));
-            }
-            (
-                Exec::Train {
-                    tag,
-                    count,
-                    first,
-                    last,
-                    ..
-                },
-                Payload::Train { train, .. },
-            ) if *tag == train => {
-                if *count == 0 {
-                    *first = now;
-                }
-                *last = now;
-                *count += 1;
-            }
-            // Stragglers from already-finalized streams/trains are dropped,
-            // exactly like the blocking shim's receiver buffer.
-            _ => {}
-        }
+        self.exec.on_packet(ctx.now(), pkt.payload);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        let gen = (token & TOK_GEN_MASK) as u32;
-        match token & TOK_KIND_MASK {
-            TOK_START => {
-                if matches!(self.exec, Exec::NotStarted) {
-                    self.start_at = Some(ctx.now());
-                    self.advance(ctx);
-                }
+        if token == TOK_START {
+            if self.start_at.is_none() {
+                self.start_at = Some(ctx.now());
+                self.advance(ctx);
             }
-            TOK_SEND => match &self.exec {
-                Exec::Stream { tag, .. } if *tag == gen => self.send_stream_packet(ctx),
-                Exec::Train { tag, .. } if *tag == gen => self.send_train_packets(ctx),
-                _ => {} // stale
-            },
-            TOK_CHECK => self.check_completion(ctx, gen),
-            TOK_IDLE => {
-                if matches!(self.exec, Exec::Idling) && gen == self.idle_gen {
-                    self.feed(ctx, Event::Tick(ctx.now()));
-                }
-            }
-            _ => unreachable!("unknown timer token {token:#x}"),
+        } else if let Some(event) = self.exec.on_timer(ctx, token) {
+            self.feed(ctx, event);
         }
     }
 }
@@ -415,7 +130,7 @@ impl App for SessionApp {
 /// use [`run_session`].
 ///
 /// The RTT estimate handed to the machine is the chain's base RTT for
-/// small control packets, like the blocking shim's `rtt()`.
+/// small control packets, like [`crate::SimTransport`]'s `rtt()`.
 pub fn install_session(
     sim: &mut Simulator,
     chain: &Chain,
@@ -435,37 +150,25 @@ pub fn install_session_at(
     let rtt = chain.base_rtt(sim, 100, 100);
     // The simulator can inject at any rate; slops caps at MTU/T_min.
     let machine = SessionMachine::new(cfg, rtt, None)?;
-    let narrowest = chain
-        .forward
-        .iter()
-        .map(|l| sim.link(*l).capacity())
-        .reduce(Rate::min)
-        .expect("non-empty chain");
     let app = SessionApp {
         machine,
         sink: None,
-        route: None,
-        clock: ClockModel::default(),
-        narrowest,
-        exec: Exec::NotStarted,
+        exec: ProbeExec::new(sim, chain),
         start_at: None,
-        next_stream_tag: 0,
-        next_train_tag: 0,
-        idle_gen: 0,
-        probe_bytes_sent: 0,
         result: None,
     };
     let id = sim.add_app(Box::new(app));
     let route = chain.forward_route(sim, id);
-    sim.app_mut::<SessionApp>(id).route = Some(route);
+    sim.app_mut::<SessionApp>(id).exec.route = Some(route);
     sim.schedule_timer(id, start_at, TOK_START);
     Ok(id)
 }
 
 /// Run the simulation until session `id` finishes (or `limit` is hit) and
 /// return its estimate. Other apps — cross traffic, TCP flows, further
-/// sessions — keep running concurrently; the clock is left wherever the
-/// session ended, not at `limit`.
+/// sessions — keep running concurrently. The simulator advances in 50 ms
+/// slices, so the clock is left at the end of the slice in which the
+/// session ended (not at `limit`); only [`Estimate::elapsed`] is exact.
 pub fn run_session(sim: &mut Simulator, id: AppId, limit: TimeNs) -> Option<Estimate> {
     const SLICE: TimeNs = TimeNs::from_millis(50);
     while sim.app::<SessionApp>(id).result.is_none() && sim.now() < limit {
@@ -478,10 +181,10 @@ pub fn run_session(sim: &mut Simulator, id: AppId, limit: TimeNs) -> Option<Esti
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::receiver::ProbeReceiver;
     use crate::transport::SimTransport;
     use netsim::{ChainConfig, LinkConfig};
     use slops::Session;
+    use units::Rate;
 
     fn empty_chain(sim: &mut Simulator) -> Chain {
         Chain::build(
@@ -517,15 +220,15 @@ mod tests {
         assert!(install_session(&mut sim, &chain, cfg).is_err());
     }
 
-    /// The acid test: on the identical topology and seed, the event-driven
-    /// in-sim driver and the blocking shim produce the *same* estimate.
+    /// The acid test: on the identical topology and seed, the machine
+    /// inside the event loop and the machine outside it produce the *same*
+    /// estimate.
     #[test]
     fn matches_blocking_driver_on_empty_path() {
         let blocking = {
             let mut sim = Simulator::new(42);
             let chain = empty_chain(&mut sim);
-            let rx = sim.add_app(Box::new(ProbeReceiver::default()));
-            let mut t = SimTransport::new(sim, chain, rx);
+            let mut t = SimTransport::new(sim, chain);
             Session::new(SlopsConfig::default()).run(&mut t).unwrap()
         };
         let in_sim = {

@@ -19,29 +19,30 @@
 //! cancels — the transport exists to prove exactly that on a
 //! packet-accurate path.
 //!
-//! Two drivers run a measurement over the simulator:
+//! One probe executor (`exec.rs`, crate-private) turns "send a train",
+//! "send a stream", "idle" into simulator packets and timers and builds
+//! the records from what arrives. Two apps host it:
 //!
-//! * [`SimTransport`] — the blocking shim: implements
-//!   [`slops::ProbeTransport`], seizing the event loop per probe call.
-//!   One measurement per simulator; simplest to use.
-//! * [`SessionApp`] (via [`install_session`] / [`run_session`]) — the
-//!   **in-sim driver**: runs the sans-IO [`slops::SessionMachine`] as a
-//!   native simulator application from packet/timer callbacks, so
-//!   measurements coexist with cross traffic, TCP flows and each other
-//!   under one ordinary event loop. Timing is bit-compatible with the
-//!   blocking shim: same seed, same estimate.
+//! * [`SimTransport`] — implements [`slops::ProbeTransport`] with the
+//!   measurement machine *outside* the event loop: each probe call runs the
+//!   simulator until the executor reports the command complete. One
+//!   measurement per simulator; simplest to use, and what `baselines` and
+//!   every `Session::run` caller stand on.
+//! * [`SessionApp`] (via [`install_session`] / [`run_session`]) — runs the
+//!   sans-IO [`slops::SessionMachine`] *inside* the loop, from packet/timer
+//!   callbacks, so measurements coexist with cross traffic, TCP flows and
+//!   each other under one ordinary event loop. Same seed, same estimate.
 
 #![forbid(unsafe_code)]
 
 pub mod clock;
 pub mod driver;
-pub mod receiver;
+mod exec;
 pub mod scenarios;
 pub mod transport;
 
 pub use clock::ClockModel;
 pub use driver::{install_session, install_session_at, run_session, SessionApp};
-pub use receiver::ProbeReceiver;
 pub use scenarios::{
     build_disjoint_paths, multiplexing_path, reverse_loaded_path, shared_tight_link,
     step_link_load, verification_path, verification_path_with_window, PaperPath, PaperPathConfig,

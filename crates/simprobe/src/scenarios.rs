@@ -5,7 +5,6 @@
 //! the middle. Ground-truth avail-bw is `min_i C_i (1 − u_i)` by
 //! construction (eq. 3).
 
-use crate::receiver::ProbeReceiver;
 use crate::transport::SimTransport;
 use netsim::app::CountingSink;
 use netsim::{Chain, ChainConfig, LinkConfig, LinkId, Simulator};
@@ -150,9 +149,9 @@ pub fn attach_loaded_chain(
 pub fn build_loaded_path(loads: &[LinkLoad], opts: &PathOpts, seed: u64) -> SimTransport {
     let mut sim = Simulator::new(seed);
     let chain = attach_loaded_chain(&mut sim, loads, opts, "");
-    let receiver = sim.add_app(Box::new(ProbeReceiver::default()));
-    sim.run_until(opts.warmup);
-    SimTransport::new(sim, chain, receiver)
+    let mut t = SimTransport::new(sim, chain);
+    t.sim_mut().run_until(opts.warmup);
+    t
 }
 
 /// Build `paths.len()` **disjoint** loaded chains inside one simulator —
@@ -508,9 +507,9 @@ pub fn reverse_loaded_path(
             &SourceConfig::paper_pareto(),
         );
     }
-    let receiver = sim.add_app(Box::new(ProbeReceiver::default()));
-    sim.run_until(TimeNs::from_secs(2));
-    SimTransport::new(sim, chain, receiver)
+    let mut t = SimTransport::new(sim, chain);
+    t.sim_mut().run_until(TimeNs::from_secs(2));
+    t
 }
 
 /// The Fig. 12 statistical-multiplexing paths: one bottleneck at the given

@@ -1,28 +1,36 @@
 //! [`slops::ProbeTransport`] implementation over [`netsim::Simulator`].
 
 use crate::clock::ClockModel;
-use crate::receiver::ProbeReceiver;
-use netsim::{AppId, Chain, FlowId, Packet, Payload, Simulator};
-use slops::{
-    PacketSample, ProbeTransport, StreamRecord, StreamRequest, TrainRecord, TransportError,
-};
+use crate::exec::{ProbeExec, TOK_START};
+use netsim::{App, AppId, Chain, Ctx, Packet, Simulator};
+use slops::machine::{Command, Event};
+use slops::{ProbeTransport, StreamRecord, StreamRequest, TrainRecord, TransportError};
 use units::{Rate, TimeNs};
 
-/// Flow id used for probe traffic (shared with the in-sim driver so both
-/// probing styles are indistinguishable on the wire).
-pub(crate) const PROBE_FLOW: FlowId = FlowId(0x504C_0001); // 'PL'
+/// The transport's endpoint inside the simulation: hosts the probe
+/// executor and holds, for the transport outside the event loop, the
+/// command to start at the next `TOK_START` and the event it completed
+/// with.
+struct TransportApp {
+    exec: ProbeExec,
+    command: Option<Command>,
+    event: Option<Event>,
+}
 
-/// How long past the nominal stream end the transport waits for stragglers
-/// before declaring the remaining packets lost.
-pub(crate) const STREAM_GRACE: TimeNs = TimeNs::from_millis(500);
+impl App for TransportApp {
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
+        self.exec.on_packet(ctx.now(), pkt.payload);
+    }
 
-/// Scheduling delay between issuing a stream/train and its first packet.
-pub(crate) const LEAD_IN: TimeNs = TimeNs::from_millis(1);
-
-/// Completion-poll granularity. The in-sim driver checks stream completion
-/// on the same grid so both drivers make every decision at the same
-/// simulated instant (their estimates are bit-identical).
-pub(crate) const POLL_SLICE: TimeNs = TimeNs::from_millis(5);
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+        if token == TOK_START {
+            let cmd = self.command.take().expect("a command was stored");
+            self.exec.begin(ctx, &cmd);
+        } else if let Some(event) = self.exec.on_timer(ctx, token) {
+            self.event = Some(event);
+        }
+    }
+}
 
 /// SLoPS probing over a simulated path.
 ///
@@ -34,34 +42,21 @@ pub(crate) const POLL_SLICE: TimeNs = TimeNs::from_millis(5);
 pub struct SimTransport {
     sim: Simulator,
     chain: Chain,
-    receiver: AppId,
-    /// Receiver clock = global clock + `clock_offset_ns` (may be negative).
-    pub clock_offset_ns: i64,
-    /// Timestamp quantization of both endpoint clocks (default 1 µs).
-    pub clock_resolution_ns: u64,
-    next_stream_tag: u32,
-    next_train_tag: u32,
-    lead_in: TimeNs,
-    /// Total probe bytes injected (streams + trains); lets experiments
-    /// discount the tool's own footprint from link counters.
-    pub probe_bytes_sent: u64,
+    app: AppId,
 }
 
 impl SimTransport {
-    /// Wrap a simulator whose probe path is `chain`, delivering to a
-    /// [`ProbeReceiver`] app with id `receiver`.
-    pub fn new(sim: Simulator, chain: Chain, receiver: AppId) -> SimTransport {
-        SimTransport {
-            sim,
-            chain,
-            receiver,
-            clock_offset_ns: ClockModel::default().offset_ns,
-            clock_resolution_ns: ClockModel::default().resolution_ns,
-            next_stream_tag: 0,
-            next_train_tag: 0,
-            lead_in: LEAD_IN,
-            probe_bytes_sent: 0,
-        }
+    /// Wrap a simulator whose probe path is `chain`; adds the transport's
+    /// receiving endpoint to `sim` as one more app.
+    pub fn new(mut sim: Simulator, chain: Chain) -> SimTransport {
+        let app = sim.add_app(Box::new(TransportApp {
+            exec: ProbeExec::new(&sim, &chain),
+            command: None,
+            event: None,
+        }));
+        let route = chain.forward_route(&sim, app);
+        sim.app_mut::<TransportApp>(app).exec.route = Some(route);
+        SimTransport { sim, chain, app }
     }
 
     /// Borrow the underlying simulator.
@@ -85,135 +80,51 @@ impl SimTransport {
         self.sim
     }
 
-    /// The clock model implied by the public offset/resolution fields.
-    fn clock(&self) -> ClockModel {
-        ClockModel {
-            offset_ns: self.clock_offset_ns,
-            resolution_ns: self.clock_resolution_ns,
-        }
+    /// The endpoint clock model the records are read through: the receiver
+    /// clock is the global clock plus an offset (default: not
+    /// synchronized), both quantized to a resolution (default 1 µs).
+    /// Changes apply to records completed from now on.
+    pub fn clock_mut(&mut self) -> &mut ClockModel {
+        &mut self.sim.app_mut::<TransportApp>(self.app).exec.clock
     }
 
-    /// Sender-clock reading of a global instant.
-    fn sender_reading(&self, t: TimeNs) -> i64 {
-        self.clock().sender_reading(t)
+    /// Total probe bytes injected (streams + trains); lets experiments
+    /// discount the tool's own footprint from link counters.
+    pub fn probe_bytes_sent(&self) -> u64 {
+        self.sim.app::<TransportApp>(self.app).exec.probe_bytes_sent
     }
 
-    /// Run the simulation in slices until `receiver` holds `want` packets
-    /// of stream/train `tag`, or until `deadline`.
-    fn run_until_collected(&mut self, tag: u32, want: u32, deadline: TimeNs, train: bool) {
-        let slice = POLL_SLICE;
+    /// Have the executor start `cmd` now, and run the simulation from one
+    /// completion poll to the next until it yields the answering event —
+    /// which leaves the clock at the instant the command completed.
+    fn execute(&mut self, cmd: Command) -> Event {
+        let mut until = self.sim.now();
+        self.sim.app_mut::<TransportApp>(self.app).command = Some(cmd);
+        self.sim.schedule_timer(self.app, until, TOK_START);
         loop {
-            let now = self.sim.now();
-            if now >= deadline {
-                break;
+            self.sim.run_until(until);
+            let app = self.sim.app_mut::<TransportApp>(self.app);
+            if let Some(event) = app.event.take() {
+                return event;
             }
-            let target = (now + slice).min(deadline);
-            self.sim.run_until(target);
-            let rx = self.sim.app::<ProbeReceiver>(self.receiver);
-            let have = if train {
-                rx.train(tag).count
-            } else {
-                rx.stream_count(tag)
-            };
-            if have >= want {
-                break;
-            }
+            until = app.exec.poll_at;
         }
     }
 }
 
 impl ProbeTransport for SimTransport {
     fn send_stream(&mut self, req: &StreamRequest) -> Result<StreamRecord, TransportError> {
-        let tag = self.next_stream_tag;
-        self.next_stream_tag += 1;
-        let t0 = self.sim.now() + self.lead_in;
-        let route = self.chain.forward_route(&self.sim, self.receiver);
-        for i in 0..req.count {
-            let at = t0 + req.period * i as u64;
-            let pkt = Packet::with_payload(
-                req.packet_size,
-                PROBE_FLOW,
-                i as u64,
-                route.clone(),
-                Payload::Probe {
-                    stream: tag,
-                    idx: i,
-                    sender_ts: at,
-                },
-            );
-            self.sim.inject(pkt, at);
-            self.probe_bytes_sent += req.packet_size as u64;
+        match self.execute(Command::SendStream(*req)) {
+            Event::StreamDone(rec) => Ok(rec),
+            other => unreachable!("a stream was answered with {other:?}"),
         }
-        let deadline = t0 + req.period * req.count as u64 + STREAM_GRACE;
-        self.run_until_collected(tag, req.count, deadline, false);
-
-        let arrivals = self
-            .sim
-            .app_mut::<ProbeReceiver>(self.receiver)
-            .take_stream(tag);
-        let clock = self.clock();
-        let first_send = clock.sender_reading(t0);
-        let samples = arrivals
-            .iter()
-            .map(|a| PacketSample {
-                idx: a.idx,
-                send_offset: TimeNs::from_nanos(
-                    (clock.sender_reading(a.sender_ts) - first_send).max(0) as u64,
-                ),
-                owd_ns: clock.owd_ns(a.sender_ts, a.recv_at),
-            })
-            .collect();
-        Ok(StreamRecord {
-            sent: req.count,
-            samples,
-        })
     }
 
     fn send_train(&mut self, len: u32, size: u32) -> Result<TrainRecord, TransportError> {
-        let tag = self.next_train_tag;
-        self.next_train_tag += 1;
-        let t0 = self.sim.now() + self.lead_in;
-        let route = self.chain.forward_route(&self.sim, self.receiver);
-        for i in 0..len {
-            // Injected simultaneously: the first link's FIFO serializes them
-            // back to back, exactly like a sender NIC at line rate.
-            let pkt = Packet::with_payload(
-                size,
-                PROBE_FLOW,
-                i as u64,
-                route.clone(),
-                Payload::Train { train: tag, idx: i },
-            );
-            self.sim.inject(pkt, t0);
-            self.probe_bytes_sent += size as u64;
+        match self.execute(Command::SendTrain { len, size }) {
+            Event::TrainDone(rec) => Ok(rec),
+            other => unreachable!("a train was answered with {other:?}"),
         }
-        // Worst-case drain time: the whole train at the narrowest capacity,
-        // plus queueing grace.
-        let narrowest = self
-            .chain
-            .forward
-            .iter()
-            .map(|l| self.sim.link(*l).capacity())
-            .reduce(Rate::min)
-            .expect("non-empty chain");
-        let drain = TimeNs::from_secs_f64((len as u64 * size as u64 * 8) as f64 / narrowest.bps());
-        let deadline = t0 + drain * 2 + TimeNs::from_secs(1);
-        self.run_until_collected(tag, len, deadline, true);
-
-        let obs = self
-            .sim
-            .app_mut::<ProbeReceiver>(self.receiver)
-            .take_train(tag);
-        // Dispersion is a timestamp difference, so the clock offset cancels;
-        // report quantized receiver timestamps on the global clock to keep
-        // the u64 fields meaningful.
-        Ok(TrainRecord {
-            sent: len,
-            received: obs.count,
-            size,
-            first_recv: TimeNs::from_nanos(self.sender_reading(obs.first).max(0) as u64),
-            last_recv: TimeNs::from_nanos(self.sender_reading(obs.last).max(0) as u64),
-        })
     }
 
     fn rtt(&mut self) -> TimeNs {
@@ -253,8 +164,7 @@ mod tests {
                 LinkConfig::new(Rate::from_mbps(8.0), TimeNs::from_millis(5)),
             ]),
         );
-        let rx = sim.add_app(Box::new(ProbeReceiver::default()));
-        SimTransport::new(sim, chain, rx)
+        SimTransport::new(sim, chain)
     }
 
     #[test]
@@ -271,7 +181,7 @@ mod tests {
         let min = *owds.iter().min().unwrap();
         let max = *owds.iter().max().unwrap();
         assert!(
-            max - min <= 2 * t.clock_resolution_ns as i64,
+            max - min <= 2 * t.clock_mut().resolution_ns as i64,
             "OWD spread {} on an empty path",
             max - min
         );
@@ -302,7 +212,7 @@ mod tests {
         let cfg = SlopsConfig::default();
         let run = |offset: i64| {
             let mut t = empty_path();
-            t.clock_offset_ns = offset;
+            t.clock_mut().offset_ns = offset;
             let req = stream_params(Rate::from_mbps(9.0), 0, &cfg);
             let rec = t.send_stream(&req).unwrap();
             let owds = rec.owds();
@@ -311,6 +221,85 @@ mod tests {
         let ramp_no_offset = run(0);
         let ramp_offset = run(123_456_789_012);
         assert!((ramp_no_offset - ramp_offset).abs() <= 2_000);
+
+        // An offset set between two streams on one transport takes effect
+        // on the second: every OWD moves by it, the ramp does not.
+        let mut t = empty_path();
+        t.clock_mut().offset_ns = 0;
+        let req = stream_params(Rate::from_mbps(9.0), 0, &cfg);
+        let before = t.send_stream(&req).unwrap().owds();
+        t.idle(TimeNs::from_secs(1)); // let the self-loaded queue drain
+        t.clock_mut().offset_ns = 5_000_000_000;
+        let after = t.send_stream(&req).unwrap().owds();
+        assert!((after[0] - before[0] - 5_000_000_000).abs() <= 2_000);
+        assert!(((after[99] - after[0]) - (before[99] - before[0])).abs() <= 2_000);
+    }
+
+    /// Only packets of the stream or train in flight count: a straggler of
+    /// an already-finalized stream and a train packet with a stale tag are
+    /// ignored, and a stream and a train carrying the same tag number do
+    /// not alias. The records equal those of an undisturbed run.
+    #[test]
+    fn collects_streams_and_trains_separately() {
+        use netsim::{FlowId, Payload};
+        let req = stream_params(Rate::from_mbps(4.0), 0, &SlopsConfig::default());
+        let mut clean = empty_path();
+        let mut t = empty_path();
+        // Handed straight to the endpoint (a route with no links), so the
+        // path itself is not disturbed.
+        let direct = t.sim.route(&[], t.app);
+        let stray = |t: &mut SimTransport, after_ms: u64, payload: Payload| {
+            let at = t.elapsed() + TimeNs::from_millis(after_ms);
+            let pkt = Packet::with_payload(64, FlowId(9), 0, direct.clone(), payload);
+            t.sim.inject(pkt, at);
+        };
+        // The records have no `PartialEq`; their `Debug` shows every field.
+        let same = |a: &dyn std::fmt::Debug, b: &dyn std::fmt::Debug| {
+            assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        };
+        let probe = |stream: u32| Payload::Probe {
+            stream,
+            idx: 5,
+            sender_ts: TimeNs::ZERO,
+        };
+
+        // Stream 0, with train packets of tag 0 arriving mid-flight.
+        stray(&mut t, 15, Payload::Train { train: 0, idx: 0 });
+        same(&t.send_stream(&req), &clean.send_stream(&req));
+        // Stream 1, with a straggler of stream 0 mid-flight.
+        stray(&mut t, 15, probe(0));
+        same(&t.send_stream(&req), &clean.send_stream(&req));
+        // Train 0, with a straggler of stream 0 (same tag number) and a
+        // train packet with a stale tag, both ahead of its first packet.
+        stray(&mut t, 12, probe(0));
+        stray(&mut t, 12, Payload::Train { train: 7, idx: 0 });
+        same(&t.send_train(10, 1500), &clean.send_train(10, 1500));
+        assert_eq!(t.elapsed(), clean.elapsed());
+    }
+
+    /// A stream that lost a packet completes at its deadline, which is not
+    /// on the completion-poll grid, and the transport leaves the clock at
+    /// exactly that instant — not at the next grid point. (Where a link
+    /// draws its drops in arrival order, the few milliseconds would shift
+    /// the next probe and reshuffle every later loss.)
+    #[test]
+    fn shim_leaves_the_clock_at_the_finalizing_poll() {
+        use crate::exec::{LEAD_IN, STREAM_GRACE};
+        let mut sim = Simulator::new(5);
+        let lossy = LinkConfig::new(Rate::from_mbps(10.0), TimeNs::from_millis(5));
+        let chain = Chain::build(
+            &mut sim,
+            &ChainConfig::symmetric(vec![lossy.with_drop_prob(0.05)]),
+        );
+        let mut t = SimTransport::new(sim, chain);
+        t.idle(TimeNs::from_micros(1_234_567)); // start off every grid
+        let mut req = stream_params(Rate::from_mbps(4.0), 0, &SlopsConfig::default());
+        req.period = TimeNs::from_micros(177);
+        let start = t.elapsed();
+        let rec = t.send_stream(&req).unwrap();
+        assert!(rec.loss_fraction() > 0.0, "the stream must lose a packet");
+        let deadline = start + LEAD_IN + req.period * req.count as u64 + STREAM_GRACE;
+        assert_eq!(t.elapsed(), deadline);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The evented socket driver: the sans-IO machine pumped from readiness
 //! events and timers instead of blocking calls.
 //!
-//! [`EventedSession`] is to an [`EventLoop`] what
-//! [`SocketDriver`](crate::SocketDriver) is to a blocking thread: one
+//! [`EventedSession`] is to an [`EventLoop`] what `slops::Session::run`
+//! is to a blocking thread: one
 //! measurement session over one [`SocketTransport`], but driven strictly
 //! by the DRIVERS.md contract with **no blocking call anywhere** — so a
 //! single thread can host hundreds of these at once. The command→substrate

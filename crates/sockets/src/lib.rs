@@ -54,10 +54,10 @@
 //!   the same core on one [`mux::EventLoop`] thread: non-blocking accept,
 //!   a slab of sessions, batched probe reads, the core's tick as a timer
 //!   entry. Thousands of sessions, one thread.
-//! * [`sender`] — the `pathload_snd` side: [`SocketTransport`].
-//! * [`driver`] — [`SocketDriver`], the explicit command/event pump of the
-//!   sans-IO `slops::SessionMachine` over this transport (the reference
-//!   mapping a new transport driver should copy; see `docs/DRIVERS.md`).
+//! * [`sender`] — the `pathload_snd` side: [`SocketTransport`], the
+//!   [`slops::ProbeTransport`] a new transport should copy (the
+//!   command→wire table is in `docs/DRIVERS.md`). Its blocking pump is
+//!   `slops::Session::run`, like every other `ProbeTransport`'s.
 //!
 //! Binaries `pathload_snd` / `pathload_rcv` wrap these (see `src/bin`).
 //!
@@ -76,7 +76,6 @@
 
 pub mod batch;
 pub mod clock;
-pub mod driver;
 // The evented driver registers raw fds (`std::os::fd`), a Unix-only
 // surface; the blocking driver stays fully portable.
 #[cfg(unix)]
@@ -91,7 +90,6 @@ pub mod rx;
 pub mod sender;
 
 pub use batch::UdpRecvBatch;
-pub use driver::SocketDriver;
 #[cfg(unix)]
 pub use evented::{EventedSession, SessionTokens};
 pub use receiver::{AcceptBackoff, Receiver};

@@ -5,7 +5,9 @@
 //!   `OracleTransport` — byte-identical `Estimate`s across ≥ 20 seeds and
 //!   across noise/loss/grey/ceiling conditions (property test).
 //! * The blocking `SimTransport` shim vs the event-driven in-sim
-//!   `SessionApp` driver on the paper's Fig. 4 topology — identical
+//!   `SessionApp` driver — the two hosts of `simprobe`'s one probe
+//!   executor, the machine outside the simulator's event loop and inside
+//!   it — on the paper's Fig. 4 topology and on lossy paths: identical
 //!   estimates for the same simulator seed.
 
 use availbw::simprobe::scenarios::{PaperPath, PaperPathConfig};
@@ -252,4 +254,59 @@ fn two_sessions_run_concurrently_in_one_simulation() {
         est_b.low,
         est_b.high
     );
+}
+
+/// Where a link draws from its own `Prng` in arrival order (`drop_prob`,
+/// RED) or accepts by exact occupancy (a drop-tail buffer that overflows),
+/// one probe packet shifted by a nanosecond reshuffles every later loss —
+/// and a stream or train that lost a packet completes at its deadline, not
+/// on the poll grid. The shim and `SessionApp` agree to the nanosecond
+/// there too: the three lossy neighbours of `tests/engine_golden.rs`, whole
+/// `Estimate` (elapsed included), with the elapsed time that file pins.
+#[test]
+fn in_sim_driver_equals_blocking_shim_on_lossy_paths() {
+    use availbw::netsim::app::CountingSink;
+    use availbw::netsim::{Chain, ChainConfig, LinkConfig, RedConfig, Simulator};
+    use availbw::simprobe::SimTransport;
+    use availbw::traffic::{attach_sources, SourceConfig};
+    let link = |mbps, ms| LinkConfig::new(Rate::from_mbps(mbps), TimeNs::from_millis(ms));
+    let red = RedConfig::for_queue_limit(24 * 1024);
+    let cases = [
+        (
+            21u64,
+            link(10.0, 10).with_drop_prob(0.01),
+            40_722_100_000u64,
+        ),
+        (
+            22,
+            link(10.0, 10).with_queue_limit(24 * 1024).with_red(red),
+            18_064_200_000,
+        ),
+        (23, link(10.0, 10).with_queue_limit(6000), 24_154_500_000),
+    ];
+    for (seed, tight, elapsed_ns) in cases {
+        // A 40 / 10 / 40 Mb/s chain, 6 Mb/s of Pareto load on the middle
+        // hop, one second of warm-up.
+        let build = || {
+            let mut sim = Simulator::new(seed);
+            let hops = vec![link(40.0, 5), tight.clone(), link(40.0, 5)];
+            let chain = Chain::build(&mut sim, &ChainConfig::symmetric(hops));
+            let sink = sim.add_app(Box::new(CountingSink::default()));
+            let route = chain.hop_route(&sim, 1, sink);
+            let load = Rate::from_mbps(6.0);
+            attach_sources(&mut sim, route, load, 10, &SourceConfig::paper_pareto());
+            let mut t = SimTransport::new(sim, chain);
+            t.sim_mut().run_until(TimeNs::from_secs(1));
+            t
+        };
+        let cfg = SlopsConfig::default();
+        let blocking = Session::new(cfg.clone()).run(&mut build()).unwrap();
+        let t = build();
+        let chain = t.chain().clone();
+        let mut sim = t.into_sim();
+        let id = install_session(&mut sim, &chain, cfg).unwrap();
+        let in_sim = run_session(&mut sim, id, TimeNs::from_secs(3600)).expect("finished");
+        assert_eq!(blocking, in_sim, "drivers diverged at seed {seed}");
+        assert_eq!(blocking.elapsed.as_nanos(), elapsed_ns, "seed {seed}");
+    }
 }

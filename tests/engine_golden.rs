@@ -13,8 +13,8 @@ use availbw::simprobe::scenarios::{
     build_disjoint_paths, shared_tight_link, step_link_load, LinkLoad, PaperPath, PaperPathConfig,
     PathOpts, SharedTightLinkConfig, TrafficModel,
 };
-use availbw::simprobe::{install_session, run_session, ProbeReceiver, SimTransport};
-use availbw::slops::{Estimate, Session, SlopsConfig};
+use availbw::simprobe::{install_session, run_session, SimTransport};
+use availbw::slops::{stream_params, Estimate, ProbeTransport, Session, SlopsConfig, StreamRecord};
 use availbw::traffic::{attach_onoff_sources, attach_sources, SourceConfig};
 use availbw::units::{Rate, TimeNs};
 use std::sync::Arc;
@@ -69,6 +69,52 @@ fn paper_path_estimates_are_pinned_for_both_in_sim_drivers() {
         (seed, bits(&est))
     });
     assert_eq!(in_sim, PAPER_PATH, "SessionApp: {in_sim:#x?}");
+}
+
+/// What a raw stream pins: samples received, the FNV fold of every
+/// sample's `(idx, send_offset, owd_ns)`, and — for the reader — the
+/// first and last OWD.
+type RawStream = (usize, u64, i64, i64);
+
+fn raw_stream(rec: &StreamRecord) -> RawStream {
+    let fold = rec.samples.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, s| {
+        [s.idx as u64, s.send_offset.as_nanos(), s.owd_ns as u64]
+            .iter()
+            .fold(h, |h, w| (h ^ w).wrapping_mul(0x0000_0100_0000_01b3))
+    });
+    let owds = rec.owds();
+    (owds.len(), fold, owds[0], owds[owds.len() - 1])
+}
+
+/// The probe verbs with no machine in between — the surface the
+/// `baselines` crate (cprobe, TOPP, Delphi) stands on: one train, a stream
+/// below the 4 Mb/s avail-bw and one above it, called directly on a
+/// `PaperPath` transport, and where each call leaves the clock.
+#[test]
+fn raw_probe_records_are_pinned() {
+    let mut t = PaperPath::build(&PaperPathConfig::default(), 7).into_transport();
+    let cfg = SlopsConfig::default();
+    let train = t.send_train(48, 1500).unwrap();
+    let got_train = (
+        train.sent,
+        train.received,
+        train.size,
+        train.first_recv.as_nanos(),
+        train.last_recv.as_nanos(),
+        t.elapsed().as_nanos(),
+    );
+    let want_train = (48, 48, 1500, 2_053_705_000, 2_115_004_000, 2_120_000_000);
+    assert_eq!(got_train, want_train, "train: {got_train:?}");
+    // (rate in Mb/s, the stream as `raw_stream` folds it, the clock after).
+    let below = (100, 0x6046_4f75_7678_5a49, -7_727_458_000, -7_726_742_000);
+    let above = (100, 0x3b6e_556a_bfc1_04d1, -7_726_549_000, -7_718_200_000);
+    let streams: [(f64, RawStream, u64); 2] =
+        [(2.5, below, 2_240_000_000), (7.0, above, 2_325_000_000)];
+    for (id, (mbps, want, clock)) in streams.into_iter().enumerate() {
+        let req = stream_params(Rate::from_mbps(mbps), id as u32, &cfg);
+        let got = (raw_stream(&t.send_stream(&req).unwrap()), t.elapsed());
+        assert_eq!(got, (want, TimeNs::from_nanos(clock)), "{mbps} Mb/s");
+    }
 }
 
 /// Run a monitored fleet to completion; one fingerprint per path folding
@@ -221,9 +267,8 @@ fn neighbourhood(
     let sink = sim.add_app(Box::new(CountingSink::default()));
     let route = chain.hop_route(&sim, 1, sink);
     load(&mut sim, route);
-    let rx = sim.add_app(Box::new(ProbeReceiver::default()));
-    sim.run_until(TimeNs::from_secs(1));
-    let mut t = SimTransport::new(sim, chain, rx);
+    let mut t = SimTransport::new(sim, chain);
+    t.sim_mut().run_until(TimeNs::from_secs(1));
     let mut ests = Vec::new();
     for i in 0..sessions {
         let est = Session::new(SlopsConfig::default()).run(&mut t).unwrap();

@@ -18,7 +18,7 @@ use availbw::simprobe::scenarios::{
     build_disjoint_paths, shared_tight_link, step_link_load, LinkLoad, PathOpts,
     SharedTightLinkConfig,
 };
-use availbw::simprobe::{ProbeReceiver, SimTransport};
+use availbw::simprobe::SimTransport;
 use availbw::slops::SlopsConfig;
 use availbw::traffic::SourceConfig;
 use availbw::units::{Rate, TimeNs};
@@ -205,11 +205,10 @@ fn in_sim_and_thread_drivers_produce_identical_series() {
             .map(|(i, &mbps)| {
                 let mut sim = Simulator::new(42);
                 let chain = Chain::build(&mut sim, &chain_cfg(mbps));
-                let rx = sim.add_app(Box::new(ProbeReceiver::default()));
                 ThreadPathSpec {
                     label: format!("p{i}"),
                     cfg: SlopsConfig::default(),
-                    transport: Box::new(SimTransport::new(sim, chain, rx)),
+                    transport: Box::new(SimTransport::new(sim, chain)),
                 }
             })
             .collect();
@@ -281,11 +280,10 @@ fn drivers_agree_when_a_measurement_overruns_its_period() {
             .map(|(i, &spec)| {
                 let mut sim = Simulator::new(7);
                 let chain = Chain::build(&mut sim, &chain_cfg(spec));
-                let rx = sim.add_app(Box::new(ProbeReceiver::default()));
                 ThreadPathSpec {
                     label: format!("p{i}"),
                     cfg: SlopsConfig::default(),
-                    transport: Box::new(SimTransport::new(sim, chain, rx)),
+                    transport: Box::new(SimTransport::new(sim, chain)),
                 }
             })
             .collect();

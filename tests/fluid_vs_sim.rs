@@ -4,7 +4,7 @@
 use availbw::fluid::{FluidLink, FluidPath};
 use availbw::netsim::app::CountingSink;
 use availbw::netsim::{Chain, ChainConfig, LinkConfig, Simulator};
-use availbw::simprobe::{ProbeReceiver, SimTransport};
+use availbw::simprobe::SimTransport;
 use availbw::slops::{stream_params, ProbeTransport, SlopsConfig};
 use availbw::traffic::{attach_sources, SourceConfig};
 use availbw::units::{Rate, TimeNs};
@@ -31,9 +31,8 @@ fn fluid_like_path(seed: u64) -> (SimTransport, FluidPath) {
         cfg.start_jitter = TimeNs::from_micros(50);
         attach_sources(&mut sim, route, caps[hop] * utils[hop], 4, &cfg);
     }
-    let rx = sim.add_app(Box::new(ProbeReceiver::default()));
-    sim.run_until(TimeNs::from_secs(1));
-    let transport = SimTransport::new(sim, chain, rx);
+    let mut transport = SimTransport::new(sim, chain);
+    transport.sim_mut().run_until(TimeNs::from_secs(1));
     let fluid = FluidPath::new(
         caps.iter()
             .zip(utils)

@@ -3,7 +3,7 @@
 
 use availbw::netsim::app::CountingSink;
 use availbw::netsim::{Chain, ChainConfig, LinkConfig, RedConfig, Simulator};
-use availbw::simprobe::{ProbeReceiver, SimTransport};
+use availbw::simprobe::SimTransport;
 use availbw::slops::{Session, SlopsConfig};
 use availbw::traffic::{attach_sources, SourceConfig};
 use availbw::units::{Rate, TimeNs};
@@ -31,9 +31,8 @@ fn pathload_still_works_over_red() {
         10,
         &SourceConfig::paper_poisson(),
     );
-    let rx = sim.add_app(Box::new(ProbeReceiver::default()));
-    sim.run_until(TimeNs::from_secs(2));
-    let mut t = SimTransport::new(sim, chain, rx);
+    let mut t = SimTransport::new(sim, chain);
+    t.sim_mut().run_until(TimeNs::from_secs(2));
     let est = Session::new(SlopsConfig::default()).run(&mut t).unwrap();
     // A = 4 Mb/s; RED's early drops on probe streams are rare at this
     // load, and SLoPS only needs relative OWD growth, which RED preserves.

@@ -1,8 +1,8 @@
 //! The real-socket pathload, end to end over loopback: the same
 //! `slops::Session` that drives the simulator drives real UDP/TCP sockets.
 
-use availbw::pathload_net::{Receiver, SocketDriver, SocketTransport};
-use availbw::slops::machine::{Command, SessionMachine};
+use availbw::pathload_net::{Receiver, SocketTransport};
+use availbw::slops::machine::{Command, Event, SessionMachine};
 use availbw::slops::{ProbeTransport, Session, SlopsConfig};
 use availbw::units::{Rate, TimeNs};
 use std::thread;
@@ -30,12 +30,16 @@ fn full_session_runs_over_loopback() {
     // protocol must complete with sane outputs.
     assert!(est.low.bps() <= est.high.bps());
     assert!(!est.fleets.is_empty());
+    assert!(
+        est.elapsed > TimeNs::ZERO,
+        "elapsed must be wall-clock stamped"
+    );
     drop(t);
     server.join().unwrap().unwrap();
 }
 
-/// The explicit machine-level socket driver: hand-step the sans-IO
-/// machine command by command over real sockets, checking the strict
+/// Hand-step the sans-IO machine command by command over real sockets,
+/// through nothing but `ProbeTransport` calls, checking the strict
 /// poll/event alternation at every step — the wire-level extension of
 /// `tests/driver_equivalence.rs`'s hand-stepped contract test.
 #[test]
@@ -43,46 +47,31 @@ fn hand_stepped_machine_runs_over_loopback_sockets() {
     let rx = Receiver::bind("127.0.0.1:0".parse().unwrap()).unwrap();
     let addr = rx.ctrl_addr();
     let server = thread::spawn(move || rx.serve_one());
-    let mut driver = SocketDriver::connect(addr).unwrap();
-    driver.transport_mut().rate_cap = Rate::from_mbps(40.0);
-    let rtt = driver.transport_mut().rtt();
-    let max_rate = driver.transport_mut().max_rate();
+    let mut t = SocketTransport::connect(addr).unwrap();
+    t.rate_cap = Rate::from_mbps(40.0);
+    let (rtt, max_rate) = (t.rtt(), t.max_rate());
     let mut machine = SessionMachine::new(gentle_cfg(), rtt, max_rate).unwrap();
     let est = loop {
         let cmd = machine.poll().expect("no command pending at loop head");
-        if let Command::Finish(est) = cmd {
-            break *est;
-        }
         assert!(
-            machine.poll().is_none(),
+            matches!(cmd, Command::Finish(_)) || machine.poll().is_none(),
             "machine must pend while {cmd:?} executes"
         );
-        let event = driver.execute(&cmd).expect("wire operation");
+        let event = match cmd {
+            Command::SendTrain { len, size } => Event::TrainDone(t.send_train(len, size).unwrap()),
+            Command::SendStream(req) => Event::StreamDone(t.send_stream(&req).unwrap()),
+            Command::Idle(dur) => {
+                t.idle(dur);
+                Event::Tick(t.elapsed())
+            }
+            Command::Finish(est) => break *est,
+        };
         machine.on_event(event).expect("event answers the command");
     };
     assert!(machine.is_finished());
     assert!(est.low.bps() <= est.high.bps());
     assert!(!est.fleets.is_empty());
-    drop(driver);
-    server.join().unwrap().unwrap();
-}
-
-/// `SocketDriver::run` completes a whole session, like `Session::run`
-/// over the same transport (both are pumps around the same machine).
-#[test]
-fn socket_driver_run_completes_a_session() {
-    let rx = Receiver::bind("127.0.0.1:0".parse().unwrap()).unwrap();
-    let addr = rx.ctrl_addr();
-    let server = thread::spawn(move || rx.serve_one());
-    let mut driver = SocketDriver::connect(addr).unwrap();
-    driver.transport_mut().rate_cap = Rate::from_mbps(40.0);
-    let est = driver.run(gentle_cfg()).expect("session");
-    assert!(est.low.bps() <= est.high.bps());
-    assert!(
-        est.elapsed > TimeNs::ZERO,
-        "elapsed must be wall-clock stamped"
-    );
-    drop(driver);
+    drop(t);
     server.join().unwrap().unwrap();
 }
 
