@@ -154,10 +154,9 @@ pub fn run_socket_fleet_async_with_telemetry(
     for s in &specs {
         s.cfg.validate().map_err(SlopsError::BadConfig)?;
     }
-    // Per-path instruments, built before the specs are consumed. The
-    // pacing histograms live on the EventedSession (which paces probes
-    // itself); the transport-level ones the thread driver uses would
-    // never fire here.
+    // Per-path instruments, built before the specs are consumed. A
+    // re-dialled transport is a fresh protocol core, so the histogram is
+    // attached at every session start, not once at connect.
     let instruments: Option<Vec<(Arc<dyn TraceSink>, Histogram)>> = telemetry.map(|t| {
         specs
             .iter()
@@ -311,7 +310,7 @@ pub fn run_socket_fleet_async_with_telemetry(
                 TOK_START => {
                     // Resolve the start's transport: either the held idle
                     // one, or a fresh re-dial of the path's receiver.
-                    let (transport, at) = match slots[p].take() {
+                    let (mut transport, at) = match slots[p].take() {
                         Slot::Pending { transport, at } => (transport, at),
                         Slot::PendingRedial { at } => {
                             match SocketTransport::connect_with_clock(addrs[p], epoch.same_epoch())
@@ -347,12 +346,13 @@ pub fn run_socket_fleet_async_with_telemetry(
                         probe: tok(TOK_PROBE, generation[p], p),
                         timer: tok(TOK_TIMER, generation[p], p),
                     };
+                    if let Some(instruments) = &instruments {
+                        transport.set_pacing_histogram(instruments[p].1.clone());
+                    }
                     match EventedSession::new(transport, cfgs[p].clone(), tokens) {
                         Ok(mut session) => {
                             if let Some(instruments) = &instruments {
-                                let (sink, hist) = &instruments[p];
-                                session.set_trace_sink(Arc::clone(sink));
-                                session.set_pacing_histogram(hist.clone());
+                                session.set_trace_sink(Arc::clone(&instruments[p].0));
                             }
                             match session.register(&lp) {
                                 Ok(()) => {

@@ -164,7 +164,7 @@ impl FleetTelemetry {
 /// no operational meaning — `streams_total` and `fleet_verdicts_total`
 /// already aggregate the same progress at a useful granularity. This is
 /// what keeps the instrumented machine within the benched <5% overhead
-/// budget (`BENCH_7.json`).
+/// budget (`docs/history/BENCH_7.json`).
 struct RegistrySink {
     registry: Registry,
     label: String,

@@ -2,22 +2,19 @@
 //! events and timers instead of blocking calls.
 //!
 //! [`EventedSession`] is to an [`EventLoop`] what `slops::Session::run`
-//! is to a blocking thread: one
-//! measurement session over one [`SocketTransport`], but driven strictly
-//! by the DRIVERS.md contract with **no blocking call anywhere** — so a
-//! single thread can host hundreds of these at once. The command→substrate
-//! mapping is:
-//!
-//! | command | event-loop realization | event fed back |
-//! |---|---|---|
-//! | `SendTrain` | announce queued on ctrl writability; on `Ready`, blast UDP packets (resuming on UDP writability if the socket back-pressures) | `TrainDone` on the `TrainReport` frame |
-//! | `SendStream(req)` | announce queued; on `Ready`, one **timer entry per packet deadline** (`t0 + i·period`), actual send instants recorded | `StreamDone` on the `StreamReport` frame |
-//! | `Idle(d)` | a timer entry at `now + d` | `Tick(clock)` when it fires |
-//! | `Finish(est)` | terminal: stamp `elapsed`, expose the outcome | — |
-//!
-//! Before the machine is built the session runs a short non-blocking RTT
-//! phase (three control-channel echoes, median taken), mirroring what the
-//! blocking `ProbeTransport::rtt` measures.
+//! is to a blocking thread: one measurement session over one
+//! [`SocketTransport`], but driven strictly by the DRIVERS.md contract
+//! with **no blocking call anywhere** — so a single thread can host
+//! hundreds of these at once. What goes on the wire is decided by the
+//! transport's protocol core ([`crate::tx`] has the command→wire table);
+//! this module is the event-loop work around it: control frames flushed
+//! on writability and parsed on readability, **one timer entry per paced
+//! deadline**, a train blasted through `sendmmsg` (resuming on UDP
+//! writability if the socket back-pressures), `Idle(d)` as a timer entry
+//! answered with `Tick(clock)`, `Finish(est)` stamped with `elapsed`, one
+//! watchdog entry for the frame the core is owed — and, before the
+//! machine is built, the core's RTT exchange (what the blocking
+//! `ProbeTransport::rtt` measures).
 //!
 //! There is **no estimation logic here** (the repo invariant): loss
 //! accounting, spacing validation, trend classification and the rate
@@ -35,24 +32,18 @@
 // so `unwrap`/`expect` are denied outright (errors must travel as values).
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
+use crate::batch::{send_batch, MAX_BATCH};
 use crate::mux::{EventLoop, Interest, MuxEvent};
-use crate::proto::{
-    CtrlBuf, CtrlMsg, ProbeKind, ProbePacket, MAX_FRAME_TO_SENDER, PROBE_HEADER_LEN,
-};
-use crate::sender::{ctrl_error_text, stream_record, SocketTransport};
+use crate::proto::{CtrlBuf, CtrlMsg, MAX_FRAME_TO_SENDER};
+use crate::sender::SocketTransport;
+use crate::tx::{ctrl_io_error, Due, Outcome, Step};
 use slops::machine::{Command, Event, SessionMachine};
-use slops::{Estimate, ProbeTransport, SlopsConfig, SlopsError, StreamRequest, TransportError};
+use slops::{Estimate, ProbeTransport, SlopsConfig, SlopsError, TransportError};
 use std::io;
 use std::os::fd::AsRawFd;
 use std::sync::Arc;
-use telemetry::{Histogram, TraceSink};
+use telemetry::TraceSink;
 use units::TimeNs;
-
-/// Number of control-channel echoes in the RTT phase (median taken).
-const RTT_PROBES: usize = 3;
-
-/// Lead-in before a stream's first packet (matches the blocking pacer).
-const LEAD_IN_NS: u64 = 1_000_000;
 
 /// The event-loop tokens one session registers under. The host allocates
 /// them (disjoint per live session) and routes events back by them.
@@ -71,78 +62,17 @@ pub struct SessionTokens {
     pub timer: u64,
 }
 
-/// What the session is executing for the machine right now.
-#[derive(Debug)]
+/// What the session is doing for the machine right now.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Exec {
-    /// RTT phase: echo `t_sent` is in flight, `rtts` collected so far.
-    Rtt { t_sent: u64, rtts: Vec<u64> },
-    /// An announce was queued; waiting for the `Ready` frame.
-    AwaitReady(AfterReady),
-    /// Mid-train: next packet to blast is `next` (resumes on UDP
-    /// writability when the socket back-pressures). `bufs` are the
-    /// per-message packet buffers of one `sendmmsg` batch, allocated once
-    /// per train.
-    BlastTrain {
-        id: u32,
-        len: u32,
-        size: u32,
-        next: u32,
-        bufs: Vec<Vec<u8>>,
-    },
-    /// Train sent; waiting for the `TrainReport` frame.
-    AwaitTrainReport { id: u32, len: u32, size: u32 },
-    /// Mid-stream: packet `next`'s deadline is `t0 + next·period`; a
-    /// timer entry is armed for it. `buf` is the packet buffer, allocated
-    /// once per stream — the pacing path is timing-critical and must not
-    /// touch the allocator per packet.
-    PaceStream {
-        id: u32,
-        req: StreamRequest,
-        t0: u64,
-        next: u32,
-        actual_send: Vec<u64>,
-        buf: Vec<u8>,
-    },
-    /// Stream sent; waiting for the `StreamReport` frame.
-    AwaitStreamReport {
-        id: u32,
-        req: StreamRequest,
-        actual_send: Vec<u64>,
-    },
-    /// An `Idle` timer is armed; feeds `Tick` when it fires.
-    AwaitTick,
+    /// The transport's protocol core is mid-exchange (the RTT echoes, a
+    /// train, a stream): it says what to write, what is due and what it
+    /// waits for; [`EventedSession::drive`] does it.
+    Wire,
+    /// An `Idle` timer is armed for `until`; feeds `Tick` when it fires.
+    AwaitTick { until: u64 },
     /// Terminal (estimate or error available).
     Done,
-}
-
-impl Exec {
-    fn name(&self) -> &'static str {
-        match self {
-            Exec::Rtt { .. } => "Rtt",
-            Exec::AwaitReady(_) => "AwaitReady",
-            Exec::BlastTrain { .. } => "BlastTrain",
-            Exec::AwaitTrainReport { .. } => "AwaitTrainReport",
-            Exec::PaceStream { .. } => "PaceStream",
-            Exec::AwaitStreamReport { .. } => "AwaitStreamReport",
-            Exec::AwaitTick => "AwaitTick",
-            Exec::Done => "Done",
-        }
-    }
-}
-
-/// What command execution is pending after a `Ready` frame.
-#[derive(Debug)]
-enum AfterReady {
-    Train {
-        id: u32,
-        len: u32,
-        size: u32,
-    },
-    Stream {
-        id: u32,
-        req: StreamRequest,
-        size: u32,
-    },
 }
 
 /// A shared trace sink with a `Debug` impl (the trait object itself has
@@ -172,9 +102,21 @@ pub struct EventedSession {
     registered: bool,
     /// Where the machine's trace events are forwarded (`None`: dropped).
     sink: Option<SinkHandle>,
-    /// Per-packet pacing error (ns past each packet's send deadline);
-    /// `None`: not recorded.
-    pacing_hist: Option<Histogram>,
+    /// The packet buffers of one `sendmmsg` batch (a stream uses the
+    /// first), kept across commands: the pacing path is timing-critical
+    /// and must not touch the allocator per packet.
+    bufs: Vec<Vec<u8>>,
+    /// The probe socket back-pressured a blast: write interest is set.
+    blast_blocked: bool,
+    /// The paced deadline a timer entry is already armed for (0: none).
+    /// A pop mid-stream may be the watchdog's stale entry; arming the
+    /// same deadline again would leave a duplicate riding along.
+    paced_armed: u64,
+    /// The deadline of the one pending watchdog entry. A wait does not
+    /// arm its own (~120 per estimate, each lingering for the whole
+    /// timeout): the entry is re-armed for the then-current wait when it
+    /// fires.
+    watchdog: Option<u64>,
 }
 
 impl EventedSession {
@@ -198,7 +140,7 @@ impl EventedSession {
             return Err((transport, err));
         }
         let start = transport.elapsed();
-        let t_sent = transport.clock().now_ns();
+        let echo = transport.core.begin_rtt(start.as_nanos());
         let mut session = EventedSession {
             transport,
             machine: None,
@@ -206,16 +148,16 @@ impl EventedSession {
             tokens,
             start,
             ctrl_buf: CtrlBuf::new(MAX_FRAME_TO_SENDER),
-            exec: Exec::Rtt {
-                t_sent,
-                rtts: Vec::with_capacity(RTT_PROBES),
-            },
+            exec: Exec::Wire,
             outcome: None,
             registered: false,
             sink: None,
-            pacing_hist: None,
+            bufs: vec![Vec::new(); MAX_BATCH],
+            blast_blocked: false,
+            paced_armed: 0,
+            watchdog: None,
         };
-        session.ctrl_buf.queue(&CtrlMsg::Echo { token: 0 });
+        session.ctrl_buf.queue(&echo);
         Ok(session)
     }
 
@@ -233,12 +175,12 @@ impl EventedSession {
     /// already queued); the probe socket starts dormant.
     pub fn register(&mut self, lp: &EventLoop) -> io::Result<()> {
         lp.register(
-            self.transport.ctrl().as_raw_fd(),
+            self.transport.ctrl.as_raw_fd(),
             self.tokens.ctrl,
             self.ctrl_interest(),
         )?;
         lp.register(
-            self.transport.udp().as_raw_fd(),
+            self.transport.udp.as_raw_fd(),
             self.tokens.probe,
             Interest::NONE,
         )?;
@@ -256,13 +198,6 @@ impl EventedSession {
     /// trace matches the blocking drivers' byte for byte.
     pub fn set_trace_sink(&mut self, sink: Arc<dyn TraceSink>) {
         self.sink = Some(SinkHandle(sink));
-    }
-
-    /// Record each stream packet's pacing error (nanoseconds past its
-    /// absolute send deadline) into `hist`. Register the same handle in a
-    /// `telemetry::Registry` to expose it.
-    pub fn set_pacing_histogram(&mut self, hist: Histogram) {
-        self.pacing_hist = Some(hist);
     }
 
     /// Drain and forward (or drop, without a sink) the machine's trace.
@@ -288,7 +223,7 @@ impl EventedSession {
     /// [`machine_mut`](Self::machine_mut); the call is side-effect-free
     /// in exactly this situation).
     pub fn command_in_flight(&self) -> bool {
-        !matches!(self.exec, Exec::Rtt { .. } | Exec::Done)
+        self.machine.is_some() && self.exec != Exec::Done
     }
 
     /// The underlying machine, once the RTT phase built it. Exposed for
@@ -304,10 +239,11 @@ impl EventedSession {
     /// finished is a host bug, reported as an error outcome (the
     /// datapath is panic-free).
     pub fn finish(mut self, lp: &EventLoop) -> (SocketTransport, Result<Estimate, SlopsError>) {
-        let outcome = self
-            .outcome
-            .take()
-            .unwrap_or_else(|| Err(machine_protocol_violated("finish() before completion")));
+        let outcome = self.outcome.take().unwrap_or_else(|| {
+            Err(SlopsError::Transport(protocol_violation(
+                "finish() before completion",
+            )))
+        });
         self.deregister(lp);
         let _ = self.transport.set_nonblocking(false);
         (self.transport, outcome)
@@ -317,8 +253,8 @@ impl EventedSession {
     /// [`finish`](Self::finish)).
     pub fn deregister(&mut self, lp: &EventLoop) {
         if self.registered {
-            let _ = lp.deregister(self.transport.ctrl().as_raw_fd());
-            let _ = lp.deregister(self.transport.udp().as_raw_fd());
+            let _ = lp.deregister(self.transport.ctrl.as_raw_fd());
+            let _ = lp.deregister(self.transport.udp.as_raw_fd());
             self.registered = false;
         }
     }
@@ -342,16 +278,16 @@ impl EventedSession {
                 // error is level-triggered, and a handler that ignores it
                 // would spin the whole loop thread at 100% CPU while the
                 // session waits forever on a report that cannot come.
-                match self.transport.udp().take_error() {
+                // Plain writability resumes a blast in `drive`.
+                match self.transport.udp.take_error() {
                     Ok(Some(e)) => Err(TransportError::Io(format!("probe socket error: {e}"))),
-                    Ok(None) | Err(_) if r.writable => self.resume_blast(lp),
                     _ => Ok(()),
                 }
             }
             MuxEvent::Timer { token } if token == self.tokens.timer => self.handle_timer(lp),
-            _ => Ok(()),
+            _ => return,
         };
-        if let Err(e) = result {
+        if let Err(e) = result.and_then(|()| self.drive(lp)) {
             self.exec = Exec::Done;
             self.outcome = Some(Err(SlopsError::Transport(e)));
         }
@@ -375,7 +311,7 @@ impl EventedSession {
     fn update_ctrl_interest(&self, lp: &EventLoop) -> Result<(), TransportError> {
         if self.registered {
             lp.set_interest(
-                self.transport.ctrl().as_raw_fd(),
+                self.transport.ctrl.as_raw_fd(),
                 self.tokens.ctrl,
                 self.ctrl_interest(),
             )
@@ -392,22 +328,22 @@ impl EventedSession {
     ) -> Result<(), TransportError> {
         if writable && self.ctrl_buf.wants_write() {
             self.ctrl_buf
-                .flush(&mut self.transport.ctrl())
+                .flush(&mut &self.transport.ctrl)
                 .map_err(ctrl_io_error)?;
             self.update_ctrl_interest(lp)?;
         }
         if readable {
             let open = self
                 .ctrl_buf
-                .fill(&mut self.transport.ctrl())
+                .fill(&mut &self.transport.ctrl)
                 .map_err(ctrl_io_error)?;
             while let Some(msg) = self.ctrl_buf.take_frame().map_err(ctrl_io_error)? {
-                self.on_ctrl_msg(lp, msg)?;
-                if matches!(self.exec, Exec::Done) {
+                self.on_frame(lp, msg)?;
+                if self.exec == Exec::Done {
                     break;
                 }
             }
-            if !open && !matches!(self.exec, Exec::Done) {
+            if !open && self.exec != Exec::Done {
                 return Err(ctrl_io_error(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
                     "EOF on the control channel",
@@ -417,263 +353,146 @@ impl EventedSession {
         Ok(())
     }
 
-    fn protocol_error(&self, got: &CtrlMsg) -> TransportError {
-        TransportError::Io(format!(
-            "unexpected control message {got:?} in state {}",
-            self.exec.name()
-        ))
-    }
-
-    fn on_ctrl_msg(&mut self, lp: &mut EventLoop, msg: CtrlMsg) -> Result<(), TransportError> {
-        // Take the execution state by value; every arm either installs its
-        // successor or leaves `Done` behind on the way to an error.
-        match (std::mem::replace(&mut self.exec, Exec::Done), msg) {
-            (Exec::Rtt { t_sent, mut rtts }, CtrlMsg::Echo { token })
-                if token == rtts.len() as u64 =>
-            {
-                let now = self.transport.clock().now_ns();
-                rtts.push(now.saturating_sub(t_sent));
-                if rtts.len() < RTT_PROBES {
-                    let next = rtts.len() as u64;
-                    self.exec = Exec::Rtt { t_sent: now, rtts };
-                    self.queue_ctrl(lp, &CtrlMsg::Echo { token: next })
-                } else {
-                    rtts.sort_unstable();
-                    // rtts holds RTT_PROBES (> 0) samples here, so the
-                    // median index is in range; 0 is a dead fallback.
-                    let median = rtts.get(rtts.len() / 2).copied().unwrap_or(0);
-                    let rtt = TimeNs::from_nanos(median);
-                    let Some(cfg) = self.cfg.take() else {
-                        // cfg is held until the machine is built;
-                        // unreachable, surfaced as a failed outcome
-                        // rather than a panic.
-                        self.outcome = Some(Err(machine_protocol_violated("cfg already taken")));
-                        return Ok(());
-                    };
-                    let max_rate = self.transport.max_rate();
-                    match SessionMachine::new(cfg, rtt, max_rate) {
-                        Ok(machine) => {
-                            self.machine = Some(machine);
-                            self.advance(lp)
-                        }
-                        Err(e) => {
-                            // Config was validated in `new`; unreachable in
-                            // practice, but fail cleanly rather than panic.
-                            self.outcome = Some(Err(e));
-                            Ok(())
-                        }
+    /// One frame from the receiver: the core says what it means.
+    fn on_frame(&mut self, lp: &mut EventLoop, msg: CtrlMsg) -> Result<(), TransportError> {
+        let now = self.transport.clock.now_ns();
+        match self.transport.core.on_ctrl(msg, now)? {
+            Step::Write(frame) => self.queue_ctrl(lp, &frame),
+            Step::Wait => Ok(()),
+            Step::Done(Outcome::Event(event)) => self.feed(lp, event),
+            Step::Done(Outcome::Rtt(rtt)) => {
+                // cfg is held until the machine is built, here, once.
+                let Some(cfg) = self.cfg.take() else {
+                    return Err(protocol_violation("a second RTT phase"));
+                };
+                let max_rate = self.transport.max_rate();
+                match SessionMachine::new(cfg, rtt, max_rate) {
+                    Ok(machine) => {
+                        self.machine = Some(machine);
+                        self.advance(lp)
+                    }
+                    Err(e) => {
+                        // Config was validated in `new`; unreachable in
+                        // practice, but fail cleanly rather than panic.
+                        self.exec = Exec::Done;
+                        self.outcome = Some(Err(e));
+                        Ok(())
                     }
                 }
-            }
-            (Exec::AwaitReady(AfterReady::Train { id, len, size }), CtrlMsg::Ready { id: got })
-                if got == id =>
-            {
-                let batch = (len as usize).clamp(1, crate::batch::MAX_BATCH);
-                self.exec = Exec::BlastTrain {
-                    id,
-                    len,
-                    size,
-                    next: 0,
-                    bufs: vec![vec![0u8; size as usize]; batch],
-                };
-                self.resume_blast(lp)
-            }
-            (
-                Exec::AwaitReady(AfterReady::Stream { id, req, size }),
-                CtrlMsg::Ready { id: got },
-            ) if got == id => {
-                let t0 = self.transport.clock().now_ns() + LEAD_IN_NS;
-                let count = req.count;
-                self.exec = Exec::PaceStream {
-                    id,
-                    req,
-                    t0,
-                    next: 0,
-                    actual_send: Vec::with_capacity(count as usize),
-                    buf: vec![0u8; size as usize],
-                };
-                lp.arm_timer(t0, self.tokens.timer);
-                Ok(())
-            }
-            (
-                Exec::AwaitTrainReport { id, len, size },
-                CtrlMsg::TrainReport {
-                    id: got,
-                    received,
-                    first_ns,
-                    last_ns,
-                },
-            ) if got == id => {
-                let record = slops::TrainRecord {
-                    sent: len,
-                    received,
-                    size,
-                    first_recv: TimeNs::from_nanos(first_ns),
-                    last_recv: TimeNs::from_nanos(last_ns),
-                };
-                self.feed(lp, Event::TrainDone(record))
-            }
-            (
-                Exec::AwaitStreamReport {
-                    id,
-                    req,
-                    actual_send,
-                },
-                CtrlMsg::StreamReport { id: got, samples },
-            ) if got == id => {
-                let record = stream_record(req.count, &actual_send, &samples);
-                self.feed(lp, Event::StreamDone(record))
-            }
-            (exec, other) => {
-                self.exec = exec; // restore so the error names the state
-                Err(self.protocol_error(&other))
             }
         }
     }
 
-    // ---- probe socket --------------------------------------------------
+    // ---- probe socket and timers ---------------------------------------
 
-    /// Send as much of a pending train blast as the UDP socket accepts —
-    /// batched through `sendmmsg` where available, one kernel crossing
-    /// per [`crate::batch::MAX_BATCH`] packets; on back-pressure, wait
-    /// for writability and resume. Packets the kernel refuses keep their
-    /// place: they are re-encoded (fresh `send_ns`) on the next attempt,
-    /// so the timestamp on the wire is always the actual send instant.
-    fn resume_blast(&mut self, lp: &mut EventLoop) -> Result<(), TransportError> {
-        let Exec::BlastTrain {
-            id,
-            len,
-            size,
-            next,
-            bufs,
-        } = &mut self.exec
-        else {
-            return Ok(()); // stale writability notification
-        };
-        let (id, len, size) = (*id, *len, *size);
-        while *next < len {
-            let k = ((len - *next) as usize).min(bufs.len());
-            for (j, buf) in bufs.iter_mut().take(k).enumerate() {
-                ProbePacket {
-                    session: self.transport.session(),
-                    kind: ProbeKind::Train,
-                    id,
-                    idx: *next + j as u32,
-                    send_ns: self.transport.clock().now_ns(),
-                }
-                .encode(buf);
-            }
-            match crate::batch::send_batch(self.transport.udp(), bufs.get(..k).unwrap_or(&[])) {
-                Ok(sent) => {
-                    *next += sent as u32;
-                    if sent < k {
-                        // The kernel took a prefix; wait out the back-pressure.
-                        return lp
-                            .set_interest(
-                                self.transport.udp().as_raw_fd(),
-                                self.tokens.probe,
-                                Interest::WRITE,
-                            )
-                            .map_err(|e| TransportError::Io(e.to_string()));
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    return lp
-                        .set_interest(
-                            self.transport.udp().as_raw_fd(),
-                            self.tokens.probe,
-                            Interest::WRITE,
-                        )
-                        .map_err(|e| TransportError::Io(e.to_string()));
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(TransportError::Io(e.to_string())),
-            }
-        }
-        self.exec = Exec::AwaitTrainReport { id, len, size };
-        lp.set_interest(
-            self.transport.udp().as_raw_fd(),
-            self.tokens.probe,
-            Interest::NONE,
-        )
-        .map_err(|e| TransportError::Io(e.to_string()))
-    }
-
-    // ---- timers --------------------------------------------------------
-
-    fn handle_timer(&mut self, lp: &mut EventLoop) -> Result<(), TransportError> {
-        match std::mem::replace(&mut self.exec, Exec::Done) {
-            Exec::PaceStream {
-                id,
-                req,
-                t0,
-                mut next,
-                mut actual_send,
-                mut buf,
-            } => {
-                let (count, period) = (req.count, req.period.as_nanos());
-                // Send every packet whose deadline has passed (the blocking
-                // pacer catches up the same way when it overshoots).
-                loop {
-                    let now = self.transport.clock().now_ns();
-                    let deadline = t0 + next as u64 * period;
-                    if deadline > now {
+    /// Do what the core has due now, arm a timer entry for what it has
+    /// due later, and while it is owed a frame keep the watchdog pending.
+    /// Runs after every event: a `Ready` just read, a deadline just
+    /// popped, a probe socket just turned writable all end up here.
+    fn drive(&mut self, lp: &mut EventLoop) -> Result<(), TransportError> {
+        while self.exec == Exec::Wire {
+            let now = self.transport.clock.now_ns();
+            match self.transport.core.due() {
+                Due::Paced(deadline) if deadline > now => {
+                    if self.paced_armed != deadline {
+                        self.paced_armed = deadline;
                         lp.arm_timer(deadline, self.tokens.timer);
-                        self.exec = Exec::PaceStream {
-                            id,
-                            req,
-                            t0,
-                            next,
-                            actual_send,
-                            buf,
-                        };
-                        return Ok(());
                     }
-                    let send_ns = now;
-                    if let Some(h) = &self.pacing_hist {
-                        h.observe(now - deadline);
-                    }
-                    ProbePacket {
-                        session: self.transport.session(),
-                        kind: ProbeKind::Stream,
-                        id,
-                        idx: next,
-                        send_ns,
-                    }
-                    .encode(&mut buf);
-                    // A send the socket refuses (back-pressure) cannot be
-                    // retried — its deadline is now. Record the attempt
-                    // honestly and move on; the receiver counts it as
-                    // loss. Hard socket errors abort the measurement.
-                    match self.transport.udp().send(&buf) {
-                        Ok(_) => {}
-                        Err(e)
-                            if e.kind() == io::ErrorKind::WouldBlock
-                                || e.kind() == io::ErrorKind::Interrupted => {}
-                        Err(e) => return Err(TransportError::Io(e.to_string())),
-                    }
-                    actual_send.push(send_ns);
-                    next += 1;
-                    if next >= count {
-                        self.exec = Exec::AwaitStreamReport {
-                            id,
-                            req,
-                            actual_send,
-                        };
-                        return Ok(());
+                    break;
+                }
+                // Due, or overdue: the loop catches up on every deadline
+                // that has passed, as the blocking pacer does.
+                Due::Paced(_) => self.send_paced(now)?,
+                Due::Burst(n) => {
+                    if !self.blast(lp, n)? {
+                        break; // resumes on probe-socket writability
                     }
                 }
+                Due::None => {
+                    match self.transport.core.ctrl_deadline() {
+                        Some(deadline) if now >= deadline => self.transport.core.on_timeout(now)?,
+                        Some(deadline) if self.watchdog.is_none() => {
+                            self.watchdog = Some(deadline);
+                            lp.arm_timer(deadline, self.tokens.timer);
+                        }
+                        _ => {}
+                    }
+                    break;
+                }
             }
-            Exec::AwaitTick => {
-                let now = self.transport.elapsed();
-                self.feed(lp, Event::Tick(now))
+        }
+        Ok(())
+    }
+
+    /// Send the stream packet whose deadline has come, stamped `now`. A
+    /// send the socket refuses (back-pressure) cannot be retried — its
+    /// deadline is now: the attempt is recorded honestly and the receiver
+    /// counts it as loss. Hard socket errors abort the measurement.
+    fn send_paced(&mut self, now: u64) -> Result<(), TransportError> {
+        let Some(buf) = self.bufs.first_mut() else {
+            return Err(protocol_violation("no packet buffer"));
+        };
+        self.transport.core.encode(0, now, buf);
+        match self.transport.udp.send(buf) {
+            Ok(_) => {}
+            Err(e)
+                if e.kind() == io::ErrorKind::WouldBlock
+                    || e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(TransportError::Io(e.to_string())),
+        }
+        self.transport.core.sent(1, now);
+        Ok(())
+    }
+
+    /// Send as much of a train's `due` packets as one `sendmmsg` batch
+    /// holds and the UDP socket accepts — one kernel crossing per
+    /// [`MAX_BATCH`] packets. `Ok(false)`: the socket back-pressured and
+    /// write interest is set; the refused packets keep their place and
+    /// the core stamps them again on the next attempt.
+    fn blast(&mut self, lp: &EventLoop, due: u32) -> Result<bool, TransportError> {
+        let k = (due as usize).min(self.bufs.len());
+        for (j, buf) in self.bufs.iter_mut().take(k).enumerate() {
+            let now = self.transport.clock.now_ns();
+            self.transport.core.encode(j as u32, now, buf);
+        }
+        let sent = match send_batch(&self.transport.udp, self.bufs.get(..k).unwrap_or(&[])) {
+            Ok(sent) => sent,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => 0,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => return Ok(true),
+            Err(e) => return Err(TransportError::Io(e.to_string())),
+        };
+        let now = self.transport.clock.now_ns();
+        self.transport.core.sent(sent as u32, now);
+        // A refused packet (all of them, or a tail): wait out the
+        // back-pressure on writability.
+        let blocked = sent < k;
+        if blocked != self.blast_blocked {
+            self.blast_blocked = blocked;
+            let interest = if blocked {
+                Interest::WRITE
+            } else {
+                Interest::NONE
+            };
+            lp.set_interest(self.transport.udp.as_raw_fd(), self.tokens.probe, interest)
+                .map_err(|e| TransportError::Io(e.to_string()))?;
+        }
+        Ok(!blocked)
+    }
+
+    /// One of this session's timer entries popped: an idle that elapsed
+    /// feeds `Tick`; a paced deadline is sent by `drive`; the watchdog's
+    /// makes room for the next (`drive` arms it if a frame is still owed,
+    /// and fails the session if that frame is overdue).
+    fn handle_timer(&mut self, lp: &mut EventLoop) -> Result<(), TransportError> {
+        let now = self.transport.clock.now_ns();
+        if self.watchdog.is_some_and(|at| now >= at) {
+            self.watchdog = None;
+        }
+        match self.exec {
+            Exec::AwaitTick { until } if now >= until => {
+                self.feed(lp, Event::Tick(TimeNs::from_nanos(now)))
             }
-            // Stale timer (the stream/idle it paced errored or completed
-            // through another path): restore the state and ignore it.
-            other => {
-                self.exec = other;
-                Ok(())
-            }
+            _ => Ok(()),
         }
     }
 
@@ -701,40 +520,12 @@ impl EventedSession {
             return Err(protocol_violation("poll pended mid-session"));
         };
         self.forward_trace();
+        let now = self.transport.clock.now_ns();
         match cmd {
-            Command::SendTrain { len, size } => {
-                let size = (size as usize).max(PROBE_HEADER_LEN) as u32;
-                let id = self.transport.next_stream_id();
-                self.queue_ctrl(
-                    lp,
-                    &CtrlMsg::TrainAnnounce {
-                        id,
-                        count: len,
-                        size,
-                    },
-                )?;
-                self.exec = Exec::AwaitReady(AfterReady::Train { id, len, size });
-                Ok(())
-            }
-            Command::SendStream(req) => {
-                let size = (req.packet_size as usize).max(PROBE_HEADER_LEN) as u32;
-                let id = self.transport.next_stream_id();
-                self.queue_ctrl(
-                    lp,
-                    &CtrlMsg::StreamAnnounce {
-                        id,
-                        count: req.count,
-                        period_ns: req.period.as_nanos(),
-                        size,
-                    },
-                )?;
-                self.exec = Exec::AwaitReady(AfterReady::Stream { id, req, size });
-                Ok(())
-            }
             Command::Idle(dur) => {
-                self.exec = Exec::AwaitTick;
-                let deadline = self.transport.clock().now_ns() + dur.as_nanos();
-                lp.arm_timer(deadline, self.tokens.timer);
+                let until = now + dur.as_nanos();
+                self.exec = Exec::AwaitTick { until };
+                lp.arm_timer(until, self.tokens.timer);
                 Ok(())
             }
             Command::Finish(est) => {
@@ -744,14 +535,13 @@ impl EventedSession {
                 self.outcome = Some(Ok(est));
                 Ok(())
             }
+            wire @ (Command::SendTrain { .. } | Command::SendStream(_)) => {
+                let announce = self.transport.core.begin(&wire, now)?;
+                self.exec = Exec::Wire;
+                self.queue_ctrl(lp, &announce)
+            }
         }
     }
-}
-
-/// A control-channel failure as the session's transport error (with the
-/// dead-receiver diagnosis of [`ctrl_error_text`]).
-fn ctrl_io_error(e: io::Error) -> TransportError {
-    TransportError::Io(ctrl_error_text(&e))
 }
 
 /// A break of the command/event protocol between this session and the
@@ -760,9 +550,4 @@ fn ctrl_io_error(e: io::Error) -> TransportError {
 /// so the datapath stays panic-free.
 fn protocol_violation(what: &str) -> TransportError {
     TransportError::Io(format!("machine protocol violated: {what}"))
-}
-
-/// [`protocol_violation`] as a session outcome.
-fn machine_protocol_violated(what: &str) -> SlopsError {
-    SlopsError::Transport(protocol_violation(what))
 }

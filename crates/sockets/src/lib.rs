@@ -31,11 +31,16 @@
 //!   deadline [`mux::TimerQueue`] (pacing deadlines as timer entries),
 //!   combined in [`mux::EventLoop`]. No executor dependency: epoll is
 //!   called straight through the C library `std` already links.
-//! * [`evented`] — [`EventedSession`], the non-blocking driver of the
-//!   sans-IO machine over this transport: commands go out on
-//!   writability/timer expiry, events come back on readability, so one
-//!   thread can multiplex hundreds of concurrent sessions (the
-//!   `monitord --driver async` fleet).
+//! * [`tx`] — the sender's sans-IO protocol core: [`tx::on_hello`] and
+//!   [`tx::TxSession`] (ids, announce, which `Ready` / report answers
+//!   it, probe deadlines and headers, report → record, RTT median,
+//!   control timeout), driven by `begin` / `on_ctrl` / `due` / `encode`
+//!   + `sent` with time passed in. Every sender decision lives here, once.
+//! * [`evented`] — [`EventedSession`], the evented pump over that core
+//!   and non-blocking driver of the sans-IO machine: frames go out on
+//!   writability, probes on timer expiry, replies come back on
+//!   readability, so one thread can multiplex hundreds of concurrent
+//!   sessions (the `monitord --driver async` fleet).
 //! * [`batch`] — the kernel-fast datapath: `recvmmsg`/`sendmmsg`
 //!   batching (one syscall, many datagrams) behind scalar fallbacks, and
 //!   a `SO_REUSEADDR` listener bind so a restarted receiver reclaims its
@@ -54,9 +59,10 @@
 //!   the same core on one [`mux::EventLoop`] thread: non-blocking accept,
 //!   a slab of sessions, batched probe reads, the core's tick as a timer
 //!   entry. Thousands of sessions, one thread.
-//! * [`sender`] — the `pathload_snd` side: [`SocketTransport`], the
-//!   [`slops::ProbeTransport`] a new transport should copy (the
-//!   command→wire table is in `docs/DRIVERS.md`). Its blocking pump is
+//! * [`sender`] — the `pathload_snd` side: [`SocketTransport`], one
+//!   connection's sockets and [`tx`] core with the blocking pump over it
+//!   behind [`slops::ProbeTransport`] — the one a new transport should
+//!   copy (command→wire table: [`tx`]). The machine's blocking pump is
 //!   `slops::Session::run`, like every other `ProbeTransport`'s.
 //!
 //! Binaries `pathload_snd` / `pathload_rcv` wrap these (see `src/bin`).
@@ -88,6 +94,7 @@ pub mod receiver;
 pub mod receiver_evented;
 pub mod rx;
 pub mod sender;
+pub mod tx;
 
 pub use batch::UdpRecvBatch;
 #[cfg(unix)]

@@ -35,9 +35,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::clock::MonoClock;
-use crate::proto::{
-    CtrlBuf, CtrlMsg, ProbePacket, DENY_AT_CAPACITY, MAX_FRAME_TO_RECEIVER, PROTO_VERSION,
-};
+use crate::proto::{CtrlBuf, CtrlMsg, ProbePacket, MAX_FRAME_TO_RECEIVER};
 use crate::rx::{Admission, CtrlAction, RxSession, POLL_TIMEOUT};
 use std::collections::HashMap;
 use std::io;
@@ -139,7 +137,7 @@ impl Receiver {
     /// every session costs a serving thread, an arrival channel, and
     /// demux-registry space. Beyond the cap a new control connection is
     /// answered with a **versioned [`CtrlMsg::Deny`]** (code
-    /// [`DENY_AT_CAPACITY`]) instead of `Hello` — the sender gets a clean
+    /// [`DENY_AT_CAPACITY`](crate::proto::DENY_AT_CAPACITY)) instead of `Hello` — the sender gets a clean
     /// "receiver at capacity" error instead of a hung or half-open
     /// session, and sessions already running are untouched.
     pub fn with_max_sessions(self, max: usize) -> Receiver {
@@ -392,48 +390,12 @@ impl Shared {
     }
 }
 
-/// Connect a control channel to a receiver and perform the hello
-/// exchange. Returns the stream, the receiver's UDP port, and the minted
-/// session token.
-pub(crate) fn connect_ctrl(addr: SocketAddr) -> io::Result<(TcpStream, u16, u64)> {
-    let mut ctrl = TcpStream::connect(addr)?;
-    ctrl.set_nodelay(true)?;
-    ctrl.set_read_timeout(Some(Duration::from_secs(30)))?;
-    match CtrlMsg::read_from(&mut ctrl)? {
-        CtrlMsg::Hello {
-            version,
-            udp_port,
-            session,
-        } => {
-            if version != PROTO_VERSION {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("receiver speaks protocol v{version}, we speak v{PROTO_VERSION}"),
-                ));
-            }
-            Ok((ctrl, udp_port, session))
-        }
-        CtrlMsg::Deny { version, code } => {
-            let reason = match code {
-                DENY_AT_CAPACITY => "receiver at its concurrent-session capacity",
-                _ => "connection refused by receiver policy",
-            };
-            Err(io::Error::new(
-                io::ErrorKind::ConnectionRefused,
-                format!("{reason} (receiver speaks protocol v{version})"),
-            ))
-        }
-        other => Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("expected Hello, got {other:?}"),
-        )),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
+    use crate::proto::PROTO_VERSION;
+    use crate::sender::connect_ctrl;
 
     #[test]
     fn backoff_doubles_and_caps() {
@@ -529,11 +491,11 @@ mod tests {
         let drops = reg.counter("receiver_demux_drops_total", &[("reason", "unknown_token")]);
         let addr = rx.ctrl_addr();
         let server = thread::spawn(move || rx.serve_one());
-        let (ctrl, udp_port, token) = connect_ctrl(addr).unwrap();
+        let (ctrl, core, udp_port) = connect_ctrl(addr).unwrap();
         let udp = UdpSocket::bind("127.0.0.1:0").unwrap();
         let mut buf = [0u8; PROBE_HEADER_LEN];
         ProbePacket {
-            session: token.wrapping_add(0xdead), // never issued
+            session: core.session().wrapping_add(0xdead), // never issued
             kind: ProbeKind::Stream,
             id: 1,
             idx: 0,
@@ -558,7 +520,7 @@ mod tests {
         let rx = Receiver::bind("127.0.0.1:0".parse().unwrap()).unwrap();
         let addr = rx.ctrl_addr();
         let server = thread::spawn(move || rx.serve_one());
-        let (mut ctrl, _port, _session) = connect_ctrl(addr).unwrap();
+        let (mut ctrl, _core, _port) = connect_ctrl(addr).unwrap();
         CtrlMsg::StreamAnnounce {
             id: 1,
             count: u32::MAX,

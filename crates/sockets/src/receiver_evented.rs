@@ -489,8 +489,7 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
     use crate::proto::PROTO_VERSION;
-    use crate::receiver::connect_ctrl;
-    use crate::sender::SocketTransport;
+    use crate::sender::{connect_ctrl, SocketTransport};
 
     fn bind() -> EventedReceiver {
         EventedReceiver::bind("127.0.0.1:0".parse().unwrap()).unwrap()
@@ -501,9 +500,9 @@ mod tests {
         let rx = bind();
         let addr = rx.ctrl_addr();
         let h = rx.spawn();
-        let (mut ctrl, udp_port, token) = connect_ctrl(addr).unwrap();
+        let (mut ctrl, core, udp_port) = connect_ctrl(addr).unwrap();
         assert_ne!(udp_port, 0);
-        assert_ne!(token, 0);
+        assert_ne!(core.session(), 0);
         CtrlMsg::Echo { token: 42 }.write_to(&mut ctrl).unwrap();
         match CtrlMsg::read_from(&mut ctrl).unwrap() {
             CtrlMsg::Echo { token } => assert_eq!(token, 42),
@@ -561,8 +560,8 @@ mod tests {
         let rx = bind();
         let addr = rx.ctrl_addr();
         let h = rx.spawn();
-        let (mut bad, _port, _token) = connect_ctrl(addr).unwrap();
-        let (mut good, _port2, _token2) = connect_ctrl(addr).unwrap();
+        let (mut bad, _core, _port) = connect_ctrl(addr).unwrap();
+        let (mut good, _core2, _port2) = connect_ctrl(addr).unwrap();
         CtrlMsg::StreamAnnounce {
             id: 1,
             count: u32::MAX,

@@ -1,13 +1,14 @@
 //! The sender side (`pathload_snd`): [`SocketTransport`], a real-network
-//! [`slops::ProbeTransport`].
+//! [`slops::ProbeTransport`] — the sockets of one control connection, the
+//! protocol core ([`crate::tx::TxSession`]) that decides what goes over
+//! them, and the blocking pump between the two.
 
 use crate::clock::MonoClock;
 use crate::pacing::pace_until;
-use crate::proto::{CtrlMsg, ProbeKind, ProbePacket, PROBE_HEADER_LEN};
-use crate::receiver::connect_ctrl;
-use slops::{
-    PacketSample, ProbeTransport, StreamRecord, StreamRequest, TrainRecord, TransportError,
-};
+use crate::proto::CtrlMsg;
+use crate::tx::{self, ctrl_io_error, Due, Outcome, Step, TxSession};
+use slops::machine::{Command, Event};
+use slops::{ProbeTransport, StreamRecord, StreamRequest, TrainRecord, TransportError};
 use std::io;
 use std::net::{SocketAddr, TcpStream, UdpSocket};
 use telemetry::Histogram;
@@ -16,22 +17,30 @@ use units::{Rate, TimeNs};
 /// SLoPS probing over real UDP/TCP sockets.
 #[derive(Debug)]
 pub struct SocketTransport {
-    ctrl: TcpStream,
-    udp: UdpSocket,
-    clock: MonoClock,
-    /// Session token minted by the receiver at `Hello`; stamped into
-    /// every probe packet so the receiver's shared UDP socket can route
-    /// it to this session's collector.
-    session: u64,
-    next_id: u32,
+    // The sockets, the clock and the core are the evented pump's too
+    // (`crate::evented` registers, flushes, stamps and steps them itself).
+    pub(crate) ctrl: TcpStream,
+    pub(crate) udp: UdpSocket,
+    pub(crate) clock: MonoClock,
+    /// The conversation with the receiver. Boxed so the transport stays
+    /// small enough to travel inside an `Err` (`EventedSession::new`).
+    pub(crate) core: Box<TxSession>,
     /// Cap on the stream rates this host can pace reliably. Defaults to
     /// 80 Mb/s (MTU-sized packets every ~150 µs), which a commodity Linux
     /// box sustains with the sleep-spin pacer; raise it on fast dedicated
     /// hardware.
     pub rate_cap: Rate,
-    /// Per-packet pacing error sink: each stream packet's overshoot past
-    /// its absolute deadline, in nanoseconds. `None` = not recorded.
-    pacing_hist: Option<Histogram>,
+}
+
+/// Connect a control channel to a receiver and take its greeting.
+/// Returns the stream (reads time out after [`tx::CTRL_TIMEOUT`]), the
+/// session core the `Hello` granted, and the receiver's UDP port.
+pub(crate) fn connect_ctrl(addr: SocketAddr) -> io::Result<(TcpStream, TxSession, u16)> {
+    let mut ctrl = TcpStream::connect(addr)?;
+    ctrl.set_nodelay(true)?;
+    ctrl.set_read_timeout(Some(tx::CTRL_TIMEOUT))?;
+    let (core, udp_port) = tx::on_hello(CtrlMsg::read_from(&mut ctrl)?)?;
+    Ok((ctrl, core, udp_port))
 }
 
 impl SocketTransport {
@@ -46,7 +55,7 @@ impl SocketTransport {
     /// [`MonoClock::same_epoch`] clones of one clock share a timeline —
     /// what a fleet scheduler staggering starts across paths requires.
     pub fn connect_with_clock(addr: SocketAddr, clock: MonoClock) -> io::Result<SocketTransport> {
-        let (ctrl, udp_port, session) = connect_ctrl(addr)?;
+        let (ctrl, core, udp_port) = connect_ctrl(addr)?;
         let mut peer = addr;
         peer.set_port(udp_port);
         let local: SocketAddr = match addr {
@@ -59,23 +68,22 @@ impl SocketTransport {
             ctrl,
             udp,
             clock,
-            session,
-            next_id: 0,
+            core: Box::new(core),
             rate_cap: Rate::from_mbps(80.0),
-            pacing_hist: None,
         })
     }
 
     /// The session token the receiver minted for this connection.
     pub fn session(&self) -> u64 {
-        self.session
+        self.core.session()
     }
 
     /// Record each stream packet's pacing error (nanoseconds late past
-    /// its absolute send deadline) into `hist`. The histogram is shared:
-    /// register the same handle in a `telemetry::Registry` to expose it.
+    /// its absolute send deadline) into `hist`, whichever pump paces it.
+    /// The histogram is shared: register the same handle in a
+    /// `telemetry::Registry` to expose it.
     pub fn set_pacing_histogram(&mut self, hist: Histogram) {
-        self.pacing_hist = Some(hist);
+        self.core.set_pacing_histogram(hist);
     }
 
     /// Switch both sockets (control TCP and probe UDP) between blocking
@@ -90,202 +98,68 @@ impl SocketTransport {
         self.udp.set_nonblocking(nonblocking)
     }
 
-    /// The control TCP stream (for event-loop registration and
-    /// non-blocking frame I/O by the evented driver).
-    pub(crate) fn ctrl(&self) -> &TcpStream {
-        &self.ctrl
-    }
-
-    /// The probe UDP socket (for event-loop registration and non-blocking
-    /// sends by the evented driver).
-    pub(crate) fn udp(&self) -> &UdpSocket {
-        &self.udp
-    }
-
-    /// The sender clock.
-    pub(crate) fn clock(&self) -> &MonoClock {
-        &self.clock
-    }
-
-    /// Allocate the next stream/train id.
-    pub(crate) fn next_stream_id(&mut self) -> u32 {
-        let id = self.next_id;
-        self.next_id += 1;
-        id
-    }
-
-    fn io_err(e: io::Error) -> TransportError {
-        TransportError::Io(ctrl_error_text(&e))
-    }
-
-    pub(crate) fn expect_ready(&mut self, id: u32) -> Result<(), TransportError> {
-        match CtrlMsg::read_from(&mut self.ctrl).map_err(Self::io_err)? {
-            CtrlMsg::Ready { id: got } if got == id => Ok(()),
-            other => Err(TransportError::Io(format!(
-                "expected Ready({id}), got {other:?}"
-            ))),
+    /// The blocking pump: write what the core hands out, then alternate
+    /// pacing and sending while probes are due with a blocking frame read
+    /// while none is, until the core is done.
+    fn pump(&mut self, first: CtrlMsg) -> Result<Outcome, TransportError> {
+        let mut step = Step::Write(first);
+        let mut buf = Vec::new();
+        loop {
+            match step {
+                Step::Write(frame) => frame.write_to(&mut self.ctrl).map_err(ctrl_io_error)?,
+                Step::Wait => {}
+                Step::Done(outcome) => return Ok(outcome),
+            }
+            loop {
+                match self.core.due() {
+                    Due::None => break,
+                    Due::Paced(deadline) => _ = pace_until(&self.clock, deadline),
+                    Due::Burst(_) => {}
+                }
+                let now = self.clock.now_ns();
+                self.core.encode(0, now, &mut buf);
+                self.udp
+                    .send(&buf)
+                    .map_err(|e| TransportError::Io(e.to_string()))?;
+                self.core.sent(1, now);
+            }
+            let msg = CtrlMsg::read_from(&mut self.ctrl).map_err(ctrl_io_error)?;
+            step = self.core.on_ctrl(msg, self.clock.now_ns())?;
         }
     }
 }
 
-/// Assemble a [`StreamRecord`] from the receiver's per-packet report and
-/// the **actual** send instants recorded while pacing (indexed by packet
-/// index). Shared by the blocking transport and the evented driver so
-/// both build byte-identical records from the same wire data.
-pub(crate) fn stream_record(
-    sent: u32,
-    actual_send: &[u64],
-    samples: &[crate::proto::SampleWire],
-) -> StreamRecord {
-    let first_send = actual_send.first().copied().unwrap_or(0);
-    let records = samples
-        .iter()
-        .map(|s| PacketSample {
-            idx: s.idx,
-            send_offset: TimeNs::from_nanos(
-                actual_send
-                    .get(s.idx as usize)
-                    .map_or(0, |t| t.saturating_sub(first_send)),
-            ),
-            owd_ns: s.recv_ns as i64 - s.send_ns as i64,
-        })
-        .collect();
-    StreamRecord {
-        sent,
-        samples: records,
-    }
-}
-
-/// Human diagnosis of a dead control channel. An abrupt EOF or reset on
-/// the control TCP stream almost always means the receiver process went
-/// away (crashed, or restarted — a restarted receiver mints session
-/// tokens from a fresh random base, so the old connection *and* the old
-/// token are both unusable). The session must fail cleanly here, at the
-/// control channel, rather than limp on reporting silently-empty streams;
-/// reconnecting performs a fresh `Hello` and obtains a live token.
-pub(crate) fn ctrl_error_text(e: &io::Error) -> String {
-    match e.kind() {
-        io::ErrorKind::UnexpectedEof
-        | io::ErrorKind::ConnectionReset
-        | io::ErrorKind::ConnectionAborted
-        | io::ErrorKind::BrokenPipe => format!(
-            "control channel closed by receiver (receiver gone or restarted; \
-             reconnect for a fresh Hello and session token): {e}"
-        ),
-        _ => e.to_string(),
-    }
+/// The core answered a command with the outcome of another — excluded by
+/// its state machine, reported as an error rather than a panic.
+fn mismatch(got: &Outcome) -> TransportError {
+    TransportError::Io(format!("command answered with {got:?}"))
 }
 
 impl ProbeTransport for SocketTransport {
     fn send_stream(&mut self, req: &StreamRequest) -> Result<StreamRecord, TransportError> {
-        let id = self.next_stream_id();
-        let size = (req.packet_size as usize).max(PROBE_HEADER_LEN);
-        CtrlMsg::StreamAnnounce {
-            id,
-            count: req.count,
-            period_ns: req.period.as_nanos(),
-            size: size as u32,
-        }
-        .write_to(&mut self.ctrl)
-        .map_err(Self::io_err)?;
-        self.expect_ready(id)?;
-
-        // Pace the stream on absolute deadlines, recording actual send
-        // times for the receiver-side spacing validation.
-        let mut buf = vec![0u8; size];
-        let t0 = self.clock.now_ns() + 1_000_000; // 1 ms lead-in
-        let mut actual_send = Vec::with_capacity(req.count as usize);
-        for i in 0..req.count {
-            let deadline = t0 + i as u64 * req.period.as_nanos();
-            let overshoot = pace_until(&self.clock, deadline);
-            if let Some(h) = &self.pacing_hist {
-                h.observe(overshoot);
-            }
-            let send_ns = self.clock.now_ns();
-            ProbePacket {
-                session: self.session,
-                kind: ProbeKind::Stream,
-                id,
-                idx: i,
-                send_ns,
-            }
-            .encode(&mut buf);
-            self.udp.send(&buf).map_err(Self::io_err)?;
-            actual_send.push(send_ns);
-        }
-
-        match CtrlMsg::read_from(&mut self.ctrl).map_err(Self::io_err)? {
-            CtrlMsg::StreamReport { id: got, samples } if got == id => {
-                Ok(stream_record(req.count, &actual_send, &samples))
-            }
-            other => Err(TransportError::Io(format!(
-                "expected StreamReport({id}), got {other:?}"
-            ))),
+        let now = self.clock.now_ns();
+        let announce = self.core.begin(&Command::SendStream(*req), now)?;
+        match self.pump(announce)? {
+            Outcome::Event(Event::StreamDone(record)) => Ok(record),
+            other => Err(mismatch(&other)),
         }
     }
 
     fn send_train(&mut self, len: u32, size: u32) -> Result<TrainRecord, TransportError> {
-        let id = self.next_stream_id();
-        let size = (size as usize).max(PROBE_HEADER_LEN);
-        CtrlMsg::TrainAnnounce {
-            id,
-            count: len,
-            size: size as u32,
-        }
-        .write_to(&mut self.ctrl)
-        .map_err(Self::io_err)?;
-        self.expect_ready(id)?;
-        let mut buf = vec![0u8; size];
-        for i in 0..len {
-            ProbePacket {
-                session: self.session,
-                kind: ProbeKind::Train,
-                id,
-                idx: i,
-                send_ns: self.clock.now_ns(),
-            }
-            .encode(&mut buf);
-            self.udp.send(&buf).map_err(Self::io_err)?;
-        }
-        match CtrlMsg::read_from(&mut self.ctrl).map_err(Self::io_err)? {
-            CtrlMsg::TrainReport {
-                id: got,
-                received,
-                first_ns,
-                last_ns,
-            } if got == id => Ok(TrainRecord {
-                sent: len,
-                received,
-                size: size as u32,
-                first_recv: TimeNs::from_nanos(first_ns),
-                last_recv: TimeNs::from_nanos(last_ns),
-            }),
-            other => Err(TransportError::Io(format!(
-                "expected TrainReport({id}), got {other:?}"
-            ))),
+        let now = self.clock.now_ns();
+        let announce = self.core.begin(&Command::SendTrain { len, size }, now)?;
+        match self.pump(announce)? {
+            Outcome::Event(Event::TrainDone(record)) => Ok(record),
+            other => Err(mismatch(&other)),
         }
     }
 
     fn rtt(&mut self) -> TimeNs {
-        // Median of three control-channel echoes.
-        let mut rtts = Vec::with_capacity(3);
-        for token in 0..3u64 {
-            let t0 = self.clock.now_ns();
-            let echo = CtrlMsg::Echo { token };
-            if echo.write_to(&mut self.ctrl).is_err() {
-                break;
-            }
-            match CtrlMsg::read_from(&mut self.ctrl) {
-                Ok(CtrlMsg::Echo { token: got }) if got == token => {
-                    rtts.push(self.clock.now_ns() - t0);
-                }
-                _ => break,
-            }
-        }
-        rtts.sort_unstable();
-        match rtts.len() {
-            0 => TimeNs::from_millis(100), // conservative fallback
-            n => TimeNs::from_nanos(rtts[n / 2]),
+        let echo = self.core.begin_rtt(self.clock.now_ns());
+        match self.pump(echo) {
+            Ok(Outcome::Rtt(rtt)) => rtt,
+            // This method cannot fail: a conservative fallback.
+            _ => TimeNs::from_millis(100),
         }
     }
 

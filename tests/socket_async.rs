@@ -115,6 +115,13 @@ fn hand_stepped_evented_session_honors_the_machine_contract() {
         }
     }
     assert!(saw_in_flight, "the loop never observed a command in flight");
+    // A session's timer entries stay O(1) across a measurement: at most
+    // one paced deadline or idle and the one control-channel watchdog.
+    assert!(
+        lp.timers_pending() <= 3,
+        "{} timer entries left behind by one session",
+        lp.timers_pending()
+    );
 
     let (transport, outcome) = session.finish(&lp);
     let est = outcome.expect("loopback session succeeds");

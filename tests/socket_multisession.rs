@@ -10,8 +10,8 @@
 
 #[cfg(target_os = "linux")]
 use availbw::monitord::{
-    run_socket_fleet_async_with_telemetry, FleetEvent, ScheduleConfig, SeriesConfig, ShutdownFlag,
-    SocketPathSpec,
+    run_socket_fleet_async_with_telemetry, FleetEvent, FleetTelemetry, ScheduleConfig,
+    SeriesConfig, ShutdownFlag, SocketPathSpec,
 };
 use availbw::pathload_net::proto::{CtrlMsg, PROTO_VERSION};
 #[cfg(target_os = "linux")]
@@ -586,20 +586,25 @@ fn receiver_restart_mid_fleet_redials_at_the_next_scheduled_start() {
         max_concurrent: 2,
         seed: 11,
     };
-    let mut signalled = false;
+    // The path's pacing histogram must keep filling on the re-dialled
+    // transport (a fresh protocol core): `paced_at_restart` is its count
+    // when receiver A is pulled.
+    let telemetry = FleetTelemetry::new();
+    let paced = telemetry.pacing_histogram("restarted");
+    let mut paced_at_restart = None;
     let series = run_socket_fleet_async_with_telemetry(
         specs,
         &sched,
         &SeriesConfig::default(),
         TimeNs::from_secs(12),
         &ShutdownFlag::new(),
-        None,
+        Some(&telemetry),
         |ev| {
             // The moment path 0 lands its first sample, pull receiver A
             // out from under it.
             if let FleetEvent::Sample { path: 0, .. } = ev {
-                if !signalled {
-                    signalled = true;
+                if paced_at_restart.is_none() {
+                    paced_at_restart = Some(paced.count());
                     signal.send(()).expect("saboteur alive");
                 }
             }
@@ -608,7 +613,8 @@ fn receiver_restart_mid_fleet_redials_at_the_next_scheduled_start() {
     .unwrap();
     let handle_a2 = saboteur.join().expect("saboteur thread");
 
-    assert!(signalled, "path 0 never landed its pre-restart sample");
+    let paced_at_restart = paced_at_restart.expect("path 0 never landed its pre-restart sample");
+    assert!(paced_at_restart > 0, "the first measurement paced nothing");
     assert!(
         series[0].len() >= 2,
         "no post-restart sample: the path never re-dialed ({} samples, {} errors)",
@@ -625,6 +631,14 @@ fn receiver_restart_mid_fleet_redials_at_the_next_scheduled_start() {
         "the stable path must never notice the other receiver's restart"
     );
     assert!(!series[1].is_empty(), "the stable path was never measured");
+    // Path 0 was idle when A was pulled, so what came after is the
+    // re-dialled transport's: at least one fleet of 3 × 20 paced packets.
+    assert!(
+        paced.count() >= paced_at_restart + 60,
+        "pacing_error_ns stopped filling after the re-dial: {} then, {} now",
+        paced_at_restart,
+        paced.count()
+    );
 
     handle_a2.stop().unwrap();
     handle_b.stop().unwrap();

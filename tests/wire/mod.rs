@@ -1,12 +1,14 @@
-//! A hand-rolled control client for the wire-level receiver tests: speaks
+//! Hand-rolled far ends for the wire-level tests. [`RawClient`] speaks
 //! just enough of protocol v2 to announce collections and inject exactly
-//! the datagrams a test wants.
+//! the datagrams a receiver test wants; [`RawServer`] is the sockets of a
+//! receiver and nothing else, so a sender test can script every frame the
+//! sender is answered with.
 
 // Each test binary uses its own subset of the client.
 #![allow(dead_code)]
 
 use availbw::pathload_net::proto::{CtrlMsg, ProbeKind, ProbePacket, SampleWire, PROTO_VERSION};
-use std::net::{SocketAddr, TcpStream, UdpSocket};
+use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
 use std::time::Duration;
 
 /// One control connection plus a probe socket aimed at the receiver's
@@ -104,5 +106,52 @@ impl RawClient {
     /// Say `Bye` and hang up.
     pub fn bye(mut self) {
         let _ = CtrlMsg::Bye.write_to(&mut self.ctrl);
+    }
+}
+
+/// The sockets of a receiver — a control listener and a probe socket on
+/// loopback — with no protocol behind them: the test decides every frame.
+pub struct RawServer {
+    listener: TcpListener,
+    udp: UdpSocket,
+}
+
+impl RawServer {
+    /// Bind both sockets on ephemeral loopback ports.
+    pub fn bind() -> RawServer {
+        let udp = UdpSocket::bind("127.0.0.1:0").unwrap();
+        udp.set_read_timeout(Some(Duration::from_millis(500)))
+            .unwrap();
+        RawServer {
+            listener: TcpListener::bind("127.0.0.1:0").unwrap(),
+            udp,
+        }
+    }
+
+    /// The control address a sender connects to.
+    pub fn ctrl_addr(&self) -> SocketAddr {
+        self.listener.local_addr().unwrap()
+    }
+
+    /// The probe port to advertise in a `Hello`.
+    pub fn udp_port(&self) -> u16 {
+        self.udp.local_addr().unwrap().port()
+    }
+
+    /// Accept one control connection and greet it with `greeting` (a
+    /// `Hello`, or whatever the script says instead).
+    pub fn accept(&self, greeting: &CtrlMsg) -> TcpStream {
+        let (mut ctrl, _peer) = self.listener.accept().unwrap();
+        ctrl.set_nodelay(true).unwrap();
+        greeting.write_to(&mut ctrl).unwrap();
+        ctrl
+    }
+
+    /// The next probe datagram, whole; `None` after half a second of
+    /// silence.
+    pub fn recv_probe(&self) -> Option<Vec<u8>> {
+        let mut buf = [0u8; 2048];
+        let n = self.udp.recv(&mut buf).ok()?;
+        Some(buf[..n].to_vec())
     }
 }
