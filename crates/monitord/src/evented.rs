@@ -139,8 +139,9 @@ fn io_err(e: std::io::Error) -> SlopsError {
 /// With a [`FleetTelemetry`] hub, every session's machine trace is
 /// forwarded to the hub's per-path sinks, per-packet pacing error goes to
 /// the same `pacing_error_ns{path="…"}` histograms the thread driver
-/// fills, and the event loop reports its wakeup count and timer lag
-/// (`eventloop_wakeups_total`, `eventloop_timer_lag_ns`).
+/// fills, and the event loop reports its wakeup count, timer lag and
+/// learned spin window (`eventloop_wakeups_total`,
+/// `eventloop_timer_lag_ns`, `eventloop_spin_window_ns`).
 pub fn run_socket_fleet_async_with_telemetry(
     specs: Vec<SocketPathSpec>,
     sched_cfg: &ScheduleConfig,
@@ -169,6 +170,7 @@ pub fn run_socket_fleet_async_with_telemetry(
         lp.set_metrics(
             t.registry().counter("eventloop_wakeups_total", &[]),
             t.registry().histogram("eventloop_timer_lag_ns", &[]),
+            t.registry().gauge("eventloop_spin_window_ns", &[]),
         );
     }
 

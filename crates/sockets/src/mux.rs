@@ -16,23 +16,31 @@
 //! compiles but [`Poller::new`] returns `Unsupported`; the blocking
 //! thread-per-path driver remains fully portable.
 //!
-//! Timer precision: `epoll_wait` takes milliseconds, which is far too
-//! coarse for probe pacing (periods go down to 100 µs). [`EventLoop::wait`]
-//! therefore sleeps in epoll only up to [`SPIN_WINDOW_NS`] short of the
-//! earliest deadline and spins the remainder — the same sleep-then-spin
-//! technique as `pacing::pace_until`, applied to a whole fleet's merged
-//! deadline queue instead of one blocking thread per stream.
+//! Timer precision: probe periods go down to 100 µs and the receiver
+//! rejects a stream whose spacing drifts by 30 %, but `epoll_wait` takes
+//! whole milliseconds. The loop therefore owns a `timerfd`, registered in
+//! its own poller under a token no host sees, and [`EventLoop::wait`]
+//! sleeps in epoll until that timer ends the sleep one spin window before
+//! the earliest deadline, then spins the remainder — the sleep-then-spin
+//! technique of `pacing::pace_until`, applied to a whole fleet's merged
+//! deadline queue instead of one blocking thread per stream. The timer is
+//! re-armed only when `deadline − window` changes. The window is a
+//! [`SpinWindow`] learned from how late the timerfd actually wakes the
+//! loop (a few µs on an idle host), so the spin — the CPU a pacing loop
+//! burns — covers the wake-up error and no more, and a timer still never
+//! fires before its deadline.
 
 // Datapath module: a panicking branch here takes the whole fleet down,
 // so `unwrap`/`expect` are denied outright (errors must travel as values).
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::clock::MonoClock;
+use crate::pacing::SpinWindow;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::io;
 use std::time::Duration;
-use telemetry::{Counter, Histogram};
+use telemetry::{Counter, Gauge, Histogram};
 
 /// The raw file descriptor type the poller registers.
 ///
@@ -44,10 +52,6 @@ pub use std::os::fd::RawFd;
 #[cfg(not(unix))]
 #[allow(missing_docs)]
 pub type RawFd = i32;
-
-/// How close to the earliest timer deadline the epoll sleep may get; the
-/// remainder is spun (matches `pacing::SPIN_WINDOW_NS`).
-pub const SPIN_WINDOW_NS: u64 = 300_000;
 
 /// What a registered file descriptor wants to be woken for.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -105,8 +109,9 @@ pub enum MuxEvent {
 }
 
 #[cfg(target_os = "linux")]
-#[allow(unsafe_code)] // FFI onto the epoll syscalls of the libc std links.
+#[allow(unsafe_code)] // FFI onto the epoll and timerfd syscalls of the libc std links.
 mod sys {
+    use std::ffi::c_long;
     use std::io;
     use std::os::fd::RawFd;
 
@@ -129,11 +134,34 @@ mod sys {
     const EPOLL_CTL_DEL: i32 = 2;
     const EPOLL_CTL_MOD: i32 = 3;
     const EPOLL_CLOEXEC: i32 = 0x80000;
+    const CLOCK_MONOTONIC: i32 = 1;
+    const TFD_CLOEXEC: i32 = 0x80000;
+
+    // `struct timespec` / `struct itimerspec`: `time_t` is a C long on
+    // every Linux ABI std targets without 64-bit-time opt-ins.
+    #[repr(C)]
+    struct Timespec {
+        tv_sec: c_long,
+        tv_nsec: c_long,
+    }
+
+    #[repr(C)]
+    struct Itimerspec {
+        it_interval: Timespec,
+        it_value: Timespec,
+    }
 
     extern "C" {
         fn epoll_create1(flags: i32) -> i32;
         fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
         fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
+        fn timerfd_create(clockid: i32, flags: i32) -> i32;
+        fn timerfd_settime(
+            fd: i32,
+            flags: i32,
+            new_value: *const Itimerspec,
+            old_value: *mut Itimerspec,
+        ) -> i32;
         fn close(fd: i32) -> i32;
     }
 
@@ -183,9 +211,46 @@ mod sys {
         }
     }
 
+    /// A one-shot timer on `CLOCK_MONOTONIC` (the clock `Instant`, and so
+    /// `MonoClock`, reads), created disarmed.
+    pub fn timer_create() -> io::Result<i32> {
+        // SAFETY: timerfd_create takes no pointers; both arguments are the
+        // kernel's own constants and the return is checked below.
+        match unsafe { timerfd_create(CLOCK_MONOTONIC, TFD_CLOEXEC) } {
+            -1 => Err(io::Error::last_os_error()),
+            fd => Ok(fd),
+        }
+    }
+
+    /// Arm timer `fd` to expire once, `after_ns` from now; 0 disarms it.
+    /// Either way a pending expiry is cleared, so the fd stops polling
+    /// readable until the new expiry.
+    pub fn timer_set(fd: i32, after_ns: u64) -> io::Result<()> {
+        let secs = c_long::try_from(after_ns / 1_000_000_000).unwrap_or(c_long::MAX);
+        // Below 10^9, so it fits every C long.
+        let nanos = (after_ns % 1_000_000_000) as c_long;
+        let spec = Itimerspec {
+            it_interval: Timespec {
+                tv_sec: 0,
+                tv_nsec: 0,
+            },
+            it_value: Timespec {
+                tv_sec: secs,
+                tv_nsec: nanos,
+            },
+        };
+        // SAFETY: `spec` is a live, initialized itimerspec for the whole
+        // call and the kernel only reads it; a null `old_value` is allowed
+        // (the previous setting is not wanted).
+        match unsafe { timerfd_settime(fd, 0, &spec, std::ptr::null_mut()) } {
+            0 => Ok(()),
+            _ => Err(io::Error::last_os_error()),
+        }
+    }
+
     pub fn close_fd(fd: i32) {
         // SAFETY: no pointers; the caller owns `fd` (the Poller's epoll
-        // fd, closed exactly once on drop).
+        // fd or the WakeTimer's timerfd, each closed exactly once on drop).
         unsafe {
             close(fd);
         }
@@ -308,6 +373,59 @@ impl Poller {
         )
     }
 }
+
+/// The event loop's sleep: a one-shot timerfd, registered in the loop's
+/// own poller, that ends an epoll sleep at a nanosecond instant.
+#[derive(Debug)]
+struct WakeTimer {
+    fd: RawFd,
+    /// The loop-clock instant the timer is armed for (`None`: disarmed).
+    armed: Option<u64>,
+}
+
+#[cfg(target_os = "linux")]
+impl WakeTimer {
+    fn new() -> io::Result<WakeTimer> {
+        Ok(WakeTimer {
+            fd: sys::timer_create()?,
+            armed: None,
+        })
+    }
+
+    /// Arm for loop-clock instant `at` (`None`: disarm), `now` being the
+    /// loop clock's reading. A syscall only when `at` changed: the armed
+    /// instant has not passed while it is still the one asked for.
+    fn arm(&mut self, at: Option<u64>, now: u64) -> io::Result<()> {
+        if at != self.armed {
+            sys::timer_set(self.fd, at.map_or(0, |at| at.saturating_sub(now).max(1)))?;
+            self.armed = at;
+        }
+        Ok(())
+    }
+}
+
+#[cfg(target_os = "linux")]
+impl Drop for WakeTimer {
+    fn drop(&mut self) {
+        sys::close_fd(self.fd);
+    }
+}
+
+#[cfg(not(target_os = "linux"))]
+impl WakeTimer {
+    /// See [`Poller::new`]: unsupported off Linux.
+    fn new() -> io::Result<WakeTimer> {
+        Err(Poller::unsupported())
+    }
+
+    fn arm(&mut self, _at: Option<u64>, _now: u64) -> io::Result<()> {
+        Err(Poller::unsupported())
+    }
+}
+
+/// The token the loop registers its [`WakeTimer`] under; never handed to
+/// a host, and refused when a host asks for it.
+const WAKE_TOKEN: u64 = u64::MAX;
 
 /// A queue of one-shot deadline timers on a [`MonoClock`] timeline.
 ///
@@ -440,34 +558,59 @@ pub struct EventLoop {
     poller: Poller,
     timers: TimerQueue,
     clock: MonoClock,
+    /// The sleep, registered in `poller` under [`WAKE_TOKEN`].
+    wake: WakeTimer,
+    /// How long before the earliest deadline the sleep ends and the spin
+    /// begins, learned from the wake-ups.
+    window: SpinWindow,
+    /// One poll's readiness, kept across calls to spare the allocator.
+    ready: Vec<IoReady>,
     /// Calls of [`EventLoop::wait`] (`None`: not recorded).
     wakeups: Option<Counter>,
     /// Nanoseconds between a timer's deadline and the wakeup that
     /// delivered it (`None`: not recorded).
     timer_lag: Option<Histogram>,
+    /// The current spin window in nanoseconds (`None`: not recorded).
+    spin_window: Option<Gauge>,
 }
 
 impl EventLoop {
     /// A fresh loop reading time from `clock` (the fleet's shared epoch,
     /// so timer deadlines and `TimeNs` instants agree).
     pub fn new(clock: MonoClock) -> io::Result<EventLoop> {
+        let poller = Poller::new()?;
+        let wake = WakeTimer::new()?;
+        poller.add(wake.fd, WAKE_TOKEN, Interest::READ)?;
         Ok(EventLoop {
-            poller: Poller::new()?,
+            poller,
             timers: TimerQueue::new(),
             clock,
+            wake,
+            window: SpinWindow::new(),
+            ready: Vec::new(),
             wakeups: None,
             timer_lag: None,
+            spin_window: None,
         })
     }
 
-    /// Record loop wakeups and timer lag into the given metric handles
-    /// (register the same handles in a `telemetry::Registry` to expose
-    /// them). Timer lag is the gap between a timer's armed deadline and
-    /// the `wait` wakeup that delivered it — the fleet-level analogue of
-    /// the blocking pacer's overshoot.
-    pub fn set_metrics(&mut self, wakeups: Counter, timer_lag: Histogram) {
+    /// Record loop wakeups, timer lag and the spin window into the given
+    /// metric handles (register the same handles in a
+    /// `telemetry::Registry` to expose them). Timer lag is the gap between
+    /// a timer's armed deadline and the `wait` wakeup that delivered it —
+    /// the fleet-level analogue of the blocking pacer's overshoot; the
+    /// spin window is how long before a deadline the loop stops sleeping.
+    pub fn set_metrics(&mut self, wakeups: Counter, timer_lag: Histogram, spin_window: Gauge) {
         self.wakeups = Some(wakeups);
         self.timer_lag = Some(timer_lag);
+        self.spin_window = Some(spin_window);
+        self.publish_window();
+    }
+
+    fn publish_window(&self) {
+        if let Some(g) = &self.spin_window {
+            g.set(i64::try_from(self.window.ns()).unwrap_or(i64::MAX));
+        }
     }
 
     /// Pop every timer expired by `now`, recording lag; true if any fired.
@@ -488,13 +631,17 @@ impl EventLoop {
         &self.clock
     }
 
-    /// Register `fd` under `token`.
+    /// Register `fd` under `token`. Token `u64::MAX` is the loop's own
+    /// and refused with `InvalidInput`.
     pub fn register(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        host_token(token)?;
         self.poller.add(fd, token, interest)
     }
 
-    /// Change a registered fd's interest.
+    /// Change a registered fd's interest (token `u64::MAX` refused, as by
+    /// [`EventLoop::register`]).
     pub fn set_interest(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        host_token(token)?;
         self.poller.modify(fd, token, interest)
     }
 
@@ -532,47 +679,57 @@ impl EventLoop {
     /// expired timers (earliest first) and I/O readiness. Blocks at most
     /// `max_wait` even with no timers pending, so hosts can re-check
     /// shutdown flags. May return with `out` empty (timeout); never
-    /// returns I/O the caller didn't register or timers it didn't arm.
+    /// returns I/O the caller didn't register or timers it didn't arm,
+    /// and never a timer before its deadline.
     ///
-    /// Deadlines within [`SPIN_WINDOW_NS`] are spun for rather than slept
-    /// for — epoll's millisecond timeout is too coarse for probe pacing.
+    /// The sleep ends one spin window before the earliest deadline (the
+    /// loop's timerfd); the rest is spun, so timers fire on their
+    /// deadline to the sub-µs while the CPU is spent only on the wake-up
+    /// error. See the module docs.
     pub fn wait(&mut self, out: &mut Vec<MuxEvent>, max_wait: Duration) -> io::Result<()> {
         if let Some(c) = &self.wakeups {
             c.inc();
         }
         let now = self.clock.now_ns();
-        // Already-expired timers: deliver without touching epoll (but
-        // still collect instantly-ready I/O so a busy timer treadmill
-        // cannot starve socket readiness).
+        // Already-expired timers: deliver without sleeping (but still
+        // collect instantly-ready I/O so a busy timer treadmill cannot
+        // starve socket readiness).
         if self.drain_expired(now, out) {
-            let mut io_ready = Vec::new();
-            self.poller.wait(&mut io_ready, Some(Duration::ZERO))?;
-            out.extend(io_ready.into_iter().map(MuxEvent::Io));
+            self.poll(out, Duration::ZERO)?;
             return Ok(());
         }
 
-        // Sleep in epoll until just short of the earliest deadline.
-        let budget_ns = match self.timers.next_deadline() {
-            Some(d) => (d - now).saturating_sub(SPIN_WINDOW_NS),
-            None => u64::MAX,
+        let deadline = self.timers.next_deadline();
+        let wake = deadline.map(|d| d.saturating_sub(self.window.ns()));
+        // Inside the window already: no sleep, only instantly-ready I/O.
+        let sleep = wake.is_none_or(|at| at > now);
+        let timeout = if sleep {
+            self.wake.arm(wake, self.clock.now_ns())?;
+            max_wait
+        } else {
+            Duration::ZERO
         };
-        let timeout = Duration::from_nanos(budget_ns).min(max_wait);
-        let mut io_ready = Vec::new();
-        // Millisecond floor: never sleep past `deadline - spin window`.
-        let timeout_ms = Duration::from_millis(timeout.as_millis() as u64);
-        self.poller.wait(&mut io_ready, Some(timeout_ms))?;
-        if !io_ready.is_empty() {
-            out.extend(io_ready.into_iter().map(MuxEvent::Io));
+        let before = out.len();
+        let woke = self.poll(out, timeout)?;
+        let now = self.clock.now_ns();
+        if let Some(at) = wake.filter(|_| sleep && woke) {
+            self.window.slept(now.saturating_sub(at));
+            self.publish_window();
+        }
+        if out.len() > before {
             // Deliver timers that expired while we slept, too.
-            let now = self.clock.now_ns();
             self.drain_expired(now, out);
             return Ok(());
         }
 
-        // No I/O: if a deadline is imminent, spin it down (µs-accurate),
-        // then deliver whatever expired.
-        if let Some(d) = self.timers.next_deadline() {
-            if d.saturating_sub(self.clock.now_ns()) <= SPIN_WINDOW_NS {
+        // No I/O. Past the wake instant (the timer fired, or the deadline
+        // was inside the window): spin the deadline down, then deliver.
+        if let (Some(d), Some(at)) = (deadline, wake) {
+            if now >= at {
+                if !sleep {
+                    self.window.spun();
+                    self.publish_window();
+                }
                 while self.clock.now_ns() < d {
                     std::hint::spin_loop();
                 }
@@ -582,6 +739,33 @@ impl EventLoop {
         self.drain_expired(now, out);
         Ok(())
     }
+
+    /// Poll for up to `timeout` and append the hosts' readiness to `out`.
+    /// True when the loop's own timer was among the ready fds.
+    fn poll(&mut self, out: &mut Vec<MuxEvent>, timeout: Duration) -> io::Result<bool> {
+        self.ready.clear();
+        self.poller.wait(&mut self.ready, Some(timeout))?;
+        let mut woke = false;
+        for r in self.ready.drain(..) {
+            if r.token == WAKE_TOKEN {
+                woke = true;
+            } else {
+                out.push(MuxEvent::Io(r));
+            }
+        }
+        Ok(woke)
+    }
+}
+
+/// Refuse the loop's own token to a host.
+fn host_token(token: u64) -> io::Result<()> {
+    if token == WAKE_TOKEN {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "token u64::MAX is reserved for the event loop's own timer",
+        ));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -755,6 +939,99 @@ mod tests {
                 }
             }
             assert!(saw_io && saw_timer);
+        }
+
+        /// On-CPU nanoseconds of the calling thread, from procfs.
+        fn thread_cpu_ns() -> u64 {
+            let stat = std::fs::read_to_string("/proc/thread-self/schedstat")
+                .expect("procfs exposes the thread's schedstat");
+            let first = stat.split_whitespace().next().expect("a cpu-time field");
+            first.parse().expect("nanoseconds")
+        }
+
+        /// A 100 µs-period pacing train, armed a deadline at a time as a
+        /// session arms them: every timer fires at or after its deadline,
+        /// about one `wait` serves each, and the thread sleeps through
+        /// most of the train instead of spinning it.
+        #[test]
+        fn timers_never_fire_early_and_the_loop_sleeps() {
+            const TIMERS: u64 = 400;
+            const PERIOD: u64 = 100_000;
+            let clock = MonoClock::new();
+            let mut lp = EventLoop::new(clock.clone()).unwrap();
+            let (wakeups, window) = (Counter::new(), Gauge::new());
+            lp.set_metrics(wakeups.clone(), Histogram::new(), window.clone());
+            assert_eq!(window.get(), SpinWindow::MAX_NS as i64);
+
+            // A 1 ms lead-in, as before a stream's first packet.
+            let t0 = clock.now_ns() + 1_000_000;
+            lp.arm_timer(t0, 0);
+            let (cpu0, wall0) = (thread_cpu_ns(), clock.now_ns());
+            let mut fired = 0;
+            let mut out = Vec::new();
+            while fired < TIMERS {
+                out.clear();
+                lp.wait(&mut out, Duration::from_millis(50)).unwrap();
+                let now = clock.now_ns();
+                for ev in &out {
+                    match *ev {
+                        MuxEvent::Timer { token } => {
+                            assert_eq!(token, fired, "timers fire in deadline order");
+                            let deadline = t0 + token * PERIOD;
+                            assert!(now >= deadline, "timer {token} fired early");
+                            fired += 1;
+                            if fired < TIMERS {
+                                lp.arm_timer(t0 + fired * PERIOD, fired);
+                            }
+                        }
+                        MuxEvent::Io(r) => panic!("the loop's own timer surfaced as {}", r.token),
+                    }
+                }
+            }
+            let (cpu, wall) = (thread_cpu_ns() - cpu0, clock.now_ns() - wall0);
+            let per_timer = wakeups.get() as f64 / TIMERS as f64;
+            assert!(per_timer <= 1.5, "{per_timer:.2} wake-ups per timer");
+            assert!(
+                (cpu as f64) < 0.7 * wall as f64,
+                "the loop was on the CPU {cpu} ns of {wall} ns"
+            );
+            assert!(window.get() < SpinWindow::MAX_NS as i64, "nothing learned");
+        }
+
+        /// A host cannot claim the loop's token, the timerfd is armed for
+        /// `deadline − window`, and dropping the loop closes it.
+        #[test]
+        fn the_loops_own_timer_stays_private_and_closes_with_the_loop() {
+            let clock = MonoClock::new();
+            let mut lp = EventLoop::new(clock.clone()).unwrap();
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let fd = listener.as_raw_fd();
+            let refused = lp.register(fd, WAKE_TOKEN, Interest::READ).unwrap_err();
+            assert_eq!(refused.kind(), io::ErrorKind::InvalidInput);
+            lp.register(fd, 1, Interest::READ).unwrap();
+            let refused = lp.set_interest(fd, WAKE_TOKEN, Interest::READ);
+            assert_eq!(refused.unwrap_err().kind(), io::ErrorKind::InvalidInput);
+
+            // A deadline 123 456 s out: distinctive in the timer's fdinfo,
+            // so a reused fd number cannot pass for it.
+            const FAR_S: u64 = 123_456;
+            lp.arm_timer(clock.now_ns() + FAR_S * 1_000_000_000, 9);
+            let mut out = Vec::new();
+            lp.wait(&mut out, Duration::ZERO).unwrap();
+            assert!(out.is_empty());
+            let timer = lp.wake.fd;
+            let armed_secs = || {
+                let info = std::fs::read_to_string(format!("/proc/self/fdinfo/{timer}")).ok()?;
+                let value = info.lines().find_map(|l| l.strip_prefix("it_value: ("))?;
+                value.split(',').next()?.trim().parse::<u64>().ok()
+            };
+            let secs = armed_secs().expect("the loop's timerfd is armed");
+            assert!((FAR_S - 1..FAR_S).contains(&secs), "armed for {secs} s");
+            drop(lp);
+            assert!(
+                armed_secs().is_none_or(|s| !(FAR_S - 1..FAR_S).contains(&s)),
+                "the timerfd outlived its loop"
+            );
         }
     }
 }

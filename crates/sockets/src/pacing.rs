@@ -1,33 +1,145 @@
-//! Absolute-deadline packet pacing.
+//! Absolute-deadline packet pacing: sleep to shortly before the deadline,
+//! spin the rest.
 //!
 //! Periodic streams are defined by *absolute* send deadlines `t0 + i·T`;
 //! sleeping for relative intervals accumulates drift and context-switch
-//! error. We sleep coarsely until shortly before the deadline and spin for
-//! the remainder — the standard technique for µs-accurate userspace pacing
-//! (and the reason this crate runs on dedicated threads, not an async
-//! runtime; see DESIGN.md §5).
+//! error. A userspace sleep also wakes late by an amount the program does
+//! not choose (timer slack, scheduler latency, a busy host), so both
+//! pacers of this crate sleep until `deadline − window` and spin the
+//! remainder: a wake-up that lands inside the window still sends on the
+//! deadline to the sub-µs, and the spin — the part that costs CPU — is
+//! only as long as the wake-up error it covers. [`SpinWindow`] is that
+//! window, learned from the oversleep each pacer measures. The blocking
+//! pacer [`pace_until`] sleeps in `thread::sleep`; `mux::EventLoop::wait`
+//! sleeps in epoll on a timerfd, for a whole fleet's merged deadlines.
+//! (Why plain threads or an own loop, not an async runtime:
+//! ARCHITECTURE.md § Performance notes.)
 
 use crate::clock::MonoClock;
 use std::time::Duration;
 
-/// How close to the deadline the coarse sleep is allowed to get; the rest
-/// is spun. Linux nanosleep overshoot is typically ≲ 100 µs.
-const SPIN_WINDOW_NS: u64 = 300_000;
+/// How long before a deadline a pacer stops sleeping and starts spinning.
+///
+/// Pure arithmetic over the pacer's own measurements; there is no knob.
+/// The window starts at [`SpinWindow::MAX_NS`], at most the worst
+/// ordinary wake-up error of a commodity Linux host, so the first
+/// deadlines are as safe as a fixed window. Every sleep then reports its
+/// oversleep ([`SpinWindow::slept`]): one that overshoots the window (a
+/// late wake-up) widens it at once to twice that oversleep; any other
+/// joins the smoothed oversleep, and the window moves a sixteenth of the
+/// way toward twice that — as it also does for a deadline served without
+/// a sleep ([`SpinWindow::spun`]), since a window wider than the deadline
+/// spacing would otherwise never sleep again, and so never learn. It
+/// stays within [`MIN_NS`](SpinWindow::MIN_NS)`..=`[`MAX_NS`](SpinWindow::MAX_NS).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SpinWindow {
+    ns: u64,
+    /// Smoothed oversleep of the sleeps measured so far (`None`: none yet,
+    /// nothing to shrink toward).
+    oversleep_ns: Option<u64>,
+}
 
-/// Block until `deadline_ns` on `clock`. Returns the overshoot in
-/// nanoseconds (0 if we were already past the deadline).
-pub fn pace_until(clock: &MonoClock, deadline_ns: u64) -> u64 {
+impl SpinWindow {
+    /// The starting window and its cap: beyond the ordinary wake-up error
+    /// of a sleep on a commodity Linux host (`nanosleep` under the default
+    /// 50 µs timer slack wakes ~55 µs late, a timerfd ~90 µs late at p99
+    /// for sub-ms sleeps on a busy 2-vCPU VM).
+    pub const MAX_NS: u64 = 300_000;
+    /// The floor: what one timerfd wake-up costs, tail included (5–7 µs
+    /// late at the median, 9–37 µs at p99 for 20–100 µs sleeps on a
+    /// 2-vCPU VM). Narrower windows leave the tail to the packets — a
+    /// fixed 10 µs window put the pacing-error p99 in the 32 µs bucket,
+    /// beside the 30 % spacing tolerance of a 100 µs stream.
+    pub const MIN_NS: u64 = 20_000;
+    /// The window closes `1/RELAX` of its distance to the target per
+    /// deadline: slowly enough that a widening outlives the burst of late
+    /// wake-ups that caused it. Replayed over the oversleeps of
+    /// millisecond sleeps on a 2-vCPU VM (~20 µs at the median, ~90 µs at
+    /// p99), a quarter per deadline left 5 % of wake-ups late and a
+    /// sixteenth 2.7 %, for ~2 µs more spin per 80 µs sleep.
+    const RELAX: u64 = 16;
+
+    /// A window at its starting width, [`SpinWindow::MAX_NS`].
+    pub const fn new() -> SpinWindow {
+        SpinWindow {
+            ns: SpinWindow::MAX_NS,
+            oversleep_ns: None,
+        }
+    }
+
+    /// The current window in nanoseconds.
+    pub const fn ns(&self) -> u64 {
+        self.ns
+    }
+
+    /// A sleep meant to end `window` before a deadline ended
+    /// `oversleep_ns` after it was meant to.
+    pub fn slept(&mut self, oversleep_ns: u64) {
+        if oversleep_ns >= self.ns {
+            // Late: the spin did not cover this wake-up. Widen at once,
+            // and keep the outlier out of the smoothed oversleep: a
+            // preempted sleep would hold the target wide, and a window
+            // wider than the deadline spacing takes no samples to undo it.
+            self.ns = oversleep_ns
+                .saturating_mul(2)
+                .clamp(SpinWindow::MIN_NS, SpinWindow::MAX_NS);
+            return;
+        }
+        self.oversleep_ns = Some(match self.oversleep_ns {
+            Some(s) if oversleep_ns >= s => s + (oversleep_ns - s) / 8,
+            Some(s) => s - (s - oversleep_ns) / 8,
+            None => oversleep_ns,
+        });
+        self.relax();
+    }
+
+    /// A deadline was spun down without a sleep: the window was wider
+    /// than the time left to it.
+    pub fn spun(&mut self) {
+        self.relax();
+    }
+
+    /// Part of the way toward twice the smoothed oversleep, when that is
+    /// narrower than the window (growth comes only from late wake-ups).
+    fn relax(&mut self) {
+        if let Some(s) = self.oversleep_ns {
+            let target = s
+                .saturating_mul(2)
+                .clamp(SpinWindow::MIN_NS, SpinWindow::MAX_NS);
+            if target < self.ns {
+                self.ns -= (self.ns - target).div_ceil(SpinWindow::RELAX);
+            }
+        }
+    }
+}
+
+impl Default for SpinWindow {
+    fn default() -> Self {
+        SpinWindow::new()
+    }
+}
+
+/// Block until `deadline_ns` on `clock`: sleep to `deadline − window`,
+/// feed `window` the sleep's oversleep, spin the rest. Returns the
+/// overshoot in nanoseconds (0 if we were already past the deadline).
+pub fn pace_until(clock: &MonoClock, deadline_ns: u64, window: &mut SpinWindow) -> u64 {
+    let now = clock.now_ns();
+    if now >= deadline_ns {
+        return now - deadline_ns;
+    }
+    let wake = deadline_ns - window.ns();
+    if wake > now {
+        std::thread::sleep(Duration::from_nanos(wake - now));
+        window.slept(clock.now_ns().saturating_sub(wake));
+    } else {
+        window.spun();
+    }
     loop {
         let now = clock.now_ns();
         if now >= deadline_ns {
             return now - deadline_ns;
         }
-        let remaining = deadline_ns - now;
-        if remaining > SPIN_WINDOW_NS {
-            std::thread::sleep(Duration::from_nanos(remaining - SPIN_WINDOW_NS));
-        } else {
-            std::hint::spin_loop();
-        }
+        std::hint::spin_loop();
     }
 }
 
@@ -38,11 +150,12 @@ mod tests {
     #[test]
     fn hits_deadlines_with_low_overshoot() {
         let clock = MonoClock::new();
+        let mut window = SpinWindow::new();
         let start = clock.now_ns();
         let mut max_overshoot = 0u64;
         for i in 1..=20u64 {
             let deadline = start + i * 2_000_000; // every 2 ms
-            let overshoot = pace_until(&clock, deadline);
+            let overshoot = pace_until(&clock, deadline, &mut window);
             max_overshoot = max_overshoot.max(overshoot);
             assert!(clock.now_ns() >= deadline);
         }
@@ -58,7 +171,112 @@ mod tests {
     fn past_deadline_returns_immediately() {
         let clock = MonoClock::new();
         std::thread::sleep(Duration::from_millis(2));
-        let overshoot = pace_until(&clock, 0);
+        let mut window = SpinWindow::new();
+        let overshoot = pace_until(&clock, 0, &mut window);
         assert!(overshoot >= 2_000_000);
+        assert_eq!(window, SpinWindow::new(), "no sleep, nothing learned");
+    }
+
+    #[test]
+    fn the_window_starts_at_its_cap_and_waits_for_a_sample() {
+        let mut w = SpinWindow::new();
+        assert_eq!(w.ns(), 300_000);
+        for _ in 0..100 {
+            w.spun();
+        }
+        assert_eq!(
+            w.ns(),
+            SpinWindow::MAX_NS,
+            "nothing measured to shrink toward"
+        );
+    }
+
+    /// A window fed `n` sleeps of `oversleep_ns` each.
+    fn fed(n: usize, oversleep_ns: u64) -> SpinWindow {
+        let mut w = SpinWindow::new();
+        for _ in 0..n {
+            w.slept(oversleep_ns);
+        }
+        w
+    }
+
+    #[test]
+    fn small_oversleeps_shrink_it_to_the_floor() {
+        let mut w = SpinWindow::new();
+        let mut last = w.ns();
+        for _ in 0..400 {
+            w.slept(6_000);
+            assert!(w.ns() <= last, "a small oversleep widened the window");
+            last = w.ns();
+        }
+        assert_eq!(w.ns(), SpinWindow::MIN_NS);
+        // Gradually, not in one step.
+        assert_eq!(
+            fed(1, 6_000).ns(),
+            300_000 - (300_000 - 20_000) / SpinWindow::RELAX
+        );
+    }
+
+    #[test]
+    fn it_shrinks_toward_twice_the_measured_oversleep() {
+        assert_eq!(fed(400, 40_000).ns(), 80_000);
+    }
+
+    #[test]
+    fn one_late_wake_up_widens_it_at_once() {
+        let mut w = fed(400, 5_000);
+        assert_eq!(w.ns(), SpinWindow::MIN_NS);
+        w.slept(35_000); // past the 20 µs window: late
+        assert_eq!(w.ns(), 70_000);
+        w.slept(1_000_000); // a preempted sleep: capped
+        assert_eq!(w.ns(), SpinWindow::MAX_NS);
+    }
+
+    #[test]
+    fn deadlines_spun_without_a_sleep_relax_it_too() {
+        let mut w = fed(400, 5_000);
+        w.slept(60_000); // late: 120 µs, wider than a 100 µs stream's spacing
+        assert_eq!(w.ns(), 120_000);
+        let mut spins = 0;
+        while w.ns() > 90_000 {
+            w.spun();
+            spins += 1;
+        }
+        assert!(spins <= 6, "{spins} deadlines spun before sleeping again");
+    }
+
+    #[test]
+    fn a_preempted_sleep_does_not_strand_it_wide() {
+        let mut w = fed(400, 5_000);
+        w.slept(1_000_000); // preempted for a millisecond
+        assert_eq!(w.ns(), SpinWindow::MAX_NS);
+        // Too wide for any 100 µs gap to be slept: only spun deadlines
+        // follow, and they bring it back to the typical oversleep's.
+        for _ in 0..48 {
+            w.spun();
+        }
+        assert!(w.ns() < 2 * SpinWindow::MIN_NS, "stranded at {} ns", w.ns());
+    }
+
+    #[test]
+    fn it_never_leaves_its_bounds() {
+        let mut w = SpinWindow::new();
+        // A deterministic mix of tiny, typical, late and absurd samples.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..10_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            match x % 4 {
+                0 => w.slept(x % 1_000),
+                1 => w.slept(x % 50_000),
+                2 => w.slept(x),
+                _ => w.spun(),
+            }
+            assert!((SpinWindow::MIN_NS..=SpinWindow::MAX_NS).contains(&w.ns()));
+        }
+        w.slept(0);
+        w.slept(u64::MAX);
+        assert_eq!(w.ns(), SpinWindow::MAX_NS);
     }
 }

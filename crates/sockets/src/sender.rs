@@ -4,7 +4,7 @@
 //! them, and the blocking pump between the two.
 
 use crate::clock::MonoClock;
-use crate::pacing::pace_until;
+use crate::pacing::{pace_until, SpinWindow};
 use crate::proto::CtrlMsg;
 use crate::tx::{self, ctrl_io_error, Due, Outcome, Step, TxSession};
 use slops::machine::{Command, Event};
@@ -25,6 +25,8 @@ pub struct SocketTransport {
     /// The conversation with the receiver. Boxed so the transport stays
     /// small enough to travel inside an `Err` (`EventedSession::new`).
     pub(crate) core: Box<TxSession>,
+    /// The blocking pump's pacing window, learned across its streams.
+    spin: SpinWindow,
     /// Cap on the stream rates this host can pace reliably. Defaults to
     /// 80 Mb/s (MTU-sized packets every ~150 µs), which a commodity Linux
     /// box sustains with the sleep-spin pacer; raise it on fast dedicated
@@ -69,6 +71,7 @@ impl SocketTransport {
             udp,
             clock,
             core: Box::new(core),
+            spin: SpinWindow::new(),
             rate_cap: Rate::from_mbps(80.0),
         })
     }
@@ -113,7 +116,7 @@ impl SocketTransport {
             loop {
                 match self.core.due() {
                     Due::None => break,
-                    Due::Paced(deadline) => _ = pace_until(&self.clock, deadline),
+                    Due::Paced(deadline) => _ = pace_until(&self.clock, deadline, &mut self.spin),
                     Due::Burst(_) => {}
                 }
                 let now = self.clock.now_ns();

@@ -620,6 +620,7 @@ fn start(pump: Pump, reg: &Registry) -> (SocketAddr, FarEnd) {
 fn replay(pump: Pump, steps: &[Step], replies: &[usize]) -> Transcript {
     let reg = Registry::new();
     let (addr, far_end) = start(pump, &reg);
+    let routed = reg.counter("receiver_demux_routed_total", &[]);
     let mut client = RawClient::connect(addr);
     let mut out = Transcript::default();
     let mut probes_sent = 0;
@@ -636,6 +637,15 @@ fn replay(pump: Pump, steps: &[Step], replies: &[usize]) -> Transcript {
                     send_ns,
                 });
                 probes_sent += 1;
+                // The datagram and the next control frame travel on
+                // different sockets, read by different threads of the
+                // threaded pump: the session sees them in script order
+                // only once the demux has routed this probe into its
+                // channel (the counter moves after the hand-off).
+                let patience = Instant::now() + Duration::from_secs(5);
+                while routed.get() < probes_sent && Instant::now() < patience {
+                    thread::sleep(Duration::from_micros(200));
+                }
             }
             Step::Silence => {}
         }
@@ -645,13 +655,6 @@ fn replay(pump: Pump, steps: &[Step], replies: &[usize]) -> Transcript {
                 Err(_) => out.closed = true,
             }
         }
-    }
-    // A report follows its completing probe, but a probe sent to an idle
-    // session has no reply to wait for: let the demux catch up.
-    let routed = reg.counter("receiver_demux_routed_total", &[]);
-    let patience = Instant::now() + Duration::from_secs(5);
-    while routed.get() < probes_sent && Instant::now() < patience {
-        thread::sleep(Duration::from_millis(5));
     }
     client.bye();
     match far_end {
