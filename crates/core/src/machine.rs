@@ -201,7 +201,7 @@ pub struct SessionMachine {
     stream_id: u32,
     budget_exhausted: bool,
     state: State,
-    /// Trace events minted since the last [`SessionMachine::take_trace`].
+    /// Trace events minted since the last [`SessionMachine::drain_trace`].
     /// Plain data, no IO: drivers drain this after every `poll`/`on_event`
     /// and forward to their `TraceSink`. Bounded by the session itself
     /// (a handful of events per stream).
@@ -254,9 +254,11 @@ impl SessionMachine {
     /// job to drain them (after each `poll` / `on_event`) and forward each
     /// one to its `telemetry::TraceSink`. Because the events are minted
     /// here — never in a driver — the trace is identical across drivers
-    /// for the same event sequence.
-    pub fn take_trace(&mut self) -> Vec<TraceEvent> {
-        std::mem::take(&mut self.trace)
+    /// for the same event sequence. The buffer keeps its capacity, so a
+    /// warmed-up machine mints without allocating; dropping the iterator
+    /// discards whatever it did not yield.
+    pub fn drain_trace(&mut self) -> std::vec::Drain<'_, TraceEvent> {
+        self.trace.drain(..)
     }
 
     /// Trace events accumulated and not yet drained (tests, diagnostics).
@@ -581,7 +583,7 @@ mod tests {
         let mut trace = Vec::new();
         loop {
             let cmd = m.poll().expect("machine never pends in this loop");
-            trace.extend(m.take_trace());
+            trace.extend(m.drain_trace());
             let done = matches!(cmd, Command::Finish(_));
             if !done {
                 let ev = match cmd {
@@ -597,7 +599,7 @@ mod tests {
                     Command::Finish(_) => unreachable!(),
                 };
                 m.on_event(ev).unwrap();
-                trace.extend(m.take_trace());
+                trace.extend(m.drain_trace());
             } else {
                 break;
             }

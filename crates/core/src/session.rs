@@ -125,10 +125,10 @@ impl Session {
     /// Drain and forward (or drop, when no sink is attached) the trace
     /// the machine minted since the last call.
     fn forward_trace(&self, machine: &mut SessionMachine) {
-        let events = machine.take_trace();
+        let events = machine.drain_trace();
         if let Some(sink) = &self.sink {
-            for e in &events {
-                sink.record(e);
+            for e in events {
+                sink.record(&e);
             }
         }
     }

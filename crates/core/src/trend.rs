@@ -20,7 +20,7 @@
 //! **unusable** (excessive loss) and handled by the fleet loss rules.
 
 use crate::config::{SlopsConfig, TrendMode};
-use crate::owd::group_medians;
+use crate::owd::with_group_medians;
 use crate::transport::StreamRecord;
 
 /// Classification of one stream.
@@ -103,9 +103,11 @@ fn verdict(value: Option<f64>, inc_thr: f64, dec_thr: f64) -> Option<Verdict> {
 /// Classify a stream from its receiver record (loss handling happens at the
 /// fleet level; this only answers "does the OWD series trend upward?").
 pub fn classify_stream(rec: &StreamRecord, cfg: &SlopsConfig) -> StreamClass {
-    let owds = rec.owds();
-    let medians = group_medians(&owds);
-    classify_medians(&medians, cfg)
+    with_group_medians(
+        &rec.samples,
+        |s| s.owd_ns,
+        |medians| classify_medians(medians, cfg),
+    )
 }
 
 /// Classify from precomputed group medians.

@@ -19,8 +19,9 @@
 //! report identical values for identical schedules.
 
 use crate::scheduler::Scheduler;
-use std::sync::{Arc, Mutex};
-use telemetry::{Counter, Histogram, Registry, TraceEvent, TraceSink};
+use std::collections::BTreeSet;
+use std::sync::{Arc, Mutex, OnceLock};
+use telemetry::{Counter, Gauge, Histogram, Registry, TraceEvent, TraceSink};
 use units::TimeNs;
 
 /// The shared observability state of one monitoring fleet.
@@ -30,9 +31,28 @@ use units::TimeNs;
 /// [`FleetTelemetry::registry`] wherever they are needed.
 pub struct FleetTelemetry {
     registry: Registry,
-    /// Pacing-error histograms handed out so far, in hand-out order, so
-    /// the digest can walk them per path without a registry iterator.
-    pacing: Mutex<Vec<(String, Histogram)>>,
+    /// Pacing-error histograms handed out so far.
+    pacing: Mutex<PacingList>,
+    /// The four scheduler gauges, resolved on first use — not at
+    /// construction, which stays as cheap as an empty registry — and
+    /// never looked up again.
+    scheduler: OnceLock<SchedulerGauges>,
+}
+
+/// The pacing histograms in hand-out order, so the digest can walk them
+/// per path without a registry iterator, plus the labels already listed.
+#[derive(Default)]
+struct PacingList {
+    order: Vec<(String, Histogram)>,
+    listed: BTreeSet<String>,
+}
+
+/// Handles on `scheduler_{running,backlog,started,overruns}`.
+struct SchedulerGauges {
+    running: Gauge,
+    backlog: Gauge,
+    started: Gauge,
+    overruns: Gauge,
 }
 
 impl Default for FleetTelemetry {
@@ -46,8 +66,18 @@ impl FleetTelemetry {
     pub fn new() -> FleetTelemetry {
         FleetTelemetry {
             registry: Registry::new(),
-            pacing: Mutex::new(Vec::new()),
+            pacing: Mutex::new(PacingList::default()),
+            scheduler: OnceLock::new(),
         }
+    }
+
+    fn scheduler_gauges(&self) -> &SchedulerGauges {
+        self.scheduler.get_or_init(|| SchedulerGauges {
+            running: self.registry.gauge("scheduler_running", &[]),
+            backlog: self.registry.gauge("scheduler_backlog", &[]),
+            started: self.registry.gauge("scheduler_started", &[]),
+            overruns: self.registry.gauge("scheduler_overruns", &[]),
+        })
     }
 
     /// The underlying registry (clone it into a
@@ -64,8 +94,8 @@ impl FleetTelemetry {
             .registry
             .histogram("pacing_error_ns", &[("path", label)]);
         let mut pacing = self.pacing.lock().expect("pacing list poisoned");
-        if !pacing.iter().any(|(l, _)| l == label) {
-            pacing.push((label.to_string(), h.clone()));
+        if pacing.listed.insert(label.to_string()) {
+            pacing.order.push((label.to_string(), h.clone()));
         }
         h
     }
@@ -81,28 +111,22 @@ impl FleetTelemetry {
     /// gauges. `now` is the driver's latest known fleet-clock instant
     /// (used for the backlog depth).
     pub(crate) fn observe_scheduler(&self, sched: &Scheduler, now: TimeNs) {
-        self.registry
-            .gauge("scheduler_running", &[])
-            .set(sched.running() as i64);
-        self.registry
-            .gauge("scheduler_backlog", &[])
-            .set(sched.backlog(now) as i64);
-        self.registry
-            .gauge("scheduler_started", &[])
-            .set(sched.started() as i64);
-        self.registry
-            .gauge("scheduler_overruns", &[])
-            .set(sched.overruns() as i64);
+        let g = self.scheduler_gauges();
+        g.running.set(sched.running() as i64);
+        g.backlog.set(sched.backlog(now) as i64);
+        g.started.set(sched.started() as i64);
+        g.overruns.set(sched.overruns() as i64);
     }
 
     /// Scheduler snapshot `(running, backlog, started, overruns)` as last
     /// mirrored, for the JSONL `telemetry` record.
     pub fn scheduler_snapshot(&self) -> (i64, i64, i64, i64) {
+        let g = self.scheduler_gauges();
         (
-            self.registry.gauge("scheduler_running", &[]).get(),
-            self.registry.gauge("scheduler_backlog", &[]).get(),
-            self.registry.gauge("scheduler_started", &[]).get(),
-            self.registry.gauge("scheduler_overruns", &[]).get(),
+            g.running.get(),
+            g.backlog.get(),
+            g.started.get(),
+            g.overruns.get(),
         )
     }
 
@@ -113,6 +137,7 @@ impl FleetTelemetry {
         self.pacing
             .lock()
             .expect("pacing list poisoned")
+            .order
             .iter()
             .map(|(label, h)| {
                 (
@@ -360,9 +385,19 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("scheduler_started 1"), "{text}");
-        // Re-requesting a path's histogram returns the same series.
+        // Re-requesting a path's histogram returns the same series, and
+        // the digest lists paths in hand-out order, not label order.
+        t.pacing_histogram("b1");
         t.pacing_histogram("lo0").observe(1);
-        assert_eq!(t.pacing_quantiles().len(), 1);
-        assert_eq!(t.pacing_quantiles()[0].3, 3);
+        t.pacing_histogram("a2");
+        let listed: Vec<(String, u64)> = t
+            .pacing_quantiles()
+            .into_iter()
+            .map(|(label, _, _, packets)| (label, packets))
+            .collect();
+        assert_eq!(
+            listed,
+            [("lo0".into(), 3), ("b1".into(), 0), ("a2".into(), 0)]
+        );
     }
 }

@@ -25,8 +25,17 @@
 //! * a start is issued at `max(due, own previous completion, earliest free
 //!   slot)`, rounded **up** to the tick grid;
 //! * no measurement starts at or after the horizon.
+//!
+//! Bookkeeping does not grow with the fleet: the idle paths are kept
+//! ordered by `(due, path)` and the free slots by their free instant, so
+//! [`Scheduler::poll`] and [`Scheduler::on_complete`] cost O(log N),
+//! [`Scheduler::running`] and [`Scheduler::is_done`] O(1), and
+//! [`Scheduler::backlog`] O(log N + backlog) — the fleet drivers call them
+//! around every completion (thread driver) or every wake-up (event loop).
 
 use netsim::Prng;
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, BinaryHeap};
 use units::TimeNs;
 
 /// Scheduling decisions are quantized to this grid (anchored at the
@@ -102,10 +111,17 @@ pub struct Scheduler {
     state: Vec<PathState>,
     /// Completion time of each path's latest measurement (`t0` initially).
     own_free: Vec<TimeNs>,
-    /// Instant each concurrency slot frees up; `None` while occupied.
-    slots: Vec<Option<TimeNs>>,
-    /// Which slot each running path occupies.
-    slot_of: Vec<usize>,
+    /// The idle paths, ordered by `(due, path)`: the next start is the
+    /// first entry (ties go to the lowest path id).
+    idle: BTreeSet<(TimeNs, u32)>,
+    /// The instants the free concurrency slots freed up, earliest on top.
+    /// Slots are interchangeable: only how many are free, and since when,
+    /// decides a start.
+    free_slots: BinaryHeap<Reverse<TimeNs>>,
+    /// How many paths are running now, and how many have finished for
+    /// good (the fleet is done when all of them have).
+    running: usize,
+    finished: usize,
     /// Measurements started so far (for reporting).
     started: u64,
     /// Measurements that completed past their successor's due instant
@@ -119,7 +135,7 @@ impl Scheduler {
     pub fn new(n_paths: usize, t0: TimeNs, horizon: TimeNs, cfg: &ScheduleConfig) -> Scheduler {
         assert!(n_paths > 0, "a fleet needs at least one path");
         let mut rng = Prng::new(cfg.seed);
-        let due = (0..n_paths)
+        let due: Vec<TimeNs> = (0..n_paths)
             .map(|i| {
                 let stagger = TimeNs::from_nanos(cfg.period.as_nanos() * i as u64 / n_paths as u64);
                 let jitter = if cfg.jitter.is_zero() {
@@ -130,6 +146,8 @@ impl Scheduler {
                 t0 + stagger + jitter
             })
             .collect();
+        // `collect` sorts, then bulk-builds the set in O(N).
+        let idle = due.iter().zip(0u32..).map(|(&d, p)| (d, p)).collect();
         let slots = if cfg.max_concurrent == 0 {
             n_paths
         } else {
@@ -142,11 +160,19 @@ impl Scheduler {
             due,
             state: vec![PathState::Idle; n_paths],
             own_free: vec![t0; n_paths],
-            slots: vec![Some(t0); slots],
-            slot_of: vec![usize::MAX; n_paths],
+            idle,
+            free_slots: vec![Reverse(t0); slots].into(),
+            running: 0,
+            finished: 0,
             started: 0,
             overruns: 0,
         }
+    }
+
+    /// Retire idle path `p` (already removed from `idle`) for good.
+    fn finish(&mut self, p: usize) {
+        self.state[p] = PathState::Finished;
+        self.finished += 1;
     }
 
     /// Round `t` **up** to the tick grid anchored at `t0`: the instant at
@@ -170,41 +196,36 @@ impl Scheduler {
     pub fn poll(&mut self) -> Poll {
         loop {
             // The idle path with the earliest due start (ties: lowest id).
-            let Some(path) = (0..self.due.len())
-                .filter(|&p| self.state[p] == PathState::Idle)
-                .min_by_key(|&p| (self.due[p], p))
-            else {
-                let any_running = self.state.contains(&PathState::Running);
-                return if any_running {
+            let Some(&(due, id)) = self.idle.first() else {
+                return if self.running > 0 {
                     Poll::Blocked
                 } else {
                     Poll::Done
                 };
             };
-            if self.due[path] >= self.horizon {
-                self.state[path] = PathState::Finished;
+            let path = id as usize;
+            if due >= self.horizon {
+                self.idle.pop_first();
+                self.finish(path);
                 continue;
             }
             // The earliest-freeing free slot.
-            let Some(slot) = (0..self.slots.len())
-                .filter(|&s| self.slots[s].is_some())
-                .min_by_key(|&s| self.slots[s])
-            else {
+            let Some(&Reverse(slot_free)) = self.free_slots.peek() else {
                 return Poll::Blocked; // all slots occupied
             };
-            let slot_free = self.slots[slot].expect("slot is free");
-            let at = self.tick_boundary(self.due[path].max(self.own_free[path]).max(slot_free));
+            let at = self.tick_boundary(due.max(self.own_free[path]).max(slot_free));
+            self.idle.pop_first();
             if at >= self.horizon {
-                self.state[path] = PathState::Finished;
+                self.finish(path);
                 continue;
             }
-            self.slots[slot] = None;
-            self.slot_of[path] = slot;
+            self.free_slots.pop();
             self.state[path] = PathState::Running;
+            self.running += 1;
             self.due[path] = at + self.period;
             self.started += 1;
             return Poll::Start {
-                path: PathId(path as u32),
+                path: PathId(id),
                 at,
             };
         }
@@ -218,11 +239,11 @@ impl Scheduler {
             PathState::Running,
             "completion for a path that is not running"
         );
-        let slot = self.slot_of[p];
-        self.slots[slot] = Some(finished_at);
-        self.slot_of[p] = usize::MAX;
+        self.free_slots.push(Reverse(finished_at));
         self.own_free[p] = finished_at;
         self.state[p] = PathState::Idle;
+        self.running -= 1;
+        self.idle.insert((self.due[p], path.0));
         // `due[p]` was advanced to start + period at issue time; finishing
         // past it means this run alone delayed the path's next start.
         if finished_at > self.due[p] {
@@ -238,16 +259,14 @@ impl Scheduler {
     /// collected so far stays intact.
     pub fn shutdown(&mut self) {
         self.horizon = self.t0;
-        for s in &mut self.state {
-            if *s == PathState::Idle {
-                *s = PathState::Finished;
-            }
+        for (_, p) in std::mem::take(&mut self.idle) {
+            self.finish(p as usize);
         }
     }
 
     /// True once every path has reached the horizon and nothing runs.
     pub fn is_done(&self) -> bool {
-        self.state.iter().all(|s| *s == PathState::Finished)
+        self.finished == self.state.len()
     }
 
     /// Measurements started so far.
@@ -259,19 +278,14 @@ impl Scheduler {
     /// Deterministic — a pure function of the completions fed back — so
     /// every driver mirrors the very same value into its gauges.
     pub fn running(&self) -> usize {
-        self.state
-            .iter()
-            .filter(|s| **s == PathState::Running)
-            .count()
+        self.running
     }
 
     /// Idle paths whose next start is due at or before `now` — the depth
     /// of the wait queue a driver would see if it polled at `now` (paths
     /// held back by the concurrency cap or their own previous run).
     pub fn backlog(&self, now: TimeNs) -> usize {
-        (0..self.due.len())
-            .filter(|&p| self.state[p] == PathState::Idle && self.due[p] <= now)
-            .count()
+        self.idle.range(..=(now, u32::MAX)).count()
     }
 
     /// Completions observed so far that landed past the path's next due
@@ -475,5 +489,211 @@ mod tests {
         s.on_complete(path, at + TimeNs::from_secs(2));
         assert!(matches!(s.poll(), Poll::Start { .. }));
         assert!(!s.is_done());
+    }
+
+    /// The scan-based scheduler the ordered sets replaced: every query
+    /// walks all paths and slots. Kept as the reference the real one must
+    /// match decision for decision.
+    struct ScanScheduler {
+        t0: TimeNs,
+        horizon: TimeNs,
+        period: TimeNs,
+        due: Vec<TimeNs>,
+        state: Vec<PathState>,
+        own_free: Vec<TimeNs>,
+        slots: Vec<Option<TimeNs>>,
+        slot_of: Vec<usize>,
+        started: u64,
+        overruns: u64,
+    }
+
+    impl ScanScheduler {
+        fn new(n_paths: usize, t0: TimeNs, horizon: TimeNs, cfg: &ScheduleConfig) -> Self {
+            let mut rng = Prng::new(cfg.seed);
+            let due = (0..n_paths)
+                .map(|i| {
+                    let stagger =
+                        TimeNs::from_nanos(cfg.period.as_nanos() * i as u64 / n_paths as u64);
+                    let jitter = if cfg.jitter.is_zero() {
+                        TimeNs::ZERO
+                    } else {
+                        TimeNs::from_nanos(rng.below(cfg.jitter.as_nanos()))
+                    };
+                    t0 + stagger + jitter
+                })
+                .collect();
+            let slots = if cfg.max_concurrent == 0 {
+                n_paths
+            } else {
+                cfg.max_concurrent.min(n_paths)
+            };
+            ScanScheduler {
+                t0,
+                horizon,
+                period: cfg.period,
+                due,
+                state: vec![PathState::Idle; n_paths],
+                own_free: vec![t0; n_paths],
+                slots: vec![Some(t0); slots],
+                slot_of: vec![usize::MAX; n_paths],
+                started: 0,
+                overruns: 0,
+            }
+        }
+
+        fn tick_boundary(&self, t: TimeNs) -> TimeNs {
+            if t <= self.t0 {
+                return self.t0;
+            }
+            let d = (t - self.t0).as_nanos();
+            let tick = TICK.as_nanos();
+            self.t0 + TimeNs::from_nanos(d.div_ceil(tick) * tick)
+        }
+
+        fn poll(&mut self) -> Poll {
+            loop {
+                let Some(path) = (0..self.due.len())
+                    .filter(|&p| self.state[p] == PathState::Idle)
+                    .min_by_key(|&p| (self.due[p], p))
+                else {
+                    return if self.state.contains(&PathState::Running) {
+                        Poll::Blocked
+                    } else {
+                        Poll::Done
+                    };
+                };
+                if self.due[path] >= self.horizon {
+                    self.state[path] = PathState::Finished;
+                    continue;
+                }
+                let Some(slot) = (0..self.slots.len())
+                    .filter(|&s| self.slots[s].is_some())
+                    .min_by_key(|&s| self.slots[s])
+                else {
+                    return Poll::Blocked;
+                };
+                let slot_free = self.slots[slot].expect("slot is free");
+                let at = self.tick_boundary(self.due[path].max(self.own_free[path]).max(slot_free));
+                if at >= self.horizon {
+                    self.state[path] = PathState::Finished;
+                    continue;
+                }
+                self.slots[slot] = None;
+                self.slot_of[path] = slot;
+                self.state[path] = PathState::Running;
+                self.due[path] = at + self.period;
+                self.started += 1;
+                return Poll::Start {
+                    path: PathId(path as u32),
+                    at,
+                };
+            }
+        }
+
+        fn on_complete(&mut self, path: PathId, finished_at: TimeNs) {
+            let p = path.0 as usize;
+            assert_eq!(self.state[p], PathState::Running);
+            self.slots[self.slot_of[p]] = Some(finished_at);
+            self.slot_of[p] = usize::MAX;
+            self.own_free[p] = finished_at;
+            self.state[p] = PathState::Idle;
+            if finished_at > self.due[p] {
+                self.overruns += 1;
+            }
+        }
+
+        fn shutdown(&mut self) {
+            self.horizon = self.t0;
+            for s in &mut self.state {
+                if *s == PathState::Idle {
+                    *s = PathState::Finished;
+                }
+            }
+        }
+
+        fn is_done(&self) -> bool {
+            self.state.iter().all(|s| *s == PathState::Finished)
+        }
+
+        fn running(&self) -> usize {
+            self.state
+                .iter()
+                .filter(|s| **s == PathState::Running)
+                .count()
+        }
+
+        fn backlog(&self, now: TimeNs) -> usize {
+            (0..self.due.len())
+                .filter(|&p| self.state[p] == PathState::Idle && self.due[p] <= now)
+                .count()
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        /// Random fleets (1–300 paths, any period and jitter, caps from
+        /// unlimited to N) driven by random interleavings of polls and
+        /// completions — in any order, some overrunning their period —
+        /// with a shutdown at a random step: both schedulers issue the
+        /// same `Poll` sequence and report the same accessors throughout.
+        #[test]
+        fn ordered_sets_match_the_scan_reference(
+            n in 1usize..301,
+            period_ms in 0u64..20_000,
+            jitter_ms in 0u64..5_000,
+            cap_draw in 0usize..302,
+            horizon_s in 1u64..120,
+            seed in proptest::any::<u64>(),
+        ) {
+            let cfg = ScheduleConfig {
+                period: TimeNs::from_millis(period_ms),
+                jitter: TimeNs::from_millis(jitter_ms),
+                max_concurrent: cap_draw % (n + 1),
+                seed,
+            };
+            let t0 = TimeNs::from_millis(seed % 10_000);
+            let horizon = t0 + TimeNs::from_secs(horizon_s);
+            let mut fast = Scheduler::new(n, t0, horizon, &cfg);
+            let mut scan = ScanScheduler::new(n, t0, horizon, &cfg);
+            let mut rng = Prng::new(seed ^ 0x5EED);
+            let shutdown_at = rng.below(8 * n as u64 + 64);
+            let mut running: Vec<(PathId, TimeNs)> = Vec::new();
+            let mut latest = t0;
+            for step in 0.. {
+                if step == shutdown_at {
+                    fast.shutdown();
+                    scan.shutdown();
+                }
+                if running.is_empty() || rng.below(3) > 0 {
+                    let got = fast.poll();
+                    proptest::prop_assert_eq!(got, scan.poll(), "step {}", step);
+                    match got {
+                        Poll::Start { path, at } => running.push((path, at)),
+                        Poll::Done => break,
+                        Poll::Blocked => {}
+                    }
+                }
+                // Complete some running measurement (any of them, not
+                // necessarily the earliest), 0 to 2 periods + 3 s long.
+                if !running.is_empty() && rng.below(2) == 0 {
+                    let (path, at) = running.swap_remove(rng.below(running.len() as u64) as usize);
+                    let long = 2 * period_ms + 3_000;
+                    let done = at + TimeNs::from_millis(rng.below(long));
+                    latest = latest.max(done);
+                    fast.on_complete(path, done);
+                    scan.on_complete(path, done);
+                }
+                let probe = t0 + TimeNs::from_millis(rng.below(horizon_s * 1_000 + 5_000));
+                for now in [t0, latest, probe] {
+                    proptest::prop_assert_eq!(fast.backlog(now), scan.backlog(now), "step {}", step);
+                }
+                proptest::prop_assert_eq!(fast.running(), scan.running(), "step {}", step);
+                proptest::prop_assert_eq!(fast.started(), scan.started);
+                proptest::prop_assert_eq!(fast.overruns(), scan.overruns);
+                proptest::prop_assert_eq!(fast.is_done(), scan.is_done(), "step {}", step);
+            }
+            proptest::prop_assert!(fast.is_done() && scan.is_done());
+        }
     }
 }

@@ -163,7 +163,7 @@ impl SimFleetMonitor {
     /// `sim_shards`, `sim_heap_max_depth`. The
     /// sans-IO simulator only exposes plain [`EngineStats`]; this driver
     /// drains them into the registry after every run slice (the
-    /// `take_trace()` idiom).
+    /// `drain_trace()` idiom).
     pub fn attach_telemetry(&mut self, tele: &FleetTelemetry) {
         let reg = tele.registry();
         let sinks = self

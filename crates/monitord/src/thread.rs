@@ -516,6 +516,64 @@ mod tests {
         );
     }
 
+    /// The telemetry budget as an op count: once every path of a
+    /// hub-attached fleet has been instrumented and the scheduler gauges
+    /// resolved, estimates go through handles only — no registry lookup
+    /// (lock, key allocation, search of every series) per estimate.
+    #[test]
+    fn steady_state_estimates_take_no_registry_lookups() {
+        const N: usize = 256;
+        let paths = (0..N)
+            .map(|i| ThreadPathSpec {
+                label: format!("o{i}"),
+                cfg: SlopsConfig::default(),
+                transport: Box::new(OracleTransport::new(
+                    Rate::from_mbps(10.0 + (i % 50) as f64),
+                    i as u64,
+                )),
+            })
+            .collect();
+        let sched = ScheduleConfig {
+            period: TimeNs::from_secs(60),
+            jitter: TimeNs::from_secs(10),
+            max_concurrent: 0,
+            seed: 9,
+        };
+        let tele = FleetTelemetry::new();
+        let stop = ShutdownFlag::new();
+        let (mut samples, mut after_first_wave) = (0usize, None);
+        run_fleet_with_telemetry(
+            paths,
+            &sched,
+            &SeriesConfig::default(),
+            TimeNs::from_secs(1_000_000),
+            1,
+            &stop,
+            Some(&tele),
+            |ev| {
+                assert!(!matches!(ev, FleetEvent::Failed { .. }), "{ev:?}");
+                if matches!(ev, FleetEvent::Sample { .. }) {
+                    samples += 1;
+                    if samples == N {
+                        after_first_wave = Some(tele.registry().lookups());
+                    }
+                    if samples == 2 * N {
+                        stop.request();
+                    }
+                }
+            },
+        )
+        .unwrap();
+        assert!(samples >= 2 * N, "{samples} samples");
+        let steady = after_first_wave.expect("the first wave landed");
+        assert_eq!(
+            tele.registry().lookups(),
+            steady,
+            "{} estimates after the first wave looked metrics up",
+            samples - N
+        );
+    }
+
     #[test]
     fn bad_config_rejected_up_front() {
         let mut paths = oracle_fleet(1);

@@ -89,7 +89,7 @@ struct Shard {
 ///
 /// Plain data — netsim is sans-IO, so drivers (e.g. the monitord in-sim
 /// fleet driver) drain this into their own telemetry registries, mirroring
-/// the `take_trace()` idiom.
+/// the session machine's `drain_trace()` idiom.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Events dispatched since construction.

@@ -71,10 +71,10 @@ impl SessionApp {
 
     /// Drain and forward (or drop, without a sink) the machine's trace.
     fn forward_trace(&mut self) {
-        let events = self.machine.take_trace();
+        let events = self.machine.drain_trace();
         if let Some(sink) = &self.sink {
-            for e in &events {
-                sink.record(e);
+            for e in events {
+                sink.record(&e);
             }
         }
     }

@@ -203,10 +203,10 @@ impl EventedSession {
     /// Drain and forward (or drop, without a sink) the machine's trace.
     fn forward_trace(&mut self) {
         if let Some(machine) = self.machine.as_mut() {
-            let events = machine.take_trace();
+            let events = machine.drain_trace();
             if let Some(SinkHandle(sink)) = &self.sink {
-                for e in &events {
-                    sink.record(e);
+                for e in events {
+                    sink.record(&e);
                 }
             }
         }

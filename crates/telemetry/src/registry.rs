@@ -7,6 +7,7 @@
 //! mutex guards only registration and snapshot rendering (cold paths).
 
 use std::collections::BTreeMap;
+use std::fmt::{Display, Write};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -180,6 +181,8 @@ type MetricKey = (String, Vec<(String, String)>);
 #[derive(Default)]
 struct Inner {
     metrics: BTreeMap<MetricKey, Metric>,
+    /// Get-or-create calls served so far (see [`Registry::lookups`]).
+    lookups: u64,
 }
 
 /// A clonable, thread-safe collection of named metrics.
@@ -208,43 +211,48 @@ impl Registry {
         (name.to_string(), l)
     }
 
-    /// Get or create the counter `name{labels}`.
-    pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
+    /// The get-or-create entry for `name{labels}`, counted as one lookup.
+    fn lookup(&self, name: &str, labels: &[(&str, &str)], new: fn() -> Metric) -> Metric {
         let mut inner = self.0.lock().expect("registry poisoned");
-        let m = inner
+        inner.lookups += 1;
+        inner
             .metrics
             .entry(Self::key(name, labels))
-            .or_insert_with(|| Metric::Counter(Counter::new()));
-        match m {
-            Metric::Counter(c) => c.clone(),
+            .or_insert_with(new)
+            .clone()
+    }
+
+    /// Get or create the counter `name{labels}`.
+    pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
+        match self.lookup(name, labels, || Metric::Counter(Counter::new())) {
+            Metric::Counter(c) => c,
             _ => panic!("metric {name} already registered with another type"),
         }
     }
 
     /// Get or create the gauge `name{labels}`.
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
-        let mut inner = self.0.lock().expect("registry poisoned");
-        let m = inner
-            .metrics
-            .entry(Self::key(name, labels))
-            .or_insert_with(|| Metric::Gauge(Gauge::new()));
-        match m {
-            Metric::Gauge(g) => g.clone(),
+        match self.lookup(name, labels, || Metric::Gauge(Gauge::new())) {
+            Metric::Gauge(g) => g,
             _ => panic!("metric {name} already registered with another type"),
         }
     }
 
     /// Get or create the histogram `name{labels}`.
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Histogram {
-        let mut inner = self.0.lock().expect("registry poisoned");
-        let m = inner
-            .metrics
-            .entry(Self::key(name, labels))
-            .or_insert_with(|| Metric::Histogram(Histogram::new()));
-        match m {
-            Metric::Histogram(h) => h.clone(),
+        match self.lookup(name, labels, || Metric::Histogram(Histogram::new())) {
+            Metric::Histogram(h) => h,
             _ => panic!("metric {name} already registered with another type"),
         }
+    }
+
+    /// Get-or-create calls ([`Registry::counter`], [`Registry::gauge`],
+    /// [`Registry::histogram`]) served since construction. Each takes the
+    /// registry lock, allocates a key and searches every series, so a hot
+    /// path holds handles instead; this count is how tests prove it does
+    /// (a steady-state fleet adds none per estimate).
+    pub fn lookups(&self) -> u64 {
+        self.0.lock().expect("registry poisoned").lookups
     }
 
     /// Attach an existing counter under `name{labels}` (replacing any
@@ -281,66 +289,83 @@ impl Registry {
     pub fn render_prometheus(&self) -> String {
         let inner = self.0.lock().expect("registry poisoned");
         let mut out = String::new();
-        let mut last_family = String::new();
+        let mut last_family = None;
         for ((name, labels), metric) in &inner.metrics {
-            if *name != last_family {
+            if last_family != Some(name) {
                 let kind = match metric {
                     Metric::Counter(_) => "counter",
                     Metric::Gauge(_) => "gauge",
                     Metric::Histogram(_) => "histogram",
                 };
-                out.push_str(&format!("# TYPE {name} {kind}\n"));
-                last_family = name.clone();
+                let _ = writeln!(out, "# TYPE {name} {kind}");
+                last_family = Some(name);
             }
             match metric {
                 Metric::Counter(c) => {
-                    out.push_str(&format!(
-                        "{name}{} {}\n",
-                        render_labels(labels, &[]),
-                        c.get()
-                    ));
+                    write_series(&mut out, name, "", labels, None);
+                    let _ = writeln!(out, " {}", c.get());
                 }
                 Metric::Gauge(g) => {
-                    out.push_str(&format!(
-                        "{name}{} {}\n",
-                        render_labels(labels, &[]),
-                        g.get()
-                    ));
+                    write_series(&mut out, name, "", labels, None);
+                    let _ = writeln!(out, " {}", g.get());
                 }
-                Metric::Histogram(h) => {
-                    render_histogram(&mut out, name, labels, h);
-                }
+                Metric::Histogram(h) => render_histogram(&mut out, name, labels, h),
             }
         }
         out
     }
 }
 
-/// Render a label set (plus extras) as `{k="v",…}`, or nothing when empty.
-fn render_labels(labels: &[(String, String)], extra: &[(&str, String)]) -> String {
-    if labels.is_empty() && extra.is_empty() {
-        return String::new();
+/// Append `name` + `suffix` + `{k="v",…}` (the sorted labels, then
+/// `extra`), or no braces at all when there is no label.
+fn write_series(
+    out: &mut String,
+    name: &str,
+    suffix: &str,
+    labels: &[(String, String)],
+    extra: Option<(&str, &dyn Display)>,
+) {
+    out.push_str(name);
+    out.push_str(suffix);
+    if labels.is_empty() && extra.is_none() {
+        return;
     }
-    let mut parts: Vec<String> = labels
-        .iter()
-        .map(|(k, v)| format!("{k}=\"{}\"", escape_label(v)))
-        .collect();
-    parts.extend(
-        extra
-            .iter()
-            .map(|(k, v)| format!("{k}=\"{}\"", escape_label(v))),
-    );
-    format!("{{{}}}", parts.join(","))
+    out.push('{');
+    for (i, (k, v)) in labels.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(k);
+        out.push_str("=\"");
+        push_escaped(out, v);
+        out.push('"');
+    }
+    if let Some((k, v)) = extra {
+        if !labels.is_empty() {
+            out.push(',');
+        }
+        let _ = write!(out, "{k}=\"{v}\"");
+    }
+    out.push('}');
 }
 
-fn escape_label(v: &str) -> String {
-    v.replace('\\', "\\\\")
-        .replace('"', "\\\"")
-        .replace('\n', "\\n")
+/// Append a label value with `\`, `"` and newline escaped.
+fn push_escaped(out: &mut String, v: &str) {
+    let mut rest = v;
+    while let Some(i) = rest.find(['\\', '"', '\n']) {
+        out.push_str(&rest[..i]);
+        out.push_str(match rest.as_bytes()[i] {
+            b'\\' => "\\\\",
+            b'"' => "\\\"",
+            _ => "\\n",
+        });
+        rest = &rest[i + 1..];
+    }
+    out.push_str(rest);
 }
 
 fn render_histogram(out: &mut String, name: &str, labels: &[(String, String)], h: &Histogram) {
-    let counts = h.bucket_counts();
+    let counts: [u64; BUCKETS] = std::array::from_fn(|i| h.0.buckets[i].load(Ordering::Relaxed));
     let top = counts
         .iter()
         .rposition(|&c| c > 0)
@@ -348,33 +373,20 @@ fn render_histogram(out: &mut String, name: &str, labels: &[(String, String)], h
     let mut cum = 0u64;
     for (i, c) in counts.iter().enumerate().take(top) {
         cum += c;
-        let le = Histogram::bucket_bound(i).to_string();
-        out.push_str(&format!(
-            "{name}_bucket{} {cum}\n",
-            render_labels(labels, &[("le", le)])
-        ));
+        let le = Histogram::bucket_bound(i);
+        write_series(out, name, "_bucket", labels, Some(("le", &le)));
+        let _ = writeln!(out, " {cum}");
     }
-    out.push_str(&format!(
-        "{name}_bucket{} {}\n",
-        render_labels(labels, &[("le", "+Inf".to_string())]),
-        h.count()
-    ));
-    out.push_str(&format!(
-        "{name}_sum{} {}\n",
-        render_labels(labels, &[]),
-        h.sum()
-    ));
-    out.push_str(&format!(
-        "{name}_count{} {}\n",
-        render_labels(labels, &[]),
-        h.count()
-    ));
-    for q in ["0.5", "0.99"] {
-        if let Some(v) = h.quantile(q.parse().expect("static quantile")) {
-            out.push_str(&format!(
-                "{name}{} {v}\n",
-                render_labels(labels, &[("quantile", q.to_string())])
-            ));
+    write_series(out, name, "_bucket", labels, Some(("le", &"+Inf")));
+    let _ = writeln!(out, " {}", h.count());
+    write_series(out, name, "_sum", labels, None);
+    let _ = writeln!(out, " {}", h.sum());
+    write_series(out, name, "_count", labels, None);
+    let _ = writeln!(out, " {}", h.count());
+    for (q, text) in [(0.5, "0.5"), (0.99, "0.99")] {
+        if let Some(v) = h.quantile(q) {
+            write_series(out, name, "", labels, Some(("quantile", &text)));
+            let _ = writeln!(out, " {v}");
         }
     }
 }
@@ -493,6 +505,90 @@ mod tests {
             text.contains("pacing_error_ns{path=\"a\",quantile=\"0.99\"} 1024"),
             "{text}"
         );
+    }
+
+    /// The exposition text of a mixed registry, byte for byte: families in
+    /// name order, sorted labels, escaped label values, a filled and an
+    /// empty histogram, unlabelled series, a zero counter and a handle
+    /// attached with `register_*`.
+    #[test]
+    fn prometheus_rendering_golden() {
+        let reg = Registry::new();
+        reg.counter("drops_total", &[("reason", "unknown_token")])
+            .add(40);
+        reg.counter("drops_total", &[("reason", "dedup")]).add(2);
+        reg.counter("requests_total", &[]);
+        reg.gauge("active_sessions", &[]).set(-3);
+        reg.gauge("escaped", &[("path", "a\\b\"c\nd"), ("alpha", "z")])
+            .set(7);
+        let h = reg.histogram("pacing_error_ns", &[("path", "lo\"0")]);
+        for v in [0, 1, 3, 1000] {
+            h.observe(v);
+        }
+        reg.histogram("empty_ns", &[("path", "idle")]);
+        reg.histogram("unlabelled_ns", &[]).observe(5);
+        let c = Counter::new();
+        c.add(9);
+        reg.register_counter("pre_existing_total", &[("z", "1"), ("a", "2")], c);
+        let want = r#"# TYPE active_sessions gauge
+active_sessions -3
+# TYPE drops_total counter
+drops_total{reason="dedup"} 2
+drops_total{reason="unknown_token"} 40
+# TYPE empty_ns histogram
+empty_ns_bucket{path="idle",le="+Inf"} 0
+empty_ns_sum{path="idle"} 0
+empty_ns_count{path="idle"} 0
+# TYPE escaped gauge
+escaped{alpha="z",path="a\\b\"c\nd"} 7
+# TYPE pacing_error_ns histogram
+pacing_error_ns_bucket{path="lo\"0",le="1"} 2
+pacing_error_ns_bucket{path="lo\"0",le="2"} 2
+pacing_error_ns_bucket{path="lo\"0",le="4"} 3
+pacing_error_ns_bucket{path="lo\"0",le="8"} 3
+pacing_error_ns_bucket{path="lo\"0",le="16"} 3
+pacing_error_ns_bucket{path="lo\"0",le="32"} 3
+pacing_error_ns_bucket{path="lo\"0",le="64"} 3
+pacing_error_ns_bucket{path="lo\"0",le="128"} 3
+pacing_error_ns_bucket{path="lo\"0",le="256"} 3
+pacing_error_ns_bucket{path="lo\"0",le="512"} 3
+pacing_error_ns_bucket{path="lo\"0",le="1024"} 4
+pacing_error_ns_bucket{path="lo\"0",le="+Inf"} 4
+pacing_error_ns_sum{path="lo\"0"} 1004
+pacing_error_ns_count{path="lo\"0"} 4
+pacing_error_ns{path="lo\"0",quantile="0.5"} 1
+pacing_error_ns{path="lo\"0",quantile="0.99"} 1024
+# TYPE pre_existing_total counter
+pre_existing_total{a="2",z="1"} 9
+# TYPE requests_total counter
+requests_total 0
+# TYPE unlabelled_ns histogram
+unlabelled_ns_bucket{le="1"} 0
+unlabelled_ns_bucket{le="2"} 0
+unlabelled_ns_bucket{le="4"} 0
+unlabelled_ns_bucket{le="8"} 1
+unlabelled_ns_bucket{le="+Inf"} 1
+unlabelled_ns_sum 5
+unlabelled_ns_count 1
+unlabelled_ns{quantile="0.5"} 8
+unlabelled_ns{quantile="0.99"} 8
+"#;
+        assert_eq!(reg.render_prometheus(), want);
+    }
+
+    #[test]
+    fn lookups_count_get_or_create_calls_only() {
+        let reg = Registry::new();
+        assert_eq!(reg.lookups(), 0);
+        let c = reg.counter("a_total", &[]);
+        reg.counter("a_total", &[]);
+        reg.gauge("g", &[("k", "v")]);
+        reg.histogram("h_ns", &[]);
+        assert_eq!(reg.lookups(), 4, "hits and misses both count");
+        reg.register_counter("b_total", &[], Counter::new());
+        c.inc();
+        reg.render_prometheus();
+        assert_eq!(reg.lookups(), 4, "attaching, updating, rendering do not");
     }
 
     #[test]

@@ -128,7 +128,7 @@ fn blocking_driver_trace_equals_hand_stepped_trace() {
             let mut trace = Vec::new();
             loop {
                 let cmd = m.poll().expect("no command pending at loop head");
-                trace.extend(m.take_trace());
+                trace.extend(m.drain_trace());
                 let event = match cmd {
                     Command::SendTrain { len, size } => {
                         Event::TrainDone(t.send_train(len, size).unwrap())
@@ -141,7 +141,7 @@ fn blocking_driver_trace_equals_hand_stepped_trace() {
                     Command::Finish(_) => break trace,
                 };
                 m.on_event(event).unwrap();
-                trace.extend(m.take_trace());
+                trace.extend(m.drain_trace());
             }
         };
         assert!(!blocking_trace.is_empty(), "trace must not be empty");

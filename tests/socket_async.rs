@@ -290,13 +290,15 @@ fn run_driver(
 }
 
 /// Run one fleet driver with the full telemetry wiring and return the
-/// number of samples observed plus the registry's Prometheus snapshot.
+/// number of samples observed, the registry's Prometheus snapshot, and
+/// the registry lookups counted after the first `n` samples and at the
+/// end.
 fn run_driver_with_telemetry(
     use_async: bool,
     n: usize,
     sched: &ScheduleConfig,
     horizon: TimeNs,
-) -> (usize, String) {
+) -> (usize, String, (u64, u64)) {
     let rx = Receiver::bind("127.0.0.1:0".parse().unwrap()).unwrap();
     let addr = rx.ctrl_addr();
     let server = thread::spawn(move || rx.serve_n(n));
@@ -310,8 +312,14 @@ fn run_driver_with_telemetry(
         .collect();
     let telemetry = FleetTelemetry::new();
     let mut samples = 0usize;
+    let mut after_first_wave = None;
     let observer = |ev: FleetEvent<'_>| match ev {
-        FleetEvent::Sample { .. } => samples += 1,
+        FleetEvent::Sample { .. } => {
+            samples += 1;
+            if samples == n {
+                after_first_wave = Some(telemetry.registry().lookups());
+            }
+        }
         FleetEvent::Failed { path, error, .. } => {
             panic!("path {path} failed on loopback: {error}")
         }
@@ -342,7 +350,11 @@ fn run_driver_with_telemetry(
         .unwrap();
     }
     server.join().unwrap().unwrap();
-    (samples, telemetry.registry().render_prometheus())
+    let lookups = (
+        after_first_wave.expect("every path measured once"),
+        telemetry.registry().lookups(),
+    );
+    (samples, telemetry.registry().render_prometheus(), lookups)
 }
 
 /// The machine-trace series of one Prometheus snapshot: every
@@ -390,8 +402,15 @@ fn thread_and_async_drivers_relay_the_same_machine_trace() {
         seed: 42,
     };
     let horizon = TimeNs::from_secs(5);
-    let (thread_samples, thread_text) = run_driver_with_telemetry(false, N, &sched, horizon);
-    let (async_samples, async_text) = run_driver_with_telemetry(true, N, &sched, horizon);
+    let (thread_samples, thread_text, thread_lookups) =
+        run_driver_with_telemetry(false, N, &sched, horizon);
+    let (async_samples, async_text, async_lookups) =
+        run_driver_with_telemetry(true, N, &sched, horizon);
+    // Both drivers relay through handles resolved up front: estimates
+    // after the first wave (and the event loop's wake-ups around them)
+    // take no registry lookup.
+    assert_eq!(thread_lookups.0, thread_lookups.1, "thread driver");
+    assert_eq!(async_lookups.0, async_lookups.1, "async driver");
 
     let (thread_keys, thread_done) = trace_series(&thread_text);
     let (async_keys, async_done) = trace_series(&async_text);
