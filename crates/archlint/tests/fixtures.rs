@@ -54,6 +54,23 @@ fn sans_io_ignores_tests_lookalikes_and_comments() {
     assert!(findings_for("fix/src/pure.rs", "// drivers use std::thread").is_empty());
 }
 
+/// OS entropy is a real-world input too: a token base drawn from std's
+/// hasher seed inside a core is one a seeded simulator cannot replay.
+#[test]
+fn sans_io_fires_on_os_entropy() {
+    for line in [
+        "use std::collections::hash_map::RandomState;",
+        "let base = RandomState::new().build_hasher().finish();",
+    ] {
+        assert_eq!(
+            findings_for("fix/src/pure.rs", line),
+            vec![Rule::SansIo],
+            "expected sans-io on {line:?}"
+        );
+    }
+    assert!(findings_for("fix/src/pure.rs", "let base = token_base;").is_empty());
+}
+
 #[test]
 fn sans_io_suppression() {
     let src = "\

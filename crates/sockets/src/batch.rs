@@ -1,4 +1,5 @@
-//! Batched kernel datapath: `recvmmsg`/`sendmmsg` with a scalar fallback.
+//! Batched kernel datapath: `recvmmsg`/`sendmmsg` with a scalar fallback,
+//! kernel arrival stamps, and the socket's overflow count.
 //!
 //! The evented receiver's demux loop and the evented sender's train blast
 //! are the two hot paths where one measurement round moves dozens of
@@ -8,12 +9,26 @@
 //! in one call — through the same direct-FFI pattern as `mux::sys`
 //! (the C library `std` already links; no new dependencies).
 //!
-//! Everywhere else (and on Linux when a caller forces it, which is how the
-//! batching-correctness test pins the two paths byte-identical) the same
-//! API runs a *scalar* loop of `recv_from`/`send` with identical
-//! semantics: a receive call returns at least one datagram or
-//! `WouldBlock`, a send call accepts a prefix of the slice and reports
-//! how many messages the kernel took.
+//! On Linux the same API can also run a *scalar* loop, one `recvmsg` per
+//! datagram, when a caller forces it (the batching-correctness test pins
+//! the two paths byte-identical); off Linux a receive reads one datagram
+//! with `recv_from` and a send loops `send`. The semantics are identical:
+//! a receive call returns at least one datagram or `WouldBlock`, a send
+//! call accepts a prefix of the slice and reports how many messages the
+//! kernel took. A receive never blocks after its first datagram, so a
+//! blocking socket with a read timeout (the threaded receiver's) reads
+//! through the same call.
+//!
+//! **Arrival stamps.** A probe's arrival instant is half of its one-way
+//! delay, so the receivers do not take it from their own clock after a
+//! wake-up: [`prepare_probe_socket`] asks the kernel to stamp every
+//! datagram as it lands (`SO_TIMESTAMPNS`) and to report its running
+//! count of datagrams dropped for want of buffer space (`SO_RXQ_OVFL`),
+//! and raises the receive buffer toward [`PROBE_RCVBUF`]. Both receive
+//! paths parse the control messages per datagram: [`UdpRecvBatch::stamp`]
+//! is the kernel's realtime stamp (mapped onto a pump's monotonic clock
+//! by `clock::RealtimeMap`), [`UdpRecvBatch::take_drops`] the overflow
+//! the datagrams read so far reveal. Off Linux there are no stamps.
 //!
 //! [`bind_reuse`] also lives here: a TCP listener bound with
 //! `SO_REUSEADDR`, so a restarted receiver daemon can rebind its control
@@ -33,15 +48,54 @@ use std::net::{SocketAddr, TcpListener, UdpSocket};
 /// still cutting syscall counts by an order of magnitude under load.
 pub const MAX_BATCH: usize = 32;
 
+/// The receive buffer a probe socket asks for. A receiver that reads its
+/// probe socket on a schedule instead of on every datagram needs room for
+/// what lands between reads; the kernel clamps the request to
+/// `net.core.rmem_max` (208 KiB by default, often raised to 4 MiB on
+/// measurement hosts), and [`prepare_probe_socket`] reports what it got.
+pub const PROBE_RCVBUF: usize = 4 << 20;
+
+/// What [`prepare_probe_socket`] set up on a probe socket.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ProbeSocket {
+    /// The kernel stamps every datagram on arrival.
+    pub stamps: bool,
+    /// The effective receive buffer in bytes, as the kernel reads it back:
+    /// about twice the request, since the kernel charges its per-datagram
+    /// bookkeeping against the same budget. 0 when unknown.
+    pub rcvbuf: usize,
+}
+
+/// Ready a probe socket for stamped reads: kernel arrival stamps, the
+/// overflow count, and a receive buffer raised toward [`PROBE_RCVBUF`]
+/// (never lowered). Best effort: whatever the kernel refuses is reported
+/// as absent, and off Linux nothing is set.
+pub fn prepare_probe_socket(sock: &UdpSocket) -> ProbeSocket {
+    #[cfg(target_os = "linux")]
+    {
+        sys::prepare_probe_socket(sock)
+    }
+    #[cfg(not(target_os = "linux"))]
+    {
+        let _ = sock;
+        ProbeSocket {
+            stamps: false,
+            rcvbuf: 0,
+        }
+    }
+}
+
 #[cfg(target_os = "linux")]
-#[allow(unsafe_code)] // FFI onto recvmmsg/sendmmsg/setsockopt of the libc std links.
+#[allow(unsafe_code)] // FFI onto recvmmsg/recvmsg/sendmmsg/setsockopt of the libc std links.
 mod sys {
+    use std::ffi::c_long;
     use std::io;
+    use std::mem::size_of;
     use std::net::{SocketAddr, TcpListener, UdpSocket};
     use std::os::fd::{AsRawFd, FromRawFd};
     use std::ptr;
 
-    use super::MAX_BATCH;
+    use super::{ProbeSocket, MAX_BATCH, PROBE_RCVBUF};
 
     #[repr(C)]
     #[derive(Clone, Copy)]
@@ -90,26 +144,131 @@ mod sys {
 
     extern "C" {
         fn recvmmsg(fd: i32, vec: *mut MMsgHdr, vlen: u32, flags: i32, timeout: *mut u8) -> i32;
+        fn recvmsg(fd: i32, msg: *mut MsgHdr, flags: i32) -> isize;
         fn sendmmsg(fd: i32, vec: *mut MMsgHdr, vlen: u32, flags: i32) -> i32;
         fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
         fn setsockopt(fd: i32, level: i32, name: i32, value: *const i32, len: u32) -> i32;
+        fn getsockopt(fd: i32, level: i32, name: i32, value: *mut i32, len: *mut u32) -> i32;
         fn bind(fd: i32, addr: *const u8, len: u32) -> i32;
         fn listen(fd: i32, backlog: i32) -> i32;
         fn close(fd: i32) -> i32;
     }
 
-    /// One `recvmmsg` call: fills `bufs[i]` and `lens[i]` for each of the
-    /// returned datagrams. `WouldBlock` when the socket is empty.
-    pub fn recv_batch(
+    const SO_RCVBUF: i32 = 8;
+    /// Also the control-message type of the stamp (`SCM_TIMESTAMPNS`).
+    const SO_TIMESTAMPNS: i32 = 35;
+    /// Also the control-message type of the drop count.
+    const SO_RXQ_OVFL: i32 = 40;
+    const MSG_DONTWAIT: i32 = 0x40;
+    const MSG_WAITFORONE: i32 = 0x10000;
+
+    /// Room for one datagram's control messages: a `timespec` stamp and a
+    /// `u32` drop count, each behind a `cmsghdr`, with alignment padding.
+    const CMSG_BUF: usize = 64;
+
+    /// A control-message buffer, aligned as `struct cmsghdr` expects.
+    #[repr(C, align(8))]
+    #[derive(Clone, Copy)]
+    struct CmsgBuf([u8; CMSG_BUF]);
+
+    fn set_int(fd: i32, name: i32, value: i32) -> bool {
+        // SAFETY: `value` is a live i32 and the passed length is its exact
+        // size; the kernel only reads it.
+        unsafe { setsockopt(fd, SOL_SOCKET, name, &value, 4) == 0 }
+    }
+
+    fn get_int(fd: i32, name: i32) -> Option<i32> {
+        let (mut value, mut len) = (0i32, 4u32);
+        // SAFETY: both out-pointers are live locals of the sizes passed;
+        // the kernel writes at most `len` bytes into `value`.
+        let ok = unsafe { getsockopt(fd, SOL_SOCKET, name, &mut value, &mut len) == 0 };
+        ok.then_some(value)
+    }
+
+    /// Ask for `bytes` of receive buffer; the effective size read back.
+    pub fn set_rcvbuf(sock: &UdpSocket, bytes: usize) -> Option<usize> {
+        let fd = sock.as_raw_fd();
+        set_int(fd, SO_RCVBUF, i32::try_from(bytes).unwrap_or(i32::MAX));
+        get_int(fd, SO_RCVBUF).and_then(|v| usize::try_from(v).ok())
+    }
+
+    pub fn prepare_probe_socket(sock: &UdpSocket) -> ProbeSocket {
+        let fd = sock.as_raw_fd();
+        let stamps = set_int(fd, SO_TIMESTAMPNS, 1);
+        set_int(fd, SO_RXQ_OVFL, 1);
+        // The read-back is already doubled: compare like with like.
+        let current = get_int(fd, SO_RCVBUF).and_then(|v| usize::try_from(v).ok());
+        let rcvbuf = match current {
+            Some(have) if have >= 2 * PROBE_RCVBUF => Some(have),
+            _ => set_rcvbuf(sock, PROBE_RCVBUF),
+        };
+        ProbeSocket {
+            stamps,
+            rcvbuf: rcvbuf.unwrap_or(0),
+        }
+    }
+
+    /// `N` bytes of `b` at `at`, if there are that many.
+    fn bytes_at<const N: usize>(b: &[u8], at: usize) -> Option<[u8; N]> {
+        b.get(at..at.checked_add(N)?)?.try_into().ok()
+    }
+
+    /// The arrival stamp (realtime ns) and the socket's cumulative drop
+    /// count among one datagram's control messages.
+    fn parse_cmsgs(ctrl: &[u8]) -> (Option<u64>, Option<u32>) {
+        const WORD: usize = size_of::<usize>();
+        // `struct cmsghdr`: a size_t length, then level and type as ints;
+        // the data starts (and each header is aligned) on a size_t.
+        const HDR: usize = WORD + 8;
+        let (mut stamp, mut drops) = (None, None);
+        let mut off = 0;
+        while let Some(len) = bytes_at::<WORD>(ctrl, off).map(usize::from_ne_bytes) {
+            let (Some(level), Some(kind)) = (
+                bytes_at::<4>(ctrl, off + WORD).map(i32::from_ne_bytes),
+                bytes_at::<4>(ctrl, off + WORD + 4).map(i32::from_ne_bytes),
+            ) else {
+                break;
+            };
+            // A length short of its own header ends the walk here too.
+            let Some(data) = ctrl.get(off + HDR..off.saturating_add(len)) else {
+                break;
+            };
+            match (level, kind) {
+                (SOL_SOCKET, SO_TIMESTAMPNS) => {
+                    const LONG: usize = size_of::<c_long>();
+                    let sec = bytes_at::<LONG>(data, 0).map(c_long::from_ne_bytes);
+                    let nsec = bytes_at::<LONG>(data, LONG).map(c_long::from_ne_bytes);
+                    stamp = sec.zip(nsec).and_then(|(s, n)| {
+                        let (s, n) = (u64::try_from(s).ok()?, u64::try_from(n).ok()?);
+                        s.checked_mul(1_000_000_000)?.checked_add(n)
+                    });
+                }
+                (SOL_SOCKET, SO_RXQ_OVFL) => drops = bytes_at::<4>(data, 0).map(u32::from_ne_bytes),
+                _ => {}
+            }
+            off += len.next_multiple_of(WORD);
+        }
+        (stamp, drops)
+    }
+
+    /// Receive up to `bufs.len()` datagrams: one `recvmmsg` call
+    /// (`batched`) or a `recvmsg` loop. Fills `lens[i]` and `stamps[i]`
+    /// for each returned datagram and returns how many, plus the latest
+    /// drop count any of them carried. Never blocks after the first
+    /// datagram; `WouldBlock` when there is none.
+    pub fn recv(
         sock: &UdpSocket,
+        batched: bool,
         bufs: &mut [Vec<u8>],
         lens: &mut [usize],
-    ) -> io::Result<usize> {
+        stamps: &mut [Option<u64>],
+    ) -> io::Result<(usize, Option<u32>)> {
         let n = bufs.len().min(MAX_BATCH);
         let mut iovs = [IoVec {
             base: ptr::null_mut(),
             len: 0,
         }; MAX_BATCH];
+        let mut ctrl = [CmsgBuf([0; CMSG_BUF]); MAX_BATCH];
         let mut msgs = [MMsgHdr::empty(); MAX_BATCH];
         for i in 0..n {
             iovs[i] = IoVec {
@@ -118,28 +277,60 @@ mod sys {
             };
             msgs[i].hdr.iov = &mut iovs[i];
             msgs[i].hdr.iovlen = 1;
+            msgs[i].hdr.control = ctrl[i].0.as_mut_ptr();
+            msgs[i].hdr.controllen = CMSG_BUF;
         }
-        // SAFETY: every msg/iovec entry in `msgs[..n]` points into the
-        // caller's live `bufs` slices, which outlive the call; the kernel
-        // writes at most `bufs[i].len()` bytes per datagram and no
-        // timeout struct is passed (null).
-        let got = unsafe {
-            recvmmsg(
-                sock.as_raw_fd(),
-                msgs.as_mut_ptr(),
-                n as u32,
-                0,
-                ptr::null_mut(),
-            )
+        let fd = sock.as_raw_fd();
+        let got = if batched {
+            // SAFETY: every msg/iovec/control entry in `msgs[..n]` points
+            // into live buffers (the caller's `bufs`, this frame's
+            // `iovs`/`ctrl`) that outlive the call; the kernel writes at
+            // most each entry's stated length and no timeout struct is
+            // passed (null).
+            let got = unsafe {
+                recvmmsg(
+                    fd,
+                    msgs.as_mut_ptr(),
+                    n as u32,
+                    MSG_WAITFORONE,
+                    ptr::null_mut(),
+                )
+            };
+            if got < 0 {
+                return Err(io::Error::last_os_error());
+            }
+            for i in 0..got as usize {
+                lens[i] = msgs[i].len as usize;
+            }
+            got as usize
+        } else {
+            let mut got = 0;
+            while got < n {
+                let flags = if got == 0 { 0 } else { MSG_DONTWAIT };
+                // SAFETY: as above, for the one header `msgs[got]`.
+                let len = unsafe { recvmsg(fd, &mut msgs[got].hdr, flags) };
+                if len >= 0 {
+                    lens[got] = len as usize;
+                    got += 1;
+                    continue;
+                }
+                let e = io::Error::last_os_error();
+                match e.kind() {
+                    io::ErrorKind::Interrupted => continue,
+                    _ if got > 0 => break,
+                    _ => return Err(e),
+                }
+            }
+            got
         };
-        if got < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        let got = got as usize;
+        let mut drops = None;
         for i in 0..got {
-            lens[i] = msgs[i].len as usize;
+            let len = msgs[i].hdr.controllen.min(CMSG_BUF);
+            let (stamp, count) = parse_cmsgs(&ctrl[i].0[..len]);
+            stamps[i] = stamp;
+            drops = count.or(drops);
         }
-        Ok(got)
+        Ok((got, drops))
     }
 
     /// One `sendmmsg` call over a *connected* socket: sends a prefix of
@@ -198,10 +389,7 @@ mod sys {
             unsafe { close(fd) };
             Err(err)
         };
-        let one: i32 = 1;
-        // SAFETY: `one` is a live i32 and the passed length is its exact
-        // size; the kernel only reads it.
-        if unsafe { setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, 4) } != 0 {
+        if !set_int(fd, SO_REUSEADDR, 1) {
             return fail(fd);
         }
         // sockaddr_in / sockaddr_in6, hand-packed: family is host order,
@@ -257,15 +445,22 @@ pub fn bind_reuse(addr: SocketAddr) -> io::Result<TcpListener> {
 /// Reusable buffers for batched datagram receives.
 ///
 /// One [`UdpRecvBatch::recv`] call is one kernel crossing: `recvmmsg` on
-/// Linux, a scalar `recv_from` loop elsewhere (or when
-/// [`UdpRecvBatch::set_scalar`] forces it). Either way it returns at
-/// least one datagram or `WouldBlock`, and the received payloads are read
-/// back with [`UdpRecvBatch::msg`].
+/// Linux, a `recvmsg` loop when [`UdpRecvBatch::set_scalar`] forces it,
+/// one `recv_from` elsewhere. Either way it returns at least one datagram
+/// or `WouldBlock`, and the received payloads are read back with
+/// [`UdpRecvBatch::msg`], their kernel arrival stamps with
+/// [`UdpRecvBatch::stamp`].
 #[derive(Debug)]
 pub struct UdpRecvBatch {
     bufs: Vec<Vec<u8>>,
     lens: Vec<usize>,
+    stamps: Vec<Option<u64>>,
     scalar: bool,
+    /// The socket's cumulative overflow count, as last carried by a
+    /// datagram, and as last handed out by [`UdpRecvBatch::take_drops`]
+    /// (the kernel's counter is a wrapping `u32`).
+    drops_seen: u32,
+    drops_taken: u32,
 }
 
 impl UdpRecvBatch {
@@ -278,7 +473,10 @@ impl UdpRecvBatch {
         UdpRecvBatch {
             bufs: vec![vec![0u8; buf_len]; max_msgs],
             lens: vec![0; max_msgs],
+            stamps: vec![None; max_msgs],
             scalar: cfg!(not(target_os = "linux")),
+            drops_seen: 0,
+            drops_taken: 0,
         }
     }
 
@@ -294,45 +492,63 @@ impl UdpRecvBatch {
         self.scalar
     }
 
-    /// Receive a batch from `sock` (which must be non-blocking): `Ok(n)`
-    /// with `n >= 1` datagrams now readable via [`UdpRecvBatch::msg`], or
-    /// `WouldBlock` when the socket is empty.
+    /// Receive a batch from `sock`: `Ok(n)` with `n >= 1` datagrams now
+    /// readable via [`UdpRecvBatch::msg`], or `WouldBlock` when the
+    /// socket is empty (a blocking socket waits for the first datagram,
+    /// up to its read timeout, and for no other).
     pub fn recv(&mut self, sock: &UdpSocket) -> io::Result<usize> {
         #[cfg(target_os = "linux")]
-        if !self.scalar {
-            return sys::recv_batch(sock, &mut self.bufs, &mut self.lens);
-        }
-        self.recv_scalar(sock)
-    }
-
-    fn recv_scalar(&mut self, sock: &UdpSocket) -> io::Result<usize> {
-        let mut got = 0;
-        while got < self.bufs.len() {
-            match sock.recv_from(&mut self.bufs[got]) {
-                Ok((len, _)) => {
-                    self.lens[got] = len;
-                    got += 1;
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => {
-                    if got == 0 {
-                        return Err(e);
-                    }
-                    break;
-                }
+        {
+            let (got, drops) = sys::recv(
+                sock,
+                !self.scalar,
+                &mut self.bufs,
+                &mut self.lens,
+                &mut self.stamps,
+            )?;
+            if let Some(drops) = drops {
+                self.drops_seen = drops;
             }
+            Ok(got)
         }
-        if got == 0 {
-            return Err(io::Error::new(io::ErrorKind::WouldBlock, "no datagrams"));
+        #[cfg(not(target_os = "linux"))]
+        {
+            // One datagram per call: std has no per-call "don't block",
+            // and a blocking socket must not wait for a second one.
+            let (len, _) = sock.recv_from(&mut self.bufs[0])?;
+            self.lens[0] = len;
+            self.stamps[0] = None;
+            Ok(1)
         }
-        Ok(got)
     }
 
     /// The `i`-th datagram of the last [`UdpRecvBatch::recv`] batch.
     pub fn msg(&self, i: usize) -> &[u8] {
         &self.bufs[i][..self.lens[i]]
     }
+
+    /// The kernel's arrival stamp of the `i`-th datagram of the last
+    /// batch, in realtime nanoseconds since the Unix epoch (`None` when
+    /// the socket does not stamp: see [`prepare_probe_socket`]).
+    pub fn stamp(&self, i: usize) -> Option<u64> {
+        self.stamps.get(i).copied().flatten()
+    }
+
+    /// Datagrams the kernel dropped on this socket for want of buffer
+    /// space since the last call, as far as the datagrams read so far
+    /// tell (a drop is reported by the next datagram that gets in).
+    pub fn take_drops(&mut self) -> u64 {
+        let new = self.drops_seen.wrapping_sub(self.drops_taken);
+        self.drops_taken = self.drops_seen;
+        u64::from(new)
+    }
+}
+
+/// Ask the kernel for `bytes` of receive buffer on `sock`; the effective
+/// size it reads back. Tests shrink a socket with it to force overflow.
+#[cfg(all(test, target_os = "linux"))]
+pub(crate) fn set_recv_buffer(sock: &UdpSocket, bytes: usize) -> Option<usize> {
+    sys::set_rcvbuf(sock, bytes)
 }
 
 /// Send a slice of datagrams over a *connected* non-blocking socket in
@@ -426,6 +642,66 @@ mod tests {
     #[test]
     fn batched_recv_matches_scalar_semantics() {
         recv_roundtrip(false);
+    }
+
+    /// Three datagrams sent a millisecond apart and read in one call carry
+    /// three kernel stamps a millisecond apart, on both receive paths.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn one_read_carries_each_datagrams_own_arrival_stamp() {
+        for scalar in [false, true] {
+            let (tx, rx) = pair();
+            rx.set_nonblocking(true).unwrap();
+            let setup = prepare_probe_socket(&rx);
+            assert!(setup.stamps, "SO_TIMESTAMPNS refused");
+            assert!(setup.rcvbuf > 0);
+            let mut batch = UdpRecvBatch::new(8, 64);
+            batch.set_scalar(scalar);
+            for i in 0..3u8 {
+                if i > 0 {
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                }
+                tx.send(&[i]).unwrap();
+            }
+            std::thread::sleep(std::time::Duration::from_millis(5));
+            assert_eq!(batch.recv(&rx).unwrap(), 3, "scalar={scalar}");
+            let stamps: Vec<u64> = (0..3).map(|i| batch.stamp(i).unwrap()).collect();
+            for w in stamps.windows(2) {
+                assert!(w[1] - w[0] >= 900_000, "scalar={scalar}: {stamps:?}");
+            }
+            assert_eq!(batch.take_drops(), 0);
+        }
+    }
+
+    /// Datagrams the kernel drops for want of buffer space are counted,
+    /// reported by the next datagram that gets in.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn buffer_overflow_is_counted() {
+        for scalar in [false, true] {
+            let (tx, rx) = pair();
+            rx.set_nonblocking(true).unwrap();
+            prepare_probe_socket(&rx);
+            assert!(set_recv_buffer(&rx, 4096).is_some());
+            let mut batch = UdpRecvBatch::new(MAX_BATCH, 64);
+            batch.set_scalar(scalar);
+            let drain = |batch: &mut UdpRecvBatch| {
+                let mut got = 0;
+                while let Ok(n) = batch.recv(&rx) {
+                    got += n as u64;
+                }
+                got
+            };
+            for _ in 0..64 {
+                tx.send(&[0; 64]).unwrap();
+            }
+            let fit = drain(&mut batch);
+            assert!(fit < 64, "nothing overflowed");
+            tx.send(&[1; 64]).unwrap();
+            assert_eq!(drain(&mut batch), 1);
+            assert_eq!(batch.take_drops(), 64 - fit, "scalar={scalar}");
+            assert_eq!(batch.take_drops(), 0, "taken once");
+        }
     }
 
     #[test]

@@ -42,23 +42,27 @@
 //!   readability, so one thread can multiplex hundreds of concurrent
 //!   sessions (the `monitord --driver async` fleet).
 //! * [`batch`] — the kernel-fast datapath: `recvmmsg`/`sendmmsg`
-//!   batching (one syscall, many datagrams) behind scalar fallbacks, and
-//!   a `SO_REUSEADDR` listener bind so a restarted receiver reclaims its
-//!   port through `TIME_WAIT`.
+//!   batching (one syscall, many datagrams) behind scalar fallbacks,
+//!   kernel arrival stamps and the receive-buffer overflow count on the
+//!   probe socket, and a `SO_REUSEADDR` listener bind so a restarted
+//!   receiver reclaims its port through `TIME_WAIT`.
 //! * [`rx`] — the receiver's sans-IO protocol core: [`rx::Admission`]
 //!   (token mint, session cap, counters) and [`rx::RxSession`] (announce
 //!   handling, de-duplicating loss-tolerant collection, silence-window
 //!   and deadline stop rules, report construction), driven by
-//!   `on_ctrl` / `on_probe` / `on_tick` with time passed in. Every
-//!   receiver decision lives here, once.
+//!   `on_ctrl` / `on_probe` / `on_tick` with time passed in, and
+//!   [`rx::plan_reads`] (when the shared probe socket must be read).
+//!   Every receiver decision lives here, once.
 //! * [`receiver`] — [`Receiver`], the threaded pump over that core (the
 //!   `pathload_rcv` default): a thread per session plus a demux thread
-//!   that timestamps arrivals at the socket read and routes them by
-//!   session token. Portable — the only receiver off Linux.
+//!   that reads every arrival, stamps it with the kernel's arrival
+//!   instant and routes it by session token. Portable — the only
+//!   receiver off Linux.
 //! * [`receiver_evented`] — [`EventedReceiver`], the evented pump over
 //!   the same core on one [`mux::EventLoop`] thread: non-blocking accept,
-//!   a slab of sessions, batched probe reads, the core's tick as a timer
-//!   entry. Thousands of sessions, one thread.
+//!   a slab of sessions, batched probe reads on the core's read plan
+//!   instead of on every datagram, the core's tick as a timer entry.
+//!   Thousands of sessions, one thread.
 //! * [`sender`] — the `pathload_snd` side: [`SocketTransport`], one
 //!   connection's sockets and [`tx`] core with the blocking pump over it
 //!   behind [`slops::ProbeTransport`] — the one a new transport should
@@ -75,7 +79,7 @@
 //! ```
 
 // `deny`, not `forbid`: the exceptions are the FFI blocks in `mux::sys`
-// (epoll) and `batch::sys` (`recvmmsg`/`sendmmsg`/`SO_REUSEADDR`) wrapping
+// (epoll, timerfd) and `batch::sys` (`recvmmsg`/`recvmsg`/`sendmmsg`/socket options) wrapping
 // syscalls std links but does not expose; each opts in explicitly with
 // `#[allow(unsafe_code)]`.
 #![deny(unsafe_code)]
@@ -103,3 +107,14 @@ pub use receiver::{AcceptBackoff, Receiver};
 #[cfg(unix)]
 pub use receiver_evented::{EventedReceiver, EventedReceiverHandle};
 pub use sender::SocketTransport;
+
+/// Serialises the unit tests that judge wall-clock timing (a deadline's
+/// overshoot, a loop's CPU share) with each other and with the ones that
+/// load the host (a paced measurement over loopback, a receive loop turned
+/// by hand): two at once on a small host make the timed one read the
+/// other's load as its own lateness.
+#[cfg(test)]
+fn timing_test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static TIMED: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    TIMED.lock().unwrap_or_else(|e| e.into_inner())
+}

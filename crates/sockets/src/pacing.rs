@@ -149,6 +149,7 @@ mod tests {
 
     #[test]
     fn hits_deadlines_with_low_overshoot() {
+        let _timed = crate::timing_test_lock();
         let clock = MonoClock::new();
         let mut window = SpinWindow::new();
         let start = clock.now_ns();

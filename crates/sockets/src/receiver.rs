@@ -12,9 +12,13 @@
 //!   [`RxSession`] on a thread of its own, with a bounded arrival channel
 //!   registered under the minted token — and a refused one gets the
 //!   core's versioned `Deny`;
-//! * one background *demux* thread owns the shared UDP socket: it
-//!   timestamps each datagram **at the socket read**, decodes the header,
-//!   and routes the packet to the owning session's channel by token.
+//! * one background *demux* thread owns the shared UDP socket: it reads
+//!   on every arrival through the same [`batch::UdpRecvBatch`] helper as
+//!   the evented pump, stamps each datagram with **the kernel's arrival
+//!   instant** (`SO_TIMESTAMPNS`, mapped onto the receiver's clock; the
+//!   read instant where the kernel gave none), counts the datagrams the
+//!   kernel dropped for want of buffer, decodes the header, and routes
+//!   the packet to the owning session's channel by token.
 //!   Datagrams carrying an unknown (stale, never-issued, foreign) token
 //!   are dropped, so a late packet from a finished session can never
 //!   contaminate a live collection; channels are bounded, so a datagram
@@ -34,10 +38,13 @@
 // so `unwrap`/`expect` are denied outright (errors must travel as values).
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
+use crate::batch::{self, UdpRecvBatch};
 use crate::clock::MonoClock;
 use crate::proto::{CtrlBuf, CtrlMsg, ProbePacket, MAX_FRAME_TO_RECEIVER};
 use crate::rx::{Admission, CtrlAction, RxSession, POLL_TIMEOUT};
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -46,9 +53,19 @@ use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
+/// Largest probe datagram the receive buffers accommodate.
+pub(crate) const RECV_BUF_LEN: usize = 2048;
+
+/// A random 64-bit base for a receiver's session tokens (std's OS-seeded
+/// hasher entropy; no dependency). Both pumps draw one per incarnation
+/// and hand it to the sans-IO [`Admission`] desk.
+pub(crate) fn random_token_base() -> u64 {
+    RandomState::new().build_hasher().finish()
+}
+
 /// A probe packet as the demux thread hands it to a session thread:
-/// decoded header plus the arrival timestamp (receiver clock, stamped at
-/// the socket read, before any queueing).
+/// decoded header plus the arrival timestamp (receiver clock, the
+/// kernel's arrival instant, taken before any queueing).
 #[derive(Clone, Copy, Debug)]
 struct Arrival {
     packet: ProbePacket,
@@ -106,10 +123,14 @@ impl Receiver {
         udp_addr.set_port(0);
         let udp = UdpSocket::bind(udp_addr)?;
         udp.set_read_timeout(Some(POLL_TIMEOUT))?;
+        // Reads happen on arrival here, so neither the stamps nor the
+        // buffer decide anything; they make the timestamp contract and the
+        // overflow count the evented pump's.
+        batch::prepare_probe_socket(&udp);
         let shared = Arc::new(Shared {
             clock: MonoClock::new(),
             registry: Mutex::new(HashMap::new()),
-            admission: Admission::new(udp.local_addr()?.port()),
+            admission: Admission::new(udp.local_addr()?.port(), random_token_base()),
         });
         let stop = Arc::new(AtomicBool::new(false));
         let demux = {
@@ -283,18 +304,22 @@ impl Default for AcceptBackoff {
 /// session token. Runs until the receiver sets `stop`.
 fn demux_loop(udp: &UdpSocket, shared: &Shared, stop: &AtomicBool) {
     let counters = shared.admission.counters();
-    let mut buf = [0u8; 2048];
+    let mut batch = UdpRecvBatch::new(batch::MAX_BATCH, RECV_BUF_LEN);
     while !stop.load(Ordering::Relaxed) {
-        match udp.recv_from(&mut buf) {
-            Ok((n, _from)) => {
-                let recv_ns = shared.clock.now_ns();
-                // `recv_from` contracts n <= buf.len(); `get` keeps the
-                // defensive bound out of the panic path.
-                if let Some(packet) = buf.get(..n).and_then(ProbePacket::decode) {
+        match batch.recv(udp) {
+            Ok(n) => {
+                let stamps = shared.clock.realtime_map();
+                counters.drop_rcvbuf.add(batch.take_drops());
+                let registry = lock_registry(&shared.registry);
+                for i in 0..n {
+                    let Some(packet) = ProbePacket::decode(batch.msg(i)) else {
+                        continue;
+                    };
+                    let recv_ns = stamps.recv_ns(batch.stamp(i));
                     // Unknown token (stale session, never issued): drop.
                     // A full channel also drops (never block the demux
                     // — other sessions' packets are behind this one).
-                    if let Some(tx) = lock_registry(&shared.registry).get(&packet.session) {
+                    if let Some(tx) = registry.get(&packet.session) {
                         match tx.try_send(Arrival { packet, recv_ns }) {
                             Ok(()) => counters.routed.inc(),
                             Err(_) => counters.drop_collector_full.inc(),
@@ -511,6 +536,72 @@ mod tests {
         assert!(drops.get() > 0, "unknown-token drop was not counted");
         drop(ctrl);
         server.join().unwrap().unwrap();
+    }
+
+    /// Datagrams the kernel dropped because the probe socket's buffer was
+    /// full are counted by the demux under `rcvbuf`: with the socket
+    /// shrunk to two datagrams and a blast sent before the demux reads,
+    /// every datagram ends up either routed (here: unknown token) or
+    /// counted as dropped.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn the_demux_counts_datagrams_the_kernel_dropped() {
+        use crate::proto::{ProbeKind, PROBE_HEADER_LEN};
+        let udp = UdpSocket::bind("127.0.0.1:0").unwrap();
+        udp.set_read_timeout(Some(Duration::from_millis(20)))
+            .unwrap();
+        assert!(batch::prepare_probe_socket(&udp).stamps);
+        batch::set_recv_buffer(&udp, 1).unwrap();
+        let tx = UdpSocket::bind("127.0.0.1:0").unwrap();
+        tx.connect(udp.local_addr().unwrap()).unwrap();
+        let mut buf = [0u8; PROBE_HEADER_LEN];
+        ProbePacket {
+            session: 0xdead,
+            kind: ProbeKind::Stream,
+            id: 1,
+            idx: 0,
+            send_ns: 0,
+        }
+        .encode(&mut buf);
+        let mut sent = 0u64;
+        for _ in 0..64 {
+            tx.send(&buf).unwrap();
+            sent += 1;
+        }
+
+        let shared = Arc::new(Shared {
+            clock: MonoClock::new(),
+            registry: Mutex::new(HashMap::new()),
+            admission: Admission::new(0, 1),
+        });
+        let stop = Arc::new(AtomicBool::new(false));
+        let demux = {
+            let (shared, stop) = (Arc::clone(&shared), Arc::clone(&stop));
+            thread::spawn(move || demux_loop(&udp, &shared, &stop))
+        };
+        let counters = shared.admission.counters();
+        let accounted = || counters.drop_rcvbuf.get() + counters.drop_unknown_token.get();
+        let patience = std::time::Instant::now() + Duration::from_secs(5);
+        // The drops are reported by the next datagram that gets in.
+        while counters.drop_rcvbuf.get() == 0 || accounted() < sent {
+            assert!(
+                std::time::Instant::now() < patience,
+                "{sent} sent, {} accounted",
+                accounted()
+            );
+            if counters.drop_rcvbuf.get() == 0 {
+                tx.send(&buf).unwrap();
+                sent += 1;
+            }
+            thread::sleep(Duration::from_millis(2));
+        }
+        stop.store(true, Ordering::SeqCst);
+        demux.join().unwrap();
+        assert_eq!(accounted(), sent, "every datagram routed or counted");
+        assert!(
+            counters.drop_rcvbuf.get() >= 60,
+            "two datagrams fit, not more"
+        );
     }
 
     /// An announce whose count would allocate absurd per-stream state is

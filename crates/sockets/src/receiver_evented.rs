@@ -11,16 +11,35 @@
 //!   core's [`Admission`] desk admits becomes a slot in a session slab: a
 //!   non-blocking control stream, its [`CtrlBuf`] frame buffer, and its
 //!   [`RxSession`];
-//! * the shared UDP probe socket is folded into the same loop: datagrams
-//!   are drained in `recvmmsg` batches ([`batch::UdpRecvBatch`]), the
-//!   arrival timestamp is stamped **once per batch at the socket read** —
-//!   before any per-packet work, the same timestamp-at-read contract as
-//!   the threaded demux — and each packet is handed to its session's core
-//!   by token;
-//! * the core's tick is a timer entry: a collecting session re-arms one
-//!   every [`POLL_TIMEOUT`] under the session token as a
+//! * the shared UDP probe socket is folded into the same loop and read
+//!   **on the core's schedule, not on every datagram**. The kernel stamps
+//!   each datagram as it lands (`SO_TIMESTAMPNS`,
+//!   [`batch::prepare_probe_socket`]); a drain reads the socket in
+//!   `recvmmsg` batches ([`batch::UdpRecvBatch`]), maps each datagram's
+//!   own stamp onto the receiver's clock — the threaded demux's
+//!   timestamp contract — and hands each packet to its session's core by
+//!   token. When to drain is [`rx::plan_reads`](crate::rx::plan_reads)'
+//!   answer: between drains the socket's epoll interest is `NONE` and a
+//!   sleep-only timer ([`EventLoop::arm_sleep_timer`]) ends the wait, one
+//!   learned wake-up error early so the drain at a stream's due instant
+//!   hands over to readability before the last packet lands and the
+//!   report leaves as it does. The socket is read on readability instead
+//!   while nothing is collecting, while a train or a stream's first or
+//!   overdue last packet is in flight, after the kernel dropped datagrams
+//!   for want of buffer during a collection, and whenever the kernel does
+//!   not stamp;
+//! * the core's tick is a sleep-only timer entry: a collecting session
+//!   re-arms one every [`POLL_TIMEOUT`] under the session token as a
 //!   [`TimerQueue`](crate::mux::TimerQueue) *generation*, cancelled
-//!   eagerly when the report ships (or the session ends).
+//!   eagerly when the report ships (or the session ends). While reads are
+//!   deferred the socket is drained before every tick, so the stop rules
+//!   see every arrival.
+//!
+//! The plan is made again only when something it depends on changes — a
+//! collection begins or ends, a stream's first arrival moves its due
+//! instant, the kernel overflows the buffer, a planned drain comes due —
+//! so a turn of the loop costs its events, not a walk over every
+//! collecting session.
 //!
 //! Route/drop accounting is the core's `RecvCounters`, so both shapes
 //! expose the exact same metric families; the evented receiver adds a
@@ -38,8 +57,8 @@ use crate::batch::{self, UdpRecvBatch};
 use crate::clock::MonoClock;
 use crate::mux::{EventLoop, Interest, MuxEvent};
 use crate::proto::{CtrlBuf, CtrlMsg, ProbePacket, MAX_FRAME_TO_RECEIVER};
-use crate::receiver::AcceptBackoff;
-use crate::rx::{Admission, CtrlAction, RxSession, POLL_TIMEOUT};
+use crate::receiver::{random_token_base, AcceptBackoff, RECV_BUF_LEN};
+use crate::rx::{plan_reads, Admission, CtrlAction, ReadPlan, RxSession, POLL_TIMEOUT};
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
@@ -55,17 +74,16 @@ const TOK_LISTEN: u64 = 1 << 60;
 const TOK_UDP: u64 = (1 << 60) + 1;
 /// Timer token re-enabling a backed-off listener.
 const TOK_ACCEPT_RESUME: u64 = (1 << 60) + 2;
+/// Timer token (and cancellation generation) of the planned drain.
+const TOK_DRAIN: u64 = (1 << 60) + 3;
 /// Session-slot tokens live below this bound.
 const TOK_SLOT_MAX: u64 = 1 << 60;
 
-/// How many `recvmmsg` batches one UDP readability wakeup may drain
-/// before yielding back to the loop, so a datagram flood cannot starve
-/// control traffic and timers indefinitely.
+/// How many `recvmmsg` batches one drain may read before yielding back to
+/// the loop, so a datagram flood cannot starve control traffic and
+/// timers indefinitely (a drain cut short leaves the socket on
+/// readability until one empties it).
 const MAX_BATCHES_PER_WAKEUP: usize = 64;
-
-/// Largest probe datagram the batch buffers accommodate (matches the
-/// threaded demux's stack buffer).
-const RECV_BUF_LEN: usize = 2048;
 
 /// One live session: a non-blocking control connection, its frame
 /// buffer, and the protocol core deciding what it means.
@@ -74,6 +92,9 @@ struct Slot {
     ctrl: TcpStream,
     io: CtrlBuf,
     core: RxSession,
+    /// Where the slot sits in the receiver's `collecting` list, while its
+    /// core is collecting.
+    collecting_at: Option<usize>,
 }
 
 impl Slot {
@@ -119,7 +140,26 @@ pub struct EventedReceiver {
     sessions: Vec<Option<Slot>>,
     free: Vec<usize>,
     by_token: HashMap<u64, usize>,
+    /// Slots whose core is collecting: the read plan's inputs.
+    collecting: Vec<usize>,
+    /// Something the read plan depends on changed since it was made (a
+    /// collection began or ended, a first arrival moved a due instant, an
+    /// overflow, a planned drain came due): plan again after this turn.
+    /// Between such changes the plan stands, so a turn costs O(events),
+    /// not O(collecting sessions).
+    replan: bool,
     admission: Admission,
+    /// The kernel stamps probe arrivals (and has stamped every one read
+    /// so far): only then may reads wait for the plan.
+    stamps: bool,
+    /// The probe socket's effective receive buffer in bytes (0: unknown).
+    rcvbuf: u64,
+    /// The last drain stopped at its batch budget with datagrams left.
+    backlog: bool,
+    /// The probe socket's epoll interest is readable (else `NONE`).
+    udp_reading: bool,
+    /// The instant the pending drain timer is armed for.
+    drain_at: Option<u64>,
     /// Live sessions right now.
     sessions_gauge: Gauge,
     /// Datagrams per kernel crossing of the probe socket.
@@ -143,7 +183,8 @@ impl EventedReceiver {
         udp_addr.set_port(0);
         let udp = UdpSocket::bind(udp_addr)?;
         udp.set_nonblocking(true)?;
-        let admission = Admission::new(udp.local_addr()?.port());
+        let probe = batch::prepare_probe_socket(&udp);
+        let admission = Admission::new(udp.local_addr()?.port(), random_token_base());
         let clock = MonoClock::new();
         let lp = EventLoop::new(clock.clone())?;
         lp.register(listener.as_raw_fd(), TOK_LISTEN, Interest::READ)?;
@@ -158,7 +199,14 @@ impl EventedReceiver {
             sessions: Vec::new(),
             free: Vec::new(),
             by_token: HashMap::new(),
+            collecting: Vec::new(),
+            replan: false,
             admission,
+            stamps: probe.stamps,
+            rcvbuf: probe.rcvbuf as u64,
+            backlog: false,
+            udp_reading: true,
+            drain_at: None,
             sessions_gauge: Gauge::new(),
             batch_hist: Histogram::new(),
             backoff: AcceptBackoff::new(),
@@ -202,11 +250,21 @@ impl EventedReceiver {
     pub fn run(&mut self, stop: &AtomicBool) -> io::Result<()> {
         let mut events = Vec::new();
         while !stop.load(Ordering::Relaxed) {
-            events.clear();
-            self.lp.wait(&mut events, POLL_TIMEOUT)?;
-            for ev in &events {
-                self.dispatch(ev);
-            }
+            self.turn(&mut events)?;
+        }
+        Ok(())
+    }
+
+    /// One turn of the loop: wait, serve what came, and plan the next
+    /// reads if what the plan depends on changed.
+    fn turn(&mut self, events: &mut Vec<MuxEvent>) -> io::Result<()> {
+        events.clear();
+        self.lp.wait(events, POLL_TIMEOUT)?;
+        for ev in events.iter() {
+            self.dispatch(ev);
+        }
+        if std::mem::take(&mut self.replan) {
+            self.plan_probe_reads();
         }
         Ok(())
     }
@@ -214,13 +272,18 @@ impl EventedReceiver {
     fn dispatch(&mut self, ev: &MuxEvent) {
         match *ev {
             MuxEvent::Io(r) if r.token == TOK_LISTEN => self.on_accept_ready(),
-            MuxEvent::Io(r) if r.token == TOK_UDP && r.readable => self.on_udp_ready(),
+            MuxEvent::Io(r) if r.token == TOK_UDP && r.readable => self.drain_probes(),
             MuxEvent::Io(r) if r.token < TOK_SLOT_MAX => {
                 self.on_session_io(r.token as usize, r.readable, r.writable);
             }
             MuxEvent::Timer {
                 token: TOK_ACCEPT_RESUME,
             } => self.resume_accepting(),
+            MuxEvent::Timer { token: TOK_DRAIN } => {
+                self.drain_at = None;
+                self.replan = true;
+                self.drain_probes();
+            }
             MuxEvent::Timer { token } if token < TOK_SLOT_MAX => {
                 self.on_tick_timer(token as usize);
             }
@@ -260,7 +323,7 @@ impl EventedReceiver {
                     if self.lp.deregister(self.listener.as_raw_fd()).is_ok() {
                         self.accept_paused = true;
                         let deadline = self.clock.now_ns() + delay.as_nanos() as u64;
-                        self.lp.arm_timer(deadline, TOK_ACCEPT_RESUME);
+                        self.lp.arm_sleep_timer(deadline, TOK_ACCEPT_RESUME, 0);
                     }
                     break;
                 }
@@ -318,13 +381,19 @@ impl EventedReceiver {
         }
         self.by_token.insert(core.token(), slot);
         if let Some(entry) = self.sessions.get_mut(slot) {
-            *entry = Some(Slot { ctrl, io, core });
+            *entry = Some(Slot {
+                ctrl,
+                io,
+                core,
+                collecting_at: None,
+            });
         }
         self.sessions_gauge.set(self.by_token.len() as i64);
     }
 
     /// Tear a slot down: deregister, cancel its timers, free the token.
     fn close_session(&mut self, slot: usize) {
+        self.stop_collecting(slot);
         if let Some(sess) = self.sessions.get_mut(slot).and_then(Option::take) {
             let _ = self.lp.deregister(sess.ctrl.as_raw_fd());
             self.lp.cancel_timer_generation(sess.core.token());
@@ -332,6 +401,38 @@ impl EventedReceiver {
             self.free.push(slot);
             self.sessions_gauge.set(self.by_token.len() as i64);
         }
+    }
+
+    /// The slot's core began collecting: it shapes the read plan.
+    fn start_collecting(&mut self, slot: usize) {
+        if let Some(sess) = self.sessions.get_mut(slot).and_then(Option::as_mut) {
+            if sess.collecting_at.is_none() {
+                sess.collecting_at = Some(self.collecting.len());
+                self.collecting.push(slot);
+                self.replan = true;
+            }
+        }
+    }
+
+    /// The slot's collection is over (report shipped, or the session
+    /// closed): it no longer shapes the read plan.
+    fn stop_collecting(&mut self, slot: usize) {
+        let Some(i) = self
+            .sessions
+            .get_mut(slot)
+            .and_then(Option::as_mut)
+            .and_then(|sess| sess.collecting_at.take())
+        else {
+            return;
+        };
+        self.collecting.swap_remove(i);
+        // The last slot of the list moved into the hole.
+        if let Some(&moved) = self.collecting.get(i) {
+            if let Some(sess) = self.sessions.get_mut(moved).and_then(Option::as_mut) {
+                sess.collecting_at = Some(i);
+            }
+        }
+        self.replan = true;
     }
 
     /// A session failed (socket or protocol error): say so, close it.
@@ -355,6 +456,7 @@ impl EventedReceiver {
                 if !was_collecting && sess.core.is_collecting() {
                     let token = sess.core.token();
                     self.arm_tick(slot, token, now);
+                    self.start_collecting(slot);
                 }
                 self.update_interest(slot);
             }
@@ -378,31 +480,122 @@ impl EventedReceiver {
     }
 
     /// Arm the session's next tick under its token (the cancellation
-    /// generation).
+    /// generation). A tick means "not before": sleep-only.
     fn arm_tick(&mut self, slot: usize, token: u64, now: u64) {
         self.lp
-            .arm_timer_with_generation(now + POLL_TIMEOUT.as_nanos() as u64, slot as u64, token);
+            .arm_sleep_timer(now + POLL_TIMEOUT.as_nanos() as u64, slot as u64, token);
     }
 
     // ---- probe datagrams -----------------------------------------------
 
-    fn on_udp_ready(&mut self) {
+    /// Read the probe socket until it is empty (or the batch budget is
+    /// spent), stamping each datagram with the kernel's arrival instant
+    /// on the receiver's clock.
+    fn drain_probes(&mut self) {
+        let backlog = self.read_batches();
+        if backlog != self.backlog {
+            self.backlog = backlog;
+            self.replan = true;
+        }
+    }
+
+    /// [`EventedReceiver::drain_probes`]' reads: true when the batch
+    /// budget ran out before the socket was empty.
+    fn read_batches(&mut self) -> bool {
         for _ in 0..MAX_BATCHES_PER_WAKEUP {
-            match self.batch.recv(&self.udp) {
-                Ok(n) => {
-                    // Stamped once, at the socket read, before any
-                    // routing — the timestamp contract of the threaded
-                    // demux thread.
-                    let recv_ns = self.clock.now_ns();
-                    self.batch_hist.observe(n as u64);
-                    for i in 0..n {
-                        if let Some(packet) = ProbePacket::decode(self.batch.msg(i)) {
-                            self.demux(&packet, recv_ns);
-                        }
-                    }
+            let n = match self.batch.recv(&self.udp) {
+                Ok(n) => n,
+                // Empty, or a transient error the next drain retries.
+                Err(_) => return false,
+            };
+            let stamps = self.clock.realtime_map();
+            self.batch_hist.observe(n as u64);
+            let dropped = self.batch.take_drops();
+            if dropped > 0 {
+                self.on_overflow(dropped);
+            }
+            for i in 0..n {
+                let stamp = self.batch.stamp(i);
+                if stamp.is_none() && self.stamps {
+                    self.stamps = false;
+                    self.replan = true;
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-                Err(_) => return, // transient; the loop re-polls
+                if let Some(packet) = ProbePacket::decode(self.batch.msg(i)) {
+                    self.demux(&packet, stamps.recv_ns(stamp));
+                }
+            }
+        }
+        true
+    }
+
+    /// The kernel dropped `dropped` probe datagrams for want of buffer:
+    /// count them, and tell every running collection (the core sends it
+    /// back to reading on every arrival).
+    fn on_overflow(&mut self, dropped: u64) {
+        self.admission.counters().drop_rcvbuf.add(dropped);
+        for &slot in &self.collecting {
+            if let Some(sess) = self.sessions.get_mut(slot).and_then(Option::as_mut) {
+                sess.core.on_rcvbuf_overflow();
+            }
+        }
+        self.replan = true;
+    }
+
+    /// Point the probe socket's reads where the core's plan says: on
+    /// readability, or a drain timer one learned wake-up error before the
+    /// planned instant (so a drain at a stream's due instant finds it due
+    /// and hands over to readability before its last packet lands).
+    fn plan_probe_reads(&mut self) {
+        let lead = self.lp.wake_error_ns();
+        let plan = if self.stamps && !self.backlog {
+            let sessions = &self.sessions;
+            let demands = self.collecting.iter().filter_map(|&slot| {
+                sessions
+                    .get(slot)
+                    .and_then(Option::as_ref)
+                    .and_then(|sess| sess.core.read_demand())
+            });
+            plan_reads(demands, self.clock.now_ns() + lead, self.rcvbuf)
+        } else {
+            ReadPlan::OnReadable
+        };
+        match plan {
+            ReadPlan::OnReadable => {
+                if self.drain_at.take().is_some() {
+                    self.lp.cancel_timer_generation(TOK_DRAIN);
+                }
+                self.set_udp_reading(true);
+            }
+            ReadPlan::At(at) => {
+                let at = at.saturating_sub(lead);
+                // An earlier pending drain serves as well: it drains and
+                // plans again.
+                if self.drain_at.is_none_or(|pending| at < pending) {
+                    self.lp.cancel_timer_generation(TOK_DRAIN);
+                    self.lp.arm_sleep_timer(at, TOK_DRAIN, TOK_DRAIN);
+                    self.drain_at = Some(at);
+                }
+                self.set_udp_reading(false);
+            }
+        }
+    }
+
+    /// Set the probe socket's epoll interest to readable or `NONE`; an
+    /// `epoll_ctl` only when it changes.
+    fn set_udp_reading(&mut self, reading: bool) {
+        let interest = if reading {
+            Interest::READ
+        } else {
+            Interest::NONE
+        };
+        if reading != self.udp_reading {
+            match self
+                .lp
+                .set_interest(self.udp.as_raw_fd(), TOK_UDP, interest)
+            {
+                Ok(()) => self.udp_reading = reading,
+                // Try again after the next turn.
+                Err(_) => self.replan = true,
             }
         }
     }
@@ -415,11 +608,13 @@ impl EventedReceiver {
             return;
         };
         counters.routed.inc();
-        let report = self
-            .sessions
-            .get_mut(slot)
-            .and_then(Option::as_mut)
-            .and_then(|sess| sess.core.on_probe(packet, recv_ns));
+        let Some(sess) = self.sessions.get_mut(slot).and_then(Option::as_mut) else {
+            return;
+        };
+        let demand = sess.core.read_demand();
+        let report = sess.core.on_probe(packet, recv_ns);
+        // A stream's first arrival moves its due instant.
+        self.replan |= sess.core.read_demand() != demand;
         if let Some(report) = report {
             self.send_report(slot, &report);
         }
@@ -427,9 +622,14 @@ impl EventedReceiver {
 
     // ---- ticks and reports ---------------------------------------------
 
-    /// A session's tick timer fired: let the core evaluate its stop
-    /// rules; re-arm while it keeps collecting.
+    /// A session's tick timer fired: let the core evaluate its stop rules
+    /// — after draining the probe socket if its reads are deferred, so
+    /// the rules see every arrival (on readability, the loop hands every
+    /// arrival over as it lands) — and re-arm while it keeps collecting.
     fn on_tick_timer(&mut self, slot: usize) {
+        if !self.udp_reading {
+            self.drain_probes();
+        }
         let now = self.clock.now_ns();
         let Some(sess) = self.sessions.get_mut(slot).and_then(Option::as_mut) else {
             return; // stale timer (slot closed; eager cancel usually beats this)
@@ -448,6 +648,7 @@ impl EventedReceiver {
     /// queue the frame, push what the socket takes now (the rest rides on
     /// writability).
     fn send_report(&mut self, slot: usize, report: &CtrlMsg) {
+        self.stop_collecting(slot);
         let Some(sess) = self.sessions.get_mut(slot).and_then(Option::as_mut) else {
             return;
         };
@@ -534,6 +735,7 @@ mod tests {
     fn blocking_transport_measures_through_the_evented_receiver() {
         use slops::{stream_params, ProbeTransport, SlopsConfig};
         use units::{Rate, TimeNs};
+        let _timed = crate::timing_test_lock();
         let rx = bind();
         let addr = rx.ctrl_addr();
         let h = rx.spawn();
@@ -553,6 +755,82 @@ mod tests {
         assert!(trec.received >= 18, "train lost packets: {}", trec.received);
         drop(tx);
         h.stop().unwrap();
+    }
+
+    /// Turn `rx` until `done` holds (at most 5 s).
+    fn turn_until(rx: &mut EventedReceiver, mut done: impl FnMut(&EventedReceiver) -> bool) {
+        let patience = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        let mut events = Vec::new();
+        while !done(rx) {
+            assert!(std::time::Instant::now() < patience, "condition never held");
+            rx.turn(&mut events).unwrap();
+        }
+    }
+
+    /// A stream that has started leaves the probe socket unread between
+    /// planned drains; once the kernel drops datagrams for want of buffer
+    /// during it, the drops are counted and the socket goes back to
+    /// readability for the rest of the collection.
+    #[test]
+    fn an_overflow_sends_the_collection_back_to_readability() {
+        use crate::proto::{ProbeKind, PROBE_HEADER_LEN};
+        let _timed = crate::timing_test_lock();
+        let mut rx = bind();
+        let reg = telemetry::Registry::new();
+        rx.register_metrics(&reg);
+        let (routed, rcvbuf_drops) = (
+            reg.counter("receiver_demux_routed_total", &[]),
+            reg.counter("receiver_demux_drops_total", &[("reason", "rcvbuf")]),
+        );
+        let addr = rx.ctrl_addr();
+        let handshake = std::thread::spawn(move || {
+            let (mut ctrl, core, udp_port) = connect_ctrl(addr).unwrap();
+            CtrlMsg::StreamAnnounce {
+                id: 1,
+                count: 100,
+                period_ns: 1_000_000,
+                size: 64,
+            }
+            .write_to(&mut ctrl)
+            .unwrap();
+            assert_eq!(
+                CtrlMsg::read_from(&mut ctrl).unwrap(),
+                CtrlMsg::Ready { id: 1 }
+            );
+            (ctrl, core.session(), udp_port)
+        });
+        turn_until(&mut rx, |_| handshake.is_finished());
+        let (_ctrl, session, udp_port) = handshake.join().unwrap();
+        let tx = UdpSocket::bind("127.0.0.1:0").unwrap();
+        tx.connect(SocketAddr::new(addr.ip(), udp_port)).unwrap();
+        let send = |idx: u32| {
+            let mut buf = [0u8; PROBE_HEADER_LEN];
+            let (kind, id, send_ns) = (ProbeKind::Stream, 1, 0);
+            ProbePacket {
+                session,
+                kind,
+                id,
+                idx,
+                send_ns,
+            }
+            .encode(&mut buf);
+            tx.send(&buf).unwrap();
+        };
+
+        send(0);
+        turn_until(&mut rx, |rx| routed.get() == 1 && !rx.udp_reading);
+        assert!(rx.drain_at.is_some(), "deferred reads need a drain timer");
+
+        batch::set_recv_buffer(&rx.udp, 1).unwrap();
+        for idx in 1..64 {
+            send(idx);
+        }
+        // The drain frees room; the next datagram in reports the drops.
+        turn_until(&mut rx, |_| routed.get() > 1);
+        send(64);
+        turn_until(&mut rx, |_| rcvbuf_drops.get() > 0);
+        assert!(rx.udp_reading, "still deferring after an overflow");
+        assert!(rx.drain_at.is_none());
     }
 
     #[test]

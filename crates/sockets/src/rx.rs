@@ -1,25 +1,36 @@
 //! The receiver's protocol core — sans-IO.
 //!
 //! Everything a `pathload_rcv` endpoint *decides* lives here, once: who
-//! is admitted ([`Admission`]: token mint from a random base, the session
-//! cap and its versioned `Deny`), what an announce arms, which probe
-//! packets count (kind/id match, de-duplication on index), when a
+//! is admitted ([`Admission`]: token mint from the base the pump draws,
+//! the session cap and its versioned `Deny`), what an announce arms, which
+//! probe packets count (kind/id match, de-duplication on index), when a
 //! collection is over (complete, silence window, hard deadline), what the
-//! report says, and when a suspicious drop total earns a warning. An
+//! report says, when a suspicious drop total earns a warning, and when
+//! the shared probe socket must be read ([`plan_reads`]). An
 //! [`RxSession`] is one control connection's state machine; it never
-//! touches a socket, a thread or a clock. Inputs carry their own time:
+//! touches a socket, a thread, a clock or the OS's entropy. Inputs carry
+//! their own time:
 //!
 //! | input | meaning | output |
 //! |---|---|---|
 //! | [`on_ctrl(msg, now_ns)`](RxSession::on_ctrl) | one decoded control frame | [`CtrlAction::Reply`] (`Ready`, `Echo`) or [`CtrlAction::Close`] (`Bye`); `Err` = protocol error, close the session |
-//! | [`on_probe(&packet, recv_ns)`](RxSession::on_probe) | one probe datagram routed to this session, stamped **at the socket read** | the report frame if this arrival completed the collection |
+//! | [`on_probe(&packet, recv_ns)`](RxSession::on_probe) | one probe datagram routed to this session, stamped with **the kernel's arrival instant** on the pump's clock (the read instant only where the kernel gave no stamp) | the report frame if this arrival completed the collection |
 //! | [`on_tick(now_ns)`](RxSession::on_tick) | [`POLL_TIMEOUT`] elapsed while [`is_collecting`](RxSession::is_collecting) | the report frame if a stop rule fired |
+//! | [`on_rcvbuf_overflow()`](RxSession::on_rcvbuf_overflow) | the kernel dropped probe datagrams for want of buffer space | — (the collection's reads go back to every arrival) |
+//!
+//! Because the stamp is the kernel's, it does not depend on when the pump
+//! reads: a pump may leave the socket unread for a while and lose nothing
+//! of the one-way delays. [`RxSession::read_demand`] says what each
+//! collection needs of the reads and [`plan_reads`] folds those into one
+//! [`ReadPlan`] for the shared socket — read on readability, or drain by
+//! an instant.
 //!
 //! The two receiver shapes — [`Receiver`](crate::Receiver) (a demux
-//! thread plus a thread per session; the only shape that runs off Linux)
-//! and [`EventedReceiver`](crate::EventedReceiver) (one event-loop
-//! thread) — are pumps: they read sockets, stamp `recv_ns`, look the
-//! session up by token, call in here and write what comes back.
+//! thread plus a thread per session; the only shape that runs off Linux;
+//! it reads on every arrival) and [`EventedReceiver`](crate::EventedReceiver)
+//! (one event-loop thread; it follows the plan) — are pumps: they read
+//! sockets, map the kernel's stamps onto `recv_ns`, look the session up by
+//! token, call in here and write what comes back.
 //! `tests/rx_conformance.rs` hand-steps this module with scripted inputs
 //! and replays the same scripts over the wire against both pumps.
 //!
@@ -42,8 +53,6 @@ use crate::proto::{
     CtrlMsg, ProbeKind, ProbePacket, SampleWire, DENY_AT_CAPACITY, MAX_ANNOUNCE_COUNT,
     PROTO_VERSION,
 };
-use std::collections::hash_map::RandomState;
-use std::hash::{BuildHasher, Hasher};
 use std::io;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -80,6 +89,19 @@ const DROP_WARN_THRESHOLD: u64 = 32;
 /// of duplicates cannot turn the log into its own flood.
 const DROP_WARN_INTERVAL_NS: u64 = 5_000_000_000;
 
+/// The longest [`plan_reads`] lets the probe socket go unread. Long
+/// enough that one read collects tens of datagrams at the periods a
+/// stream is paced at (40 at 100 µs; ~21 per read on two 40 Mb/s
+/// loopback paths), short enough that a report is never held back by
+/// more than this, and that the receive buffer at Linux's default
+/// 208 KiB `rmem_max` holds it at ~50 MB/s of small probes.
+pub const MAX_READ_GAP_NS: u64 = 4_000_000;
+
+/// What a queued datagram costs the receive buffer on top of its
+/// payload: the kernel charges each one's bookkeeping (`truesize`, ~850 B
+/// for a 64 B loopback datagram on Linux 6.x) against the same budget.
+pub const DATAGRAM_OVERHEAD_BYTES: u64 = 1024;
+
 /// Route/drop accounting of one receiver. Dropping a datagram is often
 /// *by design* here (stale tokens, duplicated datagrams, bounded collector
 /// channels); these counters make the by-design drops visible instead of
@@ -100,6 +122,10 @@ pub struct RecvCounters {
     /// Stream/train packets a collection discarded: duplicated datagram
     /// or out-of-range index.
     pub drop_dedup: Counter,
+    /// Datagrams the kernel dropped on the probe socket because its
+    /// receive buffer was full (`SO_RXQ_OVFL`; counted by the pump as
+    /// the datagrams that did get in report it).
+    pub drop_rcvbuf: Counter,
     /// Collections ended by the silence window instead of a complete
     /// arrival set (the missing tail is treated as lost).
     pub silence_stops: Counter,
@@ -125,6 +151,11 @@ impl RecvCounters {
             "receiver_demux_drops_total",
             &[("reason", "dedup")],
             self.drop_dedup.clone(),
+        );
+        reg.register_counter(
+            "receiver_demux_drops_total",
+            &[("reason", "rcvbuf")],
+            self.drop_rcvbuf.clone(),
         );
         reg.register_counter(
             "receiver_collect_silence_stops_total",
@@ -185,15 +216,15 @@ pub struct Admission(Arc<Shared>);
 
 impl Admission {
     /// A desk advertising `udp_port` (the receiver's shared probe port) in
-    /// every `Hello`. Tokens count up from a random 64-bit base (std's
-    /// OS-seeded hasher entropy): an off-path attacker who cannot observe
-    /// the control channel cannot guess a live token to spoof probe
-    /// datagrams into a session's collection, and a restarted receiver
-    /// essentially never re-issues a pre-restart token.
-    pub fn new(udp_port: u16) -> Admission {
+    /// every `Hello`. Tokens count up from `token_base`, which the pump
+    /// draws at random (a simulator would seed it): an off-path attacker
+    /// who cannot observe the control channel cannot guess a live token
+    /// to spoof probe datagrams into a session's collection, and a
+    /// restarted receiver essentially never re-issues a pre-restart token.
+    pub fn new(udp_port: u16, token_base: u64) -> Admission {
         Admission(Arc::new(Shared {
             udp_port,
-            next_token: AtomicU64::new(RandomState::new().build_hasher().finish()),
+            next_token: AtomicU64::new(token_base),
             max_sessions: AtomicUsize::new(0),
             counters: RecvCounters::default(),
             last_drop_warn_ns: AtomicU64::new(0),
@@ -255,10 +286,16 @@ pub enum CtrlAction {
 enum Kind {
     Stream {
         period_ns: u64,
+        /// Announced datagram size (read planning's buffer bound).
+        size: u32,
         samples: Vec<SampleWire>,
         /// First matching arrival (duplicates included): the nominal
         /// duration is measured from here.
         first_arrival: Option<u64>,
+        /// When the last packet is due: extrapolated from the first
+        /// arrival by its index at the announced period; until then the
+        /// earliest it could be, from the announce.
+        due_ns: u64,
     },
     Train {
         received: u32,
@@ -278,6 +315,8 @@ struct Collection {
     /// Hard stop, whatever has or has not arrived.
     deadline: u64,
     last_activity: u64,
+    /// The kernel dropped probe datagrams while this collection ran.
+    overflowed: bool,
     kind: Kind,
 }
 
@@ -305,16 +344,53 @@ impl RxSession {
         self.collect.is_some()
     }
 
+    /// What this session's collection needs of the probe socket's reads
+    /// (`None` between collections), for [`plan_reads`]. A stream can wait
+    /// for its last packet: due `count − 1 − idx` periods after the first
+    /// arrival (packet `idx`), and before that no earlier than
+    /// `count − 1` periods after the announce — a sender that starts late
+    /// finds the stream overdue, read on arrival, until its first packet
+    /// moves the due instant. A train (a few hundred µs back to back) and
+    /// a collection that lost datagrams to a full receive buffer want
+    /// every arrival read as it lands.
+    pub fn read_demand(&self) -> Option<ReadDemand> {
+        let c = self.collect.as_ref()?;
+        Some(match c.kind {
+            Kind::Stream {
+                due_ns,
+                size,
+                period_ns,
+                ..
+            } if !c.overflowed => ReadDemand::Stream {
+                due_ns,
+                size,
+                period_ns,
+            },
+            _ => ReadDemand::Now,
+        })
+    }
+
+    /// The kernel dropped probe datagrams for want of receive buffer
+    /// while this session was collecting: whatever the plan assumed about
+    /// the buffer did not hold, so the rest of this collection is read on
+    /// every arrival. (The datagrams themselves are lost; the pump counts
+    /// them in [`RecvCounters::drop_rcvbuf`].)
+    pub fn on_rcvbuf_overflow(&mut self) {
+        if let Some(c) = self.collect.as_mut() {
+            c.overflowed = true;
+        }
+    }
+
     /// One control frame from the sender at `now_ns`.
     pub fn on_ctrl(&mut self, msg: CtrlMsg, now_ns: u64) -> io::Result<CtrlAction> {
-        // `Some(period)`: a stream; `None`: a train.
-        let (id, count, period_ns) = match msg {
+        // `Some((period, size))`: a stream; `None`: a train.
+        let (id, count, stream) = match msg {
             CtrlMsg::StreamAnnounce {
                 id,
                 count,
                 period_ns,
-                size: _,
-            } => (id, count, Some(period_ns)),
+                size,
+            } => (id, count, Some((period_ns, size))),
             CtrlMsg::TrainAnnounce { id, count, size: _ } => (id, count, None),
             CtrlMsg::Echo { token } => return Ok(CtrlAction::Reply(CtrlMsg::Echo { token })),
             CtrlMsg::Bye => return Ok(CtrlAction::Close),
@@ -332,12 +408,14 @@ impl RxSession {
                 "announce while a collection is active",
             ));
         }
-        let (kind, budget) = match period_ns {
-            Some(period_ns) => (
+        let (kind, budget) = match stream {
+            Some((period_ns, size)) => (
                 Kind::Stream {
                     period_ns,
+                    size,
                     samples: Vec::with_capacity(count as usize),
                     first_arrival: None,
+                    due_ns: last_due(now_ns, count, 0, period_ns),
                 },
                 (count as u64)
                     .saturating_mul(period_ns)
@@ -358,13 +436,14 @@ impl RxSession {
             seen: vec![false; count as usize],
             deadline: now_ns.saturating_add(budget),
             last_activity: now_ns,
+            overflowed: false,
             kind,
         });
         Ok(CtrlAction::Reply(CtrlMsg::Ready { id }))
     }
 
     /// One probe packet carrying this session's token, stamped `recv_ns`
-    /// at the socket read. Returns the report if it completed the
+    /// with its arrival instant. Returns the report if it completed the
     /// collection.
     pub fn on_probe(&mut self, packet: &ProbePacket, recv_ns: u64) -> Option<CtrlMsg> {
         // Between collections: a late packet of a finished stream.
@@ -377,8 +456,15 @@ impl RxSession {
             return None; // leftover of an earlier train/stream
         }
         c.last_activity = recv_ns;
-        if let Kind::Stream { first_arrival, .. } = &mut c.kind {
-            first_arrival.get_or_insert(recv_ns);
+        if let Kind::Stream {
+            first_arrival: first_arrival @ None,
+            due_ns,
+            period_ns,
+            ..
+        } = &mut c.kind
+        {
+            *first_arrival = Some(recv_ns);
+            *due_ns = last_due(recv_ns, c.count, packet.idx, *period_ns);
         }
         match c.seen.get_mut(packet.idx as usize) {
             // In range and fresh: mark and record below.
@@ -471,6 +557,94 @@ impl RxSession {
     }
 }
 
+/// What one collection needs of the shared probe socket's reads
+/// ([`RxSession::read_demand`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ReadDemand {
+    /// Read every datagram as it lands.
+    Now,
+    /// A stream whose last packet is due at `due_ns`, paced at one
+    /// `size`-byte datagram every `period_ns`.
+    Stream {
+        /// When the last packet is due.
+        due_ns: u64,
+        /// Announced datagram size in bytes.
+        size: u32,
+        /// Announced packet period.
+        period_ns: u64,
+    },
+}
+
+/// When a pump owes the shared probe socket a read ([`plan_reads`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ReadPlan {
+    /// Read whenever the socket is readable: every arrival wakes the pump.
+    OnReadable,
+    /// Leave the socket unread until this instant, then drain it and plan
+    /// again.
+    At(u64),
+}
+
+/// One plan for the shared probe socket, from what every collecting
+/// session needs of it (`demands`, one per collecting session), the
+/// instant `now_ns`, and the effective receive buffer `rcvbuf_bytes`
+/// (the kernel's read-back, 0 when unknown).
+///
+/// [`ReadPlan::OnReadable`] when nothing is collecting (stray datagrams
+/// are counted promptly), when any session wants every arrival
+/// ([`ReadDemand::Now`]), when a stream's last packet is due by `now_ns`
+/// (it is overdue: the report leaves as that packet lands), or when the
+/// buffer is unknown. Otherwise [`ReadPlan::At`] the earliest due instant,
+/// but no later than it takes the collecting streams to half-fill the
+/// buffer at their announced rates — each datagram costing its size plus
+/// [`DATAGRAM_OVERHEAD_BYTES`] — and never later than [`MAX_READ_GAP_NS`]
+/// from now.
+///
+/// A pump whose timers wake late by some error should pass `now_ns` that
+/// much ahead and arm its drain that much early: the drain at a due
+/// instant then finds the stream due and hands over to readability before
+/// the last packet lands, instead of holding it until a late wake-up.
+pub fn plan_reads(
+    demands: impl IntoIterator<Item = ReadDemand>,
+    now_ns: u64,
+    rcvbuf_bytes: u64,
+) -> ReadPlan {
+    let mut earliest_due: Option<u64> = None;
+    let mut bytes_per_s = 0u64;
+    for demand in demands {
+        let ReadDemand::Stream {
+            due_ns,
+            size,
+            period_ns,
+        } = demand
+        else {
+            return ReadPlan::OnReadable;
+        };
+        if due_ns <= now_ns {
+            return ReadPlan::OnReadable;
+        }
+        earliest_due = Some(earliest_due.map_or(due_ns, |e| e.min(due_ns)));
+        let per_datagram = u64::from(size).saturating_add(DATAGRAM_OVERHEAD_BYTES);
+        bytes_per_s = bytes_per_s
+            .saturating_add(per_datagram.saturating_mul(1_000_000_000) / period_ns.max(1));
+    }
+    let Some(due) = earliest_due else {
+        return ReadPlan::OnReadable;
+    };
+    let half_fill_ns = (rcvbuf_bytes / 2).saturating_mul(1_000_000_000) / bytes_per_s.max(1);
+    match half_fill_ns.min(MAX_READ_GAP_NS) {
+        0 => ReadPlan::OnReadable,
+        gap => ReadPlan::At(due.min(now_ns.saturating_add(gap))),
+    }
+}
+
+/// When the last of `count` packets paced `period_ns` apart is due, if
+/// packet `idx` arrived at `at_ns` (an out-of-range index: due at once).
+fn last_due(at_ns: u64, count: u32, idx: u32, period_ns: u64) -> u64 {
+    let left = count.saturating_sub(1).saturating_sub(idx);
+    at_ns.saturating_add(u64::from(left).saturating_mul(period_ns))
+}
+
 /// Bound per-session collection memory: refuse an announce whose `count`
 /// would make the receiver allocate absurd per-stream state (see
 /// [`MAX_ANNOUNCE_COUNT`]).
@@ -517,7 +691,7 @@ mod tests {
     /// session's running tally, and is rate-limited across sessions.
     #[test]
     fn drop_warning_fires_at_collection_end_and_is_rate_limited() {
-        let desk = Admission::new(1);
+        let desk = Admission::new(1, 0);
         let (mut a, _) = desk.admit(0).unwrap();
         let (mut b, _) = desk.admit(1).unwrap();
         let warned_at = || desk.0.last_drop_warn_ns.load(Ordering::Relaxed);
@@ -536,5 +710,172 @@ mod tests {
         collection_with_drops(&mut b, 2, 0, 11 * sec + DROP_WARN_INTERVAL_NS);
         assert_eq!(warned_at(), 11 * sec + DROP_WARN_INTERVAL_NS);
         assert_eq!(desk.counters().drop_dedup.get(), 2 * DROP_WARN_THRESHOLD);
+    }
+
+    /// Tokens count up from the base the pump passes in.
+    #[test]
+    fn tokens_count_up_from_the_given_base() {
+        let desk = Admission::new(1, 41);
+        assert_eq!(desk.admit(0).unwrap().0.token(), 41);
+        assert_eq!(desk.admit(1).unwrap().0.token(), 42);
+    }
+
+    const MS: u64 = 1_000_000;
+    /// A buffer large enough that only the due instant and the read gap
+    /// bound a plan.
+    const BIG: u64 = 8 << 20;
+
+    fn stream(due_ns: u64) -> ReadDemand {
+        ReadDemand::Stream {
+            due_ns,
+            size: 976,
+            period_ns: 100_000,
+        }
+    }
+
+    fn probe(session: &RxSession, kind: ProbeKind, id: u32, idx: u32) -> ProbePacket {
+        ProbePacket {
+            session: session.token(),
+            kind,
+            id,
+            idx,
+            send_ns: 0,
+        }
+    }
+
+    /// A stream's last packet is due `count − 1 − idx` periods after the
+    /// first arrival, and before that no earlier than `count − 1` periods
+    /// after the announce. A train wants every arrival read as it lands.
+    #[test]
+    fn a_collection_says_what_it_needs_of_the_reads() {
+        let desk = Admission::new(1, 0);
+        let (mut s, _) = desk.admit(0).unwrap();
+        assert_eq!(s.read_demand(), None, "idle");
+        let announce = CtrlMsg::StreamAnnounce {
+            id: 1,
+            count: 100,
+            period_ns: 100_000,
+            size: 976,
+        };
+        s.on_ctrl(announce.clone(), MS).unwrap();
+        assert_eq!(
+            s.read_demand(),
+            Some(stream(MS + 99 * 100_000)),
+            "not started"
+        );
+        s.on_probe(&probe(&s, ProbeKind::Stream, 1, 0), 5 * MS);
+        assert_eq!(s.read_demand(), Some(stream(5 * MS + 99 * 100_000)));
+        // Later arrivals do not move the due instant.
+        s.on_probe(&probe(&s, ProbeKind::Stream, 1, 1), 9 * MS);
+        assert_eq!(s.read_demand(), Some(stream(5 * MS + 99 * 100_000)));
+
+        // A lost first packet: extrapolated from the index that came.
+        let (mut late, _) = desk.admit(1).unwrap();
+        late.on_ctrl(announce, 0).unwrap();
+        late.on_probe(&probe(&late, ProbeKind::Stream, 1, 2), 5 * MS);
+        assert_eq!(late.read_demand(), Some(stream(5 * MS + 97 * 100_000)));
+
+        let (mut train, _) = desk.admit(2).unwrap();
+        let announce = CtrlMsg::TrainAnnounce {
+            id: 1,
+            count: 50,
+            size: 1500,
+        };
+        train.on_ctrl(announce, 0).unwrap();
+        train.on_probe(&probe(&train, ProbeKind::Train, 1, 0), MS);
+        assert_eq!(train.read_demand(), Some(ReadDemand::Now), "a train");
+    }
+
+    /// An overflow sends the rest of the collection back to every
+    /// arrival; the next collection plans afresh.
+    #[test]
+    fn an_overflow_reads_the_rest_of_the_collection_on_arrival() {
+        let desk = Admission::new(1, 0);
+        let (mut s, _) = desk.admit(0).unwrap();
+        s.on_rcvbuf_overflow(); // idle: nothing to mark
+        let announce = |id| CtrlMsg::StreamAnnounce {
+            id,
+            count: 2,
+            period_ns: MS,
+            size: 64,
+        };
+        s.on_ctrl(announce(1), 0).unwrap();
+        s.on_probe(&probe(&s, ProbeKind::Stream, 1, 0), MS);
+        assert!(matches!(s.read_demand(), Some(ReadDemand::Stream { .. })));
+        s.on_rcvbuf_overflow();
+        assert_eq!(s.read_demand(), Some(ReadDemand::Now));
+        assert!(s
+            .on_probe(&probe(&s, ProbeKind::Stream, 1, 1), 2 * MS)
+            .is_some());
+        s.on_ctrl(announce(2), 3 * MS).unwrap();
+        s.on_probe(&probe(&s, ProbeKind::Stream, 2, 0), 4 * MS);
+        assert!(matches!(s.read_demand(), Some(ReadDemand::Stream { .. })));
+    }
+
+    #[test]
+    fn nothing_collecting_a_train_or_an_unknown_buffer_reads_on_arrival() {
+        assert_eq!(plan_reads([], 0, BIG), ReadPlan::OnReadable);
+        assert_eq!(
+            plan_reads([stream(10 * MS), ReadDemand::Now], 0, BIG),
+            ReadPlan::OnReadable
+        );
+        assert_eq!(plan_reads([stream(10 * MS)], 0, 0), ReadPlan::OnReadable);
+    }
+
+    /// Due by now: the last packet is overdue, so the report leaves as it
+    /// lands. Until then, the earliest due instant or the read gap.
+    #[test]
+    fn an_overdue_last_packet_hands_over_to_readability() {
+        assert_eq!(
+            plan_reads([stream(10 * MS)], 10 * MS, BIG),
+            ReadPlan::OnReadable
+        );
+        assert_eq!(
+            plan_reads([stream(10 * MS)], 11 * MS, BIG),
+            ReadPlan::OnReadable
+        );
+        assert_eq!(
+            plan_reads([stream(10 * MS)], 9 * MS, BIG),
+            ReadPlan::At(10 * MS)
+        );
+        assert_eq!(
+            plan_reads([stream(100 * MS)], 9 * MS, BIG),
+            ReadPlan::At(9 * MS + MAX_READ_GAP_NS)
+        );
+    }
+
+    /// The socket is drained before the collecting streams half-fill the
+    /// buffer at their announced rates, each datagram costing its size
+    /// plus the kernel's overhead.
+    #[test]
+    fn reads_come_before_the_buffer_half_fills() {
+        // (976 + 1024) B per 100 µs = 20 MB/s; 32 KiB is 1.6384 ms of it.
+        let rcvbuf = 64 << 10;
+        assert_eq!(
+            plan_reads([stream(100 * MS)], 0, rcvbuf),
+            ReadPlan::At(1_638_400)
+        );
+        // Half a byte of buffer is no time at all: read on arrival.
+        assert_eq!(plan_reads([stream(100 * MS)], 0, 1), ReadPlan::OnReadable);
+    }
+
+    /// Several streams: their rates add up against the one buffer, and the
+    /// earliest due instant wins.
+    #[test]
+    fn several_sessions_share_one_plan() {
+        let rcvbuf = 64 << 10;
+        assert_eq!(
+            plan_reads([stream(100 * MS), stream(90 * MS)], 0, rcvbuf),
+            ReadPlan::At(819_200)
+        );
+        assert_eq!(
+            plan_reads([stream(3 * MS), stream(2 * MS), stream(50 * MS)], MS, BIG),
+            ReadPlan::At(2 * MS)
+        );
+        assert_eq!(
+            plan_reads([stream(3 * MS), stream(MS)], MS, BIG),
+            ReadPlan::OnReadable,
+            "one overdue stream is enough"
+        );
     }
 }

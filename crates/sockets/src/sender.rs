@@ -214,6 +214,7 @@ mod tests {
 
     #[test]
     fn stream_round_trip_over_loopback() {
+        let _timed = crate::timing_test_lock();
         let (mut tx, handle) = loopback_pair();
         let cfg = loopback_cfg();
         let req = stream_params(Rate::from_mbps(1.6), 0, &cfg); // 200B @ 1ms

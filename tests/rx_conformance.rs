@@ -415,7 +415,7 @@ struct Transcript {
 /// Feed a script to a fresh `RxSession`, one input at a time, on the
 /// hand-stepped clock.
 fn hand_step(steps: &[Step]) -> Transcript {
-    let desk = Admission::new(4242);
+    let desk = Admission::new(4242, 0x5eed);
     let (mut session, hello) = desk.admit(0).expect("an uncapped desk admits");
     assert_eq!(
         hello,
@@ -530,7 +530,7 @@ fn report_frames_are_byte_exact() {
 /// with the versioned `Deny` and counts it.
 #[test]
 fn protocol_errors_and_the_session_cap() {
-    let desk = Admission::new(1);
+    let desk = Admission::new(1, 0x5eed);
     let (mut session, _) = desk.admit(0).unwrap();
     let err = session
         .on_ctrl(
@@ -753,5 +753,151 @@ fn both_pumps_replay_the_scripts_like_the_core() {
             got.silence_stops,
         );
         assert_eq!(got, want, "{name}: {pump:?} diverged from the core");
+    }
+}
+
+// ---- the timestamp contract, over the wire ------------------------------
+
+/// Every pump the wire-level contract tests run against.
+fn pumps() -> Vec<Pump> {
+    vec![
+        Pump::Threaded,
+        #[cfg(target_os = "linux")]
+        Pump::Evented,
+    ]
+}
+
+/// Send stream `id`'s packets `0..count`, all but `skip`, `period` apart
+/// by busy-waiting on absolute deadlines. Each carries as `send_ns` the
+/// instant it was handed to the socket on a test clock started here;
+/// returns those, by index.
+fn send_paced(
+    client: &RawClient,
+    id: u32,
+    count: u32,
+    period: Duration,
+    skip: Option<u32>,
+) -> Vec<u64> {
+    let t0 = Instant::now();
+    let mut sent = Vec::new();
+    for idx in 0..count {
+        while t0.elapsed() < period * idx {
+            std::hint::spin_loop();
+        }
+        let send_ns = t0.elapsed().as_nanos() as u64;
+        sent.push(send_ns);
+        if Some(idx) != skip {
+            client.send_probe(client.session, id, idx, send_ns);
+        }
+    }
+    sent
+}
+
+/// Hang up and stop the receiver.
+fn finish(client: RawClient, far_end: FarEnd) {
+    client.bye();
+    match far_end {
+        FarEnd::Threaded(h) => drop(h.join().unwrap()),
+        #[cfg(target_os = "linux")]
+        FarEnd::Evented(h) => h.stop().unwrap(),
+    }
+}
+
+/// Collections the receiver ended on the silence window.
+fn silence_stops(reg: &Registry) -> u64 {
+    reg.counter("receiver_collect_silence_stops_total", &[])
+        .get()
+}
+
+/// Datagrams sent 1 ms apart carry arrival stamps 1 ms ± 200 µs apart on
+/// both pumps — on the evented one although it reads them several to a
+/// drain, which a stamp taken at the read would collapse into one. The
+/// spacing is compared with the sender's own, so a preempted sender
+/// cannot fail it; a preemption between the sender's clock read and its
+/// send can, and gets two more tries.
+#[test]
+fn arrival_stamps_are_the_kernels_not_the_reads() {
+    const COUNT: u32 = 12;
+    for pump in pumps() {
+        let mut worst_ns = Vec::new();
+        for _ in 0..3 {
+            let reg = Registry::new();
+            let (addr, far_end) = start(pump, &reg);
+            let mut client = RawClient::connect(addr);
+            client.announce_stream(1, COUNT, 1_000_000);
+            let sent = send_paced(&client, 1, COUNT, Duration::from_millis(1), None);
+            let mut samples = client.read_report(1);
+            finish(client, far_end);
+            assert_eq!(samples.len(), COUNT as usize, "{pump:?}: loss on loopback");
+            samples.sort_by_key(|s| s.idx);
+            let worst = samples
+                .windows(2)
+                .map(|w| {
+                    let got = w[1].recv_ns as i64 - w[0].recv_ns as i64;
+                    let want = sent[w[1].idx as usize] as i64 - sent[w[0].idx as usize] as i64;
+                    (got - want).unsigned_abs()
+                })
+                .max()
+                .unwrap();
+            #[cfg(target_os = "linux")]
+            if pump == Pump::Evented {
+                let batches = reg.histogram("receiver_recv_batch_size", &[]);
+                assert!(
+                    batches.sum() > batches.count(),
+                    "the evented pump read every datagram on its own"
+                );
+            }
+            worst_ns.push(worst);
+            if worst <= 200_000 {
+                break;
+            }
+        }
+        assert!(
+            worst_ns.last().is_some_and(|&w| w <= 200_000),
+            "{pump:?}: stamp spacing off the send spacing by {worst_ns:?} ns"
+        );
+    }
+}
+
+/// A stream whose first packet comes 5 ms after `Ready` completes on its
+/// last packet, not on a stop rule, on both pumps.
+#[test]
+fn a_sender_that_starts_late_still_completes() {
+    const COUNT: u32 = 20;
+    for pump in pumps() {
+        let reg = Registry::new();
+        let (addr, far_end) = start(pump, &reg);
+        let mut client = RawClient::connect(addr);
+        client.announce_stream(2, COUNT, 1_000_000);
+        thread::sleep(Duration::from_millis(5));
+        send_paced(&client, 2, COUNT, Duration::from_millis(1), None);
+        let last_sent = Instant::now();
+        let samples = client.read_report(2);
+        let waited = last_sent.elapsed();
+        finish(client, far_end);
+        assert_eq!(samples.len(), COUNT as usize, "{pump:?}");
+        assert_eq!(silence_stops(&reg), 0, "{pump:?}");
+        assert!(
+            waited < Duration::from_millis(150),
+            "{pump:?}: the report came {waited:?} after the last packet"
+        );
+    }
+}
+
+/// A stream whose last packet is lost still ends, on the silence stop,
+/// on both pumps.
+#[test]
+fn a_lost_last_packet_ends_on_the_silence_stop() {
+    const COUNT: u32 = 20;
+    for pump in pumps() {
+        let reg = Registry::new();
+        let (addr, far_end) = start(pump, &reg);
+        let mut client = RawClient::connect(addr);
+        client.announce_stream(3, COUNT, 1_000_000);
+        send_paced(&client, 3, COUNT, Duration::from_millis(1), Some(COUNT - 1));
+        let samples = client.read_report(3);
+        finish(client, far_end);
+        assert_eq!(samples.len(), COUNT as usize - 1, "{pump:?}");
+        assert_eq!(silence_stops(&reg), 1, "{pump:?}");
     }
 }
