@@ -2,20 +2,18 @@
 //! sockets.
 //!
 //! ```text
-//! monitord [--driver thread|async] [--metrics <addr>] <config-file>
+//! monitord [--metrics <addr>] <config-file>
 //!                                 monitor the fleet described by the file
-//! monitord --loopback <n> [horizon_s] [--driver thread|async]
-//!          [--metrics <addr>]
+//! monitord --loopback <n> [horizon_s] [--metrics <addr>]
 //!                                 self-test: monitor n in-process loopback
 //!                                 receivers for horizon_s (default 8) s
 //! ```
 //!
-//! `--driver` selects the fleet substrate: `thread` (the default) runs one
-//! blocking worker per in-flight measurement; `async` multiplexes every
-//! path on **one** event-loop thread (epoll + timer queue — the
-//! fleet-scale mode: hundreds of paths without hundreds of workers). Both
-//! take every scheduling decision from the same sans-IO scheduler and
-//! emit the same records.
+//! Every path is multiplexed on **one** event-loop thread (epoll + timer
+//! queue: hundreds of paths without hundreds of workers), with every
+//! scheduling decision taken by the sans-IO scheduler. Linux only: on
+//! other Unix hosts the event loop fails to start with `Unsupported`
+//! (exit 1), and elsewhere the daemon exits 1 before connecting.
 //!
 //! The config format is documented in `monitord::config` (and in the
 //! README's "Running monitord" section): `path <label> <host:port>` lines
@@ -53,14 +51,7 @@
 use monitord::export::{change_line, fleet_summary, sample_line, summary_line, telemetry_line};
 #[cfg(unix)]
 use monitord::run_socket_fleet_async_with_telemetry;
-use monitord::{
-    run_socket_fleet_with_telemetry, DaemonConfig, FleetEvent, FleetTelemetry, ShutdownFlag,
-    SocketPathSpec,
-};
-#[cfg(unix)]
-use pathload_net::EventedReceiver;
-#[cfg(not(unix))]
-use pathload_net::Receiver;
+use monitord::{DaemonConfig, FleetEvent, FleetTelemetry, ShutdownFlag, SocketPathSpec};
 use std::fs;
 use std::io::{self, Write};
 use std::net::ToSocketAddrs;
@@ -112,46 +103,18 @@ fn install_signal_handlers(stop: ShutdownFlag) {
 fn install_signal_handlers(_stop: ShutdownFlag) {}
 
 const USAGE: &str = "\
-usage: monitord [--driver thread|async] [--metrics <addr>] <config-file>
-       monitord --loopback <n-paths> [horizon-s] [--driver thread|async]
-                [--metrics <addr>]
+usage: monitord [--metrics <addr>] <config-file>
+       monitord --loopback <n-paths> [horizon-s] [--metrics <addr>]
 
 Monitors N network paths by periodic pathload measurements against
-pathload_rcv receivers, emitting JSONL sample/change/summary records to
-stdout (or the file named by the config's `out`). --loopback runs a
-seconds-bounded self-test against in-process receivers.
+pathload_rcv receivers, every path on one event-loop thread, emitting
+JSONL sample/change/summary records to stdout (or the file named by the
+config's `out`). --loopback runs a seconds-bounded self-test against an
+in-process receiver.
 
---driver thread   one blocking worker per in-flight measurement (default)
---driver async    every path multiplexed on ONE event-loop thread
-                  (epoll; the fleet-scale mode)
 --metrics <addr>  serve a live Prometheus-text snapshot of the fleet's
                   telemetry registry at http://<addr>/metrics (overrides
                   the config's `metrics` directive)";
-
-/// Which fleet driver executes the schedule.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Driver {
-    Thread,
-    Async,
-}
-
-/// Extract a `--driver <thread|async>` flag (anywhere on the line) from
-/// the argument list; the remaining arguments keep their order.
-fn take_driver_flag(args: &mut Vec<String>) -> Result<Driver, String> {
-    let Some(pos) = args.iter().position(|a| a == "--driver") else {
-        return Ok(Driver::Thread);
-    };
-    if pos + 1 >= args.len() {
-        return Err("--driver wants a value: thread | async".into());
-    }
-    let value = args.remove(pos + 1);
-    args.remove(pos);
-    match value.as_str() {
-        "thread" => Ok(Driver::Thread),
-        "async" => Ok(Driver::Async),
-        other => Err(format!("unknown driver {other:?}: want thread | async")),
-    }
-}
 
 /// Extract a `--metrics <host:port>` flag (anywhere on the line) from the
 /// argument list; the remaining arguments keep their order.
@@ -171,13 +134,6 @@ fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let stop = ShutdownFlag::new();
     install_signal_handlers(stop.clone());
-    let driver = match take_driver_flag(&mut args) {
-        Ok(d) => d,
-        Err(msg) => {
-            eprintln!("monitord: {msg}\n{USAGE}");
-            exit(2);
-        }
-    };
     let metrics_flag = match take_metrics_flag(&mut args) {
         Ok(m) => m,
         Err(msg) => {
@@ -190,8 +146,8 @@ fn main() {
             println!("{USAGE}");
             return;
         }
-        Some("--loopback") => run_loopback(&args[1..], driver, metrics_flag, &stop),
-        Some(path) if args.len() == 1 => run_from_file(path, driver, metrics_flag, &stop),
+        Some("--loopback") => run_loopback(&args[1..], metrics_flag, &stop),
+        Some(path) if args.len() == 1 => run_from_file(path, metrics_flag, &stop),
         _ => {
             eprintln!("{USAGE}");
             exit(2);
@@ -205,7 +161,6 @@ fn main() {
 
 fn run_from_file(
     path: &str,
-    driver: Driver,
     metrics_flag: Option<String>,
     stop: &ShutdownFlag,
 ) -> Result<(), String> {
@@ -228,14 +183,7 @@ fn run_from_file(
     }
     let metrics_addr = metrics_flag.or_else(|| cfg.metrics.clone());
     let telemetry = FleetTelemetry::new();
-    monitor(
-        &cfg,
-        specs,
-        driver,
-        &telemetry,
-        metrics_addr.as_deref(),
-        stop,
-    )
+    monitor(&cfg, specs, &telemetry, metrics_addr.as_deref(), stop)
 }
 
 /// Self-test mode: spawn **one** in-process loopback receiver and monitor
@@ -244,25 +192,23 @@ fn run_from_file(
 /// seconds-scale settings. The "avail-bw" of loopback is meaningless (no
 /// FIFO bottleneck) — the point is the whole daemon stack running end to
 /// end on a real network stack, bounded in time.
+#[cfg(unix)]
 fn run_loopback(
     args: &[String],
-    driver: Driver,
     metrics_flag: Option<String>,
     stop: &ShutdownFlag,
 ) -> Result<(), String> {
-    // The async driver multiplexes on one thread, so it can sensibly
-    // drive far larger loopback fleets than thread-per-measurement.
-    let max_paths = match driver {
-        Driver::Thread => 64,
-        Driver::Async => 512,
-    };
+    const MAX_PATHS: usize = 512;
+    if args.len() > 2 {
+        return Err(format!("unexpected arguments {:?}\n{USAGE}", &args[2..]));
+    }
     let n: usize = args
         .first()
         .ok_or_else(|| format!("--loopback wants a path count\n{USAGE}"))?
         .parse()
         .ok()
-        .filter(|&n| (1..=max_paths).contains(&n))
-        .ok_or_else(|| format!("path count must be an integer in 1..={max_paths}"))?;
+        .filter(|&n| (1..=MAX_PATHS).contains(&n))
+        .ok_or_else(|| format!("path count must be an integer in 1..={MAX_PATHS}"))?;
     let horizon_s: f64 = match args.get(1) {
         None => 8.0,
         Some(v) => v
@@ -276,13 +222,9 @@ fn run_loopback(
     cfg.horizon = TimeNs::from_secs_f64(horizon_s);
     cfg.schedule.period = TimeNs::from_secs(2);
     cfg.schedule.jitter = TimeNs::from_millis(200);
-    // Loopback paths share the host, so concurrency is capped. The
-    // event-loop driver exists to run big fleets, so it gets enough
-    // concurrency for every path to land a sample within the horizon.
-    cfg.schedule.max_concurrent = match driver {
-        Driver::Thread => 1,
-        Driver::Async => (n / 4).clamp(2, 8),
-    };
+    // Loopback paths share the host, so concurrency is capped — but high
+    // enough for every path to land a sample within the horizon.
+    cfg.schedule.max_concurrent = (n / 4).clamp(2, 8);
     cfg.series.window = TimeNs::from_secs(4);
     cfg.rate_cap = Some(Rate::from_mbps(40.0));
     // Gentle probing so one measurement lasts ~a second on a shared box.
@@ -294,31 +236,17 @@ fn run_loopback(
     cfg.probe.max_fleets = 6;
 
     // ONE shared receiver for the whole fleet: every path connects to the
-    // same control address and becomes its own session. On Unix the far
-    // end is the evented receiver — the whole fleet's sessions on one
-    // event-loop thread with the `recvmmsg`-batched datapath — stopped
-    // once the fleet is done; elsewhere the threaded receiver serves one
-    // session per sender (serve_n returns when the fleet drops its
-    // transports). Either way the receiver shares the fleet's registry,
-    // so a `--metrics` scrape of the loopback run also exposes the
-    // demux/drop counters (and, evented, the `receiver_sessions` gauge).
+    // same control address and becomes its own session, all on the
+    // receiver's one event-loop thread, stopped once the fleet is done.
+    // The receiver shares the fleet's registry, so a `--metrics` scrape of
+    // the loopback run also exposes its demux/drop counters and its
+    // `receiver_sessions` gauge.
     let telemetry = FleetTelemetry::new();
-    #[cfg(unix)]
-    let (ctrl_addr, server) = {
-        let rx = EventedReceiver::bind("127.0.0.1:0".parse().unwrap())
-            .map_err(|e| format!("cannot bind the loopback receiver: {e}"))?;
-        rx.register_metrics(telemetry.registry());
-        let handle = rx.spawn();
-        (handle.ctrl_addr(), handle)
-    };
-    #[cfg(not(unix))]
-    let (ctrl_addr, server) = {
-        let rx = Receiver::bind("127.0.0.1:0".parse().unwrap())
-            .map_err(|e| format!("cannot bind the loopback receiver: {e}"))?;
-        let ctrl_addr = rx.ctrl_addr();
-        rx.register_metrics(telemetry.registry());
-        (ctrl_addr, thread::spawn(move || rx.serve_n(n)))
-    };
+    let rx = pathload_net::EventedReceiver::bind("127.0.0.1:0".parse().unwrap())
+        .map_err(|e| format!("cannot bind the loopback receiver: {e}"))?;
+    rx.register_metrics(telemetry.registry());
+    let server = rx.spawn();
+    let ctrl_addr = server.ctrl_addr();
     let specs: Vec<SocketPathSpec> = (0..n)
         .map(|i| SocketPathSpec {
             label: format!("lo{i}"),
@@ -329,28 +257,15 @@ fn run_loopback(
         .collect();
     eprintln!(
         "monitord: loopback self-test, {n} path(s) sharing one receiver \
-         ({ctrl_addr}), {horizon_s} s horizon, {} driver",
-        match driver {
-            Driver::Thread => "thread",
-            Driver::Async => "async",
-        }
+         ({ctrl_addr}), {horizon_s} s horizon"
     );
-    monitor(
-        &cfg,
-        specs,
-        driver,
-        &telemetry,
-        metrics_flag.as_deref(),
-        stop,
-    )?;
-    #[cfg(unix)]
-    server.stop().map_err(|e| format!("receiver failed: {e}"))?;
-    #[cfg(not(unix))]
-    server
-        .join()
-        .map_err(|_| "receiver thread panicked".to_string())?
-        .map_err(|e| format!("receiver failed: {e}"))?;
-    Ok(())
+    monitor(&cfg, specs, &telemetry, metrics_flag.as_deref(), stop)?;
+    server.stop().map_err(|e| format!("receiver failed: {e}"))
+}
+
+#[cfg(not(unix))]
+fn run_loopback(_: &[String], _: Option<String>, _: &ShutdownFlag) -> Result<(), String> {
+    Err("the loopback receiver requires a Unix host".into())
 }
 
 /// How often the observer interleaves a JSONL `telemetry` record with
@@ -364,13 +279,12 @@ const TELEMETRY_EVERY: Duration = Duration::from_secs(2);
 fn monitor(
     cfg: &DaemonConfig,
     specs: Vec<SocketPathSpec>,
-    driver: Driver,
     telemetry: &FleetTelemetry,
     metrics_addr: Option<&str>,
     stop: &ShutdownFlag,
 ) -> Result<(), String> {
     // The scrape endpoint serves live snapshots of the same registry the
-    // drivers write; the handle keeps it serving until the run ends.
+    // driver writes; the handle keeps it serving until the run ends.
     let _metrics_server = match metrics_addr {
         Some(addr) => {
             let srv = telemetry::MetricsServer::bind(addr, telemetry.registry().clone())
@@ -420,31 +334,22 @@ fn monitor(
             emit(telemetry_line(telemetry));
         }
     };
-    let series = match driver {
-        Driver::Thread => run_socket_fleet_with_telemetry(
-            specs,
-            &cfg.schedule,
-            &cfg.series,
-            cfg.horizon,
-            cfg.threads,
-            stop,
-            Some(telemetry),
-            observer,
-        ),
-        #[cfg(unix)]
-        Driver::Async => run_socket_fleet_async_with_telemetry(
-            specs,
-            &cfg.schedule,
-            &cfg.series,
-            cfg.horizon,
-            stop,
-            Some(telemetry),
-            observer,
-        ),
-        #[cfg(not(unix))]
-        Driver::Async => return Err("--driver async requires a Unix host".into()),
-    }
+    #[cfg(unix)]
+    let series = run_socket_fleet_async_with_telemetry(
+        specs,
+        &cfg.schedule,
+        &cfg.series,
+        cfg.horizon,
+        stop,
+        Some(telemetry),
+        observer,
+    )
     .map_err(|e| e.to_string())?;
+    #[cfg(not(unix))]
+    let series: Vec<monitord::PathSeries> = {
+        let _ = (specs, observer);
+        return Err("the socket fleet driver requires a Unix host".into());
+    };
 
     if stop.is_requested() {
         eprintln!("monitord: stopped early; summaries cover the data collected so far");

@@ -21,7 +21,6 @@
 //! window_s 300         # tumbling window of the change detector
 //! capacity 4096        # ring-buffer samples kept per path (0 = unbounded)
 //! horizon_s 3600       # stop issuing measurements after this long
-//! threads 0            # worker threads (0 = one per CPU)
 //! out -                # JSONL sink: `-` for stdout, else a file path
 //! rate_cap_mbps 80     # pacing ceiling of the sender transports
 //! metrics 127.0.0.1:9091  # serve a Prometheus-text snapshot here
@@ -132,8 +131,6 @@ pub struct DaemonConfig {
     pub series: SeriesConfig,
     /// Stop issuing new measurements this long after the fleet connects.
     pub horizon: TimeNs,
-    /// Worker threads per measurement wave (0 = one per CPU).
-    pub threads: usize,
     /// JSONL sink: `None` for stdout, `Some(path)` for a file.
     pub out: Option<String>,
     /// Metrics scrape address (`metrics <host:port>`): serve a
@@ -152,7 +149,6 @@ impl Default for DaemonConfig {
             schedule: ScheduleConfig::default(),
             series: SeriesConfig::default(),
             horizon: TimeNs::from_secs(3600),
-            threads: 0,
             out: None,
             metrics: None,
             probe: SlopsConfig::default(),
@@ -227,7 +223,6 @@ impl DaemonConfig {
                 "window_s" => cfg.series.window = secs(key, one()?, lineno)?,
                 "capacity" => cfg.series.capacity = int(key, one()?, lineno)?,
                 "horizon_s" => cfg.horizon = secs(key, one()?, lineno)?,
-                "threads" => cfg.threads = int(key, one()?, lineno)?,
                 "out" => {
                     let v = one()?;
                     cfg.out = if v == "-" { None } else { Some(v.to_string()) };
@@ -357,7 +352,6 @@ seed 99
 window_s 60
 capacity 128
 horizon_s 120
-threads 3
 out /tmp/fleet.jsonl
 rate_cap_mbps 40
 stream_len 50
@@ -380,7 +374,6 @@ max_fleets 16
         assert_eq!(cfg.series.window, TimeNs::from_secs(60));
         assert_eq!(cfg.series.capacity, 128);
         assert_eq!(cfg.horizon, TimeNs::from_secs(120));
-        assert_eq!(cfg.threads, 3);
         assert_eq!(cfg.out.as_deref(), Some("/tmp/fleet.jsonl"));
         assert_eq!(cfg.rate_cap.unwrap().mbps(), 40.0);
         assert_eq!(cfg.probe.stream_len, 50);
@@ -421,7 +414,12 @@ max_fleets 16
                 "duplicate path label",
             ),
             ("path p 1.2.3.4:1\nperiod_s fast\n", "non-negative number"),
-            ("path p 1.2.3.4:1\nthreads -2\n", "non-negative integer"),
+            ("path p 1.2.3.4:1\ncapacity -2\n", "non-negative integer"),
+            // Not a key: the socket fleet driver runs on one thread.
+            (
+                "path p 1.2.3.4:1\nthreads 3\n",
+                "unknown directive `threads`",
+            ),
             ("path p 1.2.3.4:1\nperiod_s 1 2\n", "exactly one value"),
             ("", "no `path` directives"),
             (

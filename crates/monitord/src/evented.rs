@@ -1,15 +1,14 @@
-//! The event-loop fleet driver: hundreds of socket paths on **one
-//! thread**.
+//! The socket fleet driver (the `monitord` binary's): hundreds of socket
+//! paths on **one thread**.
 //!
 //! [`run_socket_fleet_async_with_telemetry`] hosts N non-blocking
-//! [`pathload_net::EventedSession`]s plus the unchanged sans-IO
-//! [`Scheduler`] on a single [`pathload_net::mux::EventLoop`]. Where the
-//! thread-backed driver ([`crate::thread`]) burns one blocking worker per
-//! in-flight measurement — capping a daemon at tens of paths — this driver
-//! registers every session's control TCP and probe UDP sockets with one
-//! epoll instance and turns every deadline the blocking stack *sleeps* on
-//! (scheduler start instants, packet pacing, inter-stream idles) into a
-//! timer entry on the loop's queue.
+//! [`pathload_net::EventedSession`]s plus the sans-IO [`Scheduler`] on a
+//! single [`pathload_net::mux::EventLoop`]: every session's control TCP
+//! and probe UDP sockets are registered with one epoll instance, and every
+//! deadline a blocking stack would *sleep* on (scheduler start instants,
+//! packet pacing, inter-stream idles) is a timer entry on the loop's
+//! queue. No worker per in-flight measurement, so a daemon is not capped
+//! at tens of paths.
 //!
 //! Both repo invariants hold by construction:
 //!
@@ -26,8 +25,7 @@
 //! The observer surface ([`FleetEvent`]), shutdown handling
 //! ([`ShutdownFlag`]: pending starts are cancelled, in-flight measurements
 //! land), series stores and JSONL export are all shared with the other
-//! drivers unchanged — `monitord --driver async` is the same daemon on a
-//! different substrate.
+//! drivers unchanged.
 //!
 //! Like every wall-clock driver, the schedule is best effort: a start
 //! instant may already be in the past when its timer pops (the measurement
@@ -122,10 +120,9 @@ fn io_err(e: std::io::Error) -> SlopsError {
 
 /// Run a socket-backed monitoring fleet on one event-loop thread:
 /// connect every path, then measure each periodically (staggered,
-/// jittered, capped — the same [`ScheduleConfig`] semantics as the
-/// thread driver) until `horizon` of wall-clock time has passed since the
-/// fleet connected, streaming a [`FleetEvent`] per stored sample,
-/// failure, and flagged change.
+/// jittered, capped — see [`ScheduleConfig`]) until `horizon` of
+/// wall-clock time has passed since the fleet connected, streaming a
+/// [`FleetEvent`] per stored sample, failure, and flagged change.
 ///
 /// Returns the per-path series in path order. Connection failures are
 /// fatal; failures of individual measurements after that are counted on
@@ -138,10 +135,10 @@ fn io_err(e: std::io::Error) -> SlopsError {
 /// [`run_fleet_with_telemetry`](crate::thread::run_fleet_with_telemetry).
 /// With a [`FleetTelemetry`] hub, every session's machine trace is
 /// forwarded to the hub's per-path sinks, per-packet pacing error goes to
-/// the same `pacing_error_ns{path="…"}` histograms the thread driver
-/// fills, and the event loop reports its wakeup count, timer lag and
-/// learned spin window (`eventloop_wakeups_total`,
-/// `eventloop_timer_lag_ns`, `eventloop_spin_window_ns`).
+/// the hub's `pacing_error_ns{path="…"}` histograms, and the event loop
+/// reports its wakeup count, timer lag and learned spin window
+/// (`eventloop_wakeups_total`, `eventloop_timer_lag_ns`,
+/// `eventloop_spin_window_ns`).
 pub fn run_socket_fleet_async_with_telemetry(
     specs: Vec<SocketPathSpec>,
     sched_cfg: &ScheduleConfig,
@@ -164,7 +161,7 @@ pub fn run_socket_fleet_async_with_telemetry(
             .map(|s| (t.trace_sink(&s.label), t.pacing_histogram(&s.label)))
             .collect()
     });
-    let (epoch, connected) = connect_transports(specs, None).map_err(io_err)?;
+    let (epoch, connected) = connect_transports(specs).map_err(io_err)?;
     let mut lp = EventLoop::new(epoch.same_epoch()).map_err(io_err)?;
     if let Some(t) = telemetry {
         lp.set_metrics(
@@ -403,12 +400,11 @@ pub fn run_socket_fleet_async_with_telemetry(
     Ok(series)
 }
 
-#[cfg(test)]
+#[cfg(all(test, target_os = "linux"))]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
-    use pathload_net::Receiver;
-    use std::thread;
+    use pathload_net::EventedReceiver;
     use units::Rate;
 
     fn gentle_cfg() -> SlopsConfig {
@@ -427,9 +423,10 @@ mod tests {
     /// nothing errors, and streamed events match the stored series.
     #[test]
     fn loopback_pair_on_one_event_loop_thread() {
-        let rx = Receiver::bind("127.0.0.1:0".parse().unwrap()).unwrap();
+        let rx = EventedReceiver::bind("127.0.0.1:0".parse().unwrap())
+            .unwrap()
+            .spawn();
         let addr = rx.ctrl_addr();
-        let server = thread::spawn(move || rx.serve_n(2));
         let specs: Vec<SocketPathSpec> = (0..2)
             .map(|i| SocketPathSpec {
                 label: format!("lo{i}"),
@@ -468,15 +465,16 @@ mod tests {
             }
         }
         assert_eq!(samples, series.iter().map(|s| s.len()).sum::<usize>());
-        server.join().unwrap().unwrap();
+        rx.stop().unwrap();
     }
 
     /// A preset shutdown flag stops the fleet before any measurement.
     #[test]
     fn preset_shutdown_flag_stops_before_any_measurement() {
-        let rx = Receiver::bind("127.0.0.1:0".parse().unwrap()).unwrap();
+        let rx = EventedReceiver::bind("127.0.0.1:0".parse().unwrap())
+            .unwrap()
+            .spawn();
         let addr = rx.ctrl_addr();
-        let server = thread::spawn(move || rx.serve_n(1));
         let stop = ShutdownFlag::new();
         stop.request();
         let specs = vec![SocketPathSpec {
@@ -497,11 +495,10 @@ mod tests {
         .unwrap();
         assert_eq!(series.len(), 1);
         assert!(series[0].is_empty(), "no starts issued");
-        server.join().unwrap().unwrap();
+        rx.stop().unwrap();
     }
 
-    /// An unreachable receiver is a fatal connect error, as in the
-    /// thread driver.
+    /// An unreachable receiver is a fatal connect error.
     #[test]
     fn unreachable_receiver_is_a_connect_error() {
         let dead = {

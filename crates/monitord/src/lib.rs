@@ -20,16 +20,16 @@
 //! * [`sim`] — the in-sim driver: N paths (disjoint or sharing a tight
 //!   link) inside **one** `netsim::Simulator`, each measurement a native
 //!   `simprobe::SessionApp`.
-//! * [`thread`] — the thread-backed driver: blocking transports (sockets,
-//!   simulator shims, the test oracle) measured in concurrent waves on the
-//!   `slops::runner` pool, with a live [`FleetEvent`] observer hook.
-//! * [`socket`] — the socket-backed driver: real paths probed over
+//! * [`thread`] — the thread-backed driver: blocking transports
+//!   (simulator shims, the test oracle) measured in concurrent waves on
+//!   the `slops::runner` pool, with a live [`FleetEvent`] observer hook.
+//! * [`socket`] — [`SocketPathSpec`]: a real path to probe over
 //!   `pathload-net` UDP/TCP transports (one long-lived connection per
-//!   path, all sharing a clock epoch), through the same scheduler.
-//! * [`evented`] — the event-loop socket driver: the same real paths, but
-//!   multiplexed as non-blocking `pathload_net::EventedSession`s on ONE
-//!   epoll thread (`monitord --driver async`) instead of one blocking
-//!   worker per in-flight measurement — the fleet-scale deployment mode.
+//!   path, all sharing a clock epoch).
+//! * [`evented`] — the socket fleet driver (the `monitord` binary's):
+//!   every real path multiplexed as a non-blocking
+//!   `pathload_net::EventedSession` on ONE epoll thread, through the same
+//!   scheduler. Linux only, like the receiver.
 //! * [`config`] — the `monitord` binary's line-based configuration.
 //! * [`export`] — JSON-lines daemon output and a human fleet summary.
 //!
@@ -82,8 +82,8 @@
 #![forbid(unsafe_code)]
 
 pub mod config;
-// The event-loop driver is Unix-only (raw-fd registration); everything
-// else, including the thread-backed socket driver, stays portable.
+// The socket fleet driver is Unix-only (raw-fd registration); everything
+// else stays portable.
 #[cfg(unix)]
 pub mod evented;
 pub mod export;
@@ -101,6 +101,6 @@ pub use export::{fleet_summary, telemetry_line, write_fleet_jsonl};
 pub use metrics::FleetTelemetry;
 pub use scheduler::{PathId, Poll, ScheduleConfig, Scheduler};
 pub use sim::{SimEngine, SimFleetMonitor, SimPathSpec};
-pub use socket::{connect_fleet_with_telemetry, run_socket_fleet_with_telemetry, SocketPathSpec};
+pub use socket::SocketPathSpec;
 pub use store::{ChangeCursor, ChangeDirection, ChangeEvent, PathSeries, SeriesConfig};
 pub use thread::{run_fleet_with_telemetry, FleetEvent, ShutdownFlag, ThreadPathSpec};

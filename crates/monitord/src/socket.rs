@@ -1,5 +1,5 @@
-//! The socket-backed fleet driver: monitoring real paths with real
-//! UDP/TCP probes, under the same sans-IO [`Scheduler`].
+//! The socket paths of a monitoring fleet: what the socket fleet driver
+//! ([`crate::evented`]) connects to.
 //!
 //! Each monitored path is one [`pathload_net::SocketTransport`] connected
 //! to a `pathload_rcv` receiver near that path's far end. Receivers are
@@ -9,34 +9,13 @@
 //! of a fleet share **one clock epoch** ([`pathload_net::clock::MonoClock::same_epoch`]):
 //! the scheduler staggers starts across paths on a single timeline, so the
 //! per-path `elapsed()` clocks must agree on what "now" means.
-//!
-//! This module adds no policy of its own — it connects transports and
-//! hands them to the thread-backed driver ([`crate::thread::run_fleet_with_telemetry`]),
-//! which takes every scheduling decision from the shared [`Scheduler`] and
-//! every estimate from the sans-IO `slops::SessionMachine`. Both repo
-//! invariants hold by construction: estimation logic lives in the machine,
-//! scheduling policy lives in the scheduler.
-//!
-//! On a wall clock the schedule is best effort: a start instant may
-//! already be in the past when its worker picks the job up, in which case
-//! the measurement starts immediately (the stagger and the concurrency cap
-//! survive; the exact tick grid does not — see `crate::thread`).
-//!
-//! The `monitord` binary (`crates/monitord/src/bin/monitord.rs`) is a thin
-//! shell around [`run_socket_fleet_with_telemetry`] plus the JSONL export layer.
-//!
-//! [`Scheduler`]: crate::scheduler::Scheduler
 
-use crate::metrics::FleetTelemetry;
-use crate::scheduler::ScheduleConfig;
-use crate::store::{PathSeries, SeriesConfig};
-use crate::thread::{run_fleet_with_telemetry, FleetEvent, ShutdownFlag, ThreadPathSpec};
 use pathload_net::clock::MonoClock;
 use pathload_net::SocketTransport;
-use slops::{SlopsConfig, SlopsError, TransportError};
+use slops::SlopsConfig;
 use std::io;
 use std::net::SocketAddr;
-use units::{Rate, TimeNs};
+use units::Rate;
 
 /// One monitored path of a socket-backed fleet.
 #[derive(Clone, Debug)]
@@ -55,12 +34,9 @@ pub struct SocketPathSpec {
 /// Connect one [`SocketTransport`] per path, all sharing a single clock
 /// epoch. Returns the epoch clock (so an event loop can read the same
 /// timeline) and the connected `(spec, transport)` pairs in path order.
-/// Shared by the thread-backed ([`connect_fleet_with_telemetry`]) and
-/// event-loop ([`crate::evented::run_socket_fleet_async_with_telemetry`])
-/// drivers.
+#[cfg_attr(not(unix), allow(dead_code))]
 pub(crate) fn connect_transports(
     specs: Vec<SocketPathSpec>,
-    telemetry: Option<&FleetTelemetry>,
 ) -> io::Result<(MonoClock, Vec<(SocketPathSpec, SocketTransport)>)> {
     let epoch = MonoClock::new();
     let mut out = Vec::with_capacity(specs.len());
@@ -70,79 +46,25 @@ pub(crate) fn connect_transports(
         if let Some(cap) = spec.rate_cap {
             transport.rate_cap = cap;
         }
-        if let Some(t) = telemetry {
-            transport.set_pacing_histogram(t.pacing_histogram(&spec.label));
-        }
         out.push((spec, transport));
     }
     Ok((epoch, out))
 }
 
-/// Connect one [`SocketTransport`] per path, all sharing a single clock
-/// epoch, and package them for the thread-backed fleet driver. With a
-/// [`FleetTelemetry`] hub, each transport's per-packet pacing error is
-/// observed into the hub's `pacing_error_ns{path="…"}` histogram.
-///
-/// The control connections are long-lived: each receiver serves this
-/// fleet's path for the whole monitoring run (every periodic measurement
-/// reuses the same control channel and UDP socket).
-pub fn connect_fleet_with_telemetry(
-    specs: Vec<SocketPathSpec>,
-    telemetry: Option<&FleetTelemetry>,
-) -> io::Result<Vec<ThreadPathSpec>> {
-    let (_epoch, connected) = connect_transports(specs, telemetry)?;
-    Ok(connected
-        .into_iter()
-        .map(|(spec, transport)| ThreadPathSpec {
-            label: spec.label,
-            cfg: spec.cfg,
-            transport: Box::new(transport),
-        })
-        .collect())
-}
-
-/// Run a socket-backed monitoring fleet to completion: connect every
-/// path, then measure each periodically (staggered, jittered, capped —
-/// see [`ScheduleConfig`]) until `horizon` of wall-clock time has passed
-/// since the fleet connected, streaming a [`FleetEvent`] to `observer`
-/// for every stored sample, failure, and flagged change.
-///
-/// Returns the per-path series in path order. Connection failures are
-/// fatal (a fleet that cannot reach a receiver is misconfigured); failures
-/// of individual *measurements* after that are counted on the path's
-/// series and monitoring continues.
-///
-/// `stop` and `telemetry` behave as in
-/// [`run_fleet_with_telemetry`]:
-/// SIGINT/SIGTERM stop new starts, let in-flight measurements land and
-/// still flush per-path summaries; the hub gets pacing-error histograms
-/// on every transport, machine trace events per path and live scheduler
-/// gauges — everything a `monitord --metrics` scrape serves mid-run.
-#[allow(clippy::too_many_arguments)]
-pub fn run_socket_fleet_with_telemetry(
-    specs: Vec<SocketPathSpec>,
-    sched_cfg: &ScheduleConfig,
-    series_cfg: &SeriesConfig,
-    horizon: TimeNs,
-    threads: usize,
-    stop: &ShutdownFlag,
-    telemetry: Option<&FleetTelemetry>,
-    observer: impl FnMut(FleetEvent<'_>),
-) -> Result<Vec<PathSeries>, SlopsError> {
-    let paths = connect_fleet_with_telemetry(specs, telemetry)
-        .map_err(|e| SlopsError::Transport(TransportError::Io(e.to_string())))?;
-    run_fleet_with_telemetry(
-        paths, sched_cfg, series_cfg, horizon, threads, stop, telemetry, observer,
-    )
-}
-
-#[cfg(test)]
+#[cfg(all(test, target_os = "linux"))]
 mod tests {
     use super::*;
-    use pathload_net::Receiver;
+    use crate::evented::run_socket_fleet_async_with_telemetry;
+    use crate::scheduler::ScheduleConfig;
+    use crate::store::SeriesConfig;
+    use crate::thread::ShutdownFlag;
+    use pathload_net::EventedReceiver;
+    use slops::ProbeTransport;
     use std::thread;
+    use std::time::{Duration, Instant};
+    use units::TimeNs;
 
-    fn gentle_cfg() -> SlopsConfig {
+    fn spec(label: &str, ctrl_addr: SocketAddr) -> SocketPathSpec {
         let mut cfg = SlopsConfig::default();
         cfg.stream_len = 20;
         cfg.fleet_len = 3;
@@ -150,78 +72,56 @@ mod tests {
         cfg.resolution = Rate::from_mbps(10.0);
         cfg.grey_resolution = Rate::from_mbps(20.0);
         cfg.max_fleets = 4;
-        cfg
+        SocketPathSpec {
+            label: label.into(),
+            ctrl_addr,
+            cfg,
+            rate_cap: Some(Rate::from_mbps(30.0)),
+        }
     }
 
-    /// Two loopback paths sharing ONE receiver address (the multi-session
-    /// receiver demuxes them), one short monitoring run: transports share
-    /// an epoch, every path gets at least one sample, nothing errors.
+    /// Two paths naming ONE receiver address connect as two sessions of
+    /// it (the receiver demuxes them by token), in path order, with their
+    /// rate caps, on the fleet's one clock epoch.
     #[test]
     fn loopback_pair_shares_one_receiver() {
-        let rx = Receiver::bind("127.0.0.1:0".parse().unwrap()).unwrap();
-        let addr = rx.ctrl_addr();
-        let server = thread::spawn(move || rx.serve_n(2));
-        let specs: Vec<SocketPathSpec> = (0..2)
-            .map(|i| SocketPathSpec {
-                label: format!("lo{i}"),
-                ctrl_addr: addr,
-                cfg: gentle_cfg(),
-                rate_cap: Some(Rate::from_mbps(30.0)),
-            })
+        let rx = EventedReceiver::bind("127.0.0.1:0".parse().unwrap())
+            .unwrap()
+            .spawn();
+        let specs = ["lo0", "lo1"]
+            .iter()
+            .map(|l| spec(l, rx.ctrl_addr()))
             .collect();
-        let sched = ScheduleConfig {
-            period: TimeNs::from_secs(2),
-            jitter: TimeNs::from_millis(100),
-            max_concurrent: 1,
-            seed: 1,
-        };
-        let mut samples = 0usize;
-        let series = run_socket_fleet_with_telemetry(
-            specs,
-            &sched,
-            &SeriesConfig::default(),
-            TimeNs::from_secs(4),
-            2,
-            &ShutdownFlag::new(),
-            None,
-            |ev| {
-                if matches!(ev, FleetEvent::Sample { .. }) {
-                    samples += 1;
-                }
-            },
-        )
-        .unwrap();
-        assert_eq!(series.len(), 2);
-        for s in &series {
-            assert!(!s.is_empty(), "{}: no samples", s.label());
-            assert_eq!(s.errors(), 0, "{}: errored", s.label());
-            for r in s.samples() {
-                assert!(r.low.bps() <= r.high.bps());
-            }
+        let (epoch, connected) = connect_transports(specs).unwrap();
+        let before = epoch.now_ns();
+        let labels: Vec<&str> = connected.iter().map(|(s, _)| s.label.as_str()).collect();
+        assert_eq!(labels, ["lo0", "lo1"]);
+        assert_ne!(connected[0].1.session(), connected[1].1.session());
+        for (spec, transport) in &connected {
+            assert_eq!(transport.rate_cap, Rate::from_mbps(30.0));
+            let at = transport.elapsed().as_nanos();
+            assert!(
+                before <= at && at <= epoch.now_ns(),
+                "{}: not on the fleet's clock epoch",
+                spec.label
+            );
         }
-        assert_eq!(samples, series.iter().map(|s| s.len()).sum::<usize>());
-        server.join().unwrap().unwrap();
+        drop(connected);
+        rx.stop().unwrap();
     }
 
-    /// A shutdown request cancels a start whose worker is still idling
-    /// toward a future start instant: with path 1 staggered 5 s out and
-    /// the flag raised at ~1.5 s, the fleet returns promptly (path 1 is
-    /// never measured) instead of sleeping out the stagger and probing
-    /// after the signal.
+    /// A shutdown request cancels a start that is still waiting for its
+    /// start instant: with path 1 staggered 5 s out and the flag raised
+    /// at ~1.5 s, the fleet returns promptly (path 1 is never measured)
+    /// instead of sleeping out the stagger and probing after the signal.
     #[test]
     fn shutdown_cancels_a_dispatched_but_unstarted_measurement() {
-        use std::time::{Duration, Instant};
-
-        let rx = Receiver::bind("127.0.0.1:0".parse().unwrap()).unwrap();
-        let addr = rx.ctrl_addr();
-        let server = thread::spawn(move || rx.serve_n(2));
-        let specs: Vec<SocketPathSpec> = (0..2)
-            .map(|i| SocketPathSpec {
-                label: format!("lo{i}"),
-                ctrl_addr: addr,
-                cfg: gentle_cfg(),
-                rate_cap: Some(Rate::from_mbps(30.0)),
-            })
+        let rx = EventedReceiver::bind("127.0.0.1:0".parse().unwrap())
+            .unwrap()
+            .spawn();
+        let specs = ["lo0", "lo1"]
+            .iter()
+            .map(|l| spec(l, rx.ctrl_addr()))
             .collect();
         let sched = ScheduleConfig {
             period: TimeNs::from_secs(10), // stagger puts path 1 at +5 s
@@ -238,12 +138,11 @@ mod tests {
             })
         };
         let begun = Instant::now();
-        let series = run_socket_fleet_with_telemetry(
+        let series = run_socket_fleet_async_with_telemetry(
             specs,
             &sched,
             &SeriesConfig::default(),
             TimeNs::from_secs(60),
-            2,
             &stop,
             None,
             |_| {},
@@ -251,10 +150,10 @@ mod tests {
         .unwrap();
         let elapsed = begun.elapsed();
         signal.join().unwrap();
-        server.join().unwrap().unwrap();
+        rx.stop().unwrap();
 
         // Path 0 measured once (it started immediately); path 1's start
-        // was cancelled mid-idle — no sample, no error.
+        // was cancelled while pending — no sample, no error.
         assert_eq!(series[0].len(), 1, "path 0 measures before the signal");
         assert_eq!(series[1].len(), 0, "path 1 must be cancelled, not measured");
         assert_eq!(series[0].errors() + series[1].errors(), 0);
@@ -264,7 +163,7 @@ mod tests {
         );
     }
 
-    /// A fleet with an unreachable receiver fails to connect, fatally.
+    /// A receiver that is not there is a connect error.
     #[test]
     fn unreachable_receiver_is_a_connect_error() {
         // Bind-and-drop to get a port that is almost surely closed.
@@ -272,22 +171,6 @@ mod tests {
             let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
             l.local_addr().unwrap()
         };
-        let specs = vec![SocketPathSpec {
-            label: "dead".into(),
-            ctrl_addr: dead,
-            cfg: gentle_cfg(),
-            rate_cap: None,
-        }];
-        let err = run_socket_fleet_with_telemetry(
-            specs,
-            &ScheduleConfig::default(),
-            &SeriesConfig::default(),
-            TimeNs::from_secs(1),
-            1,
-            &ShutdownFlag::new(),
-            None,
-            |_| {},
-        );
-        assert!(matches!(err, Err(SlopsError::Transport(_))));
+        assert!(connect_transports(vec![spec("dead", dead)]).is_err());
     }
 }

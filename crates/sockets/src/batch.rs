@@ -1,7 +1,7 @@
 //! Batched kernel datapath: `recvmmsg`/`sendmmsg` with a scalar fallback,
 //! kernel arrival stamps, and the socket's overflow count.
 //!
-//! The evented receiver's demux loop and the evented sender's train blast
+//! The receiver's drain and the evented sender's train blast
 //! are the two hot paths where one measurement round moves dozens of
 //! datagrams through a socket back-to-back. Linux batches those into one
 //! syscall each way — `recvmmsg(2)` drains up to [`MAX_BATCH`] probe
@@ -16,11 +16,10 @@
 //! a receive call returns at least one datagram or `WouldBlock`, a send
 //! call accepts a prefix of the slice and reports how many messages the
 //! kernel took. A receive never blocks after its first datagram, so a
-//! blocking socket with a read timeout (the threaded receiver's) reads
-//! through the same call.
+//! blocking socket with a read timeout reads through the same call.
 //!
 //! **Arrival stamps.** A probe's arrival instant is half of its one-way
-//! delay, so the receivers do not take it from their own clock after a
+//! delay, so the receiver does not take it from its own clock after a
 //! wake-up: [`prepare_probe_socket`] asks the kernel to stamp every
 //! datagram as it lands (`SO_TIMESTAMPNS`) and to report its running
 //! count of datagrams dropped for want of buffer space (`SO_RXQ_OVFL`),

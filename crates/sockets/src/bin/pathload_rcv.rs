@@ -1,4 +1,4 @@
-//! `pathload_rcv [--evented] <listen-addr>` — the pathload receiver daemon.
+//! `pathload_rcv <listen-addr>` — the pathload receiver daemon.
 //!
 //! Example: `pathload_rcv 0.0.0.0:9100`
 //!
@@ -6,32 +6,20 @@
 //! connection becomes an independent session, and the shared UDP probe
 //! socket is demuxed by the session token minted at `Hello`. A whole
 //! `monitord` fleet can therefore point every path at this one address.
+//! The sessions are hosted on one event-loop thread with a
+//! `recvmmsg`-batched probe datapath stamped by the kernel.
 //!
-//! With `--evented` (Unix only) the sessions are hosted on one event-loop
-//! thread with a `recvmmsg`-batched probe datapath instead of a thread
-//! per session — same wire contract, far-end capacity in the thousands
-//! of sessions.
+//! Linux only: on other Unix hosts the receiver's event loop fails to
+//! start with `Unsupported` (exit 1), and elsewhere the binary exits 2.
 
-use pathload_net::Receiver;
 use std::net::SocketAddr;
 use std::process::exit;
-use std::sync::atomic::AtomicBool;
 
 fn main() {
-    let mut evented = false;
-    let mut addr_arg = None;
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--evented" => evented = true,
-            _ => addr_arg = Some(arg),
-        }
-    }
-    let addr = match addr_arg {
-        Some(a) => a,
-        None => {
-            eprintln!("usage: pathload_rcv [--evented] <listen-addr>   (e.g. 0.0.0.0:9100)");
-            exit(2);
-        }
+    let mut args = std::env::args().skip(1);
+    let (Some(addr), None) = (args.next(), args.next()) else {
+        eprintln!("usage: pathload_rcv <listen-addr>   (e.g. 0.0.0.0:9100)");
+        exit(2);
     };
     let addr: SocketAddr = match addr.parse() {
         Ok(a) => a,
@@ -40,29 +28,13 @@ fn main() {
             exit(2);
         }
     };
-    if evented {
-        serve_evented(addr);
-    }
-    let rx = match Receiver::bind(addr) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("cannot bind {addr}: {e}");
-            exit(1);
-        }
-    };
-    println!(
-        "pathload_rcv: control on {} (multi-session: any number of senders)",
-        rx.ctrl_addr()
-    );
-    if let Err(e) = rx.serve_forever() {
-        eprintln!("fatal: {e}");
-        exit(1);
-    }
+    serve(addr);
 }
 
-/// Serve on the one-thread evented receiver; never returns.
+/// Serve on the one-thread receiver; never returns.
 #[cfg(unix)]
-fn serve_evented(addr: SocketAddr) {
+fn serve(addr: SocketAddr) {
+    use std::sync::atomic::AtomicBool;
     let mut rx = match pathload_net::EventedReceiver::bind(addr) {
         Ok(r) => r,
         Err(e) => {
@@ -71,7 +43,7 @@ fn serve_evented(addr: SocketAddr) {
         }
     };
     println!(
-        "pathload_rcv: control on {} (evented: one thread, batched datapath)",
+        "pathload_rcv: control on {} (multi-session: any number of senders)",
         rx.ctrl_addr()
     );
     static RUN_FOREVER: AtomicBool = AtomicBool::new(false);
@@ -85,7 +57,7 @@ fn serve_evented(addr: SocketAddr) {
 }
 
 #[cfg(not(unix))]
-fn serve_evented(_addr: SocketAddr) {
-    eprintln!("--evented requires an epoll event loop (Unix only)");
+fn serve(_addr: SocketAddr) {
+    eprintln!("pathload_rcv requires an epoll event loop (Linux)");
     exit(2);
 }

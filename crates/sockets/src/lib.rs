@@ -40,7 +40,7 @@
 //!   and non-blocking driver of the sans-IO machine: frames go out on
 //!   writability, probes on timer expiry, replies come back on
 //!   readability, so one thread can multiplex hundreds of concurrent
-//!   sessions (the `monitord --driver async` fleet).
+//!   sessions (the `monitord` fleet).
 //! * [`batch`] — the kernel-fast datapath: `recvmmsg`/`sendmmsg`
 //!   batching (one syscall, many datagrams) behind scalar fallbacks,
 //!   kernel arrival stamps and the receive-buffer overflow count on the
@@ -50,19 +50,14 @@
 //!   (token mint, session cap, counters) and [`rx::RxSession`] (announce
 //!   handling, de-duplicating loss-tolerant collection, silence-window
 //!   and deadline stop rules, report construction), driven by
-//!   `on_ctrl` / `on_probe` / `on_tick` with time passed in, and
-//!   [`rx::plan_reads`] (when the shared probe socket must be read).
-//!   Every receiver decision lives here, once.
-//! * [`receiver`] — [`Receiver`], the threaded pump over that core (the
-//!   `pathload_rcv` default): a thread per session plus a demux thread
-//!   that reads every arrival, stamps it with the kernel's arrival
-//!   instant and routes it by session token. Portable — the only
-//!   receiver off Linux.
-//! * [`receiver_evented`] — [`EventedReceiver`], the evented pump over
-//!   the same core on one [`mux::EventLoop`] thread: non-blocking accept,
-//!   a slab of sessions, batched probe reads on the core's read plan
-//!   instead of on every datagram, the core's tick as a timer entry.
-//!   Thousands of sessions, one thread.
+//!   `on_ctrl` / `on_probe` / `on_tick` with time passed in,
+//!   [`rx::plan_reads`] (when the shared probe socket must be read) and
+//!   [`rx::AcceptBackoff`]. Every receiver decision lives here, once.
+//! * [`receiver_evented`] — [`EventedReceiver`] (`pathload_rcv`), the
+//!   pump over that core on one [`mux::EventLoop`] thread: non-blocking
+//!   accept, a slab of sessions, batched probe reads stamped by the
+//!   kernel on the core's read plan instead of on every datagram, the
+//!   core's tick as a timer entry. Thousands of sessions, one thread.
 //! * [`sender`] — the `pathload_snd` side: [`SocketTransport`], one
 //!   connection's sockets and [`tx`] core with the blocking pump over it
 //!   behind [`slops::ProbeTransport`] — the one a new transport should
@@ -70,6 +65,9 @@
 //!   `slops::Session::run`, like every other `ProbeTransport`'s.
 //!
 //! Binaries `pathload_snd` / `pathload_rcv` wrap these (see `src/bin`).
+//! The sender is portable; the receiver and the evented sender need
+//! Linux (epoll, timerfd, kernel arrival stamps) and fail with
+//! `Unsupported` on other Unix hosts.
 //!
 //! Localhost quick start (two terminals):
 //!
@@ -86,14 +84,13 @@
 
 pub mod batch;
 pub mod clock;
-// The evented driver registers raw fds (`std::os::fd`), a Unix-only
-// surface; the blocking driver stays fully portable.
+// The evented pumps register raw fds (`std::os::fd`), a Unix-only
+// surface; the blocking sender stays fully portable.
 #[cfg(unix)]
 pub mod evented;
 pub mod mux;
 pub mod pacing;
 pub mod proto;
-pub mod receiver;
 #[cfg(unix)]
 pub mod receiver_evented;
 pub mod rx;
@@ -103,9 +100,9 @@ pub mod tx;
 pub use batch::UdpRecvBatch;
 #[cfg(unix)]
 pub use evented::{EventedSession, SessionTokens};
-pub use receiver::{AcceptBackoff, Receiver};
 #[cfg(unix)]
 pub use receiver_evented::{EventedReceiver, EventedReceiverHandle};
+pub use rx::AcceptBackoff;
 pub use sender::SocketTransport;
 
 /// Serialises the unit tests that judge wall-clock timing (a deadline's

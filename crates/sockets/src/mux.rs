@@ -1,9 +1,10 @@
 //! The readiness event loop: epoll plus a deadline timer queue.
 //!
-//! This is the substrate of the **async** socket driver: one thread, one
-//! [`Poller`], hundreds of registered sockets, and a [`TimerQueue`] whose
-//! entries are the pacing deadlines that `pacing::pace_until` realizes by
-//! sleeping in the blocking driver. [`EventLoop`] combines the two and
+//! This is the substrate of the **async** socket driver and the receiver:
+//! one thread, one [`Poller`], hundreds of registered sockets, and a
+//! [`TimerQueue`] whose entries are the pacing deadlines that
+//! `pacing::pace_until` realizes by sleeping in the blocking sender.
+//! [`EventLoop`] combines the two and
 //! hands the caller a stream of [`MuxEvent`]s — I/O readiness keyed by the
 //! registration token, and expired timers keyed by the token they were
 //! armed with.
@@ -13,8 +14,9 @@
 //! async executor exactly as it does to a config framework, and a
 //! measurement tool needs none of an executor's machinery: no tasks, no
 //! wakers, just readiness and deadlines. On non-Linux targets the module
-//! compiles but [`Poller::new`] returns `Unsupported`; the blocking
-//! thread-per-path driver remains fully portable.
+//! compiles but [`Poller::new`] returns `Unsupported`, so the receiver and
+//! `monitord` refuse to start there; only the blocking sender
+//! (`pathload_snd`) is portable.
 //!
 //! Timer precision: probe periods go down to 100 µs and the receiver
 //! rejects a stream whose spacing drifts by 30 %, but `epoll_wait` takes
@@ -344,12 +346,11 @@ impl Drop for Poller {
 
 #[cfg(not(target_os = "linux"))]
 impl Poller {
-    /// Unsupported on this platform: the async driver is Linux-only; the
-    /// blocking thread-per-path driver remains fully portable.
+    /// Unsupported on this platform: the event loop is Linux-only.
     pub fn new() -> io::Result<Poller> {
         Err(io::Error::new(
             io::ErrorKind::Unsupported,
-            "the epoll event loop requires Linux; use the blocking (thread) driver",
+            "the epoll event loop requires Linux",
         ))
     }
 

@@ -435,10 +435,9 @@ const READ_CHUNK: usize = 16 * 1024;
 
 /// The control-channel frame buffer: inbound bytes not yet forming a
 /// complete frame, outbound bytes the socket has not accepted yet. One
-/// implementation serves the evented sender, the evented receiver (both
+/// implementation serves the evented sender and the receiver (both
 /// non-blocking: [`fill`](Self::fill) / [`take_frame`](Self::take_frame) /
-/// [`flush`](Self::flush)) and the threaded receiver's blocking session
-/// threads ([`read_msg`](Self::read_msg)).
+/// [`flush`](Self::flush)).
 ///
 /// Inbound memory is bounded by construction: a length prefix above
 /// `max_frame` is an error the moment its 4 bytes are in, and `fill`
@@ -462,17 +461,6 @@ impl CtrlBuf {
         }
     }
 
-    /// One `read` call appended to the inbound buffer.
-    fn read_some<R: Read>(&mut self, r: &mut R, chunk: &mut [u8]) -> io::Result<usize> {
-        let n = r.read(chunk)?;
-        // `read` contracts n <= chunk.len(); `get` keeps the defensive
-        // bound out of the panic path.
-        if let Some(read) = chunk.get(..n) {
-            self.rbuf.extend_from_slice(read);
-        }
-        Ok(n)
-    }
-
     /// Read what a non-blocking stream has available. `Ok(false)` on a
     /// clean EOF. Returns early once a complete frame is certainly
     /// buffered (the caller drains frames; a level-triggered poller then
@@ -481,9 +469,15 @@ impl CtrlBuf {
     pub fn fill<R: Read>(&mut self, r: &mut R) -> io::Result<bool> {
         let mut chunk = [0u8; READ_CHUNK];
         while self.rbuf.len() < 4 + self.max_frame {
-            match self.read_some(r, &mut chunk) {
+            match r.read(&mut chunk) {
                 Ok(0) => return Ok(false),
-                Ok(_) => {}
+                Ok(n) => {
+                    // `read` contracts n <= chunk.len(); `get` keeps the
+                    // defensive bound out of the panic path.
+                    if let Some(read) = chunk.get(..n) {
+                        self.rbuf.extend_from_slice(read);
+                    }
+                }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
@@ -504,24 +498,6 @@ impl CtrlBuf {
         let msg = CtrlMsg::decode(body)?;
         self.rbuf.drain(..4 + len);
         Ok(Some(msg))
-    }
-
-    /// Block on `r` until one whole frame is in (`UnexpectedEof` when the
-    /// peer closes first). Bytes read past the frame stay buffered for
-    /// the next call.
-    pub fn read_msg<R: Read>(&mut self, r: &mut R) -> io::Result<CtrlMsg> {
-        let mut chunk = [0u8; READ_CHUNK];
-        loop {
-            if let Some(msg) = self.take_frame()? {
-                return Ok(msg);
-            }
-            match self.read_some(r, &mut chunk) {
-                Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
-                Ok(_) => {}
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
     }
 
     /// Queue `msg` as one outbound frame.

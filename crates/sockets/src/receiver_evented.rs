@@ -1,26 +1,28 @@
-//! The evented receiver: one thread, thousands of concurrent sessions.
+//! The pathload receiver (`pathload_rcv`): one thread, thousands of
+//! concurrent sessions.
 //!
-//! [`EventedReceiver`] is the second *pump* over the sans-IO protocol
-//! core in [`crate::rx`] — same admission, same collection and stop
-//! rules, same reports as the threaded [`Receiver`](crate::Receiver),
-//! because they are the same code — hosted on one
-//! [`mux::EventLoop`](crate::mux::EventLoop) instead of a thread per
-//! session plus a demux thread. What this module owns is the substrate:
+//! [`EventedReceiver`] is the *pump* over the sans-IO protocol core in
+//! [`crate::rx`] — admission, collection and stop rules and reports are
+//! decided there — hosted on one [`mux::EventLoop`](crate::mux::EventLoop).
+//! What this module owns is the substrate:
 //!
-//! * the control listener accepts non-blocking; each connection the
-//!   core's [`Admission`] desk admits becomes a slot in a session slab: a
-//!   non-blocking control stream, its [`CtrlBuf`] frame buffer, and its
-//!   [`RxSession`];
+//! * the control listener accepts non-blocking, pausing on the core's
+//!   [`AcceptBackoff`] after an accept error (EMFILE & co.) instead of
+//!   hot-looping; each connection the core's [`Admission`] desk admits
+//!   becomes a slot in a session slab: a non-blocking control stream, its
+//!   [`CtrlBuf`] frame buffer, and its [`RxSession`];
 //! * the shared UDP probe socket is folded into the same loop and read
 //!   **on the core's schedule, not on every datagram**. The kernel stamps
 //!   each datagram as it lands (`SO_TIMESTAMPNS`,
 //!   [`batch::prepare_probe_socket`]); a drain reads the socket in
 //!   `recvmmsg` batches ([`batch::UdpRecvBatch`]), maps each datagram's
-//!   own stamp onto the receiver's clock — the threaded demux's
-//!   timestamp contract — and hands each packet to its session's core by
-//!   token. When to drain is [`rx::plan_reads`](crate::rx::plan_reads)'
-//!   answer: between drains the socket's epoll interest is `NONE` and a
-//!   sleep-only timer ([`EventLoop::arm_sleep_timer`]) ends the wait, one
+//!   own stamp onto the receiver's clock — the core's timestamp contract
+//!   — and hands each packet to its session's core by token. A datagram
+//!   whose token no live session owns (stale, never issued, foreign) is
+//!   dropped and counted, so a late packet of a finished session never
+//!   reaches a live collection. When to drain is
+//!   [`rx::plan_reads`](crate::rx::plan_reads)' answer: between drains
+//!   the socket's epoll interest is `NONE` and a sleep-only timer ([`EventLoop::arm_sleep_timer`]) ends the wait, one
 //!   learned wake-up error early so the drain at a stream's due instant
 //!   hands over to readability before the last packet lands and the
 //!   report leaves as it does. The socket is read on readability instead
@@ -41,13 +43,16 @@
 //! so a turn of the loop costs its events, not a walk over every
 //! collecting session.
 //!
-//! Route/drop accounting is the core's `RecvCounters`, so both shapes
-//! expose the exact same metric families; the evented receiver adds a
-//! `receiver_sessions` gauge (live sessions) and a
+//! Route/drop accounting is the core's `RecvCounters`; the receiver adds
+//! a `receiver_sessions` gauge (live sessions) and a
 //! `receiver_recv_batch_size` histogram (datagrams per kernel crossing).
-//! `collector_full` can never fire here — arrivals go straight into the
-//! core, there is no bounded channel — but the family is still
-//! registered, so dashboards see an identical metric surface.
+//! Arrivals go straight into the core, with no queue in between to fill
+//! up, so the only datagrams lost inside the receiver are the ones the
+//! kernel dropped for want of buffer (`rcvbuf`).
+//!
+//! Linux only: the loop is epoll and a timerfd ([`EventLoop::new`] fails
+//! with `Unsupported` elsewhere), and reading on a plan needs the
+//! kernel's arrival stamps.
 
 // Datapath module: a panicking branch here takes the whole fleet down,
 // so `unwrap`/`expect` are denied outright (errors must travel as values).
@@ -57,9 +62,12 @@ use crate::batch::{self, UdpRecvBatch};
 use crate::clock::MonoClock;
 use crate::mux::{EventLoop, Interest, MuxEvent};
 use crate::proto::{CtrlBuf, CtrlMsg, ProbePacket, MAX_FRAME_TO_RECEIVER};
-use crate::receiver::{random_token_base, AcceptBackoff, RECV_BUF_LEN};
-use crate::rx::{plan_reads, Admission, CtrlAction, ReadPlan, RxSession, POLL_TIMEOUT};
+use crate::rx::{
+    plan_reads, AcceptBackoff, Admission, CtrlAction, ReadPlan, RxSession, POLL_TIMEOUT,
+};
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
 use std::os::fd::AsRawFd;
@@ -84,6 +92,16 @@ const TOK_SLOT_MAX: u64 = 1 << 60;
 /// timers indefinitely (a drain cut short leaves the socket on
 /// readability until one empties it).
 const MAX_BATCHES_PER_WAKEUP: usize = 64;
+
+/// Largest probe datagram the receive buffers accommodate.
+const RECV_BUF_LEN: usize = 2048;
+
+/// A random 64-bit base for a receiver's session tokens (std's OS-seeded
+/// hasher entropy; no dependency), drawn once per incarnation and handed
+/// to the sans-IO [`Admission`] desk.
+fn random_token_base() -> u64 {
+    RandomState::new().build_hasher().finish()
+}
 
 /// One live session: a non-blocking control connection, its frame
 /// buffer, and the protocol core deciding what it means.
@@ -124,10 +142,9 @@ impl Slot {
     }
 }
 
-/// The evented pathload receiver: one TCP control listener, one shared
-/// UDP probe socket, one event-loop thread, any number of sessions. See
-/// the module docs; the wire contract is identical to
-/// [`Receiver`](crate::Receiver).
+/// The pathload receiver: one TCP control listener, one shared UDP probe
+/// socket, one event-loop thread, any number of sessions. See the module
+/// docs.
 pub struct EventedReceiver {
     listener: TcpListener,
     /// Bound control address, captured at bind time so `ctrl_addr` has no
@@ -173,8 +190,7 @@ impl EventedReceiver {
     /// restarted receiver rebinds the same port immediately). The UDP
     /// probe socket binds the same IP with its own ephemeral port,
     /// advertised in every `Hello`. Fails with `Unsupported` off Linux —
-    /// the event loop is epoll; use the threaded [`Receiver`](crate::Receiver)
-    /// there.
+    /// the event loop is epoll.
     pub fn bind(addr: SocketAddr) -> io::Result<EventedReceiver> {
         let listener = batch::bind_reuse(addr)?;
         listener.set_nonblocking(true)?;
@@ -220,9 +236,12 @@ impl EventedReceiver {
     }
 
     /// Cap concurrent sessions at `max` (`0` = unlimited, the default).
-    /// Beyond the cap a new connection is answered with a versioned
-    /// [`CtrlMsg::Deny`] — same contract as
-    /// [`Receiver::with_max_sessions`](crate::Receiver::with_max_sessions).
+    /// Beyond the cap a new connection is answered with a **versioned
+    /// [`CtrlMsg::Deny`]** (code
+    /// [`DENY_AT_CAPACITY`](crate::proto::DENY_AT_CAPACITY)) instead of
+    /// `Hello`: the sender gets a clean "receiver at capacity" error
+    /// instead of a hung session, and sessions already running are
+    /// untouched.
     pub fn with_max_sessions(self, max: usize) -> EventedReceiver {
         self.admission.set_max_sessions(max);
         self
@@ -235,10 +254,11 @@ impl EventedReceiver {
         self
     }
 
-    /// Attach the receiver's metrics to `reg`: the same
+    /// Attach the receiver's metrics to `reg`: the core's
     /// `receiver_demux_*`/`receiver_collect_*`/`receiver_sessions_denied_total`
-    /// families as the threaded shape, plus the `receiver_sessions` gauge
-    /// and the `receiver_recv_batch_size` histogram.
+    /// families, the `receiver_sessions` gauge and the
+    /// `receiver_recv_batch_size` histogram. The counters count from
+    /// [`EventedReceiver::bind`] on; registering merely names them.
     pub fn register_metrics(&self, reg: &telemetry::Registry) {
         self.admission.counters().register(reg);
         reg.register_gauge("receiver_sessions", &[], self.sessions_gauge.clone());
@@ -729,8 +749,68 @@ mod tests {
         h.stop().unwrap();
     }
 
-    /// A blocking sender transport measures unchanged against the
-    /// evented receiver — the wire contract is the threaded receiver's.
+    /// The token the receiver's admission desk would hand the next sender.
+    fn mint_token(rx: &EventedReceiver) -> u64 {
+        let (session, _hello) = rx.admission.admit(0).expect("uncapped");
+        session.token()
+    }
+
+    #[test]
+    fn tokens_are_unique_per_receiver() {
+        let rx = bind();
+        assert_ne!(mint_token(&rx), mint_token(&rx));
+    }
+
+    /// Two receiver incarnations mint from different random bases: a
+    /// token from one can essentially never be live on the other, so
+    /// probes stamped with a pre-restart token are dropped by the demux
+    /// instead of contaminating the restarted receiver's sessions.
+    #[test]
+    fn token_bases_differ_across_receiver_incarnations() {
+        let base_a = mint_token(&bind());
+        let base_b = mint_token(&bind());
+        assert_ne!(base_a, base_b, "restarted receiver reused its token base");
+    }
+
+    /// A probe datagram carrying `session` as its token.
+    fn stray_probe(session: u64) -> [u8; crate::proto::PROBE_HEADER_LEN] {
+        let mut buf = [0u8; crate::proto::PROBE_HEADER_LEN];
+        ProbePacket {
+            session,
+            kind: crate::proto::ProbeKind::Stream,
+            id: 1,
+            idx: 0,
+            send_ns: 0,
+        }
+        .encode(&mut buf);
+        buf
+    }
+
+    /// Datagrams carrying a token no live session owns are dropped *and
+    /// counted*: the by-design drop is visible in the registry.
+    #[test]
+    fn unknown_token_datagrams_are_counted_as_drops() {
+        let rx = bind();
+        let reg = telemetry::Registry::new();
+        rx.register_metrics(&reg);
+        let drops = reg.counter("receiver_demux_drops_total", &[("reason", "unknown_token")]);
+        let addr = rx.ctrl_addr();
+        let h = rx.spawn();
+        let (ctrl, core, udp_port) = connect_ctrl(addr).unwrap();
+        let buf = stray_probe(core.session().wrapping_add(0xdead)); // never issued
+        let udp = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let target = SocketAddr::new(addr.ip(), udp_port);
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        while drops.get() == 0 && std::time::Instant::now() < deadline {
+            udp.send_to(&buf, target).unwrap();
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        }
+        assert!(drops.get() > 0, "unknown-token drop was not counted");
+        drop(ctrl);
+        h.stop().unwrap();
+    }
+
+    /// A blocking sender transport measures against the evented receiver.
     #[test]
     fn blocking_transport_measures_through_the_evented_receiver() {
         use slops::{stream_params, ProbeTransport, SlopsConfig};
@@ -831,6 +911,40 @@ mod tests {
         turn_until(&mut rx, |_| rcvbuf_drops.get() > 0);
         assert!(rx.udp_reading, "still deferring after an overflow");
         assert!(rx.drain_at.is_none());
+    }
+
+    /// Datagrams the kernel dropped because the probe socket's buffer was
+    /// full are counted under `rcvbuf`: with the socket shrunk to two
+    /// datagrams and a blast sent before the loop reads, every datagram
+    /// ends up either routed (here: unknown token) or counted as dropped.
+    #[test]
+    fn the_demux_counts_datagrams_the_kernel_dropped() {
+        let _timed = crate::timing_test_lock();
+        let mut rx = bind();
+        batch::set_recv_buffer(&rx.udp, 1).unwrap();
+        let tx = UdpSocket::bind("127.0.0.1:0").unwrap();
+        tx.connect(rx.udp.local_addr().unwrap()).unwrap();
+        let buf = stray_probe(0xdead);
+        let mut sent = 0u64;
+        for _ in 0..64 {
+            tx.send(&buf).unwrap();
+            sent += 1;
+        }
+        let counters = rx.admission.counters().clone();
+        let accounted = || counters.drop_rcvbuf.get() + counters.drop_unknown_token.get();
+        turn_until(&mut rx, |_| {
+            // The drops are reported by the next datagram that gets in.
+            if counters.drop_rcvbuf.get() == 0 {
+                tx.send(&buf).unwrap();
+                sent += 1;
+            }
+            counters.drop_rcvbuf.get() > 0 && accounted() >= sent
+        });
+        assert_eq!(accounted(), sent, "every datagram routed or counted");
+        assert!(
+            counters.drop_rcvbuf.get() >= 60,
+            "two datagrams fit, not more"
+        );
     }
 
     #[test]

@@ -25,20 +25,18 @@
 //! [`ReadPlan`] for the shared socket — read on readability, or drain by
 //! an instant.
 //!
-//! The two receiver shapes — [`Receiver`](crate::Receiver) (a demux
-//! thread plus a thread per session; the only shape that runs off Linux;
-//! it reads on every arrival) and [`EventedReceiver`](crate::EventedReceiver)
-//! (one event-loop thread; it follows the plan) — are pumps: they read
-//! sockets, map the kernel's stamps onto `recv_ns`, look the session up by
-//! token, call in here and write what comes back.
-//! `tests/rx_conformance.rs` hand-steps this module with scripted inputs
-//! and replays the same scripts over the wire against both pumps.
+//! The receiver, [`EventedReceiver`](crate::EventedReceiver) (one
+//! event-loop thread, Linux only: epoll and kernel arrival stamps), is a
+//! pump: it reads sockets on the plan, maps the kernel's stamps onto
+//! `recv_ns`, looks the session up by token, calls in here and writes what
+//! comes back. Its accept loop's [`AcceptBackoff`] is policy too, so it
+//! lives here. `tests/rx_conformance.rs` hand-steps this module with
+//! scripted inputs and replays the same scripts over the wire against the
+//! pump.
 //!
-//! Decisions taken once, here, where the two shapes used to differ:
+//! Decisions a pump might be tempted to take itself, taken here:
 //!
-//! * an announce while a collection is active is a protocol error (a
-//!   pump that does not read the control channel while collecting cannot
-//!   observe one);
+//! * an announce while a collection is active is a protocol error;
 //! * stop rules run on `on_tick` only, at the shared [`POLL_TIMEOUT`]
 //!   cadence — a complete arrival set ends a collection in `on_probe`,
 //!   everything else (deadline, silence window, a zero-count announce)
@@ -60,9 +58,9 @@ use std::time::Duration;
 use telemetry::Counter;
 
 /// The tick cadence: while a session is collecting, its pump calls
-/// [`RxSession::on_tick`] this often, so both shapes notice silence
-/// windows and deadlines at the same granularity. (Also bounds how fast
-/// the pumps notice shutdown.)
+/// [`RxSession::on_tick`] this often, so silence windows and deadlines
+/// are noticed at this granularity. (Also bounds how fast the pump
+/// notices shutdown.)
 pub const POLL_TIMEOUT: Duration = Duration::from_millis(50);
 
 /// A stream whose nominal duration has passed is considered over after
@@ -103,12 +101,10 @@ pub const MAX_READ_GAP_NS: u64 = 4_000_000;
 pub const DATAGRAM_OVERHEAD_BYTES: u64 = 1024;
 
 /// Route/drop accounting of one receiver. Dropping a datagram is often
-/// *by design* here (stale tokens, duplicated datagrams, bounded collector
-/// channels); these counters make the by-design drops visible instead of
+/// *by design* here (stale tokens, duplicated datagrams, a full receive
+/// buffer); these counters make the by-design drops visible instead of
 /// silent. The handles count from [`Admission::new`] on and can be
-/// attached to any [`telemetry::Registry`] via [`RecvCounters::register`];
-/// both receiver shapes register through here, so their metric families
-/// can never drift apart.
+/// attached to any [`telemetry::Registry`] via [`RecvCounters::register`].
 #[derive(Clone, Debug, Default)]
 pub struct RecvCounters {
     /// Datagrams a pump routed to a live session.
@@ -116,9 +112,6 @@ pub struct RecvCounters {
     /// Datagrams carrying a token no live session owns (stale session,
     /// never issued, foreign).
     pub drop_unknown_token: Counter,
-    /// Datagrams dropped because the owning session's collector channel
-    /// was full (threaded pump only: flood protection; reads as loss).
-    pub drop_collector_full: Counter,
     /// Stream/train packets a collection discarded: duplicated datagram
     /// or out-of-range index.
     pub drop_dedup: Counter,
@@ -141,11 +134,6 @@ impl RecvCounters {
             "receiver_demux_drops_total",
             &[("reason", "unknown_token")],
             self.drop_unknown_token.clone(),
-        );
-        reg.register_counter(
-            "receiver_demux_drops_total",
-            &[("reason", "collector_full")],
-            self.drop_collector_full.clone(),
         );
         reg.register_counter(
             "receiver_demux_drops_total",
@@ -658,6 +646,48 @@ fn check_count(count: u32) -> io::Result<()> {
     Ok(())
 }
 
+/// Bounded exponential backoff for a failing `accept` loop: starts small
+/// (a transient error costs almost nothing), doubles per consecutive
+/// error, and caps so a persistent failure (EMFILE & co.) retries at a
+/// gentle steady rate instead of spinning.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct AcceptBackoff {
+    delay: Duration,
+}
+
+impl AcceptBackoff {
+    /// Delay after the first error.
+    pub const INITIAL: Duration = Duration::from_millis(10);
+    /// Ceiling for consecutive errors.
+    pub const MAX: Duration = Duration::from_secs(1);
+
+    /// A fresh policy (next error waits [`AcceptBackoff::INITIAL`]).
+    pub fn new() -> AcceptBackoff {
+        AcceptBackoff {
+            delay: Self::INITIAL,
+        }
+    }
+
+    /// An accept succeeded: reset to the initial delay.
+    pub fn on_success(&mut self) {
+        self.delay = Self::INITIAL;
+    }
+
+    /// An accept failed: how long to pause before retrying. Consecutive
+    /// errors double the delay up to [`AcceptBackoff::MAX`].
+    pub fn on_error(&mut self) -> Duration {
+        let delay = self.delay;
+        self.delay = delay.saturating_mul(2).min(Self::MAX);
+        delay
+    }
+}
+
+impl Default for AcceptBackoff {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -710,6 +740,34 @@ mod tests {
         collection_with_drops(&mut b, 2, 0, 11 * sec + DROP_WARN_INTERVAL_NS);
         assert_eq!(warned_at(), 11 * sec + DROP_WARN_INTERVAL_NS);
         assert_eq!(desk.counters().drop_dedup.get(), 2 * DROP_WARN_THRESHOLD);
+    }
+
+    #[test]
+    fn backoff_doubles_and_caps() {
+        let mut b = AcceptBackoff::new();
+        let mut prev = Duration::ZERO;
+        for _ in 0..20 {
+            let d = b.on_error();
+            assert!(d >= prev, "backoff shrank: {prev:?} -> {d:?}");
+            assert!(d <= AcceptBackoff::MAX, "backoff above cap: {d:?}");
+            prev = d;
+        }
+        assert_eq!(prev, AcceptBackoff::MAX, "persistent errors must cap");
+        // The whole first minute of a persistent failure costs few retries.
+        let mut b = AcceptBackoff::new();
+        assert_eq!(b.on_error(), AcceptBackoff::INITIAL);
+        assert_eq!(b.on_error(), AcceptBackoff::INITIAL * 2);
+        assert_eq!(b.on_error(), AcceptBackoff::INITIAL * 4);
+    }
+
+    #[test]
+    fn backoff_resets_on_success() {
+        let mut b = AcceptBackoff::new();
+        for _ in 0..10 {
+            b.on_error();
+        }
+        b.on_success();
+        assert_eq!(b.on_error(), AcceptBackoff::INITIAL);
     }
 
     /// Tokens count up from the base the pump passes in.

@@ -185,21 +185,17 @@ impl Drop for SocketTransport {
     }
 }
 
-#[cfg(test)]
+#[cfg(all(test, target_os = "linux"))]
 mod tests {
     use super::*;
-    use crate::receiver::Receiver;
+    use crate::{EventedReceiver, EventedReceiverHandle};
     use slops::stream_params;
     use slops::SlopsConfig;
-    use std::thread;
 
-    fn loopback_pair() -> (SocketTransport, thread::JoinHandle<()>) {
-        let rx = Receiver::bind("127.0.0.1:0".parse().unwrap()).unwrap();
-        let addr = rx.ctrl_addr();
-        let handle = thread::spawn(move || {
-            rx.serve_one().unwrap();
-        });
-        let tx = SocketTransport::connect(addr).unwrap();
+    fn loopback_pair() -> (SocketTransport, EventedReceiverHandle) {
+        let rx = EventedReceiver::bind("127.0.0.1:0".parse().unwrap()).unwrap();
+        let handle = rx.spawn();
+        let tx = SocketTransport::connect(handle.ctrl_addr()).unwrap();
         (tx, handle)
     }
 
@@ -230,7 +226,7 @@ mod tests {
             assert!(s.owd_ns.abs() < 1_000_000_000);
         }
         drop(tx);
-        handle.join().unwrap();
+        handle.stop().unwrap();
     }
 
     #[test]
@@ -241,7 +237,7 @@ mod tests {
         let rate = rec.dispersion_rate().unwrap();
         assert!(rate.mbps() > 10.0, "loopback dispersion {rate} is absurd");
         drop(tx);
-        handle.join().unwrap();
+        handle.stop().unwrap();
     }
 
     #[test]
@@ -250,6 +246,6 @@ mod tests {
         let rtt = tx.rtt();
         assert!(rtt < TimeNs::from_millis(50), "loopback rtt {rtt}");
         drop(tx);
-        handle.join().unwrap();
+        handle.stop().unwrap();
     }
 }

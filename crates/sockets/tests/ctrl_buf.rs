@@ -100,9 +100,9 @@ fn fill_is_bounded_against_an_endless_stream() {
     }
 }
 
-/// The blocking reader yields frame after frame from one stream and
-/// reports a clean close as `UnexpectedEof`; queued frames flush out
-/// byte-identical to `write_to`.
+/// Read from a blocking stream, the buffer yields frame after frame and
+/// reports the clean close; queued frames flush out byte-identical to
+/// `write_to`.
 #[test]
 fn ctrl_buf_blocking_read_and_flush() {
     let msgs = [CtrlMsg::Echo { token: 1 }, CtrlMsg::Bye];
@@ -119,10 +119,9 @@ fn ctrl_buf_blocking_read_and_flush() {
     assert_eq!(flushed, wire);
 
     let mut inbound = CtrlBuf::new(MAX_FRAME_TO_RECEIVER);
-    let mut stream = wire.as_slice();
+    assert!(!inbound.fill(&mut wire.as_slice()).unwrap(), "clean close");
     for m in &msgs {
-        assert_eq!(&inbound.read_msg(&mut stream).unwrap(), m);
+        assert_eq!(&inbound.take_frame().unwrap().unwrap(), m);
     }
-    let eof = inbound.read_msg(&mut stream).unwrap_err();
-    assert_eq!(eof.kind(), io::ErrorKind::UnexpectedEof);
+    assert_eq!(inbound.take_frame().unwrap(), None);
 }

@@ -191,7 +191,7 @@ struct Inner {
 /// the same name and labels returns handles to the same underlying atomic,
 /// so independent subsystems can share a series without coordination. The
 /// `register_*` variants attach a handle that already exists (e.g. a
-/// counter a `Receiver` created at bind time, before any registry was in
+/// counter a receiver created at bind time, before any registry was in
 /// sight).
 #[derive(Clone, Default)]
 pub struct Registry(Arc<Mutex<Inner>>);

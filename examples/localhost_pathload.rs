@@ -1,4 +1,5 @@
-//! Run the *real-socket* pathload against a receiver thread over loopback.
+//! Run the *real-socket* pathload against a receiver thread over loopback
+//! (Linux: the receiver is an epoll event loop).
 //!
 //! The estimate itself is not meaningful on loopback (there is no FIFO
 //! bottleneck; the "avail-bw" is whatever the kernel schedules), but this
@@ -10,18 +11,16 @@
 //! cargo run --release --example localhost_pathload
 //! ```
 
-use availbw::pathload_net::{Receiver, SocketTransport};
+use availbw::pathload_net::{EventedReceiver, SocketTransport};
 use availbw::slops::{Session, SlopsConfig};
 use availbw::units::{Rate, TimeNs};
-use std::thread;
 
 fn main() {
-    let rx = Receiver::bind("127.0.0.1:0".parse().unwrap()).expect("bind receiver");
+    let rx = EventedReceiver::bind("127.0.0.1:0".parse().unwrap())
+        .expect("bind receiver")
+        .spawn();
     let addr = rx.ctrl_addr();
     println!("receiver listening on {addr}");
-    let server = thread::spawn(move || {
-        rx.serve_one().expect("receiver session");
-    });
 
     let mut transport = SocketTransport::connect(addr).expect("connect");
     // Keep the probing gentle: short streams, 0.5 ms period floor, coarse
@@ -49,5 +48,5 @@ fn main() {
         Err(e) => println!("measurement failed: {e}"),
     }
     drop(transport); // sends Bye
-    server.join().expect("receiver thread");
+    rx.stop().expect("receiver thread");
 }

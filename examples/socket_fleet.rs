@@ -1,12 +1,13 @@
 //! A socket-backed monitoring fleet over loopback: what the `monitord`
 //! binary does, as a library call.
 //!
-//! Three paths, all against ONE in-process `pathload_rcv`-style receiver
-//! (the multi-session receiver demuxes them by session token), monitored
-//! by the socket fleet driver — real UDP probe streams, real TCP control
-//! channels, one long-lived connection per path, all sender clocks on one
-//! shared epoch — with the JSONL records a daemon would emit streamed to
-//! stdout as measurements finish.
+//! Three paths, all against ONE in-process `pathload_rcv` receiver (the
+//! multi-session receiver demuxes them by session token), monitored by
+//! the socket fleet driver on one event-loop thread — real UDP probe
+//! streams, real TCP control channels, one long-lived connection per
+//! path, all sender clocks on one shared epoch — with the JSONL records a
+//! daemon would emit streamed to stdout as measurements finish. Linux
+//! only (epoll).
 //!
 //! Loopback has no FIFO bottleneck, so the "avail-bw" numbers are not
 //! meaningful; the point is the deployable stack end to end. Runs for
@@ -18,13 +19,12 @@
 
 use availbw::monitord::export::{change_line, fleet_summary, sample_line, summary_line};
 use availbw::monitord::{
-    run_socket_fleet_with_telemetry, FleetEvent, ScheduleConfig, SeriesConfig, ShutdownFlag,
+    run_socket_fleet_async_with_telemetry, FleetEvent, ScheduleConfig, SeriesConfig, ShutdownFlag,
     SocketPathSpec,
 };
-use availbw::pathload_net::Receiver;
+use availbw::pathload_net::EventedReceiver;
 use availbw::slops::SlopsConfig;
 use availbw::units::{Rate, TimeNs};
-use std::thread;
 
 fn main() {
     // Gentle probing: ~1 s per measurement on a shared machine.
@@ -37,10 +37,11 @@ fn main() {
     probe.max_fleets = 6;
 
     const N: usize = 3;
-    let rx = Receiver::bind("127.0.0.1:0".parse().unwrap()).expect("bind receiver");
+    let rx = EventedReceiver::bind("127.0.0.1:0".parse().unwrap())
+        .expect("bind receiver")
+        .spawn();
     let addr = rx.ctrl_addr();
     eprintln!("shared receiver for {N} paths on {addr}");
-    let server = thread::spawn(move || rx.serve_n(N));
     let specs: Vec<SocketPathSpec> = (0..N)
         .map(|i| SocketPathSpec {
             label: format!("lo{i}"),
@@ -56,12 +57,11 @@ fn main() {
         max_concurrent: 1, // loopback paths share the host
         seed: 7,
     };
-    let series = run_socket_fleet_with_telemetry(
+    let series = run_socket_fleet_async_with_telemetry(
         specs,
         &sched,
         &SeriesConfig::default(),
         TimeNs::from_secs(8),
-        0,                    // one worker per CPU
         &ShutdownFlag::new(), // run to the horizon
         None,                 // no telemetry hub
         |ev| match ev {
@@ -86,5 +86,5 @@ fn main() {
         println!("{}", summary_line(p, s));
     }
     eprint!("\n{}", fleet_summary(&series));
-    server.join().expect("receiver thread").expect("receiver");
+    rx.stop().expect("receiver");
 }

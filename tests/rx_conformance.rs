@@ -1,4 +1,4 @@
-//! Receiver conformance: one protocol core, two pumps.
+//! Receiver conformance: the protocol core, and the pump over it.
 //!
 //! The per-session receive protocol lives once, in the sans-IO
 //! `pathload_net::rx::RxSession`. This file pins it the way
@@ -9,21 +9,20 @@
 //!    it returns (down to their encoded bytes), the exact tick a stop rule
 //!    fires on, and the exact counter deltas;
 //! 2. **over the wire** — the same scripts replayed by a hand-rolled
-//!    client against the threaded `Receiver` and the `EventedReceiver`:
-//!    both pumps must produce the core's frame sequence, the same
-//!    `(idx, send_ns)` sets and the same counter deltas, because all
-//!    either does is move bytes in and out of that core.
+//!    client against the `EventedReceiver`: it must produce the core's
+//!    frame sequence, the same `(idx, send_ns)` sets and the same counter
+//!    deltas, because all it does is move bytes in and out of that core.
+
+// The receiver's event loop is Linux-only (epoll).
+#![cfg(target_os = "linux")]
 
 use availbw::pathload_net::proto::{
     CtrlMsg, ProbeKind, ProbePacket, SampleWire, DENY_AT_CAPACITY, MAX_ANNOUNCE_COUNT,
     PROTO_VERSION,
 };
 use availbw::pathload_net::rx::{Admission, CtrlAction, POLL_TIMEOUT};
-#[cfg(target_os = "linux")]
-use availbw::pathload_net::EventedReceiver;
-use availbw::pathload_net::Receiver;
+use availbw::pathload_net::{EventedReceiver, EventedReceiverHandle};
 use availbw::telemetry::Registry;
-use std::net::SocketAddr;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -92,10 +91,6 @@ struct Script {
     name: &'static str,
     steps: Vec<Step>,
     expect: Expect,
-    /// Replayed against the threaded pump too. False only where that
-    /// pump cannot observe the input: it does not read the control
-    /// channel while a collection is running.
-    threaded: bool,
 }
 
 fn scripts() -> Vec<Script> {
@@ -126,7 +121,6 @@ fn scripts() -> Vec<Script> {
                 dedup: 0,
                 silence_stops: 0,
             },
-            threaded: true,
         },
         Script {
             name: "duplicated_index",
@@ -154,7 +148,6 @@ fn scripts() -> Vec<Script> {
                 dedup: 1,
                 silence_stops: 0,
             },
-            threaded: true,
         },
         Script {
             name: "out_of_range_index",
@@ -177,7 +170,6 @@ fn scripts() -> Vec<Script> {
                 dedup: 1,
                 silence_stops: 0,
             },
-            threaded: true,
         },
         Script {
             name: "wrong_id",
@@ -200,7 +192,6 @@ fn scripts() -> Vec<Script> {
                 dedup: 0,
                 silence_stops: 0,
             },
-            threaded: true,
         },
         Script {
             name: "wrong_kind",
@@ -223,7 +214,6 @@ fn scripts() -> Vec<Script> {
                 dedup: 0,
                 silence_stops: 0,
             },
-            threaded: true,
         },
         Script {
             name: "probe_while_idle",
@@ -247,7 +237,6 @@ fn scripts() -> Vec<Script> {
                 dedup: 0,
                 silence_stops: 0,
             },
-            threaded: true,
         },
         Script {
             // Last activity at t(1, 4); the 5 ms nominal duration is long
@@ -280,7 +269,6 @@ fn scripts() -> Vec<Script> {
                 dedup: 0,
                 silence_stops: 1,
             },
-            threaded: true,
         },
         Script {
             // Armed at t(1, 0); deadline = + 2 s + 2·1 ms + 1 s. Tick 60
@@ -300,7 +288,6 @@ fn scripts() -> Vec<Script> {
                 dedup: 0,
                 silence_stops: 0,
             },
-            threaded: true,
         },
         Script {
             name: "train_first_and_last_stamps",
@@ -326,7 +313,6 @@ fn scripts() -> Vec<Script> {
                 dedup: 0,
                 silence_stops: 0,
             },
-            threaded: true,
         },
         Script {
             // A train is over after 50 ms of silence: the very first tick.
@@ -352,7 +338,6 @@ fn scripts() -> Vec<Script> {
                 dedup: 0,
                 silence_stops: 1,
             },
-            threaded: true,
         },
         Script {
             name: "zero_count_completes_on_the_first_tick",
@@ -370,7 +355,6 @@ fn scripts() -> Vec<Script> {
                 dedup: 0,
                 silence_stops: 0,
             },
-            threaded: true,
         },
         Script {
             name: "count_over_the_cap",
@@ -382,7 +366,6 @@ fn scripts() -> Vec<Script> {
                 dedup: 0,
                 silence_stops: 0,
             },
-            threaded: true,
         },
         Script {
             name: "announce_during_a_collection",
@@ -394,7 +377,6 @@ fn scripts() -> Vec<Script> {
                 dedup: 0,
                 silence_stops: 0,
             },
-            threaded: false,
         },
     ]
 }
@@ -582,46 +564,20 @@ fn protocol_errors_and_the_session_cap() {
 
 // ---- over the wire ----------------------------------------------------
 
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum Pump {
-    Threaded,
-    #[cfg(target_os = "linux")]
-    Evented,
+/// A receiver serving on its own thread, its metrics in `reg`.
+fn start(reg: &Registry) -> EventedReceiverHandle {
+    let rx = EventedReceiver::bind("127.0.0.1:0".parse().unwrap()).unwrap();
+    rx.register_metrics(reg);
+    rx.spawn()
 }
 
-/// A receiver of either shape serving on its own thread(s).
-enum FarEnd {
-    Threaded(thread::JoinHandle<std::io::Result<()>>),
-    #[cfg(target_os = "linux")]
-    Evented(availbw::pathload_net::EventedReceiverHandle),
-}
-
-fn start(pump: Pump, reg: &Registry) -> (SocketAddr, FarEnd) {
-    let any = "127.0.0.1:0".parse().unwrap();
-    match pump {
-        Pump::Threaded => {
-            let rx = Receiver::bind(any).unwrap();
-            rx.register_metrics(reg);
-            let addr = rx.ctrl_addr();
-            (addr, FarEnd::Threaded(thread::spawn(move || rx.serve_n(1))))
-        }
-        #[cfg(target_os = "linux")]
-        Pump::Evented => {
-            let rx = EventedReceiver::bind(any).unwrap();
-            rx.register_metrics(reg);
-            let handle = rx.spawn();
-            (handle.ctrl_addr(), FarEnd::Evented(handle))
-        }
-    }
-}
-
-/// Replay a script against a fresh receiver of the given shape, reading
-/// after each step as many frames as the core answered it with.
-fn replay(pump: Pump, steps: &[Step], replies: &[usize]) -> Transcript {
+/// Replay a script against a fresh receiver, reading after each step as
+/// many frames as the core answered it with.
+fn replay(steps: &[Step], replies: &[usize]) -> Transcript {
     let reg = Registry::new();
-    let (addr, far_end) = start(pump, &reg);
+    let rx = start(&reg);
     let routed = reg.counter("receiver_demux_routed_total", &[]);
-    let mut client = RawClient::connect(addr);
+    let mut client = RawClient::connect(rx.ctrl_addr());
     let mut out = Transcript::default();
     let mut probes_sent = 0;
     for (step, &replies) in steps.iter().zip(replies) {
@@ -638,10 +594,9 @@ fn replay(pump: Pump, steps: &[Step], replies: &[usize]) -> Transcript {
                 });
                 probes_sent += 1;
                 // The datagram and the next control frame travel on
-                // different sockets, read by different threads of the
-                // threaded pump: the session sees them in script order
-                // only once the demux has routed this probe into its
-                // channel (the counter moves after the hand-off).
+                // different sockets, and the pump may leave the probe
+                // socket unread until its planned drain: the session sees
+                // them in script order only once this probe is routed.
                 let patience = Instant::now() + Duration::from_secs(5);
                 while routed.get() < probes_sent && Instant::now() < patience {
                     thread::sleep(Duration::from_micros(200));
@@ -657,23 +612,13 @@ fn replay(pump: Pump, steps: &[Step], replies: &[usize]) -> Transcript {
         }
     }
     client.bye();
-    match far_end {
-        // A protocol-error script ends the one served session with `Err`.
-        FarEnd::Threaded(h) => drop(h.join().unwrap()),
-        #[cfg(target_os = "linux")]
-        FarEnd::Evented(h) => h.stop().unwrap(),
-    }
+    rx.stop().unwrap();
     let drops = |reason| {
         reg.counter("receiver_demux_drops_total", &[("reason", reason)])
             .get()
     };
     assert_eq!(drops("unknown_token"), 0);
-    assert_eq!(drops("collector_full"), 0);
-    assert_eq!(
-        routed.get(),
-        probes_sent,
-        "{pump:?} lost probes on loopback"
-    );
+    assert_eq!(routed.get(), probes_sent, "lost probes on loopback");
     out.dedup = drops("dedup");
     out.silence_stops = reg
         .counter("receiver_collect_silence_stops_total", &[])
@@ -712,60 +657,39 @@ fn shapes(frames: &[CtrlMsg]) -> Vec<Shape> {
         .collect()
 }
 
-/// Every script over real sockets, against both pumps at once (each run
-/// has a receiver of its own, so the counter deltas are the script's):
-/// the frame sequence, the `(idx, send_ns)` sets and the counter deltas
-/// are the hand-stepped core's.
+/// Every script over real sockets, all at once (each run has a receiver
+/// of its own, so the counter deltas are the script's): the frame
+/// sequence, the `(idx, send_ns)` sets and the counter deltas are the
+/// hand-stepped core's.
 #[test]
-fn both_pumps_replay_the_scripts_like_the_core() {
+fn the_pump_replays_the_scripts_like_the_core() {
     let runs: Vec<_> = scripts()
         .into_iter()
-        .flat_map(|script| {
-            let mut pumps = Vec::new();
-            if script.threaded {
-                pumps.push(Pump::Threaded);
-            }
-            #[cfg(target_os = "linux")]
-            pumps.push(Pump::Evented);
+        .map(|script| {
             let core = hand_step(&script.steps);
-            pumps.into_iter().map(move |pump| {
-                let (name, steps) = (script.name, script.steps.clone());
-                let want = (
-                    shapes(&core.frames),
-                    core.closed,
-                    core.dedup,
-                    core.silence_stops,
-                );
-                let replies = core.replies.clone();
-                let run = thread::spawn(move || replay(pump, &steps, &replies));
-                (name, pump, want, run)
-            })
+            let want = (
+                shapes(&core.frames),
+                core.closed,
+                core.dedup,
+                core.silence_stops,
+            );
+            let run = thread::spawn(move || replay(&script.steps, &core.replies));
+            (script.name, want, run)
         })
         .collect();
-    for (name, pump, want, run) in runs {
-        let got = run
-            .join()
-            .unwrap_or_else(|_| panic!("{name} on {pump:?} panicked"));
+    for (name, want, run) in runs {
+        let got = run.join().unwrap_or_else(|_| panic!("{name} panicked"));
         let got = (
             shapes(&got.frames),
             got.closed,
             got.dedup,
             got.silence_stops,
         );
-        assert_eq!(got, want, "{name}: {pump:?} diverged from the core");
+        assert_eq!(got, want, "{name}: the pump diverged from the core");
     }
 }
 
 // ---- the timestamp contract, over the wire ------------------------------
-
-/// Every pump the wire-level contract tests run against.
-fn pumps() -> Vec<Pump> {
-    vec![
-        Pump::Threaded,
-        #[cfg(target_os = "linux")]
-        Pump::Evented,
-    ]
-}
 
 /// Send stream `id`'s packets `0..count`, all but `skip`, `period` apart
 /// by busy-waiting on absolute deadlines. Each carries as `send_ns` the
@@ -794,13 +718,9 @@ fn send_paced(
 }
 
 /// Hang up and stop the receiver.
-fn finish(client: RawClient, far_end: FarEnd) {
+fn finish(client: RawClient, rx: EventedReceiverHandle) {
     client.bye();
-    match far_end {
-        FarEnd::Threaded(h) => drop(h.join().unwrap()),
-        #[cfg(target_os = "linux")]
-        FarEnd::Evented(h) => h.stop().unwrap(),
-    }
+    rx.stop().unwrap();
 }
 
 /// Collections the receiver ended on the silence window.
@@ -809,95 +729,85 @@ fn silence_stops(reg: &Registry) -> u64 {
         .get()
 }
 
-/// Datagrams sent 1 ms apart carry arrival stamps 1 ms ± 200 µs apart on
-/// both pumps — on the evented one although it reads them several to a
-/// drain, which a stamp taken at the read would collapse into one. The
-/// spacing is compared with the sender's own, so a preempted sender
-/// cannot fail it; a preemption between the sender's clock read and its
-/// send can, and gets two more tries.
+/// Datagrams sent 1 ms apart carry arrival stamps 1 ms ± 200 µs apart,
+/// although the pump reads them several to a drain, which a stamp taken at
+/// the read would collapse into one. The spacing is compared with the
+/// sender's own, so a preempted sender cannot fail it; a preemption
+/// between the sender's clock read and its send can, and gets two more
+/// tries.
 #[test]
 fn arrival_stamps_are_the_kernels_not_the_reads() {
     const COUNT: u32 = 12;
-    for pump in pumps() {
-        let mut worst_ns = Vec::new();
-        for _ in 0..3 {
-            let reg = Registry::new();
-            let (addr, far_end) = start(pump, &reg);
-            let mut client = RawClient::connect(addr);
-            client.announce_stream(1, COUNT, 1_000_000);
-            let sent = send_paced(&client, 1, COUNT, Duration::from_millis(1), None);
-            let mut samples = client.read_report(1);
-            finish(client, far_end);
-            assert_eq!(samples.len(), COUNT as usize, "{pump:?}: loss on loopback");
-            samples.sort_by_key(|s| s.idx);
-            let worst = samples
-                .windows(2)
-                .map(|w| {
-                    let got = w[1].recv_ns as i64 - w[0].recv_ns as i64;
-                    let want = sent[w[1].idx as usize] as i64 - sent[w[0].idx as usize] as i64;
-                    (got - want).unsigned_abs()
-                })
-                .max()
-                .unwrap();
-            #[cfg(target_os = "linux")]
-            if pump == Pump::Evented {
-                let batches = reg.histogram("receiver_recv_batch_size", &[]);
-                assert!(
-                    batches.sum() > batches.count(),
-                    "the evented pump read every datagram on its own"
-                );
-            }
-            worst_ns.push(worst);
-            if worst <= 200_000 {
-                break;
-            }
-        }
+    let mut worst_ns = Vec::new();
+    for _ in 0..3 {
+        let reg = Registry::new();
+        let rx = start(&reg);
+        let mut client = RawClient::connect(rx.ctrl_addr());
+        client.announce_stream(1, COUNT, 1_000_000);
+        let sent = send_paced(&client, 1, COUNT, Duration::from_millis(1), None);
+        let mut samples = client.read_report(1);
+        finish(client, rx);
+        assert_eq!(samples.len(), COUNT as usize, "loss on loopback");
+        samples.sort_by_key(|s| s.idx);
+        let worst = samples
+            .windows(2)
+            .map(|w| {
+                let got = w[1].recv_ns as i64 - w[0].recv_ns as i64;
+                let want = sent[w[1].idx as usize] as i64 - sent[w[0].idx as usize] as i64;
+                (got - want).unsigned_abs()
+            })
+            .max()
+            .unwrap();
+        let batches = reg.histogram("receiver_recv_batch_size", &[]);
         assert!(
-            worst_ns.last().is_some_and(|&w| w <= 200_000),
-            "{pump:?}: stamp spacing off the send spacing by {worst_ns:?} ns"
+            batches.sum() > batches.count(),
+            "the pump read every datagram on its own"
         );
+        worst_ns.push(worst);
+        if worst <= 200_000 {
+            break;
+        }
     }
+    assert!(
+        worst_ns.last().is_some_and(|&w| w <= 200_000),
+        "stamp spacing off the send spacing by {worst_ns:?} ns"
+    );
 }
 
 /// A stream whose first packet comes 5 ms after `Ready` completes on its
-/// last packet, not on a stop rule, on both pumps.
+/// last packet, not on a stop rule.
 #[test]
 fn a_sender_that_starts_late_still_completes() {
     const COUNT: u32 = 20;
-    for pump in pumps() {
-        let reg = Registry::new();
-        let (addr, far_end) = start(pump, &reg);
-        let mut client = RawClient::connect(addr);
-        client.announce_stream(2, COUNT, 1_000_000);
-        thread::sleep(Duration::from_millis(5));
-        send_paced(&client, 2, COUNT, Duration::from_millis(1), None);
-        let last_sent = Instant::now();
-        let samples = client.read_report(2);
-        let waited = last_sent.elapsed();
-        finish(client, far_end);
-        assert_eq!(samples.len(), COUNT as usize, "{pump:?}");
-        assert_eq!(silence_stops(&reg), 0, "{pump:?}");
-        assert!(
-            waited < Duration::from_millis(150),
-            "{pump:?}: the report came {waited:?} after the last packet"
-        );
-    }
+    let reg = Registry::new();
+    let rx = start(&reg);
+    let mut client = RawClient::connect(rx.ctrl_addr());
+    client.announce_stream(2, COUNT, 1_000_000);
+    thread::sleep(Duration::from_millis(5));
+    send_paced(&client, 2, COUNT, Duration::from_millis(1), None);
+    let last_sent = Instant::now();
+    let samples = client.read_report(2);
+    let waited = last_sent.elapsed();
+    finish(client, rx);
+    assert_eq!(samples.len(), COUNT as usize);
+    assert_eq!(silence_stops(&reg), 0);
+    assert!(
+        waited < Duration::from_millis(150),
+        "the report came {waited:?} after the last packet"
+    );
 }
 
-/// A stream whose last packet is lost still ends, on the silence stop,
-/// on both pumps.
+/// A stream whose last packet is lost still ends, on the silence stop.
 #[test]
 fn a_lost_last_packet_ends_on_the_silence_stop() {
     const COUNT: u32 = 20;
-    for pump in pumps() {
-        let reg = Registry::new();
-        let (addr, far_end) = start(pump, &reg);
-        let mut client = RawClient::connect(addr);
-        client.announce_stream(3, COUNT, 1_000_000);
-        send_paced(&client, 3, COUNT, Duration::from_millis(1), Some(COUNT - 1));
-        let samples = client.read_report(3);
-        finish(client, far_end);
-        assert_eq!(samples.len(), COUNT as usize - 1, "{pump:?}");
-        assert_eq!(silence_stops(&reg), 1, "{pump:?}");
-    }
+    let reg = Registry::new();
+    let rx = start(&reg);
+    let mut client = RawClient::connect(rx.ctrl_addr());
+    client.announce_stream(3, COUNT, 1_000_000);
+    send_paced(&client, 3, COUNT, Duration::from_millis(1), Some(COUNT - 1));
+    let samples = client.read_report(3);
+    finish(client, rx);
+    assert_eq!(samples.len(), COUNT as usize - 1);
+    assert_eq!(silence_stops(&reg), 1);
 }

@@ -9,29 +9,29 @@
 //! 2. **a big fleet** — ≥32 loopback paths multiplexed on ONE event-loop
 //!    thread against ONE shared multi-session receiver, with every JSONL
 //!    line the daemon would emit parsed and checked;
-//! 3. **thread-vs-async structural equivalence** — both fleet drivers run
-//!    the same seeded schedule; per-path sample counts, the tick-grid
-//!    start offsets, and the record schema must agree. (Real sockets are
-//!    nondeterministic, so the estimates themselves are not compared —
-//!    the same standard as `tests/socket_loopback.rs`.)
+//! 3. **the scheduler's schedule** — the driver takes every start from
+//!    the sans-IO scheduler, so its tick-grid start offsets are the ones
+//!    the scheduler issues when stepped alone, and its records share one
+//!    schema. (Real sockets are nondeterministic, so the estimates
+//!    themselves are not compared — the same standard as
+//!    `tests/socket_loopback.rs`.)
 
-// The evented driver is Unix-only (raw-fd registration with epoll).
-#![cfg(unix)]
+// The driver and the receiver are Linux-only (epoll).
+#![cfg(target_os = "linux")]
 
 use availbw::monitord::export::{sample_line, summary_line};
 use availbw::monitord::{
-    run_socket_fleet_async_with_telemetry, run_socket_fleet_with_telemetry, FleetEvent,
-    FleetTelemetry, ScheduleConfig, SeriesConfig, ShutdownFlag, SocketPathSpec,
+    run_socket_fleet_async_with_telemetry, FleetEvent, FleetTelemetry, Poll, ScheduleConfig,
+    Scheduler, SeriesConfig, ShutdownFlag, SocketPathSpec,
 };
 use availbw::pathload_net::clock::MonoClock;
 use availbw::pathload_net::mux::{EventLoop, MuxEvent};
-#[cfg(target_os = "linux")]
-use availbw::pathload_net::{EventedReceiver, EventedReceiverHandle};
-use availbw::pathload_net::{EventedSession, Receiver, SessionTokens, SocketTransport};
+use availbw::pathload_net::{
+    EventedReceiver, EventedReceiverHandle, EventedSession, SessionTokens, SocketTransport,
+};
 use availbw::slops::series::RangeSample;
 use availbw::slops::SlopsConfig;
 use availbw::units::{Rate, TimeNs};
-use std::thread;
 use std::time::{Duration, Instant};
 
 mod common;
@@ -62,6 +62,28 @@ fn gentle_cfg() -> SlopsConfig {
     cfg
 }
 
+/// A receiver serving on its own thread until stopped, its metrics in
+/// `reg` when one is given.
+fn receiver(reg: Option<&availbw::telemetry::Registry>) -> EventedReceiverHandle {
+    let rx = EventedReceiver::bind("127.0.0.1:0".parse().unwrap()).unwrap();
+    if let Some(reg) = reg {
+        rx.register_metrics(reg);
+    }
+    rx.spawn()
+}
+
+/// `n` gentle loopback paths, all naming the receiver at `addr`.
+fn specs(n: usize, label: &str, addr: std::net::SocketAddr) -> Vec<SocketPathSpec> {
+    (0..n)
+        .map(|i| SocketPathSpec {
+            label: format!("{label}{i}"),
+            ctrl_addr: addr,
+            cfg: gentle_cfg(),
+            rate_cap: Some(Rate::from_mbps(RATE_CAP_MBPS)),
+        })
+        .collect()
+}
+
 /// The DRIVERS.md hand-stepped contract test, evented edition: one
 /// session over real loopback sockets, the event loop drained one wait
 /// at a time, and between every batch of events the machine invariant is
@@ -71,12 +93,10 @@ fn gentle_cfg() -> SlopsConfig {
 #[test]
 fn hand_stepped_evented_session_honors_the_machine_contract() {
     let _serial = serialized();
-    let rx = Receiver::bind("127.0.0.1:0".parse().unwrap()).unwrap();
-    let addr = rx.ctrl_addr();
-    let server = thread::spawn(move || rx.serve_one());
-
+    let rx = receiver(None);
     let clock = MonoClock::new();
-    let mut transport = SocketTransport::connect_with_clock(addr, clock.same_epoch()).unwrap();
+    let mut transport =
+        SocketTransport::connect_with_clock(rx.ctrl_addr(), clock.same_epoch()).unwrap();
     transport.rate_cap = Rate::from_mbps(RATE_CAP_MBPS);
     let tokens = SessionTokens {
         ctrl: 1,
@@ -134,28 +154,21 @@ fn hand_stepped_evented_session_honors_the_machine_contract() {
         est.high
     );
     drop(transport);
-    server.join().unwrap().unwrap();
+    rx.stop().unwrap();
 }
 
 /// A ≥32-path loopback fleet on the async driver: one event-loop thread,
 /// one shared multi-session receiver, every path sampled before the
 /// horizon, no errors, and every JSONL line the daemon would emit parses
-/// with the right shape.
+/// with the right shape. The receiver's metrics land in the fleet's
+/// registry: the core's demux/collect/deny families, with routed traffic.
 #[test]
 fn thirty_two_path_fleet_on_one_event_loop_thread() {
     let _serial = serialized();
     const N: usize = 32;
-    let rx = Receiver::bind("127.0.0.1:0".parse().unwrap()).unwrap();
-    let addr = rx.ctrl_addr();
-    let server = thread::spawn(move || rx.serve_n(N));
-    let specs: Vec<SocketPathSpec> = (0..N)
-        .map(|i| SocketPathSpec {
-            label: format!("lo{i}"),
-            ctrl_addr: addr,
-            cfg: gentle_cfg(),
-            rate_cap: Some(Rate::from_mbps(RATE_CAP_MBPS)),
-        })
-        .collect();
+    let telemetry = FleetTelemetry::new();
+    let rx = receiver(Some(telemetry.registry()));
+    let specs = specs(N, "lo", rx.ctrl_addr());
     let sched = ScheduleConfig {
         period: TimeNs::from_secs(5),
         jitter: TimeNs::from_millis(200),
@@ -171,7 +184,7 @@ fn thirty_two_path_fleet_on_one_event_loop_thread() {
         &SeriesConfig::default(),
         TimeNs::from_secs(6),
         &ShutdownFlag::new(),
-        None,
+        Some(&telemetry),
         |ev| match ev {
             FleetEvent::Sample {
                 path,
@@ -224,64 +237,53 @@ fn thirty_two_path_fleet_on_one_event_loop_thread() {
         assert_eq!(s.len(), samples_seen[p], "path {p}: streamed != stored");
         assert_eq!(s.errors(), 0, "path {p} errored");
     }
-    server.join().unwrap().unwrap();
+    rx.stop().unwrap();
+
+    let text = telemetry.registry().render_prometheus();
+    for family in [
+        "receiver_demux_routed_total",
+        "receiver_demux_drops_total",
+        "receiver_collect_silence_stops_total",
+        "receiver_sessions_denied_total",
+    ] {
+        assert!(text.contains(family), "the receiver lost {family}");
+    }
+    let routed = telemetry
+        .registry()
+        .counter("receiver_demux_routed_total", &[])
+        .get();
+    assert!(routed > 0, "the receiver routed nothing");
 }
 
-/// Run one fleet driver over a dedicated shared receiver and return the
-/// per-path `(started, duration)` samples plus the JSONL lines.
-fn run_driver(
-    use_async: bool,
+/// Run the driver over a dedicated shared receiver and return the
+/// per-path samples plus the JSONL lines.
+fn run_fleet(
     n: usize,
     sched: &ScheduleConfig,
     horizon: TimeNs,
 ) -> (Vec<Vec<RangeSample>>, Vec<String>) {
-    let rx = Receiver::bind("127.0.0.1:0".parse().unwrap()).unwrap();
-    let addr = rx.ctrl_addr();
-    let server = thread::spawn(move || rx.serve_n(n));
-    let specs: Vec<SocketPathSpec> = (0..n)
-        .map(|i| SocketPathSpec {
-            label: format!("p{i}"),
-            ctrl_addr: addr,
-            cfg: gentle_cfg(),
-            rate_cap: Some(Rate::from_mbps(RATE_CAP_MBPS)),
-        })
-        .collect();
+    let rx = receiver(None);
     let mut lines = Vec::new();
-    let observer = |ev: FleetEvent<'_>| {
-        if let FleetEvent::Sample {
-            path,
-            label,
-            sample,
-        } = ev
-        {
-            lines.push(sample_line(path, label, &sample));
-        }
-    };
-    let (series_cfg, stop) = (SeriesConfig::default(), ShutdownFlag::new());
-    let series = if use_async {
-        run_socket_fleet_async_with_telemetry(
-            specs,
-            sched,
-            &series_cfg,
-            horizon,
-            &stop,
-            None,
-            observer,
-        )
-    } else {
-        run_socket_fleet_with_telemetry(
-            specs,
-            sched,
-            &series_cfg,
-            horizon,
-            2,
-            &stop,
-            None,
-            observer,
-        )
-    }
+    let series = run_socket_fleet_async_with_telemetry(
+        specs(n, "p", rx.ctrl_addr()),
+        sched,
+        &SeriesConfig::default(),
+        horizon,
+        &ShutdownFlag::new(),
+        None,
+        |ev: FleetEvent<'_>| {
+            if let FleetEvent::Sample {
+                path,
+                label,
+                sample,
+            } = ev
+            {
+                lines.push(sample_line(path, label, &sample));
+            }
+        },
+    )
     .unwrap();
-    server.join().unwrap().unwrap();
+    rx.stop().unwrap();
     let samples = series
         .iter()
         .map(|s| s.samples().copied().collect())
@@ -289,67 +291,40 @@ fn run_driver(
     (samples, lines)
 }
 
-/// Run one fleet driver with the full telemetry wiring and return the
-/// number of samples observed, the registry's Prometheus snapshot, and
-/// the registry lookups counted after the first `n` samples and at the
-/// end.
-fn run_driver_with_telemetry(
-    use_async: bool,
+/// Run the driver with the full telemetry wiring and return the number
+/// of samples observed, the registry's Prometheus snapshot, and the
+/// registry lookups counted after the first `n` samples and at the end.
+fn run_fleet_with_telemetry(
     n: usize,
     sched: &ScheduleConfig,
     horizon: TimeNs,
 ) -> (usize, String, (u64, u64)) {
-    let rx = Receiver::bind("127.0.0.1:0".parse().unwrap()).unwrap();
-    let addr = rx.ctrl_addr();
-    let server = thread::spawn(move || rx.serve_n(n));
-    let specs: Vec<SocketPathSpec> = (0..n)
-        .map(|i| SocketPathSpec {
-            label: format!("p{i}"),
-            ctrl_addr: addr,
-            cfg: gentle_cfg(),
-            rate_cap: Some(Rate::from_mbps(RATE_CAP_MBPS)),
-        })
-        .collect();
+    let rx = receiver(None);
     let telemetry = FleetTelemetry::new();
     let mut samples = 0usize;
     let mut after_first_wave = None;
-    let observer = |ev: FleetEvent<'_>| match ev {
-        FleetEvent::Sample { .. } => {
-            samples += 1;
-            if samples == n {
-                after_first_wave = Some(telemetry.registry().lookups());
+    run_socket_fleet_async_with_telemetry(
+        specs(n, "p", rx.ctrl_addr()),
+        sched,
+        &SeriesConfig::default(),
+        horizon,
+        &ShutdownFlag::new(),
+        Some(&telemetry),
+        |ev: FleetEvent<'_>| match ev {
+            FleetEvent::Sample { .. } => {
+                samples += 1;
+                if samples == n {
+                    after_first_wave = Some(telemetry.registry().lookups());
+                }
             }
-        }
-        FleetEvent::Failed { path, error, .. } => {
-            panic!("path {path} failed on loopback: {error}")
-        }
-        FleetEvent::Change { .. } => {}
-    };
-    if use_async {
-        run_socket_fleet_async_with_telemetry(
-            specs,
-            sched,
-            &SeriesConfig::default(),
-            horizon,
-            &ShutdownFlag::new(),
-            Some(&telemetry),
-            observer,
-        )
-        .unwrap();
-    } else {
-        run_socket_fleet_with_telemetry(
-            specs,
-            sched,
-            &SeriesConfig::default(),
-            horizon,
-            2,
-            &ShutdownFlag::new(),
-            Some(&telemetry),
-            observer,
-        )
-        .unwrap();
-    }
-    server.join().unwrap().unwrap();
+            FleetEvent::Failed { path, error, .. } => {
+                panic!("path {path} failed on loopback: {error}")
+            }
+            FleetEvent::Change { .. } => {}
+        },
+    )
+    .unwrap();
+    rx.stop().unwrap();
     let lookups = (
         after_first_wave.expect("every path measured once"),
         telemetry.registry().lookups(),
@@ -384,15 +359,14 @@ fn trace_series(text: &str) -> (Vec<String>, u64) {
     (keys, sessions_done)
 }
 
-/// Thread-vs-async trace-event equivalence: both drivers only RELAY the
-/// machine-minted trace into the shared registry, so they surface the
-/// exact same machine-trace series (same families, same label
-/// vocabulary, same paths), and in both runs every recorded sample is
-/// matched by exactly one machine-minted `SessionDone`. Real-socket
-/// timing makes the verdict distributions differ; the series themselves
-/// must not.
+/// The driver only RELAYS the machine-minted trace into the shared
+/// registry: every path surfaces the machine-trace series, every recorded
+/// sample is matched by exactly one machine-minted `SessionDone`, and the
+/// per-path pacing histograms fill. Once every path has measured, further
+/// estimates (and the event loop's wake-ups around them) take no registry
+/// lookup: the relays resolve their handles up front.
 #[test]
-fn thread_and_async_drivers_relay_the_same_machine_trace() {
+fn async_driver_relays_the_machine_trace() {
     let _serial = serialized();
     const N: usize = 2;
     let sched = ScheduleConfig {
@@ -401,223 +375,41 @@ fn thread_and_async_drivers_relay_the_same_machine_trace() {
         max_concurrent: N,
         seed: 42,
     };
-    let horizon = TimeNs::from_secs(5);
-    let (thread_samples, thread_text, thread_lookups) =
-        run_driver_with_telemetry(false, N, &sched, horizon);
-    let (async_samples, async_text, async_lookups) =
-        run_driver_with_telemetry(true, N, &sched, horizon);
-    // Both drivers relay through handles resolved up front: estimates
-    // after the first wave (and the event loop's wake-ups around them)
-    // take no registry lookup.
-    assert_eq!(thread_lookups.0, thread_lookups.1, "thread driver");
-    assert_eq!(async_lookups.0, async_lookups.1, "async driver");
+    let (samples, text, lookups) = run_fleet_with_telemetry(N, &sched, TimeNs::from_secs(5));
+    assert_eq!(lookups.0, lookups.1, "lookups after the first wave");
 
-    let (thread_keys, thread_done) = trace_series(&thread_text);
-    let (async_keys, async_done) = trace_series(&async_text);
-    assert!(!thread_keys.is_empty(), "no machine-trace series surfaced");
+    let (keys, done) = trace_series(&text);
+    for p in 0..N {
+        let path = format!("path=\"p{p}\"");
+        assert!(
+            keys.iter().any(|k| k.contains(&path)),
+            "no machine-trace series for p{p}"
+        );
+    }
     assert_eq!(
-        thread_keys, async_keys,
-        "drivers surfaced different machine-trace series"
+        done, samples as u64,
+        "samples without a machine-minted SessionDone"
     );
-    assert_eq!(
-        thread_done, thread_samples as u64,
-        "thread driver: samples without a machine-minted SessionDone"
-    );
-    assert_eq!(
-        async_done, async_samples as u64,
-        "async driver: samples without a machine-minted SessionDone"
-    );
-    // Both runs actually measured something.
-    assert!(thread_samples >= N, "thread driver measured too little");
-    assert!(async_samples >= N, "async driver measured too little");
-    // Both drivers also fed the per-path pacing histograms.
-    for text in [&thread_text, &async_text] {
-        for p in 0..N {
-            let needle = format!("pacing_error_ns_count{{path=\"p{p}\"}}");
-            let line = text
-                .lines()
-                .find(|l| l.starts_with(&needle))
-                .unwrap_or_else(|| panic!("missing {needle}"));
-            let count: u64 = line.rsplit_once(' ').unwrap().1.parse().unwrap();
-            assert!(count > 0, "path p{p} paced no packets");
-        }
-    }
-}
-
-/// One far end of a fleet run: a threaded receiver thread or an evented
-/// receiver handle.
-#[cfg(target_os = "linux")]
-enum FarEnd {
-    Threaded(thread::JoinHandle<std::io::Result<()>>),
-    Evented(EventedReceiverHandle),
-}
-
-/// Run one async-driver fleet against either receiver shape, with the
-/// receiver's metrics registered on the fleet's registry. Returns the
-/// per-path samples, the JSONL sample lines, and the registry's
-/// Prometheus snapshot.
-#[cfg(target_os = "linux")]
-fn run_fleet_against_receiver(
-    evented: bool,
-    n: usize,
-    sched: &ScheduleConfig,
-    horizon: TimeNs,
-) -> (Vec<Vec<RangeSample>>, Vec<String>, String) {
-    let telemetry = FleetTelemetry::new();
-    let (addr, far_end) = if evented {
-        let rx = EventedReceiver::bind("127.0.0.1:0".parse().unwrap()).unwrap();
-        rx.register_metrics(telemetry.registry());
-        let handle = rx.spawn();
-        (handle.ctrl_addr(), FarEnd::Evented(handle))
-    } else {
-        let rx = Receiver::bind("127.0.0.1:0".parse().unwrap()).unwrap();
-        rx.register_metrics(telemetry.registry());
-        let addr = rx.ctrl_addr();
-        (addr, FarEnd::Threaded(thread::spawn(move || rx.serve_n(n))))
-    };
-    let specs: Vec<SocketPathSpec> = (0..n)
-        .map(|i| SocketPathSpec {
-            label: format!("p{i}"),
-            ctrl_addr: addr,
-            cfg: gentle_cfg(),
-            rate_cap: Some(Rate::from_mbps(RATE_CAP_MBPS)),
-        })
-        .collect();
-    let mut lines = Vec::new();
-    let series = run_socket_fleet_async_with_telemetry(
-        specs,
-        sched,
-        &SeriesConfig::default(),
-        horizon,
-        &ShutdownFlag::new(),
-        Some(&telemetry),
-        |ev| match ev {
-            FleetEvent::Sample {
-                path,
-                label,
-                sample,
-            } => lines.push(sample_line(path, label, &sample)),
-            FleetEvent::Failed { path, error, .. } => {
-                panic!("path {path} failed on loopback: {error}")
-            }
-            FleetEvent::Change { .. } => {}
-        },
-    )
-    .unwrap();
-    match far_end {
-        FarEnd::Threaded(h) => h.join().unwrap().unwrap(),
-        FarEnd::Evented(h) => h.stop().unwrap(),
-    }
-    let samples = series
-        .iter()
-        .map(|s| s.samples().copied().collect())
-        .collect();
-    (samples, lines, telemetry.registry().render_prometheus())
-}
-
-/// The `receiver_*` metric family names of one Prometheus snapshot.
-#[cfg(target_os = "linux")]
-fn receiver_families(text: &str) -> std::collections::BTreeSet<String> {
-    text.lines()
-        .filter(|l| !l.starts_with('#') && l.starts_with("receiver_"))
-        .map(|l| {
-            l.split(['{', ' '])
-                .next()
-                .expect("metric line has a name")
-                .to_string()
-        })
-        .collect()
-}
-
-/// Threaded-vs-evented **receiver** structural equivalence: the same
-/// 32-path async fleet (same seed, schedule, configs) runs against both
-/// receiver shapes. The far end must be interchangeable: per-path sample
-/// counts equal, every path measured, one uniform JSONL schema across
-/// both runs, and the demux metric surface identical — the same six
-/// `receiver_demux_*`/`receiver_collect_*`/`receiver_sessions_denied_total`
-/// families with routed traffic in both. (Estimates are not compared:
-/// real sockets are nondeterministic.)
-#[cfg(target_os = "linux")]
-#[test]
-fn threaded_and_evented_receivers_are_structurally_equivalent() {
-    let _serial = serialized();
-    const N: usize = 32;
-    let sched = ScheduleConfig {
-        period: TimeNs::from_secs(5),
-        jitter: TimeNs::from_millis(200),
-        max_concurrent: 8,
-        seed: 7,
-    };
-    let horizon = TimeNs::from_secs(6);
-    let (t_samples, t_lines, t_text) = run_fleet_against_receiver(false, N, &sched, horizon);
-    let (e_samples, e_lines, e_text) = run_fleet_against_receiver(true, N, &sched, horizon);
-
-    // Same per-path sample counts, every path measured.
-    let counts = |s: &Vec<Vec<RangeSample>>| s.iter().map(|p| p.len()).collect::<Vec<_>>();
-    assert_eq!(
-        counts(&t_samples),
-        counts(&e_samples),
-        "receiver shapes yielded different sample counts"
-    );
-    for (p, samples) in t_samples.iter().enumerate() {
-        assert!(!samples.is_empty(), "path {p} was never measured");
-    }
-
-    // One uniform JSONL schema across both runs.
-    let keys = |line: &String| {
-        parse_flat_json(line)
-            .unwrap_or_else(|| panic!("bad JSONL: {line}"))
-            .into_iter()
-            .map(|(k, _)| k)
-            .collect::<Vec<_>>()
-    };
-    let t_keys: Vec<_> = t_lines.iter().map(keys).collect();
-    let e_keys: Vec<_> = e_lines.iter().map(keys).collect();
-    assert!(!t_keys.is_empty() && !e_keys.is_empty());
-    for k in t_keys.iter().chain(e_keys.iter()) {
-        assert_eq!(*k, t_keys[0], "JSONL schema diverged between receivers");
-    }
-
-    // Identical demux metric surface. The evented receiver may add
-    // families of its own (sessions gauge, batch-size histogram) but the
-    // shared demux/collect/deny vocabulary must match exactly.
-    const DEMUX: [&str; 4] = [
-        "receiver_demux_routed_total",
-        "receiver_demux_drops_total",
-        "receiver_collect_silence_stops_total",
-        "receiver_sessions_denied_total",
-    ];
-    let t_families = receiver_families(&t_text);
-    let e_families = receiver_families(&e_text);
-    for family in DEMUX {
-        assert!(t_families.contains(family), "threaded run lost {family}");
-        assert!(e_families.contains(family), "evented run lost {family}");
-    }
-    assert!(
-        t_families.is_subset(&e_families),
-        "evented receiver dropped families the threaded one exposes: \
-         {t_families:?} vs {e_families:?}"
-    );
-    // Both shapes actually routed probe traffic through the demux path.
-    for (who, text) in [("threaded", &t_text), ("evented", &e_text)] {
-        let routed: u64 = text
+    assert!(samples >= N, "the driver measured too little");
+    for p in 0..N {
+        let needle = format!("pacing_error_ns_count{{path=\"p{p}\"}}");
+        let line = text
             .lines()
-            .find(|l| l.starts_with("receiver_demux_routed_total"))
-            .and_then(|l| l.rsplit_once(' '))
-            .map(|(_, v)| v.parse().expect("counter value"))
-            .unwrap_or_else(|| panic!("{who}: no routed counter line"));
-        assert!(routed > 0, "{who} receiver routed nothing");
+            .find(|l| l.starts_with(&needle))
+            .unwrap_or_else(|| panic!("missing {needle}"));
+        let count: u64 = line.rsplit_once(' ').unwrap().1.parse().unwrap();
+        assert!(count > 0, "path p{p} paced no packets");
     }
 }
 
-/// Thread-vs-async structural equivalence: the two drivers take every
-/// start from the same sans-IO scheduler, so for the same seed they must
-/// issue the same tick-grid schedule — per-path sample counts equal, and
-/// each sample's start offset (relative to the fleet's first start, which
-/// removes the wall-clock epoch difference between the two runs) equal to
-/// the tick. The JSONL schema must match field-for-field.
+/// The driver takes every start from the sans-IO scheduler, so for a seed
+/// it issues the scheduler's tick-grid schedule: each sample's start
+/// offset (relative to the fleet's first start, which removes the
+/// wall-clock epoch) equals the one the scheduler issues when stepped
+/// alone with every measurement finishing at once — as long as no
+/// measurement overruns its period. Every sample line has one schema.
 #[test]
-fn thread_and_async_drivers_issue_the_same_schedule() {
+fn async_driver_issues_the_schedulers_schedule() {
     let _serial = serialized();
     const N: usize = 2;
     let sched = ScheduleConfig {
@@ -627,38 +419,36 @@ fn thread_and_async_drivers_issue_the_same_schedule() {
         seed: 99,
     };
     let horizon = TimeNs::from_secs(7);
-    let (thread_samples, thread_lines) = run_driver(false, N, &sched, horizon);
-    let (async_samples, async_lines) = run_driver(true, N, &sched, horizon);
+    let (samples, lines) = run_fleet(N, &sched, horizon);
 
-    // Same per-path sample counts.
-    let counts = |s: &Vec<Vec<RangeSample>>| s.iter().map(|p| p.len()).collect::<Vec<_>>();
-    assert_eq!(
-        counts(&thread_samples),
-        counts(&async_samples),
-        "drivers measured different sample counts"
-    );
-
-    // Same scheduler tick schedule: start offsets relative to the fleet's
-    // first start are pure functions of (seed, n, period, tick grid) as
-    // long as no measurement overruns its period, so they are identical
-    // across drivers even though the two runs' wall-clock epochs differ.
-    let offsets = |s: &Vec<Vec<RangeSample>>| {
-        let t0 = s
+    let mut alone = Scheduler::new(N, TimeNs::ZERO, horizon, &sched);
+    let mut want = vec![Vec::new(); N];
+    while let Poll::Start { path, at } = alone.poll() {
+        want[path.0 as usize].push(at);
+        alone.on_complete(path, at);
+    }
+    let offsets = |starts: Vec<Vec<TimeNs>>| {
+        let t0 = starts
             .iter()
-            .flat_map(|p| p.iter().map(|r| r.started))
+            .flatten()
+            .copied()
             .min()
             .expect("non-empty run");
-        s.iter()
-            .map(|p| p.iter().map(|r| r.started - t0).collect::<Vec<_>>())
+        starts
+            .into_iter()
+            .map(|p| p.into_iter().map(|t| t - t0).collect::<Vec<_>>())
             .collect::<Vec<_>>()
     };
+    let got = samples
+        .iter()
+        .map(|p| p.iter().map(|r| r.started).collect())
+        .collect();
     assert_eq!(
-        offsets(&thread_samples),
-        offsets(&async_samples),
-        "drivers diverged from the shared scheduler's tick schedule"
+        offsets(got),
+        offsets(want),
+        "the driver diverged from the scheduler's tick schedule"
     );
 
-    // Same record schema: identical key sequences on every sample line.
     let keys = |line: &String| {
         parse_flat_json(line)
             .unwrap_or_else(|| panic!("bad JSONL: {line}"))
@@ -666,11 +456,9 @@ fn thread_and_async_drivers_issue_the_same_schedule() {
             .map(|(k, _)| k)
             .collect::<Vec<_>>()
     };
-    let thread_keys: Vec<_> = thread_lines.iter().map(keys).collect();
-    let async_keys: Vec<_> = async_lines.iter().map(keys).collect();
-    assert!(!thread_keys.is_empty());
-    assert_eq!(thread_keys[0], async_keys[0], "record schema diverged");
-    for k in thread_keys.iter().chain(async_keys.iter()) {
-        assert_eq!(*k, thread_keys[0], "schema must be uniform across lines");
+    let keys: Vec<_> = lines.iter().map(keys).collect();
+    assert!(!keys.is_empty());
+    for k in &keys {
+        assert_eq!(*k, keys[0], "schema must be uniform across lines");
     }
 }

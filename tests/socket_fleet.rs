@@ -1,7 +1,7 @@
 //! The socket-backed monitoring fleet, end to end over loopback: the
-//! `monitord` binary's driver ([`run_socket_fleet_with_telemetry`]) multiplexing several
-//! real UDP/TCP paths through the sans-IO scheduler, with the JSONL
-//! records it would emit validated line by line.
+//! `monitord` binary's driver ([`run_socket_fleet_async_with_telemetry`])
+//! multiplexing several real UDP/TCP paths through the sans-IO scheduler,
+//! with the JSONL records it would emit validated line by line.
 //!
 //! Every fleet here shares a **single** receiver address: the
 //! multi-session receiver demuxes all paths' sessions on one control port
@@ -13,15 +13,17 @@
 //! staggered starts, streamed records that parse, and per-path series
 //! that settle into a sane range.
 
+// The fleet driver and the receiver are Linux-only (epoll).
+#![cfg(target_os = "linux")]
+
 use availbw::monitord::export::{sample_line, summary_line};
 use availbw::monitord::{
-    run_socket_fleet_with_telemetry, FleetEvent, ScheduleConfig, SeriesConfig, ShutdownFlag,
+    run_socket_fleet_async_with_telemetry, FleetEvent, ScheduleConfig, SeriesConfig, ShutdownFlag,
     SocketPathSpec,
 };
-use availbw::pathload_net::Receiver;
+use availbw::pathload_net::EventedReceiver;
 use availbw::slops::SlopsConfig;
 use availbw::units::{Rate, TimeNs};
-use std::thread;
 
 mod common;
 use common::{field, parse_flat_json};
@@ -47,9 +49,10 @@ const RATE_CAP_MBPS: f64 = 40.0;
 #[test]
 fn loopback_fleet_emits_valid_jsonl_and_converges() {
     const N: usize = 3;
-    let rx = Receiver::bind("127.0.0.1:0".parse().unwrap()).unwrap();
+    let rx = EventedReceiver::bind("127.0.0.1:0".parse().unwrap())
+        .unwrap()
+        .spawn();
     let addr = rx.ctrl_addr();
-    let server = thread::spawn(move || rx.serve_n(N));
     let specs: Vec<SocketPathSpec> = (0..N)
         .map(|i| SocketPathSpec {
             label: format!("lo{i}"),
@@ -67,12 +70,11 @@ fn loopback_fleet_emits_valid_jsonl_and_converges() {
 
     // Collect the JSONL lines exactly as the binary would emit them.
     let mut lines: Vec<String> = Vec::new();
-    let series = run_socket_fleet_with_telemetry(
+    let series = run_socket_fleet_async_with_telemetry(
         specs,
         &sched,
         &SeriesConfig::default(),
         TimeNs::from_secs(8),
-        2,
         &ShutdownFlag::new(),
         None,
         |ev| match ev {
@@ -138,7 +140,7 @@ fn loopback_fleet_emits_valid_jsonl_and_converges() {
     first_starts.dedup();
     assert_eq!(first_starts.len(), N, "starts were not staggered");
 
-    server.join().unwrap().unwrap();
+    rx.stop().unwrap();
 }
 
 /// The concurrency cap holds over real sockets even when both paths
@@ -147,9 +149,10 @@ fn loopback_fleet_emits_valid_jsonl_and_converges() {
 #[test]
 fn concurrency_cap_holds_on_the_wall_clock() {
     const N: usize = 2;
-    let rx = Receiver::bind("127.0.0.1:0".parse().unwrap()).unwrap();
+    let rx = EventedReceiver::bind("127.0.0.1:0".parse().unwrap())
+        .unwrap()
+        .spawn();
     let addr = rx.ctrl_addr();
-    let server = thread::spawn(move || rx.serve_n(N));
     let specs: Vec<SocketPathSpec> = (0..N)
         .map(|i| SocketPathSpec {
             label: format!("p{i}"),
@@ -164,12 +167,11 @@ fn concurrency_cap_holds_on_the_wall_clock() {
         max_concurrent: 1,
         seed: 3,
     };
-    let series = run_socket_fleet_with_telemetry(
+    let series = run_socket_fleet_async_with_telemetry(
         specs,
         &sched,
         &SeriesConfig::default(),
         TimeNs::from_secs(5),
-        2,
         &ShutdownFlag::new(),
         None,
         |_| {},
@@ -190,5 +192,5 @@ fn concurrency_cap_holds_on_the_wall_clock() {
             "measurements overlapped under cap 1: {w:?}"
         );
     }
-    server.join().unwrap().unwrap();
+    rx.stop().unwrap();
 }

@@ -1,11 +1,19 @@
 //! The real-socket pathload, end to end over loopback: the same
 //! `slops::Session` that drives the simulator drives real UDP/TCP sockets.
 
-use availbw::pathload_net::{Receiver, SocketTransport};
+// The receiver's event loop is Linux-only (epoll).
+#![cfg(target_os = "linux")]
+
+use availbw::pathload_net::{EventedReceiver, EventedReceiverHandle, SocketTransport};
 use availbw::slops::machine::{Command, Event, SessionMachine};
 use availbw::slops::{ProbeTransport, Session, SlopsConfig};
 use availbw::units::{Rate, TimeNs};
-use std::thread;
+
+fn receiver() -> EventedReceiverHandle {
+    EventedReceiver::bind("127.0.0.1:0".parse().unwrap())
+        .unwrap()
+        .spawn()
+}
 
 fn gentle_cfg() -> SlopsConfig {
     let mut cfg = SlopsConfig::default();
@@ -20,9 +28,8 @@ fn gentle_cfg() -> SlopsConfig {
 
 #[test]
 fn full_session_runs_over_loopback() {
-    let rx = Receiver::bind("127.0.0.1:0".parse().unwrap()).unwrap();
+    let rx = receiver();
     let addr = rx.ctrl_addr();
-    let server = thread::spawn(move || rx.serve_one());
     let mut t = SocketTransport::connect(addr).unwrap();
     t.rate_cap = Rate::from_mbps(40.0);
     let est = Session::new(gentle_cfg()).run(&mut t).expect("session");
@@ -35,7 +42,7 @@ fn full_session_runs_over_loopback() {
         "elapsed must be wall-clock stamped"
     );
     drop(t);
-    server.join().unwrap().unwrap();
+    rx.stop().unwrap();
 }
 
 /// Hand-step the sans-IO machine command by command over real sockets,
@@ -44,9 +51,8 @@ fn full_session_runs_over_loopback() {
 /// `tests/driver_equivalence.rs`'s hand-stepped contract test.
 #[test]
 fn hand_stepped_machine_runs_over_loopback_sockets() {
-    let rx = Receiver::bind("127.0.0.1:0".parse().unwrap()).unwrap();
+    let rx = receiver();
     let addr = rx.ctrl_addr();
-    let server = thread::spawn(move || rx.serve_one());
     let mut t = SocketTransport::connect(addr).unwrap();
     t.rate_cap = Rate::from_mbps(40.0);
     let (rtt, max_rate) = (t.rtt(), t.max_rate());
@@ -72,17 +78,13 @@ fn hand_stepped_machine_runs_over_loopback_sockets() {
     assert!(est.low.bps() <= est.high.bps());
     assert!(!est.fleets.is_empty());
     drop(t);
-    server.join().unwrap().unwrap();
+    rx.stop().unwrap();
 }
 
 #[test]
 fn receiver_serves_two_sessions_sequentially() {
-    let rx = Receiver::bind("127.0.0.1:0".parse().unwrap()).unwrap();
+    let rx = receiver();
     let addr = rx.ctrl_addr();
-    let server = thread::spawn(move || {
-        rx.serve_one().unwrap();
-        rx.serve_one().unwrap();
-    });
     use availbw::slops::ProbeTransport as _;
     for _ in 0..2 {
         let mut t = SocketTransport::connect(addr).unwrap();
@@ -90,14 +92,13 @@ fn receiver_serves_two_sessions_sequentially() {
         assert!(rec.received >= 8);
         drop(t);
     }
-    server.join().unwrap();
+    rx.stop().unwrap();
 }
 
 #[test]
 fn rtt_and_idle_behave() {
-    let rx = Receiver::bind("127.0.0.1:0".parse().unwrap()).unwrap();
+    let rx = receiver();
     let addr = rx.ctrl_addr();
-    let server = thread::spawn(move || rx.serve_one());
     let mut t = SocketTransport::connect(addr).unwrap();
     let rtt = availbw::slops::ProbeTransport::rtt(&mut t);
     assert!(rtt < TimeNs::from_millis(100), "loopback RTT {rtt}");
@@ -106,5 +107,5 @@ fn rtt_and_idle_behave() {
     let after = availbw::slops::ProbeTransport::elapsed(&t);
     assert!(after - before >= TimeNs::from_millis(19));
     drop(t);
-    server.join().unwrap().unwrap();
+    rx.stop().unwrap();
 }

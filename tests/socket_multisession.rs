@@ -8,15 +8,15 @@
 //! the collection semantics directly (de-duplication on index, no stall
 //! on a lost final packet, stale tokens dropped).
 
-#[cfg(target_os = "linux")]
+// The receiver's event loop is Linux-only (epoll).
+#![cfg(target_os = "linux")]
+
 use availbw::monitord::{
     run_socket_fleet_async_with_telemetry, FleetEvent, FleetTelemetry, ScheduleConfig,
     SeriesConfig, ShutdownFlag, SocketPathSpec,
 };
 use availbw::pathload_net::proto::{CtrlMsg, PROTO_VERSION};
-#[cfg(target_os = "linux")]
-use availbw::pathload_net::EventedReceiver;
-use availbw::pathload_net::{Receiver, SocketTransport};
+use availbw::pathload_net::{EventedReceiver, EventedReceiverHandle, SocketTransport};
 use availbw::slops::{stream_params, Estimate, ProbeTransport, Session, SlopsConfig};
 use availbw::units::{Rate, TimeNs};
 use std::net::{SocketAddr, UdpSocket};
@@ -37,6 +37,13 @@ fn gentle_cfg() -> SlopsConfig {
     cfg.grey_resolution = Rate::from_mbps(16.0);
     cfg.max_fleets = 6;
     cfg
+}
+
+/// A receiver serving on its own thread until stopped.
+fn receiver() -> EventedReceiverHandle {
+    EventedReceiver::bind("127.0.0.1:0".parse().unwrap())
+        .unwrap()
+        .spawn()
 }
 
 fn run_session(addr: SocketAddr) -> Estimate {
@@ -63,26 +70,25 @@ fn assert_sane(est: &Estimate, what: &str) {
 #[test]
 fn concurrent_sessions_on_shared_receiver_match_dedicated_receivers() {
     // Shared: one receiver, two concurrent sessions.
-    let rx = Receiver::bind("127.0.0.1:0".parse().unwrap()).unwrap();
+    let rx = receiver();
     let addr = rx.ctrl_addr();
-    let server = thread::spawn(move || rx.serve_n(2));
     let a = thread::spawn(move || run_session(addr));
     let b = thread::spawn(move || run_session(addr));
     let shared = [a.join().unwrap(), b.join().unwrap()];
-    server.join().unwrap().unwrap();
+    rx.stop().unwrap();
 
     // Dedicated: one receiver per sender, also concurrent.
     let mut servers = Vec::new();
     let mut sessions = Vec::new();
     for _ in 0..2 {
-        let rx = Receiver::bind("127.0.0.1:0".parse().unwrap()).unwrap();
+        let rx = receiver();
         let addr = rx.ctrl_addr();
-        servers.push(thread::spawn(move || rx.serve_one()));
+        servers.push(rx);
         sessions.push(thread::spawn(move || run_session(addr)));
     }
     let dedicated: Vec<Estimate> = sessions.into_iter().map(|s| s.join().unwrap()).collect();
-    for h in servers {
-        h.join().unwrap().unwrap();
+    for rx in servers {
+        rx.stop().unwrap();
     }
 
     for (i, est) in shared.iter().enumerate() {
@@ -99,9 +105,8 @@ fn concurrent_sessions_on_shared_receiver_match_dedicated_receivers() {
 /// numbers its own streams).
 #[test]
 fn interleaved_stream_and_train_do_not_cross_contaminate() {
-    let rx = Receiver::bind("127.0.0.1:0".parse().unwrap()).unwrap();
+    let rx = receiver();
     let addr = rx.ctrl_addr();
-    let server = thread::spawn(move || rx.serve_n(2));
 
     let mut ta = SocketTransport::connect(addr).unwrap();
     let mut tb = SocketTransport::connect(addr).unwrap();
@@ -126,7 +131,7 @@ fn interleaved_stream_and_train_do_not_cross_contaminate() {
     });
     let stream = a.join().unwrap();
     let train = b.join().unwrap();
-    server.join().unwrap().unwrap();
+    rx.stop().unwrap();
 
     // The stream collection saw only its own packets: no index outside
     // the stream, no duplicates, and nearly everything arrived.
@@ -160,13 +165,15 @@ fn interleaved_stream_and_train_do_not_cross_contaminate() {
     );
 }
 
-/// The duplicate/reorder/loss injection scenario, against whichever
-/// receiver listens on `addr`: duplicated and reordered datagrams are
-/// collected once each, and a stream missing packets (including a hole
-/// in the middle) terminates after a short silence window instead of
-/// stalling for the multi-second deadline.
-fn dedup_case(addr: SocketAddr) {
-    let mut client = RawClient::connect(addr);
+/// Duplicated and reordered datagrams are collected once each, and a
+/// stream missing packets (including a hole in the middle) terminates
+/// after a short silence window instead of stalling for the multi-second
+/// deadline — the regression test for the seed's double-count/stall bug
+/// cluster in stream collection (now `rx::RxSession`).
+#[test]
+fn duplicate_datagrams_are_deduplicated_and_losses_do_not_stall() {
+    let rx = receiver();
+    let mut client = RawClient::connect(rx.ctrl_addr());
     const ID: u32 = 9;
     const COUNT: u32 = 20;
     const PERIOD_NS: u64 = 2_000_000; // 2 ms → 40 ms nominal duration
@@ -212,32 +219,7 @@ fn dedup_case(addr: SocketAddr) {
     );
 
     client.bye();
-}
-
-/// Duplicated and reordered datagrams are collected once each, and a
-/// stream missing packets (including a hole in the middle) terminates
-/// after a short silence window instead of stalling for the multi-second
-/// deadline — the regression test for the seed's double-count/stall bug
-/// cluster in stream collection (now `rx::RxSession`).
-#[test]
-fn duplicate_datagrams_are_deduplicated_and_losses_do_not_stall() {
-    let rx = Receiver::bind("127.0.0.1:0".parse().unwrap()).unwrap();
-    let addr = rx.ctrl_addr();
-    let server = thread::spawn(move || rx.serve_n(1));
-    dedup_case(addr);
-    server.join().unwrap().unwrap();
-}
-
-/// The same injected byte sequence against the **evented** receiver's
-/// inline demux: identical dedup, loss-tolerance, and silence-window
-/// semantics.
-#[cfg(target_os = "linux")]
-#[test]
-fn evented_receiver_deduplicates_and_does_not_stall() {
-    let rx = EventedReceiver::bind("127.0.0.1:0".parse().unwrap()).unwrap();
-    let handle = rx.spawn();
-    dedup_case(handle.ctrl_addr());
-    handle.stop().unwrap();
+    rx.stop().unwrap();
 }
 
 /// Token recycling across receiver **restarts**: a restarted receiver
@@ -252,22 +234,18 @@ fn evented_receiver_deduplicates_and_does_not_stall() {
 fn receiver_restart_invalidates_pre_restart_tokens() {
     // Incarnation 1 issues a token, then goes away entirely.
     let stale = {
-        let rx = Receiver::bind("127.0.0.1:0".parse().unwrap()).unwrap();
-        let addr = rx.ctrl_addr();
-        let server = thread::spawn(move || rx.serve_n(1));
-        let client = RawClient::connect(addr);
+        let rx = receiver();
+        let client = RawClient::connect(rx.ctrl_addr());
         let stale = client.session;
         client.bye();
-        server.join().unwrap().unwrap();
+        rx.stop().unwrap();
         stale
     };
 
     // Incarnation 2 ("the restart"): the reconnecting sender's fresh
     // Hello mints a token from the new random base.
-    let rx = Receiver::bind("127.0.0.1:0".parse().unwrap()).unwrap();
-    let addr = rx.ctrl_addr();
-    let server = thread::spawn(move || rx.serve_n(1));
-    let mut client = RawClient::connect(addr);
+    let rx = receiver();
+    let mut client = RawClient::connect(rx.ctrl_addr());
     assert_ne!(
         client.session, stale,
         "restarted receiver re-minted a pre-restart token"
@@ -295,7 +273,7 @@ fn receiver_restart_invalidates_pre_restart_tokens() {
         );
     }
     client.bye();
-    server.join().unwrap().unwrap();
+    rx.stop().unwrap();
 }
 
 /// Receiver restart, sender side: a transport whose receiver died
@@ -342,11 +320,13 @@ fn dead_receiver_mid_session_yields_a_clean_restart_error() {
     server.join().unwrap();
 }
 
-/// The stale-token injection scenario, against whichever receiver
-/// listens on `addr`: datagrams carrying a finished session's token or a
-/// never-issued token are dropped by the demux, never collected into a
-/// live session.
-fn stale_case(addr: SocketAddr) {
+/// Probe datagrams carrying a stale token (a finished session's) or a
+/// never-issued token are dropped by the demux, not collected into a live
+/// session — even when id, kind, and indices match the live stream.
+#[test]
+fn stale_session_probe_packets_are_dropped() {
+    let rx = receiver();
+    let addr = rx.ctrl_addr();
     // Session 1 connects and leaves: its token is now stale.
     let t1 = SocketTransport::connect(addr).unwrap();
     let stale = t1.session();
@@ -379,37 +359,18 @@ fn stale_case(addr: SocketAddr) {
     }
 
     client.bye();
+    rx.stop().unwrap();
 }
 
-/// Probe datagrams carrying a stale token (a finished session's) or a
-/// never-issued token are dropped by the demux, not collected into a live
-/// session — even when id, kind, and indices match the live stream.
+/// The framing attack: four hostile bytes — a length prefix naming a
+/// 16 MiB frame — close the offending session at once (the receiver's
+/// inbound bound is a few dozen bytes; nothing is allocated or awaited on
+/// the prefix's word) while another session keeps being served: one slot
+/// is torn down, the loop and every other session carry on.
 #[test]
-fn stale_session_probe_packets_are_dropped() {
-    let rx = Receiver::bind("127.0.0.1:0".parse().unwrap()).unwrap();
+fn oversized_frame_prefix_closes_only_that_session() {
+    let rx = receiver();
     let addr = rx.ctrl_addr();
-    let server = thread::spawn(move || rx.serve_n(2));
-    stale_case(addr);
-    server.join().unwrap().unwrap();
-}
-
-/// The same stale-token injection against the **evented** receiver's
-/// inline demux: unknown tokens never reach a live collection.
-#[cfg(target_os = "linux")]
-#[test]
-fn evented_receiver_drops_stale_session_probe_packets() {
-    let rx = EventedReceiver::bind("127.0.0.1:0".parse().unwrap()).unwrap();
-    let handle = rx.spawn();
-    stale_case(handle.ctrl_addr());
-    handle.stop().unwrap();
-}
-
-/// The framing attack, against whichever receiver listens on `addr`:
-/// four hostile bytes — a length prefix naming a 16 MiB frame — close the
-/// offending session at once (the receiver's inbound bound is a few dozen
-/// bytes; nothing is allocated or awaited on the prefix's word) while
-/// another session keeps being served.
-fn oversized_prefix_case(addr: SocketAddr) {
     let mut bad = RawClient::connect(addr);
     let mut good = RawClient::connect(addr);
     bad.send_raw(&(16u32 * 1024 * 1024).to_le_bytes());
@@ -423,29 +384,7 @@ fn oversized_prefix_case(addr: SocketAddr) {
     good.send(&CtrlMsg::Echo { token: 7 });
     assert_eq!(good.recv().unwrap(), CtrlMsg::Echo { token: 7 });
     good.bye();
-}
-
-/// An oversized control-frame prefix closes only the offending session of
-/// the threaded receiver (and surfaces as that session's error).
-#[test]
-fn oversized_frame_prefix_closes_only_that_session() {
-    let rx = Receiver::bind("127.0.0.1:0".parse().unwrap()).unwrap();
-    let addr = rx.ctrl_addr();
-    let server = thread::spawn(move || rx.serve_n(2));
-    oversized_prefix_case(addr);
-    let err = server.join().unwrap().expect_err("the bad session errors");
-    assert!(err.to_string().contains("inbound bound"), "{err}");
-}
-
-/// The same framing attack against the **evented** receiver: one slot is
-/// torn down, the loop and every other session carry on.
-#[cfg(target_os = "linux")]
-#[test]
-fn evented_receiver_closes_only_the_session_with_an_oversized_prefix() {
-    let rx = EventedReceiver::bind("127.0.0.1:0".parse().unwrap()).unwrap();
-    let handle = rx.spawn();
-    oversized_prefix_case(handle.ctrl_addr());
-    handle.stop().unwrap();
+    rx.stop().unwrap();
 }
 
 /// One batching-correctness run: an evented receiver pinned to either
@@ -453,7 +392,6 @@ fn evented_receiver_closes_only_the_session_with_an_oversized_prefix() {
 /// sequence (per index: one unknown-token datagram, the real packet, a
 /// duplicate). Returns the collected `(idx, send_ns)` pairs and every
 /// `receiver_demux_*` counter.
-#[cfg(target_os = "linux")]
 #[allow(clippy::type_complexity)]
 fn batching_run(scalar: bool) -> (Vec<(u32, u64)>, Vec<(String, u64)>) {
     let reg = availbw::telemetry::Registry::new();
@@ -501,7 +439,6 @@ fn batching_run(scalar: bool) -> (Vec<(u32, u64)>, Vec<(String, u64)>) {
 /// pinned: 48 routed (24 real + 24 duplicates), 24 unknown-token drops,
 /// 23 dedup drops (the final index's duplicate lands post-completion and
 /// is discarded by the idle session, not the dedup check).
-#[cfg(target_os = "linux")]
 #[test]
 fn batched_and_scalar_datapaths_route_identically() {
     let (scalar_samples, scalar_counters) = batching_run(true);
@@ -534,7 +471,6 @@ fn batched_and_scalar_datapaths_route_identically() {
 /// at its next scheduled start — fresh `Hello`, fresh token, no operator
 /// action — and completes more samples afterwards. A path pointed at a
 /// receiver that stays up never notices.
-#[cfg(target_os = "linux")]
 #[test]
 fn receiver_restart_mid_fleet_redials_at_the_next_scheduled_start() {
     let gentle = {
