@@ -30,8 +30,8 @@
 //!   weighted average used to compare against MRTG (eq. 11).
 //! * [`series`] — reusable avail-bw time-series aggregation: compact
 //!   [`RangeSample`]s, eq. 11 window averages, tumbling windowed ranges,
-//!   and the §VI change-point flag. [`monitor`] builds single-path series
-//!   on it; the `monitord` crate builds per-path ring-buffer stores on it.
+//!   and the §VI change-point flag. The `monitord` crate builds its
+//!   per-path ring-buffer stores on it.
 //!
 //! ## Machine / driver / runner split
 //!
@@ -73,7 +73,6 @@ pub mod error;
 pub mod fleet;
 pub mod machine;
 pub mod metrics;
-pub mod monitor;
 pub mod owd;
 pub mod ratesearch;
 pub mod runner;
@@ -90,7 +89,6 @@ pub use error::{SlopsError, TransportError};
 pub use fleet::{FleetOutcome, FleetTrace};
 pub use machine::{Command, Event, MachineError, SessionMachine};
 pub use metrics::{relative_variation, weighted_average};
-pub use monitor::{monitor_until, sla_compliance, AvailBwSeries, MonitorSample};
 pub use ratesearch::RateSearch;
 pub use runner::{run_parallel, run_sessions, Outcome, SessionJob};
 pub use series::{RangeSample, SeriesStats, WindowedRange};

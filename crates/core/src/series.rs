@@ -1,10 +1,10 @@
 //! Reusable avail-bw time-series aggregation (§VI dynamics).
 //!
-//! A monitoring deployment — [`crate::monitor::monitor_until`] on one path,
-//! or the `monitord` fleet daemon on many — produces a sequence of
-//! `[R_min, R_max]` ranges. This module holds the aggregation that every
-//! consumer of such a sequence needs, independent of how the samples are
-//! stored (a plain `Vec`, a bounded ring buffer, ...):
+//! A monitoring deployment — the `monitord` fleet daemon, on one path or
+//! many — produces a sequence of `[R_min, R_max]` ranges per path. This
+//! module holds the aggregation that every consumer of such a sequence
+//! needs, independent of how the samples are stored (a plain `Vec`, a
+//! bounded ring buffer, ...):
 //!
 //! * [`RangeSample`] — one measurement reduced to its range (the per-fleet
 //!   trace dropped, so a long-running store stays small);

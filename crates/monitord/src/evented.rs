@@ -2,7 +2,7 @@
 //! paths on **one thread**.
 //!
 //! [`run_socket_fleet_async_with_telemetry`] hosts N non-blocking
-//! [`pathload_net::EventedSession`]s plus the sans-IO [`Scheduler`] on a
+//! [`pathload_net::EventedSession`]s plus the sans-IO [`Fleet`] on a
 //! single [`pathload_net::mux::EventLoop`]: every session's control TCP
 //! and probe UDP sockets are registered with one epoll instance, and every
 //! deadline a blocking stack would *sleep* on (scheduler start instants,
@@ -15,17 +15,19 @@
 //! * **estimation logic lives in the machine** — `EventedSession` is a
 //!   pure command/event pump of `slops::SessionMachine` (see
 //!   `docs/DRIVERS.md`);
-//! * **scheduling policy lives in the scheduler** — every start is taken
-//!   from [`Scheduler::poll`] (the start instant becomes a timer entry)
-//!   and every completion is fed back through [`Scheduler::on_complete`]
-//!   the moment the loop observes it. Completions arrive one at a time on
-//!   an event loop, so the tick-grouped replay the batching thread driver
+//! * **scheduling policy lives in the scheduler** — the driver is a pump
+//!   over the sans-IO [`Fleet`]: every start is taken from
+//!   [`Fleet::next_start`] (the start instant becomes a timer entry) and
+//!   every completion is handed back through [`Fleet::complete`] the
+//!   moment the loop observes it. Completions arrive one at a time on an
+//!   event loop, so the tick-grouped replay the batching thread driver
 //!   needs (`docs/DRIVERS.md` gotchas) is satisfied trivially.
 //!
-//! The observer surface ([`FleetEvent`]), shutdown handling
-//! ([`ShutdownFlag`]: pending starts are cancelled, in-flight measurements
-//! land), series stores and JSONL export are all shared with the other
-//! drivers unchanged.
+//! This module holds only the substrate: the per-path slot state
+//! machine, token generations and re-dial. The observer surface
+//! ([`FleetEvent`]), shutdown ([`ShutdownFlag`]: pending starts are
+//! cancelled, in-flight measurements land), series stores and JSONL
+//! export are the fleet core's, shared with the other drivers.
 //!
 //! Like every wall-clock driver, the schedule is best effort: a start
 //! instant may already be in the past when its timer pops (the measurement
@@ -47,11 +49,11 @@
 // so `unwrap`/`expect` are denied outright (errors must travel as values).
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
+use crate::fleet::{Fleet, FleetEvent, ShutdownFlag};
 use crate::metrics::FleetTelemetry;
-use crate::scheduler::{PathId, Poll, ScheduleConfig, Scheduler};
+use crate::scheduler::ScheduleConfig;
 use crate::socket::{connect_transports, SocketPathSpec};
-use crate::store::{ChangeCursor, PathSeries, SeriesConfig};
-use crate::thread::{record_outcome, FleetEvent, ShutdownFlag};
+use crate::store::{PathSeries, SeriesConfig};
 use pathload_net::mux::{EventLoop, MuxEvent};
 use pathload_net::{EventedSession, SessionTokens, SocketTransport};
 use slops::{ProbeTransport, SlopsConfig, SlopsError, TransportError};
@@ -61,7 +63,7 @@ use telemetry::{Histogram, TraceSink};
 use units::TimeNs;
 
 /// Upper bound on one `EventLoop::wait`, so the loop re-checks the
-/// shutdown flag and scheduler state even when nothing is happening.
+/// shutdown flag and the fleet's state even when nothing is happening.
 const WAIT_SLICE: Duration = Duration::from_millis(50);
 
 /// Token layout: kind in the top byte, a per-path generation in the
@@ -149,9 +151,7 @@ pub fn run_socket_fleet_async_with_telemetry(
     mut observer: impl FnMut(FleetEvent<'_>),
 ) -> Result<Vec<PathSeries>, SlopsError> {
     assert!(!specs.is_empty(), "a fleet needs at least one path");
-    for s in &specs {
-        s.cfg.validate().map_err(SlopsError::BadConfig)?;
-    }
+    Fleet::validate(specs.iter().map(|s| &s.cfg))?;
     // Per-path instruments, built before the specs are consumed. A
     // re-dialled transport is a fresh protocol core, so the histogram is
     // attached at every session start, not once at connect.
@@ -180,11 +180,18 @@ pub fn run_socket_fleet_async_with_telemetry(
         .max()
         .unwrap_or(TimeNs::ZERO);
     let n = connected.len();
-    let mut sched = Scheduler::new(n, t0, horizon, sched_cfg);
-    let mut series: Vec<PathSeries> = connected
-        .iter()
-        .map(|(spec, _)| PathSeries::new(spec.label.clone(), series_cfg, t0))
-        .collect();
+    let mut fleet = Fleet::new(
+        connected
+            .iter()
+            .map(|(spec, _)| (spec.label.as_str(), &spec.cfg)),
+        t0,
+        horizon,
+        sched_cfg,
+        series_cfg,
+    )?;
+    if let Some(t) = telemetry {
+        fleet.attach_telemetry(t);
+    }
     let mut cfgs: Vec<SlopsConfig> = Vec::with_capacity(n);
     let mut slots: Vec<Slot> = Vec::with_capacity(n);
     // Retained for re-dialing after a receiver restart.
@@ -199,59 +206,32 @@ pub fn run_socket_fleet_async_with_telemetry(
     // Bumped whenever a path's session or pending start retires, so the
     // lazily-cancelled timer entries of earlier lives are ignored.
     let mut generation: Vec<u64> = vec![0; n];
-    let mut change_cursors = vec![ChangeCursor::new(); n];
-    let mut shutdown_applied = false;
-
-    // One path's completed measurement: record it (the completion path
-    // shared with the thread driver), retire its tokens, feed the
-    // scheduler.
-    macro_rules! complete {
-        ($p:expr, $at:expr, $outcome:expr, $finished:expr) => {{
-            let p = $p;
-            record_outcome(
-                p,
-                $at,
-                $outcome,
-                &mut series[p],
-                &mut change_cursors[p],
-                &mut observer,
-            );
-            generation[p] += 1;
-            sched.on_complete(PathId(p as u32), $finished);
-        }};
-    }
 
     let mut events: Vec<MuxEvent> = Vec::new();
     loop {
-        // Graceful shutdown: the stop decision itself is scheduler
-        // policy; pending (unstarted) timers are cancelled lazily by the
-        // generation bump, active sessions run to completion.
-        if stop.is_requested() && !shutdown_applied {
-            shutdown_applied = true;
-            sched.shutdown();
-            for p in 0..n {
-                match slots[p].take() {
-                    Slot::Pending { transport, .. } => {
-                        let now = transport.elapsed();
-                        slots[p] = Slot::Idle(transport);
-                        generation[p] += 1;
-                        sched.on_complete(PathId(p as u32), now);
+        // Graceful shutdown: the fleet stops issuing starts; pending
+        // (unstarted) ones are cancelled here — their timers lazily, by
+        // the generation bump — and active sessions run to completion.
+        if fleet.apply_stop(stop) {
+            let now = TimeNs::from_nanos(epoch.now_ns());
+            for (p, slot) in slots.iter_mut().enumerate() {
+                *slot = match slot.take() {
+                    Slot::Pending { transport, .. } => Slot::Idle(transport),
+                    Slot::PendingRedial { .. } => Slot::Disconnected,
+                    other => {
+                        *slot = other;
+                        continue;
                     }
-                    Slot::PendingRedial { .. } => {
-                        slots[p] = Slot::Disconnected;
-                        generation[p] += 1;
-                        sched.on_complete(PathId(p as u32), TimeNs::from_nanos(epoch.now_ns()));
-                    }
-                    other => slots[p] = other,
-                }
+                };
+                generation[p] += 1;
+                fleet.cancel(p, now);
             }
         }
 
-        // Issue every start the scheduler can decide: each becomes a
-        // timer entry at its start instant (possibly already past — the
-        // timer then pops on the next wait, i.e. start immediately).
-        while let Poll::Start { path, at } = sched.poll() {
-            let p = path.0 as usize;
+        // Issue every start the fleet can decide: each becomes a timer
+        // entry at its start instant (possibly already past — the timer
+        // then pops on the next wait, i.e. start immediately).
+        while let Some((p, at)) = fleet.next_start() {
             match slots[p].take() {
                 Slot::Idle(transport) => slots[p] = Slot::Pending { transport, at },
                 // Receiver gone: the start stands, prefixed by a re-dial.
@@ -267,11 +247,9 @@ pub fn run_socket_fleet_async_with_telemetry(
             lp.arm_timer(at.as_nanos(), tok(TOK_START, generation[p], p));
         }
 
-        if let Some(t) = telemetry {
-            t.observe_scheduler(&sched, TimeNs::from_nanos(epoch.now_ns()));
-        }
+        fleet.observe(TimeNs::from_nanos(epoch.now_ns()));
 
-        if sched.is_done()
+        if fleet.scheduler().is_done()
             && slots
                 .iter()
                 .all(|s| matches!(s, Slot::Idle(_) | Slot::Disconnected))
@@ -324,12 +302,9 @@ pub fn run_socket_fleet_async_with_telemetry(
                                     // Receiver still down: this start
                                     // fails, the next one retries.
                                     slots[p] = Slot::Disconnected;
-                                    complete!(
-                                        p,
-                                        at,
-                                        Err(io_err(e)),
-                                        TimeNs::from_nanos(epoch.now_ns())
-                                    );
+                                    generation[p] += 1;
+                                    let now = TimeNs::from_nanos(epoch.now_ns());
+                                    fleet.complete(p, at, Err(io_err(e)), now, &mut observer);
                                     continue;
                                 }
                             }
@@ -365,14 +340,16 @@ pub fn run_socket_fleet_async_with_telemetry(
                                     let finished = transport.elapsed();
                                     let error = io_err(e);
                                     park!(p, transport, error);
-                                    complete!(p, at, Err(error), finished);
+                                    generation[p] += 1;
+                                    fleet.complete(p, at, Err(error), finished, &mut observer);
                                 }
                             }
                         }
                         Err((transport, error)) => {
                             let finished = transport.elapsed();
                             park!(p, transport, error);
-                            complete!(p, at, Err(error), finished);
+                            generation[p] += 1;
+                            fleet.complete(p, at, Err(error), finished, &mut observer);
                         }
                     }
                 }
@@ -386,7 +363,8 @@ pub fn run_socket_fleet_async_with_telemetry(
                                 Err(error) => park!(p, transport, *error),
                                 Ok(_) => slots[p] = Slot::Idle(transport),
                             }
-                            complete!(p, at, outcome, finished);
+                            generation[p] += 1;
+                            fleet.complete(p, at, outcome, finished, &mut observer);
                         } else {
                             slots[p] = Slot::Active { session, at };
                         }
@@ -397,7 +375,7 @@ pub fn run_socket_fleet_async_with_telemetry(
             }
         }
     }
-    Ok(series)
+    Ok(fleet.into_series())
 }
 
 #[cfg(all(test, target_os = "linux"))]

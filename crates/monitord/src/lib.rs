@@ -9,31 +9,37 @@
 //!
 //! The pieces:
 //!
-//! * [`scheduler`] — the sans-IO fleet [`Scheduler`]: staggered starts
-//!   (configurable period + jitter) and a concurrency cap so concurrent
-//!   probe streams don't self-interfere on shared links, on a
-//!   deterministic [`scheduler::TICK`] grid.
+//! * [`fleet`] — the sans-IO fleet core, [`Fleet`]: config validation,
+//!   the scheduler, the per-path series and change cursors, shutdown, the
+//!   completion path with its live [`FleetEvent`]s, and the scheduler
+//!   gauges. Every fleet driver below is a pump over it.
+//! * [`scheduler`] — the sans-IO fleet [`Scheduler`] the core owns:
+//!   staggered starts (configurable period + jitter) and a concurrency cap
+//!   so concurrent probe streams don't self-interfere on shared links, on
+//!   a deterministic [`scheduler::TICK`] grid.
 //! * [`store`] — per-path bounded [`PathSeries`] ring buffers with eq. 11
 //!   window averages, §VI variation statistics, and a change-point flag
 //!   (consecutive windowed ranges that stop overlapping), built on
 //!   [`slops::series`].
-//! * [`sim`] — the in-sim driver: N paths (disjoint or sharing a tight
+//! * [`sim`] — the in-sim pump: N paths (disjoint or sharing a tight
 //!   link) inside **one** `netsim::Simulator`, each measurement a native
-//!   `simprobe::SessionApp`.
-//! * [`thread`] — the thread-backed driver: blocking transports
-//!   (simulator shims, the test oracle) measured in concurrent waves on
-//!   the `slops::runner` pool, with a live [`FleetEvent`] observer hook.
+//!   `simprobe::SessionApp` installed on the tick grid.
+//! * [`thread`] — the thread pump: blocking transports (simulator shims,
+//!   the test oracle) measured in concurrent waves on the `slops::runner`
+//!   pool, completions replayed in tick order.
 //! * [`socket`] — [`SocketPathSpec`]: a real path to probe over
 //!   `pathload-net` UDP/TCP transports (one long-lived connection per
 //!   path, all sharing a clock epoch).
-//! * [`evented`] — the socket fleet driver (the `monitord` binary's):
-//!   every real path multiplexed as a non-blocking
-//!   `pathload_net::EventedSession` on ONE epoll thread, through the same
-//!   scheduler. Linux only, like the receiver.
+//! * [`evented`] — the socket pump (the `monitord` binary's): every real
+//!   path multiplexed as a non-blocking `pathload_net::EventedSession` on
+//!   ONE epoll thread, re-dialling a receiver that went away. Linux only,
+//!   like the receiver.
+//! * [`metrics`] — [`FleetTelemetry`], the one registry behind the scrape
+//!   endpoint, the JSONL `telemetry` records and the stderr digest.
 //! * [`config`] — the `monitord` binary's line-based configuration.
 //! * [`export`] — JSON-lines daemon output and a human fleet summary.
 //!
-//! All drivers take decisions from the same scheduler, so on independent
+//! All drivers take their decisions from the same core, so on independent
 //! paths the deterministic ones produce identical per-path series for the
 //! same seeds — the fleet-level extension of the repo's driver-equivalence
 //! invariant.
@@ -87,6 +93,7 @@ pub mod config;
 #[cfg(unix)]
 pub mod evented;
 pub mod export;
+pub mod fleet;
 pub mod metrics;
 pub mod scheduler;
 pub mod sim;
@@ -98,9 +105,10 @@ pub use config::{ConfigError, DaemonConfig, PathEntry, ProbeOverrides};
 #[cfg(unix)]
 pub use evented::run_socket_fleet_async_with_telemetry;
 pub use export::{fleet_summary, telemetry_line, write_fleet_jsonl};
+pub use fleet::{Fleet, FleetEvent, ShutdownFlag};
 pub use metrics::FleetTelemetry;
 pub use scheduler::{PathId, Poll, ScheduleConfig, Scheduler};
 pub use sim::{SimEngine, SimFleetMonitor, SimPathSpec};
 pub use socket::SocketPathSpec;
 pub use store::{ChangeCursor, ChangeDirection, ChangeEvent, PathSeries, SeriesConfig};
-pub use thread::{run_fleet_with_telemetry, FleetEvent, ShutdownFlag, ThreadPathSpec};
+pub use thread::{run_fleet_with_telemetry, ThreadPathSpec};

@@ -14,15 +14,13 @@
 //! [`TraceEvent`] counted here was minted by the sans-IO
 //! `slops::SessionMachine`; the driver's only role is relaying it to the
 //! per-path [`TraceSink`] this module hands out. Scheduler gauges are
-//! mirrored from the sans-IO [`Scheduler`]'s deterministic accessors
-//! ([`Scheduler::running`] and friends), so the thread and async drivers
-//! report identical values for identical schedules.
+//! mirrored by the fleet core ([`crate::fleet::Fleet::observe`]) from the
+//! sans-IO scheduler's deterministic accessors, so every fleet driver
+//! reports identical values for identical schedules.
 
-use crate::scheduler::Scheduler;
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex, OnceLock};
 use telemetry::{Counter, Gauge, Histogram, Registry, TraceEvent, TraceSink};
-use units::TimeNs;
 
 /// The shared observability state of one monitoring fleet.
 ///
@@ -47,12 +45,14 @@ struct PacingList {
     listed: BTreeSet<String>,
 }
 
-/// Handles on `scheduler_{running,backlog,started,overruns}`.
-struct SchedulerGauges {
-    running: Gauge,
-    backlog: Gauge,
-    started: Gauge,
-    overruns: Gauge,
+/// Handles on `scheduler_{running,backlog,started,overruns}`, written by
+/// the fleet core.
+#[derive(Clone, Debug)]
+pub(crate) struct SchedulerGauges {
+    pub(crate) running: Gauge,
+    pub(crate) backlog: Gauge,
+    pub(crate) started: Gauge,
+    pub(crate) overruns: Gauge,
 }
 
 impl Default for FleetTelemetry {
@@ -71,7 +71,7 @@ impl FleetTelemetry {
         }
     }
 
-    fn scheduler_gauges(&self) -> &SchedulerGauges {
+    pub(crate) fn scheduler_gauges(&self) -> &SchedulerGauges {
         self.scheduler.get_or_init(|| SchedulerGauges {
             running: self.registry.gauge("scheduler_running", &[]),
             backlog: self.registry.gauge("scheduler_backlog", &[]),
@@ -105,17 +105,6 @@ impl FleetTelemetry {
     /// verdicts, session terminations, timer lag).
     pub fn trace_sink(&self, label: &str) -> Arc<dyn TraceSink> {
         Arc::new(RegistrySink::new(self.registry.clone(), label.to_string()))
-    }
-
-    /// Mirror the scheduler's deterministic accessors into the fleet
-    /// gauges. `now` is the driver's latest known fleet-clock instant
-    /// (used for the backlog depth).
-    pub(crate) fn observe_scheduler(&self, sched: &Scheduler, now: TimeNs) {
-        let g = self.scheduler_gauges();
-        g.running.set(sched.running() as i64);
-        g.backlog.set(sched.backlog(now) as i64);
-        g.started.set(sched.started() as i64);
-        g.overruns.set(sched.overruns() as i64);
     }
 
     /// Scheduler snapshot `(running, backlog, started, overruns)` as last
@@ -286,7 +275,11 @@ impl TraceSink for RegistrySink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fleet::Fleet;
     use crate::scheduler::ScheduleConfig;
+    use crate::store::SeriesConfig;
+    use slops::SlopsConfig;
+    use units::TimeNs;
 
     #[test]
     fn trace_sink_mirrors_events_into_labeled_series() {
@@ -366,14 +359,18 @@ mod tests {
         let h = t.pacing_histogram("lo0");
         h.observe(900);
         h.observe(1100);
-        let mut sched = Scheduler::new(
-            2,
+        let cfg = SlopsConfig::default();
+        let mut fleet = Fleet::new(
+            [("lo0", &cfg), ("lo1", &cfg)],
             TimeNs::ZERO,
             TimeNs::from_secs(100),
             &ScheduleConfig::default(),
-        );
-        let _ = sched.poll();
-        t.observe_scheduler(&sched, TimeNs::ZERO);
+            &SeriesConfig::default(),
+        )
+        .unwrap();
+        fleet.attach_telemetry(&t);
+        let _ = fleet.next_start();
+        fleet.observe(TimeNs::ZERO);
         let digest = t.digest();
         assert!(digest.contains("lo0"), "{digest}");
         assert!(digest.contains("(2 packets)"), "{digest}");

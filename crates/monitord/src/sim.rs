@@ -9,17 +9,19 @@
 //! mid-run through [`SimFleetMonitor::sim_mut`] and watch the change
 //! detector flag it.
 //!
-//! The driver advances the simulation on the scheduler's [`TICK`] grid and
-//! harvests completions after every tick, so every scheduling decision is
-//! made with exact completion times — byte-identical to the thread-backed
-//! driver on independent paths (pinned by `tests/fleet_monitoring.rs`).
+//! The driver is a pump over the sans-IO [`Fleet`]: it installs the
+//! fleet's starts, advances the simulation on the scheduler's [`TICK`]
+//! grid and hands completions back after every tick, so every scheduling
+//! decision is made with exact completion times — byte-identical to the
+//! thread-backed driver on independent paths (pinned by
+//! `tests/fleet_monitoring.rs`).
 
+use crate::fleet::Fleet;
 use crate::metrics::FleetTelemetry;
-use crate::scheduler::{PathId, Poll, ScheduleConfig, Scheduler, TICK};
+use crate::scheduler::{ScheduleConfig, TICK};
 use crate::store::{PathSeries, SeriesConfig};
 use netsim::{AppId, Chain, EngineStats, LinkId, ShardRefusal, Simulator};
 use simprobe::{install_session_at, SessionApp};
-use slops::series::RangeSample;
 use slops::{SlopsConfig, SlopsError};
 use std::sync::Arc;
 use telemetry::{Counter, Gauge, TraceSink};
@@ -76,10 +78,8 @@ struct EngineTelemetry {
 /// [`SimFleetMonitor::series`].
 pub struct SimFleetMonitor {
     sim: Simulator,
-    sched: Scheduler,
+    fleet: Fleet,
     paths: Vec<PathRuntime>,
-    series: Vec<PathSeries>,
-    t0: TimeNs,
     /// Why the topology could not shard (None when sharded or forced
     /// single-queue).
     shard_refusal: Option<ShardRefusal>,
@@ -113,10 +113,13 @@ impl SimFleetMonitor {
         horizon: TimeNs,
         engine: SimEngine,
     ) -> Result<SimFleetMonitor, SlopsError> {
-        assert!(!paths.is_empty(), "a fleet needs at least one path");
-        for p in &paths {
-            p.cfg.validate().map_err(SlopsError::BadConfig)?;
-        }
+        let fleet = Fleet::new(
+            paths.iter().map(|p| (p.label.as_str(), &p.cfg)),
+            sim.now(),
+            horizon,
+            sched_cfg,
+            series_cfg,
+        )?;
         for p in &paths {
             let links: Vec<LinkId> = p
                 .chain
@@ -131,12 +134,6 @@ impl SimFleetMonitor {
             SimEngine::SingleQueue => None,
             SimEngine::Auto => sim.try_shard().err(),
         };
-        let t0 = sim.now();
-        let sched = Scheduler::new(paths.len(), t0, horizon, sched_cfg);
-        let series = paths
-            .iter()
-            .map(|p| PathSeries::new(p.label.clone(), series_cfg, t0))
-            .collect();
         let paths = paths
             .into_iter()
             .map(|p| PathRuntime {
@@ -147,27 +144,29 @@ impl SimFleetMonitor {
             .collect();
         Ok(SimFleetMonitor {
             sim,
-            sched,
+            fleet,
             paths,
-            series,
-            t0,
             shard_refusal,
             tele: None,
         })
     }
 
-    /// Wire the engine counters and per-path trace sinks into a fleet
-    /// telemetry hub: `sim_events_processed_total`, `sim_heap_ops_total`,
-    /// `sim_front_hits_total`, `sim_attached_arrivals_total` (packets the
-    /// links pulled from their one-hop sources without any event),
-    /// `sim_shards`, `sim_heap_max_depth`. The
-    /// sans-IO simulator only exposes plain [`EngineStats`]; this driver
-    /// drains them into the registry after every run slice (the
-    /// `drain_trace()` idiom).
+    /// Wire the engine counters, the scheduler gauges and per-path trace
+    /// sinks into a fleet telemetry hub: `sim_events_processed_total`,
+    /// `sim_heap_ops_total`, `sim_front_hits_total`,
+    /// `sim_attached_arrivals_total` (packets the links pulled from their
+    /// one-hop sources without any event), `sim_shards`,
+    /// `sim_heap_max_depth`, `scheduler_{running,backlog,started,overruns}`.
+    /// The sans-IO simulator only exposes plain [`EngineStats`]; this
+    /// driver drains them — and the fleet core mirrors the scheduler —
+    /// into the registry at the end of every [`SimFleetMonitor::run_until`]
+    /// (the `drain_trace()` idiom).
     pub fn attach_telemetry(&mut self, tele: &FleetTelemetry) {
+        self.fleet.attach_telemetry(tele);
         let reg = tele.registry();
         let sinks = self
-            .series
+            .fleet
+            .series()
             .iter()
             .map(|s| tele.trace_sink(s.label()))
             .collect();
@@ -211,10 +210,9 @@ impl SimFleetMonitor {
         t.last = stats;
     }
 
-    /// Install every start the scheduler can issue right now.
+    /// Install every start the fleet can issue right now.
     fn install_ready(&mut self) {
-        while let Poll::Start { path, at } = self.sched.poll() {
-            let p = path.0 as usize;
+        while let Some((p, at)) = self.fleet.next_start() {
             debug_assert!(self.paths[p].running.is_none());
             debug_assert!(at >= self.sim.now(), "start instant in the simulated past");
             let id = install_session_at(
@@ -233,8 +231,8 @@ impl SimFleetMonitor {
         }
     }
 
-    /// Harvest finished sessions: store the sample, retire the app, free
-    /// the scheduler slot.
+    /// Harvest finished sessions: retire the app, hand the estimate to the
+    /// fleet (which stores it and frees the scheduler slot).
     fn harvest(&mut self) {
         for (p, path) in self.paths.iter_mut().enumerate() {
             let Some((id, at)) = path.running else {
@@ -243,10 +241,10 @@ impl SimFleetMonitor {
             let Some(est) = self.sim.app_mut::<SessionApp>(id).take_estimate() else {
                 continue;
             };
-            self.series[p].push(RangeSample::from_estimate(at, &est));
             self.sim.remove_app(id);
             path.running = None;
-            self.sched.on_complete(PathId(p as u32), at + est.elapsed);
+            let finished = at + est.elapsed;
+            self.fleet.complete(p, at, Ok(est), finished, &mut |_| {});
         }
     }
 
@@ -267,12 +265,14 @@ impl SimFleetMonitor {
             let now = self.sim.now();
             if now >= t {
                 self.publish_engine_stats();
+                self.fleet.observe(now);
                 return;
             }
             // The next grid instant strictly after `now`, clamped to `t`.
-            let elapsed = (now - self.t0).as_nanos();
+            let t0 = self.fleet.scheduler().t0();
+            let elapsed = (now - t0).as_nanos();
             let next_tick =
-                self.t0 + TimeNs::from_nanos((elapsed / TICK.as_nanos() + 1) * TICK.as_nanos());
+                t0 + TimeNs::from_nanos((elapsed / TICK.as_nanos() + 1) * TICK.as_nanos());
             self.sim.run_until(next_tick.min(t));
             self.harvest();
         }
@@ -282,7 +282,7 @@ impl SimFleetMonitor {
     /// measurement finished (the clock may pass the horizon: a measurement
     /// started just before it is allowed to complete).
     pub fn run_to_completion(&mut self) {
-        while !self.sched.is_done() {
+        while !self.fleet.scheduler().is_done() {
             let t = self.sim.now() + TICK;
             self.run_until(t);
         }
@@ -290,17 +290,17 @@ impl SimFleetMonitor {
 
     /// The per-path series, in path order.
     pub fn series(&self) -> &[PathSeries] {
-        &self.series
+        self.fleet.series()
     }
 
     /// Consume the monitor, returning the per-path series.
     pub fn into_series(self) -> Vec<PathSeries> {
-        self.series
+        self.fleet.into_series()
     }
 
     /// Measurements started so far across the fleet.
     pub fn measurements_started(&self) -> u64 {
-        self.sched.started()
+        self.fleet.scheduler().started()
     }
 
     /// Number of event-queue shards the engine is running (1 = single
@@ -391,6 +391,72 @@ mod tests {
             }
         }
         assert!(mon.measurements_started() >= 6);
+    }
+
+    /// `n` unloaded two-hop paths of 8, 12, 16, … Mb/s, measured every
+    /// 10 s, uncapped, with a hub attached.
+    fn hub_fleet(n: usize, horizon: TimeNs) -> (SimFleetMonitor, FleetTelemetry) {
+        let mut sim = Simulator::new(3);
+        let paths = (0..n)
+            .map(|i| SimPathSpec {
+                label: format!("p{i}"),
+                chain: empty_chain(&mut sim, 8.0 + 4.0 * i as f64),
+                cfg: SlopsConfig::default(),
+            })
+            .collect();
+        let sched = ScheduleConfig {
+            period: TimeNs::from_secs(10),
+            jitter: TimeNs::from_secs(2),
+            max_concurrent: 0,
+            seed: 4,
+        };
+        let mut mon =
+            SimFleetMonitor::new(sim, paths, &sched, &SeriesConfig::default(), horizon).unwrap();
+        let tele = FleetTelemetry::new();
+        mon.attach_telemetry(&tele);
+        (mon, tele)
+    }
+
+    /// The in-sim driver mirrors the scheduler gauges like the other two:
+    /// a hub attached here reads the fleet's own start count.
+    #[test]
+    fn attached_hub_reads_the_scheduler_gauges() {
+        let (mut mon, tele) = hub_fleet(2, TimeNs::from_secs(30));
+        mon.run_to_completion();
+        let (running, _, started, _) = tele.scheduler_snapshot();
+        assert!(mon.measurements_started() >= 4);
+        assert_eq!(started, mon.measurements_started() as i64);
+        assert_eq!(running, 0, "nothing runs once the fleet is done");
+        let text = tele.registry().render_prometheus();
+        assert!(
+            text.contains(&format!("scheduler_started {started}")),
+            "{text}"
+        );
+    }
+
+    /// The telemetry budget as an op count, on the in-sim driver: once
+    /// every path has been measured, further estimates — and the
+    /// per-slice engine and scheduler mirrors — take no registry lookup.
+    #[test]
+    fn steady_state_estimates_take_no_registry_lookups() {
+        const N: usize = 8;
+        let (mut mon, tele) = hub_fleet(N, TimeNs::from_secs(1_000));
+        let measured_by =
+            |mon: &SimFleetMonitor, k: usize| mon.series().iter().all(|s| s.len() >= k);
+        while !measured_by(&mon, 1) {
+            let t = mon.sim().now() + TICK;
+            mon.run_until(t);
+        }
+        let steady = tele.registry().lookups();
+        while !measured_by(&mon, 3) {
+            let t = mon.sim().now() + TICK;
+            mon.run_until(t);
+        }
+        assert_eq!(
+            tele.registry().lookups(),
+            steady,
+            "estimates after the first wave looked metrics up"
+        );
     }
 
     #[test]

@@ -55,9 +55,9 @@ pub(crate) fn connect_transports(
 mod tests {
     use super::*;
     use crate::evented::run_socket_fleet_async_with_telemetry;
+    use crate::fleet::ShutdownFlag;
     use crate::scheduler::ScheduleConfig;
     use crate::store::SeriesConfig;
-    use crate::thread::ShutdownFlag;
     use pathload_net::EventedReceiver;
     use slops::ProbeTransport;
     use std::thread;

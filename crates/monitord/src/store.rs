@@ -2,11 +2,9 @@
 //!
 //! A daemon that measures many paths for days cannot keep every estimate's
 //! per-fleet trace: each path gets a **ring buffer** of compact
-//! [`RangeSample`]s (generalizing `slops::monitor::AvailBwSeries`, whose
-//! unbounded `Vec` of full estimates is fine for a single run but not for
-//! a daemon). Aggregation — eq. 11 window averages, tumbling windowed
-//! ranges, §VI variation statistics, the change-point flag — is shared
-//! with the single-path series through [`slops::series`].
+//! [`RangeSample`]s. Aggregation — eq. 11 window averages, tumbling
+//! windowed ranges, §VI variation statistics, the change-point flag —
+//! lives in [`slops::series`].
 
 use slops::series::{
     self, change_points, ranges_overlap, windowed_ranges, RangeSample, SeriesStats, WindowedRange,

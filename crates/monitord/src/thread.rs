@@ -1,65 +1,34 @@
 //! The thread-backed fleet driver: one blocking transport per path.
 //!
-//! For transports that block — real sockets (`pathload-net`), the
-//! simulator shim, the test oracle — the fleet runs as batches of blocking
-//! [`slops::Session::run`] calls on the [`slops::runner`] worker pool: the
-//! scheduler issues every start it can, the batch executes concurrently
-//! (one transport per worker, transports never shared), and completions
-//! feed back **one at a time in virtual finish order**, with the scheduler
-//! re-polled between feeds. That ordering matters: it is exactly how the
-//! in-sim driver observes completions, so a fast path can be rescheduled
-//! while a slow path's measurement is still outstanding instead of
-//! waiting for the whole batch. Both drivers take decisions from the same
-//! sans-IO [`Scheduler`], so on independent paths they produce
-//! **identical per-path series** for the same seeds — asserted by
-//! `tests/fleet_monitoring.rs`.
+//! For transports that block — the simulator shim, the test oracle — the
+//! fleet runs as batches of blocking [`slops::Session::run`] calls on the
+//! [`slops::runner`] worker pool: the fleet core issues every start it
+//! can, the batch executes concurrently (one transport per worker,
+//! transports never shared), and completions feed back **one at a time in
+//! virtual finish order**, with the core re-polled between feeds. That
+//! ordering matters: it is exactly how the in-sim driver observes
+//! completions, so a fast path can be rescheduled while a slow path's
+//! measurement is still outstanding instead of waiting for the whole
+//! batch. Both drivers are pumps over the same sans-IO [`Fleet`], so on
+//! independent paths they produce **identical per-path series** for the
+//! same seeds — asserted by `tests/fleet_monitoring.rs`.
 //!
-//! On transports with a virtual clock the schedule is exact. On
-//! wall-clock transports (real sockets) time also passes while a worker
-//! waits for its batch, so a start instant may already lie in the past
-//! when its job runs; the driver then starts immediately (best effort) —
-//! the stagger and cap remain, the precise grid does not.
+//! On transports with a virtual clock the schedule is exact. On a
+//! wall-clock transport time also passes while a worker waits for its
+//! batch, so a start instant may already lie in the past when its job
+//! runs; the driver then starts immediately (best effort) — the stagger
+//! and cap remain, the precise grid does not.
 
+use crate::fleet::{Fleet, FleetEvent, ShutdownFlag};
 use crate::metrics::FleetTelemetry;
-use crate::scheduler::{PathId, Poll, ScheduleConfig, Scheduler};
-use crate::store::{ChangeCursor, ChangeEvent, PathSeries, SeriesConfig};
+use crate::scheduler::ScheduleConfig;
+use crate::store::{PathSeries, SeriesConfig};
 use slops::runner::run_parallel;
-use slops::series::RangeSample;
 use slops::{Estimate, ProbeTransport, Session, SlopsConfig, SlopsError};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use telemetry::TraceSink;
 use units::TimeNs;
-
-/// A cooperative stop signal for a running fleet (graceful shutdown).
-///
-/// Clone it freely: all clones share one flag. Once requested, the fleet
-/// driver stops issuing new scheduler starts ([`Scheduler::shutdown`]),
-/// lets in-flight measurements complete and be recorded, and returns the
-/// per-path series collected so far — which is what a daemon flushes as
-/// summaries on SIGINT/SIGTERM. Requesting shutdown is idempotent and
-/// cannot be undone.
-#[derive(Clone, Debug, Default)]
-pub struct ShutdownFlag(Arc<AtomicBool>);
-
-impl ShutdownFlag {
-    /// A fresh, un-requested flag.
-    pub fn new() -> ShutdownFlag {
-        ShutdownFlag::default()
-    }
-
-    /// Request shutdown (idempotent; callable from any thread, e.g. a
-    /// signal watcher).
-    pub fn request(&self) {
-        self.0.store(true, Ordering::SeqCst);
-    }
-
-    /// Has shutdown been requested?
-    pub fn is_requested(&self) -> bool {
-        self.0.load(Ordering::SeqCst)
-    }
-}
 
 /// One monitored path of a thread-backed fleet.
 pub struct ThreadPathSpec {
@@ -71,91 +40,6 @@ pub struct ThreadPathSpec {
     /// epoch (`elapsed()` measured from the same origin), since the
     /// scheduler staggers starts on one common timeline.
     pub transport: Box<dyn ProbeTransport + Send>,
-}
-
-/// A live notification from a running fleet, streamed to the observer of
-/// [`run_fleet_with_telemetry`] (and of the socket drivers built on the
-/// same completion path) as completions are fed to the scheduler, in the
-/// same tick-granular order the series are built in.
-#[derive(Debug)]
-pub enum FleetEvent<'a> {
-    /// A measurement finished; `sample` was just appended to the path's
-    /// series.
-    Sample {
-        /// Index of the path within the fleet.
-        path: usize,
-        /// The path's label.
-        label: &'a str,
-        /// The stored range sample.
-        sample: RangeSample,
-    },
-    /// A measurement failed; the error was counted on the path's series
-    /// and monitoring continues.
-    Failed {
-        /// Index of the path within the fleet.
-        path: usize,
-        /// The path's label.
-        label: &'a str,
-        /// What went wrong.
-        error: &'a SlopsError,
-    },
-    /// The change detector flagged a new windowed-range shift on a path.
-    ///
-    /// Best-effort live signal: a change is emitted when it first becomes
-    /// visible, but later samples landing in the same window can still
-    /// widen its envelope. The authoritative list is
-    /// [`PathSeries::changes`] once the run is over.
-    Change {
-        /// Index of the path within the fleet.
-        path: usize,
-        /// The path's label.
-        label: &'a str,
-        /// The flagged change.
-        change: ChangeEvent,
-    },
-}
-
-/// Fold one finished measurement into its path's series and tell the
-/// observer: a stored sample (plus every change the detector newly
-/// flags), or a counted failure. The one completion path of every fleet
-/// driver that measures over transports — the thread driver's feed loop
-/// and the event-loop driver call it with the same arguments, so their
-/// series and event streams cannot drift apart.
-pub(crate) fn record_outcome(
-    path: usize,
-    at: TimeNs,
-    outcome: Result<Estimate, SlopsError>,
-    series: &mut PathSeries,
-    cursor: &mut ChangeCursor,
-    observer: &mut impl FnMut(FleetEvent<'_>),
-) {
-    match outcome {
-        Ok(est) => {
-            let sample = RangeSample::from_estimate(at, &est);
-            series.push(sample);
-            observer(FleetEvent::Sample {
-                path,
-                label: series.label(),
-                sample,
-            });
-            let changes = series.changes();
-            for change in cursor.fresh(&changes) {
-                observer(FleetEvent::Change {
-                    path,
-                    label: series.label(),
-                    change: *change,
-                });
-            }
-        }
-        Err(error) => {
-            series.record_error();
-            observer(FleetEvent::Failed {
-                path,
-                label: series.label(),
-                error: &error,
-            });
-        }
-    }
 }
 
 /// Run a thread-backed monitoring fleet to completion: measure every path
@@ -179,8 +63,8 @@ pub(crate) fn record_outcome(
 /// * **Telemetry** — with a [`FleetTelemetry`] hub, per-path machine
 ///   trace events are forwarded to the hub's sinks (the driver only
 ///   relays — every event is minted by the sans-IO machine) and the
-///   scheduler's deterministic accessors are mirrored into its gauges
-///   after every feed, so a scrape mid-run sees live values.
+///   scheduler gauges are mirrored after every feed, so a scrape mid-run
+///   sees live values.
 #[allow(clippy::too_many_arguments)]
 pub fn run_fleet_with_telemetry(
     paths: Vec<ThreadPathSpec>,
@@ -192,61 +76,50 @@ pub fn run_fleet_with_telemetry(
     telemetry: Option<&FleetTelemetry>,
     mut observer: impl FnMut(FleetEvent<'_>),
 ) -> Result<Vec<PathSeries>, SlopsError> {
-    assert!(!paths.is_empty(), "a fleet needs at least one path");
-    for p in &paths {
-        p.cfg.validate().map_err(SlopsError::BadConfig)?;
-    }
     // The fleet epoch: the latest transport clock (all at 0 for fresh
     // transports; equal by construction for warmed simulator shims).
     let t0 = paths
         .iter()
         .map(|p| p.transport.elapsed())
         .max()
-        .expect("non-empty fleet");
-    let mut sched = Scheduler::new(paths.len(), t0, horizon, sched_cfg);
-    let mut series: Vec<PathSeries> = paths
-        .iter()
-        .map(|p| PathSeries::new(p.label.clone(), series_cfg, t0))
-        .collect();
+        .unwrap_or(TimeNs::ZERO);
+    let mut fleet = Fleet::new(
+        paths.iter().map(|p| (p.label.as_str(), &p.cfg)),
+        t0,
+        horizon,
+        sched_cfg,
+        series_cfg,
+    )?;
+    if let Some(t) = telemetry {
+        fleet.attach_telemetry(t);
+    }
     // One machine-trace sink per path; the sink travels to the worker
     // inside the (cheaply cloned) Session.
     let sinks: Option<Vec<Arc<dyn TraceSink>>> =
         telemetry.map(|t| paths.iter().map(|p| t.trace_sink(&p.label)).collect());
-    let mut cfgs: Vec<SlopsConfig> = Vec::with_capacity(paths.len());
-    let mut transports: Vec<Option<Box<dyn ProbeTransport + Send>>> = Vec::new();
-    for p in paths {
-        cfgs.push(p.cfg);
-        transports.push(Some(p.transport));
-    }
+    let (cfgs, mut transports): (Vec<SlopsConfig>, Vec<_>) = paths
+        .into_iter()
+        .map(|p| (p.cfg, Some(p.transport)))
+        .unzip();
 
-    // Changes already reported per path, so the observer only sees each
-    // flagged change once (instant-keyed: eviction may shrink the list).
-    let mut change_cursors = vec![ChangeCursor::new(); series.len()];
-
-    // Completions executed but not yet fed to the scheduler, keyed by the
+    // Completions executed but not yet fed to the fleet, keyed by the
     // tick boundary at which a tick-granular driver would learn of them
     // (ties broken by path id), carrying `(start, exact finish, outcome)`.
-    // `None` = the start was cancelled by shutdown before probing began:
-    // the scheduler still learns the completion, the series record
-    // nothing.
+    // `None` = the start was cancelled by shutdown before probing began.
     type Outcome = Option<Result<Estimate, SlopsError>>;
     let mut unfed: BTreeMap<(TimeNs, usize), (TimeNs, TimeNs, Outcome)> = BTreeMap::new();
     // Latest fleet-clock instant the driver has learned of (via fed
     // completion ticks); what the backlog gauge is evaluated at.
     let mut fleet_now = t0;
     loop {
-        // Graceful shutdown: the stop decision itself belongs to the
-        // scheduler (it finishes idle paths, waits out running ones).
-        if stop.is_requested() {
-            sched.shutdown();
-        }
-        // Issue every start the scheduler can decide with what it knows.
+        fleet.apply_stop(stop);
+        // Issue every start the fleet can decide with what it knows.
         let mut batch: Vec<(usize, TimeNs)> = Vec::new();
-        while let Poll::Start { path, at } = sched.poll() {
-            batch.push((path.0 as usize, at));
+        while let Some(start) = fleet.next_start() {
+            batch.push(start);
         }
         if batch.is_empty() && unfed.is_empty() {
-            debug_assert!(sched.is_done(), "blocked with nothing running");
+            debug_assert!(fleet.scheduler().is_done(), "blocked with nothing running");
             break;
         }
         // Execute the new starts concurrently: one path per job, the
@@ -291,7 +164,8 @@ pub fn run_fleet_with_telemetry(
             .collect();
         for (p, at, outcome, finished, transport) in run_parallel(jobs, threads) {
             transports[p] = Some(transport);
-            unfed.insert((sched.tick_boundary(finished), p), (at, finished, outcome));
+            let tick = fleet.scheduler().tick_boundary(finished);
+            unfed.insert((tick, p), (at, finished, outcome));
         }
         // Feed ONLY the earliest tick's completions, then re-poll: the
         // scheduler must learn completions in the same tick-granular
@@ -306,36 +180,24 @@ pub fn run_fleet_with_telemetry(
                     break;
                 }
                 let (_, p) = *entry.key();
-                let (at, finished, outcome) = entry.remove();
-                // `None`: cancelled by shutdown before probing began —
-                // not a sample, not an error, the path simply was not
-                // measured.
-                if let Some(outcome) = outcome {
-                    record_outcome(
-                        p,
-                        at,
-                        outcome,
-                        &mut series[p],
-                        &mut change_cursors[p],
-                        &mut observer,
-                    );
+                match entry.remove() {
+                    (at, finished, Some(outcome)) => {
+                        fleet.complete(p, at, outcome, finished, &mut observer)
+                    }
+                    (_, finished, None) => fleet.cancel(p, finished),
                 }
-                sched.on_complete(PathId(p as u32), finished);
             }
         }
-        if let Some(t) = telemetry {
-            t.observe_scheduler(&sched, fleet_now);
-        }
+        fleet.observe(fleet_now);
     }
-    if let Some(t) = telemetry {
-        t.observe_scheduler(&sched, fleet_now);
-    }
-    Ok(series)
+    fleet.observe(fleet_now);
+    Ok(fleet.into_series())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use slops::series::RangeSample;
     use slops::testutil::OracleTransport;
     use units::Rate;
 

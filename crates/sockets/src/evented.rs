@@ -57,8 +57,7 @@ pub struct SessionTokens {
     /// arms plain (uncancellable) entries and relies on lazy
     /// cancellation, so the host must never reuse a timer token for a
     /// *later* session while entries may still be pending — tag it with a
-    /// per-path generation (or arm through
-    /// [`EventLoop::arm_timer_with_generation`] and cancel eagerly).
+    /// per-path generation, as `monitord`'s socket fleet driver does.
     pub timer: u64,
 }
 

@@ -379,7 +379,7 @@ impl Poller {
     fn unsupported() -> io::Error {
         io::Error::new(
             io::ErrorKind::Unsupported,
-            "the epoll event loop requires Linux; use the blocking (thread) driver",
+            "the epoll event loop requires Linux; only the blocking sender runs elsewhere",
         )
     }
 }
@@ -699,20 +699,13 @@ impl EventLoop {
         self.timers.arm(deadline_ns, token);
     }
 
-    /// Arm a one-shot timer under a nonzero `generation`, cancellable via
-    /// [`EventLoop::cancel_timer_generation`].
-    pub fn arm_timer_with_generation(&mut self, deadline_ns: u64, token: u64, generation: u64) {
-        self.timers
-            .arm_with_generation(deadline_ns, token, generation);
-    }
-
     /// Arm a *sleep-only* one-shot timer at `deadline_ns`: it never fires
     /// early, and the loop sleeps to the deadline itself instead of
     /// spinning the wake-up error away, so it fires up to
     /// [`EventLoop::wake_error_ns`] late. For deadlines that mean "not
-    /// before" — a socket drain, a stop-rule tick, a backoff. `generation`
-    /// works as in [`EventLoop::arm_timer_with_generation`] (0: not
-    /// cancellable).
+    /// before" — a socket drain, a stop-rule tick, a backoff. A nonzero
+    /// `generation` makes the entry cancellable via
+    /// [`EventLoop::cancel_timer_generation`] (0: not cancellable).
     pub fn arm_sleep_timer(&mut self, deadline_ns: u64, token: u64, generation: u64) {
         self.naps
             .arm_with_generation(deadline_ns, token, generation);
@@ -725,10 +718,10 @@ impl EventLoop {
         self.window.ns()
     }
 
-    /// Cancel every timer armed so far under `generation` (see
-    /// [`TimerQueue::cancel_generation`]), sleep-only ones included.
+    /// Cancel every sleep-only timer armed so far under `generation` (see
+    /// [`TimerQueue::cancel_generation`]); pacing timers are armed
+    /// uncancellable.
     pub fn cancel_timer_generation(&mut self, generation: u64) {
-        self.timers.cancel_generation(generation);
         self.naps.cancel_generation(generation);
     }
 
@@ -1013,14 +1006,14 @@ mod tests {
         }
 
         /// Expired timers come out earliest first whichever queue holds
-        /// them, and a cancelled pacing head lets no later pacing timer
-        /// jump ahead of a sleep-only one.
+        /// them, and a cancelled sleep-only head fires neither itself nor
+        /// out of order with the entries behind it.
         #[test]
         fn pacing_and_sleep_only_timers_fire_in_one_deadline_order() {
             let clock = MonoClock::new();
             let mut lp = EventLoop::new(clock.clone()).unwrap();
             // Deadlines a few ns after the epoch: all expired at the wait.
-            lp.arm_timer_with_generation(1, 99, 8);
+            lp.arm_sleep_timer(1, 99, 8);
             lp.cancel_timer_generation(8);
             lp.arm_sleep_timer(4, 40, 0);
             lp.arm_timer(3, 30);
