@@ -56,7 +56,7 @@ use crate::socket::{connect_transports, SocketPathSpec};
 use crate::store::{PathSeries, SeriesConfig};
 use pathload_net::mux::{EventLoop, MuxEvent};
 use pathload_net::{EventedSession, SessionTokens, SocketTransport};
-use slops::{ProbeTransport, SlopsConfig, SlopsError, TransportError};
+use slops::{SlopsConfig, SlopsError, TransportError};
 use std::sync::Arc;
 use std::time::Duration;
 use telemetry::{Histogram, TraceSink};

@@ -59,7 +59,6 @@ mod tests {
     use crate::scheduler::ScheduleConfig;
     use crate::store::SeriesConfig;
     use pathload_net::EventedReceiver;
-    use slops::ProbeTransport;
     use std::thread;
     use std::time::{Duration, Instant};
     use units::TimeNs;

@@ -2,9 +2,12 @@
 //! measurement against a running `pathload_rcv` and print the range.
 //!
 //! Example: `pathload_snd 192.0.2.7:9100 1.0`
+//!
+//! The measurement runs on one `EventedSession` over a private event
+//! loop. Linux only: on other Unix hosts the loop fails to start with
+//! `Unsupported` (exit 1), and elsewhere the binary exits 2.
 
-use pathload_net::SocketTransport;
-use slops::{Session, SlopsConfig};
+use slops::SlopsConfig;
 use std::net::SocketAddr;
 use std::process::exit;
 use units::Rate;
@@ -38,7 +41,14 @@ fn main() {
             }
         }
     }
-    let mut transport = match SocketTransport::connect(addr) {
+    measure(addr, cfg);
+}
+
+/// Run one measurement toward `addr` and print it (exit 1 on failure).
+#[cfg(unix)]
+fn measure(addr: SocketAddr, cfg: SlopsConfig) {
+    use pathload_net::{EventedSession, SocketTransport};
+    let transport = match SocketTransport::connect(addr) {
         Ok(t) => t,
         Err(e) => {
             eprintln!("cannot connect to {addr}: {e}");
@@ -46,7 +56,9 @@ fn main() {
         }
     };
     println!("pathload_snd: measuring toward {addr} ...");
-    match Session::new(cfg).run(&mut transport) {
+    let (transport, outcome) = EventedSession::run_alone(transport, cfg);
+    drop(transport); // says `Bye`
+    match outcome {
         Ok(est) => {
             println!(
                 "avail-bw range: [{:.2}, {:.2}] Mb/s  (midpoint {:.2} Mb/s)",
@@ -73,4 +85,10 @@ fn main() {
             exit(1);
         }
     }
+}
+
+#[cfg(not(unix))]
+fn measure(_addr: SocketAddr, _cfg: SlopsConfig) {
+    eprintln!("pathload_snd requires an epoll event loop (Linux)");
+    exit(2);
 }

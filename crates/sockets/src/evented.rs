@@ -1,20 +1,20 @@
-//! The evented socket driver: the sans-IO machine pumped from readiness
-//! events and timers instead of blocking calls.
+//! The sender's pump: the sans-IO machine driven from readiness events
+//! and timers.
 //!
-//! [`EventedSession`] is to an [`EventLoop`] what `slops::Session::run`
-//! is to a blocking thread: one measurement session over one
-//! [`SocketTransport`], but driven strictly by the DRIVERS.md contract
-//! with **no blocking call anywhere** — so a single thread can host
-//! hundreds of these at once. What goes on the wire is decided by the
-//! transport's protocol core ([`crate::tx`] has the command→wire table);
-//! this module is the event-loop work around it: control frames flushed
-//! on writability and parsed on readability, **one timer entry per paced
-//! deadline**, a train blasted through `sendmmsg` (resuming on UDP
-//! writability if the socket back-pressures), `Idle(d)` as a timer entry
-//! answered with `Tick(clock)`, `Finish(est)` stamped with `elapsed`, one
-//! watchdog entry for the frame the core is owed — and, before the
-//! machine is built, the core's RTT exchange (what the blocking
-//! `ProbeTransport::rtt` measures).
+//! [`EventedSession`] is one measurement session over one
+//! [`SocketTransport`], driven strictly by the DRIVERS.md contract with
+//! **no blocking call anywhere** — so a single thread can host hundreds
+//! of these at once (`monitord`), or one on a loop of its own
+//! ([`EventedSession::run_alone`], `pathload_snd`). What goes on the wire
+//! is decided by the transport's protocol core ([`crate::tx`] has the
+//! command→wire table); this module is the event-loop work around it:
+//! control frames flushed on writability and parsed on readability,
+//! **one timer entry per paced deadline**, a train blasted through
+//! `sendmmsg` (resuming on UDP writability if the socket back-pressures),
+//! `Idle(d)` as a timer entry answered with `Tick(clock)`, `Finish(est)`
+//! stamped with `elapsed`, one watchdog entry for the frame the core is
+//! owed — and, before the machine is built, the core's RTT exchange,
+//! whose failure fails the session.
 //!
 //! There is **no estimation logic here** (the repo invariant): loss
 //! accounting, spacing validation, trend classification and the rate
@@ -22,11 +22,12 @@
 //! mid-stream is recorded at its attempted instant and dropped — the
 //! receiver sees it as loss, which the machine already judges.
 //!
-//! The host owns the event loop and the token space: it registers the
-//! session ([`EventedSession::register`]) and routes every [`MuxEvent`]
-//! whose token belongs to this session into [`EventedSession::on_event`].
-//! When [`EventedSession::is_finished`] turns true the host takes the
-//! transport and the outcome back with [`EventedSession::finish`].
+//! A fleet host owns the event loop and the token space: it registers
+//! the session ([`EventedSession::register`]) and routes every
+//! [`MuxEvent`] whose token belongs to this session into
+//! [`EventedSession::on_event`]. When [`EventedSession::is_finished`]
+//! turns true the host takes the transport and the outcome back with
+//! [`EventedSession::finish`].
 
 // Datapath module: a panicking branch here takes the whole fleet down,
 // so `unwrap`/`expect` are denied outright (errors must travel as values).
@@ -36,9 +37,9 @@ use crate::batch::{send_batch, MAX_BATCH};
 use crate::mux::{EventLoop, Interest, MuxEvent};
 use crate::proto::{CtrlBuf, CtrlMsg, MAX_FRAME_TO_SENDER};
 use crate::sender::SocketTransport;
-use crate::tx::{ctrl_io_error, Due, Outcome, Step};
+use crate::tx::{ctrl_io_error, Due, Outcome, Step, CTRL_TIMEOUT};
 use slops::machine::{Command, Event, SessionMachine};
-use slops::{Estimate, ProbeTransport, SlopsConfig, SlopsError, TransportError};
+use slops::{Estimate, SlopsConfig, SlopsError, TransportError};
 use std::io;
 use std::os::fd::AsRawFd;
 use std::sync::Arc;
@@ -119,10 +120,9 @@ pub struct EventedSession {
 }
 
 impl EventedSession {
-    /// Start a session over `transport` (switched to non-blocking mode).
-    /// The first activity — the RTT echoes — is queued immediately;
-    /// nothing moves until the session is [`register`](Self::register)ed
-    /// and events are routed in.
+    /// Start a session over `transport`. The first activity — the RTT
+    /// echoes — is queued immediately; nothing moves until the session is
+    /// [`register`](Self::register)ed and events are routed in.
     ///
     /// On failure the transport travels back with the error, so a fleet
     /// host keeps its long-lived connection for the path's next attempt.
@@ -133,10 +133,6 @@ impl EventedSession {
     ) -> Result<EventedSession, (SocketTransport, SlopsError)> {
         if let Err(msg) = cfg.validate() {
             return Err((transport, SlopsError::BadConfig(msg)));
-        }
-        if let Err(e) = transport.set_nonblocking(true) {
-            let err = SlopsError::Transport(TransportError::Io(e.to_string()));
-            return Err((transport, err));
         }
         let start = transport.elapsed();
         let echo = transport.core.begin_rtt(start.as_nanos());
@@ -160,12 +156,50 @@ impl EventedSession {
         Ok(session)
     }
 
+    /// Run one whole measurement over `transport` on an event loop of its
+    /// own, on the calling thread — `pathload_snd`'s host. The transport
+    /// comes back with the outcome, as from [`finish`](Self::finish).
+    pub fn run_alone(
+        transport: SocketTransport,
+        cfg: SlopsConfig,
+    ) -> (SocketTransport, Result<Estimate, SlopsError>) {
+        let io_error = |e: io::Error| SlopsError::Transport(TransportError::Io(e.to_string()));
+        let mut lp = match EventLoop::new(transport.clock.same_epoch()) {
+            Ok(lp) => lp,
+            Err(e) => return (transport, Err(io_error(e))),
+        };
+        let tokens = SessionTokens {
+            ctrl: 0,
+            probe: 1,
+            timer: 2,
+        };
+        let mut session = match EventedSession::new(transport, cfg, tokens) {
+            Ok(session) => session,
+            Err((transport, e)) => return (transport, Err(e)),
+        };
+        if let Err(e) = session.register(&lp) {
+            return (session.abort(&lp), Err(io_error(e)));
+        }
+        let mut events = Vec::new();
+        while !session.is_finished() {
+            events.clear();
+            // The session's own timer entries (a deadline, an idle, the
+            // watchdog) end every wait long before this.
+            if let Err(e) = lp.wait(&mut events, CTRL_TIMEOUT) {
+                return (session.abort(&lp), Err(io_error(e)));
+            }
+            for ev in &events {
+                session.on_event(&mut lp, ev);
+            }
+        }
+        session.finish(&lp)
+    }
+
     /// Tear the session down before completion (e.g. the host failed to
     /// register it, or is abandoning the measurement): deregisters and
-    /// returns the transport, back in blocking mode.
+    /// returns the transport.
     pub fn abort(mut self, lp: &EventLoop) -> SocketTransport {
         self.deregister(lp);
-        let _ = self.transport.set_nonblocking(false);
         self.transport
     }
 
@@ -233,10 +267,9 @@ impl EventedSession {
         self.machine.as_mut()
     }
 
-    /// Deregister from the loop, return the transport (back in blocking
-    /// mode) and the outcome. Calling it on a session that has not
-    /// finished is a host bug, reported as an error outcome (the
-    /// datapath is panic-free).
+    /// Deregister from the loop, return the transport and the outcome.
+    /// Calling it on a session that has not finished is a host bug,
+    /// reported as an error outcome (the datapath is panic-free).
     pub fn finish(mut self, lp: &EventLoop) -> (SocketTransport, Result<Estimate, SlopsError>) {
         let outcome = self.outcome.take().unwrap_or_else(|| {
             Err(SlopsError::Transport(protocol_violation(
@@ -244,7 +277,6 @@ impl EventedSession {
             )))
         });
         self.deregister(lp);
-        let _ = self.transport.set_nonblocking(false);
         (self.transport, outcome)
     }
 
@@ -364,7 +396,7 @@ impl EventedSession {
                 let Some(cfg) = self.cfg.take() else {
                     return Err(protocol_violation("a second RTT phase"));
                 };
-                let max_rate = self.transport.max_rate();
+                let max_rate = Some(self.transport.rate_cap);
                 match SessionMachine::new(cfg, rtt, max_rate) {
                     Ok(machine) => {
                         self.machine = Some(machine);
@@ -400,7 +432,7 @@ impl EventedSession {
                     break;
                 }
                 // Due, or overdue: the loop catches up on every deadline
-                // that has passed, as the blocking pacer does.
+                // that has passed.
                 Due::Paced(_) => self.send_paced(now)?,
                 Due::Burst(n) => {
                     if !self.blast(lp, n)? {

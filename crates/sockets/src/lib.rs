@@ -7,12 +7,11 @@
 //! **session-multiplexing**: one control port and one shared UDP probe
 //! socket serve any number of concurrent senders, demuxed by the session
 //! token minted at `Hello` and carried in every probe packet (wire
-//! protocol v2). The sender side
-//! implements [`slops::ProbeTransport`], so the *same* estimation code that
-//! runs over the simulator runs over a real network: the `pathload_snd`
-//! binary calls the blocking `slops::Session::run` driver, which executes
-//! the sans-IO `slops::SessionMachine` command by command over this
-//! transport.
+//! protocol v2). The sender side hosts the *same* sans-IO
+//! `slops::SessionMachine` that runs over the simulator, pumped by an
+//! [`EventedSession`] on an event loop: `pathload_snd` runs one on a loop
+//! of its own ([`EventedSession::run_alone`]), `monitord` hundreds on
+//! one.
 //!
 //! Layout:
 //!
@@ -23,10 +22,10 @@
 //!   role, nothing reserved on a length field's word.
 //! * [`clock`] — monotonic nanosecond clocks. Sender and receiver use
 //!   *different epochs* on purpose: SLoPS needs only relative OWDs.
-//! * [`pacing`] — absolute-deadline packet pacing (sleep-then-spin), the
-//!   part of a measurement tool a general-purpose runtime cannot do; this
-//!   is why the crate uses plain threads — or its own readiness loop —
-//!   instead of an async executor.
+//! * [`pacing`] — the learned spin window of absolute-deadline packet
+//!   pacing (sleep-then-spin), the part of a measurement tool a
+//!   general-purpose runtime cannot do; this is why the crate runs its
+//!   own readiness loop instead of an async executor.
 //! * [`mux`] — the readiness event loop: an epoll [`mux::Poller`] plus a
 //!   deadline [`mux::TimerQueue`] (pacing deadlines as timer entries),
 //!   combined in [`mux::EventLoop`]. No executor dependency: epoll is
@@ -36,11 +35,11 @@
 //!   it, probe deadlines and headers, report → record, RTT median,
 //!   control timeout), driven by `begin` / `on_ctrl` / `due` / `encode`
 //!   + `sent` with time passed in. Every sender decision lives here, once.
-//! * [`evented`] — [`EventedSession`], the evented pump over that core
-//!   and non-blocking driver of the sans-IO machine: frames go out on
-//!   writability, probes on timer expiry, replies come back on
+//! * [`evented`] — [`EventedSession`], the sender's one pump over that
+//!   core and non-blocking driver of the sans-IO machine: frames go out
+//!   on writability, probes on timer expiry, replies come back on
 //!   readability, so one thread can multiplex hundreds of concurrent
-//!   sessions (the `monitord` fleet).
+//!   sessions (the `monitord` fleet) or run one alone (`pathload_snd`).
 //! * [`batch`] — the kernel-fast datapath: `recvmmsg`/`sendmmsg`
 //!   batching (one syscall, many datagrams) behind scalar fallbacks,
 //!   kernel arrival stamps and the receive-buffer overflow count on the
@@ -58,16 +57,13 @@
 //!   accept, a slab of sessions, batched probe reads stamped by the
 //!   kernel on the core's read plan instead of on every datagram, the
 //!   core's tick as a timer entry. Thousands of sessions, one thread.
-//! * [`sender`] — the `pathload_snd` side: [`SocketTransport`], one
-//!   connection's sockets and [`tx`] core with the blocking pump over it
-//!   behind [`slops::ProbeTransport`] — the one a new transport should
-//!   copy (command→wire table: [`tx`]). The machine's blocking pump is
-//!   `slops::Session::run`, like every other `ProbeTransport`'s.
+//! * [`sender`] — [`SocketTransport`]: one connection's sockets, clock
+//!   and [`tx`] core, which the pump borrows for a session and hands
+//!   back.
 //!
 //! Binaries `pathload_snd` / `pathload_rcv` wrap these (see `src/bin`).
-//! The sender is portable; the receiver and the evented sender need
-//! Linux (epoll, timerfd, kernel arrival stamps) and fail with
-//! `Unsupported` on other Unix hosts.
+//! Both ends need Linux (epoll, timerfd, kernel arrival stamps) and fail
+//! with `Unsupported` on other Unix hosts.
 //!
 //! Localhost quick start (two terminals):
 //!
@@ -85,7 +81,7 @@
 pub mod batch;
 pub mod clock;
 // The evented pumps register raw fds (`std::os::fd`), a Unix-only
-// surface; the blocking sender stays fully portable.
+// surface.
 #[cfg(unix)]
 pub mod evented;
 pub mod mux;

@@ -1,10 +1,9 @@
 //! The readiness event loop: epoll plus a deadline timer queue.
 //!
-//! This is the substrate of the **async** socket driver and the receiver:
-//! one thread, one [`Poller`], hundreds of registered sockets, and a
-//! [`TimerQueue`] whose entries are the pacing deadlines that
-//! `pacing::pace_until` realizes by sleeping in the blocking sender.
-//! [`EventLoop`] combines the two and
+//! This is the substrate of the sender's pump and the receiver: one
+//! thread, one [`Poller`], hundreds of registered sockets, and a
+//! [`TimerQueue`] whose entries are the pacing deadlines of every stream
+//! the loop's sessions send. [`EventLoop`] combines the two and
 //! hands the caller a stream of [`MuxEvent`]s — I/O readiness keyed by the
 //! registration token, and expired timers keyed by the token they were
 //! armed with.
@@ -14,18 +13,17 @@
 //! async executor exactly as it does to a config framework, and a
 //! measurement tool needs none of an executor's machinery: no tasks, no
 //! wakers, just readiness and deadlines. On non-Linux targets the module
-//! compiles but [`Poller::new`] returns `Unsupported`, so the receiver and
-//! `monitord` refuse to start there; only the blocking sender
-//! (`pathload_snd`) is portable.
+//! compiles but [`Poller::new`] returns `Unsupported`, so `pathload_rcv`,
+//! `pathload_snd` and `monitord` refuse to start there.
 //!
 //! Timer precision: probe periods go down to 100 µs and the receiver
 //! rejects a stream whose spacing drifts by 30 %, but `epoll_wait` takes
 //! whole milliseconds. The loop therefore owns a `timerfd`, registered in
 //! its own poller under a token no host sees, and [`EventLoop::wait`]
 //! sleeps in epoll until that timer ends the sleep one spin window before
-//! the earliest deadline, then spins the remainder — the sleep-then-spin
-//! technique of `pacing::pace_until`, applied to a whole fleet's merged
-//! deadline queue instead of one blocking thread per stream. The timer is
+//! the earliest deadline, then spins the remainder — sleep-then-spin
+//! pacing (`crate::pacing`), applied to a whole fleet's merged deadline
+//! queue instead of one blocking thread per stream. The timer is
 //! re-armed only when `deadline − window` changes. The window is a
 //! [`SpinWindow`] learned from how late the timerfd actually wakes the
 //! loop (a few µs on an idle host), so the spin — the CPU a pacing loop
@@ -379,7 +377,7 @@ impl Poller {
     fn unsupported() -> io::Error {
         io::Error::new(
             io::ErrorKind::Unsupported,
-            "the epoll event loop requires Linux; only the blocking sender runs elsewhere",
+            "the epoll event loop requires Linux",
         )
     }
 }
@@ -628,9 +626,9 @@ impl EventLoop {
     /// Record loop wakeups, timer lag and the spin window into the given
     /// metric handles (register the same handles in a
     /// `telemetry::Registry` to expose them). Timer lag is the gap between
-    /// a timer's armed deadline and the `wait` wakeup that delivered it —
-    /// the fleet-level analogue of the blocking pacer's overshoot; the
-    /// spin window is how long before a deadline the loop stops sleeping.
+    /// a timer's armed deadline and the `wait` wakeup that delivered it;
+    /// the spin window is how long before a deadline the loop stops
+    /// sleeping.
     pub fn set_metrics(&mut self, wakeups: Counter, timer_lag: Histogram, spin_window: Gauge) {
         self.wakeups = Some(wakeups);
         self.timer_lag = Some(timer_lag);

@@ -4,19 +4,14 @@
 //! Periodic streams are defined by *absolute* send deadlines `t0 + i·T`;
 //! sleeping for relative intervals accumulates drift and context-switch
 //! error. A userspace sleep also wakes late by an amount the program does
-//! not choose (timer slack, scheduler latency, a busy host), so both
-//! pacers of this crate sleep until `deadline − window` and spin the
-//! remainder: a wake-up that lands inside the window still sends on the
-//! deadline to the sub-µs, and the spin — the part that costs CPU — is
-//! only as long as the wake-up error it covers. [`SpinWindow`] is that
-//! window, learned from the oversleep each pacer measures. The blocking
-//! pacer [`pace_until`] sleeps in `thread::sleep`; `mux::EventLoop::wait`
-//! sleeps in epoll on a timerfd, for a whole fleet's merged deadlines.
-//! (Why plain threads or an own loop, not an async runtime:
-//! ARCHITECTURE.md § Performance notes.)
-
-use crate::clock::MonoClock;
-use std::time::Duration;
+//! not choose (timer slack, scheduler latency, a busy host), so the pacer
+//! — `mux::EventLoop::wait`, sleeping in epoll on a timerfd for every
+//! deadline its loop holds — sleeps until `deadline − window` and spins
+//! the remainder: a wake-up that lands inside the window still sends on
+//! the deadline to the sub-µs, and the spin — the part that costs CPU —
+//! is only as long as the wake-up error it covers. [`SpinWindow`] is that
+//! window, learned from the oversleep the pacer measures. (Why an own
+//! loop, not an async runtime: ARCHITECTURE.md § Performance notes.)
 
 /// How long before a deadline a pacer stops sleeping and starts spinning.
 ///
@@ -119,64 +114,9 @@ impl Default for SpinWindow {
     }
 }
 
-/// Block until `deadline_ns` on `clock`: sleep to `deadline − window`,
-/// feed `window` the sleep's oversleep, spin the rest. Returns the
-/// overshoot in nanoseconds (0 if we were already past the deadline).
-pub fn pace_until(clock: &MonoClock, deadline_ns: u64, window: &mut SpinWindow) -> u64 {
-    let now = clock.now_ns();
-    if now >= deadline_ns {
-        return now - deadline_ns;
-    }
-    let wake = deadline_ns - window.ns();
-    if wake > now {
-        std::thread::sleep(Duration::from_nanos(wake - now));
-        window.slept(clock.now_ns().saturating_sub(wake));
-    } else {
-        window.spun();
-    }
-    loop {
-        let now = clock.now_ns();
-        if now >= deadline_ns {
-            return now - deadline_ns;
-        }
-        std::hint::spin_loop();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn hits_deadlines_with_low_overshoot() {
-        let _timed = crate::timing_test_lock();
-        let clock = MonoClock::new();
-        let mut window = SpinWindow::new();
-        let start = clock.now_ns();
-        let mut max_overshoot = 0u64;
-        for i in 1..=20u64 {
-            let deadline = start + i * 2_000_000; // every 2 ms
-            let overshoot = pace_until(&clock, deadline, &mut window);
-            max_overshoot = max_overshoot.max(overshoot);
-            assert!(clock.now_ns() >= deadline);
-        }
-        // Allow generous slack for loaded CI machines; the point is that
-        // overshoot is bounded, not that the box is an RTOS.
-        assert!(
-            max_overshoot < 2_000_000,
-            "overshoot {max_overshoot}ns is pathological"
-        );
-    }
-
-    #[test]
-    fn past_deadline_returns_immediately() {
-        let clock = MonoClock::new();
-        std::thread::sleep(Duration::from_millis(2));
-        let mut window = SpinWindow::new();
-        let overshoot = pace_until(&clock, 0, &mut window);
-        assert!(overshoot >= 2_000_000);
-        assert_eq!(window, SpinWindow::new(), "no sleep, nothing learned");
-    }
 
     #[test]
     fn the_window_starts_at_its_cap_and_waits_for_a_sample() {

@@ -810,31 +810,44 @@ mod tests {
         h.stop().unwrap();
     }
 
-    /// A blocking sender transport measures against the evented receiver.
+    /// The sender's transport, on its one-session host, measures against
+    /// the evented receiver: the first and every paced packet routed.
     #[test]
     fn blocking_transport_measures_through_the_evented_receiver() {
-        use slops::{stream_params, ProbeTransport, SlopsConfig};
+        use slops::SlopsConfig;
         use units::{Rate, TimeNs};
         let _timed = crate::timing_test_lock();
         let rx = bind();
+        let reg = telemetry::Registry::new();
+        rx.register_metrics(&reg);
+        let routed = reg.counter("receiver_demux_routed_total", &[]);
         let addr = rx.ctrl_addr();
         let h = rx.spawn();
         let mut tx = SocketTransport::connect(addr).unwrap();
+        tx.rate_cap = Rate::from_mbps(40.0);
+        let paced = telemetry::Histogram::new();
+        tx.set_pacing_histogram(paced.clone());
         let mut cfg = SlopsConfig::default();
         cfg.min_period = TimeNs::from_millis(1);
         cfg.stream_len = 50;
-        let req = stream_params(Rate::from_mbps(1.6), 0, &cfg); // 200B @ 1ms
-        let rec = tx.send_stream(&req).unwrap();
-        assert!(
-            rec.samples.len() as u32 >= req.count - 2,
-            "lost too much on loopback: {}/{}",
-            rec.samples.len(),
-            req.count
-        );
-        let trec = tx.send_train(20, 1500).unwrap();
-        assert!(trec.received >= 18, "train lost packets: {}", trec.received);
+        cfg.fleet_len = 2;
+        cfg.resolution = Rate::from_mbps(10.0);
+        cfg.grey_resolution = Rate::from_mbps(20.0);
+        cfg.max_fleets = 2;
+        let (tx, outcome) = crate::EventedSession::run_alone(tx, cfg);
+        let est = outcome.unwrap();
+        assert!(est.low <= est.high && !est.fleets.is_empty());
+        assert!(paced.count() >= 100, "two 50-packet streams at least");
         drop(tx);
         h.stop().unwrap();
+        // Every paced packet plus the initial train's made it through the
+        // demux; loopback loses none worth a tolerance.
+        assert!(
+            routed.get() > paced.count(),
+            "routed {} of {} paced",
+            routed.get(),
+            paced.count()
+        );
     }
 
     /// Turn `rx` until `done` holds (at most 5 s).

@@ -8,34 +8,30 @@
 //! is owed may take, and how a broken conversation is worded. A
 //! [`TxSession`] is one control connection's state machine; it never
 //! touches a socket, a thread or a clock — every input carries its time.
-//! Whoever pumps it, a machine command maps onto the wire like this:
+//! A machine command maps onto the wire like this:
 //!
 //! | command | on the wire | event fed back |
 //! |---|---|---|
 //! | `SendTrain { len, size }` | `TrainAnnounce`; on `Ready`, `len` packets back to back, each stamped as it leaves | `TrainDone` from the `TrainReport` |
 //! | `SendStream(req)` | `StreamAnnounce`; on `Ready` at `t`, packet `i` at `t + LEAD_IN + i·period`, actual send instants kept | `StreamDone` from the `StreamReport` |
-//! | `Idle(d)`, `Finish(est)` | nothing: the pump's own (a sleep or a timer entry; stamping `elapsed`) | `Tick` / — |
+//! | `Idle(d)`, `Finish(est)` | nothing: the pump's own (a timer entry; stamping `elapsed`) | `Tick` / — |
 //!
-//! The pumps are [`SocketTransport`](crate::SocketTransport)'s blocking
-//! `ProbeTransport` methods and the [`EventedSession`](crate::EventedSession)
-//! on an event loop. `tests/tx_conformance.rs` hand-steps this module
-//! against a scripted receiver, replays the scripts over the wire against
-//! both pumps, and runs it against [`rx::RxSession`](crate::rx::RxSession).
+//! The pump is the [`EventedSession`](crate::EventedSession) on an event
+//! loop. `tests/tx_conformance.rs` hand-steps this module against a
+//! scripted receiver, replays the scripts over the wire against the pump,
+//! and runs it against [`rx::RxSession`](crate::rx::RxSession).
 //!
-//! Decisions taken once, here, where the two shapes used to differ:
+//! Decisions taken once, here:
 //!
-//! * an RTT exchange that fails is an error (`ProbeTransport::rtt` cannot
-//!   fail and turns it into its 100 ms fallback; it used to take the
-//!   median of however many echoes came back);
+//! * an RTT exchange that fails is an error — never a made-up RTT that a
+//!   machine would be built on;
 //! * any frame the core is not waiting for — wrong id, wrong kind, a
 //!   report while probes are still due — is a protocol error naming the
-//!   state (a pump that reads no frame while it paces cannot observe the
-//!   last);
+//!   state;
 //! * one [`LEAD_IN_NS`], one [`RTT_ECHOES`], and one [`CTRL_TIMEOUT`] for
 //!   a frame the core is owed, counted from the sender's last own action
-//!   (a long stream does not eat its own budget). The evented shape used
-//!   to wait for ever; the blocking shape's socket read timeout was
-//!   worded `os error 11`.
+//!   (a long stream does not eat its own budget), worded "stalled or
+//!   half-open" when it runs out.
 
 // Datapath module: a panicking branch here takes the whole fleet down,
 // so `unwrap`/`expect` are denied outright (errors must travel as values).
@@ -60,7 +56,7 @@ pub const RTT_ECHOES: usize = 3;
 
 /// How long a frame the core is owed (`Ready`, a report, an echo) may
 /// take — far above any honest receiver's report deadline. Also the read
-/// timeout of a blocking control socket.
+/// timeout of the greeting, the one frame read blocking.
 pub const CTRL_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// What the pump does after a control frame.
@@ -410,13 +406,12 @@ impl TxSession {
 /// The diagnosis of an overdue frame.
 const STALLED: &str = "no control frame for 30 s: receiver stalled or half-open";
 
-/// A control-channel I/O failure as the transport error both pumps
-/// report. An abrupt EOF or reset almost always means the receiver went
+/// A control-channel I/O failure as the transport error the pump
+/// reports. An abrupt EOF or reset almost always means the receiver went
 /// away (crashed, or restarted — a restarted receiver mints tokens from a
 /// fresh random base, so the old connection *and* the old token are both
 /// unusable): the session must fail cleanly here rather than limp on
-/// reporting silently-empty streams. A blocking read that ran into the
-/// socket's [`CTRL_TIMEOUT`] is the stall [`TxSession::on_timeout`] words.
+/// reporting silently-empty streams.
 pub fn ctrl_io_error(e: io::Error) -> TransportError {
     TransportError::Io(match e.kind() {
         io::ErrorKind::UnexpectedEof
@@ -426,7 +421,6 @@ pub fn ctrl_io_error(e: io::Error) -> TransportError {
             "control channel closed by receiver (receiver gone or restarted; \
              reconnect for a fresh Hello and session token): {e}"
         ),
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => STALLED.to_string(),
         _ => e.to_string(),
     })
 }

@@ -5,14 +5,15 @@
 //! bottleneck; the "avail-bw" is whatever the kernel schedules), but this
 //! demonstrates the full sender/receiver protocol — UDP probe streams, TCP
 //! control channel, pacing, timestamping — end to end on a real network
-//! stack, with the very same `slops::Session` that runs on the simulator.
+//! stack, with the very same `slops::SessionMachine` that runs on the
+//! simulator, hosted the way `pathload_snd` hosts it.
 //!
 //! ```text
 //! cargo run --release --example localhost_pathload
 //! ```
 
-use availbw::pathload_net::{EventedReceiver, SocketTransport};
-use availbw::slops::{Session, SlopsConfig};
+use availbw::pathload_net::{EventedReceiver, EventedSession, SocketTransport};
+use availbw::slops::SlopsConfig;
 use availbw::units::{Rate, TimeNs};
 
 fn main() {
@@ -34,7 +35,8 @@ fn main() {
     cfg.grey_resolution = Rate::from_mbps(10.0);
     transport.rate_cap = Rate::from_mbps(60.0);
 
-    match Session::new(cfg).run(&mut transport) {
+    let (transport, outcome) = EventedSession::run_alone(transport, cfg);
+    match outcome {
         Ok(est) => {
             println!(
                 "loopback 'avail-bw' range: [{:.1}, {:.1}] Mb/s ({} fleets, {:?})",

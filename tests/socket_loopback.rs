@@ -1,13 +1,19 @@
 //! The real-socket pathload, end to end over loopback: the same
-//! `slops::Session` that drives the simulator drives real UDP/TCP sockets.
+//! `slops::SessionMachine` that runs over the simulator drives real
+//! UDP/TCP sockets, pumped by `pathload_snd`'s one-session host.
 
-// The receiver's event loop is Linux-only (epoll).
+// The sender's and the receiver's event loops are Linux-only (epoll).
 #![cfg(target_os = "linux")]
 
-use availbw::pathload_net::{EventedReceiver, EventedReceiverHandle, SocketTransport};
-use availbw::slops::machine::{Command, Event, SessionMachine};
-use availbw::slops::{ProbeTransport, Session, SlopsConfig};
+use availbw::pathload_net::clock::MonoClock;
+use availbw::pathload_net::mux::{EventLoop, MuxEvent};
+use availbw::pathload_net::{
+    EventedReceiver, EventedReceiverHandle, EventedSession, SessionTokens, SocketTransport,
+};
+use availbw::slops::{Estimate, SlopsConfig};
 use availbw::units::{Rate, TimeNs};
+use std::net::SocketAddr;
+use std::time::{Duration, Instant};
 
 fn receiver() -> EventedReceiverHandle {
     EventedReceiver::bind("127.0.0.1:0".parse().unwrap())
@@ -26,57 +32,74 @@ fn gentle_cfg() -> SlopsConfig {
     cfg
 }
 
+/// One measurement toward `addr` on the one-session host.
+fn measure(addr: SocketAddr) -> Estimate {
+    let mut t = SocketTransport::connect(addr).unwrap();
+    t.rate_cap = Rate::from_mbps(40.0);
+    let (t, outcome) = EventedSession::run_alone(t, gentle_cfg());
+    drop(t); // says `Bye`
+    outcome.expect("session")
+}
+
+/// Loopback has no bottleneck; the estimate is meaningless but the
+/// protocol must complete with sane outputs.
+fn assert_sane(est: &Estimate) {
+    assert!(est.low.bps() <= est.high.bps());
+    assert!(!est.fleets.is_empty());
+}
+
 #[test]
 fn full_session_runs_over_loopback() {
     let rx = receiver();
-    let addr = rx.ctrl_addr();
-    let mut t = SocketTransport::connect(addr).unwrap();
-    t.rate_cap = Rate::from_mbps(40.0);
-    let est = Session::new(gentle_cfg()).run(&mut t).expect("session");
-    // Loopback has no bottleneck; the estimate is meaningless but the
-    // protocol must complete with sane outputs.
-    assert!(est.low.bps() <= est.high.bps());
-    assert!(!est.fleets.is_empty());
+    let est = measure(rx.ctrl_addr());
+    assert_sane(&est);
     assert!(
         est.elapsed > TimeNs::ZERO,
         "elapsed must be wall-clock stamped"
     );
-    drop(t);
     rx.stop().unwrap();
 }
 
-/// Hand-step the sans-IO machine command by command over real sockets,
-/// through nothing but `ProbeTransport` calls, checking the strict
-/// poll/event alternation at every step — the wire-level extension of
-/// `tests/driver_equivalence.rs`'s hand-stepped contract test.
+/// The machine contract over real sockets, one event-loop wait at a
+/// time: while a command is in flight the machine's own `poll()` pends —
+/// the wire-level extension of `tests/driver_equivalence.rs`'s
+/// hand-stepped contract test.
 #[test]
 fn hand_stepped_machine_runs_over_loopback_sockets() {
     let rx = receiver();
-    let addr = rx.ctrl_addr();
-    let mut t = SocketTransport::connect(addr).unwrap();
+    let clock = MonoClock::new();
+    let mut t = SocketTransport::connect_with_clock(rx.ctrl_addr(), clock.same_epoch()).unwrap();
     t.rate_cap = Rate::from_mbps(40.0);
-    let (rtt, max_rate) = (t.rtt(), t.max_rate());
-    let mut machine = SessionMachine::new(gentle_cfg(), rtt, max_rate).unwrap();
-    let est = loop {
-        let cmd = machine.poll().expect("no command pending at loop head");
-        assert!(
-            matches!(cmd, Command::Finish(_)) || machine.poll().is_none(),
-            "machine must pend while {cmd:?} executes"
-        );
-        let event = match cmd {
-            Command::SendTrain { len, size } => Event::TrainDone(t.send_train(len, size).unwrap()),
-            Command::SendStream(req) => Event::StreamDone(t.send_stream(&req).unwrap()),
-            Command::Idle(dur) => {
-                t.idle(dur);
-                Event::Tick(t.elapsed())
-            }
-            Command::Finish(est) => break *est,
-        };
-        machine.on_event(event).expect("event answers the command");
+    let tokens = SessionTokens {
+        ctrl: 1,
+        probe: 2,
+        timer: 3,
     };
-    assert!(machine.is_finished());
-    assert!(est.low.bps() <= est.high.bps());
-    assert!(!est.fleets.is_empty());
+    let mut session = EventedSession::new(t, gentle_cfg(), tokens)
+        .map_err(|(_, e)| e)
+        .unwrap();
+    let mut lp = EventLoop::new(clock).unwrap();
+    session.register(&lp).unwrap();
+    let started = Instant::now();
+    let mut events: Vec<MuxEvent> = Vec::new();
+    let mut in_flight = 0;
+    while !session.is_finished() {
+        assert!(started.elapsed() < Duration::from_secs(30), "no outcome");
+        if session.command_in_flight() {
+            in_flight += 1;
+            let machine = session.machine_mut().expect("built before commands");
+            assert!(machine.poll().is_none(), "machine must pend mid-command");
+        }
+        events.clear();
+        lp.wait(&mut events, Duration::from_millis(50)).unwrap();
+        for ev in &events {
+            session.on_event(&mut lp, ev);
+        }
+    }
+    assert!(in_flight > 0, "no command was ever seen in flight");
+    let (t, outcome) = session.finish(&lp);
+    let est = outcome.expect("session");
+    assert_sane(&est);
     drop(t);
     rx.stop().unwrap();
 }
@@ -85,27 +108,8 @@ fn hand_stepped_machine_runs_over_loopback_sockets() {
 fn receiver_serves_two_sessions_sequentially() {
     let rx = receiver();
     let addr = rx.ctrl_addr();
-    use availbw::slops::ProbeTransport as _;
     for _ in 0..2 {
-        let mut t = SocketTransport::connect(addr).unwrap();
-        let rec = t.send_train(10, 600).unwrap();
-        assert!(rec.received >= 8);
-        drop(t);
+        assert_sane(&measure(addr));
     }
-    rx.stop().unwrap();
-}
-
-#[test]
-fn rtt_and_idle_behave() {
-    let rx = receiver();
-    let addr = rx.ctrl_addr();
-    let mut t = SocketTransport::connect(addr).unwrap();
-    let rtt = availbw::slops::ProbeTransport::rtt(&mut t);
-    assert!(rtt < TimeNs::from_millis(100), "loopback RTT {rtt}");
-    let before = availbw::slops::ProbeTransport::elapsed(&t);
-    availbw::slops::ProbeTransport::idle(&mut t, TimeNs::from_millis(20));
-    let after = availbw::slops::ProbeTransport::elapsed(&t);
-    assert!(after - before >= TimeNs::from_millis(19));
-    drop(t);
     rx.stop().unwrap();
 }

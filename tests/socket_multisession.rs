@@ -15,9 +15,11 @@ use availbw::monitord::{
     run_socket_fleet_async_with_telemetry, FleetEvent, FleetTelemetry, ScheduleConfig,
     SeriesConfig, ShutdownFlag, SocketPathSpec,
 };
-use availbw::pathload_net::proto::{CtrlMsg, PROTO_VERSION};
-use availbw::pathload_net::{EventedReceiver, EventedReceiverHandle, SocketTransport};
-use availbw::slops::{stream_params, Estimate, ProbeTransport, Session, SlopsConfig};
+use availbw::pathload_net::proto::{CtrlMsg, ProbeKind, ProbePacket, PROTO_VERSION};
+use availbw::pathload_net::{
+    EventedReceiver, EventedReceiverHandle, EventedSession, SocketTransport,
+};
+use availbw::slops::{Estimate, SlopsConfig};
 use availbw::units::{Rate, TimeNs};
 use std::net::{SocketAddr, UdpSocket};
 use std::thread;
@@ -49,7 +51,9 @@ fn receiver() -> EventedReceiverHandle {
 fn run_session(addr: SocketAddr) -> Estimate {
     let mut t = SocketTransport::connect(addr).unwrap();
     t.rate_cap = Rate::from_mbps(RATE_CAP_MBPS);
-    Session::new(gentle_cfg()).run(&mut t).expect("session")
+    let (t, outcome) = EventedSession::run_alone(t, gentle_cfg());
+    drop(t); // says `Bye`
+    outcome.expect("session")
 }
 
 fn assert_sane(est: &Estimate, what: &str) {
@@ -101,68 +105,59 @@ fn concurrent_sessions_on_shared_receiver_match_dedicated_receivers() {
 
 /// A probe stream and a probe train from *different sessions*, in flight
 /// at the same time through the shared UDP socket, do not contaminate
-/// each other's collections — even though both use id 0 (each transport
-/// numbers its own streams).
+/// each other's collections — even though both use id 0 (each connection
+/// numbers its own collections). The two clients interleave their
+/// datagrams one for one.
 #[test]
 fn interleaved_stream_and_train_do_not_cross_contaminate() {
     let rx = receiver();
     let addr = rx.ctrl_addr();
+    let mut a = RawClient::connect(addr);
+    let mut b = RawClient::connect(addr);
+    assert_ne!(a.session, b.session, "sessions must get unique tokens");
 
-    let mut ta = SocketTransport::connect(addr).unwrap();
-    let mut tb = SocketTransport::connect(addr).unwrap();
-    assert_ne!(
-        ta.session(),
-        tb.session(),
-        "sessions must get unique tokens"
-    );
-
-    let cfg = gentle_cfg();
-    let req = stream_params(Rate::from_mbps(1.6), 0, &cfg); // 200 B @ 1 ms
-    let count = req.count;
-    let a = thread::spawn(move || {
-        let rec = ta.send_stream(&req).unwrap();
-        drop(ta);
-        rec
-    });
-    let b = thread::spawn(move || {
-        let rec = tb.send_train(60, 600).unwrap();
-        drop(tb);
-        rec
-    });
-    let stream = a.join().unwrap();
-    let train = b.join().unwrap();
+    const COUNT: u32 = 50;
+    const TRAIN: u32 = 60;
+    a.announce_stream(0, COUNT, 1_000_000);
+    b.announce_train(0, TRAIN);
+    for idx in 0..TRAIN {
+        if idx < COUNT {
+            a.send_probe(a.session, 0, idx, 1_000 + idx as u64);
+        }
+        b.send_packet(&ProbePacket {
+            session: b.session,
+            kind: ProbeKind::Train,
+            id: 0,
+            idx,
+            send_ns: 0xBAD0 + idx as u64,
+        });
+    }
+    let stream = a.read_report(0);
+    let received = b.read_train_report(0);
+    a.bye();
+    b.bye();
     rx.stop().unwrap();
 
     // The stream collection saw only its own packets: no index outside
-    // the stream, no duplicates, and nearly everything arrived.
-    assert_eq!(stream.sent, count);
+    // the stream, no duplicates, no train datagram, and nearly
+    // everything arrived.
     assert!(
-        stream.samples.len() as u32 <= count,
-        "stream over-collected: {} > {count}",
-        stream.samples.len()
+        stream.len() as u32 >= COUNT - 5,
+        "stream lost too much on loopback: {}/{COUNT}",
+        stream.len()
     );
-    assert!(
-        stream.samples.len() as u32 >= count - 5,
-        "stream lost too much on loopback: {}/{count}",
-        stream.samples.len()
-    );
-    let mut idxs: Vec<u32> = stream.samples.iter().map(|s| s.idx).collect();
+    let mut idxs: Vec<u32> = stream.iter().map(|s| s.idx).collect();
     idxs.sort_unstable();
     idxs.dedup();
-    assert_eq!(idxs.len(), stream.samples.len(), "duplicate stream indices");
-    assert!(idxs.iter().all(|&i| i < count), "foreign index collected");
+    assert_eq!(idxs.len(), stream.len(), "duplicate stream indices");
+    assert!(idxs.iter().all(|&i| i < COUNT), "foreign index collected");
+    for s in &stream {
+        assert_eq!(s.send_ns, 1_000 + s.idx as u64, "a train packet collected");
+    }
 
     // The train counted only its own packets.
-    assert!(
-        train.received <= 60,
-        "train over-counted: {}",
-        train.received
-    );
-    assert!(
-        train.received >= 55,
-        "train lost too much: {}",
-        train.received
-    );
+    assert!(received <= TRAIN, "train over-counted: {received}");
+    assert!(received >= TRAIN - 5, "train lost too much: {received}");
 }
 
 /// Duplicated and reordered datagrams are collected once each, and a
@@ -283,11 +278,10 @@ fn receiver_restart_invalidates_pre_restart_tokens() {
 /// reports.
 #[test]
 fn dead_receiver_mid_session_yields_a_clean_restart_error() {
-    use availbw::slops::stream_params;
-
-    // A hand-rolled "receiver" that speaks a valid v2 Hello and then
-    // crashes (drops the connection) on the first announce — exactly what
-    // a sender observes across a receiver restart.
+    // A hand-rolled "receiver" that speaks a valid v2 Hello, answers the
+    // RTT echoes, and then crashes (drops the connection) on the first
+    // measurement announce — exactly what a sender observes across a
+    // receiver restart mid-session.
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let udp = UdpSocket::bind("127.0.0.1:0").unwrap();
@@ -301,13 +295,24 @@ fn dead_receiver_mid_session_yields_a_clean_restart_error() {
         }
         .write_to(&mut ctrl)
         .unwrap();
-        // Read the announce, then die without replying.
-        let _ = CtrlMsg::read_from(&mut ctrl).unwrap();
+        // Echo every RTT probe; die without replying on the first announce.
+        loop {
+            match CtrlMsg::read_from(&mut ctrl) {
+                Ok(CtrlMsg::Echo { token }) => CtrlMsg::Echo { token }.write_to(&mut ctrl).unwrap(),
+                Ok(CtrlMsg::StreamAnnounce { .. } | CtrlMsg::TrainAnnounce { .. }) => return true,
+                _ => return false,
+            }
+        }
     });
 
-    let mut t = SocketTransport::connect(addr).unwrap();
-    let req = stream_params(Rate::from_mbps(1.6), 0, &gentle_cfg());
-    let err = t.send_stream(&req).expect_err("the receiver is gone");
+    let t = SocketTransport::connect(addr).unwrap();
+    let (t, outcome) = EventedSession::run_alone(t, gentle_cfg());
+    drop(t);
+    let err = outcome.expect_err("the receiver is gone");
+    assert!(
+        server.join().unwrap(),
+        "the receiver must die at an announce, after the echoes"
+    );
     let msg = format!("{err:?}");
     assert!(
         msg.contains("restarted"),
@@ -317,7 +322,6 @@ fn dead_receiver_mid_session_yields_a_clean_restart_error() {
         msg.contains("Hello"),
         "the error must name the recovery (reconnect for a fresh Hello): {msg}"
     );
-    server.join().unwrap();
 }
 
 /// Probe datagrams carrying a stale token (a finished session's) or a

@@ -1,4 +1,4 @@
-//! Sender conformance: one protocol core, two pumps.
+//! Sender conformance: one protocol core, one pump.
 //!
 //! The sender's half of the wire protocol — hello, RTT echoes, announce,
 //! the probes of a train or a paced stream, the report — lives once, in
@@ -13,42 +13,30 @@
 //!    memory with explicit timestamps ([`Bench`]): exact frames, exact
 //!    deadlines (`Ready + lead-in + i·T`, to the nanosecond), exact
 //!    records, the exact instant a silent receiver becomes a stall;
-//! 2. **over the wire** — the same scripts replayed against both pumps:
-//!    the blocking [`SocketTransport`] (`ProbeTransport` calls, one
-//!    command at a time) and the [`EventedSession`] (a whole
-//!    machine-driven session on an event loop). One checker reads all
-//!    three logs; the pumps' errors are the core's, word for word;
+//! 2. **over the wire** — the same scripts replayed against the pump, an
+//!    [`EventedSession`] running a whole machine-driven session on a
+//!    loop of its own ([`EventedSession::run_alone`], `pathload_snd`'s
+//!    host). One checker reads both logs; the pump's errors are the
+//!    core's, word for word, a receiver that dies mid-echo included;
 //! 3. **core against core** — `TxSession` and `rx::RxSession` holding the
 //!    whole conversation in memory over a constant one-way delay.
 //!
-//! What the blocking pump cannot observe: it reads no control frame while
-//! it has probes due, so a frame that arrives before them
-//! (`report_before_any_probe`) is only read after the last probe went
-//! out, where it is the expected report. That script runs against the core and the evented
-//! pump alone, as `rx_conformance` keeps `announce_during_a_collection`
-//! from the threaded receiver.
-//!
-//! The wire half of this file (everything but the hand-stepped and
-//! core-against-core sections and the check that an error names the
-//! core's state) was written and passed against both pumps at the parent
-//! commit, before `TxSession` existed.
+//! The wire half of this file predates `TxSession`: it was written
+//! against the pumps, not the core, and holds the pump to the far end's
+//! view alone.
 
 // The evented pump is Unix-only (raw-fd registration with epoll).
 #![cfg(unix)]
 
 use availbw::pathload_net::clock::MonoClock;
-use availbw::pathload_net::mux::{EventLoop, MuxEvent};
 use availbw::pathload_net::proto::{
     CtrlMsg, ProbeKind, ProbePacket, SampleWire, DENY_AT_CAPACITY, PROBE_HEADER_LEN, PROTO_VERSION,
 };
 use availbw::pathload_net::rx::{Admission, CtrlAction, RxSession, POLL_TIMEOUT};
 use availbw::pathload_net::tx::{self, Due, Outcome, Step, TxSession, CTRL_TIMEOUT};
-use availbw::pathload_net::{EventedSession, SessionTokens, SocketTransport};
+use availbw::pathload_net::{EventedSession, SocketTransport};
 use availbw::slops::machine::{Command, Event};
-use availbw::slops::{
-    InitialRate, ProbeTransport, SlopsConfig, SlopsError, StreamRecord, StreamRequest, TrainRecord,
-    TransportError,
-};
+use availbw::slops::{InitialRate, SlopsConfig, SlopsError, StreamRequest, TransportError};
 use availbw::telemetry::Histogram;
 use availbw::units::{Rate, TimeNs};
 use std::collections::VecDeque;
@@ -88,6 +76,9 @@ enum Fault {
     ReportEarly,
     /// `Ready`, the probes are taken, and then nothing, ever.
     Silent,
+    /// The connection is closed on the n-th RTT echo (not on an
+    /// announce), unanswered: a receiver that dies mid-echo.
+    HangUpMidEchoes,
 }
 
 /// One announce as the far end lived it.
@@ -129,6 +120,8 @@ struct Far {
     collections: Vec<Collection>,
     /// True between a `Ready` and the report (or what replaces it).
     collecting: bool,
+    /// The script closed the connection.
+    hung_up: bool,
 }
 
 impl Far {
@@ -138,6 +131,7 @@ impl Far {
             frames: Vec::new(),
             collections: Vec::new(),
             collecting: false,
+            hung_up: false,
         }
     }
 
@@ -153,7 +147,13 @@ impl Far {
     fn on_frame(&mut self, msg: CtrlMsg, now_ns: u64) -> Vec<CtrlMsg> {
         self.frames.push(msg.clone());
         match msg {
-            CtrlMsg::Echo { token } => vec![CtrlMsg::Echo { token }],
+            CtrlMsg::Echo { token } => {
+                self.hung_up = self.fault == Some((token as usize, Fault::HangUpMidEchoes));
+                if self.hung_up {
+                    return Vec::new();
+                }
+                vec![CtrlMsg::Echo { token }]
+            }
             CtrlMsg::StreamAnnounce { id, .. } | CtrlMsg::TrainAnnounce { id, .. } => {
                 self.collections.push(Collection {
                     announce: msg,
@@ -305,9 +305,9 @@ impl Bench {
         }
     }
 
-    /// What `run_blocking` asks of the blocking pump, asked of the core:
-    /// RTT, an 8-byte train, [`BLOCKING_STREAM`], a 100-byte train — and
-    /// the `Bye` a pump says when its transport drops.
+    /// The scripted conversation, asked of the core: RTT, an 8-byte
+    /// train, [`SCRIPT_STREAM`], a 100-byte train — and the `Bye` a pump
+    /// says when its transport drops.
     fn conversation(&mut self) -> Result<(TimeNs, Vec<Event>), TransportError> {
         let result = (|| {
             let echo = self.tx.begin_rtt(self.now);
@@ -319,7 +319,7 @@ impl Bench {
                     len: TRAIN_LEN,
                     size: 8,
                 })?,
-                self.command(&Command::SendStream(BLOCKING_STREAM))?,
+                self.command(&Command::SendStream(SCRIPT_STREAM))?,
                 self.command(&Command::SendTrain { len: 3, size: 100 })?,
             ];
             Ok((rtt, events))
@@ -329,9 +329,9 @@ impl Bench {
     }
 }
 
-/// The fault-free conversation, hand-stepped: the blocking pump's frames,
-/// every deadline and every record to the nanosecond, pacing error
-/// observed by the core.
+/// The fault-free conversation, hand-stepped: the exact frames (down to
+/// their bytes), the 32-byte floor, every deadline and every record to
+/// the nanosecond, pacing error observed by the core.
 #[test]
 fn hand_stepped_core_holds_the_scripted_conversation() {
     let mut bench = Bench::new(None);
@@ -339,7 +339,15 @@ fn hand_stepped_core_holds_the_scripted_conversation() {
     bench.tx.set_pacing_histogram(pacing.clone());
     let (rtt, events) = bench.conversation().expect("a fault-free run");
     check_conversation("core", &bench.far, 3);
-    assert_eq!(bench.far.frames, blocking_frames());
+    let want = scripted_frames();
+    assert_eq!(bench.far.frames, want);
+    assert_eq!(encode(&bench.far.frames), encode(&want));
+    // Wire protocol v2, literally: the two announce layouts.
+    let mut literal = vec![13, 0, 0, 0, 5, 0, 0, 0, 0, 48, 0, 0, 0, 32, 0, 0, 0];
+    literal.extend([21, 0, 0, 0, 2, 1, 0, 0, 0, 12, 0, 0, 0]);
+    literal.extend(1_000_000u64.to_le_bytes());
+    literal.extend([32, 0, 0, 0]);
+    assert_eq!(encode(&bench.far.frames[3..5]), literal);
     assert_eq!(
         rtt,
         TimeNs::from_nanos(2 * FRAME_NS),
@@ -611,8 +619,9 @@ fn tx_against_rx_in_memory() {
 // ---- over the wire ----------------------------------------------------
 
 /// Serve one control connection with `far`'s decisions on `server`'s
-/// sockets until the sender hangs up. `clock` shares the sender's epoch,
-/// so `ready_ns` and the probes' `send_ns` are on one timeline.
+/// sockets until the sender hangs up (or the script does). `clock`
+/// shares the sender's epoch, so `ready_ns` and the probes' `send_ns`
+/// are on one timeline.
 fn serve(server: &RawServer, clock: &MonoClock, mut far: Far) -> Far {
     let hello = CtrlMsg::Hello {
         version: PROTO_VERSION,
@@ -624,6 +633,9 @@ fn serve(server: &RawServer, clock: &MonoClock, mut far: Far) -> Far {
         // Stamped before the replies are written (in one segment, so a
         // sender reads them in one go): it reads `Ready` no earlier.
         let replies = far.on_frame(msg, clock.now_ns());
+        if far.hung_up {
+            break; // closes the connection
+        }
         let _ = ctrl.write_all(&encode(&replies));
         while far.collecting {
             // Silence means the sender gave up on this command (a fault
@@ -653,56 +665,24 @@ fn start_far(
     (addr, clock, handle)
 }
 
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum Pump {
-    Blocking,
-    Evented,
-}
-
 /// What one pump run left behind.
 struct Run {
     far: Far,
-    /// The error the sender's side ended with; without one, the records
-    /// the blocking pump built (the evented pump's go to its machine).
-    outcome: Result<Option<(TrainRecord, StreamRecord, TrainRecord)>, String>,
+    /// The error the sender's side ended with, if any.
+    outcome: Result<(), String>,
 }
 
-/// The stream the blocking pump is asked for: an 8-byte packet, which
-/// must go out as a bare 32-byte header.
-const BLOCKING_STREAM: StreamRequest = StreamRequest {
+/// The stream of the scripted conversation: an 8-byte packet, which must
+/// go out as a bare 32-byte header.
+const SCRIPT_STREAM: StreamRequest = StreamRequest {
     stream_id: 0,
     packet_size: 8,
     period: TimeNs::from_millis(1),
     count: 12,
 };
 
-/// The blocking pump: RTT, an 8-byte train, [`BLOCKING_STREAM`], a
-/// 100-byte train, drop — stopping at the first error.
-fn run_blocking(fault: Option<(usize, Fault)>) -> Run {
-    let (addr, clock, far) = start_far(fault);
-    let mut tx = SocketTransport::connect_with_clock(addr, clock).unwrap();
-    assert_eq!(tx.session(), TOKEN, "the token is the one Hello carried");
-    let rtt = tx.rtt();
-    assert!(
-        rtt < TimeNs::from_millis(100),
-        "three answered echoes, yet the fallback RTT: {rtt}"
-    );
-    let records = (|| -> Result<_, TransportError> {
-        Ok((
-            tx.send_train(TRAIN_LEN, 8)?,
-            tx.send_stream(&BLOCKING_STREAM)?,
-            tx.send_train(3, 100)?,
-        ))
-    })();
-    drop(tx);
-    Run {
-        far: far.join().unwrap(),
-        outcome: records.map(Some).map_err(|e| e.to_string()),
-    }
-}
-
-/// The session the evented pump runs: an 8-byte initial train, then two
-/// short fleets of 12-packet streams, one RTT of idle between streams.
+/// The session the pump runs: an 8-byte initial train, then two short
+/// fleets of 12-packet streams, one RTT of idle between streams.
 fn evented_cfg() -> SlopsConfig {
     let mut cfg = SlopsConfig::default();
     cfg.initial = InitialRate::Train {
@@ -720,61 +700,36 @@ fn evented_cfg() -> SlopsConfig {
     cfg
 }
 
-/// Pump one [`EventedSession`] to its outcome on a loop of its own;
-/// `patience` bounds the wait. Returns the outcome and how long it took.
-fn pump_evented(
+/// Run one session on the one-session host, `patience` bounding the
+/// wait. Returns the outcome and how long it took.
+fn host(
     addr: std::net::SocketAddr,
     clock: &MonoClock,
     patience: Duration,
 ) -> (Result<(), SlopsError>, Duration) {
     let mut transport = SocketTransport::connect_with_clock(addr, clock.same_epoch()).unwrap();
     transport.rate_cap = Rate::from_mbps(30.0);
-    let tokens = SessionTokens {
-        ctrl: 1,
-        probe: 2,
-        timer: 3,
-    };
-    let mut session = EventedSession::new(transport, evented_cfg(), tokens)
-        .map_err(|(_, e)| e)
-        .unwrap();
-    let mut lp = EventLoop::new(clock.same_epoch()).unwrap();
-    session.register(&lp).unwrap();
     let started = Instant::now();
-    let mut events: Vec<MuxEvent> = Vec::new();
-    while !session.is_finished() && started.elapsed() < patience {
-        events.clear();
-        lp.wait(&mut events, Duration::from_millis(50)).unwrap();
-        for ev in &events {
-            session.on_event(&mut lp, ev);
-        }
-    }
-    let took = started.elapsed();
-    let outcome = if session.is_finished() {
-        let (transport, outcome) = session.finish(&lp);
+    let (done, outcome) = std::sync::mpsc::channel();
+    thread::spawn(move || {
+        let (transport, outcome) = EventedSession::run_alone(transport, evented_cfg());
         drop(transport); // says `Bye`
-        outcome.map(|_| ())
-    } else {
-        drop(session.abort(&lp));
+        let _ = done.send(outcome.map(|_| ()));
+    });
+    let outcome = outcome.recv_timeout(patience).unwrap_or_else(|_| {
         Err(SlopsError::Transport(TransportError::Io(format!(
-            "still waiting after {took:?}"
+            "still waiting after {patience:?}"
         ))))
-    };
-    (outcome, took)
+    });
+    (outcome, started.elapsed())
 }
 
-fn run_evented(fault: Option<(usize, Fault)>) -> Run {
+fn run(fault: Option<(usize, Fault)>) -> Run {
     let (addr, clock, far) = start_far(fault);
-    let (outcome, _) = pump_evented(addr, &clock, Duration::from_secs(20));
+    let (outcome, _) = host(addr, &clock, Duration::from_secs(20));
     Run {
         far: far.join().unwrap(),
-        outcome: outcome.map(|()| None).map_err(|e| e.to_string()),
-    }
-}
-
-fn run(pump: Pump, fault: Option<(usize, Fault)>) -> Run {
-    match pump {
-        Pump::Blocking => run_blocking(fault),
-        Pump::Evented => run_evented(fault),
+        outcome: outcome.map_err(|e| e.to_string()),
     }
 }
 
@@ -786,8 +741,8 @@ fn encode(frames: &[CtrlMsg]) -> Vec<u8> {
     bytes
 }
 
-/// What every conversation must look like from the far end, whichever
-/// pump held the near end: three echoes, announces whose ids count up
+/// What every conversation must look like from the far end, whether the
+/// pump or the hand-stepped core held the near end: three echoes, announces whose ids count up
 /// from 0 across trains and streams, `Bye` last; per announce the probes
 /// the protocol promises. `complete` is how many announces ran to their
 /// report (a fault script stops the sender short of the last one).
@@ -854,9 +809,9 @@ fn check_conversation(who: &str, far: &Far, complete: usize) {
     }
 }
 
-/// Every frame the scripted blocking conversation puts on the control
-/// channel (and, `Bye` aside, the hand-stepped core hands out).
-fn blocking_frames() -> Vec<CtrlMsg> {
+/// Every frame the scripted conversation puts on the control channel
+/// (`Bye` included: the far end logs it when the conversation ends).
+fn scripted_frames() -> Vec<CtrlMsg> {
     vec![
         CtrlMsg::Echo { token: 0 },
         CtrlMsg::Echo { token: 1 },
@@ -881,47 +836,12 @@ fn blocking_frames() -> Vec<CtrlMsg> {
     ]
 }
 
-/// The fault-free conversation on the blocking pump: the exact frames
-/// (down to their bytes), the 32-byte floor, and records that say what
-/// the far end saw.
-#[test]
-fn blocking_pump_holds_the_scripted_conversation() {
-    let run = run_blocking(None);
-    let records = run.outcome.expect("a fault-free run");
-    check_conversation("blocking", &run.far, 3);
-    let want = blocking_frames();
-    assert_eq!(run.far.frames, want);
-    assert_eq!(encode(&run.far.frames), encode(&want));
-    // Wire protocol v2, literally: the two announce layouts.
-    let mut literal = vec![13, 0, 0, 0, 5, 0, 0, 0, 0, 48, 0, 0, 0, 32, 0, 0, 0];
-    literal.extend([21, 0, 0, 0, 2, 1, 0, 0, 0, 12, 0, 0, 0]);
-    literal.extend(1_000_000u64.to_le_bytes());
-    literal.extend([32, 0, 0, 0]);
-    assert_eq!(encode(&run.far.frames[3..5]), literal);
-
-    let (train, stream, _) = records.expect("the blocking pump's records");
-    let seen = &run.far.collections[0].probes;
-    assert_eq!(
-        (train.sent, train.received, train.size),
-        (TRAIN_LEN, TRAIN_LEN, 32)
-    );
-    assert_eq!(train.first_recv, TimeNs::from_nanos(seen[0].2));
-    assert_eq!(train.last_recv, TimeNs::from_nanos(seen[47].2));
-    let seen = &run.far.collections[1].probes;
-    assert_eq!((stream.sent, stream.samples.len()), (12, 12));
-    for (s, &(p, _, recv_ns)) in stream.samples.iter().zip(seen) {
-        assert_eq!(s.idx, p.idx);
-        assert_eq!(s.owd_ns, recv_ns as i64 - p.send_ns as i64);
-        assert_eq!(s.send_offset.as_nanos(), p.send_ns - seen[0].0.send_ns);
-    }
-}
-
-/// The same conversation with a machine in charge of the commands: the
-/// evented pump's frames and probes pass the same checker, its first
-/// announce is byte for byte the blocking pump's.
+/// The scripted conversation with a machine in charge of the commands:
+/// the pump's frames and probes pass the checker, its first announce is
+/// byte for byte the hand-stepped core's.
 #[test]
 fn evented_pump_holds_the_scripted_conversation() {
-    let run = run_evented(None);
+    let run = run(None);
     run.outcome.expect("a fault-free run");
     check_conversation("evented", &run.far, run.far.collections.len());
     let first = CtrlMsg::TrainAnnounce {
@@ -946,9 +866,6 @@ struct Script {
     quotes: &'static str,
     /// The core state the error must name.
     state: &'static str,
-    /// False only where the blocking pump cannot observe the input (see
-    /// the module docs).
-    blocking: bool,
 }
 
 const SCRIPTS: [Script; 7] = [
@@ -957,72 +874,59 @@ const SCRIPTS: [Script; 7] = [
         fault: (0, Fault::ReadyWrongId),
         quotes: "Ready { id: 7 }",
         state: "AwaitReady",
-        blocking: true,
     },
     Script {
         name: "ready_wrong_id_for_a_stream",
         fault: (1, Fault::ReadyWrongId),
         quotes: "Ready { id: 8 }",
         state: "AwaitReady",
-        blocking: true,
     },
     Script {
         name: "train_report_wrong_id",
         fault: (0, Fault::ReportWrongId),
         quotes: "TrainReport { id: 7,",
         state: "AwaitReport",
-        blocking: true,
     },
     Script {
         name: "stream_report_wrong_id",
         fault: (1, Fault::ReportWrongId),
         quotes: "StreamReport { id: 8,",
         state: "AwaitReport",
-        blocking: true,
     },
     Script {
         name: "stream_report_for_a_train",
         fault: (0, Fault::ReportWrongKind),
         quotes: "StreamReport { id: 0,",
         state: "AwaitReport",
-        blocking: true,
     },
     Script {
         name: "train_report_for_a_stream",
         fault: (1, Fault::ReportWrongKind),
         quotes: "TrainReport { id: 1,",
         state: "AwaitReport",
-        blocking: true,
     },
     Script {
         name: "report_before_any_probe",
         fault: (1, Fault::ReportEarly),
         quotes: "StreamReport { id: 1,",
         state: "Sending",
-        blocking: false,
     },
 ];
 
-/// Every fault script against both pumps at once: the sender ends with an
-/// error that quotes the frame it refused, announces nothing after it,
-/// and still says `Bye`.
+/// Every fault script against the pump, all at once: the sender ends
+/// with an error that quotes the frame it refused, announces nothing
+/// after it, and still says `Bye`.
 #[test]
 fn both_pumps_refuse_the_scripted_faults() {
     let runs: Vec<_> = SCRIPTS
         .iter()
-        .flat_map(|script| {
-            let mut pumps = vec![Pump::Evented];
-            if script.blocking {
-                pumps.push(Pump::Blocking);
-            }
-            pumps.into_iter().map(move |pump| {
-                let fault = script.fault;
-                (script, pump, thread::spawn(move || run(pump, Some(fault))))
-            })
+        .map(|script| {
+            let fault = script.fault;
+            (script, thread::spawn(move || run(Some(fault))))
         })
         .collect();
-    for (script, pump, handle) in runs {
-        let who = format!("{} on {pump:?}", script.name);
+    for (script, handle) in runs {
+        let who = script.name;
         let run = handle.join().unwrap_or_else(|_| panic!("{who} panicked"));
         let Err(error) = run.outcome else {
             panic!("{who}: the fault went unnoticed");
@@ -1034,8 +938,28 @@ fn both_pumps_refuse_the_scripted_faults() {
             script.fault.0 + 1,
             "{who}: announced again after a protocol error"
         );
-        check_conversation(&who, &run.far, script.fault.0);
+        check_conversation(who, &run.far, script.fault.0);
     }
+}
+
+/// A receiver that greets and then dies during the RTT echoes fails the
+/// session with the core's worded control-channel error — not a made-up
+/// RTT that a machine is built on, and then an unrelated write error —
+/// and the sender announces nothing.
+#[test]
+fn a_receiver_that_dies_mid_echo_fails_the_session_before_any_announce() {
+    let (addr, clock, far) = start_far(Some((1, Fault::HangUpMidEchoes)));
+    let (outcome, _) = host(addr, &clock, Duration::from_secs(20));
+    let error = outcome.expect_err("the receiver is gone").to_string();
+    assert!(error.contains("receiver gone or restarted"), "{error}");
+    assert!(error.contains("fresh Hello"), "{error}");
+    let far = far.join().unwrap();
+    let echoes: Vec<_> = (0..2).map(|token| CtrlMsg::Echo { token }).collect();
+    assert_eq!(far.frames, echoes, "echo 1 went unanswered: nothing after");
+    assert!(
+        far.collections.is_empty(),
+        "an announce after a dead channel"
+    );
 }
 
 /// What `connect` makes of the greeting: a `Deny` is `ConnectionRefused`
@@ -1083,7 +1007,7 @@ fn the_greeting_is_checked_before_anything_is_sent() {
 #[ignore = "waits out the 30 s control-channel timeout"]
 fn silent_receiver_fails_the_evented_session_instead_of_hanging() {
     let (addr, clock, far) = start_far(Some((0, Fault::Silent)));
-    let (outcome, took) = pump_evented(addr, &clock, Duration::from_secs(40));
+    let (outcome, took) = host(addr, &clock, Duration::from_secs(40));
     let error = outcome.expect_err("a silent receiver").to_string();
     assert!(error.contains("stalled or half-open"), "{error}");
     assert!(took < Duration::from_secs(31), "failed only after {took:?}");

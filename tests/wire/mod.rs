@@ -73,6 +73,16 @@ impl RawClient {
         assert_eq!(self.recv().unwrap(), CtrlMsg::Ready { id });
     }
 
+    /// Announce a train and wait for `Ready`.
+    pub fn announce_train(&mut self, id: u32, count: u32) {
+        self.send(&CtrlMsg::TrainAnnounce {
+            id,
+            count,
+            size: 64,
+        });
+        assert_eq!(self.recv().unwrap(), CtrlMsg::Ready { id });
+    }
+
     /// Send one stream-kind probe datagram with an arbitrary (possibly
     /// stale) token.
     pub fn send_probe(&self, session: u64, id: u32, idx: u32, send_ns: u64) {
@@ -100,6 +110,19 @@ impl RawClient {
                 samples
             }
             other => panic!("expected StreamReport, got {other:?}"),
+        }
+    }
+
+    /// Read the report of train `id`: how many of its packets arrived.
+    pub fn read_train_report(&mut self, id: u32) -> u32 {
+        match self.recv().unwrap() {
+            CtrlMsg::TrainReport {
+                id: got, received, ..
+            } => {
+                assert_eq!(got, id);
+                received
+            }
+            other => panic!("expected TrainReport, got {other:?}"),
         }
     }
 
