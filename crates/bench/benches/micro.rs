@@ -1,6 +1,6 @@
 //! Criterion micro-benchmarks of the hot paths: trend statistics, OWD
-//! preprocessing, the simulator's event loop, the PRNG, and the rate
-//! search.
+//! preprocessing, the simulator's event loop, a link pulling its cross
+//! traffic, the PRNG, and the rate search.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
@@ -66,6 +66,141 @@ fn bench_event_loop(c: &mut Criterion) {
     });
 }
 
+/// A link pulling its one-hop cross traffic, with nothing else running:
+/// 60 s of the default `PaperPath` (five hops, ten Pareto sources each, no
+/// probe) after its warm-up, as ns per attached arrival — next to the same
+/// path on CBR sources of the paper mix's mean size, whose draws, merge
+/// order and queue states never vary: the floor a branch-light chain of
+/// draw → merge → FIFO can approach. The Pareto figure is then split: the
+/// draws alone (every source fired round-robin, no link), and draws plus
+/// merge (the same sources attached but silent, so no packet reaches a
+/// FIFO: the pull loop, its call per firing and the loser tree); the FIFO
+/// is what is left.
+fn bench_link_pull(c: &mut Criterion) {
+    use netsim::{ArrivalProcess, LinkConfig, Prng, Simulator};
+    use simprobe::scenarios::{PaperPath, PaperPathConfig};
+    use std::time::Instant;
+    use traffic::{RenewalArrivals, SourceConfig};
+    use units::TimeNs;
+    const SPAN: TimeNs = TimeNs::from_secs(60);
+
+    /// Best of three timings of `run`, as ns per unit of what it returns.
+    fn ns_per(mut run: impl FnMut() -> (std::time::Duration, u64)) -> f64 {
+        (0..3)
+            .map(|_| {
+                let (spent, n) = run();
+                spent.as_nanos() as f64 / n as f64
+            })
+            .fold(f64::INFINITY, f64::min)
+    }
+    /// A source that draws as it would, but sends nothing.
+    #[derive(Debug)]
+    struct Silent(RenewalArrivals);
+    impl ArrivalProcess for Silent {
+        fn fire(&mut self, at: TimeNs) -> (Option<u32>, TimeNs) {
+            (None, self.0.fire(at).1)
+        }
+    }
+
+    let mut totals = Vec::new();
+    for (name, source_cfg) in [
+        ("pareto", SourceConfig::paper_pareto()),
+        ("cbr", SourceConfig::cbr(441)),
+    ] {
+        let cfg = PaperPathConfig {
+            source_cfg,
+            ..PaperPathConfig::default()
+        };
+        let build = || PaperPath::build(&cfg, 7).into_transport().into_sim();
+        let ns = ns_per(|| {
+            let mut sim = build();
+            let before = sim.engine_stats().attached_arrivals;
+            let until = sim.now() + SPAN;
+            let t0 = Instant::now();
+            sim.run_until(until);
+            (t0.elapsed(), sim.engine_stats().attached_arrivals - before)
+        });
+        println!("link_pull_paper_path {name:<6} {ns:>6.1} ns per attached arrival (best of 3)");
+        totals.push(ns);
+        c.bench_function(&format!("link_pull_paper_path_{name}_60s"), |b| {
+            b.iter_batched(
+                build,
+                |mut sim| {
+                    let until = sim.now() + SPAN;
+                    sim.run_until(until);
+                    black_box(sim.engine_stats().attached_arrivals)
+                },
+                BatchSize::LargeInput,
+            )
+        });
+    }
+
+    // The split, on the default path's sources (same rates, same seeds).
+    let cfg = PaperPathConfig::default();
+    let sources = || -> Vec<Vec<RenewalArrivals>> {
+        let seeds = Prng::new(7);
+        (cfg.loads().iter().enumerate())
+            .map(|(hop, load)| {
+                let rate = load.capacity * load.util / load.n_sources as f64;
+                (0..load.n_sources)
+                    .map(|i| {
+                        let rng = seeds.derive((hop * load.n_sources + i) as u64);
+                        RenewalArrivals::new(&cfg.source_cfg, rate, rng)
+                    })
+                    .collect()
+            })
+            .collect()
+    };
+    let draw = ns_per(|| {
+        let mut all: Vec<RenewalArrivals> = sources().into_iter().flatten().collect();
+        let fires = 13_000u64;
+        let t0 = Instant::now();
+        for source in &mut all {
+            let mut at = TimeNs::ZERO;
+            for _ in 0..fires {
+                at = source.fire(at).1;
+            }
+            black_box(at);
+        }
+        (t0.elapsed(), fires * all.len() as u64)
+    });
+    let first_at = |i: usize| TimeNs::from_micros(7_919 * i as u64);
+    // Firings through the span, counted by replaying the draws untimed.
+    let firings: u64 = (sources().into_iter())
+        .flat_map(|hop| hop.into_iter().enumerate())
+        .map(|(i, mut source)| {
+            let (mut at, mut n) = (first_at(i), 0);
+            while at <= SPAN {
+                at = source.fire(at).1;
+                n += 1;
+            }
+            n
+        })
+        .sum();
+    let draw_merge = ns_per(|| {
+        let mut sim = Simulator::new(7);
+        let sink = sim.add_app(Box::new(netsim::app::CountingSink::default()));
+        for (load, hop) in cfg.loads().iter().zip(sources()) {
+            let link = sim.add_link(LinkConfig::new(load.capacity, TimeNs::from_millis(10)));
+            sim.route(&[link], sink);
+            for (i, source) in hop.into_iter().enumerate() {
+                sim.attach_arrivals(link, sink, Box::new(Silent(source)), first_at(i));
+            }
+        }
+        let t0 = Instant::now();
+        sim.run_until(SPAN);
+        (t0.elapsed(), firings)
+    });
+    println!(
+        "link_pull_paper_path split  draw {draw:.1} + merge {:.1} + FIFO {:.1} ns \
+         (Pareto total {:.1}, CBR floor {:.1})",
+        draw_merge - draw,
+        totals[0] - draw_merge,
+        totals[0],
+        totals[1],
+    );
+}
+
 fn bench_rate_search(c: &mut Criterion) {
     use slops::{FleetOutcome, RateSearch};
     use units::Rate;
@@ -113,6 +248,7 @@ criterion_group!(
     bench_trend_stats,
     bench_prng,
     bench_event_loop,
+    bench_link_pull,
     bench_rate_search,
     bench_fluid
 );

@@ -60,6 +60,7 @@ pub mod rng;
 pub mod shard;
 pub mod sim;
 pub mod topology;
+mod tournament;
 
 pub use app::{App, AppId, Ctx};
 pub use link::{ArrivalProcess, Link, LinkConfig, LinkId, LinkStats};

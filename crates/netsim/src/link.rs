@@ -44,12 +44,16 @@
 //! What the sink would have counted is kept exact at any boundary: an
 //! accepted packet joins, on departure, a FIFO of packets in propagation
 //! and is credited once its delivery instant `depart + prop_delay` is `≤`
-//! the clock the drain has reached; the engine moves the credit into the
-//! `CountingSink` at every run boundary.
+//! the clock the drain has reached. Arrivals credit in blocks — once 16
+//! packets have been delivered, or when the FIFO is full and crediting
+//! makes room instead of growing it — and a boundary credits everything
+//! due, so the FIFO holds one propagation delay of arrivals (plus under a
+//! block) however long the gap being settled; the engine moves the credit
+//! into the `CountingSink` at every run boundary.
 //!
 //! **Tie rules.** An event arrival at `t` precedes an attached arrival at
-//! `t`. Attached arrivals at one instant fire in arming order: the heap of
-//! processes is keyed `(fire time, arming stamp)`, the stamp a per-link
+//! `t`. Attached arrivals at one instant fire in arming order: the merge
+//! of processes is keyed `(fire time, arming stamp)`, the stamp a per-link
 //! counter bumped on every (re)arm — the order event sequence numbers gave
 //! the same sources' timers. Both rules are what a timer-driven source
 //! does: its send at `t` queues behind an arrival already due at the link
@@ -58,13 +62,34 @@
 //! order they do not reproduce is an *app* whose own send at `t` goes
 //! inline after a source timer armed earlier fired at that same
 //! nanosecond; there the event arrival now goes first.
+//!
+//! # The per-arrival chain, branch-light
+//!
+//! A pulled arrival is a draw, a merge step and the FIFO arithmetic, and
+//! on random cross traffic every data-dependent branch in that chain is a
+//! coin flip the CPU mispredicts. So the chain avoids them (the draws
+//! too: a renewal source draws its sizes and gaps a block at a time, see
+//! `traffic::RenewalArrivals`):
+//! - the processes are merged by a loser tree (`crate::tournament`): one
+//!   leaf per process, keyed by its packed `u128` `(fire time, arming
+//!   stamp)`, padded to a power of two, so replaying the fired process
+//!   takes exactly ⌈log₂ n⌉ compares resolved by selects. Stamps are
+//!   unique, so the tree fires in the very order the binary heap it
+//!   replaced did, ties included;
+//! - the departure of the last accepted packet is kept, so a packet
+//!   starts at `max(now, tail departure)` and an idle and a busy server
+//!   take the same path; only RED and fault injection, when configured,
+//!   take a branch of their own;
+//! - transmission times come from an 8-slot memo per link, keyed by size;
+//! - the [`UtilMonitor`] keeps its current window's bounds and divides
+//!   only when a departure leaves it.
 
 use crate::app::AppId;
 use crate::monitor::UtilMonitor;
 use crate::red::{RedConfig, RedState};
 use crate::rng::Prng;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use crate::tournament::LoserTree;
+use std::collections::VecDeque;
 use std::fmt::Debug;
 use units::{Rate, TimeNs};
 
@@ -192,6 +217,19 @@ pub(crate) struct SinkCredit {
 /// engine's business.
 const NO_SINK: u32 = u32::MAX;
 
+/// Delivered attached packets an arrival lets pile up in propagation
+/// before it credits their sinks (a boundary credits them all).
+const DELIVER_EVERY: usize = 16;
+
+/// Slots of a link's memo of transmission time per packet size.
+const TX_MEMO: usize = 8;
+
+/// A process's key in the merge: `(fire time, arming stamp)` packed so one
+/// `u128` compare orders both.
+fn due_key(at: TimeNs, stamp: u64) -> u128 {
+    (u128::from(at.as_nanos()) << 64) | u128::from(stamp)
+}
+
 /// One accepted packet: when it leaves the link, and what to credit then.
 #[derive(Clone, Copy, Debug)]
 struct Tx {
@@ -212,6 +250,14 @@ pub struct Link {
     fifo: VecDeque<Tx>,
     /// Bytes in `fifo` (waiting plus in service).
     backlog_bytes: u64,
+    /// When the last accepted packet departs: once settled to `now`, the
+    /// link is busy iff this is after `now`.
+    tail_depart: TimeNs,
+    /// No RED and no fault injection: nothing but the buffer drops.
+    drop_tail: bool,
+    /// `(size, transmission ns)` at slot `size % TX_MEMO`. Size 0 takes
+    /// 0 ns, so the all-zero start is a valid memo.
+    tx_memo: [(u32, u64); TX_MEMO],
     /// Running counters.
     pub stats: LinkStats,
     monitor: UtilMonitor,
@@ -219,8 +265,9 @@ pub struct Link {
     rng: Prng,
     /// Attached processes, each with the index of its sink in `credits`.
     attached: Vec<(Box<dyn ArrivalProcess>, u32)>,
-    /// Min-heap of `(fire time, arming stamp, index into attached)`.
-    due: BinaryHeap<Reverse<(TimeNs, u64, u32)>>,
+    /// The processes' merge: leaf `i` is `attached[i]`, keyed
+    /// [`due_key`] of its next firing.
+    due: LoserTree,
     next_stamp: u64,
     /// Attached packets that left the link and have not reached their
     /// sink yet: `(delivery instant, size, index into credits)`, ascending.
@@ -234,16 +281,20 @@ impl Link {
     pub(crate) fn new(cfg: LinkConfig, rng: Prng) -> Link {
         let monitor = UtilMonitor::new(cfg.monitor_window);
         let red = cfg.red.map(RedState::new);
+        let drop_tail = red.is_none() && cfg.drop_prob == 0.0;
         Link {
             cfg,
             fifo: VecDeque::new(),
             backlog_bytes: 0,
+            tail_depart: TimeNs::ZERO,
+            drop_tail,
+            tx_memo: [(0, 0); TX_MEMO],
             stats: LinkStats::default(),
             monitor,
             red,
             rng,
             attached: Vec::new(),
-            due: BinaryHeap::new(),
+            due: LoserTree::default(),
             next_stamp: 0,
             in_propagation: VecDeque::new(),
             credits: Vec::new(),
@@ -312,11 +363,15 @@ impl Link {
                 self.credits.len() - 1
             }
         };
-        let process_idx = self.attached.len() as u32;
         self.attached.push((process, credit as u32));
-        self.due
-            .push(Reverse((first_at, self.next_stamp, process_idx)));
+        self.due.push(due_key(first_at, self.next_stamp));
         self.next_stamp += 1;
+    }
+
+    /// Key comparisons the merge has made replaying firings.
+    #[cfg(test)]
+    pub(crate) fn merge_compares(&self) -> u64 {
+        self.due.compares
     }
 
     /// Deliveries credited since the last call, per sink.
@@ -332,6 +387,7 @@ impl Link {
     pub(crate) fn settle(&mut self, now: TimeNs) {
         self.pull(now, true);
         self.retire(now);
+        self.deliver(now);
     }
 
     /// A packet of `size` bytes arrives by event at `now` (arrivals must
@@ -346,19 +402,23 @@ impl Link {
     /// `now` too if `through` — in `(fire time, arming stamp)` order, each
     /// sent packet arriving at its fire time.
     fn pull(&mut self, now: TimeNs, through: bool) {
-        while let Some(&Reverse((at, _, process))) = self.due.peek() {
-            if at > now || (at == now && !through) {
+        if self.due.is_empty() {
+            return;
+        }
+        // Keys below `end` are due: before `now`, or at `now` with any
+        // stamp (stamps never reach `u64::MAX`) if `through`.
+        let end = due_key(now, if through { u64::MAX } else { 0 });
+        loop {
+            let (process, key) = self.due.winner();
+            if key >= end {
                 break;
             }
+            let at = TimeNs::from_nanos((key >> 64) as u64);
             let (source, sink) = &mut self.attached[process as usize];
             let sink = *sink;
             let (size, next) = source.fire(at);
             assert!(next >= at, "an arrival process went back in time");
-            // Re-arm in place of the fired entry: one sift, not a pop and
-            // a push.
-            if let Some(mut top) = self.due.peek_mut() {
-                *top = Reverse((next, self.next_stamp, process));
-            }
+            self.due.replace_winner(due_key(next, self.next_stamp));
             self.next_stamp += 1;
             if let Some(size) = size {
                 self.attached_arrivals += 1;
@@ -369,12 +429,16 @@ impl Link {
 
     /// Retire every transmission that completed at or before `now` —
     /// credit the counters and the monitor at its departure time, free its
-    /// bytes, start an attached packet's propagation — then credit the
-    /// sinks with what has propagated by `now`. Crediting here, as the
-    /// drain advances, is what bounds `in_propagation` to one propagation
-    /// delay of arrivals however long the gap being settled.
+    /// bytes, start an attached packet's propagation. Once
+    /// [`DELIVER_EVERY`] packets have been delivered by `now` — or
+    /// `in_propagation` is full — credit the sinks with them: crediting as
+    /// the drain advances is what bounds `in_propagation` to one
+    /// propagation delay of arrivals however long the gap being settled,
+    /// and doing it in blocks keeps the drain's loop — its exit a coin
+    /// flip per arrival — off the per-arrival path.
+    #[inline(always)]
     fn retire(&mut self, now: TimeNs) {
-        while let Some(tx) = self.fifo.front() {
+        while let Some(&tx) = self.fifo.front() {
             if tx.depart > now {
                 break;
             }
@@ -384,11 +448,25 @@ impl Link {
             self.monitor.record(tx.depart, tx.size as u64);
             self.backlog_bytes -= tx.size as u64;
             if tx.sink != NO_SINK {
+                // Room is made by crediting, not by growing: what is held
+                // beyond the packets in flight is a block at most.
+                if self.in_propagation.len() == self.in_propagation.capacity() {
+                    self.deliver(now);
+                }
                 let at = tx.depart + self.cfg.prop_delay;
                 self.in_propagation.push_back((at, tx.size, tx.sink));
             }
             self.fifo.pop_front();
         }
+        if let Some(&(at, _, _)) = self.in_propagation.get(DELIVER_EVERY - 1) {
+            if at <= now {
+                self.deliver(now);
+            }
+        }
+    }
+
+    /// Credit the sinks with every attached packet delivered by `now`.
+    fn deliver(&mut self, now: TimeNs) {
         while let Some(&(at, size, sink)) = self.in_propagation.front() {
             if at > now {
                 break;
@@ -403,34 +481,26 @@ impl Link {
 
     /// The arrival arithmetic, shared by event and attached arrivals:
     /// retire what has departed by `now`, then accept the packet (fixing
-    /// its departure) or drop it.
+    /// its departure) or drop it. On a drop-tail link nothing but the
+    /// buffer drops, and an idle and a busy server take the same path:
+    /// an idle one has nothing queued and starts at `now`.
+    #[inline(always)]
     fn accept(&mut self, size: u32, now: TimeNs, sink: u32) -> Option<TimeNs> {
         self.retire(now);
-        if self.cfg.drop_prob > 0.0 && self.rng.chance(self.cfg.drop_prob) {
-            self.stats.drops_fault += 1;
+        let queued = self.queue_bytes();
+        if !self.drop_tail && self.drops_early(queued) {
             return None;
         }
-        let queued = self.queue_bytes();
-        if let Some(red) = &mut self.red {
-            if red.should_drop(queued, &mut self.rng) {
-                self.stats.drops_overflow += 1;
-                return None;
-            }
+        let busy = self.tail_depart > now;
+        let joined = if busy { queued + size as u64 } else { 0 };
+        if joined > self.cfg.queue_limit_bytes {
+            self.stats.drops_overflow += 1;
+            return None;
         }
-        let start = match self.fifo.back() {
-            None => now, // idle: transmission starts immediately
-            Some(ahead) => {
-                let queued = queued + size as u64;
-                if queued > self.cfg.queue_limit_bytes {
-                    self.stats.drops_overflow += 1;
-                    return None;
-                }
-                self.stats.max_queue_bytes = self.stats.max_queue_bytes.max(queued);
-                ahead.depart
-            }
-        };
-        let tx_ns = self.cfg.capacity.tx_time_ns(size);
-        let depart = start + TimeNs::from_nanos(tx_ns);
+        self.stats.max_queue_bytes = self.stats.max_queue_bytes.max(joined);
+        let tx_ns = self.tx_ns(size);
+        let depart = now.max(self.tail_depart) + TimeNs::from_nanos(tx_ns);
+        self.tail_depart = depart;
         self.fifo.push_back(Tx {
             depart,
             size,
@@ -439,6 +509,31 @@ impl Link {
         });
         self.backlog_bytes += size as u64;
         Some(depart)
+    }
+
+    /// Fault injection, then RED, drawing from the link's `Prng` in that
+    /// order; counts a drop it decides.
+    fn drops_early(&mut self, queued: u64) -> bool {
+        if self.cfg.drop_prob > 0.0 && self.rng.chance(self.cfg.drop_prob) {
+            self.stats.drops_fault += 1;
+            return true;
+        }
+        if let Some(red) = &mut self.red {
+            if red.should_drop(queued, &mut self.rng) {
+                self.stats.drops_overflow += 1;
+                return true;
+            }
+        }
+        false
+    }
+
+    /// Transmission time of `size` bytes, from the memo.
+    fn tx_ns(&mut self, size: u32) -> u64 {
+        let slot = &mut self.tx_memo[size as usize % TX_MEMO];
+        if slot.0 != size {
+            *slot = (size, self.cfg.capacity.tx_time_ns(size));
+        }
+        slot.1
     }
 }
 
@@ -961,5 +1056,167 @@ mod tests {
         }
         assert!(drops > 1000, "the finite buffers must bite: {drops} drops");
         assert!(pulled > 10_000, "attached arrivals must merge in: {pulled}");
+    }
+
+    /// A scripted process that logs every firing, so the merge order
+    /// itself can be compared, not only its effects.
+    #[derive(Debug)]
+    struct Logged {
+        id: u32,
+        script: VecDeque<(TimeNs, Option<u32>)>,
+        log: std::sync::Arc<std::sync::Mutex<Vec<(u32, TimeNs)>>>,
+    }
+
+    impl ArrivalProcess for Logged {
+        fn fire(&mut self, at: TimeNs) -> (Option<u32>, TimeNs) {
+            self.log.lock().unwrap().push((self.id, at));
+            let (due, size) = self.script.pop_front().expect("fired past its script");
+            assert_eq!(due, at, "fired at the instant it armed");
+            (size, self.script.front().map_or(TimeNs::MAX, |next| next.0))
+        }
+    }
+
+    /// The merge as it was before the loser tree: a binary heap keyed
+    /// `(fire time, arming stamp, process)`, feeding the reference FIFO.
+    #[derive(Default)]
+    struct HeapMerge {
+        due: std::collections::BinaryHeap<std::cmp::Reverse<(TimeNs, u64, u32)>>,
+        scripts: Vec<VecDeque<(TimeNs, Option<u32>)>>,
+        next_stamp: u64,
+        log: Vec<(u32, TimeNs)>,
+        fifo: RefFifo,
+    }
+
+    impl HeapMerge {
+        fn attach(&mut self, script: VecDeque<(TimeNs, Option<u32>)>) {
+            let id = self.scripts.len() as u32;
+            let first_at = script[0].0;
+            self.scripts.push(script);
+            self.due
+                .push(std::cmp::Reverse((first_at, self.next_stamp, id)));
+            self.next_stamp += 1;
+        }
+
+        fn pull(&mut self, now: TimeNs, through: bool, cap: Rate, limit: u64) {
+            while let Some(&std::cmp::Reverse((at, _, id))) = self.due.peek() {
+                if at > now || (at == now && !through) {
+                    break;
+                }
+                let script = &mut self.scripts[id as usize];
+                let (_, size) = script.pop_front().unwrap();
+                let next = script.front().map_or(TimeNs::MAX, |next| next.0);
+                self.due.pop();
+                self.due
+                    .push(std::cmp::Reverse((next, self.next_stamp, id)));
+                self.next_stamp += 1;
+                self.log.push((id, at));
+                if let Some(size) = size {
+                    self.fifo.pulled += 1;
+                    let t = at.as_nanos();
+                    self.fifo.arrive(size, t, cap.tx_time_ns(size), limit, true);
+                }
+            }
+        }
+    }
+
+    /// Differential: the loser tree fires attached processes in exactly
+    /// the order a binary heap of `(fire time, arming stamp, process)` did,
+    /// over scripts built to stress it — same-nanosecond ties within and
+    /// across processes, silent firings, a last firing that re-arms for
+    /// `TimeNs::MAX` ("never again"), processes attached mid-run between
+    /// pulls — and the link's counters, occupancy, drops and sink credits
+    /// equal the reference's at every boundary.
+    #[test]
+    fn loser_tree_merges_like_a_binary_heap() {
+        let mut rng = Prng::new(0x10_5E2);
+        let mut fired = 0;
+        for case in 0..150 {
+            let limit = [1500, 6000, 8 << 20][case % 3];
+            let cap = Rate::from_mbps([2.0, 10.0, 100.0][case % 3]);
+            let prop = rng.below(2_000_000);
+            let mut l = Link::new(
+                LinkConfig::new(cap, TimeNs::from_nanos(prop))
+                    .with_queue_limit(limit)
+                    .with_monitor_window(TimeNs::from_millis(1)),
+                Prng::new(case as u64),
+            );
+            let log = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+            let mut model = HeapMerge::default();
+            // Firings on a 1 µs grid, a few grid steps apart or at the
+            // very same instant, a quarter of them silent.
+            let script = |rng: &mut Prng, from: u64| {
+                let mut at = from + rng.below(4) * 1000;
+                (0..1 + rng.below(25))
+                    .map(|_| {
+                        at += [0, 0, 1000, 2000, 5000, 40_000][rng.below(6) as usize];
+                        let size = (rng.below(4) != 0).then(|| 40 + rng.below(1461) as u32);
+                        (TimeNs::from_nanos(at), size)
+                    })
+                    .collect::<VecDeque<_>>()
+            };
+            let mut now = 0u64;
+            let mut credit = (0, 0, 0);
+            for step in 0..120 {
+                // Attach between pulls: at the start, then now and then.
+                if step == 0 || rng.below(12) == 0 {
+                    for _ in 0..1 + rng.below(if step == 0 { 6 } else { 2 }) {
+                        let s = script(&mut rng, now);
+                        let logged = Logged {
+                            id: model.scripts.len() as u32,
+                            script: s.clone(),
+                            log: log.clone(),
+                        };
+                        l.attach(Box::new(logged), AppId(0), s[0].0);
+                        model.attach(s);
+                    }
+                }
+                now += [0, 500, 1000, 3000, 20_000][rng.below(5) as usize];
+                let t = TimeNs::from_nanos(now);
+                if rng.below(2) == 0 {
+                    let size = 40 + rng.below(1461) as u32;
+                    model.pull(t, false, cap, limit);
+                    let want = model
+                        .fifo
+                        .arrive(size, now, cap.tx_time_ns(size), limit, false);
+                    assert_eq!(l.on_arrival(size, t).map(TimeNs::as_nanos), want);
+                    continue;
+                }
+                l.settle(t);
+                model.pull(t, true, cap, limit);
+                assert_eq!(*log.lock().unwrap(), model.log, "case {case} at {now}");
+                let (pkts, bytes, busy, windows) = model.fifo.done_by(now, 1_000_000);
+                assert_eq!(
+                    (l.stats.tx_packets, l.stats.tx_bytes, l.stats.busy_ns),
+                    (pkts, bytes, busy)
+                );
+                let got: Vec<u64> = (0..l.monitor().num_windows())
+                    .map(|i| l.monitor().bytes_in_window(i))
+                    .collect();
+                assert_eq!(got, windows);
+                assert_eq!(
+                    (l.stats.drops_overflow, l.stats.max_queue_bytes),
+                    (model.fifo.drops, model.fifo.max_queue_bytes)
+                );
+                assert_eq!(l.attached_arrivals(), model.fifo.pulled);
+                let left: u64 = (model.fifo.accepted.iter())
+                    .filter(|p| p.0 > now)
+                    .map(|p| p.1 as u64)
+                    .sum();
+                assert_eq!(l.backlog_bytes(), left);
+                for (_, c) in l.take_credits() {
+                    credit = (
+                        credit.0 + c.packets,
+                        credit.1 + c.bytes,
+                        c.last_arrival.as_nanos(),
+                    );
+                }
+                assert_eq!(credit, model.fifo.delivered_by(now, prop), "case {case}");
+            }
+            fired += model.log.len();
+        }
+        assert!(
+            fired > 20_000,
+            "the merge must be exercised: {fired} firings"
+        );
     }
 }

@@ -16,6 +16,10 @@ pub struct UtilMonitor {
     /// bytes[i] = bytes transmitted in window i (window i covers
     /// `[i*window, (i+1)*window)`); windows with no traffic stay 0.
     bytes: Vec<u64>,
+    /// The window the last record went to, and the instants it spans:
+    /// records come in time order, so most land there without a division.
+    current: usize,
+    current_span: (u64, u64),
 }
 
 impl UtilMonitor {
@@ -24,6 +28,8 @@ impl UtilMonitor {
         UtilMonitor {
             window,
             bytes: Vec::new(),
+            current: 0,
+            current_span: (0, 0),
         }
     }
 
@@ -33,11 +39,18 @@ impl UtilMonitor {
     }
 
     pub(crate) fn record(&mut self, now: TimeNs, bytes: u64) {
-        let idx = (now.as_nanos() / self.window.as_nanos()) as usize;
-        if idx >= self.bytes.len() {
-            self.bytes.resize(idx + 1, 0);
+        let t = now.as_nanos();
+        let (start, end) = self.current_span;
+        if t < start || t >= end {
+            let w = self.window.as_nanos();
+            let idx = t / w;
+            self.current = idx as usize;
+            self.current_span = (idx * w, (idx * w).saturating_add(w));
+            if self.current >= self.bytes.len() {
+                self.bytes.resize(self.current + 1, 0);
+            }
         }
-        self.bytes[idx] += bytes;
+        self.bytes[self.current] += bytes;
     }
 
     /// Number of windows observed so far (including zero-traffic gaps).

@@ -110,8 +110,16 @@ impl Prng {
     #[inline]
     pub fn exponential(&mut self, mean: f64) -> f64 {
         debug_assert!(mean > 0.0);
-        // 1 - f64() is in (0, 1], avoiding ln(0).
-        -mean * (1.0 - self.f64()).ln()
+        Prng::exponential_at(self.f64(), mean)
+    }
+
+    /// The exponential variate [`Prng::exponential`] returns when its
+    /// uniform draw is `u` (in `[0, 1)`): for callers that draw the
+    /// uniforms of many variates ahead and invert them in a batch.
+    #[inline]
+    pub fn exponential_at(u: f64, mean: f64) -> f64 {
+        // 1 - u is in (0, 1], avoiding ln(0).
+        -mean * (1.0 - u).ln()
     }
 
     /// Pareto variate with shape `alpha` and the given **mean**.
@@ -142,7 +150,14 @@ impl Prng {
     /// value, bit for bit, as [`Prng::pareto_mean`] draws.
     #[inline]
     pub fn pareto(&mut self, xm: f64, inv_alpha: f64) -> f64 {
-        let u = 1.0 - self.f64(); // (0, 1]
+        Prng::pareto_at(self.f64(), xm, inv_alpha)
+    }
+
+    /// The Pareto variate [`Prng::pareto`] returns when its uniform draw
+    /// is `u` (in `[0, 1)`), as [`Prng::exponential_at`].
+    #[inline]
+    pub fn pareto_at(u: f64, xm: f64, inv_alpha: f64) -> f64 {
+        let u = 1.0 - u; // (0, 1]
         xm / u.powf(inv_alpha)
     }
 

@@ -1301,6 +1301,37 @@ mod tests {
         assert_eq!(sim.app::<RecordingSink>(sink).records.len(), 100);
     }
 
+    /// The op-count gate for the merge of a link's attached processes:
+    /// exactly ⌈log₂ n⌉ key comparisons per firing, whatever the keys —
+    /// not a heap's data-dependent sift, not a scan's n − 1.
+    #[test]
+    fn merge_compares_per_arrival_are_exact() {
+        for (n, depth) in [(1u64, 0), (2, 1), (10, 4), (100, 7)] {
+            let mut sim = Simulator::new(3);
+            let link = sim.add_link(LinkConfig::new(
+                Rate::from_mbps(100.0),
+                TimeNs::from_millis(1),
+            ));
+            let sink = sim.add_app(Box::new(CountingSink::default()));
+            sim.route(&[link], sink);
+            for i in 0..n {
+                let every = Every {
+                    gap: TimeNs::from_micros(700 + 13 * i),
+                    size: 100,
+                };
+                sim.attach_arrivals(link, sink, Box::new(every), TimeNs::from_nanos(i));
+            }
+            sim.run_until(TimeNs::from_millis(70));
+            let fired = sim.engine_stats().attached_arrivals;
+            assert!(fired >= 50 * n, "{fired} firings of {n} processes");
+            assert_eq!(
+                sim.link(link).merge_compares(),
+                depth * fired,
+                "{n} processes"
+            );
+        }
+    }
+
     /// A send at `now` must not overtake an arrival already pending at
     /// `now` on the same link; any other same-instant event leaves the
     /// inline shortcut open.

@@ -73,8 +73,23 @@ impl Gaps {
     #[inline]
     pub fn sample(&self, rng: &mut Prng) -> f64 {
         match *self {
-            Gaps::Exponential { mean } => rng.exponential(mean),
-            Gaps::Pareto { xm, inv_alpha } => rng.pareto(xm, inv_alpha),
+            Gaps::Constant { mean } => mean,
+            _ => self.at(rng.f64()),
+        }
+    }
+
+    /// Whether a gap takes a uniform draw from the source's `Prng`
+    /// (a constant one takes none).
+    pub(crate) fn draws(&self) -> bool {
+        !matches!(self, Gaps::Constant { .. })
+    }
+
+    /// The gap [`Gaps::sample`] returns when its uniform draw is `u`.
+    #[inline]
+    pub(crate) fn at(&self, u: f64) -> f64 {
+        match *self {
+            Gaps::Exponential { mean } => Prng::exponential_at(u, mean),
+            Gaps::Pareto { xm, inv_alpha } => Prng::pareto_at(u, xm, inv_alpha),
             Gaps::Constant { mean } => mean,
         }
     }

@@ -38,17 +38,37 @@ impl SizeDist {
     pub fn sample_with_total(&self, rng: &mut Prng, total: f64) -> u32 {
         match self {
             SizeDist::Fixed(s) => *s,
-            SizeDist::Discrete(items) => {
-                let mut x = rng.f64() * total;
-                for (s, w) in items {
-                    if x < *w {
-                        return *s;
-                    }
-                    x -= *w;
-                }
-                items.last().expect("empty size distribution").0
-            }
+            SizeDist::Discrete(_) => self.at(rng.f64(), total),
         }
+    }
+
+    /// Whether a size takes a uniform draw from the source's `Prng` (a
+    /// fixed one takes none).
+    pub(crate) fn draws(&self) -> bool {
+        matches!(self, SizeDist::Discrete(_))
+    }
+
+    /// The size [`SizeDist::sample_with_total`] returns when its uniform
+    /// draw is `u`: the first item whose weight exceeds what is left of
+    /// `u * total` after subtracting the weights before it, else the last
+    /// item. Every item is visited and the pick made by selects, so a mix
+    /// of sizes costs no misprediction however the draws fall.
+    #[inline]
+    pub(crate) fn at(&self, u: f64, total: f64) -> u32 {
+        let items = match self {
+            SizeDist::Fixed(s) => return *s,
+            SizeDist::Discrete(items) => items,
+        };
+        let mut size = items.last().expect("empty size distribution").0;
+        let mut open = true;
+        let mut x = u * total;
+        for &(s, w) in items {
+            let hit = open & (x < w);
+            size = std::hint::select_unpredictable(hit, s, size);
+            open &= !hit;
+            x -= w;
+        }
+        size
     }
 
     /// Expected packet size in bytes.

@@ -58,10 +58,20 @@ impl SourceConfig {
     }
 }
 
+/// Draws a [`RenewalArrivals`] makes ahead, per refill.
+const BLOCK: usize = 8;
+
 /// The draws of one renewal source: a packet size and an interarrival
 /// time per packet, so the long-run average rate equals `rate`. Owns its
 /// `Prng`; whoever hosts it — a link ([`netsim::Simulator::attach_arrivals`])
 /// or a timer-driven [`CrossTrafficSource`] — sees the same sequence.
+///
+/// The draws are made eight at a time, in one loop: the uniforms first,
+/// in the order one-at-a-time draws take them from the `Prng` (size, then
+/// gap, per packet), then their inversions, which do not depend on one
+/// another, so the `powf` / `ln` of a block overlap instead of queueing
+/// behind each other, and a size mix is picked by selects. Nobody else
+/// draws from a source's `Prng`, so drawing ahead changes no value.
 #[derive(Debug)]
 pub struct RenewalArrivals {
     sizes: SizeDist,
@@ -69,6 +79,10 @@ pub struct RenewalArrivals {
     total_weight: f64,
     gaps: Gaps,
     rng: Prng,
+    /// Sizes and gaps (ns) drawn ahead; `next` is the first not yet sent.
+    block_sizes: [u32; BLOCK],
+    block_gaps: [u64; BLOCK],
+    next: usize,
 }
 
 impl RenewalArrivals {
@@ -81,18 +95,47 @@ impl RenewalArrivals {
             total_weight: cfg.sizes.total_weight(),
             gaps: cfg.interarrival.gaps(mean_gap_secs),
             rng,
+            block_sizes: [0; BLOCK],
+            block_gaps: [0; BLOCK],
+            next: BLOCK,
         }
+    }
+
+    /// Draw the next [`BLOCK`] packets. Out of line, so that the other
+    /// firings of a block stay a load and an add.
+    #[inline(never)]
+    fn refill(&mut self) {
+        let (size_draws, gap_draws) = (self.sizes.draws(), self.gaps.draws());
+        let mut size_u = [0.0; BLOCK];
+        let mut gap_u = [0.0; BLOCK];
+        for (su, gu) in size_u.iter_mut().zip(&mut gap_u) {
+            if size_draws {
+                *su = self.rng.f64();
+            }
+            if gap_draws {
+                *gu = self.rng.f64();
+            }
+        }
+        for (size, u) in self.block_sizes.iter_mut().zip(size_u) {
+            *size = self.sizes.at(u, self.total_weight);
+        }
+        for (gap, u) in self.block_gaps.iter_mut().zip(gap_u) {
+            *gap = TimeNs::from_secs_f64(self.gaps.at(u)).as_nanos();
+        }
+        self.next = 0;
     }
 }
 
 impl ArrivalProcess for RenewalArrivals {
     /// Every firing sends: the size is drawn first, then the gap.
     fn fire(&mut self, at: TimeNs) -> (Option<u32>, TimeNs) {
-        let size = self
-            .sizes
-            .sample_with_total(&mut self.rng, self.total_weight);
-        let gap = self.gaps.sample(&mut self.rng);
-        (Some(size), at + TimeNs::from_secs_f64(gap))
+        if self.next == BLOCK {
+            self.refill();
+        }
+        let i = self.next;
+        self.next += 1;
+        let gap = TimeNs::from_nanos(self.block_gaps[i]);
+        (Some(self.block_sizes[i]), at + gap)
     }
 }
 
@@ -189,6 +232,7 @@ mod tests {
     use super::*;
     use netsim::app::CountingSink;
     use netsim::LinkConfig;
+    use std::sync::Mutex;
 
     fn run_sources(cfg: SourceConfig, aggregate_mbps: f64, n: usize, secs: u64) -> (f64, u64) {
         let mut sim = Simulator::new(1234);
@@ -282,9 +326,12 @@ mod tests {
     }
 
     /// The loop invariants hoisted out of the per-arrival draw — the
-    /// Pareto scale and `1 / alpha`, the size mix's weight total — change
-    /// no bit: a million draws against the functions as they were, which
-    /// recomputed all three every time.
+    /// Pareto scale and `1 / alpha`, the size mix's weight total — and the
+    /// block draws (uniforms first, inversions after, sizes by selects)
+    /// change no bit: against the functions as they were, one draw at a
+    /// time and recomputing all three every time, for every interarrival
+    /// model × size distribution, across many block boundaries (a million
+    /// draws of the paper's default).
     #[test]
     fn cached_draws_are_bit_identical_to_the_uncached_functions() {
         fn pareto_uncached(rng: &mut Prng, alpha: f64, mean: f64) -> f64 {
@@ -296,7 +343,18 @@ mod tests {
             let u = 1.0 - rng.f64();
             xm / u.powf(1.0 / alpha)
         }
-        fn size_uncached(items: &[(u32, f64)], rng: &mut Prng) -> u32 {
+        fn gap_uncached(model: Interarrival, rng: &mut Prng, mean: f64) -> f64 {
+            match model {
+                Interarrival::Pareto { alpha } => pareto_uncached(rng, alpha, mean),
+                Interarrival::Exponential => -mean * (1.0 - rng.f64()).ln(),
+                Interarrival::Constant => mean,
+            }
+        }
+        fn size_uncached(sizes: &SizeDist, rng: &mut Prng) -> u32 {
+            let items = match sizes {
+                SizeDist::Fixed(s) => return *s,
+                SizeDist::Discrete(items) => items,
+            };
             let total: f64 = items.iter().map(|(_, w)| *w).sum();
             let mut x = rng.f64() * total;
             for (s, w) in items {
@@ -307,21 +365,43 @@ mod tests {
             }
             items.last().unwrap().0
         }
-        let cfg = SourceConfig::paper_pareto();
-        let SizeDist::Discrete(items) = &cfg.sizes else {
-            panic!("the paper mix is discrete");
-        };
         let rate = Rate::from_mbps(0.6);
-        let mean_gap = cfg.sizes.mean() * 8.0 / rate.bps();
-        let mut cached = RenewalArrivals::new(&cfg, rate, Prng::new(0xB175));
-        let mut rng = Prng::new(0xB175);
-        let mut at = TimeNs::ZERO;
-        for i in 0..1_000_000 {
-            let size = size_uncached(items, &mut rng);
-            let gap = pareto_uncached(&mut rng, 1.9, mean_gap);
-            let next = at + TimeNs::from_secs_f64(gap);
-            assert_eq!(cached.fire(at), (Some(size), next), "draw {i}");
-            at = next;
+        for interarrival in [
+            Interarrival::PARETO_PAPER,
+            Interarrival::Exponential,
+            Interarrival::Constant,
+        ] {
+            for sizes in [
+                SizeDist::paper_mix(),
+                SizeDist::Fixed(576),
+                SizeDist::Discrete(vec![(100, 2.0), (1500, 1.0)]),
+            ] {
+                let cfg = SourceConfig {
+                    interarrival,
+                    sizes,
+                    start_jitter: TimeNs::ZERO,
+                };
+                let default = interarrival == Interarrival::PARETO_PAPER
+                    && cfg.sizes == SizeDist::paper_mix();
+                let draws = if default { 1_000_000 } else { 40 * BLOCK + 3 };
+                let mean_gap = cfg.sizes.mean() * 8.0 / rate.bps();
+                let mut blocked = RenewalArrivals::new(&cfg, rate, Prng::new(0xB175));
+                let mut rng = Prng::new(0xB175);
+                let mut at = TimeNs::ZERO;
+                for i in 0..draws {
+                    let size = size_uncached(&cfg.sizes, &mut rng);
+                    let gap = gap_uncached(interarrival, &mut rng, mean_gap);
+                    let next = at + TimeNs::from_secs_f64(gap);
+                    let got = blocked.fire(at);
+                    assert_eq!(
+                        got,
+                        (Some(size), next),
+                        "{interarrival:?} {:?} draw {i}",
+                        cfg.sizes
+                    );
+                    at = next;
+                }
+            }
         }
         // The on/off periods use the same two invariants per mean, and
         // alpha ≤ 1 takes the other branch of the scale.
@@ -334,5 +414,67 @@ mod tests {
                 assert_eq!(a.pareto(xm, inv_alpha).to_bits(), want.to_bits());
             }
         }
+    }
+
+    /// Every firing's instant and what it sent.
+    type FiringLog = Arc<Mutex<Vec<(TimeNs, Option<u32>)>>>;
+
+    /// Logs every firing of the process it wraps.
+    #[derive(Debug)]
+    struct Logged<P>(P, FiringLog);
+
+    impl<P: ArrivalProcess> ArrivalProcess for Logged<P> {
+        fn fire(&mut self, at: TimeNs) -> (Option<u32>, TimeNs) {
+            let fired = self.0.fire(at);
+            self.1.lock().unwrap().push((at, fired.0));
+            fired
+        }
+    }
+
+    /// A source behind a timer and its twin owned by a link draw ahead in
+    /// the same blocks and send the same packets at the same instants;
+    /// the link and the sink see the same traffic.
+    #[test]
+    fn timer_hosted_and_link_attached_twins_send_alike() {
+        let run = |attached: bool| {
+            let mut sim = Simulator::new(11);
+            let link = sim.add_link(LinkConfig::new(
+                Rate::from_mbps(10.0),
+                TimeNs::from_millis(1),
+            ));
+            let sink = sim.add_app(Box::new(CountingSink::default()));
+            let route = sim.route(&[link], sink);
+            let cfgs = [
+                SourceConfig::paper_pareto(),
+                SourceConfig::paper_poisson(),
+                SourceConfig::cbr(441),
+            ];
+            let logs: Vec<FiringLog> = cfgs.iter().map(|_| Arc::default()).collect();
+            for (i, (cfg, log)) in cfgs.iter().zip(&logs).enumerate() {
+                let source = RenewalArrivals::new(cfg, Rate::from_mbps(2.5), Prng::new(i as u64));
+                let logged = Box::new(Logged(source, Arc::clone(log)));
+                let first_at = TimeNs::from_micros(i as u64 * 10);
+                if attached {
+                    sim.attach_arrivals(link, sink, logged, first_at);
+                } else {
+                    CrossTrafficSource::install(
+                        &mut sim,
+                        logged,
+                        route.clone(),
+                        FlowId(0),
+                        first_at,
+                    );
+                }
+            }
+            sim.run_until(TimeNs::from_secs(5));
+            let stats = sim.link(link).stats.clone();
+            let logs: Vec<_> = logs.iter().map(|l| l.lock().unwrap().clone()).collect();
+            let counted = sim.app::<CountingSink>(sink);
+            let seen = (stats.tx_packets, stats.tx_bytes, stats.busy_ns);
+            (logs, seen, counted.packets, counted.bytes)
+        };
+        let (timer, attached) = (run(false), run(true));
+        assert!(timer.0.iter().all(|log| log.len() > 10 * BLOCK));
+        assert_eq!(timer, attached);
     }
 }
