@@ -1,22 +1,20 @@
-//! The fleet-scale engine benchmark (ROADMAP item 5 / PR 10): a
-//! 256-disjoint-path in-sim monitored fleet driven through
-//! `SimFleetMonitor`, run on the sharded engine and on the single-queue
-//! baseline.
+//! The fleet-scale engine benchmark: a 256-disjoint-path in-sim monitored
+//! fleet driven through `SimFleetMonitor`, run once on the sharded engine
+//! and once on the single-queue baseline.
 //!
-//! Wall-clock on this container is noise (single shared core — see
-//! ARCHITECTURE.md § Performance notes), so the numbers that matter are
-//! the engine's own op counts, printed as `fleet256 …` summary lines
-//! before the timed runs: events per estimate, real heap ops per event,
-//! and the comparison-weight proxy (Σ ceil(log2(depth)) per heap op)
-//! where the log(global) → log(per-shard) win shows even when raw op
-//! counts converge. Results are committed as `docs/history/BENCH_9.json`.
+//! Wall-clock on a small shared host is noise (ARCHITECTURE.md §
+//! Performance notes), so the numbers that matter are the engine's own op
+//! counts, one greppable `fleet256 …` line per engine: events per
+//! estimate, real heap ops per event, and the comparison-weight proxy
+//! (Σ ceil(log2(depth)) per heap op) where the log(global) →
+//! log(per-shard) win shows even when raw op counts converge. Each line
+//! also carries the run's events per wall-clock second. Results are
+//! committed as `docs/history/BENCH_9.json`.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use monitord::{ScheduleConfig, SeriesConfig, SimEngine, SimFleetMonitor, SimPathSpec};
 use netsim::{EngineStats, Simulator};
 use simprobe::scenarios::{build_disjoint_paths, LinkLoad, PathOpts};
 use slops::SlopsConfig;
-use std::hint::black_box;
 use units::{Rate, TimeNs};
 
 const PATHS: usize = 256;
@@ -67,10 +65,9 @@ fn run_fleet(engine: SimEngine) -> (EngineStats, u64, usize) {
     (mon.engine_stats(), estimates, mon.shards())
 }
 
-/// One instrumented run per engine, printed as greppable `fleet256` lines
-/// (this is the op-count record for docs/history/BENCH_9.json; the criterion loop below
-/// only adds wall-clock context).
-fn print_summary() {
+/// One instrumented, timed run per engine, printed as greppable `fleet256`
+/// lines (the op-count record for docs/history/BENCH_9.json).
+fn main() {
     let mut per_engine = Vec::new();
     for (name, engine) in [
         ("sharded", SimEngine::Auto),
@@ -107,16 +104,3 @@ fn print_summary() {
         single.heap_max_depth as f64 / sharded.heap_max_depth as f64,
     );
 }
-
-fn bench_fleet(c: &mut Criterion) {
-    print_summary();
-    c.bench_function("fleet256_sharded", |b| {
-        b.iter(|| black_box(run_fleet(SimEngine::Auto)))
-    });
-    c.bench_function("fleet256_single_queue", |b| {
-        b.iter(|| black_box(run_fleet(SimEngine::SingleQueue)))
-    });
-}
-
-criterion_group!(benches, bench_fleet);
-criterion_main!(benches);

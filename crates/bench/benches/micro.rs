@@ -1,69 +1,81 @@
-//! Criterion micro-benchmarks of the hot paths: trend statistics, OWD
+//! Micro-benchmarks of the hot paths: trend statistics, OWD
 //! preprocessing, the simulator's event loop, a link pulling its cross
 //! traffic, the PRNG, and the rate search.
+//! `cargo bench -p availbw-bench --bench micro` prints one mean per
+//! iteration for each.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
+use std::time::{Duration, Instant};
 
-fn bench_trend_stats(c: &mut Criterion) {
+/// Time `routine` until a fixed 200 ms budget is spent, at least once, and
+/// print the mean iteration.
+fn bench<O>(name: &str, mut routine: impl FnMut() -> O) {
+    bench_batched(name, || (), |()| routine());
+}
+
+/// [`bench`] on a fresh input from `setup` per iteration, setup untimed.
+fn bench_batched<I, O>(name: &str, mut setup: impl FnMut() -> I, mut routine: impl FnMut(I) -> O) {
+    let (start, mut spent, mut n) = (Instant::now(), Duration::ZERO, 0u32);
+    while n == 0 || start.elapsed() < Duration::from_millis(200) {
+        let input = setup();
+        let t0 = Instant::now();
+        black_box(routine(input));
+        spent += t0.elapsed();
+        n += 1;
+    }
+    let per_iter = spent / n;
+    println!("{name:<40} {per_iter:>12.2?}/iter ({n} iters)");
+}
+
+fn bench_trend_stats() {
     let owds: Vec<i64> = (0..100).map(|i| 1000 + i * 37 + (i % 7) * 1000).collect();
-    c.bench_function("group_medians_k100", |b| {
-        b.iter(|| slops::owd::group_medians(black_box(&owds)))
+    bench("group_medians_k100", || {
+        slops::owd::group_medians(black_box(&owds))
     });
     let medians = slops::owd::group_medians(&owds);
-    c.bench_function("pct_metric", |b| {
-        b.iter(|| slops::pct_metric(black_box(&medians)))
-    });
-    c.bench_function("pdt_metric", |b| {
-        b.iter(|| slops::pdt_metric(black_box(&medians)))
-    });
+    bench("pct_metric", || slops::pct_metric(black_box(&medians)));
+    bench("pdt_metric", || slops::pdt_metric(black_box(&medians)));
     let cfg = slops::SlopsConfig::default();
-    c.bench_function("classify_medians", |b| {
-        b.iter(|| slops::classify_medians(black_box(&medians), &cfg))
+    bench("classify_medians", || {
+        slops::classify_medians(black_box(&medians), &cfg)
     });
 }
 
-fn bench_prng(c: &mut Criterion) {
-    c.bench_function("prng_next_u64", |b| {
-        let mut rng = netsim::Prng::new(1);
-        b.iter(|| black_box(rng.next_u64()))
-    });
-    c.bench_function("prng_pareto", |b| {
-        let mut rng = netsim::Prng::new(1);
-        b.iter(|| black_box(rng.pareto_mean(1.9, 0.005)))
-    });
+fn bench_prng() {
+    let mut rng = netsim::Prng::new(1);
+    bench("prng_next_u64", || rng.next_u64());
+    let mut rng = netsim::Prng::new(1);
+    bench("prng_pareto", || rng.pareto_mean(1.9, 0.005));
 }
 
-fn bench_event_loop(c: &mut Criterion) {
+fn bench_event_loop() {
     use netsim::app::CountingSink;
     use netsim::{FlowId, LinkConfig, Packet, Simulator};
     use units::{Rate, TimeNs};
     // Throughput of the engine: one link, 10k packets, run to completion.
-    c.bench_function("engine_10k_packets_one_link", |b| {
-        b.iter_batched(
-            || {
-                let mut sim = Simulator::new(1);
-                let l = sim.add_link(LinkConfig::new(
-                    Rate::from_mbps(1000.0),
-                    TimeNs::from_micros(10),
-                ));
-                let sink = sim.add_app(Box::new(CountingSink::default()));
-                let route = sim.route(&[l], sink);
-                for i in 0..10_000u64 {
-                    sim.inject(
-                        Packet::new(500, FlowId(1), i, route.clone()),
-                        TimeNs::from_nanos(i * 100),
-                    );
-                }
-                sim
-            },
-            |mut sim| {
-                sim.run_until_idle(TimeNs::from_secs(10));
-                black_box(sim.events_processed())
-            },
-            BatchSize::SmallInput,
-        )
-    });
+    bench_batched(
+        "engine_10k_packets_one_link",
+        || {
+            let mut sim = Simulator::new(1);
+            let l = sim.add_link(LinkConfig::new(
+                Rate::from_mbps(1000.0),
+                TimeNs::from_micros(10),
+            ));
+            let sink = sim.add_app(Box::new(CountingSink::default()));
+            let route = sim.route(&[l], sink);
+            for i in 0..10_000u64 {
+                sim.inject(
+                    Packet::new(500, FlowId(1), i, route.clone()),
+                    TimeNs::from_nanos(i * 100),
+                );
+            }
+            sim
+        },
+        |mut sim| {
+            sim.run_until_idle(TimeNs::from_secs(10));
+            sim.events_processed()
+        },
+    );
 }
 
 /// A link pulling its one-hop cross traffic, with nothing else running:
@@ -76,7 +88,7 @@ fn bench_event_loop(c: &mut Criterion) {
 /// merge (the same sources attached but silent, so no packet reaches a
 /// FIFO: the pull loop, its call per firing and the loser tree); the FIFO
 /// is what is left.
-fn bench_link_pull(c: &mut Criterion) {
+fn bench_link_pull() {
     use netsim::{ArrivalProcess, LinkConfig, Prng, Simulator};
     use simprobe::scenarios::{PaperPath, PaperPathConfig};
     use std::time::Instant;
@@ -122,17 +134,15 @@ fn bench_link_pull(c: &mut Criterion) {
         });
         println!("link_pull_paper_path {name:<6} {ns:>6.1} ns per attached arrival (best of 3)");
         totals.push(ns);
-        c.bench_function(&format!("link_pull_paper_path_{name}_60s"), |b| {
-            b.iter_batched(
-                build,
-                |mut sim| {
-                    let until = sim.now() + SPAN;
-                    sim.run_until(until);
-                    black_box(sim.engine_stats().attached_arrivals)
-                },
-                BatchSize::LargeInput,
-            )
-        });
+        bench_batched(
+            &format!("link_pull_paper_path_{name}_60s"),
+            build,
+            |mut sim| {
+                let until = sim.now() + SPAN;
+                sim.run_until(until);
+                sim.engine_stats().attached_arrivals
+            },
+        );
     }
 
     // The split, on the default path's sources (same rates, same seeds).
@@ -201,31 +211,29 @@ fn bench_link_pull(c: &mut Criterion) {
     );
 }
 
-fn bench_rate_search(c: &mut Criterion) {
+fn bench_rate_search() {
     use slops::{FleetOutcome, RateSearch};
     use units::Rate;
-    c.bench_function("rate_search_full_convergence", |b| {
-        b.iter(|| {
-            let mut s = RateSearch::new(
-                Rate::from_mbps(120.0),
-                Rate::from_mbps(1.0),
-                Rate::from_mbps(1.5),
-                None,
-            );
-            while let Some(r) = s.next_rate() {
-                let outcome = if r.mbps() > 47.3 {
-                    FleetOutcome::AboveAvailBw
-                } else {
-                    FleetOutcome::BelowAvailBw
-                };
-                s.record(r, outcome);
-            }
-            black_box(s.bounds())
-        })
+    bench("rate_search_full_convergence", || {
+        let mut s = RateSearch::new(
+            Rate::from_mbps(120.0),
+            Rate::from_mbps(1.0),
+            Rate::from_mbps(1.5),
+            None,
+        );
+        while let Some(r) = s.next_rate() {
+            let outcome = if r.mbps() > 47.3 {
+                FleetOutcome::AboveAvailBw
+            } else {
+                FleetOutcome::BelowAvailBw
+            };
+            s.record(r, outcome);
+        }
+        s.bounds()
     });
 }
 
-fn bench_fluid(c: &mut Criterion) {
+fn bench_fluid() {
     use fluid::{FluidLink, FluidPath};
     use units::Rate;
     let path = FluidPath::new(
@@ -238,18 +246,16 @@ fn bench_fluid(c: &mut Criterion) {
             })
             .collect(),
     );
-    c.bench_function("fluid_owds_k100_h10", |b| {
-        b.iter(|| black_box(path.owds(Rate::from_mbps(60.0), 500, 100)))
+    bench("fluid_owds_k100_h10", || {
+        path.owds(Rate::from_mbps(60.0), 500, 100)
     });
 }
 
-criterion_group!(
-    benches,
-    bench_trend_stats,
-    bench_prng,
-    bench_event_loop,
-    bench_link_pull,
-    bench_rate_search,
-    bench_fluid
-);
-criterion_main!(benches);
+fn main() {
+    bench_trend_stats();
+    bench_prng();
+    bench_event_loop();
+    bench_link_pull();
+    bench_rate_search();
+    bench_fluid();
+}

@@ -1,4 +1,4 @@
-//! Ablations beyond the paper (DESIGN.md §5): which design choices of
+//! Ablations beyond the paper: which design choices of
 //! pathload actually matter?
 //!
 //! 1. **Trend detection mode** — PCT-only vs PDT-only vs the combined rule.

@@ -76,7 +76,9 @@ pub fn build_btc_world(
         &SourceConfig::paper_pareto(),
     );
 
-    // Background TCP, two populations (see DESIGN.md):
+    // Background TCP, two populations — finite transfers alone catch up
+    // once a greedy connection leaves, so what it takes for good (§VII)
+    // shows in the window-limited ones:
     //
     // (a) A queue of finite transfers (Poisson arrivals, Pareto sizes,
     //     ~3 Mb/s offered): elastic but work-conserving — they slow down

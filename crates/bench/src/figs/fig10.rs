@@ -48,7 +48,7 @@ pub fn run(opts: &RunOpts) -> String {
         // duty cycle that is a ~6 Mb/s footprint when probing near
         // 70 Mb/s — larger than the 6 Mb/s reading band itself. Cap the
         // average probing load at 2% for this experiment so the footprint
-        // stays within the band (see EXPERIMENTS.md, Fig. 10 notes).
+        // stays within the band (~1.4 Mb/s near 70 Mb/s).
         let mut scfg = SlopsConfig::default();
         scfg.avg_load_factor = 0.02;
         let session = Session::new(scfg);

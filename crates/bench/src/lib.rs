@@ -1,19 +1,17 @@
 //! # availbw-bench — the reproduction harness
 //!
-//! One module (and one binary) per figure of the paper's evaluation.
-//! Each figure function takes a [`RunOpts`] and returns the formatted
-//! report it also prints, so the quick-mode `cargo bench` target, the
-//! full-mode binaries, and EXPERIMENTS.md all share one code path.
-//!
-//! Run a single figure at full fidelity:
+//! One module per figure of the paper's evaluation, named in one
+//! registry ([`figs::REGISTRY`]) that the `repro` binary runs. Each
+//! figure function takes a [`RunOpts`] and returns the formatted report it
+//! also prints.
 //!
 //! ```text
-//! cargo run --release -p availbw-bench --bin fig05
+//! cargo run --release -p availbw-bench --bin repro -- fig05         # full fidelity
+//! cargo run --release -p availbw-bench --bin repro -- --all --quick # every figure, seconds
 //! ```
 //!
-//! Environment knobs: `AVAILBW_RUNS` overrides the per-point run count,
-//! `AVAILBW_QUICK=1` selects the reduced preset (also used by
-//! `cargo bench`).
+//! `--quick` selects [`RunOpts::quick`] instead of [`RunOpts::full`];
+//! `--runs N` overrides the per-point run count.
 
 #![forbid(unsafe_code)]
 
@@ -45,28 +43,13 @@ impl RunOpts {
         }
     }
 
-    /// Reduced preset for `cargo bench` / smoke testing.
+    /// Reduced preset for smoke testing (`repro --quick`).
     pub fn quick() -> RunOpts {
         RunOpts {
             runs: 6,
             phase: TimeNs::from_secs(45),
             seed: 20020819,
         }
-    }
-
-    /// `full()` unless `AVAILBW_QUICK=1`; `AVAILBW_RUNS` overrides `runs`.
-    pub fn from_env() -> RunOpts {
-        let mut opts = if std::env::var("AVAILBW_QUICK").is_ok_and(|v| v == "1") {
-            RunOpts::quick()
-        } else {
-            RunOpts::full()
-        };
-        if let Ok(r) = std::env::var("AVAILBW_RUNS") {
-            if let Ok(r) = r.parse::<usize>() {
-                opts.runs = r.max(1);
-            }
-        }
-        opts
     }
 
     /// Per-run derived seed.

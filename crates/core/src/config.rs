@@ -38,9 +38,10 @@ pub enum InitialRate {
 
 /// Configuration of a SLoPS/pathload measurement session.
 ///
-/// Defaults are the paper's (§IV–§V); values the OCR of the paper text lost
-/// are reconstructed from the companion PAM'02 pathload paper and flagged in
-/// DESIGN.md §1.
+/// Defaults are the paper's (§IV–§V). Where the scanned paper text lost a
+/// value, it is taken from the companion PAM'02 pathload paper; where the
+/// paper's value would misbehave, from the released pathload tool ("tool
+/// default" on the field; [`pct_dec`](Self::pct_dec) says why).
 #[derive(Clone, Debug)]
 pub struct SlopsConfig {
     /// Stream length K in packets (default 100).
@@ -64,8 +65,7 @@ pub struct SlopsConfig {
     /// The ToN paper's prose quotes a single 0.55 threshold; with Γ = 10
     /// that would classify ≈ half of all trendless streams as increasing
     /// (5 of 9 pairs increase with probability ~0.5 for symmetric noise),
-    /// so we implement the released tool's dual-threshold rule
-    /// (see DESIGN.md §5).
+    /// so we implement the released tool's dual-threshold rule.
     pub pct_dec: f64,
     /// PDT increasing threshold (tool default 0.55).
     pub pdt_inc: f64,

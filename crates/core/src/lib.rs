@@ -49,9 +49,11 @@
 //!
 //! The machine is the single source of truth for the estimation logic;
 //! drivers only translate commands into their I/O substrate. The blocking
-//! driver serves the oracle, the simulator shim, and real sockets; the
-//! in-sim driver (`simprobe::SessionApp`) runs a measurement as a native
-//! discrete-event application next to cross traffic and TCP flows; and
+//! driver serves the oracle and the simulator shim; the in-sim driver
+//! (`simprobe::SessionApp`) runs a measurement as a native discrete-event
+//! application next to cross traffic and TCP flows; the wire stack's
+//! sender (`pathload_net::EventedSession`) drives the machine from an event
+//! loop over real sockets; and
 //! [`runner::run_sessions`] fans whole grids of sessions out over every
 //! core. For algorithm testing without a network there is
 //! [`testutil::OracleTransport`], a synthetic path with a known avail-bw.

@@ -2,8 +2,11 @@
 //!
 //! A [`ProbeTransport`] is anything that can emit a periodic UDP-like
 //! packet stream toward a receiver and report back per-packet relative
-//! one-way delays: the packet-level simulator (`simprobe` crate), real
-//! sockets (`pathload-net` crate), or the synthetic oracle used in tests.
+//! one-way delays: the packet-level simulator (`simprobe` crate) or the
+//! synthetic oracle used in tests. Real sockets are not one: the wire
+//! stack (`pathload-net` crate) drives the
+//! [`SessionMachine`](crate::SessionMachine) from its event loop instead
+//! of blocking on a transport.
 //!
 //! Clock model: sender and receiver clocks need **not** be synchronized.
 //! OWDs are *relative* (`recv_ts − send_ts`, different clocks) and may even

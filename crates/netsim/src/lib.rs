@@ -6,7 +6,7 @@
 //! delay and buffering, crossed by stochastic traffic, and probed by
 //! applications (periodic UDP-like streams, packet trains, ping, TCP).
 //!
-//! Design points (see DESIGN.md §5):
+//! Design points:
 //!
 //! * **Deterministic**: event queues ordered by `(time, seq)`; all
 //!   randomness flows from seeded [`rng::Prng`] instances. Two runs with the

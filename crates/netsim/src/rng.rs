@@ -2,9 +2,11 @@
 //!
 //! The workspace deliberately does not use the `rand` crate in library code:
 //! experiment reproducibility must not depend on the version of an external
-//! RNG (see DESIGN.md §5). This is xoshiro256** (Blackman & Vigna), seeded
-//! through SplitMix64 — the standard, well-tested combination — plus the
-//! handful of distribution samplers the traffic models need.
+//! RNG, whose output stream — and with it every figure and every pinned
+//! fingerprint — may change in any release. This is xoshiro256**
+//! (Blackman & Vigna), seeded through SplitMix64 — the standard,
+//! well-tested combination — plus the handful of distribution samplers the
+//! traffic models need.
 
 /// xoshiro256** generator with SplitMix64 seeding.
 ///

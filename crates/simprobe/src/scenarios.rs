@@ -293,9 +293,12 @@ pub fn step_link_load(
 /// Configuration of the paper's default simulation topology (Fig. 4):
 /// H hops, tight link in the middle, identical nontight links elsewhere.
 ///
-/// Defaults (§V-A, OCR-damaged values reconstructed — see DESIGN.md):
-/// H = 5, C_t = 10 Mb/s, u_t = 60 %, C_nt = 40 Mb/s, u_nt = 20 %,
-/// 10 Pareto (α = 1.9) sources per hop with the 40/550/1500 B size mix.
+/// Defaults (§V-A): H = 5, C_t = 10 Mb/s, u_t = 60 %, C_nt = 40 Mb/s,
+/// u_nt = 20 %, 10 Pareto (α = 1.9) sources per hop with the 40/550/1500 B
+/// size mix. Where the scanned §V-A text is illegible, the values are the
+/// ones consistent with what the paper quotes of this path: A = 4 Mb/s
+/// under Pareto traffic (Fig. 5's discussion), with nontight links far
+/// from tight (A_nt = 32 Mb/s).
 #[derive(Clone, Debug)]
 pub struct PaperPathConfig {
     /// Number of hops H.
@@ -437,9 +440,8 @@ pub fn verification_path_with_window(
     // one probe stream. With heavy-tailed (alpha = 1.9) renewal sources the
     // short-timescale utilization stays right-skewed, and SLoPS — which
     // converges to the *median* of the short-timescale avail-bw — then
-    // sits systematically above the MRTG *mean* (see EXPERIMENTS.md,
-    // Fig. 10 notes; this is the paper's tau-averaging discussion in
-    // action).
+    // sits systematically above the MRTG *mean* (the paper's discussion
+    // of the averaging timescale tau, in action).
     let poisson = |c: f64, u: f64, n: usize| LinkLoad {
         capacity: Rate::from_mbps(c),
         util: u,

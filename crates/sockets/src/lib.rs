@@ -46,7 +46,7 @@
 //!   probe socket, and a `SO_REUSEADDR` listener bind so a restarted
 //!   receiver reclaims its port through `TIME_WAIT`.
 //! * [`rx`] — the receiver's sans-IO protocol core: [`rx::Admission`]
-//!   (token mint, session cap, counters) and [`rx::RxSession`] (announce
+//!   (token mint, session cap, counters, the drop-warning limiter) and [`rx::RxSession`] (announce
 //!   handling, de-duplicating loss-tolerant collection, silence-window
 //!   and deadline stop rules, report construction), driven by
 //!   `on_ctrl` / `on_probe` / `on_tick` with time passed in,

@@ -242,7 +242,7 @@ impl EventedReceiver {
     /// `Hello`: the sender gets a clean "receiver at capacity" error
     /// instead of a hung session, and sessions already running are
     /// untouched.
-    pub fn with_max_sessions(self, max: usize) -> EventedReceiver {
+    pub fn with_max_sessions(mut self, max: usize) -> EventedReceiver {
         self.admission.set_max_sessions(max);
         self
     }
@@ -665,13 +665,17 @@ impl EventedReceiver {
     }
 
     /// Ship a finished collection's report: cancel the pending tick,
-    /// queue the frame, push what the socket takes now (the rest rides on
+    /// print the drop warning the collection earned, if any, queue the
+    /// frame, push what the socket takes now (the rest rides on
     /// writability).
     fn send_report(&mut self, slot: usize, report: &CtrlMsg) {
         self.stop_collecting(slot);
         let Some(sess) = self.sessions.get_mut(slot).and_then(Option::as_mut) else {
             return;
         };
+        if let Some(warning) = self.admission.drop_warning(&mut sess.core) {
+            eprintln!("{warning}");
+        }
         self.lp.cancel_timer_generation(sess.core.token());
         sess.io.queue(report);
         match sess.io.flush(&mut sess.ctrl) {
@@ -750,15 +754,15 @@ mod tests {
     }
 
     /// The token the receiver's admission desk would hand the next sender.
-    fn mint_token(rx: &EventedReceiver) -> u64 {
+    fn mint_token(rx: &mut EventedReceiver) -> u64 {
         let (session, _hello) = rx.admission.admit(0).expect("uncapped");
         session.token()
     }
 
     #[test]
     fn tokens_are_unique_per_receiver() {
-        let rx = bind();
-        assert_ne!(mint_token(&rx), mint_token(&rx));
+        let mut rx = bind();
+        assert_ne!(mint_token(&mut rx), mint_token(&mut rx));
     }
 
     /// Two receiver incarnations mint from different random bases: a
@@ -767,8 +771,8 @@ mod tests {
     /// instead of contaminating the restarted receiver's sessions.
     #[test]
     fn token_bases_differ_across_receiver_incarnations() {
-        let base_a = mint_token(&bind());
-        let base_b = mint_token(&bind());
+        let base_a = mint_token(&mut bind());
+        let base_b = mint_token(&mut bind());
         assert_ne!(base_a, base_b, "restarted receiver reused its token base");
     }
 

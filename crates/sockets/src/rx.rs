@@ -51,9 +51,8 @@ use crate::proto::{
     CtrlMsg, ProbeKind, ProbePacket, SampleWire, DENY_AT_CAPACITY, MAX_ANNOUNCE_COUNT,
     PROTO_VERSION,
 };
+use std::fmt;
 use std::io;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 use telemetry::Counter;
 
@@ -79,7 +78,7 @@ const STREAM_DEADLINE_SLACK_NS: u64 = 2_000_000_000 + 1_000_000_000;
 const TRAIN_DEADLINE_NS: u64 = 5_000_000_000;
 
 /// A session whose collections have dropped at least this many datagrams
-/// (duplicates, malformed indices) earns a stderr warning — silent loss of
+/// (duplicates, malformed indices) earns a [`DropWarning`] — silent loss of
 /// this magnitude usually means a broken sender or a duplicating path.
 const DROP_WARN_THRESHOLD: u64 = 32;
 
@@ -154,53 +153,20 @@ impl RecvCounters {
     }
 }
 
-/// What every session of one receiver shares.
+/// The admission desk of one receiver: mints session tokens, enforces the
+/// session cap, hands every admitted [`RxSession`] the receiver's
+/// counters, and rate-limits drop warnings across sessions. The pump owns
+/// it.
 #[derive(Debug)]
-struct Shared {
+pub struct Admission {
     udp_port: u16,
-    next_token: AtomicU64,
+    next_token: u64,
     /// Concurrent-session cap; 0 = unlimited.
-    max_sessions: AtomicUsize,
+    max_sessions: usize,
     counters: RecvCounters,
     /// `now_ns` of the last drop warning (rate limiting).
-    last_drop_warn_ns: AtomicU64,
+    last_drop_warn_ns: u64,
 }
-
-impl Shared {
-    /// Warn (rate-limited) once a session's collections have discarded a
-    /// suspicious number of datagrams. The threshold keeps the occasional
-    /// duplicated datagram quiet; the interval keeps a duplicate *flood*
-    /// from flooding stderr too.
-    fn maybe_warn_drops(&self, token: u64, session_drops: u64, now_ns: u64) {
-        if session_drops < DROP_WARN_THRESHOLD {
-            return;
-        }
-        let last = self.last_drop_warn_ns.load(Ordering::Relaxed);
-        if now_ns.saturating_sub(last) < DROP_WARN_INTERVAL_NS {
-            return;
-        }
-        // Relaxed: the value only rate-limits a log line. The exchange
-        // lets exactly one of several racing session threads print.
-        if self
-            .last_drop_warn_ns
-            .compare_exchange(last, now_ns, Ordering::Relaxed, Ordering::Relaxed)
-            .is_ok()
-        {
-            eprintln!(
-                "receiver: session {token:#018x} dropped {session_drops} \
-                 duplicate/malformed probe datagrams ({} across all sessions)",
-                self.counters.drop_dedup.get()
-            );
-        }
-    }
-}
-
-/// The admission desk of one receiver: mints session tokens, enforces the
-/// session cap, and owns the state every admitted [`RxSession`] shares
-/// (counters, the drop-warning limiter). Cheap to clone; all clones are
-/// one desk.
-#[derive(Clone, Debug)]
-pub struct Admission(Arc<Shared>);
 
 impl Admission {
     /// A desk advertising `udp_port` (the receiver's shared probe port) in
@@ -210,53 +176,93 @@ impl Admission {
     /// to spoof probe datagrams into a session's collection, and a
     /// restarted receiver essentially never re-issues a pre-restart token.
     pub fn new(udp_port: u16, token_base: u64) -> Admission {
-        Admission(Arc::new(Shared {
+        Admission {
             udp_port,
-            next_token: AtomicU64::new(token_base),
-            max_sessions: AtomicUsize::new(0),
+            next_token: token_base,
+            max_sessions: 0,
             counters: RecvCounters::default(),
-            last_drop_warn_ns: AtomicU64::new(0),
-        }))
+            last_drop_warn_ns: 0,
+        }
     }
 
     /// Cap concurrent sessions at `max` (`0` = unlimited, the default).
-    pub fn set_max_sessions(&self, max: usize) {
-        self.0.max_sessions.store(max, Ordering::SeqCst);
+    pub fn set_max_sessions(&mut self, max: usize) {
+        self.max_sessions = max;
     }
 
     /// The receiver's counters.
     pub fn counters(&self) -> &RecvCounters {
-        &self.0.counters
+        &self.counters
     }
 
     /// Decide one accepted control connection, given how many sessions are
-    /// `live` right now (the pump counts them under whatever lock guards
-    /// its session table, so racing accepts cannot both take the last
-    /// slot). `Ok`: the new session and the `Hello` to send it. `Err`:
-    /// the versioned `Deny` to send instead before closing.
-    pub fn admit(&self, live: usize) -> Result<(RxSession, CtrlMsg), CtrlMsg> {
-        let max = self.0.max_sessions.load(Ordering::SeqCst);
-        if max != 0 && live >= max {
-            self.0.counters.denied.inc();
+    /// `live` right now. `Ok`: the new session and the `Hello` to send it.
+    /// `Err`: the versioned `Deny` to send instead before closing.
+    pub fn admit(&mut self, live: usize) -> Result<(RxSession, CtrlMsg), CtrlMsg> {
+        if self.max_sessions != 0 && live >= self.max_sessions {
+            self.counters.denied.inc();
             return Err(CtrlMsg::Deny {
                 version: PROTO_VERSION,
                 code: DENY_AT_CAPACITY,
             });
         }
-        // Relaxed: uniqueness is all that is asked of the counter.
-        let token = self.0.next_token.fetch_add(1, Ordering::Relaxed);
+        let token = self.next_token;
+        self.next_token = token.wrapping_add(1);
         let hello = CtrlMsg::Hello {
             version: PROTO_VERSION,
-            udp_port: self.0.udp_port,
+            udp_port: self.udp_port,
             session: token,
         };
         let session = RxSession {
             token,
             collect: None,
             drops: 0,
-            shared: Arc::clone(&self.0),
+            drop_check_ns: None,
+            counters: self.counters.clone(),
         };
         Ok((session, hello))
+    }
+
+    /// The drop warning `session` earned when its last collection ended,
+    /// if any: its running drop tally had reached 32 then, and no session
+    /// was warned about in the 5 s before. The threshold keeps the
+    /// occasional duplicated datagram quiet; the interval keeps a duplicate
+    /// *flood* from flooding the log too. A pump asks after every report
+    /// and prints what comes back.
+    pub fn drop_warning(&mut self, session: &mut RxSession) -> Option<DropWarning> {
+        let now_ns = session.drop_check_ns.take()?;
+        if now_ns.saturating_sub(self.last_drop_warn_ns) < DROP_WARN_INTERVAL_NS {
+            return None;
+        }
+        self.last_drop_warn_ns = now_ns;
+        Some(DropWarning {
+            token: session.token,
+            session_drops: session.drops,
+            total_drops: self.counters.drop_dedup.get(),
+        })
+    }
+}
+
+/// A session's collections discarded a suspicious number of datagrams
+/// ([`Admission::drop_warning`]). Its `Display` is the log line.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct DropWarning {
+    /// The offending session.
+    pub token: u64,
+    /// Datagrams its collections discarded so far.
+    pub session_drops: u64,
+    /// Datagrams every session's collections discarded so far.
+    pub total_drops: u64,
+}
+
+impl fmt::Display for DropWarning {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "receiver: session {:#018x} dropped {} duplicate/malformed probe datagrams \
+             ({} across all sessions)",
+            self.token, self.session_drops, self.total_drops
+        )
     }
 }
 
@@ -317,7 +323,11 @@ pub struct RxSession {
     /// Drop tally across the session's collections (the shared counter
     /// aggregates every session; this one names the offender).
     drops: u64,
-    shared: Arc<Shared>,
+    /// When the last collection ended, if the tally had reached
+    /// [`DROP_WARN_THRESHOLD`] by then: [`Admission::drop_warning`] owes
+    /// the pump its verdict.
+    drop_check_ns: Option<u64>,
+    counters: RecvCounters,
 }
 
 impl RxSession {
@@ -460,7 +470,7 @@ impl RxSession {
             // Malformed index or duplicated datagram.
             _ => {
                 self.drops += 1;
-                self.shared.counters.drop_dedup.inc();
+                self.counters.drop_dedup.inc();
                 return None;
             }
         }
@@ -519,7 +529,7 @@ impl RxSession {
         }
         if silence {
             // Over; the missing tail is lost.
-            self.shared.counters.silence_stops.inc();
+            self.counters.silence_stops.inc();
             return self.finish(now_ns);
         }
         None
@@ -528,7 +538,9 @@ impl RxSession {
     /// End the active collection: build its report, return to idle.
     fn finish(&mut self, now_ns: u64) -> Option<CtrlMsg> {
         let c = self.collect.take()?;
-        self.shared.maybe_warn_drops(self.token, self.drops, now_ns);
+        if self.drops >= DROP_WARN_THRESHOLD {
+            self.drop_check_ns = Some(now_ns);
+        }
         Some(match c.kind {
             Kind::Stream { samples, .. } => CtrlMsg::StreamReport { id: c.id, samples },
             Kind::Train {
@@ -721,25 +733,40 @@ mod tests {
     /// session's running tally, and is rate-limited across sessions.
     #[test]
     fn drop_warning_fires_at_collection_end_and_is_rate_limited() {
-        let desk = Admission::new(1, 0);
+        let mut desk = Admission::new(1, 0);
         let (mut a, _) = desk.admit(0).unwrap();
         let (mut b, _) = desk.admit(1).unwrap();
-        let warned_at = || desk.0.last_drop_warn_ns.load(Ordering::Relaxed);
         let sec = 1_000_000_000;
+        let warning = |session: &RxSession, session_drops, total_drops| DropWarning {
+            token: session.token(),
+            session_drops,
+            total_drops,
+        };
 
         // Below the threshold: quiet.
         collection_with_drops(&mut a, 1, DROP_WARN_THRESHOLD - 1, 10 * sec);
-        assert_eq!(warned_at(), 0);
+        assert_eq!(desk.drop_warning(&mut a), None);
         // The tally is per session and cumulative: one more drop tips it.
         collection_with_drops(&mut a, 2, 1, 11 * sec);
-        assert_eq!(warned_at(), 11 * sec);
+        let tipped = warning(&a, DROP_WARN_THRESHOLD, DROP_WARN_THRESHOLD);
+        assert_eq!(desk.drop_warning(&mut a), Some(tipped));
+        assert_eq!(desk.drop_warning(&mut a), None, "asked once per collection");
         // Another offender inside the interval stays quiet...
         collection_with_drops(&mut b, 1, DROP_WARN_THRESHOLD, 12 * sec);
-        assert_eq!(warned_at(), 11 * sec);
+        assert_eq!(desk.drop_warning(&mut b), None);
         // ...and is named once the interval has passed.
         collection_with_drops(&mut b, 2, 0, 11 * sec + DROP_WARN_INTERVAL_NS);
-        assert_eq!(warned_at(), 11 * sec + DROP_WARN_INTERVAL_NS);
+        let named = warning(&b, DROP_WARN_THRESHOLD, 2 * DROP_WARN_THRESHOLD);
+        assert_eq!(desk.drop_warning(&mut b), Some(named.clone()));
         assert_eq!(desk.counters().drop_dedup.get(), 2 * DROP_WARN_THRESHOLD);
+        assert_eq!(
+            named.to_string(),
+            format!(
+                "receiver: session {:#018x} dropped 32 duplicate/malformed probe \
+                 datagrams (64 across all sessions)",
+                b.token()
+            )
+        );
     }
 
     #[test]
@@ -773,7 +800,7 @@ mod tests {
     /// Tokens count up from the base the pump passes in.
     #[test]
     fn tokens_count_up_from_the_given_base() {
-        let desk = Admission::new(1, 41);
+        let mut desk = Admission::new(1, 41);
         assert_eq!(desk.admit(0).unwrap().0.token(), 41);
         assert_eq!(desk.admit(1).unwrap().0.token(), 42);
     }
@@ -806,7 +833,7 @@ mod tests {
     /// after the announce. A train wants every arrival read as it lands.
     #[test]
     fn a_collection_says_what_it_needs_of_the_reads() {
-        let desk = Admission::new(1, 0);
+        let mut desk = Admission::new(1, 0);
         let (mut s, _) = desk.admit(0).unwrap();
         assert_eq!(s.read_demand(), None, "idle");
         let announce = CtrlMsg::StreamAnnounce {
@@ -848,7 +875,7 @@ mod tests {
     /// arrival; the next collection plans afresh.
     #[test]
     fn an_overflow_reads_the_rest_of_the_collection_on_arrival() {
-        let desk = Admission::new(1, 0);
+        let mut desk = Admission::new(1, 0);
         let (mut s, _) = desk.admit(0).unwrap();
         s.on_rcvbuf_overflow(); // idle: nothing to mark
         let announce = |id| CtrlMsg::StreamAnnounce {

@@ -11,11 +11,10 @@
 //! buffering at the receiver, and timestamp echo for unambiguous RTT
 //! samples.
 //!
-//! Simplifications (see DESIGN.md): no handshake or FIN teardown
-//! (connections start established — the experiments study steady state),
-//! no delayed ACKs, unbounded receiver window (the BTC definition: only
-//! the network limits the transfer), no SACK (Reno, as in the paper's
-//! 2002-era stacks).
+//! Simplifications: no handshake or FIN teardown (connections start
+//! established — the experiments study steady state), no delayed ACKs,
+//! unbounded receiver window (the BTC definition: only the network limits
+//! the transfer), no SACK (Reno, as in the paper's 2002-era stacks).
 //!
 //! ```
 //! use netsim::{ChainConfig, LinkConfig, Simulator, Chain};

@@ -397,7 +397,7 @@ struct Transcript {
 /// Feed a script to a fresh `RxSession`, one input at a time, on the
 /// hand-stepped clock.
 fn hand_step(steps: &[Step]) -> Transcript {
-    let desk = Admission::new(4242, 0x5eed);
+    let mut desk = Admission::new(4242, 0x5eed);
     let (mut session, hello) = desk.admit(0).expect("an uncapped desk admits");
     assert_eq!(
         hello,
@@ -512,7 +512,7 @@ fn report_frames_are_byte_exact() {
 /// with the versioned `Deny` and counts it.
 #[test]
 fn protocol_errors_and_the_session_cap() {
-    let desk = Admission::new(1, 0x5eed);
+    let mut desk = Admission::new(1, 0x5eed);
     let (mut session, _) = desk.admit(0).unwrap();
     let err = session
         .on_ctrl(

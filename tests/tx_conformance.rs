@@ -558,7 +558,7 @@ impl Path {
 /// `idx · period`, and a dropped probe as one missing sample.
 #[test]
 fn tx_against_rx_in_memory() {
-    let desk = Admission::new(4242, 0x5eed);
+    let mut desk = Admission::new(4242, 0x5eed);
     let (rx, hello) = desk.admit(0).expect("an uncapped desk admits");
     let (tx, udp_port) = tx::on_hello(hello).expect("the desk's own Hello");
     assert_eq!((tx.session(), udp_port), (rx.token(), 4242));
