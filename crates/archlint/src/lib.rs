@@ -27,8 +27,9 @@
 //!   there takes a whole fleet down.
 //! * **AL005 `cfg-gate`** — raw-fd surface (`RawFd`, `AsRawFd`,
 //!   `std::os::fd`, ...) in the gated crates must sit behind
-//!   `#[cfg(unix)]` / `#[cfg(target_os = "linux")]`, either in-file or
-//!   at the `mod` declaration in the crate root.
+//!   `#[cfg(target_os = "linux")]`, either in-file or at the `mod`
+//!   declaration in the crate root. The wire stack has one platform, so
+//!   `cfg(unix)` or a negated gate does not count.
 //! * **AL000 `suppression`** — a malformed `// archlint: allow(...)`
 //!   comment (unknown rule, missing ` -- reason`) is itself a finding,
 //!   so suppressions cannot silently rot.
@@ -75,7 +76,7 @@ pub enum Rule {
     UnsafeScope,
     /// AL004: `unwrap`/`expect`/panic macros/indexing in a datapath module.
     PanicFree,
-    /// AL005: raw-fd surface not behind a Unix cfg gate.
+    /// AL005: raw-fd surface not behind a Linux cfg gate.
     CfgGate,
 }
 
@@ -548,14 +549,22 @@ const RAW_FD_TOKENS: [&str; 7] = [
     "std::os::fd",
 ];
 
-fn is_cfg_gate_line(code: &str) -> bool {
-    code.contains("cfg(unix)") || code.contains("cfg(target_os") || code.contains("cfg(not(unix")
+/// True when a line carries a cfg attribute that admits Linux only:
+/// `target_os = "linux"`, neither negated nor widened by `any(..)`.
+/// `code` is the line with comments
+/// and string contents blanked (so a commented-out gate does not count),
+/// `raw` the line as written (the string that names the OS).
+fn is_linux_gate_line(code: &str, raw: &str) -> bool {
+    code.contains("cfg(")
+        && !code.contains("not(")
+        && !code.contains("any(")
+        && raw.contains("target_os = \"linux\"")
 }
 
 /// Check one file's source against the policy. `rel_path` is the
 /// repository-relative path (forward slashes) the policy refers to;
 /// `mod_gated` says the file's `mod` declaration in its crate root is
-/// already behind a Unix cfg gate (so AL005 is satisfied file-wide).
+/// already behind a Linux cfg gate (so AL005 is satisfied file-wide).
 ///
 /// This is the pure core: the fixture tests drive it directly with
 /// in-memory sources.
@@ -592,9 +601,12 @@ pub fn check_file(policy: &Policy, rel_path: &str, source: &str, mod_gated: bool
         }
     }
 
-    // AL005 needs to know whether any cfg gate appears at or before a
+    // AL005 needs to know whether any Linux gate appears at or before a
     // given line; precompute the first gate's line index.
-    let first_gate = code_lines.iter().position(|c| is_cfg_gate_line(c));
+    let first_gate = code_lines
+        .iter()
+        .zip(source.lines())
+        .position(|(code, raw)| is_linux_gate_line(code, raw));
 
     for (idx, code) in code_lines.iter().enumerate() {
         let mut push = |rule: Rule, message: String| {
@@ -658,7 +670,7 @@ pub fn check_file(policy: &Policy, rel_path: &str, source: &str, mod_gated: bool
                 if has_token(code, tok) && first_gate.is_none_or(|g| g > idx) {
                     push(
                         Rule::CfgGate,
-                        format!("`{tok}` with no `#[cfg(unix)]`/`#[cfg(target_os = ...)]` gate above it (gate the item, or gate the `mod` in the crate root)"),
+                        format!("`{tok}` with no `#[cfg(target_os = \"linux\")]` gate above it (gate the item, or gate the `mod` in the crate root)"),
                     );
                 }
             }
@@ -732,22 +744,19 @@ fn walk_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
 }
 
 /// Scan a crate root (`lib.rs`) for `mod` declarations sitting directly
-/// under a Unix cfg gate; returns the gated module names.
+/// under a Linux cfg gate; returns the gated module names.
 fn gated_mods(lib_source: &str) -> BTreeSet<String> {
     let mut state = StripState::Code;
-    let code: Vec<String> = lib_source
-        .lines()
-        .map(|l| strip_line(l, &mut state).0)
-        .collect();
     let mut gated = BTreeSet::new();
     let mut pending_gate = false;
-    for line in &code {
-        let t = line.trim();
+    for raw in lib_source.lines() {
+        let code = strip_line(raw, &mut state).0;
+        let t = code.trim();
         if t.is_empty() {
             continue;
         }
         if t.starts_with("#[") {
-            if is_cfg_gate_line(t) {
+            if is_linux_gate_line(t, raw) {
                 pending_gate = true;
             }
             continue;
@@ -779,7 +788,7 @@ pub fn check_workspace(root: &Path, policy: &Policy) -> io::Result<Report> {
         let mut files = Vec::new();
         walk_rs(&src, &mut files)?;
 
-        // Which modules does the crate root gate behind cfg(unix)?
+        // Which modules does the crate root gate behind the Linux cfg?
         let lib = src.join("lib.rs");
         let mut gated = BTreeSet::new();
         if let Ok(lib_src) = fs::read_to_string(&lib) {
@@ -910,15 +919,24 @@ fn d() {}
     fn gated_mods_reads_cfg_above_mod() {
         let lib = "\
 pub mod plain;
-#[cfg(unix)]
+#[cfg(target_os = \"linux\")]
 pub mod evented;
 // a comment between
 #[cfg(target_os = \"linux\")]
 mod inner;
+#[cfg(unix)]
+pub mod unix_only;
+#[cfg(not(target_os = \"linux\"))]
+mod elsewhere;
 ";
         let g = gated_mods(lib);
         assert!(g.contains("evented"));
         assert!(g.contains("inner"));
         assert!(!g.contains("plain"));
+        assert!(!g.contains("unix_only"), "cfg(unix) is not the Linux gate");
+        assert!(
+            !g.contains("elsewhere"),
+            "a negated gate admits other targets"
+        );
     }
 }

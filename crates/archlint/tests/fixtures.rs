@@ -264,11 +264,12 @@ fn cfg_gate_fires_on_ungated_raw_fd() {
 #[test]
 fn cfg_gate_satisfied_by_in_file_gate_or_mod_gate() {
     let gated_in_file = "\
-#[cfg(unix)]
+#[cfg(target_os = \"linux\")]
 use std::os::fd::AsRawFd;
 ";
     assert!(findings_for("fix/src/io.rs", gated_in_file).is_empty());
-    // `mod_gated = true` models a `#[cfg(unix)] mod io;` in the crate root.
+    // `mod_gated = true` models a `#[cfg(target_os = "linux")] mod io;` in
+    // the crate root.
     assert!(check_file(
         &strict_policy(),
         "fix/src/io.rs",
@@ -276,6 +277,24 @@ use std::os::fd::AsRawFd;
         true
     )
     .is_empty());
+}
+
+#[test]
+fn cfg_gate_fires_behind_a_unix_or_negated_gate() {
+    for gate in [
+        "#[cfg(unix)]",
+        "#[cfg(not(unix))]",
+        "#[cfg(not(target_os = \"linux\"))]",
+        "#[cfg(any(unix, target_os = \"linux\"))]",
+        "// #[cfg(target_os = \"linux\")]",
+    ] {
+        let src = format!("{gate}\nuse std::os::fd::AsRawFd;\n");
+        let rules = findings_for("fix/src/io.rs", &src);
+        assert!(
+            !rules.is_empty() && rules.iter().all(|r| *r == Rule::CfgGate),
+            "{gate}: expected cfg-gate findings, got {rules:?}"
+        );
+    }
 }
 
 #[test]

@@ -152,9 +152,7 @@ pub struct Outcome {
 }
 
 impl Outcome {
-    /// The estimate, or `None` if the session failed. Prefer this over
-    /// [`Outcome::expect_estimate`] in grid code that should survive (and
-    /// report) a lost session instead of tearing the whole batch down.
+    /// The estimate, or `None` if the session failed.
     pub fn estimate(&self) -> Option<&Estimate> {
         self.estimate.as_ref().ok()
     }
@@ -162,15 +160,6 @@ impl Outcome {
     /// The failure, if the session was lost.
     pub fn error(&self) -> Option<&SlopsError> {
         self.estimate.as_ref().err()
-    }
-
-    /// The estimate, panicking with the label on failure (grid code that
-    /// treats failures as fatal).
-    pub fn expect_estimate(&self) -> &Estimate {
-        match &self.estimate {
-            Ok(e) => e,
-            Err(e) => panic!("session {} failed: {e}", self.label),
-        }
     }
 }
 

@@ -23,8 +23,18 @@
 //!   event loop, so the tick-grouped replay the batching thread driver
 //!   needs (`docs/DRIVERS.md` gotchas) is satisfied trivially.
 //!
-//! This module holds only the substrate: the per-path slot state
-//! machine, token generations and re-dial. The observer surface
+//! Each monitored path is a [`SocketPathSpec`]: one
+//! [`pathload_net::SocketTransport`] connected to a `pathload_rcv`
+//! receiver near that path's far end. Receivers are session-multiplexing,
+//! so paths whose far ends are co-located may all name the **same**
+//! receiver address — each connection becomes its own session, demuxed by
+//! the token in every probe packet. All transports of a fleet share
+//! **one clock epoch** ([`pathload_net::clock::MonoClock::same_epoch`]):
+//! the scheduler staggers starts across paths on a single timeline, so
+//! the per-path `elapsed()` clocks must agree on what "now" means.
+//!
+//! This module holds only the substrate: the paths' connections, the
+//! per-path slot state machine, token generations and re-dial. The observer surface
 //! ([`FleetEvent`]), shutdown ([`ShutdownFlag`]: pending starts are
 //! cancelled, in-flight measurements land), series stores and JSONL
 //! export are the fleet core's, shared with the other drivers.
@@ -52,15 +62,50 @@
 use crate::fleet::{Fleet, FleetEvent, ShutdownFlag};
 use crate::metrics::FleetTelemetry;
 use crate::scheduler::ScheduleConfig;
-use crate::socket::{connect_transports, SocketPathSpec};
 use crate::store::{PathSeries, SeriesConfig};
+use pathload_net::clock::MonoClock;
 use pathload_net::mux::{EventLoop, MuxEvent};
 use pathload_net::{EventedSession, SessionTokens, SocketTransport};
 use slops::{SlopsConfig, SlopsError, TransportError};
+use std::io;
+use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 use telemetry::{Histogram, TraceSink};
-use units::TimeNs;
+use units::{Rate, TimeNs};
+
+/// One monitored path of a socket-backed fleet.
+#[derive(Clone, Debug)]
+pub struct SocketPathSpec {
+    /// Label carried into the series and the export layer.
+    pub label: String,
+    /// Control address of the path's `pathload_rcv` receiver.
+    pub ctrl_addr: SocketAddr,
+    /// Measurement configuration for this path.
+    pub cfg: SlopsConfig,
+    /// Override of the transport's pacing rate cap (see
+    /// [`SocketTransport::rate_cap`]); `None` keeps the default.
+    pub rate_cap: Option<Rate>,
+}
+
+/// Connect one [`SocketTransport`] per path, all sharing a single clock
+/// epoch. Returns the epoch clock (so an event loop can read the same
+/// timeline) and the connected `(spec, transport)` pairs in path order.
+fn connect_transports(
+    specs: Vec<SocketPathSpec>,
+) -> io::Result<(MonoClock, Vec<(SocketPathSpec, SocketTransport)>)> {
+    let epoch = MonoClock::new();
+    let mut out = Vec::with_capacity(specs.len());
+    for spec in specs {
+        let mut transport =
+            SocketTransport::connect_with_clock(spec.ctrl_addr, epoch.same_epoch())?;
+        if let Some(cap) = spec.rate_cap {
+            transport.rate_cap = cap;
+        }
+        out.push((spec, transport));
+    }
+    Ok((epoch, out))
+}
 
 /// Upper bound on one `EventLoop::wait`, so the loop re-checks the
 /// shutdown flag and the fleet's state even when nothing is happening.
@@ -116,7 +161,7 @@ impl Slot {
     }
 }
 
-fn io_err(e: std::io::Error) -> SlopsError {
+fn io_err(e: io::Error) -> SlopsError {
     SlopsError::Transport(TransportError::Io(e.to_string()))
 }
 
@@ -378,12 +423,13 @@ pub fn run_socket_fleet_async_with_telemetry(
     Ok(fleet.into_series())
 }
 
-#[cfg(all(test, target_os = "linux"))]
+#[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
     use pathload_net::EventedReceiver;
-    use units::Rate;
+    use std::thread;
+    use std::time::Instant;
 
     fn gentle_cfg() -> SlopsConfig {
         let mut cfg = SlopsConfig::default();
@@ -396,6 +442,45 @@ mod tests {
         cfg
     }
 
+    fn spec(label: &str, ctrl_addr: SocketAddr) -> SocketPathSpec {
+        SocketPathSpec {
+            label: label.into(),
+            ctrl_addr,
+            cfg: gentle_cfg(),
+            rate_cap: Some(Rate::from_mbps(30.0)),
+        }
+    }
+
+    /// Two paths naming ONE receiver address connect as two sessions of
+    /// it (the receiver demuxes them by token), in path order, with their
+    /// rate caps, on the fleet's one clock epoch.
+    #[test]
+    fn loopback_pair_shares_one_receiver() {
+        let rx = EventedReceiver::bind("127.0.0.1:0".parse().unwrap())
+            .unwrap()
+            .spawn();
+        let specs = ["lo0", "lo1"]
+            .iter()
+            .map(|l| spec(l, rx.ctrl_addr()))
+            .collect();
+        let (epoch, connected) = connect_transports(specs).unwrap();
+        let before = epoch.now_ns();
+        let labels: Vec<&str> = connected.iter().map(|(s, _)| s.label.as_str()).collect();
+        assert_eq!(labels, ["lo0", "lo1"]);
+        assert_ne!(connected[0].1.session(), connected[1].1.session());
+        for (spec, transport) in &connected {
+            assert_eq!(transport.rate_cap, Rate::from_mbps(30.0));
+            let at = transport.elapsed().as_nanos();
+            assert!(
+                before <= at && at <= epoch.now_ns(),
+                "{}: not on the fleet's clock epoch",
+                spec.label
+            );
+        }
+        drop(connected);
+        rx.stop().unwrap();
+    }
+
     /// Two loopback paths sharing ONE receiver address, multiplexed on a
     /// single event-loop thread: every path gets at least one sample,
     /// nothing errors, and streamed events match the stored series.
@@ -405,14 +490,7 @@ mod tests {
             .unwrap()
             .spawn();
         let addr = rx.ctrl_addr();
-        let specs: Vec<SocketPathSpec> = (0..2)
-            .map(|i| SocketPathSpec {
-                label: format!("lo{i}"),
-                ctrl_addr: addr,
-                cfg: gentle_cfg(),
-                rate_cap: Some(Rate::from_mbps(30.0)),
-            })
-            .collect();
+        let specs = (0..2).map(|i| spec(&format!("lo{i}"), addr)).collect();
         let sched = ScheduleConfig {
             period: TimeNs::from_secs(2),
             jitter: TimeNs::from_millis(100),
@@ -499,5 +577,58 @@ mod tests {
             |_| {},
         );
         assert!(matches!(err, Err(SlopsError::Transport(_))));
+    }
+
+    /// A shutdown request cancels a start that is still waiting for its
+    /// start instant: with path 1 staggered 5 s out and the flag raised
+    /// at ~1.5 s, the fleet returns promptly (path 1 is never measured)
+    /// instead of sleeping out the stagger and probing after the signal.
+    #[test]
+    fn shutdown_cancels_a_dispatched_but_unstarted_measurement() {
+        let rx = EventedReceiver::bind("127.0.0.1:0".parse().unwrap())
+            .unwrap()
+            .spawn();
+        let specs = ["lo0", "lo1"]
+            .iter()
+            .map(|l| spec(l, rx.ctrl_addr()))
+            .collect();
+        let sched = ScheduleConfig {
+            period: TimeNs::from_secs(10), // stagger puts path 1 at +5 s
+            jitter: TimeNs::ZERO,
+            max_concurrent: 2,
+            seed: 2,
+        };
+        let stop = ShutdownFlag::new();
+        let signal = {
+            let stop = stop.clone();
+            thread::spawn(move || {
+                thread::sleep(Duration::from_millis(1_500));
+                stop.request();
+            })
+        };
+        let begun = Instant::now();
+        let series = run_socket_fleet_async_with_telemetry(
+            specs,
+            &sched,
+            &SeriesConfig::default(),
+            TimeNs::from_secs(60),
+            &stop,
+            None,
+            |_| {},
+        )
+        .unwrap();
+        let elapsed = begun.elapsed();
+        signal.join().unwrap();
+        rx.stop().unwrap();
+
+        // Path 0 measured once (it started immediately); path 1's start
+        // was cancelled while pending — no sample, no error.
+        assert_eq!(series[0].len(), 1, "path 0 measures before the signal");
+        assert_eq!(series[1].len(), 0, "path 1 must be cancelled, not measured");
+        assert_eq!(series[0].errors() + series[1].errors(), 0);
+        assert!(
+            elapsed < Duration::from_millis(4_500),
+            "shutdown waited out the stagger: {elapsed:?}"
+        );
     }
 }

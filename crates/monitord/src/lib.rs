@@ -27,13 +27,13 @@
 //! * [`thread`] — the thread pump: blocking transports (simulator shims,
 //!   the test oracle) measured in concurrent waves on the `slops::runner`
 //!   pool, completions replayed in tick order.
-//! * [`socket`] — [`SocketPathSpec`]: a real path to probe over
-//!   `pathload-net` UDP/TCP transports (one long-lived connection per
-//!   path, all sharing a clock epoch).
 //! * [`evented`] — the socket pump (the `monitord` binary's): every real
-//!   path multiplexed as a non-blocking `pathload_net::EventedSession` on
-//!   ONE epoll thread, re-dialling a receiver that went away. Linux only,
-//!   like the receiver.
+//!   path, a [`SocketPathSpec`] (one long-lived `pathload-net` UDP/TCP
+//!   connection per path, all sharing a clock epoch), multiplexed as a
+//!   non-blocking `pathload_net::EventedSession` on ONE epoll thread,
+//!   re-dialling a receiver that went away. Linux only, like the
+//!   receiver: the module is gated on `target_os = "linux"`; everything
+//!   else in the crate is portable.
 //! * [`metrics`] — [`FleetTelemetry`], the one registry behind the scrape
 //!   endpoint, the JSONL `telemetry` records and the stderr digest.
 //! * [`config`] — the `monitord` binary's line-based configuration.
@@ -88,27 +88,23 @@
 #![forbid(unsafe_code)]
 
 pub mod config;
-// The socket fleet driver is Unix-only (raw-fd registration); everything
-// else stays portable.
-#[cfg(unix)]
+#[cfg(target_os = "linux")]
 pub mod evented;
 pub mod export;
 pub mod fleet;
 pub mod metrics;
 pub mod scheduler;
 pub mod sim;
-pub mod socket;
 pub mod store;
 pub mod thread;
 
 pub use config::{ConfigError, DaemonConfig, PathEntry, ProbeOverrides};
-#[cfg(unix)]
-pub use evented::run_socket_fleet_async_with_telemetry;
+#[cfg(target_os = "linux")]
+pub use evented::{run_socket_fleet_async_with_telemetry, SocketPathSpec};
 pub use export::{fleet_summary, telemetry_line, write_fleet_jsonl};
 pub use fleet::{Fleet, FleetEvent, ShutdownFlag};
 pub use metrics::FleetTelemetry;
 pub use scheduler::{PathId, Poll, ScheduleConfig, Scheduler};
 pub use sim::{SimEngine, SimFleetMonitor, SimPathSpec};
-pub use socket::SocketPathSpec;
 pub use store::{ChangeCursor, ChangeDirection, ChangeEvent, PathSeries, SeriesConfig};
 pub use thread::{run_fleet_with_telemetry, ThreadPathSpec};

@@ -68,15 +68,6 @@ impl UtilMonitor {
         Rate::from_transfer(self.bytes_in_window(idx), self.window)
     }
 
-    /// Average utilization of a link with the given capacity in window `idx`.
-    pub fn util_in_window(&self, idx: usize, capacity: Rate) -> f64 {
-        if capacity.is_zero() {
-            0.0
-        } else {
-            self.rate_in_window(idx).bps() / capacity.bps()
-        }
-    }
-
     /// Average available bandwidth `C (1 - u)` in window `idx` (eq. 2).
     pub fn avail_bw_in_window(&self, idx: usize, capacity: Rate) -> Rate {
         capacity - self.rate_in_window(idx)
@@ -136,7 +127,6 @@ mod tests {
         m.record(TimeNs::from_millis(10), 125_000);
         assert!((m.rate_in_window(0).mbps() - 1.0).abs() < 1e-9);
         let cap = Rate::from_mbps(10.0);
-        assert!((m.util_in_window(0, cap) - 0.1).abs() < 1e-9);
         assert!((m.avail_bw_in_window(0, cap).mbps() - 9.0).abs() < 1e-9);
     }
 

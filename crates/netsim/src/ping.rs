@@ -113,14 +113,6 @@ impl Pinger {
         self.route = route;
     }
 
-    /// RTT samples that arrived, in milliseconds.
-    pub fn rtts_ms(&self) -> Vec<f64> {
-        self.samples
-            .iter()
-            .filter_map(|s| s.rtt.map(|r| r.millis_f64()))
-            .collect()
-    }
-
     /// Number of requests with no reply (so far).
     pub fn losses(&self) -> usize {
         self.samples.iter().filter(|s| s.rtt.is_none()).count()
@@ -269,7 +261,6 @@ mod tests {
         sim.run_until_idle(TimeNs::from_secs(5));
         let p = sim.app::<Pinger>(pinger_id);
         assert!(p.losses() > 0, "expected some losses at 50% drop");
-        assert!(p.rtts_ms().len() < p.samples.len());
         let stats = p.stats_between(TimeNs::ZERO, TimeNs::from_secs(2));
         assert_eq!(stats.lost + stats.rtt_ms.n, p.samples.len());
     }

@@ -162,21 +162,6 @@ impl Prng {
         let u = 1.0 - u; // (0, 1]
         xm / u.powf(inv_alpha)
     }
-
-    /// Pick an index according to (unnormalized) non-negative weights.
-    pub fn weighted_choice(&mut self, weights: &[f64]) -> usize {
-        debug_assert!(!weights.is_empty());
-        let total: f64 = weights.iter().sum();
-        debug_assert!(total > 0.0);
-        let mut x = self.f64() * total;
-        for (i, w) in weights.iter().enumerate() {
-            if x < *w {
-                return i;
-            }
-            x -= w;
-        }
-        weights.len() - 1
-    }
 }
 
 #[cfg(test)]
@@ -254,21 +239,6 @@ mod tests {
         let xm = 2.0 * 0.9 / 1.9; // mean 2.0, alpha 1.9
         for _ in 0..10_000 {
             assert!(r.pareto_mean(1.9, 2.0) >= xm * 0.999);
-        }
-    }
-
-    #[test]
-    fn weighted_choice_distribution() {
-        let mut r = Prng::new(8);
-        let w = [0.4, 0.5, 0.1];
-        let mut counts = [0usize; 3];
-        let n = 100_000;
-        for _ in 0..n {
-            counts[r.weighted_choice(&w)] += 1;
-        }
-        for i in 0..3 {
-            let p = counts[i] as f64 / n as f64;
-            assert!((p - w[i]).abs() < 0.01, "p[{i}]={p}");
         }
     }
 

@@ -412,11 +412,6 @@ impl PaperPath {
     pub fn into_transport(self) -> SimTransport {
         self.transport
     }
-
-    /// Borrow the probe transport.
-    pub fn transport_mut(&mut self) -> &mut SimTransport {
-        &mut self.transport
-    }
 }
 
 /// The Fig. 10 verification path: a lightly loaded access link, a 155 Mb/s

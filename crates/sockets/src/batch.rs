@@ -1,5 +1,5 @@
-//! Batched kernel datapath: `recvmmsg`/`sendmmsg` with a scalar fallback,
-//! kernel arrival stamps, and the socket's overflow count.
+//! Batched kernel datapath: `recvmmsg`/`sendmmsg`, kernel arrival stamps,
+//! and the socket's overflow count.
 //!
 //! The receiver's drain and the evented sender's train blast
 //! are the two hot paths where one measurement round moves dozens of
@@ -9,12 +9,11 @@
 //! in one call — through the same direct-FFI pattern as `mux::sys`
 //! (the C library `std` already links; no new dependencies).
 //!
-//! On Linux the same API can also run a *scalar* loop, one `recvmsg` per
+//! The receive side can also run a *scalar* loop, one `recvmsg` per
 //! datagram, when a caller forces it (the batching-correctness test pins
-//! the two paths byte-identical); off Linux a receive reads one datagram
-//! with `recv_from` and a send loops `send`. The semantics are identical:
-//! a receive call returns at least one datagram or `WouldBlock`, a send
-//! call accepts a prefix of the slice and reports how many messages the
+//! the two paths byte-identical). The semantics are identical: a receive
+//! call returns at least one datagram or `WouldBlock`, a send call
+//! accepts a prefix of the slice and reports how many messages the
 //! kernel took. A receive never blocks after its first datagram, so a
 //! blocking socket with a read timeout reads through the same call.
 //!
@@ -27,7 +26,7 @@
 //! paths parse the control messages per datagram: [`UdpRecvBatch::stamp`]
 //! is the kernel's realtime stamp (mapped onto a pump's monotonic clock
 //! by `clock::RealtimeMap`), [`UdpRecvBatch::take_drops`] the overflow
-//! the datagrams read so far reveal. Off Linux there are no stamps.
+//! the datagrams read so far reveal.
 //!
 //! [`bind_reuse`] also lives here: a TCP listener bound with
 //! `SO_REUSEADDR`, so a restarted receiver daemon can rebind its control
@@ -68,23 +67,11 @@ pub struct ProbeSocket {
 /// Ready a probe socket for stamped reads: kernel arrival stamps, the
 /// overflow count, and a receive buffer raised toward [`PROBE_RCVBUF`]
 /// (never lowered). Best effort: whatever the kernel refuses is reported
-/// as absent, and off Linux nothing is set.
+/// as absent.
 pub fn prepare_probe_socket(sock: &UdpSocket) -> ProbeSocket {
-    #[cfg(target_os = "linux")]
-    {
-        sys::prepare_probe_socket(sock)
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        let _ = sock;
-        ProbeSocket {
-            stamps: false,
-            rcvbuf: 0,
-        }
-    }
+    sys::prepare_probe_socket(sock)
 }
 
-#[cfg(target_os = "linux")]
 #[allow(unsafe_code)] // FFI onto recvmmsg/recvmsg/sendmmsg/setsockopt of the libc std links.
 mod sys {
     use std::ffi::c_long;
@@ -426,26 +413,18 @@ mod sys {
     }
 }
 
-/// A TCP listener for a server control port: bound with `SO_REUSEADDR` on
-/// Linux so a restarted receiver can rebind immediately (TIME_WAIT from
-/// the previous incarnation's accepted sockets does not block it); a
-/// plain [`TcpListener::bind`] elsewhere.
+/// A TCP listener for a server control port, bound with `SO_REUSEADDR`
+/// so a restarted receiver can rebind immediately (TIME_WAIT from the
+/// previous incarnation's accepted sockets does not block it).
 pub fn bind_reuse(addr: SocketAddr) -> io::Result<TcpListener> {
-    #[cfg(target_os = "linux")]
-    {
-        sys::bind_reuse(addr)
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        TcpListener::bind(addr)
-    }
+    sys::bind_reuse(addr)
 }
 
 /// Reusable buffers for batched datagram receives.
 ///
-/// One [`UdpRecvBatch::recv`] call is one kernel crossing: `recvmmsg` on
-/// Linux, a `recvmsg` loop when [`UdpRecvBatch::set_scalar`] forces it,
-/// one `recv_from` elsewhere. Either way it returns at least one datagram
+/// One [`UdpRecvBatch::recv`] call is one kernel crossing: `recvmmsg`, or
+/// a `recvmsg` loop when [`UdpRecvBatch::set_scalar`] forces it. Either
+/// way it returns at least one datagram
 /// or `WouldBlock`, and the received payloads are read back with
 /// [`UdpRecvBatch::msg`], their kernel arrival stamps with
 /// [`UdpRecvBatch::stamp`].
@@ -473,22 +452,16 @@ impl UdpRecvBatch {
             bufs: vec![vec![0u8; buf_len]; max_msgs],
             lens: vec![0; max_msgs],
             stamps: vec![None; max_msgs],
-            scalar: cfg!(not(target_os = "linux")),
+            scalar: false,
             drops_seen: 0,
             drops_taken: 0,
         }
     }
 
-    /// Force the scalar receive loop even where `recvmmsg` is available
-    /// (the batching-correctness test pins both paths identical). Off
-    /// Linux the scalar loop is always used regardless.
+    /// Force the scalar receive loop instead of `recvmmsg` (the
+    /// batching-correctness test pins both paths identical).
     pub fn set_scalar(&mut self, scalar: bool) {
-        self.scalar = scalar || cfg!(not(target_os = "linux"));
-    }
-
-    /// True when receives run the scalar loop.
-    pub fn is_scalar(&self) -> bool {
-        self.scalar
+        self.scalar = scalar;
     }
 
     /// Receive a batch from `sock`: `Ok(n)` with `n >= 1` datagrams now
@@ -496,29 +469,17 @@ impl UdpRecvBatch {
     /// socket is empty (a blocking socket waits for the first datagram,
     /// up to its read timeout, and for no other).
     pub fn recv(&mut self, sock: &UdpSocket) -> io::Result<usize> {
-        #[cfg(target_os = "linux")]
-        {
-            let (got, drops) = sys::recv(
-                sock,
-                !self.scalar,
-                &mut self.bufs,
-                &mut self.lens,
-                &mut self.stamps,
-            )?;
-            if let Some(drops) = drops {
-                self.drops_seen = drops;
-            }
-            Ok(got)
+        let (got, drops) = sys::recv(
+            sock,
+            !self.scalar,
+            &mut self.bufs,
+            &mut self.lens,
+            &mut self.stamps,
+        )?;
+        if let Some(drops) = drops {
+            self.drops_seen = drops;
         }
-        #[cfg(not(target_os = "linux"))]
-        {
-            // One datagram per call: std has no per-call "don't block",
-            // and a blocking socket must not wait for a second one.
-            let (len, _) = sock.recv_from(&mut self.bufs[0])?;
-            self.lens[0] = len;
-            self.stamps[0] = None;
-            Ok(1)
-        }
+        Ok(got)
     }
 
     /// The `i`-th datagram of the last [`UdpRecvBatch::recv`] batch.
@@ -545,46 +506,19 @@ impl UdpRecvBatch {
 
 /// Ask the kernel for `bytes` of receive buffer on `sock`; the effective
 /// size it reads back. Tests shrink a socket with it to force overflow.
-#[cfg(all(test, target_os = "linux"))]
+#[cfg(test)]
 pub(crate) fn set_recv_buffer(sock: &UdpSocket, bytes: usize) -> Option<usize> {
     sys::set_rcvbuf(sock, bytes)
 }
 
 /// Send a slice of datagrams over a *connected* non-blocking socket in
-/// one `sendmmsg` call (Linux) or a scalar `send` loop: returns how many
-/// messages the kernel accepted (a prefix of `msgs`), or `WouldBlock`
-/// when it accepted none.
+/// one `sendmmsg` call: returns how many messages the kernel accepted (a
+/// prefix of `msgs`), or `WouldBlock` when it accepted none.
 pub fn send_batch(sock: &UdpSocket, msgs: &[Vec<u8>]) -> io::Result<usize> {
     if msgs.is_empty() {
         return Ok(0);
     }
-    #[cfg(target_os = "linux")]
-    {
-        sys::send_batch(sock, msgs)
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        send_batch_scalar(sock, msgs)
-    }
-}
-
-#[cfg_attr(target_os = "linux", allow(dead_code))]
-fn send_batch_scalar(sock: &UdpSocket, msgs: &[Vec<u8>]) -> io::Result<usize> {
-    let mut sent = 0;
-    for msg in msgs.iter().take(MAX_BATCH) {
-        match sock.send(msg) {
-            Ok(_) => sent += 1,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => {
-                if sent == 0 {
-                    return Err(e);
-                }
-                // A prefix went out; the error resurfaces on the next call.
-                break;
-            }
-        }
-    }
-    Ok(sent)
+    sys::send_batch(sock, msgs)
 }
 
 #[cfg(test)]
@@ -637,7 +571,6 @@ mod tests {
         recv_roundtrip(true);
     }
 
-    #[cfg(target_os = "linux")]
     #[test]
     fn batched_recv_matches_scalar_semantics() {
         recv_roundtrip(false);
@@ -645,7 +578,6 @@ mod tests {
 
     /// Three datagrams sent a millisecond apart and read in one call carry
     /// three kernel stamps a millisecond apart, on both receive paths.
-    #[cfg(target_os = "linux")]
     #[test]
     fn one_read_carries_each_datagrams_own_arrival_stamp() {
         for scalar in [false, true] {
@@ -674,7 +606,6 @@ mod tests {
 
     /// Datagrams the kernel drops for want of buffer space are counted,
     /// reported by the next datagram that gets in.
-    #[cfg(target_os = "linux")]
     #[test]
     fn buffer_overflow_is_counted() {
         for scalar in [false, true] {

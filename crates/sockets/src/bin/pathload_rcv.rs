@@ -9,8 +9,9 @@
 //! The sessions are hosted on one event-loop thread with a
 //! `recvmmsg`-batched probe datapath stamped by the kernel.
 //!
-//! Linux only: on other Unix hosts the receiver's event loop fails to
-//! start with `Unsupported` (exit 1), and elsewhere the binary exits 2.
+//! It serves until killed. Exit status: 1 when the address cannot be
+//! bound or the loop fails, 2 on a usage error. Linux only (epoll,
+//! timerfd, kernel arrival stamps): elsewhere it says so and exits 2.
 
 use std::net::SocketAddr;
 use std::process::exit;
@@ -32,7 +33,7 @@ fn main() {
 }
 
 /// Serve on the one-thread receiver; never returns.
-#[cfg(unix)]
+#[cfg(target_os = "linux")]
 fn serve(addr: SocketAddr) {
     use std::sync::atomic::AtomicBool;
     let mut rx = match pathload_net::EventedReceiver::bind(addr) {
@@ -56,8 +57,8 @@ fn serve(addr: SocketAddr) {
     }
 }
 
-#[cfg(not(unix))]
+#[cfg(not(target_os = "linux"))]
 fn serve(_addr: SocketAddr) {
-    eprintln!("pathload_rcv requires an epoll event loop (Linux)");
+    eprintln!("pathload_rcv requires Linux (epoll, timerfd, kernel arrival stamps)");
     exit(2);
 }

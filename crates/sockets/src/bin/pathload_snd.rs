@@ -4,8 +4,10 @@
 //! Example: `pathload_snd 192.0.2.7:9100 1.0`
 //!
 //! The measurement runs on one `EventedSession` over a private event
-//! loop. Linux only: on other Unix hosts the loop fails to start with
-//! `Unsupported` (exit 1), and elsewhere the binary exits 2.
+//! loop. Exit status: 0 with a range printed, 1 when the receiver cannot
+//! be reached or the measurement fails, 2 on a usage error. Linux only
+//! (epoll, timerfd, kernel arrival stamps): elsewhere it says so and
+//! exits 2.
 
 use slops::SlopsConfig;
 use std::net::SocketAddr;
@@ -45,7 +47,7 @@ fn main() {
 }
 
 /// Run one measurement toward `addr` and print it (exit 1 on failure).
-#[cfg(unix)]
+#[cfg(target_os = "linux")]
 fn measure(addr: SocketAddr, cfg: SlopsConfig) {
     use pathload_net::{EventedSession, SocketTransport};
     let transport = match SocketTransport::connect(addr) {
@@ -87,8 +89,8 @@ fn measure(addr: SocketAddr, cfg: SlopsConfig) {
     }
 }
 
-#[cfg(not(unix))]
+#[cfg(not(target_os = "linux"))]
 fn measure(_addr: SocketAddr, _cfg: SlopsConfig) {
-    eprintln!("pathload_snd requires an epoll event loop (Linux)");
+    eprintln!("pathload_snd requires Linux (epoll, timerfd, kernel arrival stamps)");
     exit(2);
 }

@@ -26,10 +26,10 @@
 //!   pacing (sleep-then-spin), the part of a measurement tool a
 //!   general-purpose runtime cannot do; this is why the crate runs its
 //!   own readiness loop instead of an async executor.
-//! * [`mux`] — the readiness event loop: an epoll [`mux::Poller`] plus a
-//!   deadline [`mux::TimerQueue`] (pacing deadlines as timer entries),
-//!   combined in [`mux::EventLoop`]. No executor dependency: epoll is
-//!   called straight through the C library `std` already links.
+//! * [`mux`] — the readiness event loop, [`mux::EventLoop`]: an epoll
+//!   poller plus a deadline [`mux::TimerQueue`] (pacing deadlines as
+//!   timer entries). No executor dependency: epoll is called straight
+//!   through the C library `std` already links.
 //! * [`tx`] — the sender's sans-IO protocol core: [`tx::on_hello`] and
 //!   [`tx::TxSession`] (ids, announce, which `Ready` / report answers
 //!   it, probe deadlines and headers, report → record, RTT median,
@@ -41,9 +41,9 @@
 //!   readability, so one thread can multiplex hundreds of concurrent
 //!   sessions (the `monitord` fleet) or run one alone (`pathload_snd`).
 //! * [`batch`] — the kernel-fast datapath: `recvmmsg`/`sendmmsg`
-//!   batching (one syscall, many datagrams) behind scalar fallbacks,
-//!   kernel arrival stamps and the receive-buffer overflow count on the
-//!   probe socket, and a `SO_REUSEADDR` listener bind so a restarted
+//!   batching (one syscall, many datagrams) or a scalar `recvmsg` loop on
+//!   request, kernel arrival stamps and the receive-buffer overflow count
+//!   on the probe socket, and a `SO_REUSEADDR` listener bind so a restarted
 //!   receiver reclaims its port through `TIME_WAIT`.
 //! * [`rx`] — the receiver's sans-IO protocol core: [`rx::Admission`]
 //!   (token mint, session cap, counters, the drop-warning limiter) and [`rx::RxSession`] (announce
@@ -62,8 +62,13 @@
 //!   back.
 //!
 //! Binaries `pathload_snd` / `pathload_rcv` wrap these (see `src/bin`).
-//! Both ends need Linux (epoll, timerfd, kernel arrival stamps) and fail
-//! with `Unsupported` on other Unix hosts.
+//!
+//! **Platform.** The four socket modules — [`mux`], [`batch`],
+//! [`evented`] and [`receiver_evented`] — need Linux (epoll, timerfd,
+//! kernel arrival stamps) and sit behind one `target_os = "linux"` gate
+//! each; off Linux they do not exist and both binaries exit 2 saying so.
+//! The rest — [`proto`], [`clock`], [`pacing`], [`rx`], [`tx`] and
+//! [`sender`] — is portable.
 //!
 //! Localhost quick start (two terminals):
 //!
@@ -78,25 +83,26 @@
 // `#[allow(unsafe_code)]`.
 #![deny(unsafe_code)]
 
+#[cfg(target_os = "linux")]
 pub mod batch;
 pub mod clock;
-// The evented pumps register raw fds (`std::os::fd`), a Unix-only
-// surface.
-#[cfg(unix)]
+#[cfg(target_os = "linux")]
 pub mod evented;
+#[cfg(target_os = "linux")]
 pub mod mux;
 pub mod pacing;
 pub mod proto;
-#[cfg(unix)]
+#[cfg(target_os = "linux")]
 pub mod receiver_evented;
 pub mod rx;
 pub mod sender;
 pub mod tx;
 
+#[cfg(target_os = "linux")]
 pub use batch::UdpRecvBatch;
-#[cfg(unix)]
+#[cfg(target_os = "linux")]
 pub use evented::{EventedSession, SessionTokens};
-#[cfg(unix)]
+#[cfg(target_os = "linux")]
 pub use receiver_evented::{EventedReceiver, EventedReceiverHandle};
 pub use rx::AcceptBackoff;
 pub use sender::SocketTransport;

@@ -1,7 +1,7 @@
 //! The readiness event loop: epoll plus a deadline timer queue.
 //!
 //! This is the substrate of the sender's pump and the receiver: one
-//! thread, one [`Poller`], hundreds of registered sockets, and a
+//! thread, one epoll instance, hundreds of registered sockets, and a
 //! [`TimerQueue`] whose entries are the pacing deadlines of every stream
 //! the loop's sessions send. [`EventLoop`] combines the two and
 //! hands the caller a stream of [`MuxEvent`]s — I/O readiness keyed by the
@@ -12,9 +12,9 @@
 //! already links on Linux — the workspace's no-new-deps rule applies to an
 //! async executor exactly as it does to a config framework, and a
 //! measurement tool needs none of an executor's machinery: no tasks, no
-//! wakers, just readiness and deadlines. On non-Linux targets the module
-//! compiles but [`Poller::new`] returns `Unsupported`, so `pathload_rcv`,
-//! `pathload_snd` and `monitord` refuse to start there.
+//! wakers, just readiness and deadlines. The module is Linux-only (its
+//! `mod` declaration is gated on `target_os = "linux"`), and so are the
+//! three binaries built on it.
 //!
 //! Timer precision: probe periods go down to 100 µs and the receiver
 //! rejects a stream whose spacing drifts by 30 %, but `epoll_wait` takes
@@ -48,19 +48,9 @@ use crate::pacing::SpinWindow;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::io;
+use std::os::fd::RawFd;
 use std::time::Duration;
 use telemetry::{Counter, Gauge, Histogram};
-
-/// The raw file descriptor type the poller registers.
-///
-/// The real `std::os::fd::RawFd` on Unix; a placeholder alias elsewhere
-/// so this module (and the `Poller` API surface) still compiles on
-/// targets where the poller can never be constructed.
-#[cfg(unix)]
-pub use std::os::fd::RawFd;
-#[cfg(not(unix))]
-#[allow(missing_docs)]
-pub type RawFd = i32;
 
 /// What a registered file descriptor wants to be woken for.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -117,7 +107,6 @@ pub enum MuxEvent {
     },
 }
 
-#[cfg(target_os = "linux")]
 #[allow(unsafe_code)] // FFI onto the epoll and timerfd syscalls of the libc std links.
 mod sys {
     use std::ffi::c_long;
@@ -266,20 +255,18 @@ mod sys {
     }
 }
 
-/// A readiness poller over epoll. Register fds with a `u64` token; `wait`
-/// reports which tokens became ready. Error/hangup conditions are
-/// reported as both readable and writable, so handlers attempt the I/O
-/// and surface the real `io::Error`.
+/// A readiness poller over epoll, the [`EventLoop`]'s. Register fds with
+/// a `u64` token; `wait` reports which tokens became ready. Error/hangup
+/// conditions are reported as both readable and writable, so handlers
+/// attempt the I/O and surface the real `io::Error`.
 #[derive(Debug)]
-pub struct Poller {
-    #[cfg(target_os = "linux")]
+struct Poller {
     epfd: i32,
 }
 
-#[cfg(target_os = "linux")]
 impl Poller {
     /// A fresh epoll instance.
-    pub fn new() -> io::Result<Poller> {
+    fn new() -> io::Result<Poller> {
         Ok(Poller {
             epfd: sys::create()?,
         })
@@ -297,23 +284,23 @@ impl Poller {
     }
 
     /// Register `fd` under `token` with the given interest.
-    pub fn add(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+    fn add(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
         sys::ctl(self.epfd, 0, fd, Self::events_of(interest), token)
     }
 
     /// Change a registered fd's interest (and/or token).
-    pub fn modify(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+    fn modify(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
         sys::ctl(self.epfd, 1, fd, Self::events_of(interest), token)
     }
 
     /// Remove a registered fd.
-    pub fn remove(&self, fd: RawFd) -> io::Result<()> {
+    fn remove(&self, fd: RawFd) -> io::Result<()> {
         sys::ctl(self.epfd, 2, fd, 0, 0)
     }
 
     /// Wait up to `timeout` (`None` = forever) and append readiness
     /// notifications to `out`. Returns how many were appended.
-    pub fn wait(&self, out: &mut Vec<IoReady>, timeout: Option<Duration>) -> io::Result<usize> {
+    fn wait(&self, out: &mut Vec<IoReady>, timeout: Option<Duration>) -> io::Result<usize> {
         let timeout_ms = match timeout {
             None => -1,
             Some(d) => i32::try_from(d.as_millis()).unwrap_or(i32::MAX),
@@ -335,50 +322,9 @@ impl Poller {
     }
 }
 
-#[cfg(target_os = "linux")]
 impl Drop for Poller {
     fn drop(&mut self) {
         sys::close_fd(self.epfd);
-    }
-}
-
-#[cfg(not(target_os = "linux"))]
-impl Poller {
-    /// Unsupported on this platform: the event loop is Linux-only.
-    pub fn new() -> io::Result<Poller> {
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "the epoll event loop requires Linux",
-        ))
-    }
-
-    /// See [`Poller::new`]: unreachable off Linux (no constructor
-    /// succeeds), but answered with the same `Unsupported` error rather
-    /// than a panic — the datapath is panic-free.
-    pub fn add(&self, _fd: RawFd, _token: u64, _interest: Interest) -> io::Result<()> {
-        Err(Poller::unsupported())
-    }
-
-    /// See [`Poller::add`].
-    pub fn modify(&self, _fd: RawFd, _token: u64, _interest: Interest) -> io::Result<()> {
-        Err(Poller::unsupported())
-    }
-
-    /// See [`Poller::add`].
-    pub fn remove(&self, _fd: RawFd) -> io::Result<()> {
-        Err(Poller::unsupported())
-    }
-
-    /// See [`Poller::add`].
-    pub fn wait(&self, _out: &mut Vec<IoReady>, _timeout: Option<Duration>) -> io::Result<usize> {
-        Err(Poller::unsupported())
-    }
-
-    fn unsupported() -> io::Error {
-        io::Error::new(
-            io::ErrorKind::Unsupported,
-            "the epoll event loop requires Linux",
-        )
     }
 }
 
@@ -391,7 +337,6 @@ struct WakeTimer {
     armed: Option<u64>,
 }
 
-#[cfg(target_os = "linux")]
 impl WakeTimer {
     fn new() -> io::Result<WakeTimer> {
         Ok(WakeTimer {
@@ -412,22 +357,9 @@ impl WakeTimer {
     }
 }
 
-#[cfg(target_os = "linux")]
 impl Drop for WakeTimer {
     fn drop(&mut self) {
         sys::close_fd(self.fd);
-    }
-}
-
-#[cfg(not(target_os = "linux"))]
-impl WakeTimer {
-    /// See [`Poller::new`]: unsupported off Linux.
-    fn new() -> io::Result<WakeTimer> {
-        Err(Poller::unsupported())
-    }
-
-    fn arm(&mut self, _at: Option<u64>, _now: u64) -> io::Result<()> {
-        Err(Poller::unsupported())
     }
 }
 
@@ -571,7 +503,7 @@ impl TimerQueue {
     }
 }
 
-/// The event loop: a [`Poller`] and two [`TimerQueue`]s on one
+/// The event loop: an epoll poller and two [`TimerQueue`]s on one
 /// [`MonoClock`].
 ///
 /// One instance multiplexes a whole fleet: every session's control TCP and
@@ -874,7 +806,7 @@ mod tests {
         assert_eq!(q.pop_expired(60), Some(1));
     }
 
-    #[cfg(target_os = "linux")]
+    /// Tests that drive the kernel: epoll, the timerfd, real sockets.
     mod linux {
         use super::super::*;
         use std::io::Write;

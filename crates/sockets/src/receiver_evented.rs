@@ -50,9 +50,9 @@
 //! up, so the only datagrams lost inside the receiver are the ones the
 //! kernel dropped for want of buffer (`rcvbuf`).
 //!
-//! Linux only: the loop is epoll and a timerfd ([`EventLoop::new`] fails
-//! with `Unsupported` elsewhere), and reading on a plan needs the
-//! kernel's arrival stamps.
+//! Linux only, like every socket module of the crate: the loop is epoll
+//! and a timerfd, and reading on a plan needs the kernel's arrival
+//! stamps.
 
 // Datapath module: a panicking branch here takes the whole fleet down,
 // so `unwrap`/`expect` are denied outright (errors must travel as values).
@@ -189,8 +189,7 @@ impl EventedReceiver {
     /// Bind to `addr` (port 0 for ephemeral; `SO_REUSEADDR`, so a
     /// restarted receiver rebinds the same port immediately). The UDP
     /// probe socket binds the same IP with its own ephemeral port,
-    /// advertised in every `Hello`. Fails with `Unsupported` off Linux —
-    /// the event loop is epoll.
+    /// advertised in every `Hello`.
     pub fn bind(addr: SocketAddr) -> io::Result<EventedReceiver> {
         let listener = batch::bind_reuse(addr)?;
         listener.set_nonblocking(true)?;
@@ -709,7 +708,7 @@ impl EventedReceiverHandle {
     }
 }
 
-#[cfg(all(test, target_os = "linux"))]
+#[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;

@@ -55,11 +55,6 @@ impl TcpReceiver {
         self.bins.get(idx).copied().unwrap_or(0)
     }
 
-    /// Number of goodput bins touched so far.
-    pub fn num_bins(&self) -> usize {
-        self.bins.len()
-    }
-
     /// Average goodput between two times (whole-bin granularity).
     pub fn goodput_between(&self, from: TimeNs, to: TimeNs) -> Rate {
         if to <= from {

@@ -136,18 +136,6 @@ impl TimeNs {
     pub fn max(self, other: TimeNs) -> TimeNs {
         TimeNs(self.0.max(other.0))
     }
-
-    /// Convert to a std `Duration` (for the real-socket implementation).
-    #[inline]
-    pub const fn to_std(self) -> core::time::Duration {
-        core::time::Duration::from_nanos(self.0)
-    }
-
-    /// Convert from a std `Duration`, saturating at `u64::MAX` nanoseconds.
-    #[inline]
-    pub fn from_std(d: core::time::Duration) -> Self {
-        TimeNs(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX))
-    }
 }
 
 impl Add for TimeNs {
@@ -240,12 +228,6 @@ mod tests {
     #[cfg(debug_assertions)]
     fn sub_underflow_panics_in_debug() {
         let _ = TimeNs::from_millis(1) - TimeNs::from_millis(2);
-    }
-
-    #[test]
-    fn std_round_trip() {
-        let t = TimeNs::from_micros(1234);
-        assert_eq!(TimeNs::from_std(t.to_std()), t);
     }
 
     #[test]

@@ -12,11 +12,18 @@
 //! cargo run --release --example localhost_pathload
 //! ```
 
-use availbw::pathload_net::{EventedReceiver, EventedSession, SocketTransport};
-use availbw::slops::SlopsConfig;
-use availbw::units::{Rate, TimeNs};
-
+#[cfg(not(target_os = "linux"))]
 fn main() {
+    eprintln!("localhost_pathload requires Linux (epoll, timerfd, kernel arrival stamps)");
+    std::process::exit(2);
+}
+
+#[cfg(target_os = "linux")]
+fn main() {
+    use availbw::pathload_net::{EventedReceiver, EventedSession, SocketTransport};
+    use availbw::slops::SlopsConfig;
+    use availbw::units::{Rate, TimeNs};
+
     let rx = EventedReceiver::bind("127.0.0.1:0".parse().unwrap())
         .expect("bind receiver")
         .spawn();

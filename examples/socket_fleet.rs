@@ -17,16 +17,23 @@
 //! cargo run --release --example socket_fleet
 //! ```
 
-use availbw::monitord::export::{change_line, fleet_summary, sample_line, summary_line};
-use availbw::monitord::{
-    run_socket_fleet_async_with_telemetry, FleetEvent, ScheduleConfig, SeriesConfig, ShutdownFlag,
-    SocketPathSpec,
-};
-use availbw::pathload_net::EventedReceiver;
-use availbw::slops::SlopsConfig;
-use availbw::units::{Rate, TimeNs};
-
+#[cfg(not(target_os = "linux"))]
 fn main() {
+    eprintln!("socket_fleet requires Linux (epoll, timerfd, kernel arrival stamps)");
+    std::process::exit(2);
+}
+
+#[cfg(target_os = "linux")]
+fn main() {
+    use availbw::monitord::export::{change_line, fleet_summary, sample_line, summary_line};
+    use availbw::monitord::{
+        run_socket_fleet_async_with_telemetry, FleetEvent, ScheduleConfig, SeriesConfig,
+        ShutdownFlag, SocketPathSpec,
+    };
+    use availbw::pathload_net::EventedReceiver;
+    use availbw::slops::SlopsConfig;
+    use availbw::units::{Rate, TimeNs};
+
     // Gentle probing: ~1 s per measurement on a shared machine.
     let mut probe = SlopsConfig::default();
     probe.stream_len = 30;

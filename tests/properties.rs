@@ -175,6 +175,7 @@ proptest! {
 }
 
 /// What the model believes about one armed timer entry.
+#[cfg(target_os = "linux")]
 struct ModelEntry {
     deadline: u64,
     token: u64,
@@ -191,7 +192,9 @@ proptest! {
     /// is never popped, a cancel never kills an entry armed *later* under
     /// the same (reused) generation, pops within one drain never invert
     /// deadlines, nothing expired-and-live is left behind by a drain, and
-    /// the queue drains to empty.
+    /// the queue drains to empty. `mux` is Linux-only, like every socket
+    /// module.
+    #[cfg(target_os = "linux")]
     #[test]
     fn timer_queue_generations_never_pop_cancelled_entries(
         ops in prop::collection::vec((0u8..3, 0u64..1_000, 1u64..8), 1..200),

@@ -25,8 +25,8 @@
 //! against the pumps, not the core, and holds the pump to the far end's
 //! view alone.
 
-// The evented pump is Unix-only (raw-fd registration with epoll).
-#![cfg(unix)]
+// The evented pump is Linux-only (epoll, timerfd).
+#![cfg(target_os = "linux")]
 
 use availbw::pathload_net::clock::MonoClock;
 use availbw::pathload_net::proto::{
