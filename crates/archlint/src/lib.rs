@@ -22,7 +22,8 @@
 //!   `#![deny(unsafe_code)]`.
 //! * **AL004 `panic-free`** — the datapath modules (receivers, batch
 //!   I/O, the event loops, the drivers) must not contain `unwrap`,
-//!   `expect`, `panic!`-family macros, or (unless the policy grants
+//!   `expect`, `panic!`-family or `assert!`-family macros
+//!   (`debug_assert!` included), or (unless the policy grants
 //!   `allow-index`) slice indexing in non-test code. A panicking branch
 //!   there takes a whole fleet down.
 //! * **AL005 `cfg-gate`** — raw-fd surface (`RawFd`, `AsRawFd`,
@@ -74,7 +75,8 @@ pub enum Rule {
     /// AL003: `unsafe` outside a declared FFI module, or a crate root
     /// missing its `forbid`/`deny(unsafe_code)` attribute.
     UnsafeScope,
-    /// AL004: `unwrap`/`expect`/panic macros/indexing in a datapath module.
+    /// AL004: `unwrap`/`expect`/panic and assert macros/indexing in a
+    /// datapath module.
     PanicFree,
     /// AL005: raw-fd surface not behind a Linux cfg gate.
     CfgGate,
@@ -530,13 +532,18 @@ const SANS_IO_TOKENS: [&str; 6] = [
     "RandomState",
 ];
 
-const PANIC_TOKENS: [&str; 6] = [
+const PANIC_TOKENS: [&str; 9] = [
     ".unwrap()",
     ".expect(",
     "panic!",
     "unreachable!",
     "unimplemented!",
     "todo!",
+    // Matched as substrings, so `debug_assert!(` and its `_eq`/`_ne`
+    // kin count too: they panic in every debug and test build.
+    "assert!(",
+    "assert_eq!(",
+    "assert_ne!(",
 ];
 
 const RAW_FD_TOKENS: [&str; 7] = [

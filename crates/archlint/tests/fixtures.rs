@@ -192,6 +192,12 @@ fn panic_free_fires_on_each_panic_path() {
         "panic!(\"boom\");",
         "unreachable!(\"cannot happen\");",
         "let b = buf[0];",
+        "assert!(!specs.is_empty(), \"a fleet needs at least one path\");",
+        "assert_eq!(n, 2);",
+        "assert_ne!(a, b);",
+        // Compiled into every debug and test build, so counted too.
+        "debug_assert!(len <= cap);",
+        "debug_assert_eq!(n, 2);",
     ] {
         assert_eq!(
             findings_for("fix/src/hot.rs", line),
@@ -205,7 +211,7 @@ fn panic_free_fires_on_each_panic_path() {
 fn panic_free_skips_tests_and_non_panicking_kin() {
     assert!(findings_for(
         "fix/src/hot.rs",
-        "#[cfg(test)]\nmod tests {\n    fn t() { x.unwrap(); }\n}\n"
+        "#[cfg(test)]\nmod tests {\n    fn t() { x.unwrap(); assert_eq!(x, 1); }\n}\n"
     )
     .is_empty());
     for line in [
@@ -215,6 +221,7 @@ fn panic_free_skips_tests_and_non_panicking_kin() {
         "let a = [0u8; 16];",
         "#[derive(Clone)]",
         "let v = vec![1, 2, 3];",
+        "let ok = matches!(x, Some(_));",
     ] {
         assert!(
             findings_for("fix/src/hot.rs", line).is_empty(),

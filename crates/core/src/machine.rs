@@ -380,6 +380,8 @@ impl SessionMachine {
                     sent,
                     received: 0,
                     verdict: StreamClass::Unusable.name(),
+                    spacing_violations: 0,
+                    spacing_discarded: false,
                 });
                 self.set_state(State::NeedIdle);
                 Ok(())
@@ -425,20 +427,23 @@ impl SessionMachine {
         // differs from the prototype, and validation ignores it.
         let req = fleet.proto;
         let spacing = crate::validation::check_spacing(rec, &req, self.cfg.spacing_tolerance);
-        let class =
-            if !crate::validation::spacing_acceptable(&spacing, self.cfg.spacing_max_violations) {
-                // A stream whose sender could not hold the nominal spacing did
-                // not probe at its nominal rate: discard it (§IV).
-                StreamClass::Unusable
-            } else {
-                crate::trend::classify_stream(rec, &self.cfg)
-            };
+        let spacing_discarded =
+            !crate::validation::spacing_acceptable(&spacing, self.cfg.spacing_max_violations);
+        let class = if spacing_discarded {
+            // A stream whose sender could not hold the nominal spacing did
+            // not probe at its nominal rate: discard it (§IV).
+            StreamClass::Unusable
+        } else {
+            crate::trend::classify_stream(rec, &self.cfg)
+        };
         fleet.classes.push(class);
         self.trace.push(TraceEvent::Stream {
             id: u64::from(self.stream_id - 1),
             sent: rec.sent,
             received: rec.samples.len() as u32,
             verdict: class.name(),
+            spacing_violations: spacing.violations,
+            spacing_discarded,
         });
     }
 
@@ -714,6 +719,59 @@ mod tests {
             crate::fleet::FleetOutcome::AbortedLossy
         );
         assert_eq!(m.fleets_so_far()[0].losses, vec![1.0]);
+    }
+
+    /// The stream trace event carries the spacing check's bad-gap count
+    /// and whether the check discarded the stream: a record whose sender
+    /// missed 40 % of its gaps mints both and `unusable`, a clean one
+    /// neither, and a lost one (no record, nothing inspected) neither.
+    #[test]
+    fn stream_events_count_the_bad_gaps_and_the_spacing_discard() {
+        let mut m = machine();
+        assert!(matches!(m.poll(), Some(Command::SendTrain { .. })));
+        m.on_event(Event::TrainDone(train_record())).unwrap();
+        let stream = |m: &mut SessionMachine, answer: &dyn Fn(&StreamRequest) -> Event| {
+            let Some(Command::SendStream(req)) = m.poll() else {
+                panic!("expected a stream");
+            };
+            m.on_event(answer(&req)).unwrap();
+            let Some(Command::Idle(_)) = m.poll() else {
+                panic!("expected the pacing idle");
+            };
+            m.on_event(Event::Tick(TimeNs::ZERO)).unwrap();
+            m.drain_trace()
+                .into_iter()
+                .find_map(|e| match e {
+                    TraceEvent::Stream {
+                        verdict,
+                        spacing_violations,
+                        spacing_discarded,
+                        ..
+                    } => Some((verdict, spacing_violations, spacing_discarded)),
+                    _ => None,
+                })
+                .expect("a stream event")
+        };
+        // Gap i (1..count) is two periods instead of one when i % 5 < 2:
+        // 39 of 99 gaps, 39 % > the 30 % the check allows.
+        let jittery = |req: &StreamRequest| {
+            let mut rec = flat_record(req);
+            let mut at = TimeNs::ZERO;
+            for (i, s) in rec.samples.iter_mut().enumerate().skip(1) {
+                at += req.period * if i % 5 < 2 { 2 } else { 1 };
+                s.send_offset = at;
+            }
+            Event::StreamDone(rec)
+        };
+        assert_eq!(stream(&mut m, &jittery), ("unusable", 39, true));
+        let clean = |req: &StreamRequest| Event::StreamDone(flat_record(req));
+        let (verdict, violations, discarded) = stream(&mut m, &clean);
+        assert_ne!(verdict, "unusable");
+        assert_eq!((violations, discarded), (0, false));
+        assert_eq!(
+            stream(&mut m, &|_| Event::StreamLost),
+            ("unusable", 0, false)
+        );
     }
 
     #[test]

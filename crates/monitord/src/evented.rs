@@ -195,7 +195,7 @@ pub fn run_socket_fleet_async_with_telemetry(
     telemetry: Option<&FleetTelemetry>,
     mut observer: impl FnMut(FleetEvent<'_>),
 ) -> Result<Vec<PathSeries>, SlopsError> {
-    assert!(!specs.is_empty(), "a fleet needs at least one path");
+    // Refuses an empty fleet too, before anything is dialled.
     Fleet::validate(specs.iter().map(|s| &s.cfg))?;
     // Per-path instruments, built before the specs are consumed. A
     // re-dialled transport is a fresh protocol core, so the histogram is
@@ -217,7 +217,7 @@ pub fn run_socket_fleet_async_with_telemetry(
     }
 
     // The fleet epoch: the latest transport clock (all share one epoch).
-    // The fleet is non-empty (asserted above), so `max` always yields;
+    // The fleet is non-empty (validated above), so `max` always yields;
     // ZERO is a dead fallback keeping the datapath panic-free.
     let t0 = connected
         .iter()
@@ -449,6 +449,39 @@ mod tests {
             cfg: gentle_cfg(),
             rate_cap: Some(Rate::from_mbps(30.0)),
         }
+    }
+
+    /// A fleet of no path is a configuration error, refused before
+    /// anything is dialled, and in the words the thread driver uses.
+    #[test]
+    fn an_empty_fleet_is_refused_as_by_the_thread_driver() {
+        let (sched, series) = (ScheduleConfig::default(), SeriesConfig::default());
+        let horizon = TimeNs::from_secs(1);
+        let stop = ShutdownFlag::new();
+        let socket = run_socket_fleet_async_with_telemetry(
+            Vec::new(),
+            &sched,
+            &series,
+            horizon,
+            &stop,
+            None,
+            |_| panic!("no path, no event"),
+        );
+        let thread = crate::thread::run_fleet_with_telemetry(
+            Vec::new(),
+            &sched,
+            &series,
+            horizon,
+            1,
+            &stop,
+            None,
+            |_| panic!("no path, no event"),
+        );
+        let (Err(socket), Err(thread)) = (socket, thread) else {
+            panic!("an empty fleet ran");
+        };
+        assert!(matches!(socket, SlopsError::BadConfig(_)), "{socket}");
+        assert_eq!(socket.to_string(), thread.to_string());
     }
 
     /// Two paths naming ONE receiver address connect as two sessions of

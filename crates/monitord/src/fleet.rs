@@ -106,8 +106,8 @@ impl Fleet {
     /// Validate every path's `(label, config)` and build the fleet's
     /// bookkeeping in the same pass: the scheduler (measurements from
     /// `t0`, none starting at or after `horizon`) and one empty series per
-    /// path, its window grid anchored at `t0`. An invalid config is
-    /// rejected here, before any start. Panics on an empty fleet.
+    /// path, its window grid anchored at `t0`. An invalid config, or no
+    /// path at all, is rejected here, before any start.
     pub fn new<'a>(
         paths: impl IntoIterator<Item = (&'a str, &'a SlopsConfig)>,
         t0: TimeNs,
@@ -122,6 +122,9 @@ impl Fleet {
             series.push(PathSeries::new(label, series_cfg, t0));
         }
         let n = series.len();
+        if n == 0 {
+            return Err(no_paths());
+        }
         Ok(Fleet {
             sched: Scheduler::new(n, t0, horizon, sched_cfg),
             series,
@@ -138,8 +141,15 @@ impl Fleet {
     pub(crate) fn validate<'a>(
         cfgs: impl IntoIterator<Item = &'a SlopsConfig>,
     ) -> Result<(), SlopsError> {
-        cfgs.into_iter()
-            .try_for_each(|cfg| cfg.validate().map_err(SlopsError::BadConfig))
+        let mut n = 0;
+        for cfg in cfgs {
+            cfg.validate().map_err(SlopsError::BadConfig)?;
+            n += 1;
+        }
+        if n == 0 {
+            return Err(no_paths());
+        }
+        Ok(())
     }
 
     /// Mirror the scheduler into `tele`'s `scheduler_*` gauges from now
@@ -251,6 +261,11 @@ impl Fleet {
     pub fn into_series(self) -> Vec<PathSeries> {
         self.series
     }
+}
+
+/// The refusal of a fleet with no path: there is nothing to schedule.
+fn no_paths() -> SlopsError {
+    SlopsError::BadConfig("a fleet needs at least one path".into())
 }
 
 #[cfg(test)]
@@ -429,5 +444,14 @@ mod tests {
             Err(SlopsError::BadConfig(_))
         ));
         assert!(Fleet::validate([&good]).is_ok());
+        let none = Fleet::new(
+            [],
+            TimeNs::ZERO,
+            TimeNs::from_secs(100),
+            &ScheduleConfig::default(),
+            &SeriesConfig::default(),
+        );
+        assert!(matches!(none, Err(SlopsError::BadConfig(_))));
+        assert!(matches!(Fleet::validate([]), Err(SlopsError::BadConfig(_))));
     }
 }

@@ -183,6 +183,12 @@ struct RegistrySink {
     registry: Registry,
     label: String,
     streams: Vec<(&'static str, Counter)>,
+    /// `stream_spacing_violations_total`: bad gaps over every stream.
+    spacing_violations: Counter,
+    /// `streams_spacing_discarded_total`: `unusable` verdicts the spacing
+    /// check gave (a subset of `streams_total{verdict="unusable"}`, the
+    /// rest being losses).
+    spacing_discarded: Counter,
     fleets: Vec<(&'static str, Counter)>,
     done: Vec<(&'static str, Counter)>,
     timer_lag: Histogram,
@@ -206,6 +212,14 @@ impl RegistrySink {
                 "streams_total",
                 "verdict",
                 &slops::StreamClass::ALL.map(|c| c.name()),
+            ),
+            spacing_violations: registry.counter(
+                "stream_spacing_violations_total",
+                &[("path", label.as_str())],
+            ),
+            spacing_discarded: registry.counter(
+                "streams_spacing_discarded_total",
+                &[("path", label.as_str())],
             ),
             fleets: family(
                 "fleet_verdicts_total",
@@ -269,6 +283,20 @@ impl TraceSink for RegistrySink {
             }
             TraceEvent::TimerLag { lag_ns } => self.timer_lag.observe(*lag_ns),
         }
+        // The spacing check's part of a stream event, in a `let` pattern:
+        // archlint's line-based AL002 reads a multi-line match arm as a
+        // construction.
+        if let TraceEvent::Stream {
+            spacing_violations,
+            spacing_discarded,
+            ..
+        } = event
+        {
+            self.spacing_violations.add(u64::from(*spacing_violations));
+            if *spacing_discarded {
+                self.spacing_discarded.inc();
+            }
+        }
     }
 }
 
@@ -294,6 +322,8 @@ mod tests {
             sent: 100,
             received: 98,
             verdict: "increasing",
+            spacing_violations: 3,
+            spacing_discarded: false,
         });
         sink.record(&TraceEvent::FleetVerdict {
             rate_bps: 10_000_000,
@@ -310,6 +340,8 @@ mod tests {
         let text = t.registry().render_prometheus();
         for needle in [
             "streams_total{path=\"atl-gru\",verdict=\"increasing\"} 1",
+            "stream_spacing_violations_total{path=\"atl-gru\"} 3",
+            "streams_spacing_discarded_total{path=\"atl-gru\"} 0",
             "fleet_verdicts_total{path=\"atl-gru\",verdict=\"above_avail_bw\"} 1",
             "sessions_done_total{path=\"atl-gru\",termination=\"resolution\"} 1",
             "machine_timer_lag_ns_count{path=\"atl-gru\"} 1",
@@ -332,6 +364,8 @@ mod tests {
             sent: 1,
             received: 1,
             verdict: "from_the_future",
+            spacing_violations: 0,
+            spacing_discarded: false,
         });
         // The same value again exercises the content-equality pass with
         // a distinct allocation of the same label text.
@@ -341,6 +375,8 @@ mod tests {
             sent: 1,
             received: 1,
             verdict: Box::leak(owned.into_boxed_str()),
+            spacing_violations: 0,
+            spacing_discarded: false,
         });
         let text = t.registry().render_prometheus();
         assert!(
@@ -351,6 +387,37 @@ mod tests {
             text.contains("streams_total{path=\"p\",verdict=\"increasing\"} 1"),
             "{text}"
         );
+    }
+
+    /// Spacing discards are counted apart from losses: of three
+    /// `unusable` streams — two the spacing check discarded, one lost —
+    /// the discard counter holds two, while `streams_total` keeps all
+    /// three and the violation counter sums every stream's bad gaps.
+    #[test]
+    fn spacing_discards_are_counted_apart_from_losses() {
+        let t = FleetTelemetry::new();
+        let sink = t.trace_sink("lo0");
+        let stream =
+            |id, received, verdict, spacing_violations, spacing_discarded| TraceEvent::Stream {
+                id,
+                sent: 100,
+                received,
+                verdict,
+                spacing_violations,
+                spacing_discarded,
+            };
+        sink.record(&stream(0, 100, "unusable", 40, true));
+        sink.record(&stream(1, 0, "unusable", 0, false));
+        sink.record(&stream(2, 100, "increasing", 5, false));
+        sink.record(&stream(3, 90, "unusable", 31, true));
+        let text = t.registry().render_prometheus();
+        for needle in [
+            "streams_total{path=\"lo0\",verdict=\"unusable\"} 3",
+            "streams_spacing_discarded_total{path=\"lo0\"} 2",
+            "stream_spacing_violations_total{path=\"lo0\"} 76",
+        ] {
+            assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
+        }
     }
 
     #[test]

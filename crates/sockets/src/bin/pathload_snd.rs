@@ -16,12 +16,9 @@ use units::Rate;
 
 fn main() {
     let mut args = std::env::args().skip(1);
-    let addr = match args.next() {
-        Some(a) => a,
-        None => {
-            eprintln!("usage: pathload_snd <receiver-addr> [resolution-mbps]");
-            exit(2);
-        }
+    let (Some(addr), res, None) = (args.next(), args.next(), args.next()) else {
+        eprintln!("usage: pathload_snd <receiver-addr> [resolution-mbps]");
+        exit(2);
     };
     let addr: SocketAddr = match addr.parse() {
         Ok(a) => a,
@@ -31,7 +28,7 @@ fn main() {
         }
     };
     let mut cfg = SlopsConfig::default();
-    if let Some(res) = args.next() {
+    if let Some(res) = res {
         match res.parse::<f64>() {
             Ok(mbps) if mbps > 0.0 => {
                 cfg.resolution = Rate::from_mbps(mbps);

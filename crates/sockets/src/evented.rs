@@ -9,7 +9,9 @@
 //! is decided by the transport's protocol core ([`crate::tx`] has the
 //! command→wire table); this module is the event-loop work around it:
 //! control frames flushed on writability and parsed on readability,
-//! **one timer entry per paced deadline**, a train blasted through
+//! **one timer entry per paced deadline**, armed with the lateness
+//! allowance the core gives it (the session's spacing tolerance, handed
+//! to the core here), a train blasted through
 //! `sendmmsg` (resuming on UDP writability if the socket back-pressures),
 //! `Idle(d)` as a timer entry answered with `Tick(clock)`, `Finish(est)`
 //! stamped with `elapsed`, one watchdog entry for the frame the core is
@@ -134,6 +136,7 @@ impl EventedSession {
         if let Err(msg) = cfg.validate() {
             return Err((transport, SlopsError::BadConfig(msg)));
         }
+        transport.core.set_spacing_tolerance(cfg.spacing_tolerance);
         let start = transport.elapsed();
         let echo = transport.core.begin_rtt(start.as_nanos());
         let mut session = EventedSession {
@@ -424,16 +427,19 @@ impl EventedSession {
         while self.exec == Exec::Wire {
             let now = self.transport.clock.now_ns();
             match self.transport.core.due() {
-                Due::Paced(deadline) if deadline > now => {
+                Due::Paced {
+                    deadline,
+                    allowance,
+                } if deadline > now => {
                     if self.paced_armed != deadline {
                         self.paced_armed = deadline;
-                        lp.arm_timer(deadline, self.tokens.timer);
+                        lp.arm_timer_within(deadline, allowance, self.tokens.timer);
                     }
                     break;
                 }
                 // Due, or overdue: the loop catches up on every deadline
                 // that has passed.
-                Due::Paced(_) => self.send_paced(now)?,
+                Due::Paced { .. } => self.send_paced(now)?,
                 Due::Burst(n) => {
                     if !self.blast(lp, n)? {
                         break; // resumes on probe-socket writability

@@ -20,15 +20,18 @@
 //! rejects a stream whose spacing drifts by 30 %, but `epoll_wait` takes
 //! whole milliseconds. The loop therefore owns a `timerfd`, registered in
 //! its own poller under a token no host sees, and [`EventLoop::wait`]
-//! sleeps in epoll until that timer ends the sleep one spin window before
-//! the earliest deadline, then spins the remainder — sleep-then-spin
-//! pacing (`crate::pacing`), applied to a whole fleet's merged deadline
-//! queue instead of one blocking thread per stream. The timer is
-//! re-armed only when `deadline − window` changes. The window is a
+//! sleeps in epoll until that timer ends the sleep shortly before the
+//! earliest deadline, then spins the remainder — sleep-then-spin pacing
+//! (`crate::pacing`), applied to a whole fleet's merged deadline queue
+//! instead of one blocking thread per stream. The sleep ends one spin
+//! window before the deadline, less the deadline's *lateness allowance*
+//! ([`EventLoop::arm_timer_within`]; [`crate::pacing::spin_start`]), and
+//! the timer is re-armed only when that instant changes. The window is a
 //! [`SpinWindow`] learned from how late the timerfd actually wakes the
 //! loop (a few µs on an idle host), so the spin — the CPU a pacing loop
-//! burns — covers the wake-up error and no more, and a timer still never
-//! fires before its deadline.
+//! burns — covers only the wake-up error the allowance cannot absorb: a
+//! timer fires within its allowance (one armed without an allowance, on
+//! its deadline to the sub-µs), and never before its deadline.
 //!
 //! Not every deadline is a pacing deadline. A receiver's socket drain or
 //! stop-rule tick needs "not before", not "exactly at", so
@@ -44,7 +47,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::clock::MonoClock;
-use crate::pacing::SpinWindow;
+use crate::pacing::{spin_start, SpinWindow};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::io;
@@ -367,9 +370,16 @@ impl Drop for WakeTimer {
 /// a host, and refused when a host asks for it.
 const WAKE_TOKEN: u64 = u64::MAX;
 
+/// One queued timer: `(deadline, seq, token, generation, allowance)`,
+/// ordered by deadline, then arming order.
+type Entry = (u64, u64, u64, u64, u64);
+
 /// A queue of one-shot deadline timers on a [`MonoClock`] timeline.
 ///
-/// Entries are `(deadline, token)`; ties expire in arming order. Entries
+/// Entries are `(deadline, token)`; ties expire in arming order. A
+/// pacing entry may carry a lateness allowance
+/// ([`TimerQueue::arm_within`]) for the loop's spin to absorb; the queue
+/// only stores it. Entries
 /// may optionally carry a nonzero *generation* ([`TimerQueue::arm_with_generation`]):
 /// [`TimerQueue::cancel_generation`] then cancels every entry of that
 /// generation armed so far, without touching entries armed afterwards —
@@ -385,7 +395,7 @@ const WAKE_TOKEN: u64 = u64::MAX;
 /// hash-map traffic.
 #[derive(Debug, Default)]
 pub struct TimerQueue {
-    heap: BinaryHeap<Reverse<(u64, u64, u64, u64)>>,
+    heap: BinaryHeap<Reverse<Entry>>,
     seq: u64,
     /// generation → number of its entries still in the heap.
     live: HashMap<u64, u64>,
@@ -403,19 +413,35 @@ impl TimerQueue {
     /// Arm a one-shot timer for `deadline_ns` (clock nanoseconds) carrying
     /// `token`. The entry has generation 0: it cannot be cancelled.
     pub fn arm(&mut self, deadline_ns: u64, token: u64) {
-        self.arm_with_generation(deadline_ns, token, 0);
+        self.push(deadline_ns, token, 0, 0);
+    }
+
+    /// Arm an uncancellable timer for `deadline_ns` carrying `token` that
+    /// may fire up to `allowance_ns` late ([`TimerQueue::next_entry`]
+    /// reports it; expiry is still at the deadline).
+    pub fn arm_within(&mut self, deadline_ns: u64, allowance_ns: u64, token: u64) {
+        self.push(deadline_ns, token, 0, allowance_ns);
     }
 
     /// Arm a one-shot timer carrying `token` under `generation` (nonzero
     /// to make it cancellable via [`TimerQueue::cancel_generation`];
     /// generation 0 is the uncancellable default of [`TimerQueue::arm`]).
     pub fn arm_with_generation(&mut self, deadline_ns: u64, token: u64, generation: u64) {
+        self.push(deadline_ns, token, generation, 0);
+    }
+
+    fn push(&mut self, deadline_ns: u64, token: u64, generation: u64, allowance_ns: u64) {
         self.seq += 1;
         if generation != 0 {
             *self.live.entry(generation).or_insert(0) += 1;
         }
-        self.heap
-            .push(Reverse((deadline_ns, self.seq, token, generation)));
+        self.heap.push(Reverse((
+            deadline_ns,
+            self.seq,
+            token,
+            generation,
+            allowance_ns,
+        )));
     }
 
     /// Cancel every entry of `generation` armed so far. Entries armed
@@ -431,7 +457,13 @@ impl TimerQueue {
     /// not-yet-reaped cancelled entry may be reported (waking early is
     /// harmless; the pop then skips it).
     pub fn next_deadline(&self) -> Option<u64> {
-        self.heap.peek().map(|Reverse((d, _, _, _))| *d)
+        self.next_entry().map(|(deadline, _)| deadline)
+    }
+
+    /// The earliest pending `(deadline, allowance)`, conservative as
+    /// [`TimerQueue::next_deadline`] is.
+    pub fn next_entry(&self) -> Option<(u64, u64)> {
+        self.heap.peek().map(|Reverse((d, _, _, _, s))| (*d, *s))
     }
 
     /// Pop the earliest timer if it has expired by `now_ns`.
@@ -445,7 +477,7 @@ impl TimerQueue {
     pub fn pop_expired_at(&mut self, now_ns: u64) -> Option<(u64, u64)> {
         // Entries are Copy tuples, so peek-then-pop folds into one
         // panic-free `while let` over the heap head.
-        while let Some(&Reverse((deadline, seq, token, generation))) = self.heap.peek() {
+        while let Some(&Reverse((deadline, seq, token, generation, _))) = self.heap.peek() {
             if deadline > now_ns {
                 return None;
             }
@@ -461,7 +493,7 @@ impl TimerQueue {
     /// Reap cancelled entries off the head of the heap, so
     /// [`TimerQueue::next_deadline`] reports a live one.
     fn reap_cancelled_head(&mut self) {
-        while let Some(&Reverse((_, seq, _, generation))) = self.heap.peek() {
+        while let Some(&Reverse((_, seq, _, generation, _))) = self.heap.peek() {
             let cancelled = self
                 .cancelled
                 .get(&generation)
@@ -513,7 +545,8 @@ impl TimerQueue {
 #[derive(Debug)]
 pub struct EventLoop {
     poller: Poller,
-    /// Deadlines served on time: slept to one window early, spun the rest.
+    /// Deadlines served on time: slept to one window (less the entry's
+    /// allowance) early, spun the rest.
     timers: TimerQueue,
     /// Sleep-only deadlines ([`EventLoop::arm_sleep_timer`]): never spun.
     naps: TimerQueue,
@@ -629,6 +662,15 @@ impl EventLoop {
         self.timers.arm(deadline_ns, token);
     }
 
+    /// Arm a pacing timer at `deadline_ns` that may fire up to
+    /// `allowance_ns` late: the loop spins only the part of its wake-up
+    /// error the allowance does not absorb ([`spin_start`]), and sleeps
+    /// to the deadline itself while the allowance covers all of it. It
+    /// never fires early. Uncancellable, as [`EventLoop::arm_timer`].
+    pub fn arm_timer_within(&mut self, deadline_ns: u64, allowance_ns: u64, token: u64) {
+        self.timers.arm_within(deadline_ns, allowance_ns, token);
+    }
+
     /// Arm a *sleep-only* one-shot timer at `deadline_ns`: it never fires
     /// early, and the loop sleeps to the deadline itself instead of
     /// spinning the wake-up error away, so it fires up to
@@ -668,11 +710,13 @@ impl EventLoop {
     /// returns I/O the caller didn't register or timers it didn't arm,
     /// and never a timer before its deadline.
     ///
-    /// The sleep ends one spin window before the earliest deadline (the
-    /// loop's timerfd); the rest is spun, so timers fire on their
-    /// deadline to the sub-µs while the CPU is spent only on the wake-up
-    /// error. A sleep-only timer ends the sleep at its deadline and is
-    /// never spun for. See the module docs.
+    /// The sleep ends one spin window, less the earliest pacing
+    /// deadline's allowance, before that deadline (the loop's timerfd);
+    /// the rest is spun, so a timer fires within its allowance (one armed
+    /// without, on its deadline to the sub-µs) while the CPU is spent
+    /// only on the wake-up error the allowance cannot absorb. A
+    /// sleep-only timer ends the sleep at its deadline and is never spun
+    /// for. See the module docs.
     pub fn wait(&mut self, out: &mut Vec<MuxEvent>, max_wait: Duration) -> io::Result<()> {
         if let Some(c) = &self.wakeups {
             c.inc();
@@ -686,9 +730,10 @@ impl EventLoop {
             return Ok(());
         }
 
-        let deadline = self.timers.next_deadline();
+        let next = self.timers.next_entry();
+        let deadline = next.map(|(d, _)| d);
         // Where the spin toward the next pacing deadline starts.
-        let spin_at = deadline.map(|d| d.saturating_sub(self.window.ns()));
+        let spin_at = next.map(|(d, allowance)| spin_start(d, self.window.ns(), allowance));
         let wake = [spin_at, self.naps.next_deadline()]
             .into_iter()
             .flatten()
@@ -978,20 +1023,31 @@ mod tests {
             window_ns: u64,
         }
 
+        /// How [`serve_train`] arms its timers.
+        #[derive(Clone, Copy, Debug)]
+        enum Arm {
+            /// Pacing timers on their deadlines ([`EventLoop::arm_timer`]).
+            Exact,
+            /// Pacing timers with this lateness allowance
+            /// ([`EventLoop::arm_timer_within`]).
+            Within(u64),
+            /// Sleep-only timers ([`EventLoop::arm_sleep_timer`]).
+            SleepOnly,
+        }
+
         /// Arm `timers` deadlines `period` apart after a 1 ms lead-in, a
-        /// deadline at a time as a session arms them (sleep-only ones when
-        /// `sleep_only`), and serve them: every timer fires in order and
-        /// at or after its deadline, about one `wait` serves each, and
-        /// the wake-error estimate learns from the wake-ups.
-        fn serve_train(timers: u64, period: u64, sleep_only: bool) -> Train {
+        /// deadline at a time as a session arms them, and serve them:
+        /// every timer fires in order and at or after its deadline.
+        fn serve_train(timers: u64, period: u64, how: Arm) -> Train {
             let clock = MonoClock::new();
             let mut lp = EventLoop::new(clock.clone()).unwrap();
             let (wakeups, window) = (Counter::new(), Gauge::new());
             lp.set_metrics(wakeups.clone(), Histogram::new(), window.clone());
             assert_eq!(window.get(), SpinWindow::MAX_NS as i64);
-            let arm = |lp: &mut EventLoop, at, token| match sleep_only {
-                true => lp.arm_sleep_timer(at, token, 0),
-                false => lp.arm_timer(at, token),
+            let arm = |lp: &mut EventLoop, at, token| match how {
+                Arm::Exact => lp.arm_timer(at, token),
+                Arm::Within(allowance) => lp.arm_timer_within(at, allowance, token),
+                Arm::SleepOnly => lp.arm_sleep_timer(at, token, 0),
             };
 
             let t0 = clock.now_ns() + 1_000_000;
@@ -1018,33 +1074,36 @@ mod tests {
                     }
                 }
             }
-            let run = Train {
+            Train {
                 cpu_ns: thread_cpu_ns() - cpu0,
                 wall_ns: clock.now_ns() - wall0,
                 wakeups_per_timer: wakeups.get() as f64 / timers as f64,
                 window_ns: lp.wake_error_ns(),
-            };
-            let per_timer = run.wakeups_per_timer;
-            assert!(per_timer <= 1.5, "{per_timer:.2} wake-ups per timer");
-            assert!(run.window_ns < SpinWindow::MAX_NS, "nothing learned");
-            run
+            }
         }
 
-        /// Serve `serve_train(timers, period, sleep_only)` until its CPU
-        /// time passes `cpu_ok`, at most three times. The CPU share is a
-        /// ratio to wall time, so a test thread preempting the loop can
-        /// spoil one run, not three in a row; everything `serve_train`
-        /// asserts holds on every run.
+        /// Serve `serve_train(timers, period, how)` until its CPU time
+        /// passes `cpu_ok`, at most three times. The CPU share is a ratio
+        /// to wall time, so a test thread preempting the loop can spoil
+        /// one run, not three in a row; on every run, everything
+        /// `serve_train` asserts holds, about one `wait` serves each
+        /// timer, and the wake-error estimate learns from the wake-ups.
         fn cpu_within_three_tries(
             timers: u64,
             period: u64,
-            sleep_only: bool,
+            how: Arm,
             cpu_ok: impl Fn(&Train) -> bool,
         ) {
             let _timed = crate::timing_test_lock();
             let mut misses = Vec::new();
             for _ in 0..3 {
-                let run = serve_train(timers, period, sleep_only);
+                let run = serve_train(timers, period, how);
+                let per_timer = run.wakeups_per_timer;
+                assert!(per_timer <= 1.5, "{per_timer:.2} wake-ups per timer");
+                assert!(
+                    run.window_ns < SpinWindow::MAX_NS,
+                    "nothing learned ({how:?})"
+                );
                 if cpu_ok(&run) {
                     return;
                 }
@@ -1059,9 +1118,33 @@ mod tests {
         /// train instead of spinning it.
         #[test]
         fn timers_never_fire_early_and_the_loop_sleeps() {
-            cpu_within_three_tries(400, 100_000, false, |run| {
+            cpu_within_three_tries(400, 100_000, Arm::Exact, |run| {
                 (run.cpu_ns as f64) < 0.7 * run.wall_ns as f64
             });
+        }
+
+        /// A 1 ms-period train armed with a 150 µs lateness allowance (a
+        /// 1 ms stream's under the default spacing tolerance): no timer
+        /// fires early, and the loop spends less CPU than on the same
+        /// train armed exact, because the allowance absorbs the wake-up
+        /// error the exact train spins out. Three tries, as
+        /// [`cpu_within_three_tries`] takes, each serving the exact train
+        /// right after the allowance one so both see the same host; what
+        /// the window learns is the other timer tests' to pin.
+        #[test]
+        fn timers_with_an_allowance_never_fire_early_and_spin_less() {
+            const TIMERS: u64 = 100;
+            let _timed = crate::timing_test_lock();
+            let mut misses = Vec::new();
+            for _ in 0..3 {
+                let within = serve_train(TIMERS, 1_000_000, Arm::Within(150_000));
+                let exact = serve_train(TIMERS, 1_000_000, Arm::Exact);
+                if within.cpu_ns < exact.cpu_ns {
+                    return;
+                }
+                misses.push((within.cpu_ns, exact.cpu_ns));
+            }
+            panic!("on the CPU for (within, exact) {misses:?} ns");
         }
 
         /// Sleep-only timers never fire early and are never spun for: the
@@ -1072,7 +1155,9 @@ mod tests {
         #[test]
         fn sleep_only_timers_never_fire_early_and_never_spin() {
             const TIMERS: u64 = 20;
-            cpu_within_three_tries(TIMERS, 1_000_000, true, |run| run.cpu_ns < TIMERS * 75_000);
+            cpu_within_three_tries(TIMERS, 1_000_000, Arm::SleepOnly, |run| {
+                run.cpu_ns < TIMERS * 75_000
+            });
         }
 
         /// A host cannot claim the loop's token, the timerfd is armed for

@@ -6,12 +6,25 @@
 //! error. A userspace sleep also wakes late by an amount the program does
 //! not choose (timer slack, scheduler latency, a busy host), so the pacer
 //! — `mux::EventLoop::wait`, sleeping in epoll on a timerfd for every
-//! deadline its loop holds — sleeps until `deadline − window` and spins
-//! the remainder: a wake-up that lands inside the window still sends on
-//! the deadline to the sub-µs, and the spin — the part that costs CPU —
-//! is only as long as the wake-up error it covers. [`SpinWindow`] is that
-//! window, learned from the oversleep the pacer measures. (Why an own
-//! loop, not an async runtime: ARCHITECTURE.md § Performance notes.)
+//! deadline its loop holds — sleeps until shortly before the deadline and
+//! spins the remainder. [`SpinWindow`] is how late a sleep wakes, learned
+//! from the oversleep the pacer measures. A deadline may carry a
+//! *lateness allowance*: how late its packet may leave without §IV's
+//! spacing check minding. The spin covers only the part of
+//! the wake-up error the allowance does not ([`spin_start`]), so a
+//! deadline fires within its allowance, and one without an allowance on
+//! the deadline to the sub-µs; the spin — the part that costs CPU — is
+//! never longer than the wake-up error. (Why an own loop, not an async
+//! runtime: ARCHITECTURE.md § Performance notes.)
+
+/// Where a pacer's sleep toward `deadline_ns` ends and its spin begins:
+/// one `window_ns` of wake-up error before the deadline, less the part of
+/// it the deadline's `allowance_ns` absorbs. A window inside the
+/// allowance is slept to the deadline itself; an allowance of 0 spins the
+/// whole window.
+pub const fn spin_start(deadline_ns: u64, window_ns: u64, allowance_ns: u64) -> u64 {
+    deadline_ns.saturating_sub(window_ns.saturating_sub(allowance_ns))
+}
 
 /// How long before a deadline a pacer stops sleeping and starts spinning.
 ///
@@ -117,6 +130,36 @@ impl Default for SpinWindow {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_spin_covers_only_what_the_allowance_does_not() {
+        // (deadline, window, allowance) → where the spin starts.
+        for (window, allowance, start, case) in [
+            (
+                10_000,
+                15_000,
+                1_000_000,
+                "window inside the allowance: sleep to d",
+            ),
+            (
+                15_000,
+                15_000,
+                1_000_000,
+                "window equal to the allowance: sleep to d",
+            ),
+            (
+                50_000,
+                15_000,
+                965_000,
+                "wider window: spin window − allowance",
+            ),
+            (50_000, 0, 950_000, "no allowance: spin the whole window"),
+            (SpinWindow::MAX_NS, 0, 700_000, "the starting window, exact"),
+        ] {
+            assert_eq!(spin_start(1_000_000, window, allowance), start, "{case}");
+        }
+        assert_eq!(spin_start(5_000, 50_000, 15_000), 0, "saturates at 0");
+    }
 
     #[test]
     fn the_window_starts_at_its_cap_and_waits_for_a_sample() {

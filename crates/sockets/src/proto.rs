@@ -124,12 +124,13 @@ pub struct ProbePacket {
 }
 
 impl ProbePacket {
-    /// Encode into `buf` (must be at least [`PROBE_HEADER_LEN`] long; the
-    /// bytes beyond the header are left untouched as padding).
+    /// Encode into `buf`, which must be at least [`PROBE_HEADER_LEN`]
+    /// long: a shorter one is left untouched (no header fits, and
+    /// [`ProbePacket::decode`] refuses it). The bytes beyond the header
+    /// are left untouched as padding.
     pub fn encode(&self, buf: &mut [u8]) {
-        assert!(buf.len() >= PROBE_HEADER_LEN);
         let Some(head) = buf.first_chunk_mut::<PROBE_HEADER_LEN>() else {
-            return; // excluded by the assert above
+            return;
         };
         let kind = match self.kind {
             ProbeKind::Stream => 0,
@@ -558,6 +559,21 @@ mod tests {
         let mut buf = vec![0u8; 200];
         p.encode(&mut buf);
         assert_eq!(ProbePacket::decode(&buf), Some(p));
+    }
+
+    #[test]
+    fn a_buffer_shorter_than_the_header_is_left_untouched() {
+        let p = ProbePacket {
+            session: 1,
+            kind: ProbeKind::Stream,
+            id: 2,
+            idx: 3,
+            send_ns: 4,
+        };
+        let mut short = [0xAAu8; PROBE_HEADER_LEN - 1];
+        p.encode(&mut short);
+        assert_eq!(short, [0xAA; PROBE_HEADER_LEN - 1]);
+        assert_eq!(ProbePacket::decode(&short), None);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! | command | on the wire | event fed back |
 //! |---|---|---|
 //! | `SendTrain { len, size }` | `TrainAnnounce`; on `Ready`, `len` packets back to back, each stamped as it leaves | `TrainDone` from the `TrainReport` |
-//! | `SendStream(req)` | `StreamAnnounce`; on `Ready` at `t`, packet `i` at `t + LEAD_IN + i·period`, actual send instants kept | `StreamDone` from the `StreamReport` |
+//! | `SendStream(req)` | `StreamAnnounce`; on `Ready` at `t`, packet `i` at `t + LEAD_IN + i·period`, at most its allowance late, actual send instants kept | `StreamDone` from the `StreamReport` |
 //! | `Idle(d)`, `Finish(est)` | nothing: the pump's own (a timer entry; stamping `elapsed`) | `Tick` / — |
 //!
 //! The pump is the [`EventedSession`](crate::EventedSession) on an event
@@ -31,7 +31,12 @@
 //! * one [`LEAD_IN_NS`], one [`RTT_ECHOES`], and one [`CTRL_TIMEOUT`] for
 //!   a frame the core is owed, counted from the sender's last own action
 //!   (a long stream does not eat its own budget), worded "stalled or
-//!   half-open" when it runs out.
+//!   half-open" when it runs out;
+//! * how late a stream packet may leave: half the per-gap tolerance of
+//!   §IV's spacing check at the stream's period ([`Due::Paced`]). Two
+//!   neighbouring packets each sent at most that late shift their gap by
+//!   at most that much, so pacing inside the allowance never fails §IV's
+//!   spacing check.
 
 // Datapath module: a panicking branch here takes the whole fleet down,
 // so `unwrap`/`expect` are denied outright (errors must travel as values).
@@ -84,8 +89,16 @@ pub enum Outcome {
 pub enum Due {
     /// Nothing: the core waits for a control frame, or is idle.
     None,
-    /// One stream packet, at this instant of the sender clock.
-    Paced(u64),
+    /// One stream packet, at `deadline` on the sender clock, and no
+    /// more than `allowance` nanoseconds after it: half the spacing
+    /// check's tolerance at the stream's period (0 for a core never told
+    /// the tolerance).
+    Paced {
+        /// The packet's absolute send deadline.
+        deadline: u64,
+        /// How late the packet may leave without the spacing check minding.
+        allowance: u64,
+    },
     /// This many train packets, back to back, now.
     Burst(u32),
 }
@@ -113,6 +126,8 @@ struct Probe {
     size: u32,
     /// `Some`: a stream with this period; `None`: a train.
     period_ns: Option<u64>,
+    /// A stream packet's lateness allowance.
+    allowance_ns: u64,
     /// A stream's first deadline.
     t0: u64,
     /// The next index to send.
@@ -141,6 +156,9 @@ pub struct TxSession {
     /// The sender's last own action (an announce or echo written, the
     /// last probe sent): since then the core is owed a frame.
     waiting_since: u64,
+    /// The spacing check's per-gap tolerance, a fraction of the period
+    /// (`SlopsConfig::spacing_tolerance`; 0: send every packet exact).
+    spacing_tolerance: f64,
     pacing_hist: Option<Histogram>,
 }
 
@@ -194,6 +212,14 @@ impl TxSession {
         self.pacing_hist = Some(hist);
     }
 
+    /// Pace streams for a spacing check that forgives a gap off by
+    /// `tolerance` of the period (the session's
+    /// `SlopsConfig::spacing_tolerance`): each packet may then leave up
+    /// to `tolerance · period / 2` late ([`Due::Paced`]).
+    pub fn set_spacing_tolerance(&mut self, tolerance: f64) {
+        self.spacing_tolerance = tolerance;
+    }
+
     /// Begin a `SendTrain` or `SendStream` at `now_ns`: the announce to
     /// write. Whatever was in flight is abandoned (a pump that lost its
     /// channel mid-command starts clean). `Idle` and `Finish` are not
@@ -213,11 +239,16 @@ impl TxSession {
         let size = size.max(PROBE_HEADER_LEN as u32);
         let id = self.next_id;
         self.next_id = id.wrapping_add(1);
+        // `as` saturates: a negative or NaN tolerance allows nothing.
+        let allowance_ns = period_ns.map_or(0, |t| {
+            (self.spacing_tolerance * t as f64 / 2.0).round() as u64
+        });
         self.probe = Probe {
             id,
             count,
             size,
             period_ns,
+            allowance_ns,
             ..Probe::default()
         };
         self.actual_send.clear();
@@ -304,10 +335,13 @@ impl TxSession {
     }
 
     /// What the probe socket owes the wire: all of a train at once, a
-    /// stream's next packet at `t0 + next·period`.
+    /// stream's next packet at `t0 + next·period`, within its allowance.
     pub fn due(&self) -> Due {
         match (self.state, self.probe.period_ns) {
-            (State::Sending, Some(period_ns)) => Due::Paced(self.probe.deadline(period_ns)),
+            (State::Sending, Some(period_ns)) => Due::Paced {
+                deadline: self.probe.deadline(period_ns),
+                allowance: self.probe.allowance_ns,
+            },
             (State::Sending, None) => Due::Burst(self.probe.count - self.probe.next),
             _ => Due::None,
         }

@@ -20,6 +20,10 @@ fn pathload_snd_usage_errors_exit_2() {
     assert_usage_error(&run(snd, &[]), "usage: pathload_snd");
     assert_usage_error(&run(snd, &["not-an-address"]), "bad receiver address");
     assert_usage_error(&run(snd, &["127.0.0.1:9", "x"]), "bad resolution");
+    assert_usage_error(
+        &run(snd, &["127.0.0.1:9", "8", "extra"]),
+        "usage: pathload_snd",
+    );
 }
 
 #[test]

@@ -40,6 +40,13 @@ pub enum TraceEvent {
         received: u32,
         /// Per-stream classification (`"increasing"`, `"grey"`, …).
         verdict: &'static str,
+        /// Gaps between received neighbours that broke §IV's spacing
+        /// tolerance (0 for a stream that produced no record).
+        spacing_violations: u32,
+        /// The spacing check discarded the stream (its verdict is then
+        /// `"unusable"`): more of its gaps broke the tolerance than the
+        /// check allows. A loss-discarded stream is `false`.
+        spacing_discarded: bool,
     },
     /// A fleet of streams at one rate closed with a verdict.
     FleetVerdict {

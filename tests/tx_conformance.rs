@@ -275,7 +275,7 @@ impl Bench {
             while inbox.is_empty() {
                 match self.tx.due() {
                     Due::None => break,
-                    Due::Paced(deadline) => self.now = self.now.max(deadline),
+                    Due::Paced { deadline, .. } => self.now = self.now.max(deadline),
                     Due::Burst(_) => self.now += TRAIN_PACKET_NS,
                 }
                 self.tx.encode(0, self.now, &mut buf);
@@ -385,6 +385,61 @@ fn hand_stepped_core_holds_the_scripted_conversation() {
     assert_eq!((pacing.count(), pacing.sum()), (12, 0));
 }
 
+/// A paced deadline carries half the spacing check's per-gap tolerance
+/// at the stream's period, as its lateness allowance: two neighbours each
+/// that late shift their gap by no more than it. Trains stay bursts, and
+/// a core never told the tolerance paces exactly.
+#[test]
+fn paced_deadlines_carry_half_the_spacing_tolerance() {
+    let stream = |period: TimeNs| {
+        Command::SendStream(StreamRequest {
+            stream_id: 0,
+            packet_size: 200,
+            period,
+            count: 4,
+        })
+    };
+    let due_after_ready = |tolerance: Option<f64>, cmd: &Command| {
+        let mut bench = Bench::new(None);
+        if let Some(tolerance) = tolerance {
+            bench.tx.set_spacing_tolerance(tolerance);
+        }
+        let (CtrlMsg::StreamAnnounce { id, .. } | CtrlMsg::TrainAnnounce { id, .. }) =
+            bench.tx.begin(cmd, 1_000).unwrap()
+        else {
+            panic!("{cmd:?} announced as something else");
+        };
+        assert_eq!(bench.tx.due(), Due::None, "nothing before Ready");
+        bench.tx.on_ctrl(CtrlMsg::Ready { id }, 2_000).unwrap();
+        bench.tx.due()
+    };
+    let tolerance = SlopsConfig::default().spacing_tolerance;
+    assert_eq!(tolerance, 0.3);
+    for (period, allowance) in [
+        (TimeNs::from_micros(100), 15_000),
+        (TimeNs::from_millis(1), 150_000),
+    ] {
+        assert_eq!(
+            due_after_ready(Some(tolerance), &stream(period)),
+            Due::Paced {
+                deadline: 2_000 + LEAD_IN_NS,
+                allowance
+            },
+            "T = {period}"
+        );
+    }
+    assert_eq!(
+        due_after_ready(None, &stream(TimeNs::from_micros(100))),
+        Due::Paced {
+            deadline: 2_000 + LEAD_IN_NS,
+            allowance: 0
+        },
+        "no tolerance, no allowance"
+    );
+    let train = Command::SendTrain { len: 5, size: 64 };
+    assert_eq!(due_after_ready(Some(tolerance), &train), Due::Burst(5));
+}
+
 /// Every fault script, hand-stepped: the core refuses the frame, names
 /// the state it was in, and is idle afterwards.
 #[test]
@@ -447,7 +502,7 @@ fn a_silent_receiver_is_a_stall_in_every_waiting_state() {
     tx.on_ctrl(CtrlMsg::Ready { id: 1 }, 21_000).unwrap();
     let mut buf = Vec::new();
     let mut last = 0;
-    while let Due::Paced(deadline) = tx.due() {
+    while let Due::Paced { deadline, .. } = tx.due() {
         assert_eq!(tx.ctrl_deadline(), None, "nothing is owed mid-stream");
         tx.on_timeout(deadline).expect("no wait, no stall");
         tx.encode(0, deadline, &mut buf);
@@ -513,7 +568,7 @@ impl Path {
             loop {
                 match self.tx.due() {
                     Due::None => break,
-                    Due::Paced(deadline) => self.now = self.now.max(deadline),
+                    Due::Paced { deadline, .. } => self.now = self.now.max(deadline),
                     Due::Burst(_) => self.now += 1,
                 }
                 self.tx.encode(0, self.now, &mut buf);
