@@ -179,6 +179,12 @@ impl SlopsConfig {
         if !(0.01..=1.0).contains(&self.avg_load_factor) {
             return Err("avg_load_factor must be in [0.01, 1]".into());
         }
+        if !(self.spacing_tolerance.is_finite() && self.spacing_tolerance > 0.0) {
+            return Err("spacing_tolerance must be finite and positive".into());
+        }
+        if !(0.0..=1.0).contains(&self.spacing_max_violations) {
+            return Err("spacing_max_violations must be in [0, 1]".into());
+        }
         Ok(())
     }
 }
@@ -227,5 +233,17 @@ mod tests {
         let mut c = SlopsConfig::default();
         c.pct_dec = 0.9; // above pct_inc
         assert!(c.validate().is_err());
+
+        // check_spacing asserts a positive tolerance: refused up front.
+        for tolerance in [0.0, -0.3, f64::NAN, f64::INFINITY] {
+            let mut c = SlopsConfig::default();
+            c.spacing_tolerance = tolerance;
+            assert!(c.validate().is_err(), "spacing_tolerance {tolerance}");
+        }
+        for share in [-0.1, 1.5, f64::NAN] {
+            let mut c = SlopsConfig::default();
+            c.spacing_max_violations = share;
+            assert!(c.validate().is_err(), "spacing_max_violations {share}");
+        }
     }
 }

@@ -27,19 +27,13 @@
 //! is the kernel's realtime stamp (mapped onto a pump's monotonic clock
 //! by `clock::RealtimeMap`), [`UdpRecvBatch::take_drops`] the overflow
 //! the datagrams read so far reveal.
-//!
-//! [`bind_reuse`] also lives here: a TCP listener bound with
-//! `SO_REUSEADDR`, so a restarted receiver daemon can rebind its control
-//! port immediately while the previous incarnation's accepted sockets
-//! linger in TIME_WAIT — the server half of the sender-side reconnect
-//! policy.
 
 // Datapath module: a panicking branch here takes the whole fleet down,
 // so `unwrap`/`expect` are denied outright (errors must travel as values).
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use std::io;
-use std::net::{SocketAddr, TcpListener, UdpSocket};
+use std::net::UdpSocket;
 
 /// Most datagrams moved per batched syscall. One SLoPS stream is ~100
 /// packets and a train ~50; 32 keeps per-call buffer memory small while
@@ -77,8 +71,8 @@ mod sys {
     use std::ffi::c_long;
     use std::io;
     use std::mem::size_of;
-    use std::net::{SocketAddr, TcpListener, UdpSocket};
-    use std::os::fd::{AsRawFd, FromRawFd};
+    use std::net::UdpSocket;
+    use std::os::fd::AsRawFd;
     use std::ptr;
 
     use super::{ProbeSocket, MAX_BATCH, PROBE_RCVBUF};
@@ -132,14 +126,11 @@ mod sys {
         fn recvmmsg(fd: i32, vec: *mut MMsgHdr, vlen: u32, flags: i32, timeout: *mut u8) -> i32;
         fn recvmsg(fd: i32, msg: *mut MsgHdr, flags: i32) -> isize;
         fn sendmmsg(fd: i32, vec: *mut MMsgHdr, vlen: u32, flags: i32) -> i32;
-        fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
         fn setsockopt(fd: i32, level: i32, name: i32, value: *const i32, len: u32) -> i32;
         fn getsockopt(fd: i32, level: i32, name: i32, value: *mut i32, len: *mut u32) -> i32;
-        fn bind(fd: i32, addr: *const u8, len: u32) -> i32;
-        fn listen(fd: i32, backlog: i32) -> i32;
-        fn close(fd: i32) -> i32;
     }
 
+    const SOL_SOCKET: i32 = 1;
     const SO_RCVBUF: i32 = 8;
     /// Also the control-message type of the stamp (`SCM_TIMESTAMPNS`).
     const SO_TIMESTAMPNS: i32 = 35;
@@ -349,75 +340,6 @@ mod sys {
         }
         Ok(sent as usize)
     }
-
-    const AF_INET: i32 = 2;
-    const AF_INET6: i32 = 10;
-    const SOCK_STREAM: i32 = 1;
-    const SOCK_CLOEXEC: i32 = 0x80000;
-    const SOL_SOCKET: i32 = 1;
-    const SO_REUSEADDR: i32 = 2;
-
-    /// A TCP listener bound with `SO_REUSEADDR` (see module docs).
-    pub fn bind_reuse(addr: SocketAddr) -> io::Result<TcpListener> {
-        let domain = match addr {
-            SocketAddr::V4(_) => AF_INET,
-            SocketAddr::V6(_) => AF_INET6,
-        };
-        // SAFETY: socket(2) takes no pointers; the return is checked.
-        let fd = unsafe { socket(domain, SOCK_STREAM | SOCK_CLOEXEC, 0) };
-        if fd < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        let fail = |fd: i32| {
-            let err = io::Error::last_os_error();
-            // SAFETY: `fd` was just created above, is owned by this
-            // function, and is closed exactly once on this error path.
-            unsafe { close(fd) };
-            Err(err)
-        };
-        if !set_int(fd, SO_REUSEADDR, 1) {
-            return fail(fd);
-        }
-        // sockaddr_in / sockaddr_in6, hand-packed: family is host order,
-        // port and address are network order.
-        let mut raw = [0u8; 28];
-        let raw_len: u32 = match addr {
-            SocketAddr::V4(a) => {
-                raw[0..2].copy_from_slice(&(AF_INET as u16).to_ne_bytes());
-                raw[2..4].copy_from_slice(&a.port().to_be_bytes());
-                raw[4..8].copy_from_slice(&a.ip().octets());
-                16
-            }
-            SocketAddr::V6(a) => {
-                raw[0..2].copy_from_slice(&(AF_INET6 as u16).to_ne_bytes());
-                raw[2..4].copy_from_slice(&a.port().to_be_bytes());
-                raw[4..8].copy_from_slice(&a.flowinfo().to_be_bytes());
-                raw[8..24].copy_from_slice(&a.ip().octets());
-                raw[24..28].copy_from_slice(&a.scope_id().to_ne_bytes());
-                28
-            }
-        };
-        // SAFETY: `raw` is a live, hand-packed sockaddr of `raw_len`
-        // bytes (16 for v4, 28 for v6); the kernel only reads it.
-        if unsafe { bind(fd, raw.as_ptr(), raw_len) } != 0 {
-            return fail(fd);
-        }
-        // SAFETY: no pointers; the return is checked.
-        if unsafe { listen(fd, 128) } != 0 {
-            return fail(fd);
-        }
-        // SAFETY: `fd` is a freshly created, bound, listening TCP socket
-        // owned by this function; ownership transfers to the listener,
-        // which becomes its sole closer.
-        Ok(unsafe { TcpListener::from_raw_fd(fd) })
-    }
-}
-
-/// A TCP listener for a server control port, bound with `SO_REUSEADDR`
-/// so a restarted receiver can rebind immediately (TIME_WAIT from the
-/// previous incarnation's accepted sockets does not block it).
-pub fn bind_reuse(addr: SocketAddr) -> io::Result<TcpListener> {
-    sys::bind_reuse(addr)
 }
 
 /// Reusable buffers for batched datagram receives.
@@ -650,24 +572,5 @@ mod tests {
             let n = rx.recv(&mut buf).unwrap();
             assert_eq!(&buf[..n], &want[..]);
         }
-    }
-
-    #[test]
-    fn bind_reuse_allows_immediate_rebind_after_close() {
-        use std::io::Read;
-        let l = bind_reuse("127.0.0.1:0".parse().unwrap()).unwrap();
-        let addr = l.local_addr().unwrap();
-        let t = std::thread::spawn(move || {
-            let mut s = std::net::TcpStream::connect(addr).unwrap();
-            let mut b = [0u8; 1];
-            let _ = s.read(&mut b);
-        });
-        let (s, _) = l.accept().unwrap();
-        // Server closes first: its side of the connection enters
-        // TIME_WAIT, which without SO_REUSEADDR blocks rebinding the port.
-        drop(s);
-        drop(l);
-        t.join().unwrap();
-        bind_reuse(addr).expect("immediate rebind of the same port");
     }
 }

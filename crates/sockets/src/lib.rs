@@ -42,9 +42,8 @@
 //!   sessions (the `monitord` fleet) or run one alone (`pathload_snd`).
 //! * [`batch`] — the kernel-fast datapath: `recvmmsg`/`sendmmsg`
 //!   batching (one syscall, many datagrams) or a scalar `recvmsg` loop on
-//!   request, kernel arrival stamps and the receive-buffer overflow count
-//!   on the probe socket, and a `SO_REUSEADDR` listener bind so a restarted
-//!   receiver reclaims its port through `TIME_WAIT`.
+//!   request, and kernel arrival stamps and the receive-buffer overflow
+//!   count on the probe socket.
 //! * [`rx`] — the receiver's sans-IO protocol core: [`rx::Admission`]
 //!   (token mint, session cap, counters, the drop-warning limiter) and [`rx::RxSession`] (announce
 //!   handling, de-duplicating loss-tolerant collection, silence-window

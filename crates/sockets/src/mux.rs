@@ -31,16 +31,16 @@
 //! loop (a few µs on an idle host), so the spin — the CPU a pacing loop
 //! burns — covers only the wake-up error the allowance cannot absorb: a
 //! timer fires within its allowance (one armed without an allowance, on
-//! its deadline to the sub-µs), and never before its deadline.
+//! its deadline to the sub-µs), and never before its deadline. A deadline
+//! that means only "not before" — a receiver's socket drain or stop-rule
+//! tick — carries the allowance [`SLEEP_ONLY`], which covers any wake-up
+//! error: the loop sleeps to the deadline itself and never spins for it.
+//! Its oversleep trains the same window, so [`EventLoop::wake_error_ns`]
+//! tells a host how early to arm one that must not wake late.
 //!
-//! Not every deadline is a pacing deadline. A receiver's socket drain or
-//! stop-rule tick needs "not before", not "exactly at", so
-//! [`EventLoop::arm_sleep_timer`] arms a *sleep-only* timer: the timerfd
-//! is set for the deadline itself and the loop never spins for it — it
-//! fires at the deadline plus the wake-up error, at the cost of one
-//! sleep. Its oversleep trains the same window, so
-//! [`EventLoop::wake_error_ns`] tells a host how early to arm a
-//! sleep-only timer that must not wake late.
+//! The queue has one entry kind and no cancellation: a host that no
+//! longer wants a timer ignores its token when it fires, at the cost of
+//! one wake-up when the stale entry comes due.
 
 // Datapath module: a panicking branch here takes the whole fleet down,
 // so `unwrap`/`expect` are denied outright (errors must travel as values).
@@ -49,7 +49,7 @@
 use crate::clock::MonoClock;
 use crate::pacing::{spin_start, SpinWindow};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::io;
 use std::os::fd::RawFd;
 use std::time::Duration;
@@ -370,38 +370,27 @@ impl Drop for WakeTimer {
 /// a host, and refused when a host asks for it.
 const WAKE_TOKEN: u64 = u64::MAX;
 
-/// One queued timer: `(deadline, seq, token, generation, allowance)`,
-/// ordered by deadline, then arming order.
-type Entry = (u64, u64, u64, u64, u64);
+/// One queued timer: `(deadline, seq, token, allowance)`, ordered by
+/// deadline, then arming order.
+type Entry = (u64, u64, u64, u64);
+
+/// The lateness allowance of a *sleep-only* timer: it covers any wake-up
+/// error, so the loop sleeps to the deadline itself and never spins for
+/// it ([`spin_start`] returns the deadline). For deadlines that mean "not
+/// before" — a socket drain, a stop-rule tick, a backoff.
+pub const SLEEP_ONLY: u64 = u64::MAX;
 
 /// A queue of one-shot deadline timers on a [`MonoClock`] timeline.
 ///
-/// Entries are `(deadline, token)`; ties expire in arming order. A
-/// pacing entry may carry a lateness allowance
-/// ([`TimerQueue::arm_within`]) for the loop's spin to absorb; the queue
-/// only stores it. Entries
-/// may optionally carry a nonzero *generation* ([`TimerQueue::arm_with_generation`]):
-/// [`TimerQueue::cancel_generation`] then cancels every entry of that
-/// generation armed so far, without touching entries armed afterwards —
-/// so a generation number can be reused across a session's lifetime.
-/// Cancelled entries are reaped lazily as pops walk past them; the
-/// bookkeeping (per-generation live counts and a cancel horizon) is
-/// dropped as soon as a generation has no entries left in the heap, so
-/// memory stays bounded by the number of pending entries.
-///
-/// Plain [`TimerQueue::arm`] entries have generation 0 and cannot be
-/// cancelled — callers that stop caring simply ignore the token when it
-/// fires (lazy cancellation), which keeps the pacing hot path free of
-/// hash-map traffic.
+/// Entries are `(deadline, token)`; ties expire in arming order. An entry
+/// may carry a lateness allowance ([`TimerQueue::arm_within`]) for the
+/// loop's spin to absorb; the queue only stores it. Nothing is ever
+/// cancelled: a host that stops caring about a timer ignores its token
+/// when it fires (lazy cancellation), which keeps the queue a plain heap.
 #[derive(Debug, Default)]
 pub struct TimerQueue {
     heap: BinaryHeap<Reverse<Entry>>,
     seq: u64,
-    /// generation → number of its entries still in the heap.
-    live: HashMap<u64, u64>,
-    /// generation → cancel horizon: entries with `seq <= horizon` are
-    /// cancelled; entries armed later (larger seq) are not.
-    cancelled: HashMap<u64, u64>,
 }
 
 impl TimerQueue {
@@ -411,59 +400,23 @@ impl TimerQueue {
     }
 
     /// Arm a one-shot timer for `deadline_ns` (clock nanoseconds) carrying
-    /// `token`. The entry has generation 0: it cannot be cancelled.
+    /// `token`, with no lateness allowance.
     pub fn arm(&mut self, deadline_ns: u64, token: u64) {
-        self.push(deadline_ns, token, 0, 0);
+        self.arm_within(deadline_ns, 0, token);
     }
 
-    /// Arm an uncancellable timer for `deadline_ns` carrying `token` that
-    /// may fire up to `allowance_ns` late ([`TimerQueue::next_entry`]
-    /// reports it; expiry is still at the deadline).
+    /// Arm a timer for `deadline_ns` carrying `token` that may fire up to
+    /// `allowance_ns` late ([`TimerQueue::next_entry`] reports it; expiry
+    /// is still at the deadline).
     pub fn arm_within(&mut self, deadline_ns: u64, allowance_ns: u64, token: u64) {
-        self.push(deadline_ns, token, 0, allowance_ns);
-    }
-
-    /// Arm a one-shot timer carrying `token` under `generation` (nonzero
-    /// to make it cancellable via [`TimerQueue::cancel_generation`];
-    /// generation 0 is the uncancellable default of [`TimerQueue::arm`]).
-    pub fn arm_with_generation(&mut self, deadline_ns: u64, token: u64, generation: u64) {
-        self.push(deadline_ns, token, generation, 0);
-    }
-
-    fn push(&mut self, deadline_ns: u64, token: u64, generation: u64, allowance_ns: u64) {
         self.seq += 1;
-        if generation != 0 {
-            *self.live.entry(generation).or_insert(0) += 1;
-        }
-        self.heap.push(Reverse((
-            deadline_ns,
-            self.seq,
-            token,
-            generation,
-            allowance_ns,
-        )));
+        self.heap
+            .push(Reverse((deadline_ns, self.seq, token, allowance_ns)));
     }
 
-    /// Cancel every entry of `generation` armed so far. Entries armed
-    /// *after* this call under the same generation are unaffected. A
-    /// no-op for generation 0 or a generation with nothing pending.
-    pub fn cancel_generation(&mut self, generation: u64) {
-        if generation != 0 && self.live.contains_key(&generation) {
-            self.cancelled.insert(generation, self.seq);
-        }
-    }
-
-    /// The earliest pending deadline, if any. Conservative: a
-    /// not-yet-reaped cancelled entry may be reported (waking early is
-    /// harmless; the pop then skips it).
-    pub fn next_deadline(&self) -> Option<u64> {
-        self.next_entry().map(|(deadline, _)| deadline)
-    }
-
-    /// The earliest pending `(deadline, allowance)`, conservative as
-    /// [`TimerQueue::next_deadline`] is.
+    /// The earliest pending `(deadline, allowance)`.
     pub fn next_entry(&self) -> Option<(u64, u64)> {
-        self.heap.peek().map(|Reverse((d, _, _, _, s))| (*d, *s))
+        self.heap.peek().map(|Reverse((d, _, _, s))| (*d, *s))
     }
 
     /// Pop the earliest timer if it has expired by `now_ns`.
@@ -473,69 +426,28 @@ impl TimerQueue {
 
     /// Like [`TimerQueue::pop_expired`], but also reports the deadline the
     /// timer was armed for — the event loop uses `now − deadline` as its
-    /// timer-lag sample. Cancelled entries are reaped silently on the way.
+    /// timer-lag sample.
     pub fn pop_expired_at(&mut self, now_ns: u64) -> Option<(u64, u64)> {
-        // Entries are Copy tuples, so peek-then-pop folds into one
-        // panic-free `while let` over the heap head.
-        while let Some(&Reverse((deadline, seq, token, generation, _))) = self.heap.peek() {
-            if deadline > now_ns {
-                return None;
-            }
-            let _ = self.heap.pop();
-            if generation != 0 && !self.reap(seq, generation) {
-                continue; // cancelled: skip silently
-            }
-            return Some((token, deadline));
+        let &Reverse((deadline, _, token, _)) = self.heap.peek()?;
+        if deadline > now_ns {
+            return None;
         }
-        None
+        let _ = self.heap.pop();
+        Some((token, deadline))
     }
 
-    /// Reap cancelled entries off the head of the heap, so
-    /// [`TimerQueue::next_deadline`] reports a live one.
-    fn reap_cancelled_head(&mut self) {
-        while let Some(&Reverse((_, seq, _, generation, _))) = self.heap.peek() {
-            let cancelled = self
-                .cancelled
-                .get(&generation)
-                .is_some_and(|&horizon| seq <= horizon);
-            if !cancelled {
-                return;
-            }
-            let _ = self.heap.pop();
-            self.reap(seq, generation);
-        }
-    }
-
-    /// Bookkeeping for a popped entry of a nonzero generation. Returns
-    /// false when the entry was cancelled.
-    fn reap(&mut self, seq: u64, generation: u64) -> bool {
-        let alive = self
-            .cancelled
-            .get(&generation)
-            .is_none_or(|&horizon| seq > horizon);
-        if let Some(count) = self.live.get_mut(&generation) {
-            *count -= 1;
-            if *count == 0 {
-                self.live.remove(&generation);
-                self.cancelled.remove(&generation);
-            }
-        }
-        alive
-    }
-
-    /// Number of entries still in the heap (cancelled entries count until
-    /// a pop walks past them).
+    /// Number of pending entries.
     pub fn len(&self) -> usize {
         self.heap.len()
     }
 
-    /// True when no entries remain in the heap.
+    /// True when no entries are pending.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
 }
 
-/// The event loop: an epoll poller and two [`TimerQueue`]s on one
+/// The event loop: an epoll poller and a [`TimerQueue`] on one
 /// [`MonoClock`].
 ///
 /// One instance multiplexes a whole fleet: every session's control TCP and
@@ -545,11 +457,9 @@ impl TimerQueue {
 #[derive(Debug)]
 pub struct EventLoop {
     poller: Poller,
-    /// Deadlines served on time: slept to one window (less the entry's
-    /// allowance) early, spun the rest.
+    /// Every deadline: slept to one window (less the entry's allowance)
+    /// early, spun the rest.
     timers: TimerQueue,
-    /// Sleep-only deadlines ([`EventLoop::arm_sleep_timer`]): never spun.
-    naps: TimerQueue,
     clock: MonoClock,
     /// The sleep, registered in `poller` under [`WAKE_TOKEN`].
     wake: WakeTimer,
@@ -577,7 +487,6 @@ impl EventLoop {
         Ok(EventLoop {
             poller,
             timers: TimerQueue::new(),
-            naps: TimerQueue::new(),
             clock,
             wake,
             window: SpinWindow::new(),
@@ -607,22 +516,11 @@ impl EventLoop {
         }
     }
 
-    /// Pop every timer of either queue expired by `now`, earliest deadline
-    /// first (a pacing timer before a sleep-only one on a tie), recording
-    /// lag; true if any fired.
+    /// Pop every timer expired by `now`, earliest deadline first,
+    /// recording lag; true if any fired.
     fn drain_expired(&mut self, now: u64, out: &mut Vec<MuxEvent>) -> bool {
         let before = out.len();
-        loop {
-            self.timers.reap_cancelled_head();
-            self.naps.reap_cancelled_head();
-            let queue = match (self.timers.next_deadline(), self.naps.next_deadline()) {
-                (Some(pacing), Some(nap)) if nap < pacing => &mut self.naps,
-                (None, Some(_)) => &mut self.naps,
-                _ => &mut self.timers,
-            };
-            let Some((token, deadline)) = queue.pop_expired_at(now) else {
-                break;
-            };
+        while let Some((token, deadline)) = self.timers.pop_expired_at(now) {
             if let Some(h) = &self.timer_lag {
                 h.observe(now.saturating_sub(deadline));
             }
@@ -655,68 +553,52 @@ impl EventLoop {
         self.poller.remove(fd)
     }
 
-    /// Arm a one-shot timer at `deadline_ns` on the loop's clock. The
-    /// entry is uncancellable (generation 0): ignore the token when it no
-    /// longer matters.
+    /// Arm a one-shot timer at `deadline_ns` on the loop's clock, fired
+    /// on its deadline to the sub-µs. Timers are never cancelled: ignore
+    /// the token when it no longer matters.
     pub fn arm_timer(&mut self, deadline_ns: u64, token: u64) {
         self.timers.arm(deadline_ns, token);
     }
 
-    /// Arm a pacing timer at `deadline_ns` that may fire up to
-    /// `allowance_ns` late: the loop spins only the part of its wake-up
-    /// error the allowance does not absorb ([`spin_start`]), and sleeps
-    /// to the deadline itself while the allowance covers all of it. It
-    /// never fires early. Uncancellable, as [`EventLoop::arm_timer`].
+    /// Arm a timer at `deadline_ns` that may fire up to `allowance_ns`
+    /// late: the loop spins only the part of its wake-up error the
+    /// allowance does not absorb ([`spin_start`]), and sleeps to the
+    /// deadline itself while the allowance covers all of it — always, for
+    /// [`SLEEP_ONLY`]. It never fires early, and is never cancelled, as
+    /// [`EventLoop::arm_timer`].
     pub fn arm_timer_within(&mut self, deadline_ns: u64, allowance_ns: u64, token: u64) {
         self.timers.arm_within(deadline_ns, allowance_ns, token);
     }
 
-    /// Arm a *sleep-only* one-shot timer at `deadline_ns`: it never fires
-    /// early, and the loop sleeps to the deadline itself instead of
-    /// spinning the wake-up error away, so it fires up to
-    /// [`EventLoop::wake_error_ns`] late. For deadlines that mean "not
-    /// before" — a socket drain, a stop-rule tick, a backoff. A nonzero
-    /// `generation` makes the entry cancellable via
-    /// [`EventLoop::cancel_timer_generation`] (0: not cancellable).
-    pub fn arm_sleep_timer(&mut self, deadline_ns: u64, token: u64, generation: u64) {
-        self.naps
-            .arm_with_generation(deadline_ns, token, generation);
-    }
-
     /// How late the loop's sleeps wake, as learned from them: the spin
-    /// window. Arm a sleep-only timer this much early to have it fire by
-    /// its instant.
+    /// window. Arm a [`SLEEP_ONLY`] timer this much early to have it fire
+    /// by its instant.
     pub fn wake_error_ns(&self) -> u64 {
         self.window.ns()
     }
 
-    /// Cancel every sleep-only timer armed so far under `generation` (see
-    /// [`TimerQueue::cancel_generation`]); pacing timers are armed
-    /// uncancellable.
-    pub fn cancel_timer_generation(&mut self, generation: u64) {
-        self.naps.cancel_generation(generation);
-    }
-
     /// Pending timer count (diagnostics).
     pub fn timers_pending(&self) -> usize {
-        self.timers.len() + self.naps.len()
+        self.timers.len()
     }
 
     /// Wait for the next batch of events and append them to `out`:
-    /// expired timers (earliest first, pacing and sleep-only ones merged)
-    /// and I/O readiness. Blocks at most
+    /// expired timers (earliest first) and I/O readiness. Blocks at most
     /// `max_wait` even with no timers pending, so hosts can re-check
     /// shutdown flags. May return with `out` empty (timeout); never
     /// returns I/O the caller didn't register or timers it didn't arm,
     /// and never a timer before its deadline.
     ///
-    /// The sleep ends one spin window, less the earliest pacing
-    /// deadline's allowance, before that deadline (the loop's timerfd);
-    /// the rest is spun, so a timer fires within its allowance (one armed
-    /// without, on its deadline to the sub-µs) while the CPU is spent
-    /// only on the wake-up error the allowance cannot absorb. A
-    /// sleep-only timer ends the sleep at its deadline and is never spun
-    /// for. See the module docs.
+    /// The sleep ends one spin window, less the earliest deadline's
+    /// allowance, before that deadline (the loop's timerfd); the rest is
+    /// spun, so a timer fires within its allowance (one armed without, on
+    /// its deadline to the sub-µs) while the CPU is spent only on the
+    /// wake-up error the allowance cannot absorb. A [`SLEEP_ONLY`] timer
+    /// ends the sleep at its deadline and is never spun for. The sleep is
+    /// planned for the earliest deadline only, so a later one with a
+    /// smaller allowance may fire up to the wake-up error late: sleep-only
+    /// timers belong on a loop without paced ones (the receiver's). See
+    /// the module docs.
     pub fn wait(&mut self, out: &mut Vec<MuxEvent>, max_wait: Duration) -> io::Result<()> {
         if let Some(c) = &self.wakeups {
             c.inc();
@@ -732,12 +614,9 @@ impl EventLoop {
 
         let next = self.timers.next_entry();
         let deadline = next.map(|(d, _)| d);
-        // Where the spin toward the next pacing deadline starts.
-        let spin_at = next.map(|(d, allowance)| spin_start(d, self.window.ns(), allowance));
-        let wake = [spin_at, self.naps.next_deadline()]
-            .into_iter()
-            .flatten()
-            .min();
+        // Where the spin toward the next deadline starts (a sleep-only
+        // one's: the deadline itself).
+        let wake = next.map(|(d, allowance)| spin_start(d, self.window.ns(), allowance));
         // Inside the window already: no sleep, only instantly-ready I/O.
         let sleep = wake.is_none_or(|at| at > now);
         let timeout = if sleep {
@@ -762,7 +641,7 @@ impl EventLoop {
         // No I/O. Past the spin instant (the timer fired for it, or the
         // deadline was inside the window): spin the deadline down, then
         // deliver. A sleep-only timer's wake-up spins nothing.
-        if let (Some(d), Some(at)) = (deadline, spin_at) {
+        if let (Some(d), Some(at)) = (deadline, wake) {
             if now >= at {
                 if !sleep {
                     self.window.spun();
@@ -818,7 +697,7 @@ mod tests {
         q.arm(100, 1);
         q.arm(100, 2);
         q.arm(200, 9);
-        assert_eq!(q.next_deadline(), Some(100));
+        assert_eq!(q.next_entry(), Some((100, 0)));
         assert_eq!(q.pop_expired(99), None, "not yet expired");
         assert_eq!(q.pop_expired(100), Some(1), "ties fire in arming order");
         assert_eq!(q.pop_expired(100), Some(2));
@@ -826,29 +705,6 @@ mod tests {
         assert_eq!(q.pop_expired(1_000), Some(9));
         assert_eq!(q.pop_expired(1_000), Some(3));
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn cancel_generation_skips_pending_entries_but_not_later_arms() {
-        let mut q = TimerQueue::new();
-        q.arm_with_generation(100, 1, 7);
-        q.arm_with_generation(200, 2, 7);
-        q.arm_with_generation(150, 3, 8);
-        q.cancel_generation(7);
-        // Generation reuse: armed after the cancel, so it survives.
-        q.arm_with_generation(300, 4, 7);
-        assert_eq!(q.pop_expired(1_000), Some(3), "gen 8 untouched");
-        assert_eq!(q.pop_expired(1_000), Some(4), "post-cancel arm fires");
-        assert_eq!(q.pop_expired(1_000), None);
-        assert!(q.is_empty(), "cancelled entries reaped by the pops");
-    }
-
-    #[test]
-    fn cancel_generation_zero_is_a_no_op() {
-        let mut q = TimerQueue::new();
-        q.arm(50, 1);
-        q.cancel_generation(0);
-        assert_eq!(q.pop_expired(60), Some(1));
     }
 
     /// Tests that drive the kernel: epoll, the timerfd, real sockets.
@@ -980,20 +836,18 @@ mod tests {
             assert!(saw_io && saw_timer);
         }
 
-        /// Expired timers come out earliest first whichever queue holds
-        /// them, and a cancelled sleep-only head fires neither itself nor
-        /// out of order with the entries behind it.
+        /// Expired timers come out earliest first whatever their
+        /// allowance, ties in arming order.
         #[test]
         fn pacing_and_sleep_only_timers_fire_in_one_deadline_order() {
             let clock = MonoClock::new();
             let mut lp = EventLoop::new(clock.clone()).unwrap();
             // Deadlines a few ns after the epoch: all expired at the wait.
-            lp.arm_sleep_timer(1, 99, 8);
-            lp.cancel_timer_generation(8);
-            lp.arm_sleep_timer(4, 40, 0);
+            lp.arm_timer_within(4, SLEEP_ONLY, 40);
             lp.arm_timer(3, 30);
-            lp.arm_sleep_timer(2, 20, 0);
-            lp.arm_sleep_timer(1, 10, 0);
+            lp.arm_timer_within(2, SLEEP_ONLY, 20);
+            lp.arm_timer(2, 21);
+            lp.arm_timer_within(1, SLEEP_ONLY, 10);
             let mut out = Vec::new();
             lp.wait(&mut out, Duration::ZERO).unwrap();
             let fired: Vec<_> = out
@@ -1003,7 +857,7 @@ mod tests {
                     MuxEvent::Io(r) => panic!("unexpected I/O on {}", r.token),
                 })
                 .collect();
-            assert_eq!(fired, [10, 20, 30, 40]);
+            assert_eq!(fired, [10, 20, 21, 30, 40]);
         }
 
         /// On-CPU nanoseconds of the calling thread, from procfs.
@@ -1031,7 +885,7 @@ mod tests {
             /// Pacing timers with this lateness allowance
             /// ([`EventLoop::arm_timer_within`]).
             Within(u64),
-            /// Sleep-only timers ([`EventLoop::arm_sleep_timer`]).
+            /// Sleep-only timers ([`SLEEP_ONLY`]).
             SleepOnly,
         }
 
@@ -1047,7 +901,7 @@ mod tests {
             let arm = |lp: &mut EventLoop, at, token| match how {
                 Arm::Exact => lp.arm_timer(at, token),
                 Arm::Within(allowance) => lp.arm_timer_within(at, allowance, token),
-                Arm::SleepOnly => lp.arm_sleep_timer(at, token, 0),
+                Arm::SleepOnly => lp.arm_timer_within(at, SLEEP_ONLY, token),
             };
 
             let t0 = clock.now_ns() + 1_000_000;

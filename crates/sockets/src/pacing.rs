@@ -37,14 +37,20 @@ pub const fn spin_start(deadline_ns: u64, window_ns: u64, allowance_ns: u64) -> 
 /// joins the smoothed oversleep, and the window moves a sixteenth of the
 /// way toward twice that — as it also does for a deadline served without
 /// a sleep ([`SpinWindow::spun`]), since a window wider than the deadline
-/// spacing would otherwise never sleep again, and so never learn. It
-/// stays within [`MIN_NS`](SpinWindow::MIN_NS)`..=`[`MAX_NS`](SpinWindow::MAX_NS).
+/// spacing would otherwise never sleep again, and so never learn. Until
+/// a sleep that was not late is measured, a late one gives the spun
+/// deadlines after it the floor to relax toward, so a late first wake-up
+/// cannot strand the window at its cap. It stays within
+/// [`MIN_NS`](SpinWindow::MIN_NS)`..=`[`MAX_NS`](SpinWindow::MAX_NS).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SpinWindow {
     ns: u64,
-    /// Smoothed oversleep of the sleeps measured so far (`None`: none yet,
-    /// nothing to shrink toward).
+    /// Smoothed oversleep of the sleeps measured so far, late ones left
+    /// out (`None`: none yet).
     oversleep_ns: Option<u64>,
+    /// A sleep woke late: with no smoothed oversleep yet, the window
+    /// relaxes toward the floor (`false`: nothing to shrink toward).
+    woke_late: bool,
 }
 
 impl SpinWindow {
@@ -72,6 +78,7 @@ impl SpinWindow {
         SpinWindow {
             ns: SpinWindow::MAX_NS,
             oversleep_ns: None,
+            woke_late: false,
         }
     }
 
@@ -91,6 +98,7 @@ impl SpinWindow {
             self.ns = oversleep_ns
                 .saturating_mul(2)
                 .clamp(SpinWindow::MIN_NS, SpinWindow::MAX_NS);
+            self.woke_late = true;
             return;
         }
         self.oversleep_ns = Some(match self.oversleep_ns {
@@ -107,16 +115,19 @@ impl SpinWindow {
         self.relax();
     }
 
-    /// Part of the way toward twice the smoothed oversleep, when that is
-    /// narrower than the window (growth comes only from late wake-ups).
+    /// Part of the way toward twice the smoothed oversleep (the floor
+    /// while only late sleeps were measured), when that is narrower than
+    /// the window (growth comes only from late wake-ups).
     fn relax(&mut self) {
-        if let Some(s) = self.oversleep_ns {
-            let target = s
+        let target = match self.oversleep_ns {
+            Some(s) => s
                 .saturating_mul(2)
-                .clamp(SpinWindow::MIN_NS, SpinWindow::MAX_NS);
-            if target < self.ns {
-                self.ns -= (self.ns - target).div_ceil(SpinWindow::RELAX);
-            }
+                .clamp(SpinWindow::MIN_NS, SpinWindow::MAX_NS),
+            None if self.woke_late => SpinWindow::MIN_NS,
+            None => return,
+        };
+        if target < self.ns {
+            self.ns -= (self.ns - target).div_ceil(SpinWindow::RELAX);
         }
     }
 }
@@ -240,6 +251,32 @@ mod tests {
             w.spun();
         }
         assert!(w.ns() < 2 * SpinWindow::MIN_NS, "stranded at {} ns", w.ns());
+    }
+
+    /// A first sleep that overshoots the starting window leaves the
+    /// window at its cap, wider than a 100 µs stream's spacing, so only
+    /// spun deadlines follow; they bring it below that spacing within a
+    /// few dozen, however late the sleep was. The first sleep that is
+    /// not late is then taken at its own value.
+    #[test]
+    fn a_late_first_sleep_does_not_strand_it_at_the_cap() {
+        for oversleep in [SpinWindow::MAX_NS, 1_000_000, 50_000_000, u64::MAX] {
+            let mut w = SpinWindow::new();
+            w.slept(oversleep);
+            assert_eq!(w.ns(), SpinWindow::MAX_NS, "late by {oversleep} ns");
+            let mut spins = 0;
+            while w.ns() >= 100_000 {
+                w.spun();
+                spins += 1;
+                assert!(
+                    spins <= 48,
+                    "stranded at {} ns after {oversleep} ns",
+                    w.ns()
+                );
+            }
+            w.slept(30_000);
+            assert_eq!(w.oversleep_ns, Some(30_000), "after {oversleep} ns");
+        }
     }
 
     #[test]

@@ -22,7 +22,8 @@
 //!   dropped and counted, so a late packet of a finished session never
 //!   reaches a live collection. When to drain is
 //!   [`rx::plan_reads`](crate::rx::plan_reads)' answer: between drains
-//!   the socket's epoll interest is `NONE` and a sleep-only timer ([`EventLoop::arm_sleep_timer`]) ends the wait, one
+//!   the socket's epoll interest is `NONE` and a sleep-only timer
+//!   ([`SLEEP_ONLY`]) ends the wait, one
 //!   learned wake-up error early so the drain at a stream's due instant
 //!   hands over to readability before the last packet lands and the
 //!   report leaves as it does. The socket is read on readability instead
@@ -31,11 +32,17 @@
 //!   for want of buffer during a collection, and whenever the kernel does
 //!   not stamp;
 //! * the core's tick is a sleep-only timer entry: a collecting session
-//!   re-arms one every [`POLL_TIMEOUT`] under the session token as a
-//!   [`TimerQueue`](crate::mux::TimerQueue) *generation*, cancelled
-//!   eagerly when the report ships (or the session ends). While reads are
-//!   deferred the socket is drained before every tick, so the stop rules
-//!   see every arrival.
+//!   re-arms one every [`POLL_TIMEOUT`] under its slot's token. While
+//!   reads are deferred the socket is drained before every tick, so the
+//!   stop rules see every arrival.
+//!
+//! The loop cancels no timer. The receiver records the instant of each
+//! timer it arms — a slot's `tick_at`, the receiver's `drain_at` — and
+//! honours a pop only when that recorded instant has come, before acting
+//! on it. Entries pop in deadline order, so a stale entry (the tick of a
+//! closed slot or of a finished collection, a superseded drain) finds no
+//! instant or a later one and is dropped; it costs one loop wake-up when
+//! it comes due, about one per collection.
 //!
 //! The plan is made again only when something it depends on changes — a
 //! collection begins or ends, a stream's first arrival moves its due
@@ -60,7 +67,7 @@
 
 use crate::batch::{self, UdpRecvBatch};
 use crate::clock::MonoClock;
-use crate::mux::{EventLoop, Interest, MuxEvent};
+use crate::mux::{EventLoop, Interest, MuxEvent, SLEEP_ONLY};
 use crate::proto::{CtrlBuf, CtrlMsg, ProbePacket, MAX_FRAME_TO_RECEIVER};
 use crate::rx::{
     plan_reads, AcceptBackoff, Admission, CtrlAction, ReadPlan, RxSession, POLL_TIMEOUT,
@@ -82,7 +89,7 @@ const TOK_LISTEN: u64 = 1 << 60;
 const TOK_UDP: u64 = (1 << 60) + 1;
 /// Timer token re-enabling a backed-off listener.
 const TOK_ACCEPT_RESUME: u64 = (1 << 60) + 2;
-/// Timer token (and cancellation generation) of the planned drain.
+/// Timer token of the planned drain.
 const TOK_DRAIN: u64 = (1 << 60) + 3;
 /// Session-slot tokens live below this bound.
 const TOK_SLOT_MAX: u64 = 1 << 60;
@@ -113,6 +120,10 @@ struct Slot {
     /// Where the slot sits in the receiver's `collecting` list, while its
     /// core is collecting.
     collecting_at: Option<usize>,
+    /// The instant the slot's pending tick is armed for (`None`: no tick
+    /// owed; a tick timer that pops finds this, or a later instant, when
+    /// it is stale).
+    tick_at: Option<u64>,
 }
 
 impl Slot {
@@ -175,7 +186,8 @@ pub struct EventedReceiver {
     backlog: bool,
     /// The probe socket's epoll interest is readable (else `NONE`).
     udp_reading: bool,
-    /// The instant the pending drain timer is armed for.
+    /// The instant the pending drain timer is armed for (a drain timer
+    /// that pops before it, or with none pending, is stale).
     drain_at: Option<u64>,
     /// Live sessions right now.
     sessions_gauge: Gauge,
@@ -186,12 +198,12 @@ pub struct EventedReceiver {
 }
 
 impl EventedReceiver {
-    /// Bind to `addr` (port 0 for ephemeral; `SO_REUSEADDR`, so a
-    /// restarted receiver rebinds the same port immediately). The UDP
-    /// probe socket binds the same IP with its own ephemeral port,
-    /// advertised in every `Hello`.
+    /// Bind to `addr` (port 0 for ephemeral; std sets `SO_REUSEADDR` on
+    /// Unix, so a restarted receiver rebinds the same port immediately).
+    /// The UDP probe socket binds the same IP with its own ephemeral
+    /// port, advertised in every `Hello`.
     pub fn bind(addr: SocketAddr) -> io::Result<EventedReceiver> {
-        let listener = batch::bind_reuse(addr)?;
+        let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let ctrl_addr = listener.local_addr()?;
         let mut udp_addr = ctrl_addr;
@@ -298,7 +310,11 @@ impl EventedReceiver {
             MuxEvent::Timer {
                 token: TOK_ACCEPT_RESUME,
             } => self.resume_accepting(),
-            MuxEvent::Timer { token: TOK_DRAIN } => {
+            // A drain before its recorded instant, or with none pending,
+            // is stale: dropped below.
+            MuxEvent::Timer { token: TOK_DRAIN }
+                if self.drain_at.is_some_and(|at| at <= self.clock.now_ns()) =>
+            {
                 self.drain_at = None;
                 self.replan = true;
                 self.drain_probes();
@@ -342,7 +358,8 @@ impl EventedReceiver {
                     if self.lp.deregister(self.listener.as_raw_fd()).is_ok() {
                         self.accept_paused = true;
                         let deadline = self.clock.now_ns() + delay.as_nanos() as u64;
-                        self.lp.arm_sleep_timer(deadline, TOK_ACCEPT_RESUME, 0);
+                        self.lp
+                            .arm_timer_within(deadline, SLEEP_ONLY, TOK_ACCEPT_RESUME);
                     }
                     break;
                 }
@@ -405,17 +422,18 @@ impl EventedReceiver {
                 io,
                 core,
                 collecting_at: None,
+                tick_at: None,
             });
         }
         self.sessions_gauge.set(self.by_token.len() as i64);
     }
 
-    /// Tear a slot down: deregister, cancel its timers, free the token.
+    /// Tear a slot down: deregister, free the token (a pending tick finds
+    /// the slot empty, or another session's, and is dropped).
     fn close_session(&mut self, slot: usize) {
         self.stop_collecting(slot);
         if let Some(sess) = self.sessions.get_mut(slot).and_then(Option::take) {
             let _ = self.lp.deregister(sess.ctrl.as_raw_fd());
-            self.lp.cancel_timer_generation(sess.core.token());
             self.by_token.remove(&sess.core.token());
             self.free.push(slot);
             self.sessions_gauge.set(self.by_token.len() as i64);
@@ -473,8 +491,7 @@ impl EventedReceiver {
         match sess.on_io(readable, writable, now) {
             Ok(true) => {
                 if !was_collecting && sess.core.is_collecting() {
-                    let token = sess.core.token();
-                    self.arm_tick(slot, token, now);
+                    Self::arm_tick(&mut self.lp, sess, slot, now);
                     self.start_collecting(slot);
                 }
                 self.update_interest(slot);
@@ -498,11 +515,12 @@ impl EventedReceiver {
         }
     }
 
-    /// Arm the session's next tick under its token (the cancellation
-    /// generation). A tick means "not before": sleep-only.
-    fn arm_tick(&mut self, slot: usize, token: u64, now: u64) {
-        self.lp
-            .arm_sleep_timer(now + POLL_TIMEOUT.as_nanos() as u64, slot as u64, token);
+    /// Arm the session's next tick under its slot's token and record its
+    /// instant. A tick means "not before": sleep-only.
+    fn arm_tick(lp: &mut EventLoop, sess: &mut Slot, slot: usize, now: u64) {
+        let at = now + POLL_TIMEOUT.as_nanos() as u64;
+        sess.tick_at = Some(at);
+        lp.arm_timer_within(at, SLEEP_ONLY, slot as u64);
     }
 
     // ---- probe datagrams -----------------------------------------------
@@ -580,18 +598,16 @@ impl EventedReceiver {
         };
         match plan {
             ReadPlan::OnReadable => {
-                if self.drain_at.take().is_some() {
-                    self.lp.cancel_timer_generation(TOK_DRAIN);
-                }
+                // A pending drain timer becomes stale.
+                self.drain_at = None;
                 self.set_udp_reading(true);
             }
             ReadPlan::At(at) => {
                 let at = at.saturating_sub(lead);
                 // An earlier pending drain serves as well: it drains and
-                // plans again.
+                // plans again. A later one becomes stale.
                 if self.drain_at.is_none_or(|pending| at < pending) {
-                    self.lp.cancel_timer_generation(TOK_DRAIN);
-                    self.lp.arm_sleep_timer(at, TOK_DRAIN, TOK_DRAIN);
+                    self.lp.arm_timer_within(at, SLEEP_ONLY, TOK_DRAIN);
                     self.drain_at = Some(at);
                 }
                 self.set_udp_reading(false);
@@ -641,32 +657,39 @@ impl EventedReceiver {
 
     // ---- ticks and reports ---------------------------------------------
 
-    /// A session's tick timer fired: let the core evaluate its stop rules
-    /// — after draining the probe socket if its reads are deferred, so
-    /// the rules see every arrival (on readability, the loop hands every
-    /// arrival over as it lands) — and re-arm while it keeps collecting.
+    /// A session's tick timer fired: unless it is stale (the slot's
+    /// recorded tick instant has not come), let the core evaluate its
+    /// stop rules — after draining the probe socket if its reads are
+    /// deferred, so the rules see every arrival (on readability, the loop
+    /// hands every arrival over as it lands) — and re-arm while it keeps
+    /// collecting.
     fn on_tick_timer(&mut self, slot: usize) {
+        let now = self.clock.now_ns();
+        let Some(sess) = self.sessions.get_mut(slot).and_then(Option::as_mut) else {
+            return; // the tick of a closed slot
+        };
+        if sess.tick_at.is_none_or(|at| at > now) {
+            return; // a finished collection's, or a closed slot's successor's
+        }
+        sess.tick_at = None;
         if !self.udp_reading {
             self.drain_probes();
         }
         let now = self.clock.now_ns();
         let Some(sess) = self.sessions.get_mut(slot).and_then(Option::as_mut) else {
-            return; // stale timer (slot closed; eager cancel usually beats this)
+            return; // the drain failed the session
         };
         match sess.core.on_tick(now) {
             Some(report) => self.send_report(slot, &report),
-            None if sess.core.is_collecting() => {
-                let token = sess.core.token();
-                self.arm_tick(slot, token, now);
-            }
+            None if sess.core.is_collecting() => Self::arm_tick(&mut self.lp, sess, slot, now),
             None => {}
         }
     }
 
-    /// Ship a finished collection's report: cancel the pending tick,
-    /// print the drop warning the collection earned, if any, queue the
-    /// frame, push what the socket takes now (the rest rides on
-    /// writability).
+    /// Ship a finished collection's report: drop the pending tick (its
+    /// timer goes stale), print the drop warning the collection earned, if
+    /// any, queue the frame, push what the socket takes now (the rest
+    /// rides on writability).
     fn send_report(&mut self, slot: usize, report: &CtrlMsg) {
         self.stop_collecting(slot);
         let Some(sess) = self.sessions.get_mut(slot).and_then(Option::as_mut) else {
@@ -675,7 +698,7 @@ impl EventedReceiver {
         if let Some(warning) = self.admission.drop_warning(&mut sess.core) {
             eprintln!("{warning}");
         }
-        self.lp.cancel_timer_generation(sess.core.token());
+        sess.tick_at = None;
         sess.io.queue(report);
         match sess.io.flush(&mut sess.ctrl) {
             Ok(()) => self.update_interest(slot),
@@ -698,7 +721,8 @@ impl EventedReceiverHandle {
     }
 
     /// Stop the receiver thread and join it (sockets close with it, so a
-    /// successor can rebind the same port immediately — `SO_REUSEADDR`).
+    /// successor can rebind the same port immediately — `SO_REUSEADDR`,
+    /// which std sets on Unix).
     pub fn stop(self) -> io::Result<()> {
         self.stop.store(true, Ordering::SeqCst);
         match self.join.join() {
@@ -961,6 +985,93 @@ mod tests {
             counters.drop_rcvbuf.get() >= 60,
             "two datagrams fit, not more"
         );
+    }
+
+    /// A closed slot's pending tick pops after a new session took the
+    /// slot and began collecting: the successor's recorded tick instant
+    /// has not come, so the pop is dropped before it drains the deferred
+    /// probe socket or ticks the successor's core.
+    #[test]
+    fn a_closed_slots_tick_neither_drains_nor_ticks_its_successor() {
+        let _timed = crate::timing_test_lock();
+        let mut rx = bind();
+        let reg = telemetry::Registry::new();
+        rx.register_metrics(&reg);
+        let routed = reg.counter("receiver_demux_routed_total", &[]);
+        let addr = rx.ctrl_addr();
+        let announce = || {
+            std::thread::spawn(move || {
+                let (mut ctrl, core, udp_port) = connect_ctrl(addr).unwrap();
+                CtrlMsg::StreamAnnounce {
+                    id: 1,
+                    count: 200,
+                    period_ns: 1_000_000,
+                    size: 64,
+                }
+                .write_to(&mut ctrl)
+                .unwrap();
+                assert_eq!(
+                    CtrlMsg::read_from(&mut ctrl).unwrap(),
+                    CtrlMsg::Ready { id: 1 }
+                );
+                (ctrl, core.session(), udp_port)
+            })
+        };
+        let tick_at = |rx: &EventedReceiver| rx.sessions[0].as_ref().and_then(|s| s.tick_at);
+
+        let first = announce();
+        turn_until(&mut rx, |_| first.is_finished());
+        let (ctrl, _, _) = first.join().unwrap();
+        assert!(tick_at(&rx).is_some(), "a collecting slot owes a tick");
+        drop(ctrl);
+        turn_until(&mut rx, |rx| rx.sessions[0].is_none());
+        let second = announce();
+        turn_until(&mut rx, |_| second.is_finished());
+        let (_ctrl, session, udp_port) = second.join().unwrap();
+        let owed = tick_at(&rx).expect("the successor took slot 0");
+
+        // The closed slot's own tick is 50 ms out from its start and may
+        // have popped already on a slow host: a slot-0 timer due now
+        // stands in for it, so what pops next does not hang on the clock.
+        rx.lp.arm_timer_within(rx.clock.now_ns(), SLEEP_ONLY, 0);
+        let mut events = Vec::new();
+        rx.lp.wait(&mut events, POLL_TIMEOUT).unwrap();
+        assert!(
+            events
+                .iter()
+                .any(|ev| matches!(ev, MuxEvent::Timer { token: 0 })),
+            "the stale tick popped"
+        );
+        assert!(rx.clock.now_ns() < owed, "the successor's own tick popped");
+        assert!(!rx.udp_reading, "reads are deferred while collecting");
+        // A datagram waits in the deferred socket.
+        let tx = UdpSocket::bind("127.0.0.1:0").unwrap();
+        tx.send_to(&stray_probe(session), SocketAddr::new(addr.ip(), udp_port))
+            .unwrap();
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        let before = routed.get();
+        rx.dispatch(&MuxEvent::Timer { token: 0 });
+        assert_eq!(routed.get(), before, "a stale tick drained the socket");
+        assert_eq!(tick_at(&rx), Some(owed), "a stale tick ticked the core");
+    }
+
+    /// A receiver that served a connection and stopped is rebound on the
+    /// same port at once: its side closed first, so the connection lingers
+    /// in TIME_WAIT on that port, which `SO_REUSEADDR` (std sets it on
+    /// Unix) lets the successor bind past.
+    #[test]
+    fn a_stopped_receiver_rebinds_its_port_at_once() {
+        use std::io::Read;
+        let rx = bind();
+        let addr = rx.ctrl_addr();
+        let h = rx.spawn();
+        let (mut ctrl, _core, _port) = connect_ctrl(addr).unwrap();
+        CtrlMsg::Bye.write_to(&mut ctrl).unwrap();
+        let mut b = [0u8; 1];
+        assert_eq!(ctrl.read(&mut b).unwrap(), 0, "the receiver closes first");
+        drop(ctrl);
+        h.stop().unwrap();
+        EventedReceiver::bind(addr).expect("immediate rebind of the same port");
     }
 
     #[test]

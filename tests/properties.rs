@@ -174,102 +174,64 @@ proptest! {
     }
 }
 
-/// What the model believes about one armed timer entry.
-#[cfg(target_os = "linux")]
-struct ModelEntry {
-    deadline: u64,
-    token: u64,
-    cancelled: bool,
-    popped: bool,
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Model-based check of `mux::TimerQueue`'s generation cancellation
-    /// under random arm/cancel/pop interleavings (the structure the
-    /// evented receiver hangs every silence window on): a cancelled entry
-    /// is never popped, a cancel never kills an entry armed *later* under
-    /// the same (reused) generation, pops within one drain never invert
-    /// deadlines, nothing expired-and-live is left behind by a drain, and
-    /// the queue drains to empty. `mux` is Linux-only, like every socket
-    /// module.
+    /// Model-based check of `mux::TimerQueue` (the one queue every event
+    /// loop's deadlines share) under random `(deadline, allowance)` arms
+    /// and advances of time: no entry pops before its deadline, entries
+    /// pop in (deadline, arming order) whatever their allowance, the head
+    /// reports its own allowance, a drain leaves no expired entry behind,
+    /// and the queue drains to empty. `mux` is Linux-only, like every
+    /// socket module.
     #[cfg(target_os = "linux")]
     #[test]
-    fn timer_queue_generations_never_pop_cancelled_entries(
-        ops in prop::collection::vec((0u8..3, 0u64..1_000, 1u64..8), 1..200),
+    fn timer_queue_pops_in_deadline_then_arming_order(
+        ops in prop::collection::vec((0u8..2, 0u64..1_000, 0u8..4), 1..200),
     ) {
-        use availbw::pathload_net::mux::TimerQueue;
+        use availbw::pathload_net::mux::{TimerQueue, SLEEP_ONLY};
         let mut q = TimerQueue::new();
-        let mut model: Vec<(u64, ModelEntry)> = Vec::new(); // (generation, entry)
+        // (deadline, token = arming order, allowance), not yet popped.
+        let mut pending: Vec<(u64, u64, u64)> = Vec::new();
         let mut now = 0u64;
         let mut next_token = 0u64;
-        for &(op, value, generation) in &ops {
-            match op {
+        for &(op, value, kind) in &ops {
+            if op == 0 {
                 // Arm at an absolute deadline (possibly already past).
-                0 => {
-                    next_token += 1;
-                    q.arm_with_generation(value, next_token, generation);
-                    model.push((generation, ModelEntry {
-                        deadline: value,
-                        token: next_token,
-                        cancelled: false,
-                        popped: false,
-                    }));
-                }
-                // Cancel a generation: everything armed under it so far
-                // dies; entries armed under it LATER must survive.
-                1 => {
-                    q.cancel_generation(generation);
-                    for (g, e) in model.iter_mut() {
-                        if *g == generation && !e.popped {
-                            e.cancelled = true;
-                        }
-                    }
-                }
-                // Advance time and drain everything expired.
-                _ => {
-                    now += value;
-                    let mut last_deadline = 0u64;
-                    while let Some((token, deadline)) = q.pop_expired_at(now) {
-                        prop_assert!(deadline <= now, "popped an unexpired entry");
-                        prop_assert!(
-                            deadline >= last_deadline,
-                            "pops inverted deadlines within a drain"
-                        );
-                        last_deadline = deadline;
-                        let (_, entry) = model
-                            .iter_mut()
-                            .find(|(_, e)| e.token == token)
-                            .expect("popped a token that was never armed");
-                        prop_assert!(!entry.popped, "entry popped twice");
-                        prop_assert!(!entry.cancelled, "popped a cancelled entry");
-                        prop_assert_eq!(entry.deadline, deadline, "deadline mangled");
-                        entry.popped = true;
-                    }
-                    // The drain is exhaustive: nothing live and expired remains.
-                    for (_, e) in &model {
-                        prop_assert!(
-                            e.popped || e.cancelled || e.deadline > now,
-                            "drain left a live expired entry behind"
-                        );
-                    }
-                }
+                next_token += 1;
+                let allowance = [0, 15_000, value * 100, SLEEP_ONLY][usize::from(kind)];
+                q.arm_within(value, allowance, next_token);
+                pending.push((value, next_token, allowance));
+                continue;
             }
+            // Advance time and drain everything expired.
+            now += value;
+            loop {
+                let head = pending.iter().copied().min_by_key(|&(d, t, _)| (d, t));
+                prop_assert_eq!(q.next_entry(), head.map(|(d, _, s)| (d, s)));
+                let Some((token, deadline)) = q.pop_expired_at(now) else {
+                    break;
+                };
+                prop_assert!(deadline <= now, "popped an unexpired entry");
+                prop_assert_eq!(
+                    head.map(|(d, t, _)| (t, d)),
+                    Some((token, deadline)),
+                    "not the earliest (deadline, arming order) entry"
+                );
+                pending.retain(|&(_, t, _)| t != token);
+            }
+            prop_assert!(
+                pending.iter().all(|&(d, _, _)| d > now),
+                "a drain left an expired entry behind"
+            );
+            prop_assert_eq!(q.len(), pending.len());
         }
-        // Final drain: every surviving (non-cancelled) entry pops, the
-        // cancelled ones are reaped, and the queue ends empty.
+        // Final drain: everything pops, and the queue ends empty.
         while let Some((token, _)) = q.pop_expired_at(u64::MAX) {
-            let (_, entry) = model
-                .iter_mut()
-                .find(|(_, e)| e.token == token)
-                .expect("popped a token that was never armed");
-            prop_assert!(!entry.popped && !entry.cancelled);
-            entry.popped = true;
+            let before = pending.len();
+            pending.retain(|&(_, t, _)| t != token);
+            prop_assert_eq!(pending.len() + 1, before, "popped a token never armed, or twice");
         }
-        prop_assert!(q.is_empty(), "queue did not drain to empty");
-        for (_, e) in &model {
-            prop_assert!(e.popped || e.cancelled, "a live entry was lost");
-        }
+        prop_assert!(q.is_empty() && pending.is_empty(), "queue did not drain to empty");
     }
 }
