@@ -22,14 +22,18 @@
 //!   role, nothing reserved on a length field's word.
 //! * [`clock`] — monotonic nanosecond clocks. Sender and receiver use
 //!   *different epochs* on purpose: SLoPS needs only relative OWDs.
-//! * [`pacing`] — the learned spin window of absolute-deadline packet
-//!   pacing (sleep-then-spin), the part of a measurement tool a
-//!   general-purpose runtime cannot do; this is why the crate runs its
-//!   own readiness loop instead of an async executor.
+//! * [`pacing`] — absolute-deadline packet pacing (sleep-then-spin) as a
+//!   sans-IO core, [`pacing::TimerPlan`]: the deadline
+//!   [`pacing::TimerQueue`] and the learned spin window, answering where
+//!   a loop's sleep ends, whether it spins and which timers are due. It
+//!   is the part of a measurement tool a general-purpose runtime cannot
+//!   do; this is why the crate runs its own readiness loop instead of an
+//!   async executor.
 //! * [`mux`] — the readiness event loop, [`mux::EventLoop`]: an epoll
-//!   poller plus a deadline [`mux::TimerQueue`] (pacing deadlines as
-//!   timer entries). No executor dependency: epoll is called straight
-//!   through the C library `std` already links.
+//!   poller and a timerfd carrying out a `TimerPlan` — paced for a
+//!   sender or a fleet, sleep-only for the receiver. No executor
+//!   dependency: epoll is called straight through the C library `std`
+//!   already links.
 //! * [`tx`] — the sender's sans-IO protocol core: [`tx::on_hello`] and
 //!   [`tx::TxSession`] (ids, announce, which `Ready` / report answers
 //!   it, probe deadlines and headers, report → record, RTT median,

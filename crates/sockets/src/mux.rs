@@ -1,10 +1,9 @@
 //! The readiness event loop: epoll plus a deadline timer queue.
 //!
 //! This is the substrate of the sender's pump and the receiver: one
-//! thread, one epoll instance, hundreds of registered sockets, and a
-//! [`TimerQueue`] whose entries are the pacing deadlines of every stream
-//! the loop's sessions send. [`EventLoop`] combines the two and
-//! hands the caller a stream of [`MuxEvent`]s — I/O readiness keyed by the
+//! thread, one epoll instance, hundreds of registered sockets, and the
+//! pacing deadlines of every stream the loop's sessions send.
+//! [`EventLoop`] hands the caller a stream of [`MuxEvent`]s — I/O readiness keyed by the
 //! registration token, and expired timers keyed by the token they were
 //! armed with.
 //!
@@ -12,44 +11,23 @@
 //! already links on Linux — the workspace's no-new-deps rule applies to an
 //! async executor exactly as it does to a config framework, and a
 //! measurement tool needs none of an executor's machinery: no tasks, no
-//! wakers, just readiness and deadlines. The module is Linux-only (its
-//! `mod` declaration is gated on `target_os = "linux"`), and so are the
-//! three binaries built on it.
+//! wakers, just readiness and deadlines.
 //!
-//! Timer precision: probe periods go down to 100 µs and the receiver
-//! rejects a stream whose spacing drifts by 30 %, but `epoll_wait` takes
-//! whole milliseconds. The loop therefore owns a `timerfd`, registered in
-//! its own poller under a token no host sees, and [`EventLoop::wait`]
-//! sleeps in epoll until that timer ends the sleep shortly before the
-//! earliest deadline, then spins the remainder — sleep-then-spin pacing
-//! (`crate::pacing`), applied to a whole fleet's merged deadline queue
-//! instead of one blocking thread per stream. The sleep ends one spin
-//! window before the deadline, less the deadline's *lateness allowance*
-//! ([`EventLoop::arm_timer_within`]; [`crate::pacing::spin_start`]), and
-//! the timer is re-armed only when that instant changes. The window is a
-//! [`SpinWindow`] learned from how late the timerfd actually wakes the
-//! loop (a few µs on an idle host), so the spin — the CPU a pacing loop
-//! burns — covers only the wake-up error the allowance cannot absorb: a
-//! timer fires within its allowance (one armed without an allowance, on
-//! its deadline to the sub-µs), and never before its deadline. A deadline
-//! that means only "not before" — a receiver's socket drain or stop-rule
-//! tick — carries the allowance [`SLEEP_ONLY`], which covers any wake-up
-//! error: the loop sleeps to the deadline itself and never spins for it.
-//! Its oversleep trains the same window, so [`EventLoop::wake_error_ns`]
-//! tells a host how early to arm one that must not wake late.
-//!
-//! The queue has one entry kind and no cancellation: a host that no
-//! longer wants a timer ignores its token when it fires, at the cost of
-//! one wake-up when the stale entry comes due.
+//! When to sleep, spin and fire is [`TimerPlan`]'s answer, not the
+//! loop's: the loop reads the clock, sets a `timerfd` (registered in its
+//! own poller under a token no host sees, since `epoll_wait` takes whole
+//! milliseconds) for the instant the plan names, polls, spins to the
+//! deadline the plan names, and hands out what the plan says is due.
+//! Nothing is cancelled: a host ignores a timer it no longer wants when
+//! it fires.
 
 // Datapath module: a panicking branch here takes the whole fleet down,
 // so `unwrap`/`expect` are denied outright (errors must travel as values).
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::clock::MonoClock;
-use crate::pacing::{spin_start, SpinWindow};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use crate::pacing::TimerPlan;
+pub use crate::pacing::TimerQueue;
 use std::io;
 use std::os::fd::RawFd;
 use std::time::Duration;
@@ -131,9 +109,9 @@ mod sys {
     pub const EPOLLERR: u32 = 0x008;
     pub const EPOLLHUP: u32 = 0x010;
 
-    const EPOLL_CTL_ADD: i32 = 1;
-    const EPOLL_CTL_DEL: i32 = 2;
-    const EPOLL_CTL_MOD: i32 = 3;
+    pub const EPOLL_CTL_ADD: i32 = 1;
+    pub const EPOLL_CTL_DEL: i32 = 2;
+    pub const EPOLL_CTL_MOD: i32 = 3;
     const EPOLL_CLOEXEC: i32 = 0x80000;
     const CLOCK_MONOTONIC: i32 = 1;
     const TFD_CLOEXEC: i32 = 0x80000;
@@ -175,19 +153,8 @@ mod sys {
         }
     }
 
-    pub fn ctl(
-        epfd: i32,
-        op_add_mod_del: i32,
-        fd: RawFd,
-        events: u32,
-        data: u64,
-    ) -> io::Result<()> {
+    pub fn ctl(epfd: i32, op: i32, fd: RawFd, events: u32, data: u64) -> io::Result<()> {
         let mut ev = EpollEvent { events, data };
-        let op = match op_add_mod_del {
-            0 => EPOLL_CTL_ADD,
-            1 => EPOLL_CTL_MOD,
-            _ => EPOLL_CTL_DEL,
-        };
         // SAFETY: `ev` is a live, initialized EpollEvent for the whole
         // call; the kernel only reads it (and only during the call).
         match unsafe { epoll_ctl(epfd, op, fd, &mut ev) } {
@@ -223,9 +190,9 @@ mod sys {
         }
     }
 
-    /// Arm timer `fd` to expire once, `after_ns` from now; 0 disarms it.
-    /// Either way a pending expiry is cleared, so the fd stops polling
-    /// readable until the new expiry.
+    /// Arm timer `fd` to expire once, `after_ns` (> 0) from now. A pending
+    /// expiry is cleared, so the fd stops polling readable until the new
+    /// one.
     pub fn timer_set(fd: i32, after_ns: u64) -> io::Result<()> {
         let secs = c_long::try_from(after_ns / 1_000_000_000).unwrap_or(c_long::MAX);
         // Below 10^9, so it fits every C long.
@@ -286,42 +253,35 @@ impl Poller {
         ev
     }
 
-    /// Register `fd` under `token` with the given interest.
-    fn add(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        sys::ctl(self.epfd, 0, fd, Self::events_of(interest), token)
+    /// Register `fd` under `token`, change its interest (and/or token),
+    /// or remove it: `op` is `sys::EPOLL_CTL_{ADD,MOD,DEL}`.
+    fn ctl(&self, op: i32, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        sys::ctl(self.epfd, op, fd, Self::events_of(interest), token)
     }
 
-    /// Change a registered fd's interest (and/or token).
-    fn modify(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        sys::ctl(self.epfd, 1, fd, Self::events_of(interest), token)
-    }
-
-    /// Remove a registered fd.
-    fn remove(&self, fd: RawFd) -> io::Result<()> {
-        sys::ctl(self.epfd, 2, fd, 0, 0)
-    }
-
-    /// Wait up to `timeout` (`None` = forever) and append readiness
-    /// notifications to `out`. Returns how many were appended.
-    fn wait(&self, out: &mut Vec<IoReady>, timeout: Option<Duration>) -> io::Result<usize> {
-        let timeout_ms = match timeout {
-            None => -1,
-            Some(d) => i32::try_from(d.as_millis()).unwrap_or(i32::MAX),
-        };
+    /// Wait up to `timeout` and append the hosts' readiness to `out`;
+    /// true when the loop's own timer ([`WAKE_TOKEN`]) was ready.
+    fn wait(&self, out: &mut Vec<MuxEvent>, timeout: Duration) -> io::Result<bool> {
+        let timeout_ms = i32::try_from(timeout.as_millis()).unwrap_or(i32::MAX);
         let mut buf = [sys::EpollEvent { events: 0, data: 0 }; 64];
         let n = sys::wait(self.epfd, &mut buf, timeout_ms)?;
+        let mut woke = false;
         // `wait` contracts n <= buf.len(); `take` keeps the bound out of
         // the panic path.
         for ev in buf.iter().take(n) {
-            let bits = ev.events;
+            let (bits, token) = (ev.events, ev.data);
+            if token == WAKE_TOKEN {
+                woke = true;
+                continue;
+            }
             let err = bits & (sys::EPOLLERR | sys::EPOLLHUP) != 0;
-            out.push(IoReady {
-                token: ev.data,
+            out.push(MuxEvent::Io(IoReady {
+                token,
                 readable: bits & sys::EPOLLIN != 0 || err,
                 writable: bits & sys::EPOLLOUT != 0 || err,
-            });
+            }));
         }
-        Ok(n)
+        Ok(woke)
     }
 }
 
@@ -336,7 +296,7 @@ impl Drop for Poller {
 #[derive(Debug)]
 struct WakeTimer {
     fd: RawFd,
-    /// The loop-clock instant the timer is armed for (`None`: disarmed).
+    /// The loop-clock instant the timer is armed for (`None`: never armed).
     armed: Option<u64>,
 }
 
@@ -348,13 +308,13 @@ impl WakeTimer {
         })
     }
 
-    /// Arm for loop-clock instant `at` (`None`: disarm), `now` being the
-    /// loop clock's reading. A syscall only when `at` changed: the armed
-    /// instant has not passed while it is still the one asked for.
-    fn arm(&mut self, at: Option<u64>, now: u64) -> io::Result<()> {
-        if at != self.armed {
-            sys::timer_set(self.fd, at.map_or(0, |at| at.saturating_sub(now).max(1)))?;
-            self.armed = at;
+    /// Arm for loop-clock instant `at`, `now` being the loop clock's
+    /// reading. A syscall only when `at` changed: the armed instant has
+    /// not passed while it is still the one asked for.
+    fn arm(&mut self, at: u64, now: u64) -> io::Result<()> {
+        if self.armed != Some(at) {
+            sys::timer_set(self.fd, at.saturating_sub(now).max(1))?;
+            self.armed = Some(at);
         }
         Ok(())
     }
@@ -370,84 +330,7 @@ impl Drop for WakeTimer {
 /// a host, and refused when a host asks for it.
 const WAKE_TOKEN: u64 = u64::MAX;
 
-/// One queued timer: `(deadline, seq, token, allowance)`, ordered by
-/// deadline, then arming order.
-type Entry = (u64, u64, u64, u64);
-
-/// The lateness allowance of a *sleep-only* timer: it covers any wake-up
-/// error, so the loop sleeps to the deadline itself and never spins for
-/// it ([`spin_start`] returns the deadline). For deadlines that mean "not
-/// before" — a socket drain, a stop-rule tick, a backoff.
-pub const SLEEP_ONLY: u64 = u64::MAX;
-
-/// A queue of one-shot deadline timers on a [`MonoClock`] timeline.
-///
-/// Entries are `(deadline, token)`; ties expire in arming order. An entry
-/// may carry a lateness allowance ([`TimerQueue::arm_within`]) for the
-/// loop's spin to absorb; the queue only stores it. Nothing is ever
-/// cancelled: a host that stops caring about a timer ignores its token
-/// when it fires (lazy cancellation), which keeps the queue a plain heap.
-#[derive(Debug, Default)]
-pub struct TimerQueue {
-    heap: BinaryHeap<Reverse<Entry>>,
-    seq: u64,
-}
-
-impl TimerQueue {
-    /// An empty queue.
-    pub fn new() -> TimerQueue {
-        TimerQueue::default()
-    }
-
-    /// Arm a one-shot timer for `deadline_ns` (clock nanoseconds) carrying
-    /// `token`, with no lateness allowance.
-    pub fn arm(&mut self, deadline_ns: u64, token: u64) {
-        self.arm_within(deadline_ns, 0, token);
-    }
-
-    /// Arm a timer for `deadline_ns` carrying `token` that may fire up to
-    /// `allowance_ns` late ([`TimerQueue::next_entry`] reports it; expiry
-    /// is still at the deadline).
-    pub fn arm_within(&mut self, deadline_ns: u64, allowance_ns: u64, token: u64) {
-        self.seq += 1;
-        self.heap
-            .push(Reverse((deadline_ns, self.seq, token, allowance_ns)));
-    }
-
-    /// The earliest pending `(deadline, allowance)`.
-    pub fn next_entry(&self) -> Option<(u64, u64)> {
-        self.heap.peek().map(|Reverse((d, _, _, s))| (*d, *s))
-    }
-
-    /// Pop the earliest timer if it has expired by `now_ns`.
-    pub fn pop_expired(&mut self, now_ns: u64) -> Option<u64> {
-        self.pop_expired_at(now_ns).map(|(token, _)| token)
-    }
-
-    /// Like [`TimerQueue::pop_expired`], but also reports the deadline the
-    /// timer was armed for — the event loop uses `now − deadline` as its
-    /// timer-lag sample.
-    pub fn pop_expired_at(&mut self, now_ns: u64) -> Option<(u64, u64)> {
-        let &Reverse((deadline, _, token, _)) = self.heap.peek()?;
-        if deadline > now_ns {
-            return None;
-        }
-        let _ = self.heap.pop();
-        Some((token, deadline))
-    }
-
-    /// Number of pending entries.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when no entries are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
-/// The event loop: an epoll poller and a [`TimerQueue`] on one
+/// The event loop: an epoll poller and a [`TimerPlan`] on one
 /// [`MonoClock`].
 ///
 /// One instance multiplexes a whole fleet: every session's control TCP and
@@ -457,129 +340,96 @@ impl TimerQueue {
 #[derive(Debug)]
 pub struct EventLoop {
     poller: Poller,
-    /// Every deadline: slept to one window (less the entry's allowance)
-    /// early, spun the rest.
-    timers: TimerQueue,
+    /// Every deadline, and when to sleep, spin and fire for them.
+    timers: TimerPlan,
     clock: MonoClock,
     /// The sleep, registered in `poller` under [`WAKE_TOKEN`].
     wake: WakeTimer,
-    /// How long before the earliest deadline the sleep ends and the spin
-    /// begins, learned from the wake-ups.
-    window: SpinWindow,
-    /// One poll's readiness, kept across calls to spare the allocator.
-    ready: Vec<IoReady>,
-    /// Calls of [`EventLoop::wait`] (`None`: not recorded).
-    wakeups: Option<Counter>,
-    /// Nanoseconds between a timer's deadline and the wakeup that
-    /// delivered it (`None`: not recorded).
-    timer_lag: Option<Histogram>,
-    /// The current spin window in nanoseconds (`None`: not recorded).
-    spin_window: Option<Gauge>,
+    /// Where [`EventLoop::set_metrics`] records (`None`: nowhere).
+    metrics: Option<(Counter, Histogram, Gauge)>,
 }
 
 impl EventLoop {
-    /// A fresh loop reading time from `clock` (the fleet's shared epoch,
-    /// so timer deadlines and `TimeNs` instants agree).
+    /// A paced loop ([`TimerPlan::paced`]), a sender's or a fleet's, on
+    /// `clock` (the fleet's shared epoch: deadlines and `TimeNs` agree).
     pub fn new(clock: MonoClock) -> io::Result<EventLoop> {
         let poller = Poller::new()?;
         let wake = WakeTimer::new()?;
-        poller.add(wake.fd, WAKE_TOKEN, Interest::READ)?;
+        poller.ctl(sys::EPOLL_CTL_ADD, wake.fd, WAKE_TOKEN, Interest::READ)?;
         Ok(EventLoop {
             poller,
-            timers: TimerQueue::new(),
+            timers: TimerPlan::paced(),
             clock,
             wake,
-            window: SpinWindow::new(),
-            ready: Vec::new(),
-            wakeups: None,
-            timer_lag: None,
-            spin_window: None,
+            metrics: None,
         })
     }
 
-    /// Record loop wakeups, timer lag and the spin window into the given
-    /// metric handles (register the same handles in a
-    /// `telemetry::Registry` to expose them). Timer lag is the gap between
-    /// a timer's armed deadline and the `wait` wakeup that delivered it;
-    /// the spin window is how long before a deadline the loop stops
-    /// sleeping.
+    /// A sleep-only loop — a receiver's, its timers fired not before
+    /// their deadlines and never spun for ([`TimerPlan::sleep_only`]).
+    pub fn sleep_only(clock: MonoClock) -> io::Result<EventLoop> {
+        Ok(EventLoop {
+            timers: TimerPlan::sleep_only(),
+            ..EventLoop::new(clock)?
+        })
+    }
+
+    /// Record loop wakeups, timer lag (a timer's deadline to the `wait`
+    /// that delivered it) and the spin window into the given handles
+    /// (register the same handles in a `telemetry::Registry` to expose
+    /// them).
     pub fn set_metrics(&mut self, wakeups: Counter, timer_lag: Histogram, spin_window: Gauge) {
-        self.wakeups = Some(wakeups);
-        self.timer_lag = Some(timer_lag);
-        self.spin_window = Some(spin_window);
+        self.metrics = Some((wakeups, timer_lag, spin_window));
         self.publish_window();
     }
 
     fn publish_window(&self) {
-        if let Some(g) = &self.spin_window {
-            g.set(i64::try_from(self.window.ns()).unwrap_or(i64::MAX));
+        if let Some((_, _, g)) = &self.metrics {
+            g.set(i64::try_from(self.timers.wake_error_ns()).unwrap_or(i64::MAX));
         }
-    }
-
-    /// Pop every timer expired by `now`, earliest deadline first,
-    /// recording lag; true if any fired.
-    fn drain_expired(&mut self, now: u64, out: &mut Vec<MuxEvent>) -> bool {
-        let before = out.len();
-        while let Some((token, deadline)) = self.timers.pop_expired_at(now) {
-            if let Some(h) = &self.timer_lag {
-                h.observe(now.saturating_sub(deadline));
-            }
-            out.push(MuxEvent::Timer { token });
-        }
-        out.len() > before
-    }
-
-    /// The loop's clock (shared epoch).
-    pub fn clock(&self) -> &MonoClock {
-        &self.clock
     }
 
     /// Register `fd` under `token`. Token `u64::MAX` is the loop's own
     /// and refused with `InvalidInput`.
     pub fn register(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
         host_token(token)?;
-        self.poller.add(fd, token, interest)
+        self.poller.ctl(sys::EPOLL_CTL_ADD, fd, token, interest)
     }
 
     /// Change a registered fd's interest (token `u64::MAX` refused, as by
     /// [`EventLoop::register`]).
     pub fn set_interest(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
         host_token(token)?;
-        self.poller.modify(fd, token, interest)
+        self.poller.ctl(sys::EPOLL_CTL_MOD, fd, token, interest)
     }
 
     /// Remove a registered fd.
     pub fn deregister(&self, fd: RawFd) -> io::Result<()> {
-        self.poller.remove(fd)
+        self.poller.ctl(sys::EPOLL_CTL_DEL, fd, 0, Interest::NONE)
     }
 
-    /// Arm a one-shot timer at `deadline_ns` on the loop's clock, fired
-    /// on its deadline to the sub-µs. Timers are never cancelled: ignore
-    /// the token when it no longer matters.
+    /// Arm a one-shot timer at `deadline_ns` on the loop's clock, with no
+    /// lateness allowance. Timers are never cancelled: ignore the token
+    /// when it no longer matters.
     pub fn arm_timer(&mut self, deadline_ns: u64, token: u64) {
-        self.timers.arm(deadline_ns, token);
+        self.timers.arm(deadline_ns, 0, token);
     }
 
     /// Arm a timer at `deadline_ns` that may fire up to `allowance_ns`
-    /// late: the loop spins only the part of its wake-up error the
-    /// allowance does not absorb ([`spin_start`]), and sleeps to the
-    /// deadline itself while the allowance covers all of it — always, for
-    /// [`SLEEP_ONLY`]. It never fires early, and is never cancelled, as
-    /// [`EventLoop::arm_timer`].
+    /// late ([`TimerPlan::arm`]), as [`EventLoop::arm_timer`] otherwise.
     pub fn arm_timer_within(&mut self, deadline_ns: u64, allowance_ns: u64, token: u64) {
-        self.timers.arm_within(deadline_ns, allowance_ns, token);
+        self.timers.arm(deadline_ns, allowance_ns, token);
     }
 
-    /// How late the loop's sleeps wake, as learned from them: the spin
-    /// window. Arm a [`SLEEP_ONLY`] timer this much early to have it fire
-    /// by its instant.
+    /// How late the loop's sleeps wake, as learned from them: arm a timer
+    /// on a sleep-only loop this much early to have it fire by its instant.
     pub fn wake_error_ns(&self) -> u64 {
-        self.window.ns()
+        self.timers.wake_error_ns()
     }
 
     /// Pending timer count (diagnostics).
     pub fn timers_pending(&self) -> usize {
-        self.timers.len()
+        self.timers.pending()
     }
 
     /// Wait for the next batch of events and append them to `out`:
@@ -587,90 +437,47 @@ impl EventLoop {
     /// `max_wait` even with no timers pending, so hosts can re-check
     /// shutdown flags. May return with `out` empty (timeout); never
     /// returns I/O the caller didn't register or timers it didn't arm,
-    /// and never a timer before its deadline.
-    ///
-    /// The sleep ends one spin window, less the earliest deadline's
-    /// allowance, before that deadline (the loop's timerfd); the rest is
-    /// spun, so a timer fires within its allowance (one armed without, on
-    /// its deadline to the sub-µs) while the CPU is spent only on the
-    /// wake-up error the allowance cannot absorb. A [`SLEEP_ONLY`] timer
-    /// ends the sleep at its deadline and is never spun for. The sleep is
-    /// planned for the earliest deadline only, so a later one with a
-    /// smaller allowance may fire up to the wake-up error late: sleep-only
-    /// timers belong on a loop without paced ones (the receiver's). See
-    /// the module docs.
+    /// and never a timer before its deadline. How long it sleeps and
+    /// spins is the [`TimerPlan`]'s answer.
     pub fn wait(&mut self, out: &mut Vec<MuxEvent>, max_wait: Duration) -> io::Result<()> {
-        if let Some(c) = &self.wakeups {
+        if let Some((c, _, _)) = &self.metrics {
             c.inc();
         }
         let now = self.clock.now_ns();
-        // Already-expired timers: deliver without sleeping (but still
-        // collect instantly-ready I/O so a busy timer treadmill cannot
-        // starve socket readiness).
-        if self.drain_expired(now, out) {
-            self.poll(out, Duration::ZERO)?;
-            return Ok(());
-        }
-
-        let next = self.timers.next_entry();
-        let deadline = next.map(|(d, _)| d);
-        // Where the spin toward the next deadline starts (a sleep-only
-        // one's: the deadline itself).
-        let wake = next.map(|(d, allowance)| spin_start(d, self.window.ns(), allowance));
-        // Inside the window already: no sleep, only instantly-ready I/O.
-        let sleep = wake.is_none_or(|at| at > now);
-        let timeout = if sleep {
-            self.wake.arm(wake, self.clock.now_ns())?;
-            max_wait
-        } else {
-            Duration::ZERO
+        let plan = self.timers.plan(now);
+        // What is due already goes out ahead of the I/O.
+        self.fire(now, out);
+        let timeout = match plan.sleep_until {
+            Some(at) => {
+                self.wake.arm(at, self.clock.now_ns())?;
+                max_wait
+            }
+            // A timer is due or its spin began: still collect the ready
+            // I/O, so a treadmill of timers cannot starve the sockets.
+            None => Duration::ZERO,
         };
         let before = out.len();
-        let woke = self.poll(out, timeout)?;
-        let now = self.clock.now_ns();
-        if let Some(at) = wake.filter(|_| sleep && woke) {
-            self.window.slept(now.saturating_sub(at));
-            self.publish_window();
-        }
-        if out.len() > before {
-            // Deliver timers that expired while we slept, too.
-            self.drain_expired(now, out);
-            return Ok(());
-        }
-
-        // No I/O. Past the spin instant (the timer fired for it, or the
-        // deadline was inside the window): spin the deadline down, then
-        // deliver. A sleep-only timer's wake-up spins nothing.
-        if let (Some(d), Some(at)) = (deadline, wake) {
-            if now >= at {
-                if !sleep {
-                    self.window.spun();
-                    self.publish_window();
-                }
-                while self.clock.now_ns() < d {
-                    std::hint::spin_loop();
-                }
+        let by_timer = self.poller.wait(out, timeout)?;
+        let io = out.len() > before;
+        if let Some(until) = self.timers.woke(self.clock.now_ns(), by_timer, io) {
+            while self.clock.now_ns() < until {
+                std::hint::spin_loop();
             }
         }
+        self.publish_window();
         let now = self.clock.now_ns();
-        self.drain_expired(now, out);
+        self.fire(now, out);
         Ok(())
     }
 
-    /// Poll for up to `timeout` and append the hosts' readiness to `out`.
-    /// True when the loop's own timer was among the ready fds.
-    fn poll(&mut self, out: &mut Vec<MuxEvent>, timeout: Duration) -> io::Result<bool> {
-        self.ready.clear();
-        self.poller.wait(&mut self.ready, Some(timeout))?;
-        let mut woke = false;
-        for r in self.ready.drain(..) {
-            if r.token == WAKE_TOKEN {
-                woke = true;
-            } else {
-                out.push(MuxEvent::Io(r));
+    /// Append the timers due by `now`, recording their lag.
+    fn fire(&mut self, now: u64, out: &mut Vec<MuxEvent>) {
+        for (token, lag) in self.timers.due(now) {
+            if let Some((_, h, _)) = &self.metrics {
+                h.observe(lag);
             }
+            out.push(MuxEvent::Timer { token });
         }
-        Ok(woke)
     }
 }
 
@@ -688,24 +495,6 @@ fn host_token(token: u64) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
-    use super::*;
-
-    #[test]
-    fn timer_queue_orders_by_deadline_then_arming_order() {
-        let mut q = TimerQueue::new();
-        q.arm(300, 3);
-        q.arm(100, 1);
-        q.arm(100, 2);
-        q.arm(200, 9);
-        assert_eq!(q.next_entry(), Some((100, 0)));
-        assert_eq!(q.pop_expired(99), None, "not yet expired");
-        assert_eq!(q.pop_expired(100), Some(1), "ties fire in arming order");
-        assert_eq!(q.pop_expired(100), Some(2));
-        assert_eq!(q.pop_expired(100), None);
-        assert_eq!(q.pop_expired(1_000), Some(9));
-        assert_eq!(q.pop_expired(1_000), Some(3));
-        assert!(q.is_empty());
-    }
 
     /// Tests that drive the kernel: epoll, the timerfd, real sockets.
     mod linux {
@@ -723,20 +512,21 @@ mod tests {
             rx.set_nonblocking(true).unwrap();
 
             let poller = Poller::new().unwrap();
-            poller.add(rx.as_raw_fd(), 77, Interest::READ).unwrap();
+            poller
+                .ctl(sys::EPOLL_CTL_ADD, rx.as_raw_fd(), 77, Interest::READ)
+                .unwrap();
 
             let mut out = Vec::new();
-            poller
-                .wait(&mut out, Some(Duration::from_millis(20)))
-                .unwrap();
+            poller.wait(&mut out, Duration::from_millis(20)).unwrap();
             assert!(out.is_empty(), "nothing written yet");
 
             tx.write_all(b"ping").unwrap();
             let mut out = Vec::new();
-            poller.wait(&mut out, Some(Duration::from_secs(2))).unwrap();
-            assert_eq!(out.len(), 1);
-            assert_eq!(out[0].token, 77);
-            assert!(out[0].readable);
+            poller.wait(&mut out, Duration::from_secs(2)).unwrap();
+            assert!(
+                matches!(out[..], [MuxEvent::Io(r)] if r.token == 77 && r.readable),
+                "{out:?}"
+            );
         }
 
         #[test]
@@ -748,25 +538,29 @@ mod tests {
             rx.set_nonblocking(true).unwrap();
 
             let poller = Poller::new().unwrap();
-            poller.add(rx.as_raw_fd(), 1, Interest::NONE).unwrap();
+            poller
+                .ctl(sys::EPOLL_CTL_ADD, rx.as_raw_fd(), 1, Interest::NONE)
+                .unwrap();
             tx.write_all(b"x").unwrap();
             let mut out = Vec::new();
-            poller
-                .wait(&mut out, Some(Duration::from_millis(20)))
-                .unwrap();
+            poller.wait(&mut out, Duration::from_millis(20)).unwrap();
             assert!(out.is_empty(), "dormant interest must not wake");
 
-            poller.modify(rx.as_raw_fd(), 2, Interest::READ).unwrap();
-            let mut out = Vec::new();
-            poller.wait(&mut out, Some(Duration::from_secs(2))).unwrap();
-            assert_eq!(out.len(), 1);
-            assert_eq!(out[0].token, 2, "token travels with the modify");
-
-            poller.remove(rx.as_raw_fd()).unwrap();
-            let mut out = Vec::new();
             poller
-                .wait(&mut out, Some(Duration::from_millis(20)))
+                .ctl(sys::EPOLL_CTL_MOD, rx.as_raw_fd(), 2, Interest::READ)
                 .unwrap();
+            let mut out = Vec::new();
+            poller.wait(&mut out, Duration::from_secs(2)).unwrap();
+            assert!(
+                matches!(out[..], [MuxEvent::Io(r)] if r.token == 2),
+                "the token travels with the modify: {out:?}"
+            );
+
+            poller
+                .ctl(sys::EPOLL_CTL_DEL, rx.as_raw_fd(), 0, Interest::NONE)
+                .unwrap();
+            let mut out = Vec::new();
+            poller.wait(&mut out, Duration::from_millis(20)).unwrap();
             assert!(out.is_empty(), "removed fd must not wake");
         }
 
@@ -837,181 +631,69 @@ mod tests {
         }
 
         /// Expired timers come out earliest first whatever their
-        /// allowance, ties in arming order.
+        /// allowance, ties in arming order, on either kind of loop.
         #[test]
         fn pacing_and_sleep_only_timers_fire_in_one_deadline_order() {
             let clock = MonoClock::new();
-            let mut lp = EventLoop::new(clock.clone()).unwrap();
-            // Deadlines a few ns after the epoch: all expired at the wait.
-            lp.arm_timer_within(4, SLEEP_ONLY, 40);
-            lp.arm_timer(3, 30);
-            lp.arm_timer_within(2, SLEEP_ONLY, 20);
-            lp.arm_timer(2, 21);
-            lp.arm_timer_within(1, SLEEP_ONLY, 10);
-            let mut out = Vec::new();
-            lp.wait(&mut out, Duration::ZERO).unwrap();
-            let fired: Vec<_> = out
-                .iter()
-                .map(|ev| match *ev {
-                    MuxEvent::Timer { token } => token,
-                    MuxEvent::Io(r) => panic!("unexpected I/O on {}", r.token),
-                })
-                .collect();
-            assert_eq!(fired, [10, 20, 21, 30, 40]);
-        }
-
-        /// On-CPU nanoseconds of the calling thread, from procfs.
-        fn thread_cpu_ns() -> u64 {
-            let stat = std::fs::read_to_string("/proc/thread-self/schedstat")
-                .expect("procfs exposes the thread's schedstat");
-            let first = stat.split_whitespace().next().expect("a cpu-time field");
-            first.parse().expect("nanoseconds")
-        }
-
-        /// What [`serve_train`] measured.
-        struct Train {
-            wakeups_per_timer: f64,
-            cpu_ns: u64,
-            wall_ns: u64,
-            /// The wake-error estimate when the train was over.
-            window_ns: u64,
-        }
-
-        /// How [`serve_train`] arms its timers.
-        #[derive(Clone, Copy, Debug)]
-        enum Arm {
-            /// Pacing timers on their deadlines ([`EventLoop::arm_timer`]).
-            Exact,
-            /// Pacing timers with this lateness allowance
-            /// ([`EventLoop::arm_timer_within`]).
-            Within(u64),
-            /// Sleep-only timers ([`SLEEP_ONLY`]).
-            SleepOnly,
-        }
-
-        /// Arm `timers` deadlines `period` apart after a 1 ms lead-in, a
-        /// deadline at a time as a session arms them, and serve them:
-        /// every timer fires in order and at or after its deadline.
-        fn serve_train(timers: u64, period: u64, how: Arm) -> Train {
-            let clock = MonoClock::new();
-            let mut lp = EventLoop::new(clock.clone()).unwrap();
-            let (wakeups, window) = (Counter::new(), Gauge::new());
-            lp.set_metrics(wakeups.clone(), Histogram::new(), window.clone());
-            assert_eq!(window.get(), SpinWindow::MAX_NS as i64);
-            let arm = |lp: &mut EventLoop, at, token| match how {
-                Arm::Exact => lp.arm_timer(at, token),
-                Arm::Within(allowance) => lp.arm_timer_within(at, allowance, token),
-                Arm::SleepOnly => lp.arm_timer_within(at, SLEEP_ONLY, token),
+            let fired = |mut lp: EventLoop| {
+                // Deadlines a few ns after the epoch: all expired at the wait.
+                lp.arm_timer_within(4, 15_000, 40);
+                lp.arm_timer(3, 30);
+                lp.arm_timer_within(2, 150_000, 20);
+                lp.arm_timer(2, 21);
+                lp.arm_timer_within(1, 15_000, 10);
+                let mut out = Vec::new();
+                lp.wait(&mut out, Duration::ZERO).unwrap();
+                out.iter()
+                    .map(|ev| match *ev {
+                        MuxEvent::Timer { token } => token,
+                        MuxEvent::Io(r) => panic!("unexpected I/O on {}", r.token),
+                    })
+                    .collect::<Vec<_>>()
             };
+            let paced = EventLoop::new(clock.clone()).unwrap();
+            assert_eq!(fired(paced), [10, 20, 21, 30, 40], "paced");
+            let sleep_only = EventLoop::sleep_only(clock).unwrap();
+            assert_eq!(fired(sleep_only), [10, 20, 21, 30, 40], "sleep-only");
+        }
 
-            let t0 = clock.now_ns() + 1_000_000;
-            arm(&mut lp, t0, 0);
-            let (cpu0, wall0) = (thread_cpu_ns(), clock.now_ns());
-            let mut fired = 0;
-            let mut out = Vec::new();
-            while fired < timers {
-                out.clear();
-                lp.wait(&mut out, Duration::from_millis(50)).unwrap();
-                let now = clock.now_ns();
-                for ev in &out {
-                    match *ev {
-                        MuxEvent::Timer { token } => {
-                            assert_eq!(token, fired, "timers fire in deadline order");
-                            let deadline = t0 + token * period;
-                            assert!(now >= deadline, "timer {token} fired early");
-                            fired += 1;
-                            if fired < timers {
-                                arm(&mut lp, t0 + fired * period, fired);
-                            }
-                        }
-                        MuxEvent::Io(r) => panic!("the loop's own timer surfaced as {}", r.token),
+        /// Trains served on the kernel's epoll and timerfd — 100 µs apart
+        /// exact, 1 ms apart with a 150 µs allowance, and 1 ms apart on a
+        /// sleep-only loop — armed a deadline at a time as a session arms
+        /// them: every timer fires in deadline order and never before its
+        /// deadline. How much the loop spins and how often it wakes are
+        /// the replay's to pin (`pacing::tests`), with no host in the loop.
+        #[test]
+        fn timers_never_fire_early_or_out_of_order() {
+            let _timed = crate::timing_test_lock();
+            for (timers, period, allowance, sleep_only) in [
+                (400, 100_000, 0, false),
+                (100, 1_000_000, 150_000, false),
+                (20, 1_000_000, 0, true),
+            ] {
+                let clock = MonoClock::new();
+                let mut lp = match sleep_only {
+                    true => EventLoop::sleep_only(clock.clone()).unwrap(),
+                    false => EventLoop::new(clock.clone()).unwrap(),
+                };
+                let t0 = clock.now_ns() + 1_000_000;
+                lp.arm_timer_within(t0, allowance, 0);
+                let (mut fired, mut out) = (0, Vec::new());
+                while fired < timers {
+                    out.clear();
+                    lp.wait(&mut out, Duration::from_millis(50)).unwrap();
+                    let now = clock.now_ns();
+                    for ev in &out {
+                        let MuxEvent::Timer { token } = *ev else {
+                            panic!("the loop's own timer surfaced as {ev:?}");
+                        };
+                        assert_eq!(token, fired, "timers fire in deadline order");
+                        assert!(now >= t0 + token * period, "timer {token} fired early");
+                        fired += 1;
+                        lp.arm_timer_within(t0 + fired * period, allowance, fired);
                     }
                 }
             }
-            Train {
-                cpu_ns: thread_cpu_ns() - cpu0,
-                wall_ns: clock.now_ns() - wall0,
-                wakeups_per_timer: wakeups.get() as f64 / timers as f64,
-                window_ns: lp.wake_error_ns(),
-            }
-        }
-
-        /// Serve `serve_train(timers, period, how)` until its CPU time
-        /// passes `cpu_ok`, at most three times. The CPU share is a ratio
-        /// to wall time, so a test thread preempting the loop can spoil
-        /// one run, not three in a row; on every run, everything
-        /// `serve_train` asserts holds, about one `wait` serves each
-        /// timer, and the wake-error estimate learns from the wake-ups.
-        fn cpu_within_three_tries(
-            timers: u64,
-            period: u64,
-            how: Arm,
-            cpu_ok: impl Fn(&Train) -> bool,
-        ) {
-            let _timed = crate::timing_test_lock();
-            let mut misses = Vec::new();
-            for _ in 0..3 {
-                let run = serve_train(timers, period, how);
-                let per_timer = run.wakeups_per_timer;
-                assert!(per_timer <= 1.5, "{per_timer:.2} wake-ups per timer");
-                assert!(
-                    run.window_ns < SpinWindow::MAX_NS,
-                    "nothing learned ({how:?})"
-                );
-                if cpu_ok(&run) {
-                    return;
-                }
-                misses.push((run.cpu_ns, run.wall_ns));
-            }
-            panic!("on the CPU for (cpu, wall) {misses:?} ns");
-        }
-
-        /// A 100 µs-period pacing train: every timer fires at or after its
-        /// deadline, about one `wait` serves each, the spin window learns
-        /// from the wake-ups, and the thread sleeps through most of the
-        /// train instead of spinning it.
-        #[test]
-        fn timers_never_fire_early_and_the_loop_sleeps() {
-            cpu_within_three_tries(400, 100_000, Arm::Exact, |run| {
-                (run.cpu_ns as f64) < 0.7 * run.wall_ns as f64
-            });
-        }
-
-        /// A 1 ms-period train armed with a 150 µs lateness allowance (a
-        /// 1 ms stream's under the default spacing tolerance): no timer
-        /// fires early, and the loop spends less CPU than on the same
-        /// train armed exact, because the allowance absorbs the wake-up
-        /// error the exact train spins out. Three tries, as
-        /// [`cpu_within_three_tries`] takes, each serving the exact train
-        /// right after the allowance one so both see the same host; what
-        /// the window learns is the other timer tests' to pin.
-        #[test]
-        fn timers_with_an_allowance_never_fire_early_and_spin_less() {
-            const TIMERS: u64 = 100;
-            let _timed = crate::timing_test_lock();
-            let mut misses = Vec::new();
-            for _ in 0..3 {
-                let within = serve_train(TIMERS, 1_000_000, Arm::Within(150_000));
-                let exact = serve_train(TIMERS, 1_000_000, Arm::Exact);
-                if within.cpu_ns < exact.cpu_ns {
-                    return;
-                }
-                misses.push((within.cpu_ns, exact.cpu_ns));
-            }
-            panic!("on the CPU for (within, exact) {misses:?} ns");
-        }
-
-        /// Sleep-only timers never fire early and are never spun for: the
-        /// loop's CPU stays at the cost of its wake-ups even while the spin
-        /// window is at its 300 µs start (a pacing timer would spin most of
-        /// it each time), and their oversleeps train the wake-error
-        /// estimate.
-        #[test]
-        fn sleep_only_timers_never_fire_early_and_never_spin() {
-            const TIMERS: u64 = 20;
-            cpu_within_three_tries(TIMERS, 1_000_000, Arm::SleepOnly, |run| {
-                run.cpu_ns < TIMERS * 75_000
-            });
         }
 
         /// A host cannot claim the loop's token, the timerfd is armed for

@@ -22,8 +22,8 @@
 //!   dropped and counted, so a late packet of a finished session never
 //!   reaches a live collection. When to drain is
 //!   [`rx::plan_reads`](crate::rx::plan_reads)' answer: between drains
-//!   the socket's epoll interest is `NONE` and a sleep-only timer
-//!   ([`SLEEP_ONLY`]) ends the wait, one
+//!   the socket's epoll interest is `NONE` and a timer ends the wait —
+//!   the receiver's loop is sleep-only ([`EventLoop::sleep_only`]) — one
 //!   learned wake-up error early so the drain at a stream's due instant
 //!   hands over to readability before the last packet lands and the
 //!   report leaves as it does. The socket is read on readability instead
@@ -67,7 +67,7 @@
 
 use crate::batch::{self, UdpRecvBatch};
 use crate::clock::MonoClock;
-use crate::mux::{EventLoop, Interest, MuxEvent, SLEEP_ONLY};
+use crate::mux::{EventLoop, Interest, MuxEvent};
 use crate::proto::{CtrlBuf, CtrlMsg, ProbePacket, MAX_FRAME_TO_RECEIVER};
 use crate::rx::{
     plan_reads, AcceptBackoff, Admission, CtrlAction, ReadPlan, RxSession, POLL_TIMEOUT,
@@ -213,7 +213,7 @@ impl EventedReceiver {
         let probe = batch::prepare_probe_socket(&udp);
         let admission = Admission::new(udp.local_addr()?.port(), random_token_base());
         let clock = MonoClock::new();
-        let lp = EventLoop::new(clock.clone())?;
+        let lp = EventLoop::sleep_only(clock.clone())?;
         lp.register(listener.as_raw_fd(), TOK_LISTEN, Interest::READ)?;
         lp.register(udp.as_raw_fd(), TOK_UDP, Interest::READ)?;
         Ok(EventedReceiver {
@@ -358,8 +358,7 @@ impl EventedReceiver {
                     if self.lp.deregister(self.listener.as_raw_fd()).is_ok() {
                         self.accept_paused = true;
                         let deadline = self.clock.now_ns() + delay.as_nanos() as u64;
-                        self.lp
-                            .arm_timer_within(deadline, SLEEP_ONLY, TOK_ACCEPT_RESUME);
+                        self.lp.arm_timer(deadline, TOK_ACCEPT_RESUME);
                     }
                     break;
                 }
@@ -520,7 +519,7 @@ impl EventedReceiver {
     fn arm_tick(lp: &mut EventLoop, sess: &mut Slot, slot: usize, now: u64) {
         let at = now + POLL_TIMEOUT.as_nanos() as u64;
         sess.tick_at = Some(at);
-        lp.arm_timer_within(at, SLEEP_ONLY, slot as u64);
+        lp.arm_timer(at, slot as u64);
     }
 
     // ---- probe datagrams -----------------------------------------------
@@ -607,7 +606,7 @@ impl EventedReceiver {
                 // An earlier pending drain serves as well: it drains and
                 // plans again. A later one becomes stale.
                 if self.drain_at.is_none_or(|pending| at < pending) {
-                    self.lp.arm_timer_within(at, SLEEP_ONLY, TOK_DRAIN);
+                    self.lp.arm_timer(at, TOK_DRAIN);
                     self.drain_at = Some(at);
                 }
                 self.set_udp_reading(false);
@@ -1033,7 +1032,7 @@ mod tests {
         // The closed slot's own tick is 50 ms out from its start and may
         // have popped already on a slow host: a slot-0 timer due now
         // stands in for it, so what pops next does not hang on the clock.
-        rx.lp.arm_timer_within(rx.clock.now_ns(), SLEEP_ONLY, 0);
+        rx.lp.arm_timer(rx.clock.now_ns(), 0);
         let mut events = Vec::new();
         rx.lp.wait(&mut events, POLL_TIMEOUT).unwrap();
         assert!(

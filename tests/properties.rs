@@ -177,19 +177,17 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Model-based check of `mux::TimerQueue` (the one queue every event
-    /// loop's deadlines share) under random `(deadline, allowance)` arms
-    /// and advances of time: no entry pops before its deadline, entries
-    /// pop in (deadline, arming order) whatever their allowance, the head
-    /// reports its own allowance, a drain leaves no expired entry behind,
-    /// and the queue drains to empty. `mux` is Linux-only, like every
-    /// socket module.
-    #[cfg(target_os = "linux")]
+    /// Model-based check of `pacing::TimerQueue` (the one queue every
+    /// event loop's deadlines share) under random `(deadline, allowance)`
+    /// arms and advances of time: no entry pops before its deadline,
+    /// entries pop in (deadline, arming order) whatever their allowance,
+    /// the head reports its own allowance, a drain leaves no expired entry
+    /// behind, and the queue drains to empty.
     #[test]
     fn timer_queue_pops_in_deadline_then_arming_order(
         ops in prop::collection::vec((0u8..2, 0u64..1_000, 0u8..4), 1..200),
     ) {
-        use availbw::pathload_net::mux::{TimerQueue, SLEEP_ONLY};
+        use availbw::pathload_net::pacing::TimerQueue;
         let mut q = TimerQueue::new();
         // (deadline, token = arming order, allowance), not yet popped.
         let mut pending: Vec<(u64, u64, u64)> = Vec::new();
@@ -199,7 +197,7 @@ proptest! {
             if op == 0 {
                 // Arm at an absolute deadline (possibly already past).
                 next_token += 1;
-                let allowance = [0, 15_000, value * 100, SLEEP_ONLY][usize::from(kind)];
+                let allowance = [0, 15_000, value * 100, 300_000][usize::from(kind)];
                 q.arm_within(value, allowance, next_token);
                 pending.push((value, next_token, allowance));
                 continue;
@@ -209,29 +207,99 @@ proptest! {
             loop {
                 let head = pending.iter().copied().min_by_key(|&(d, t, _)| (d, t));
                 prop_assert_eq!(q.next_entry(), head.map(|(d, _, s)| (d, s)));
-                let Some((token, deadline)) = q.pop_expired_at(now) else {
+                let Some(token) = q.pop_expired(now) else {
                     break;
                 };
+                let (deadline, first, _) = head.expect("popped from an empty queue");
                 prop_assert!(deadline <= now, "popped an unexpired entry");
-                prop_assert_eq!(
-                    head.map(|(d, t, _)| (t, d)),
-                    Some((token, deadline)),
-                    "not the earliest (deadline, arming order) entry"
-                );
+                prop_assert_eq!(token, first, "not the earliest (deadline, arming order) entry");
                 pending.retain(|&(_, t, _)| t != token);
             }
             prop_assert!(
                 pending.iter().all(|&(d, _, _)| d > now),
                 "a drain left an expired entry behind"
             );
-            prop_assert_eq!(q.len(), pending.len());
         }
         // Final drain: everything pops, and the queue ends empty.
-        while let Some((token, _)) = q.pop_expired_at(u64::MAX) {
+        while let Some(token) = q.pop_expired(u64::MAX) {
             let before = pending.len();
             pending.retain(|&(_, t, _)| t != token);
             prop_assert_eq!(pending.len() + 1, before, "popped a token never armed, or twice");
         }
-        prop_assert!(q.is_empty() && pending.is_empty(), "queue did not drain to empty");
+        prop_assert!(q.next_entry().is_none() && pending.is_empty(), "queue did not drain to empty");
+    }
+
+    /// Model-based check of `pacing::TimerPlan`, paced and sleep-only, on
+    /// one random script of arms (deadlines from now on, allowances from
+    /// exact to past the widest window), loop turns, oversleeps and I/O,
+    /// carried out as an event loop carries out the plan: no timer is due
+    /// before its deadline; due timers come out in (deadline, arming
+    /// order); the spin never ends after the earliest pending deadline; a
+    /// sleep-only plan never spins; the window stays within its bounds.
+    #[test]
+    fn timer_plan_never_fires_early_and_never_spins_past_the_head(
+        ops in prop::collection::vec((0u8..4, 0u64..2_000_000, 0u8..4), 1..300),
+    ) {
+        use availbw::pathload_net::pacing::{SpinWindow, TimerPlan};
+        for sleep_only in [false, true] {
+            let mut plan = if sleep_only { TimerPlan::sleep_only() } else { TimerPlan::paced() };
+            // (deadline, token = arming order), not yet due.
+            let mut pending: Vec<(u64, u64)> = Vec::new();
+            let (mut now, mut next_token) = (0u64, 0u64);
+            for &(op, value, kind) in &ops {
+                if op == 0 {
+                    next_token += 1;
+                    let allowance = [0, 15_000, 150_000, 1_000_000][usize::from(kind)];
+                    plan.arm(now + value / 2, allowance, next_token);
+                    pending.push((now + value / 2, next_token));
+                    continue;
+                }
+                // One loop turn. The sleep ends late by a draw from the
+                // script; with nothing pending it ends at the host's
+                // longest wait; I/O may end it 1 ns before the earliest
+                // deadline, before the spin.
+                let wait = plan.plan(now);
+                let head = pending.iter().map(|&(d, _)| d).min();
+                prop_assert!(
+                    wait.spin_until.is_none_or(|s| head.is_some_and(|h| s <= h)),
+                    "the spin ends after the earliest deadline"
+                );
+                let io = op == 2;
+                let by_timer = match wait.sleep_until {
+                    Some(at) if head.is_none() => {
+                        prop_assert_eq!(at, u64::MAX);
+                        now += value;
+                        false
+                    }
+                    Some(at) if io => {
+                        now = now.max(head.unwrap_or(now).saturating_sub(1));
+                        now >= at
+                    }
+                    Some(at) => {
+                        now = now.max(at) + value / [1, 10, 100, 1_000][usize::from(kind)];
+                        true
+                    }
+                    None => false,
+                };
+                if let Some(until) = plan.woke(now, by_timer, io) {
+                    prop_assert!(!sleep_only, "a sleep-only plan spun");
+                    prop_assert!(head.is_some_and(|h| until <= h), "spun past the head");
+                    now = now.max(until);
+                }
+                for (token, lag) in plan.due(now) {
+                    let first = pending.iter().copied().min_by_key(|&(d, t)| (d, t));
+                    let (deadline, t) = first.expect("a token never armed");
+                    prop_assert_eq!(token, t, "not the earliest (deadline, arming order) timer");
+                    prop_assert!(deadline <= now, "timer {} due before its deadline", token);
+                    prop_assert_eq!(lag, now - deadline);
+                    pending.retain(|&(_, t)| t != token);
+                }
+                prop_assert!(pending.iter().all(|&(d, _)| d > now), "a due timer left behind");
+                prop_assert!(
+                    (SpinWindow::MIN_NS..=SpinWindow::MAX_NS).contains(&plan.wake_error_ns()),
+                    "window out of bounds"
+                );
+            }
+        }
     }
 }
