@@ -229,6 +229,48 @@ proptest! {
         prop_assert!(q.next_entry().is_none() && pending.is_empty(), "queue did not drain to empty");
     }
 
+    /// The spin window learns in bounded steps: whatever a loop measures
+    /// — sleeps that woke on time, late, or `u64::MAX` late, deadlines
+    /// spun without a sleep — the window stays in `MIN_NS..=MAX_NS` and
+    /// one sample moves it by at most one step: up by `UP / STEP` of
+    /// itself (9/64, ~14 %), down by `1 / STEP`. So a stall widens it no
+    /// more than any late wake-up does: from the floor it takes 13 stalls
+    /// in a row to reach a 100 µs stream's spacing.
+    #[test]
+    fn spin_window_moves_one_bounded_step_per_sample(
+        samples in prop::collection::vec((0u8..4, any::<u64>()), 1..400),
+    ) {
+        use availbw::pathload_net::pacing::SpinWindow;
+        const STALLS_TO_THE_SPACING: u32 = 13;
+        let (floor, cap) = (SpinWindow::MIN_NS, SpinWindow::MAX_NS);
+        let mut w = SpinWindow::new();
+        for &(kind, x) in &samples {
+            let before = w.ns();
+            match kind {
+                0 => w.spun(),
+                1 => w.slept(u64::MAX),
+                2 => w.slept(x % 100_000),
+                _ => w.slept(x),
+            }
+            let after = w.ns();
+            prop_assert!((floor..=cap).contains(&after), "window {} out of bounds", after);
+            prop_assert!(
+                after <= before + before * SpinWindow::UP / SpinWindow::STEP
+                    && after >= before - before / SpinWindow::STEP,
+                "one sample moved the window from {} to {} ns", before, after
+            );
+        }
+        while w.ns() > floor {
+            w.spun();
+        }
+        let mut stalls = 0;
+        while w.ns() < 100_000 {
+            w.slept(u64::MAX);
+            stalls += 1;
+        }
+        prop_assert_eq!(stalls, STALLS_TO_THE_SPACING);
+    }
+
     /// Model-based check of `pacing::TimerPlan`, paced and sleep-only, on
     /// one random script of arms (deadlines from now on, allowances from
     /// exact to past the widest window), loop turns, oversleeps and I/O,

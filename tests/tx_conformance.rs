@@ -36,7 +36,10 @@ use availbw::pathload_net::rx::{Admission, CtrlAction, RxSession, POLL_TIMEOUT};
 use availbw::pathload_net::tx::{self, Due, Outcome, Step, TxSession, CTRL_TIMEOUT};
 use availbw::pathload_net::{EventedSession, SocketTransport};
 use availbw::slops::machine::{Command, Event};
-use availbw::slops::{InitialRate, SlopsConfig, SlopsError, StreamRequest, TransportError};
+use availbw::slops::{
+    check_spacing, InitialRate, PacketSample, SlopsConfig, SlopsError, StreamRecord, StreamRequest,
+    TransportError,
+};
 use availbw::telemetry::Histogram;
 use availbw::units::{Rate, TimeNs};
 use std::collections::VecDeque;
@@ -438,6 +441,93 @@ fn paced_deadlines_carry_half_the_spacing_tolerance() {
     );
     let train = Command::SendTrain { len: 5, size: 64 };
     assert_eq!(due_after_ready(Some(tolerance), &train), Due::Burst(5));
+}
+
+/// The allowance keeps the promise `tx` makes for it: a stream whose
+/// every packet leaves anywhere in `[0, allowance]` past its
+/// `Due::Paced` deadline passes §IV's spacing check
+/// (`slops::check_spacing`) with no violation — here neighbours as far
+/// apart as that allows, on time then the whole allowance late, and a
+/// scatter — for periods from 100 µs to 10 ms at the default tolerance.
+/// Neighbours more than twice the allowance apart in lateness are a
+/// violation: the allowance is half what the check forgives.
+#[test]
+fn pacing_within_the_allowance_never_fails_the_spacing_check() {
+    let tolerance = SlopsConfig::default().spacing_tolerance;
+    // The stream's send stamps as the wire carries them, packet `i` sent
+    // `late(i, allowance)` past its deadline; and the allowance.
+    let send = |req: StreamRequest, late: &dyn Fn(u64, u64) -> u64| {
+        let mut bench = Bench::new(None);
+        bench.tx.set_spacing_tolerance(tolerance);
+        let Ok(CtrlMsg::StreamAnnounce { id, .. }) =
+            bench.tx.begin(&Command::SendStream(req), 1_000)
+        else {
+            panic!("a stream announced as something else");
+        };
+        bench.tx.on_ctrl(CtrlMsg::Ready { id }, 2_000).unwrap();
+        let (mut samples, mut buf, mut allowed) = (Vec::new(), Vec::new(), None);
+        while let Due::Paced {
+            deadline,
+            allowance,
+        } = bench.tx.due()
+        {
+            let now = deadline + late(samples.len() as u64, allowance);
+            bench.tx.encode(0, now, &mut buf);
+            bench.tx.sent(1, now);
+            let p = ProbePacket::decode(&buf).expect("a probe header");
+            samples.push((p.idx, p.send_ns));
+            allowed = Some(allowance);
+        }
+        let t0 = samples[0].1;
+        let record = StreamRecord {
+            sent: req.count,
+            samples: samples
+                .iter()
+                .map(|&(idx, send_ns)| PacketSample {
+                    idx,
+                    send_offset: TimeNs::from_nanos(send_ns - t0),
+                    owd_ns: 0,
+                })
+                .collect(),
+        };
+        (record, allowed.expect("a paced stream"))
+    };
+    for period_us in [100, 133, 250, 1_000, 2_500, 10_000] {
+        let req = StreamRequest {
+            stream_id: 0,
+            packet_size: 200,
+            period: TimeNs::from_micros(period_us),
+            count: 100,
+        };
+        let alternating = |i: u64, a: u64| (i % 2) * a;
+        let scattered = |i: u64, a: u64| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40) % (a + 1);
+        for (case, late) in [
+            ("alternating", &alternating as &dyn Fn(u64, u64) -> u64),
+            ("scattered", &scattered),
+        ] {
+            let (record, allowance) = send(req, late);
+            assert_eq!(
+                allowance,
+                (tolerance * (period_us * 1_000) as f64 / 2.0).round() as u64
+            );
+            let report = check_spacing(&record, &req, tolerance);
+            assert_eq!(
+                (report.violations, report.inspected),
+                (0, req.count - 1),
+                "T = {period_us} µs, {case}: {report:?}"
+            );
+        }
+        // Packet 50 alone, more than twice the allowance late: its gaps
+        // to both neighbours are off by more than the tolerance.
+        let stalled = |i: u64, a: u64| u64::from(i == 50) * (2 * a + 1);
+        let (late, allowance) = send(req, &stalled);
+        assert_eq!(
+            check_spacing(&late, &req, tolerance).violations,
+            2,
+            "T = {period_us} µs, {} ns late",
+            2 * allowance + 1
+        );
+    }
 }
 
 /// Every fault script, hand-stepped: the core refuses the frame, names
