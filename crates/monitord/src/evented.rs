@@ -33,8 +33,10 @@
 //! the scheduler staggers starts across paths on a single timeline, so
 //! the per-path `elapsed()` clocks must agree on what "now" means.
 //!
-//! This module holds only the substrate: the paths' connections, the
-//! per-path slot state machine, token generations and re-dial. The observer surface
+//! This module holds only the substrate: one long-lived
+//! [`EventedSession`] per path (its sender for the life of the
+//! connection), the instant of each path's armed start, and the one
+//! `dial`. The observer surface
 //! ([`FleetEvent`]), shutdown ([`ShutdownFlag`]: pending starts are
 //! cancelled, in-flight measurements land), series stores and JSONL
 //! export are the fleet core's, shared with the other drivers.
@@ -45,15 +47,15 @@
 //!
 //! **Reconnect policy** (driver/scheduler plumbing, not estimation): when
 //! a measurement fails with a *transport* error — the receiver died,
-//! restarted, or the control channel broke — the path's transport is
-//! dropped and the slot parks as disconnected. The scheduler
+//! restarted, or the control channel broke — the path's sender is
+//! dropped and the path is disconnected. The scheduler
 //! keeps issuing the path's periodic starts as if nothing happened; each
-//! start on a disconnected path re-dials the receiver's address first
-//! (fresh `Hello`, fresh session token — a restarted receiver speaks to
-//! it like any new sender) and measures on success. A failed re-dial
-//! counts as that start's failure and the next scheduled start retries.
-//! Paths whose receivers stay up never notice; nothing is fatal after
-//! the initial fleet connect.
+//! start on a disconnected path calls `dial` first (fresh `Hello`,
+//! fresh session token — a restarted receiver speaks to it like any new
+//! sender) and measures on success. A failed re-dial counts as that
+//! start's failure and the next scheduled start retries. Paths whose
+//! receivers stay up never notice; nothing is fatal after the initial
+//! fleet connect, which is the same `dial` of every path.
 
 // Datapath module: a panicking branch here takes the whole fleet down,
 // so `unwrap`/`expect` are denied outright (errors must travel as values).
@@ -88,77 +90,56 @@ pub struct SocketPathSpec {
     pub rate_cap: Option<Rate>,
 }
 
-/// Connect one [`SocketTransport`] per path, all sharing a single clock
-/// epoch. Returns the epoch clock (so an event loop can read the same
-/// timeline) and the connected `(spec, transport)` pairs in path order.
-fn connect_transports(
-    specs: Vec<SocketPathSpec>,
-) -> io::Result<(MonoClock, Vec<(SocketPathSpec, SocketTransport)>)> {
-    let epoch = MonoClock::new();
-    let mut out = Vec::with_capacity(specs.len());
-    for spec in specs {
-        let mut transport =
-            SocketTransport::connect_with_clock(spec.ctrl_addr, epoch.same_epoch())?;
-        if let Some(cap) = spec.rate_cap {
-            transport.rate_cap = cap;
-        }
-        out.push((spec, transport));
+/// A path's trace sink and pacing histogram, from the fleet's hub.
+type Instruments = (Arc<dyn TraceSink>, Histogram);
+
+/// Connect path `p` to its receiver on the fleet's clock `epoch` (every
+/// path shares it: the scheduler staggers starts on one timeline) and
+/// return its sender, rate cap and instruments attached. Blocks for the
+/// TCP connect and the `Hello` read, up to `tx::CTRL_TIMEOUT`.
+fn dial(
+    spec: &SocketPathSpec,
+    p: usize,
+    epoch: &MonoClock,
+    instruments: Option<&Instruments>,
+) -> Result<EventedSession, SlopsError> {
+    let mut transport =
+        SocketTransport::connect_with_clock(spec.ctrl_addr, epoch.same_epoch()).map_err(io_err)?;
+    if let Some(cap) = spec.rate_cap {
+        transport.rate_cap = cap;
     }
-    Ok((epoch, out))
+    if let Some((_, hist)) = instruments {
+        transport.set_pacing_histogram(hist.clone());
+    }
+    let tokens = SessionTokens {
+        ctrl: tok(TOK_CTRL, p),
+        probe: tok(TOK_PROBE, p),
+        timer: tok(TOK_TIMER, p),
+    };
+    let mut sender = EventedSession::new(transport, tokens);
+    if let Some((sink, _)) = instruments {
+        sender.set_trace_sink(Arc::clone(sink));
+    }
+    Ok(sender)
 }
 
 /// Upper bound on one `EventLoop::wait`, so the loop re-checks the
 /// shutdown flag and the fleet's state even when nothing is happening.
 const WAIT_SLICE: Duration = Duration::from_millis(50);
 
-/// Token layout: kind in the top byte, a per-path generation in the
-/// middle (timers cannot be cancelled, so a stale entry must never be
-/// mistaken for a live session's), the path index at the bottom.
+/// Token layout: kind in the top byte, the path index at the bottom.
+/// Timers cannot be cancelled; a stale entry is told by its instant.
 const TOK_CTRL: u64 = 1;
 const TOK_PROBE: u64 = 2;
 const TOK_TIMER: u64 = 3;
 const TOK_START: u64 = 4;
 
-fn tok(kind: u64, generation: u64, path: usize) -> u64 {
-    (kind << 56) | ((generation & 0xFF_FFFF) << 32) | path as u64
+fn tok(kind: u64, path: usize) -> u64 {
+    (kind << 56) | path as u64
 }
 
-fn untok(token: u64) -> (u64, u64, usize) {
-    (
-        token >> 56,
-        (token >> 32) & 0xFF_FFFF,
-        (token & 0xFFFF_FFFF) as usize,
-    )
-}
-
-/// Where one path of the fleet currently is.
-enum Slot {
-    /// Connected, no measurement scheduled.
-    Idle(SocketTransport),
-    /// The scheduler issued a start at `at`; a timer entry is armed.
-    Pending {
-        transport: SocketTransport,
-        at: TimeNs,
-    },
-    /// A measurement is in flight on the event loop.
-    Active {
-        session: Box<EventedSession>,
-        at: TimeNs,
-    },
-    /// The path's transport died (receiver gone/restarted). The next
-    /// scheduled start re-dials.
-    Disconnected,
-    /// The scheduler issued a start at `at` on a disconnected path; the
-    /// armed timer re-dials before measuring.
-    PendingRedial { at: TimeNs },
-    /// Transient placeholder during transitions (never observed).
-    Moving,
-}
-
-impl Slot {
-    fn take(&mut self) -> Slot {
-        std::mem::replace(self, Slot::Moving)
-    }
+fn untok(token: u64) -> (u64, usize) {
+    (token >> 56, (token & 0xFFFF_FFFF) as usize)
 }
 
 fn io_err(e: io::Error) -> SlopsError {
@@ -197,16 +178,20 @@ pub fn run_socket_fleet_async_with_telemetry(
 ) -> Result<Vec<PathSeries>, SlopsError> {
     // Refuses an empty fleet too, before anything is dialled.
     Fleet::validate(specs.iter().map(|s| &s.cfg))?;
-    // Per-path instruments, built before the specs are consumed. A
-    // re-dialled transport is a fresh protocol core, so the histogram is
-    // attached at every session start, not once at connect.
-    let instruments: Option<Vec<(Arc<dyn TraceSink>, Histogram)>> = telemetry.map(|t| {
+    let instruments: Option<Vec<Instruments>> = telemetry.map(|t| {
         specs
             .iter()
             .map(|s| (t.trace_sink(&s.label), t.pacing_histogram(&s.label)))
             .collect()
     });
-    let (epoch, connected) = connect_transports(specs).map_err(io_err)?;
+    let instruments = |p: usize| instruments.as_ref().and_then(|i| i.get(p));
+    let epoch = MonoClock::new();
+    let now = || TimeNs::from_nanos(epoch.now_ns());
+    // Each path's sender; `None` while its receiver is unreachable.
+    let mut senders = Vec::with_capacity(specs.len());
+    for (p, spec) in specs.iter().enumerate() {
+        senders.push(Some(dial(spec, p, &epoch, instruments(p))?));
+    }
     let mut lp = EventLoop::new(epoch.same_epoch()).map_err(io_err)?;
     if let Some(t) = telemetry {
         lp.set_metrics(
@@ -215,21 +200,9 @@ pub fn run_socket_fleet_async_with_telemetry(
             t.registry().gauge("eventloop_spin_window_ns", &[]),
         );
     }
-
-    // The fleet epoch: the latest transport clock (all share one epoch).
-    // The fleet is non-empty (validated above), so `max` always yields;
-    // ZERO is a dead fallback keeping the datapath panic-free.
-    let t0 = connected
-        .iter()
-        .map(|(_, t)| t.elapsed())
-        .max()
-        .unwrap_or(TimeNs::ZERO);
-    let n = connected.len();
     let mut fleet = Fleet::new(
-        connected
-            .iter()
-            .map(|(spec, _)| (spec.label.as_str(), &spec.cfg)),
-        t0,
+        specs.iter().map(|s| (s.label.as_str(), &s.cfg)),
+        now(),
         horizon,
         sched_cfg,
         series_cfg,
@@ -237,39 +210,22 @@ pub fn run_socket_fleet_async_with_telemetry(
     if let Some(t) = telemetry {
         fleet.attach_telemetry(t);
     }
-    let mut cfgs: Vec<SlopsConfig> = Vec::with_capacity(n);
-    let mut slots: Vec<Slot> = Vec::with_capacity(n);
-    // Retained for re-dialing after a receiver restart.
-    let mut addrs = Vec::with_capacity(n);
-    let mut caps = Vec::with_capacity(n);
-    for (spec, transport) in connected {
-        addrs.push(spec.ctrl_addr);
-        caps.push(spec.rate_cap);
-        cfgs.push(spec.cfg);
-        slots.push(Slot::Idle(transport));
-    }
-    // Bumped whenever a path's session or pending start retires, so the
-    // lazily-cancelled timer entries of earlier lives are ignored.
-    let mut generation: Vec<u64> = vec![0; n];
+    // The instant each path's armed start is due: a start pop before it,
+    // or with none armed (cancelled, or begun), is stale.
+    let mut armed: Vec<Option<TimeNs>> = vec![None; specs.len()];
+    // The start instant of each path's measurement in flight.
+    let mut running: Vec<Option<TimeNs>> = vec![None; specs.len()];
 
     let mut events: Vec<MuxEvent> = Vec::new();
     loop {
         // Graceful shutdown: the fleet stops issuing starts; pending
-        // (unstarted) ones are cancelled here — their timers lazily, by
-        // the generation bump — and active sessions run to completion.
+        // (unstarted) ones are cancelled here — their timers go stale —
+        // and active measurements run to completion.
         if fleet.apply_stop(stop) {
-            let now = TimeNs::from_nanos(epoch.now_ns());
-            for (p, slot) in slots.iter_mut().enumerate() {
-                *slot = match slot.take() {
-                    Slot::Pending { transport, .. } => Slot::Idle(transport),
-                    Slot::PendingRedial { .. } => Slot::Disconnected,
-                    other => {
-                        *slot = other;
-                        continue;
-                    }
-                };
-                generation[p] += 1;
-                fleet.cancel(p, now);
+            for (p, at) in armed.iter_mut().enumerate() {
+                if at.take().is_some() {
+                    fleet.cancel(p, now());
+                }
             }
         }
 
@@ -277,147 +233,65 @@ pub fn run_socket_fleet_async_with_telemetry(
         // entry at its start instant (possibly already past — the timer
         // then pops on the next wait, i.e. start immediately).
         while let Some((p, at)) = fleet.next_start() {
-            match slots[p].take() {
-                Slot::Idle(transport) => slots[p] = Slot::Pending { transport, at },
-                // Receiver gone: the start stands, prefixed by a re-dial.
-                Slot::Disconnected => slots[p] = Slot::PendingRedial { at },
-                // The scheduler never starts a busy path; tolerate the
-                // impossible (slot back, start skipped) rather than
-                // panic mid-fleet.
-                other => {
-                    slots[p] = other;
-                    continue;
-                }
-            }
-            lp.arm_timer(at.as_nanos(), tok(TOK_START, generation[p], p));
+            armed[p] = Some(at);
+            lp.arm_timer(at.as_nanos(), tok(TOK_START, p));
         }
 
-        fleet.observe(TimeNs::from_nanos(epoch.now_ns()));
-
-        if fleet.scheduler().is_done()
-            && slots
-                .iter()
-                .all(|s| matches!(s, Slot::Idle(_) | Slot::Disconnected))
-        {
+        fleet.observe(now());
+        if fleet.scheduler().is_done() {
             break;
         }
 
         events.clear();
         lp.wait(&mut events, WAIT_SLICE).map_err(io_err)?;
-        for &ev in &events {
-            let token = match ev {
+        for ev in &events {
+            let token = match *ev {
                 MuxEvent::Io(r) => r.token,
                 MuxEvent::Timer { token } => token,
             };
-            let (kind, generation_tag, p) = untok(token);
-            if p >= n || generation_tag != (generation[p] & 0xFF_FFFF) {
-                continue; // stale timer or retired session
+            let (kind, p) = untok(token);
+            if p >= senders.len() {
+                continue;
             }
-            // A transport-level failure means the far end is gone or
-            // restarted: the old control channel and session token are
-            // useless, so the slot parks Disconnected and the next
-            // scheduled start re-dials. Any other failure keeps the
-            // connection.
-            macro_rules! park {
-                ($p:expr, $transport:expr, $error:expr) => {{
-                    if matches!($error, SlopsError::Transport(_)) {
-                        drop($transport);
-                        slots[$p] = Slot::Disconnected;
-                    } else {
-                        slots[$p] = Slot::Idle($transport);
+            let (at, outcome) = if kind == TOK_START {
+                let Some(at) = armed[p].filter(|&at| at <= now()) else {
+                    continue; // stale: cancelled, or not yet due
+                };
+                armed[p] = None;
+                // Receiver gone: the start stands, prefixed by a re-dial
+                // whose failure is this start's.
+                let sender = match &mut senders[p] {
+                    Some(sender) => Ok(sender),
+                    slot @ None => {
+                        dial(&specs[p], p, &epoch, instruments(p)).map(|s| slot.insert(s))
                     }
-                }};
-            }
-            match kind {
-                TOK_START => {
-                    // Resolve the start's transport: either the held idle
-                    // one, or a fresh re-dial of the path's receiver.
-                    let (mut transport, at) = match slots[p].take() {
-                        Slot::Pending { transport, at } => (transport, at),
-                        Slot::PendingRedial { at } => {
-                            match SocketTransport::connect_with_clock(addrs[p], epoch.same_epoch())
-                            {
-                                Ok(mut t) => {
-                                    if let Some(cap) = caps[p] {
-                                        t.rate_cap = cap;
-                                    }
-                                    (t, at)
-                                }
-                                Err(e) => {
-                                    // Receiver still down: this start
-                                    // fails, the next one retries.
-                                    slots[p] = Slot::Disconnected;
-                                    generation[p] += 1;
-                                    let now = TimeNs::from_nanos(epoch.now_ns());
-                                    fleet.complete(p, at, Err(io_err(e)), now, &mut observer);
-                                    continue;
-                                }
-                            }
-                        }
-                        other => {
-                            slots[p] = other; // cancelled or already begun
-                            continue;
-                        }
-                    };
-                    // Begin the measurement scheduled for this path.
-                    let tokens = SessionTokens {
-                        ctrl: tok(TOK_CTRL, generation[p], p),
-                        probe: tok(TOK_PROBE, generation[p], p),
-                        timer: tok(TOK_TIMER, generation[p], p),
-                    };
-                    if let Some(instruments) = &instruments {
-                        transport.set_pacing_histogram(instruments[p].1.clone());
+                };
+                match sender.and_then(|s| s.begin(&lp, specs[p].cfg.clone())) {
+                    Ok(()) => {
+                        running[p] = Some(at);
+                        continue;
                     }
-                    match EventedSession::new(transport, cfgs[p].clone(), tokens) {
-                        Ok(mut session) => {
-                            if let Some(instruments) = &instruments {
-                                session.set_trace_sink(Arc::clone(&instruments[p].0));
-                            }
-                            match session.register(&lp) {
-                                Ok(()) => {
-                                    slots[p] = Slot::Active {
-                                        session: Box::new(session),
-                                        at,
-                                    };
-                                }
-                                Err(e) => {
-                                    let transport = session.abort(&lp);
-                                    let finished = transport.elapsed();
-                                    let error = io_err(e);
-                                    park!(p, transport, error);
-                                    generation[p] += 1;
-                                    fleet.complete(p, at, Err(error), finished, &mut observer);
-                                }
-                            }
-                        }
-                        Err((transport, error)) => {
-                            let finished = transport.elapsed();
-                            park!(p, transport, error);
-                            generation[p] += 1;
-                            fleet.complete(p, at, Err(error), finished, &mut observer);
-                        }
-                    }
+                    Err(error) => (at, Err(error)),
                 }
-                TOK_CTRL | TOK_PROBE | TOK_TIMER => match slots[p].take() {
-                    Slot::Active { mut session, at } => {
-                        session.on_event(&mut lp, &ev);
-                        if session.is_finished() {
-                            let (transport, outcome) = session.finish(&lp);
-                            let finished = transport.elapsed();
-                            match &outcome {
-                                Err(error) => park!(p, transport, *error),
-                                Ok(_) => slots[p] = Slot::Idle(transport),
-                            }
-                            generation[p] += 1;
-                            fleet.complete(p, at, outcome, finished, &mut observer);
-                        } else {
-                            slots[p] = Slot::Active { session, at };
-                        }
-                    }
-                    other => slots[p] = other,
-                },
-                _ => {}
+            } else {
+                let Some(sender) = &mut senders[p] else {
+                    continue;
+                };
+                sender.on_event(&mut lp, ev);
+                match (sender.take_outcome(&lp), running[p]) {
+                    (Some(outcome), Some(at)) => (at, outcome),
+                    _ => continue,
+                }
+            };
+            running[p] = None;
+            // A transport-level failure means the far end is gone or
+            // restarted: the connection and its session token are
+            // useless, so the path disconnects and its next start
+            // re-dials. Any other failure keeps the connection.
+            if matches!(outcome, Err(SlopsError::Transport(_))) {
+                senders[p] = None;
             }
+            fleet.complete(p, at, outcome, now(), &mut observer);
         }
     }
     Ok(fleet.into_series())
@@ -484,33 +358,32 @@ mod tests {
         assert_eq!(socket.to_string(), thread.to_string());
     }
 
-    /// Two paths naming ONE receiver address connect as two sessions of
-    /// it (the receiver demuxes them by token), in path order, with their
-    /// rate caps, on the fleet's one clock epoch.
+    /// Two paths naming ONE receiver address dial two sessions of it (the
+    /// receiver demuxes them by token), each with its rate cap, on the
+    /// fleet's one clock epoch.
     #[test]
     fn loopback_pair_shares_one_receiver() {
         let rx = EventedReceiver::bind("127.0.0.1:0".parse().unwrap())
             .unwrap()
             .spawn();
-        let specs = ["lo0", "lo1"]
-            .iter()
-            .map(|l| spec(l, rx.ctrl_addr()))
-            .collect();
-        let (epoch, connected) = connect_transports(specs).unwrap();
+        let epoch = MonoClock::new();
         let before = epoch.now_ns();
-        let labels: Vec<&str> = connected.iter().map(|(s, _)| s.label.as_str()).collect();
-        assert_eq!(labels, ["lo0", "lo1"]);
-        assert_ne!(connected[0].1.session(), connected[1].1.session());
-        for (spec, transport) in &connected {
+        let senders: Vec<EventedSession> = ["lo0", "lo1"]
+            .iter()
+            .enumerate()
+            .map(|(p, l)| dial(&spec(l, rx.ctrl_addr()), p, &epoch, None).unwrap())
+            .collect();
+        let [t0, t1] = [senders[0].transport(), senders[1].transport()];
+        assert_ne!(t0.session(), t1.session());
+        for transport in [t0, t1] {
             assert_eq!(transport.rate_cap, Rate::from_mbps(30.0));
             let at = transport.elapsed().as_nanos();
             assert!(
                 before <= at && at <= epoch.now_ns(),
-                "{}: not on the fleet's clock epoch",
-                spec.label
+                "not on the fleet's clock epoch"
             );
         }
-        drop(connected);
+        drop(senders);
         rx.stop().unwrap();
     }
 

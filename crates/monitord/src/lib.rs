@@ -29,9 +29,10 @@
 //!   pool, completions replayed in tick order.
 //! * [`evented`] — the socket pump (the `monitord` binary's): every real
 //!   path, a [`SocketPathSpec`] (one long-lived `pathload-net` UDP/TCP
-//!   connection per path, all sharing a clock epoch), multiplexed as a
-//!   non-blocking `pathload_net::EventedSession` on ONE epoll thread,
-//!   re-dialling a receiver that went away. Linux only, like the
+//!   connection per path, all sharing a clock epoch), kept by one
+//!   non-blocking `pathload_net::EventedSession` for the connection's
+//!   life, all multiplexed on ONE epoll thread; the same dial re-connects
+//!   a receiver that went away. Linux only, like the
 //!   receiver: the module is gated on `target_os = "linux"`; everything
 //!   else in the crate is portable.
 //! * [`metrics`] — [`FleetTelemetry`], the one registry behind the scrape

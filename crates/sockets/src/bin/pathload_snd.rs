@@ -47,16 +47,16 @@ fn main() {
 #[cfg(target_os = "linux")]
 fn measure(addr: SocketAddr, cfg: SlopsConfig) {
     use pathload_net::{EventedSession, SocketTransport};
-    let transport = match SocketTransport::connect(addr) {
-        Ok(t) => t,
+    let mut sender = match SocketTransport::connect(addr) {
+        Ok(t) => EventedSession::new(t, Default::default()),
         Err(e) => {
             eprintln!("cannot connect to {addr}: {e}");
             exit(1);
         }
     };
     println!("pathload_snd: measuring toward {addr} ...");
-    let (transport, outcome) = EventedSession::run_alone(transport, cfg);
-    drop(transport); // says `Bye`
+    let outcome = sender.run_alone(cfg);
+    drop(sender); // says `Bye`
     match outcome {
         Ok(est) => {
             println!(

@@ -1,8 +1,9 @@
 //! The sender's pump: the sans-IO machine driven from readiness events
 //! and timers.
 //!
-//! [`EventedSession`] is one measurement session over one
-//! [`SocketTransport`], driven strictly by the DRIVERS.md contract with
+//! [`EventedSession`] is a path's sender for the life of one
+//! [`SocketTransport`]: it owns the connection and runs one measurement
+//! on it at a time, driven strictly by the DRIVERS.md contract with
 //! **no blocking call anywhere** — so a single thread can host hundreds
 //! of these at once (`monitord`), or one on a loop of its own
 //! ([`EventedSession::run_alone`], `pathload_snd`). What goes on the wire
@@ -16,7 +17,7 @@
 //! `Idle(d)` as a timer entry answered with `Tick(clock)`, `Finish(est)`
 //! stamped with `elapsed`, one watchdog entry for the frame the core is
 //! owed — and, before the machine is built, the core's RTT exchange,
-//! whose failure fails the session.
+//! whose failure fails the measurement.
 //!
 //! There is **no estimation logic here** (the repo invariant): loss
 //! accounting, spacing validation, trend classification and the rate
@@ -24,12 +25,16 @@
 //! mid-stream is recorded at its attempted instant and dropped — the
 //! receiver sees it as loss, which the machine already judges.
 //!
-//! A fleet host owns the event loop and the token space: it registers
-//! the session ([`EventedSession::register`]) and routes every
-//! [`MuxEvent`] whose token belongs to this session into
-//! [`EventedSession::on_event`]. When [`EventedSession::is_finished`]
-//! turns true the host takes the transport and the outcome back with
-//! [`EventedSession::finish`].
+//! A fleet host owns the event loop and the token space. It starts a
+//! measurement with [`EventedSession::begin`] (which registers the two
+//! sockets), routes every [`MuxEvent`] under the session's tokens into
+//! [`EventedSession::on_event`], and collects the result with
+//! [`EventedSession::take_outcome`] (which deregisters them): between
+//! measurements the connection is not watched, since a reset idle
+//! connection reports `EPOLLHUP` whatever its interest. The session
+//! ignores what is not its to act on — readiness while no measurement
+//! runs, a timer entry before the instant it recorded for it — so one
+//! timer token serves every measurement of the connection.
 
 // Datapath module: a panicking branch here takes the whole fleet down,
 // so `unwrap`/`expect` are denied outright (errors must travel as values).
@@ -49,19 +54,28 @@ use telemetry::TraceSink;
 use units::TimeNs;
 
 /// The event-loop tokens one session registers under. The host allocates
-/// them (disjoint per live session) and routes events back by them.
+/// them (disjoint per session) and routes events back by them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SessionTokens {
     /// Token of the control TCP stream registration.
     pub ctrl: u64,
     /// Token of the probe UDP socket registration.
     pub probe: u64,
-    /// Token this session's timer entries are armed with. The session
-    /// arms plain (uncancellable) entries and relies on lazy
-    /// cancellation, so the host must never reuse a timer token for a
-    /// *later* session while entries may still be pending — tag it with a
-    /// per-path generation, as `monitord`'s socket fleet driver does.
+    /// Token this session's timer entries are armed with. Entries are
+    /// never cancelled: the session drops a stale one by the instant it
+    /// recorded for it, so the token serves the connection's whole life.
     pub timer: u64,
+}
+
+impl Default for SessionTokens {
+    /// Three distinct tokens: enough for a loop that hosts one session.
+    fn default() -> SessionTokens {
+        SessionTokens {
+            ctrl: 0,
+            probe: 1,
+            timer: 2,
+        }
+    }
 }
 
 /// What the session is doing for the machine right now.
@@ -73,7 +87,7 @@ enum Exec {
     Wire,
     /// An `Idle` timer is armed for `until`; feeds `Tick` when it fires.
     AwaitTick { until: u64 },
-    /// Terminal (estimate or error available).
+    /// No measurement runs: none begun, or its outcome is available.
     Done,
 }
 
@@ -87,7 +101,7 @@ impl std::fmt::Debug for SinkHandle {
     }
 }
 
-/// One measurement session driven by an event loop. See the module docs.
+/// A path's sender, driven by an event loop. See the module docs.
 #[derive(Debug)]
 pub struct EventedSession {
     transport: SocketTransport,
@@ -101,7 +115,6 @@ pub struct EventedSession {
     ctrl_buf: CtrlBuf,
     exec: Exec,
     outcome: Option<Result<Estimate, SlopsError>>,
-    registered: bool,
     /// Where the machine's trace events are forwarded (`None`: dropped).
     sink: Option<SinkHandle>,
     /// The packet buffers of one `sendmmsg` batch (a stream uses the
@@ -117,116 +130,83 @@ pub struct EventedSession {
     /// The deadline of the one pending watchdog entry. A wait does not
     /// arm its own (~120 per estimate, each lingering for the whole
     /// timeout): the entry is re-armed for the then-current wait when it
-    /// fires.
+    /// fires, in this measurement or a later one.
     watchdog: Option<u64>,
 }
 
 impl EventedSession {
-    /// Start a session over `transport`. The first activity — the RTT
-    /// echoes — is queued immediately; nothing moves until the session is
-    /// [`register`](Self::register)ed and events are routed in.
-    ///
-    /// On failure the transport travels back with the error, so a fleet
-    /// host keeps its long-lived connection for the path's next attempt.
-    pub fn new(
-        mut transport: SocketTransport,
-        cfg: SlopsConfig,
-        tokens: SessionTokens,
-    ) -> Result<EventedSession, (SocketTransport, SlopsError)> {
-        if let Err(msg) = cfg.validate() {
-            return Err((transport, SlopsError::BadConfig(msg)));
-        }
-        transport.core.set_spacing_tolerance(cfg.spacing_tolerance);
-        let start = transport.elapsed();
-        let echo = transport.core.begin_rtt(start.as_nanos());
-        let mut session = EventedSession {
+    /// The sender of `transport`'s connection, with no measurement
+    /// running; a host routes events to it under `tokens`.
+    pub fn new(transport: SocketTransport, tokens: SessionTokens) -> EventedSession {
+        EventedSession {
             transport,
             machine: None,
-            cfg: Some(cfg),
+            cfg: None,
             tokens,
-            start,
+            start: TimeNs::ZERO,
             ctrl_buf: CtrlBuf::new(MAX_FRAME_TO_SENDER),
-            exec: Exec::Wire,
+            exec: Exec::Done,
             outcome: None,
-            registered: false,
             sink: None,
             bufs: vec![Vec::new(); MAX_BATCH],
             blast_blocked: false,
             paced_armed: 0,
             watchdog: None,
-        };
-        session.ctrl_buf.queue(&echo);
-        Ok(session)
+        }
     }
 
-    /// Run one whole measurement over `transport` on an event loop of its
-    /// own, on the calling thread — `pathload_snd`'s host. The transport
-    /// comes back with the outcome, as from [`finish`](Self::finish).
-    pub fn run_alone(
-        transport: SocketTransport,
-        cfg: SlopsConfig,
-    ) -> (SocketTransport, Result<Estimate, SlopsError>) {
-        let io_error = |e: io::Error| SlopsError::Transport(TransportError::Io(e.to_string()));
-        let mut lp = match EventLoop::new(transport.clock.same_epoch()) {
-            Ok(lp) => lp,
-            Err(e) => return (transport, Err(io_error(e))),
-        };
-        let tokens = SessionTokens {
-            ctrl: 0,
-            probe: 1,
-            timer: 2,
-        };
-        let mut session = match EventedSession::new(transport, cfg, tokens) {
-            Ok(session) => session,
-            Err((transport, e)) => return (transport, Err(e)),
-        };
-        if let Err(e) = session.register(&lp) {
-            return (session.abort(&lp), Err(io_error(e)));
-        }
+    /// Run one whole measurement on an event loop of its own, on the
+    /// calling thread — `pathload_snd`'s host.
+    pub fn run_alone(&mut self, cfg: SlopsConfig) -> Result<Estimate, SlopsError> {
+        let mut lp = EventLoop::new(self.transport.clock.same_epoch()).map_err(io_error)?;
+        // A fresh loop holds none of the watchdog entries of earlier runs.
+        self.watchdog = None;
+        self.begin(&lp, cfg)?;
         let mut events = Vec::new();
-        while !session.is_finished() {
+        loop {
+            if let Some(outcome) = self.take_outcome(&lp) {
+                return outcome;
+            }
             events.clear();
             // The session's own timer entries (a deadline, an idle, the
             // watchdog) end every wait long before this.
-            if let Err(e) = lp.wait(&mut events, CTRL_TIMEOUT) {
-                return (session.abort(&lp), Err(io_error(e)));
-            }
-            for ev in &events {
-                session.on_event(&mut lp, ev);
+            match lp.wait(&mut events, CTRL_TIMEOUT) {
+                Ok(()) => {
+                    for ev in &events {
+                        self.on_event(&mut lp, ev);
+                    }
+                }
+                Err(e) => self.fail(io_error(e)),
             }
         }
-        session.finish(&lp)
     }
 
-    /// Tear the session down before completion (e.g. the host failed to
-    /// register it, or is abandoning the measurement): deregisters and
-    /// returns the transport.
-    pub fn abort(mut self, lp: &EventLoop) -> SocketTransport {
-        self.deregister(lp);
+    /// Begin a measurement: register the two sockets with `lp` under the
+    /// session's tokens and queue the RTT echo. The control stream starts
+    /// read+write; the probe socket starts dormant. Refused before
+    /// anything is registered if `cfg` does not validate.
+    pub fn begin(&mut self, lp: &EventLoop, cfg: SlopsConfig) -> Result<(), SlopsError> {
+        cfg.validate().map_err(SlopsError::BadConfig)?;
+        let ctrl = self.transport.ctrl.as_raw_fd();
+        lp.register(ctrl, self.tokens.ctrl, Interest::BOTH)
+            .map_err(io_error)?;
+        let probe = self.transport.udp.as_raw_fd();
+        if let Err(e) = lp.register(probe, self.tokens.probe, Interest::NONE) {
+            let _ = lp.deregister(ctrl);
+            return Err(io_error(e));
+        }
         self.transport
-    }
-
-    /// Register the session's sockets with the event loop under its
-    /// tokens. The control stream starts read+write (the RTT echo is
-    /// already queued); the probe socket starts dormant.
-    pub fn register(&mut self, lp: &EventLoop) -> io::Result<()> {
-        lp.register(
-            self.transport.ctrl.as_raw_fd(),
-            self.tokens.ctrl,
-            self.ctrl_interest(),
-        )?;
-        lp.register(
-            self.transport.udp.as_raw_fd(),
-            self.tokens.probe,
-            Interest::NONE,
-        )?;
-        self.registered = true;
+            .core
+            .set_spacing_tolerance(cfg.spacing_tolerance);
+        self.start = self.transport.elapsed();
+        self.ctrl_buf = CtrlBuf::new(MAX_FRAME_TO_SENDER);
+        self.ctrl_buf
+            .queue(&self.transport.core.begin_rtt(self.start.as_nanos()));
+        self.machine = None;
+        self.cfg = Some(cfg);
+        self.blast_blocked = false;
+        self.exec = Exec::Wire;
         Ok(())
-    }
-
-    /// The tokens this session was built with.
-    pub fn tokens(&self) -> SessionTokens {
-        self.tokens
     }
 
     /// Forward the machine's trace events to `sink`. The driver only
@@ -248,9 +228,9 @@ impl EventedSession {
         }
     }
 
-    /// True once the session has an outcome (estimate or error).
-    pub fn is_finished(&self) -> bool {
-        self.outcome.is_some()
+    /// The connection this sender owns.
+    pub fn transport(&self) -> &SocketTransport {
+        &self.transport
     }
 
     /// True while a machine command is being executed on the substrate —
@@ -270,37 +250,31 @@ impl EventedSession {
         self.machine.as_mut()
     }
 
-    /// Deregister from the loop, return the transport and the outcome.
-    /// Calling it on a session that has not finished is a host bug,
-    /// reported as an error outcome (the datapath is panic-free).
-    pub fn finish(mut self, lp: &EventLoop) -> (SocketTransport, Result<Estimate, SlopsError>) {
-        let outcome = self.outcome.take().unwrap_or_else(|| {
-            Err(SlopsError::Transport(protocol_violation(
-                "finish() before completion",
-            )))
-        });
-        self.deregister(lp);
-        (self.transport, outcome)
+    /// The measurement's outcome once it has one (estimate or error),
+    /// the sockets then deregistered from `lp`; `None` while it runs or
+    /// when none was begun.
+    pub fn take_outcome(&mut self, lp: &EventLoop) -> Option<Result<Estimate, SlopsError>> {
+        let outcome = self.outcome.take()?;
+        let _ = lp.deregister(self.transport.ctrl.as_raw_fd());
+        let _ = lp.deregister(self.transport.udp.as_raw_fd());
+        Some(outcome)
     }
 
-    /// Remove the session's sockets from the loop (idempotent; called by
-    /// [`finish`](Self::finish)).
-    pub fn deregister(&mut self, lp: &EventLoop) {
-        if self.registered {
-            let _ = lp.deregister(self.transport.ctrl.as_raw_fd());
-            let _ = lp.deregister(self.transport.udp.as_raw_fd());
-            self.registered = false;
-        }
+    /// End the running measurement with `error`.
+    fn fail(&mut self, error: SlopsError) {
+        self.exec = Exec::Done;
+        self.outcome = Some(Err(error));
     }
 
     /// Route one event-loop event into the session. Events whose token
-    /// does not belong to this session, and stale timers (from an
-    /// execution state that has already moved on), are ignored.
+    /// does not belong to this session, readiness while no measurement
+    /// runs, and stale timers (from an execution state that has already
+    /// moved on) are ignored.
     pub fn on_event(&mut self, lp: &mut EventLoop, ev: &MuxEvent) {
-        if self.is_finished() {
-            return;
-        }
         let result = match *ev {
+            // Between measurements too: the pop lets the watchdog re-arm.
+            MuxEvent::Timer { token } if token == self.tokens.timer => self.handle_timer(lp),
+            _ if self.exec == Exec::Done => return,
             MuxEvent::Io(r) if r.token == self.tokens.ctrl => {
                 self.handle_ctrl(lp, r.readable, r.writable)
             }
@@ -318,12 +292,10 @@ impl EventedSession {
                     _ => Ok(()),
                 }
             }
-            MuxEvent::Timer { token } if token == self.tokens.timer => self.handle_timer(lp),
             _ => return,
         };
         if let Err(e) = result.and_then(|()| self.drive(lp)) {
-            self.exec = Exec::Done;
-            self.outcome = Some(Err(SlopsError::Transport(e)));
+            self.fail(SlopsError::Transport(e));
         }
     }
 
@@ -343,15 +315,12 @@ impl EventedSession {
     }
 
     fn update_ctrl_interest(&self, lp: &EventLoop) -> Result<(), TransportError> {
-        if self.registered {
-            lp.set_interest(
-                self.transport.ctrl.as_raw_fd(),
-                self.tokens.ctrl,
-                self.ctrl_interest(),
-            )
-            .map_err(|e| TransportError::Io(e.to_string()))?;
-        }
-        Ok(())
+        lp.set_interest(
+            self.transport.ctrl.as_raw_fd(),
+            self.tokens.ctrl,
+            self.ctrl_interest(),
+        )
+        .map_err(|e| TransportError::Io(e.to_string()))
     }
 
     fn handle_ctrl(
@@ -406,10 +375,9 @@ impl EventedSession {
                         self.advance(lp)
                     }
                     Err(e) => {
-                        // Config was validated in `new`; unreachable in
+                        // Config was validated in `begin`; unreachable in
                         // practice, but fail cleanly rather than panic.
-                        self.exec = Exec::Done;
-                        self.outcome = Some(Err(e));
+                        self.fail(e);
                         Ok(())
                     }
                 }
@@ -587,4 +555,8 @@ impl EventedSession {
 /// so the datapath stays panic-free.
 fn protocol_violation(what: &str) -> TransportError {
     TransportError::Io(format!("machine protocol violated: {what}"))
+}
+
+fn io_error(e: io::Error) -> SlopsError {
+    SlopsError::Transport(TransportError::Io(e.to_string()))
 }

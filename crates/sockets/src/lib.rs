@@ -40,10 +40,12 @@
 //!   control timeout), driven by `begin` / `on_ctrl` / `due` / `encode`
 //!   + `sent` with time passed in. Every sender decision lives here, once.
 //! * [`evented`] — [`EventedSession`], the sender's one pump over that
-//!   core and non-blocking driver of the sans-IO machine: frames go out
-//!   on writability, probes on timer expiry, replies come back on
-//!   readability, so one thread can multiplex hundreds of concurrent
-//!   sessions (the `monitord` fleet) or run one alone (`pathload_snd`).
+//!   core and non-blocking driver of the sans-IO machine: a path's
+//!   sender for the life of its connection, one measurement at a time.
+//!   Frames go out on writability, probes on timer expiry, replies come
+//!   back on readability, so one thread can multiplex hundreds of
+//!   concurrent senders (the `monitord` fleet) or run one alone
+//!   (`pathload_snd`).
 //! * [`batch`] — the kernel-fast datapath: `recvmmsg`/`sendmmsg`
 //!   batching (one syscall, many datagrams) or a scalar `recvmsg` loop on
 //!   request, and kernel arrival stamps and the receive-buffer overflow
@@ -61,8 +63,8 @@
 //!   kernel on the core's read plan instead of on every datagram, the
 //!   core's tick as a timer entry. Thousands of sessions, one thread.
 //! * [`sender`] — [`SocketTransport`]: one connection's sockets, clock
-//!   and [`tx`] core, which the pump borrows for a session and hands
-//!   back.
+//!   and [`tx`] core, owned by the [`EventedSession`] that pumps it for
+//!   the connection's whole life.
 //!
 //! Binaries `pathload_snd` / `pathload_rcv` wrap these (see `src/bin`).
 //!

@@ -836,10 +836,10 @@ mod tests {
         h.stop().unwrap();
     }
 
-    /// The sender's transport, on its one-session host, measures against
-    /// the evented receiver: the first and every paced packet routed.
+    /// A sender, on its one-session host, measures against the evented
+    /// receiver: the first and every paced packet routed.
     #[test]
-    fn blocking_transport_measures_through_the_evented_receiver() {
+    fn sender_measures_through_the_evented_receiver() {
         use slops::SlopsConfig;
         use units::{Rate, TimeNs};
         let _timed = crate::timing_test_lock();
@@ -860,8 +860,8 @@ mod tests {
         cfg.resolution = Rate::from_mbps(10.0);
         cfg.grey_resolution = Rate::from_mbps(20.0);
         cfg.max_fleets = 2;
-        let (tx, outcome) = crate::EventedSession::run_alone(tx, cfg);
-        let est = outcome.unwrap();
+        let mut tx = crate::EventedSession::new(tx, Default::default());
+        let est = tx.run_alone(cfg).unwrap();
         assert!(est.low <= est.high && !est.fleets.is_empty());
         assert!(paced.count() >= 100, "two 50-packet streams at least");
         drop(tx);

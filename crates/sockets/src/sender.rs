@@ -1,8 +1,8 @@
 //! The sender side (`pathload_snd`): [`SocketTransport`] — the sockets of
 //! one control connection and the protocol core
-//! ([`crate::tx::TxSession`]) that decides what goes over them. Its pump
-//! is the [`EventedSession`](crate::EventedSession), alone on a loop of
-//! its own (`pathload_snd`) or among a fleet's (`monitord`).
+//! ([`crate::tx::TxSession`]) that decides what goes over them. The
+//! [`EventedSession`](crate::EventedSession) that owns it pumps it, alone
+//! on a loop of its own (`pathload_snd`) or among a fleet's (`monitord`).
 
 use crate::clock::MonoClock;
 use crate::proto::CtrlMsg;
@@ -21,9 +21,8 @@ pub struct SocketTransport {
     pub(crate) ctrl: TcpStream,
     pub(crate) udp: UdpSocket,
     pub(crate) clock: MonoClock,
-    /// The conversation with the receiver. Boxed so the transport stays
-    /// small enough to travel inside an `Err` (`EventedSession::new`).
-    pub(crate) core: Box<TxSession>,
+    /// The conversation with the receiver.
+    pub(crate) core: TxSession,
     /// Cap on the stream rates this host can pace reliably. Defaults to
     /// 80 Mb/s (MTU-sized packets every ~150 µs), which a commodity Linux
     /// box sustains with the sleep-spin pacer; raise it on fast dedicated
@@ -72,7 +71,7 @@ impl SocketTransport {
             ctrl,
             udp,
             clock,
-            core: Box::new(core),
+            core,
             rate_cap: Rate::from_mbps(80.0),
         })
     }

@@ -42,8 +42,8 @@ fn main() {
     cfg.grey_resolution = Rate::from_mbps(10.0);
     transport.rate_cap = Rate::from_mbps(60.0);
 
-    let (transport, outcome) = EventedSession::run_alone(transport, cfg);
-    match outcome {
+    let mut sender = EventedSession::new(transport, Default::default());
+    match sender.run_alone(cfg) {
         Ok(est) => {
             println!(
                 "loopback 'avail-bw' range: [{:.1}, {:.1}] Mb/s ({} fleets, {:?})",
@@ -56,6 +56,6 @@ fn main() {
         }
         Err(e) => println!("measurement failed: {e}"),
     }
-    drop(transport); // sends Bye
+    drop(sender); // sends Bye
     rx.stop().expect("receiver thread");
 }

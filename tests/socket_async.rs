@@ -3,9 +3,11 @@
 //! Three layers are pinned here, matching the DRIVERS.md checklist for a
 //! new driver:
 //!
-//! 1. **the hand-stepped contract test** — an [`EventedSession`] driven
+//! 1. **the hand-stepped contract tests** — an [`EventedSession`] driven
 //!    one event-loop wait at a time, with the machine's `poll() == None`
-//!    invariant asserted while every command is in flight;
+//!    invariant asserted while every command is in flight, once alone and
+//!    once through two measurements on one connection amid spurious
+//!    timer pops and readiness;
 //! 2. **a big fleet** — ≥32 loopback paths multiplexed on ONE event-loop
 //!    thread against ONE shared multi-session receiver, with every JSONL
 //!    line the daemon would emit parsed and checked;
@@ -25,12 +27,13 @@ use availbw::monitord::{
     Scheduler, SeriesConfig, ShutdownFlag, SocketPathSpec,
 };
 use availbw::pathload_net::clock::MonoClock;
-use availbw::pathload_net::mux::{EventLoop, MuxEvent};
+use availbw::pathload_net::mux::{EventLoop, IoReady, MuxEvent};
 use availbw::pathload_net::{
     EventedReceiver, EventedReceiverHandle, EventedSession, SessionTokens, SocketTransport,
 };
 use availbw::slops::series::RangeSample;
-use availbw::slops::SlopsConfig;
+use availbw::slops::{Estimate, InitialRate, SlopsConfig};
+use availbw::telemetry::Histogram;
 use availbw::units::{Rate, TimeNs};
 use std::time::{Duration, Instant};
 
@@ -84,42 +87,46 @@ fn specs(n: usize, label: &str, addr: std::net::SocketAddr) -> Vec<SocketPathSpe
         .collect()
 }
 
-/// The DRIVERS.md hand-stepped contract test, evented edition: one
-/// session over real loopback sockets, the event loop drained one wait
-/// at a time, and between every batch of events the machine invariant is
-/// asserted — `poll()` returns `None` exactly while the driver is
-/// executing a command. The session must still converge to a sane
-/// estimate with a driver-stamped `elapsed`.
-#[test]
-fn hand_stepped_evented_session_honors_the_machine_contract() {
-    let _serial = serialized();
-    let rx = receiver(None);
-    let clock = MonoClock::new();
+/// One sender on `clock`'s epoch toward `rx`, under tokens 1, 2, 3.
+fn sender(rx: &EventedReceiverHandle, clock: &MonoClock, paced: &Histogram) -> EventedSession {
     let mut transport =
         SocketTransport::connect_with_clock(rx.ctrl_addr(), clock.same_epoch()).unwrap();
     transport.rate_cap = Rate::from_mbps(RATE_CAP_MBPS);
-    let tokens = SessionTokens {
-        ctrl: 1,
-        probe: 2,
-        timer: 3,
-    };
-    let mut session = EventedSession::new(transport, gentle_cfg(), tokens)
-        .map_err(|(_, e)| e)
-        .unwrap();
-    let mut lp = EventLoop::new(clock.same_epoch()).unwrap();
-    session.register(&lp).unwrap();
+    transport.set_pacing_histogram(paced.clone());
+    EventedSession::new(transport, TOKENS)
+}
 
+const TOKENS: SessionTokens = SessionTokens {
+    ctrl: 1,
+    probe: 2,
+    timer: 3,
+};
+
+/// Drain `lp` one wait at a time into `sender`'s measurement until it has
+/// an outcome, asserting the machine contract between batches — `poll()`
+/// returns `None` while the driver executes a command — and that the
+/// sender keeps O(1) timer entries pending: at most one paced deadline or
+/// idle, one watchdog, and an earlier measurement's watchdog. `after`
+/// runs after every batch of real events.
+fn hand_step(
+    sender: &mut EventedSession,
+    lp: &mut EventLoop,
+    mut after: impl FnMut(&mut EventedSession, &mut EventLoop),
+) -> Estimate {
     let started = Instant::now();
     let mut events: Vec<MuxEvent> = Vec::new();
     let mut saw_in_flight = false;
-    while !session.is_finished() {
+    let outcome = loop {
+        if let Some(outcome) = sender.take_outcome(lp) {
+            break outcome;
+        }
         assert!(
             started.elapsed() < Duration::from_secs(30),
-            "session did not terminate"
+            "the measurement did not terminate"
         );
-        if session.command_in_flight() {
+        if sender.command_in_flight() {
             saw_in_flight = true;
-            let machine = session
+            let machine = sender
                 .machine_mut()
                 .expect("a machine exists once commands execute");
             assert!(
@@ -131,20 +138,17 @@ fn hand_stepped_evented_session_honors_the_machine_contract() {
         events.clear();
         lp.wait(&mut events, Duration::from_millis(50)).unwrap();
         for ev in &events {
-            session.on_event(&mut lp, ev);
+            sender.on_event(lp, ev);
         }
-    }
+        after(sender, lp);
+        assert!(
+            lp.timers_pending() <= 3,
+            "{} timer entries left behind by one sender",
+            lp.timers_pending()
+        );
+    };
     assert!(saw_in_flight, "the loop never observed a command in flight");
-    // A session's timer entries stay O(1) across a measurement: at most
-    // one paced deadline or idle and the one control-channel watchdog.
-    assert!(
-        lp.timers_pending() <= 3,
-        "{} timer entries left behind by one session",
-        lp.timers_pending()
-    );
-
-    let (transport, outcome) = session.finish(&lp);
-    let est = outcome.expect("loopback session succeeds");
+    let est = outcome.expect("loopback measurement succeeds");
     assert!(est.low.bps() <= est.high.bps());
     assert!(!est.fleets.is_empty(), "empty fleet trace");
     assert!(est.elapsed > TimeNs::ZERO, "driver must stamp elapsed");
@@ -153,8 +157,97 @@ fn hand_stepped_evented_session_honors_the_machine_contract() {
         "estimate above the pacing cap: {}",
         est.high
     );
-    drop(transport);
+    est
+}
+
+/// The DRIVERS.md hand-stepped contract test, evented edition: one
+/// measurement over real loopback sockets, the event loop drained one
+/// wait at a time, the machine invariant asserted between every batch of
+/// events. It must still converge to a sane estimate with a
+/// driver-stamped `elapsed`.
+#[test]
+fn hand_stepped_evented_session_honors_the_machine_contract() {
+    let _serial = serialized();
+    let rx = receiver(None);
+    let clock = MonoClock::new();
+    let mut sender = sender(&rx, &clock, &Histogram::new());
+    let mut lp = EventLoop::new(clock.same_epoch()).unwrap();
+    sender.begin(&lp, gentle_cfg()).unwrap();
+    hand_step(&mut sender, &mut lp, |_, _| {});
+    drop(sender);
     rx.stop().unwrap();
+}
+
+/// One sender is its path's for the life of the connection: two
+/// back-to-back measurements on one connection, with a spurious timer
+/// pop and spurious readiness on both sockets fed in before `begin`,
+/// after every batch of real events, and after `take_outcome`. Nothing
+/// tags the tokens of one measurement apart from the next, so the sender
+/// itself must shrug these off: both measurements converge under the
+/// machine contract with O(1) timer entries, the receiver routes every
+/// packet the sender sent (each measurement's initial train plus every
+/// paced stream packet), and no datagram reaches it under a token it
+/// does not know.
+#[test]
+fn one_sender_measures_twice_through_spurious_events() {
+    let _serial = serialized();
+    let reg = availbw::telemetry::Registry::new();
+    let rx = receiver(Some(&reg));
+    let clock = MonoClock::new();
+    let paced = Histogram::new();
+    let mut sender = sender(&rx, &clock, &paced);
+    let mut lp = EventLoop::new(clock.same_epoch()).unwrap();
+    let spurious = |sender: &mut EventedSession, lp: &mut EventLoop| {
+        sender.on_event(
+            lp,
+            &MuxEvent::Timer {
+                token: TOKENS.timer,
+            },
+        );
+        for token in [TOKENS.ctrl, TOKENS.probe] {
+            let ready = IoReady {
+                token,
+                readable: true,
+                writable: true,
+            };
+            sender.on_event(lp, &MuxEvent::Io(ready));
+        }
+    };
+    let cfg = gentle_cfg();
+    let InitialRate::Train { len: train, .. } = cfg.initial else {
+        panic!("the gentle config starts with a train");
+    };
+    for _ in 0..2 {
+        spurious(&mut sender, &mut lp);
+        assert!(
+            sender.take_outcome(&lp).is_none(),
+            "an outcome before any measurement began"
+        );
+        sender.begin(&lp, cfg.clone()).unwrap();
+        hand_step(&mut sender, &mut lp, spurious);
+        spurious(&mut sender, &mut lp);
+        assert!(
+            sender.take_outcome(&lp).is_none(),
+            "an outcome between measurements"
+        );
+    }
+    drop(sender);
+    rx.stop().unwrap();
+
+    let routed = reg.counter("receiver_demux_routed_total", &[]).get();
+    let unknown = reg
+        .counter("receiver_demux_drops_total", &[("reason", "unknown_token")])
+        .get();
+    assert_eq!(
+        routed,
+        paced.count() + 2 * u64::from(train),
+        "routed {routed} of {} paced",
+        paced.count()
+    );
+    assert_eq!(
+        unknown, 0,
+        "datagrams under a token the receiver never issued"
+    );
 }
 
 /// A ≥32-path loopback fleet on the async driver: one event-loop thread,

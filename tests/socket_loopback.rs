@@ -36,9 +36,8 @@ fn gentle_cfg() -> SlopsConfig {
 fn measure(addr: SocketAddr) -> Estimate {
     let mut t = SocketTransport::connect(addr).unwrap();
     t.rate_cap = Rate::from_mbps(40.0);
-    let (t, outcome) = EventedSession::run_alone(t, gentle_cfg());
-    drop(t); // says `Bye`
-    outcome.expect("session")
+    let mut sender = EventedSession::new(t, SessionTokens::default());
+    sender.run_alone(gentle_cfg()).expect("session")
 }
 
 /// Loopback has no bottleneck; the estimate is meaningless but the
@@ -75,35 +74,36 @@ fn hand_stepped_machine_runs_over_loopback_sockets() {
         probe: 2,
         timer: 3,
     };
-    let mut session = EventedSession::new(t, gentle_cfg(), tokens)
-        .map_err(|(_, e)| e)
-        .unwrap();
+    let mut sender = EventedSession::new(t, tokens);
     let mut lp = EventLoop::new(clock).unwrap();
-    session.register(&lp).unwrap();
+    sender.begin(&lp, gentle_cfg()).unwrap();
     let started = Instant::now();
     let mut events: Vec<MuxEvent> = Vec::new();
     let mut in_flight = 0;
-    while !session.is_finished() {
+    let outcome = loop {
+        if let Some(outcome) = sender.take_outcome(&lp) {
+            break outcome;
+        }
         assert!(started.elapsed() < Duration::from_secs(30), "no outcome");
-        if session.command_in_flight() {
+        if sender.command_in_flight() {
             in_flight += 1;
-            let machine = session.machine_mut().expect("built before commands");
+            let machine = sender.machine_mut().expect("built before commands");
             assert!(machine.poll().is_none(), "machine must pend mid-command");
         }
         events.clear();
         lp.wait(&mut events, Duration::from_millis(50)).unwrap();
         for ev in &events {
-            session.on_event(&mut lp, ev);
+            sender.on_event(&mut lp, ev);
         }
-    }
+    };
     assert!(in_flight > 0, "no command was ever seen in flight");
-    let (t, outcome) = session.finish(&lp);
-    let est = outcome.expect("session");
-    assert_sane(&est);
-    drop(t);
+    assert_sane(&outcome.expect("session"));
+    drop(sender); // says `Bye`
     rx.stop().unwrap();
 }
 
+/// Two senders, one after the other, each a session of its own at the
+/// receiver.
 #[test]
 fn receiver_serves_two_sessions_sequentially() {
     let rx = receiver();

@@ -51,9 +51,8 @@ fn receiver() -> EventedReceiverHandle {
 fn run_session(addr: SocketAddr) -> Estimate {
     let mut t = SocketTransport::connect(addr).unwrap();
     t.rate_cap = Rate::from_mbps(RATE_CAP_MBPS);
-    let (t, outcome) = EventedSession::run_alone(t, gentle_cfg());
-    drop(t); // says `Bye`
-    outcome.expect("session")
+    let mut sender = EventedSession::new(t, Default::default());
+    sender.run_alone(gentle_cfg()).expect("session")
 }
 
 fn assert_sane(est: &Estimate, what: &str) {
@@ -305,10 +304,12 @@ fn dead_receiver_mid_session_yields_a_clean_restart_error() {
         }
     });
 
-    let t = SocketTransport::connect(addr).unwrap();
-    let (t, outcome) = EventedSession::run_alone(t, gentle_cfg());
-    drop(t);
-    let err = outcome.expect_err("the receiver is gone");
+    let mut sender =
+        EventedSession::new(SocketTransport::connect(addr).unwrap(), Default::default());
+    let err = sender
+        .run_alone(gentle_cfg())
+        .expect_err("the receiver is gone");
+    drop(sender);
     assert!(
         server.join().unwrap(),
         "the receiver must die at an announce, after the echoes"

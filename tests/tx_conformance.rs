@@ -14,7 +14,7 @@
 //!    deadlines (`Ready + lead-in + i·T`, to the nanosecond), exact
 //!    records, the exact instant a silent receiver becomes a stall;
 //! 2. **over the wire** — the same scripts replayed against the pump, an
-//!    [`EventedSession`] running a whole machine-driven session on a
+//!    [`EventedSession`] running a whole machine-driven measurement on a
 //!    loop of its own ([`EventedSession::run_alone`], `pathload_snd`'s
 //!    host). One checker reads both logs; the pump's errors are the
 //!    core's, word for word, a receiver that dies mid-echo included;
@@ -857,8 +857,9 @@ fn host(
     let started = Instant::now();
     let (done, outcome) = std::sync::mpsc::channel();
     thread::spawn(move || {
-        let (transport, outcome) = EventedSession::run_alone(transport, evented_cfg());
-        drop(transport); // says `Bye`
+        let mut sender = EventedSession::new(transport, Default::default());
+        let outcome = sender.run_alone(evented_cfg());
+        drop(sender); // says `Bye`
         let _ = done.send(outcome.map(|_| ()));
     });
     let outcome = outcome.recv_timeout(patience).unwrap_or_else(|_| {
