@@ -35,7 +35,7 @@
 //!
 //! This module holds only the substrate: one long-lived
 //! [`EventedSession`] per path (its sender for the life of the
-//! connection), the instant of each path's armed start, and the one
+//! connection), the instant of each path's issued start, and the one
 //! `dial`. The observer surface
 //! ([`FleetEvent`]), shutdown ([`ShutdownFlag`]: pending starts are
 //! cancelled, in-flight measurements land), series stores and JSONL
@@ -127,8 +127,8 @@ fn dial(
 /// shutdown flag and the fleet's state even when nothing is happening.
 const WAIT_SLICE: Duration = Duration::from_millis(50);
 
-/// Token layout: kind in the top byte, the path index at the bottom.
-/// Timers cannot be cancelled; a stale entry is told by its instant.
+/// Token layout: kind in the top byte, the path index at the bottom. A
+/// path's start timer is keyed by its token, so shutdown cancels it.
 const TOK_CTRL: u64 = 1;
 const TOK_PROBE: u64 = 2;
 const TOK_TIMER: u64 = 3;
@@ -210,20 +210,19 @@ pub fn run_socket_fleet_async_with_telemetry(
     if let Some(t) = telemetry {
         fleet.attach_telemetry(t);
     }
-    // The instant each path's armed start is due: a start pop before it,
-    // or with none armed (cancelled, or begun), is stale.
-    let mut armed: Vec<Option<TimeNs>> = vec![None; specs.len()];
-    // The start instant of each path's measurement in flight.
-    let mut running: Vec<Option<TimeNs>> = vec![None; specs.len()];
+    // The instant of each path's issued start, from `next_start` until
+    // its measurement completes or the start is cancelled.
+    let mut started: Vec<Option<TimeNs>> = vec![None; specs.len()];
 
     let mut events: Vec<MuxEvent> = Vec::new();
     loop {
         // Graceful shutdown: the fleet stops issuing starts; pending
-        // (unstarted) ones are cancelled here — their timers go stale —
-        // and active measurements run to completion.
+        // (unstarted) ones, those whose timer is still armed, are
+        // cancelled here, and active measurements run to completion.
         if fleet.apply_stop(stop) {
-            for (p, at) in armed.iter_mut().enumerate() {
-                if at.take().is_some() {
+            for (p, at) in started.iter_mut().enumerate() {
+                if lp.disarm_timer(tok(TOK_START, p)) {
+                    *at = None;
                     fleet.cancel(p, now());
                 }
             }
@@ -233,8 +232,8 @@ pub fn run_socket_fleet_async_with_telemetry(
         // entry at its start instant (possibly already past — the timer
         // then pops on the next wait, i.e. start immediately).
         while let Some((p, at)) = fleet.next_start() {
-            armed[p] = Some(at);
-            lp.arm_timer(at.as_nanos(), tok(TOK_START, p));
+            started[p] = Some(at);
+            lp.arm_timer(at.as_nanos(), 0, tok(TOK_START, p));
         }
 
         fleet.observe(now());
@@ -250,14 +249,11 @@ pub fn run_socket_fleet_async_with_telemetry(
                 MuxEvent::Timer { token } => token,
             };
             let (kind, p) = untok(token);
-            if p >= senders.len() {
+            // A path with no start issued has nothing registered or armed.
+            let Some(&Some(at)) = started.get(p) else {
                 continue;
-            }
-            let (at, outcome) = if kind == TOK_START {
-                let Some(at) = armed[p].filter(|&at| at <= now()) else {
-                    continue; // stale: cancelled, or not yet due
-                };
-                armed[p] = None;
+            };
+            let outcome = if kind == TOK_START {
                 // Receiver gone: the start stands, prefixed by a re-dial
                 // whose failure is this start's.
                 let sender = match &mut senders[p] {
@@ -267,23 +263,20 @@ pub fn run_socket_fleet_async_with_telemetry(
                     }
                 };
                 match sender.and_then(|s| s.begin(&lp, specs[p].cfg.clone())) {
-                    Ok(()) => {
-                        running[p] = Some(at);
-                        continue;
-                    }
-                    Err(error) => (at, Err(error)),
+                    Ok(()) => continue,
+                    Err(error) => Err(error),
                 }
             } else {
                 let Some(sender) = &mut senders[p] else {
                     continue;
                 };
                 sender.on_event(&mut lp, ev);
-                match (sender.take_outcome(&lp), running[p]) {
-                    (Some(outcome), Some(at)) => (at, outcome),
-                    _ => continue,
+                match sender.take_outcome(&lp) {
+                    Some(outcome) => outcome,
+                    None => continue,
                 }
             };
-            running[p] = None;
+            started[p] = None;
             // A transport-level failure means the far end is gone or
             // restarted: the connection and its session token are
             // useless, so the path disconnects and its next start
@@ -536,5 +529,47 @@ mod tests {
             elapsed < Duration::from_millis(4_500),
             "shutdown waited out the stagger: {elapsed:?}"
         );
+    }
+
+    /// A shutdown request lets a measurement already begun land: the two
+    /// paths start 10 ms apart, the flag is raised by the first sample,
+    /// and the other path, mid-measurement then (its start timer popped,
+    /// nothing left to disarm), still reports its sample.
+    #[test]
+    fn shutdown_lets_an_in_flight_measurement_land() {
+        let rx = EventedReceiver::bind("127.0.0.1:0".parse().unwrap())
+            .unwrap()
+            .spawn();
+        let specs = ["lo0", "lo1"]
+            .iter()
+            .map(|l| spec(l, rx.ctrl_addr()))
+            .collect();
+        let sched = ScheduleConfig {
+            period: TimeNs::from_millis(20), // stagger puts path 1 at +10 ms
+            jitter: TimeNs::ZERO,
+            max_concurrent: 2,
+            seed: 2,
+        };
+        let stop = ShutdownFlag::new();
+        let series = run_socket_fleet_async_with_telemetry(
+            specs,
+            &sched,
+            &SeriesConfig::default(),
+            TimeNs::from_secs(60),
+            &stop,
+            None,
+            |ev| {
+                if matches!(ev, FleetEvent::Sample { .. }) {
+                    stop.request();
+                }
+            },
+        )
+        .unwrap();
+        rx.stop().unwrap();
+
+        for s in &series {
+            assert_eq!(s.len(), 1, "{}: the in-flight measurement", s.label());
+            assert_eq!(s.errors(), 0, "{}: errored", s.label());
+        }
     }
 }

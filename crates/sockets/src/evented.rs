@@ -10,14 +10,15 @@
 //! is decided by the transport's protocol core ([`crate::tx`] has the
 //! command→wire table); this module is the event-loop work around it:
 //! control frames flushed on writability and parsed on readability,
-//! **one timer entry per paced deadline**, armed with the lateness
-//! allowance the core gives it (the session's spacing tolerance, handed
-//! to the core here), a train blasted through
-//! `sendmmsg` (resuming on UDP writability if the socket back-pressures),
-//! `Idle(d)` as a timer entry answered with `Tick(clock)`, `Finish(est)`
-//! stamped with `elapsed`, one watchdog entry for the frame the core is
-//! owed — and, before the machine is built, the core's RTT exchange,
-//! whose failure fails the measurement.
+//! a train blasted through `sendmmsg` (resuming on UDP writability if
+//! the socket back-pressures), `Finish(est)` stamped with `elapsed` —
+//! and, before the machine is built, the core's RTT exchange, whose
+//! failure fails the measurement. **One timer**, re-armed after every
+//! event, wakes the session for the next paced deadline, with the
+//! lateness allowance the core gives it (the session's spacing
+//! tolerance, handed to the core here), for the end of an `Idle(d)`,
+//! answered with `Tick(clock)`, or for the deadline of the frame the core
+//! is owed — never two at once.
 //!
 //! There is **no estimation logic here** (the repo invariant): loss
 //! accounting, spacing validation, trend classification and the rate
@@ -31,10 +32,10 @@
 //! [`EventedSession::on_event`], and collects the result with
 //! [`EventedSession::take_outcome`] (which deregisters them): between
 //! measurements the connection is not watched, since a reset idle
-//! connection reports `EPOLLHUP` whatever its interest. The session
-//! ignores what is not its to act on — readiness while no measurement
-//! runs, a timer entry before the instant it recorded for it — so one
-//! timer token serves every measurement of the connection.
+//! connection reports `EPOLLHUP` whatever its interest, and the timer is
+//! disarmed. The session ignores every event while no measurement runs,
+//! and each action re-checks the clock against the core, so a spurious
+//! event does nothing.
 
 // Datapath module: a panicking branch here takes the whole fleet down,
 // so `unwrap`/`expect` are denied outright (errors must travel as values).
@@ -61,9 +62,8 @@ pub struct SessionTokens {
     pub ctrl: u64,
     /// Token of the probe UDP socket registration.
     pub probe: u64,
-    /// Token this session's timer entries are armed with. Entries are
-    /// never cancelled: the session drops a stale one by the instant it
-    /// recorded for it, so the token serves the connection's whole life.
+    /// Token of this session's one timer, re-armed for each instant it
+    /// must act at, for the connection's whole life.
     pub timer: u64,
 }
 
@@ -123,15 +123,6 @@ pub struct EventedSession {
     bufs: Vec<Vec<u8>>,
     /// The probe socket back-pressured a blast: write interest is set.
     blast_blocked: bool,
-    /// The paced deadline a timer entry is already armed for (0: none).
-    /// A pop mid-stream may be the watchdog's stale entry; arming the
-    /// same deadline again would leave a duplicate riding along.
-    paced_armed: u64,
-    /// The deadline of the one pending watchdog entry. A wait does not
-    /// arm its own (~120 per estimate, each lingering for the whole
-    /// timeout): the entry is re-armed for the then-current wait when it
-    /// fires, in this measurement or a later one.
-    watchdog: Option<u64>,
 }
 
 impl EventedSession {
@@ -150,8 +141,6 @@ impl EventedSession {
             sink: None,
             bufs: vec![Vec::new(); MAX_BATCH],
             blast_blocked: false,
-            paced_armed: 0,
-            watchdog: None,
         }
     }
 
@@ -159,8 +148,6 @@ impl EventedSession {
     /// calling thread — `pathload_snd`'s host.
     pub fn run_alone(&mut self, cfg: SlopsConfig) -> Result<Estimate, SlopsError> {
         let mut lp = EventLoop::new(self.transport.clock.same_epoch()).map_err(io_error)?;
-        // A fresh loop holds none of the watchdog entries of earlier runs.
-        self.watchdog = None;
         self.begin(&lp, cfg)?;
         let mut events = Vec::new();
         loop {
@@ -168,8 +155,8 @@ impl EventedSession {
                 return outcome;
             }
             events.clear();
-            // The session's own timer entries (a deadline, an idle, the
-            // watchdog) end every wait long before this.
+            // The session's timer (a deadline, an idle's end, the owed
+            // frame's) ends every wait long before this.
             match lp.wait(&mut events, CTRL_TIMEOUT) {
                 Ok(()) => {
                     for ev in &events {
@@ -266,15 +253,24 @@ impl EventedSession {
         self.outcome = Some(Err(error));
     }
 
-    /// Route one event-loop event into the session. Events whose token
-    /// does not belong to this session, readiness while no measurement
-    /// runs, and stale timers (from an execution state that has already
-    /// moved on) are ignored.
+    /// Route one event-loop event into the session, then arm its timer
+    /// for the next instant it must act at (none once the measurement is
+    /// over). Events whose token does not belong to this session, and
+    /// every event while no measurement runs, are ignored.
     pub fn on_event(&mut self, lp: &mut EventLoop, ev: &MuxEvent) {
         let result = match *ev {
-            // Between measurements too: the pop lets the watchdog re-arm.
-            MuxEvent::Timer { token } if token == self.tokens.timer => self.handle_timer(lp),
             _ if self.exec == Exec::Done => return,
+            // An idle that elapsed feeds `Tick`; a deadline that came, or
+            // an overdue frame, is `drive`'s.
+            MuxEvent::Timer { token } if token == self.tokens.timer => {
+                let now = self.transport.clock.now_ns();
+                match self.exec {
+                    Exec::AwaitTick { until } if now >= until => {
+                        self.feed(lp, Event::Tick(TimeNs::from_nanos(now)))
+                    }
+                    _ => Ok(()),
+                }
+            }
             MuxEvent::Io(r) if r.token == self.tokens.ctrl => {
                 self.handle_ctrl(lp, r.readable, r.writable)
             }
@@ -296,6 +292,29 @@ impl EventedSession {
         };
         if let Err(e) = result.and_then(|()| self.drive(lp)) {
             self.fail(SlopsError::Transport(e));
+        }
+        match self.next_wake() {
+            Some((at, allowance)) => lp.arm_timer(at, allowance, self.tokens.timer),
+            None => _ = lp.disarm_timer(self.tokens.timer),
+        }
+    }
+
+    /// The next instant the session must act at without an I/O event, and
+    /// how late it may act: the next paced deadline, an idle's end, or
+    /// the owed frame's deadline.
+    fn next_wake(&self) -> Option<(u64, u64)> {
+        match self.exec {
+            Exec::AwaitTick { until } => Some((until, 0)),
+            Exec::Done => None,
+            Exec::Wire => match self.transport.core.due() {
+                Due::Paced {
+                    deadline,
+                    allowance,
+                } => Some((deadline, allowance)),
+                // A blast waits on writability.
+                Due::Burst(_) => None,
+                Due::None => self.transport.core.ctrl_deadline().map(|at| (at, 0)),
+            },
         }
     }
 
@@ -387,24 +406,15 @@ impl EventedSession {
 
     // ---- probe socket and timers ---------------------------------------
 
-    /// Do what the core has due now, arm a timer entry for what it has
-    /// due later, and while it is owed a frame keep the watchdog pending.
-    /// Runs after every event: a `Ready` just read, a deadline just
-    /// popped, a probe socket just turned writable all end up here.
+    /// Do what the core has due now, and fail the measurement once the
+    /// frame it is owed is overdue. Runs after every event: a `Ready` just
+    /// read, a deadline just popped, a probe socket just turned writable
+    /// all end up here.
     fn drive(&mut self, lp: &mut EventLoop) -> Result<(), TransportError> {
         while self.exec == Exec::Wire {
             let now = self.transport.clock.now_ns();
             match self.transport.core.due() {
-                Due::Paced {
-                    deadline,
-                    allowance,
-                } if deadline > now => {
-                    if self.paced_armed != deadline {
-                        self.paced_armed = deadline;
-                        lp.arm_timer_within(deadline, allowance, self.tokens.timer);
-                    }
-                    break;
-                }
+                Due::Paced { deadline, .. } if deadline > now => break,
                 // Due, or overdue: the loop catches up on every deadline
                 // that has passed.
                 Due::Paced { .. } => self.send_paced(now)?,
@@ -414,14 +424,7 @@ impl EventedSession {
                     }
                 }
                 Due::None => {
-                    match self.transport.core.ctrl_deadline() {
-                        Some(deadline) if now >= deadline => self.transport.core.on_timeout(now)?,
-                        Some(deadline) if self.watchdog.is_none() => {
-                            self.watchdog = Some(deadline);
-                            lp.arm_timer(deadline, self.tokens.timer);
-                        }
-                        _ => {}
-                    }
+                    self.transport.core.on_timeout(now)?;
                     break;
                 }
             }
@@ -484,23 +487,6 @@ impl EventedSession {
         Ok(!blocked)
     }
 
-    /// One of this session's timer entries popped: an idle that elapsed
-    /// feeds `Tick`; a paced deadline is sent by `drive`; the watchdog's
-    /// makes room for the next (`drive` arms it if a frame is still owed,
-    /// and fails the session if that frame is overdue).
-    fn handle_timer(&mut self, lp: &mut EventLoop) -> Result<(), TransportError> {
-        let now = self.transport.clock.now_ns();
-        if self.watchdog.is_some_and(|at| now >= at) {
-            self.watchdog = None;
-        }
-        match self.exec {
-            Exec::AwaitTick { until } if now >= until => {
-                self.feed(lp, Event::Tick(TimeNs::from_nanos(now)))
-            }
-            _ => Ok(()),
-        }
-    }
-
     // ---- machine pump --------------------------------------------------
 
     fn feed(&mut self, lp: &mut EventLoop, event: Event) -> Result<(), TransportError> {
@@ -528,9 +514,9 @@ impl EventedSession {
         let now = self.transport.clock.now_ns();
         match cmd {
             Command::Idle(dur) => {
-                let until = now + dur.as_nanos();
-                self.exec = Exec::AwaitTick { until };
-                lp.arm_timer(until, self.tokens.timer);
+                self.exec = Exec::AwaitTick {
+                    until: now + dur.as_nanos(),
+                };
                 Ok(())
             }
             Command::Finish(est) => {

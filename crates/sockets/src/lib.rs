@@ -24,8 +24,10 @@
 //!   *different epochs* on purpose: SLoPS needs only relative OWDs.
 //! * [`pacing`] — absolute-deadline packet pacing (sleep-then-spin) as a
 //!   sans-IO core, [`pacing::TimerPlan`]: the deadline
-//!   [`pacing::TimerQueue`] and the learned spin window, answering where
-//!   a loop's sleep ends, whether it spins and which timers are due. It
+//!   [`pacing::TimerQueue`], keyed by token (one live timer per token,
+//!   re-armed or disarmed by it), and the learned spin window, answering
+//!   where a loop's sleep ends, whether it spins and which timers are
+//!   due. It
 //!   is the part of a measurement tool a general-purpose runtime cannot
 //!   do; this is why the crate runs its own readiness loop instead of an
 //!   async executor.

@@ -17,9 +17,9 @@
 //! loop's: the loop reads the clock, sets a `timerfd` (registered in its
 //! own poller under a token no host sees, since `epoll_wait` takes whole
 //! milliseconds) for the instant the plan names, polls, spins to the
-//! deadline the plan names, and hands out what the plan says is due.
-//! Nothing is cancelled: a host ignores a timer it no longer wants when
-//! it fires.
+//! deadline the plan names, and hands out what the plan says is due. A
+//! token has one pending timer: arming it again replaces that timer, and
+//! [`EventLoop::disarm_timer`] cancels it.
 
 // Datapath module: a panicking branch here takes the whole fleet down,
 // so `unwrap`/`expect` are denied outright (errors must travel as values).
@@ -408,17 +408,16 @@ impl EventLoop {
         self.poller.ctl(sys::EPOLL_CTL_DEL, fd, 0, Interest::NONE)
     }
 
-    /// Arm a one-shot timer at `deadline_ns` on the loop's clock, with no
-    /// lateness allowance. Timers are never cancelled: ignore the token
-    /// when it no longer matters.
-    pub fn arm_timer(&mut self, deadline_ns: u64, token: u64) {
-        self.timers.arm(deadline_ns, 0, token);
+    /// Arm `token`'s one-shot timer at `deadline_ns` on the loop's clock,
+    /// allowed to fire up to `allowance_ns` late, replacing its pending
+    /// one ([`TimerPlan::arm`]).
+    pub fn arm_timer(&mut self, deadline_ns: u64, allowance_ns: u64, token: u64) {
+        self.timers.arm(deadline_ns, allowance_ns, token);
     }
 
-    /// Arm a timer at `deadline_ns` that may fire up to `allowance_ns`
-    /// late ([`TimerPlan::arm`]), as [`EventLoop::arm_timer`] otherwise.
-    pub fn arm_timer_within(&mut self, deadline_ns: u64, allowance_ns: u64, token: u64) {
-        self.timers.arm(deadline_ns, allowance_ns, token);
+    /// Cancel `token`'s pending timer; true when it had one.
+    pub fn disarm_timer(&mut self, token: u64) -> bool {
+        self.timers.disarm(token)
     }
 
     /// How late the loop's sleeps wake, as learned from them: arm a timer
@@ -427,7 +426,7 @@ impl EventLoop {
         self.timers.wake_error_ns()
     }
 
-    /// Pending timer count (diagnostics).
+    /// Pending timers, exactly: tokens armed, not yet fired or disarmed.
     pub fn timers_pending(&self) -> usize {
         self.timers.pending()
     }
@@ -570,8 +569,8 @@ mod tests {
             let clock = MonoClock::new();
             let mut lp = EventLoop::new(clock.clone()).unwrap();
             let t0 = clock.now_ns();
-            lp.arm_timer(t0 + 2_000_000, 1); // 2 ms
-            lp.arm_timer(t0 + 4_000_000, 2); // 4 ms
+            lp.arm_timer(t0 + 2_000_000, 0, 1); // 2 ms
+            lp.arm_timer(t0 + 4_000_000, 0, 2); // 4 ms
             let mut fired = Vec::new();
             while fired.len() < 2 {
                 let mut out = Vec::new();
@@ -606,7 +605,7 @@ mod tests {
             let clock = MonoClock::new();
             let mut lp = EventLoop::new(clock.clone()).unwrap();
             lp.register(rx.as_raw_fd(), 10, Interest::READ).unwrap();
-            lp.arm_timer(clock.now_ns() + 3_000_000, 20);
+            lp.arm_timer(clock.now_ns() + 3_000_000, 0, 20);
             tx.write_all(b"now").unwrap();
 
             let (mut saw_io, mut saw_timer) = (false, false);
@@ -637,11 +636,11 @@ mod tests {
             let clock = MonoClock::new();
             let fired = |mut lp: EventLoop| {
                 // Deadlines a few ns after the epoch: all expired at the wait.
-                lp.arm_timer_within(4, 15_000, 40);
-                lp.arm_timer(3, 30);
-                lp.arm_timer_within(2, 150_000, 20);
-                lp.arm_timer(2, 21);
-                lp.arm_timer_within(1, 15_000, 10);
+                lp.arm_timer(4, 15_000, 40);
+                lp.arm_timer(3, 0, 30);
+                lp.arm_timer(2, 150_000, 20);
+                lp.arm_timer(2, 0, 21);
+                lp.arm_timer(1, 15_000, 10);
                 let mut out = Vec::new();
                 lp.wait(&mut out, Duration::ZERO).unwrap();
                 out.iter()
@@ -677,7 +676,7 @@ mod tests {
                     false => EventLoop::new(clock.clone()).unwrap(),
                 };
                 let t0 = clock.now_ns() + 1_000_000;
-                lp.arm_timer_within(t0, allowance, 0);
+                lp.arm_timer(t0, allowance, 0);
                 let (mut fired, mut out) = (0, Vec::new());
                 while fired < timers {
                     out.clear();
@@ -690,7 +689,7 @@ mod tests {
                         assert_eq!(token, fired, "timers fire in deadline order");
                         assert!(now >= t0 + token * period, "timer {token} fired early");
                         fired += 1;
-                        lp.arm_timer_within(t0 + fired * period, allowance, fired);
+                        lp.arm_timer(t0 + fired * period, allowance, fired);
                     }
                 }
             }
@@ -713,7 +712,7 @@ mod tests {
             // A deadline 123 456 s out: distinctive in the timer's fdinfo,
             // so a reused fd number cannot pass for it.
             const FAR_S: u64 = 123_456;
-            lp.arm_timer(clock.now_ns() + FAR_S * 1_000_000_000, 9);
+            lp.arm_timer(clock.now_ns() + FAR_S * 1_000_000_000, 0, 9);
             let mut out = Vec::new();
             lp.wait(&mut out, Duration::ZERO).unwrap();
             assert!(out.is_empty());

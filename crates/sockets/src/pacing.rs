@@ -19,7 +19,8 @@
 //! runtime: ARCHITECTURE.md § Performance notes.)
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, BinaryHeap};
 
 /// Where a pacer's sleep toward `deadline_ns` ends and its spin begins:
 /// one `window_ns` of wake-up error before the deadline, less the part of
@@ -119,18 +120,20 @@ impl Default for SpinWindow {
     }
 }
 
-/// One queued timer: `(deadline, seq, token, allowance)`, ordered by
-/// deadline, then arming order.
-type Entry = (u64, u64, u64, u64);
-
-/// A queue of one-shot deadline timers on a nanosecond timeline: entries
-/// are `(deadline, token)`, ties expire in arming order, and an entry's
-/// lateness allowance ([`TimerQueue::arm_within`]) is only stored. Nothing
-/// is cancelled: a host ignores a token it no longer wants when it fires,
-/// which keeps the queue a plain heap.
+/// A queue of one-shot deadline timers on a nanosecond timeline, keyed by
+/// token: arming a token replaces its pending entry (unless it holds that
+/// deadline and allowance already: then it keeps its place among ties),
+/// and [`TimerQueue::disarm`] drops it. Entries expire in deadline order,
+/// ties in arming order; an entry's lateness allowance is only stored.
+/// A replaced or disarmed entry stays in the heap, stale, until it reaches
+/// the head or stale entries outnumber live ones: the heap never holds
+/// more than `2 × live + 1`.
 #[derive(Debug, Default)]
 pub struct TimerQueue {
-    heap: BinaryHeap<Reverse<Entry>>,
+    /// `(deadline, seq, token)`, live while it is its token's in `live`.
+    heap: BinaryHeap<Reverse<(u64, u64, u64)>>,
+    /// Each armed token's `(deadline, allowance, seq)`.
+    live: BTreeMap<u64, (u64, u64, u64)>,
     seq: u64,
 }
 
@@ -140,34 +143,73 @@ impl TimerQueue {
         TimerQueue::default()
     }
 
-    /// Arm a one-shot timer for `deadline_ns` carrying `token`, with no
-    /// lateness allowance.
+    /// Arm `token`'s one-shot timer for `deadline_ns`, with no lateness
+    /// allowance.
     pub fn arm(&mut self, deadline_ns: u64, token: u64) {
         self.arm_within(deadline_ns, 0, token);
     }
 
-    /// Arm a timer for `deadline_ns` carrying `token` that may fire up to
+    /// Arm `token`'s timer for `deadline_ns`, allowed to fire up to
     /// `allowance_ns` late ([`TimerQueue::next_entry`] reports it; expiry
-    /// is still at the deadline).
+    /// is still at the deadline), replacing its pending entry.
     pub fn arm_within(&mut self, deadline_ns: u64, allowance_ns: u64, token: u64) {
-        self.seq += 1;
-        self.heap
-            .push(Reverse((deadline_ns, self.seq, token, allowance_ns)));
-    }
-
-    /// The earliest pending `(deadline, allowance)`.
-    pub fn next_entry(&self) -> Option<(u64, u64)> {
-        self.heap.peek().map(|Reverse((d, _, _, s))| (*d, *s))
-    }
-
-    /// Pop the earliest timer's token if it has expired by `now_ns`.
-    pub fn pop_expired(&mut self, now_ns: u64) -> Option<u64> {
-        let &Reverse((deadline, _, token, _)) = self.heap.peek()?;
-        if deadline > now_ns {
-            return None;
+        let entry = (deadline_ns, allowance_ns, self.seq + 1);
+        match self.live.entry(token) {
+            Entry::Occupied(e) if e.get().0 == deadline_ns && e.get().1 == allowance_ns => return,
+            Entry::Occupied(mut e) => _ = e.insert(entry),
+            Entry::Vacant(e) => _ = e.insert(entry),
         }
-        let _ = self.heap.pop();
+        self.seq += 1;
+        self.heap.push(Reverse((deadline_ns, self.seq, token)));
+        self.bound();
+    }
+
+    /// Drop `token`'s pending entry; true when it had one.
+    pub fn disarm(&mut self, token: u64) -> bool {
+        let armed = self.live.remove(&token).is_some();
+        self.bound();
+        armed
+    }
+
+    /// The earliest live `(deadline, allowance)`, dropping the stale
+    /// entries ahead of it.
+    pub fn next_entry(&mut self) -> Option<(u64, u64)> {
+        loop {
+            let &Reverse((_, seq, token)) = self.heap.peek()?;
+            match self.live.get(&token) {
+                Some(&(d, a, live)) if live == seq => break Some((d, a)),
+                _ => _ = self.heap.pop(),
+            }
+        }
+    }
+
+    /// Pop the earliest live timer's token if it has expired by `now_ns`.
+    pub fn pop_expired(&mut self, now_ns: u64) -> Option<u64> {
+        self.next_entry()
+            .filter(|&(deadline, _)| deadline <= now_ns)?;
+        let Reverse((_, _, token)) = self.heap.pop()?;
+        self.live.remove(&token);
+        self.bound();
         Some(token)
+    }
+
+    /// Live entries: the tokens armed and not yet popped or disarmed.
+    pub fn pending(&self) -> usize {
+        self.live.len()
+    }
+
+    /// Entries the heap holds, live and stale: at most `2 × pending + 1`.
+    pub fn held(&self) -> usize {
+        self.heap.len()
+    }
+
+    /// Rebuild the heap from the live entries once stale ones outnumber them.
+    fn bound(&mut self) {
+        if self.heap.len() > 2 * self.live.len() + 1 {
+            let live = &self.live;
+            self.heap
+                .retain(|&Reverse((_, seq, token))| live.get(&token).is_some_and(|e| e.2 == seq));
+        }
     }
 }
 
@@ -225,8 +267,9 @@ impl TimerPlan {
         }
     }
 
-    /// Arm a timer at `deadline_ns` carrying `token` that may fire up to
-    /// `allowance_ns` late; a sleep-only plan ignores the allowance.
+    /// Arm `token`'s timer at `deadline_ns`, allowed to fire up to
+    /// `allowance_ns` late ([`TimerQueue::arm_within`]); a sleep-only plan
+    /// ignores the allowance.
     pub fn arm(&mut self, deadline_ns: u64, allowance_ns: u64, token: u64) {
         let allowance = if self.sleep_only {
             u64::MAX
@@ -234,6 +277,11 @@ impl TimerPlan {
             allowance_ns.min(SpinWindow::MAX_NS)
         };
         self.queue.arm_within(deadline_ns, allowance, token);
+    }
+
+    /// Drop `token`'s pending timer; true when it had one.
+    pub fn disarm(&mut self, token: u64) -> bool {
+        self.queue.disarm(token)
     }
 
     /// The turn starting at `now_ns`: sleep to the earliest deadline's
@@ -277,7 +325,7 @@ impl TimerPlan {
         }
     }
 
-    /// The timers due by `now_ns` as `(token, lag past the deadline)`,
+    /// The live timers due by `now_ns` as `(token, lag past the deadline)`,
     /// earliest deadline first, ties in arming order.
     pub fn due(&mut self, now_ns: u64) -> impl Iterator<Item = (u64, u64)> + '_ {
         std::iter::from_fn(move || {
@@ -292,9 +340,9 @@ impl TimerPlan {
         self.window.ns()
     }
 
-    /// Pending timer count.
+    /// Live timers: armed, and not yet popped or disarmed.
     pub fn pending(&self) -> usize {
-        self.queue.heap.len()
+        self.queue.pending()
     }
 }
 
@@ -374,7 +422,7 @@ mod tests {
             for _ in 0..ROUNDS {
                 for us in TRACE_SLEEPS_US {
                     let deadline = clock.now_ns() + us * 1_000;
-                    lp.arm_timer(deadline, 0);
+                    lp.arm_timer(deadline, 0, 0);
                     out.clear();
                     while out.is_empty() {
                         lp.wait(&mut out, Duration::from_millis(50)).unwrap();

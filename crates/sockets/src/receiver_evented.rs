@@ -31,18 +31,15 @@
 //!   overdue last packet is in flight, after the kernel dropped datagrams
 //!   for want of buffer during a collection, and whenever the kernel does
 //!   not stamp;
-//! * the core's tick is a sleep-only timer entry: a collecting session
-//!   re-arms one every [`POLL_TIMEOUT`] under its slot's token. While
-//!   reads are deferred the socket is drained before every tick, so the
-//!   stop rules see every arrival.
+//! * the core's tick is a sleep-only timer: a collecting session re-arms
+//!   one every [`POLL_TIMEOUT`] under its slot's token. While reads are
+//!   deferred the socket is drained before every tick, so the stop rules
+//!   see every arrival.
 //!
-//! The loop cancels no timer. The receiver records the instant of each
-//! timer it arms — a slot's `tick_at`, the receiver's `drain_at` — and
-//! honours a pop only when that recorded instant has come, before acting
-//! on it. Entries pop in deadline order, so a stale entry (the tick of a
-//! closed slot or of a finished collection, a superseded drain) finds no
-//! instant or a later one and is dropped; it costs one loop wake-up when
-//! it comes due, about one per collection.
+//! The receiver keeps no record of the timers it armed: a collection that
+//! ends (report shipped, or session closed) disarms its slot's tick, and
+//! the drain timer holds the read plan's latest answer, disarmed when the
+//! plan turns to readability, so every timer that pops is wanted.
 //!
 //! The plan is made again only when something it depends on changes — a
 //! collection begins or ends, a stream's first arrival moves its due
@@ -120,10 +117,6 @@ struct Slot {
     /// Where the slot sits in the receiver's `collecting` list, while its
     /// core is collecting.
     collecting_at: Option<usize>,
-    /// The instant the slot's pending tick is armed for (`None`: no tick
-    /// owed; a tick timer that pops finds this, or a later instant, when
-    /// it is stale).
-    tick_at: Option<u64>,
 }
 
 impl Slot {
@@ -186,9 +179,6 @@ pub struct EventedReceiver {
     backlog: bool,
     /// The probe socket's epoll interest is readable (else `NONE`).
     udp_reading: bool,
-    /// The instant the pending drain timer is armed for (a drain timer
-    /// that pops before it, or with none pending, is stale).
-    drain_at: Option<u64>,
     /// Live sessions right now.
     sessions_gauge: Gauge,
     /// Datagrams per kernel crossing of the probe socket.
@@ -233,7 +223,6 @@ impl EventedReceiver {
             rcvbuf: probe.rcvbuf as u64,
             backlog: false,
             udp_reading: true,
-            drain_at: None,
             sessions_gauge: Gauge::new(),
             batch_hist: Histogram::new(),
             backoff: AcceptBackoff::new(),
@@ -310,12 +299,7 @@ impl EventedReceiver {
             MuxEvent::Timer {
                 token: TOK_ACCEPT_RESUME,
             } => self.resume_accepting(),
-            // A drain before its recorded instant, or with none pending,
-            // is stale: dropped below.
-            MuxEvent::Timer { token: TOK_DRAIN }
-                if self.drain_at.is_some_and(|at| at <= self.clock.now_ns()) =>
-            {
-                self.drain_at = None;
+            MuxEvent::Timer { token: TOK_DRAIN } => {
                 self.replan = true;
                 self.drain_probes();
             }
@@ -358,7 +342,7 @@ impl EventedReceiver {
                     if self.lp.deregister(self.listener.as_raw_fd()).is_ok() {
                         self.accept_paused = true;
                         let deadline = self.clock.now_ns() + delay.as_nanos() as u64;
-                        self.lp.arm_timer(deadline, TOK_ACCEPT_RESUME);
+                        self.lp.arm_timer(deadline, 0, TOK_ACCEPT_RESUME);
                     }
                     break;
                 }
@@ -421,14 +405,12 @@ impl EventedReceiver {
                 io,
                 core,
                 collecting_at: None,
-                tick_at: None,
             });
         }
         self.sessions_gauge.set(self.by_token.len() as i64);
     }
 
-    /// Tear a slot down: deregister, free the token (a pending tick finds
-    /// the slot empty, or another session's, and is dropped).
+    /// Tear a slot down: disarm its tick, deregister, free the token.
     fn close_session(&mut self, slot: usize) {
         self.stop_collecting(slot);
         if let Some(sess) = self.sessions.get_mut(slot).and_then(Option::take) {
@@ -439,10 +421,13 @@ impl EventedReceiver {
         }
     }
 
-    /// The slot's core began collecting: it shapes the read plan.
-    fn start_collecting(&mut self, slot: usize) {
+    /// The slot's core began collecting at `now`: its first tick is armed
+    /// (sleep-only: "not before"), and it shapes the read plan.
+    fn start_collecting(&mut self, slot: usize, now: u64) {
         if let Some(sess) = self.sessions.get_mut(slot).and_then(Option::as_mut) {
             if sess.collecting_at.is_none() {
+                self.lp
+                    .arm_timer(now + POLL_TIMEOUT.as_nanos() as u64, 0, slot as u64);
                 sess.collecting_at = Some(self.collecting.len());
                 self.collecting.push(slot);
                 self.replan = true;
@@ -451,8 +436,10 @@ impl EventedReceiver {
     }
 
     /// The slot's collection is over (report shipped, or the session
-    /// closed): it no longer shapes the read plan.
+    /// closed): its tick is disarmed, and it no longer shapes the read
+    /// plan.
     fn stop_collecting(&mut self, slot: usize) {
+        self.lp.disarm_timer(slot as u64);
         let Some(i) = self
             .sessions
             .get_mut(slot)
@@ -490,8 +477,7 @@ impl EventedReceiver {
         match sess.on_io(readable, writable, now) {
             Ok(true) => {
                 if !was_collecting && sess.core.is_collecting() {
-                    Self::arm_tick(&mut self.lp, sess, slot, now);
-                    self.start_collecting(slot);
+                    self.start_collecting(slot, now);
                 }
                 self.update_interest(slot);
             }
@@ -512,14 +498,6 @@ impl EventedReceiver {
                 .lp
                 .set_interest(sess.ctrl.as_raw_fd(), slot as u64, interest);
         }
-    }
-
-    /// Arm the session's next tick under its slot's token and record its
-    /// instant. A tick means "not before": sleep-only.
-    fn arm_tick(lp: &mut EventLoop, sess: &mut Slot, slot: usize, now: u64) {
-        let at = now + POLL_TIMEOUT.as_nanos() as u64;
-        sess.tick_at = Some(at);
-        lp.arm_timer(at, slot as u64);
     }
 
     // ---- probe datagrams -----------------------------------------------
@@ -595,20 +573,15 @@ impl EventedReceiver {
         } else {
             ReadPlan::OnReadable
         };
+        // The plan is made from every collecting session's demand, so its
+        // latest answer replaces the pending drain.
         match plan {
             ReadPlan::OnReadable => {
-                // A pending drain timer becomes stale.
-                self.drain_at = None;
+                self.lp.disarm_timer(TOK_DRAIN);
                 self.set_udp_reading(true);
             }
             ReadPlan::At(at) => {
-                let at = at.saturating_sub(lead);
-                // An earlier pending drain serves as well: it drains and
-                // plans again. A later one becomes stale.
-                if self.drain_at.is_none_or(|pending| at < pending) {
-                    self.lp.arm_timer(at, TOK_DRAIN);
-                    self.drain_at = Some(at);
-                }
+                self.lp.arm_timer(at.saturating_sub(lead), 0, TOK_DRAIN);
                 self.set_udp_reading(false);
             }
         }
@@ -656,21 +629,17 @@ impl EventedReceiver {
 
     // ---- ticks and reports ---------------------------------------------
 
-    /// A session's tick timer fired: unless it is stale (the slot's
-    /// recorded tick instant has not come), let the core evaluate its
-    /// stop rules — after draining the probe socket if its reads are
-    /// deferred, so the rules see every arrival (on readability, the loop
-    /// hands every arrival over as it lands) — and re-arm while it keeps
-    /// collecting.
+    /// A session's tick timer fired: let the core evaluate its stop rules
+    /// — after draining the probe socket if its reads are deferred, so the
+    /// rules see every arrival (on readability, the loop hands every
+    /// arrival over as it lands) — and re-arm while it keeps collecting.
+    /// An event earlier in the same batch may have ended the collection,
+    /// its tick already handed out: then there is nothing to tick.
     fn on_tick_timer(&mut self, slot: usize) {
-        let now = self.clock.now_ns();
-        let Some(sess) = self.sessions.get_mut(slot).and_then(Option::as_mut) else {
-            return; // the tick of a closed slot
-        };
-        if sess.tick_at.is_none_or(|at| at > now) {
-            return; // a finished collection's, or a closed slot's successor's
+        let collecting = self.sessions.get(slot).and_then(Option::as_ref);
+        if !collecting.is_some_and(|sess| sess.core.is_collecting()) {
+            return;
         }
-        sess.tick_at = None;
         if !self.udp_reading {
             self.drain_probes();
         }
@@ -680,15 +649,17 @@ impl EventedReceiver {
         };
         match sess.core.on_tick(now) {
             Some(report) => self.send_report(slot, &report),
-            None if sess.core.is_collecting() => Self::arm_tick(&mut self.lp, sess, slot, now),
+            None if sess.core.is_collecting() => {
+                self.lp
+                    .arm_timer(now + POLL_TIMEOUT.as_nanos() as u64, 0, slot as u64);
+            }
             None => {}
         }
     }
 
-    /// Ship a finished collection's report: drop the pending tick (its
-    /// timer goes stale), print the drop warning the collection earned, if
-    /// any, queue the frame, push what the socket takes now (the rest
-    /// rides on writability).
+    /// Ship a finished collection's report: disarm the pending tick, print
+    /// the drop warning the collection earned, if any, queue the frame,
+    /// push what the socket takes now (the rest rides on writability).
     fn send_report(&mut self, slot: usize, report: &CtrlMsg) {
         self.stop_collecting(slot);
         let Some(sess) = self.sessions.get_mut(slot).and_then(Option::as_mut) else {
@@ -697,7 +668,6 @@ impl EventedReceiver {
         if let Some(warning) = self.admission.drop_warning(&mut sess.core) {
             eprintln!("{warning}");
         }
-        sess.tick_at = None;
         sess.io.queue(report);
         match sess.io.flush(&mut sess.ctrl) {
             Ok(()) => self.update_interest(slot),
@@ -938,7 +908,11 @@ mod tests {
 
         send(0);
         turn_until(&mut rx, |rx| routed.get() == 1 && !rx.udp_reading);
-        assert!(rx.drain_at.is_some(), "deferred reads need a drain timer");
+        assert_eq!(
+            rx.lp.timers_pending(),
+            2,
+            "deferred reads need a drain timer beside the tick"
+        );
 
         batch::set_recv_buffer(&rx.udp, 1).unwrap();
         for idx in 1..64 {
@@ -949,7 +923,10 @@ mod tests {
         send(64);
         turn_until(&mut rx, |_| rcvbuf_drops.get() > 0);
         assert!(rx.udp_reading, "still deferring after an overflow");
-        assert!(rx.drain_at.is_none());
+        assert!(
+            !rx.lp.disarm_timer(TOK_DRAIN),
+            "the drain outlived the deferral"
+        );
     }
 
     /// Datagrams the kernel dropped because the probe socket's buffer was
@@ -986,10 +963,11 @@ mod tests {
         );
     }
 
-    /// A closed slot's pending tick pops after a new session took the
-    /// slot and began collecting: the successor's recorded tick instant
-    /// has not come, so the pop is dropped before it drains the deferred
-    /// probe socket or ticks the successor's core.
+    /// A slot closed mid-collection disarms its tick, so when a new
+    /// session takes the slot and begins collecting, the only slot-0
+    /// timer is the successor's own: it pops no sooner than its instant,
+    /// and the datagram waiting in the deferred probe socket is not read
+    /// before then.
     #[test]
     fn a_closed_slots_tick_neither_drains_nor_ticks_its_successor() {
         let _timed = crate::timing_test_lock();
@@ -1016,32 +994,24 @@ mod tests {
                 (ctrl, core.session(), udp_port)
             })
         };
-        let tick_at = |rx: &EventedReceiver| rx.sessions[0].as_ref().and_then(|s| s.tick_at);
+        let collecting = |rx: &EventedReceiver| {
+            rx.sessions[0]
+                .as_ref()
+                .is_some_and(|s| s.core.is_collecting())
+        };
 
         let first = announce();
         turn_until(&mut rx, |_| first.is_finished());
         let (ctrl, _, _) = first.join().unwrap();
-        assert!(tick_at(&rx).is_some(), "a collecting slot owes a tick");
+        assert!(collecting(&rx), "slot 0 collects");
         drop(ctrl);
         turn_until(&mut rx, |rx| rx.sessions[0].is_none());
+        assert!(!rx.lp.disarm_timer(0), "the closed slot's tick is armed");
+        let armed_after = rx.clock.now_ns();
         let second = announce();
         turn_until(&mut rx, |_| second.is_finished());
         let (_ctrl, session, udp_port) = second.join().unwrap();
-        let owed = tick_at(&rx).expect("the successor took slot 0");
-
-        // The closed slot's own tick is 50 ms out from its start and may
-        // have popped already on a slow host: a slot-0 timer due now
-        // stands in for it, so what pops next does not hang on the clock.
-        rx.lp.arm_timer(rx.clock.now_ns(), 0);
-        let mut events = Vec::new();
-        rx.lp.wait(&mut events, POLL_TIMEOUT).unwrap();
-        assert!(
-            events
-                .iter()
-                .any(|ev| matches!(ev, MuxEvent::Timer { token: 0 })),
-            "the stale tick popped"
-        );
-        assert!(rx.clock.now_ns() < owed, "the successor's own tick popped");
+        assert!(collecting(&rx), "the successor took slot 0");
         assert!(!rx.udp_reading, "reads are deferred while collecting");
         // A datagram waits in the deferred socket.
         let tx = UdpSocket::bind("127.0.0.1:0").unwrap();
@@ -1049,9 +1019,37 @@ mod tests {
             .unwrap();
         std::thread::sleep(std::time::Duration::from_millis(2));
         let before = routed.get();
+
+        // Serve the loop until slot 0's tick pops, leaving the planned
+        // drains undispatched: the datagram stays in the socket until a
+        // tick reads it.
+        let mut events = Vec::new();
+        while !events
+            .iter()
+            .any(|ev| matches!(ev, MuxEvent::Timer { token: 0 }))
+        {
+            assert_eq!(routed.get(), before, "the deferred socket was read");
+            events.clear();
+            rx.lp.wait(&mut events, POLL_TIMEOUT).unwrap();
+            for ev in &events {
+                if !matches!(
+                    ev,
+                    MuxEvent::Timer {
+                        token: 0 | TOK_DRAIN
+                    }
+                ) {
+                    rx.dispatch(ev);
+                }
+            }
+        }
+        let owed = armed_after + POLL_TIMEOUT.as_nanos() as u64;
+        assert!(
+            rx.clock.now_ns() >= owed,
+            "slot 0 ticked before its instant"
+        );
+        assert_eq!(routed.get(), before, "the deferred socket was read");
         rx.dispatch(&MuxEvent::Timer { token: 0 });
-        assert_eq!(routed.get(), before, "a stale tick drained the socket");
-        assert_eq!(tick_at(&rx), Some(owed), "a stale tick ticked the core");
+        assert_eq!(routed.get(), before + 1, "the tick drains the socket");
     }
 
     /// A receiver that served a connection and stopped is rebound on the

@@ -177,56 +177,89 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Model-based check of `pacing::TimerQueue` (the one queue every
-    /// event loop's deadlines share) under random `(deadline, allowance)`
-    /// arms and advances of time: no entry pops before its deadline,
-    /// entries pop in (deadline, arming order) whatever their allowance,
-    /// the head reports its own allowance, a drain leaves no expired entry
-    /// behind, and the queue drains to empty.
+    /// Model-based check of `pacing::TimerQueue` (the one keyed queue
+    /// every event loop's deadlines share) against a model holding one
+    /// `(deadline, allowance, arming order)` per key, under random arms,
+    /// re-arms (as armed, later, and back to an earlier deadline),
+    /// disarms, peeks and advances of time: no entry pops before its deadline,
+    /// live entries pop in (deadline, arming order) whatever their
+    /// allowance, so a key re-armed earlier never fires twice and a re-arm
+    /// as armed keeps its tie place; `disarm` says whether the key was
+    /// live; the head reports its own allowance; a drain leaves no expired
+    /// entry behind; the heap holds at most `2 × live + 1` entries after
+    /// every step; and the queue drains to empty.
     #[test]
     fn timer_queue_pops_in_deadline_then_arming_order(
-        ops in prop::collection::vec((0u8..2, 0u64..1_000, 0u8..4), 1..200),
+        ops in prop::collection::vec((0u8..7, 0u64..1_000, 0u8..4, 0u64..8), 1..200),
     ) {
         use availbw::pathload_net::pacing::TimerQueue;
+        use std::collections::BTreeMap;
         let mut q = TimerQueue::new();
-        // (deadline, token = arming order, allowance), not yet popped.
-        let mut pending: Vec<(u64, u64, u64)> = Vec::new();
+        // Each live key's (deadline, allowance, arming order).
+        let mut model: BTreeMap<u64, (u64, u64, u64)> = BTreeMap::new();
+        let mut seq = 0u64;
         let mut now = 0u64;
-        let mut next_token = 0u64;
-        for &(op, value, kind) in &ops {
-            if op == 0 {
+        // The model's earliest live `(deadline, arming order, key, allowance)`.
+        let head = |model: &BTreeMap<u64, (u64, u64, u64)>| {
+            model.iter().map(|(&k, &(d, a, s))| (d, s, k, a)).min()
+        };
+        for &(op, value, kind, key) in &ops {
+            let allowance = [0, 15_000, value * 100, 300_000][usize::from(kind)];
+            let armed = model.get(&key).copied();
+            // The (deadline, allowance) a re-arm asks for: as armed, later,
+            // or back to an earlier deadline (a fresh arm if the key is not
+            // live); `None` for the steps that arm nothing.
+            let arm = match (op, armed) {
                 // Arm at an absolute deadline (possibly already past).
-                next_token += 1;
-                let allowance = [0, 15_000, value * 100, 300_000][usize::from(kind)];
-                q.arm_within(value, allowance, next_token);
-                pending.push((value, next_token, allowance));
-                continue;
+                (0, _) | (1..=3, None) => Some((value, allowance)),
+                (1, Some((d, a, _))) => Some((d, a)),
+                (2, Some((d, a, _))) => Some((d + value + 1, a)),
+                (3, Some((d, a, _))) => Some((d.saturating_sub(value + 1), a)),
+                _ => None,
+            };
+            if let Some((deadline, allowance)) = arm {
+                q.arm_within(deadline, allowance, key);
+                if armed.is_none_or(|(d, a, _)| (d, a) != (deadline, allowance)) {
+                    seq += 1;
+                    model.insert(key, (deadline, allowance, seq));
+                }
+            } else if op == 4 {
+                prop_assert_eq!(q.disarm(key), model.remove(&key).is_some(), "disarm's answer");
+            } else if op == 5 {
+                // Advance time and pop everything expired, as a loop's turn
+                // does: no peek between pops, so a pop meets the stale
+                // entries that arms and disarms left at the head.
+                now += value;
+                while let Some(token) = q.pop_expired(now) {
+                    let (deadline, _, first, _) = head(&model).expect("popped from an empty queue");
+                    prop_assert!(deadline <= now, "popped an unexpired entry");
+                    prop_assert_eq!(token, first, "not the earliest live (deadline, arming order) entry");
+                    model.remove(&token);
+                }
+                prop_assert_eq!(q.next_entry(), head(&model).map(|(d, _, _, a)| (d, a)));
+                prop_assert!(
+                    model.values().all(|&(d, _, _)| d > now),
+                    "a drain left an expired entry behind"
+                );
+            } else {
+                // Peek, as a loop's plan does, past what arms and disarms
+                // left at the head.
+                prop_assert_eq!(q.next_entry(), head(&model).map(|(d, _, _, a)| (d, a)));
             }
-            // Advance time and drain everything expired.
-            now += value;
-            loop {
-                let head = pending.iter().copied().min_by_key(|&(d, t, _)| (d, t));
-                prop_assert_eq!(q.next_entry(), head.map(|(d, _, s)| (d, s)));
-                let Some(token) = q.pop_expired(now) else {
-                    break;
-                };
-                let (deadline, first, _) = head.expect("popped from an empty queue");
-                prop_assert!(deadline <= now, "popped an unexpired entry");
-                prop_assert_eq!(token, first, "not the earliest (deadline, arming order) entry");
-                pending.retain(|&(_, t, _)| t != token);
-            }
+            prop_assert_eq!(q.pending(), model.len(), "live entries");
             prop_assert!(
-                pending.iter().all(|&(d, _, _)| d > now),
-                "a drain left an expired entry behind"
+                q.held() <= 2 * q.pending() + 1,
+                "{} heap entries for {} live",
+                q.held(),
+                q.pending()
             );
         }
-        // Final drain: everything pops, and the queue ends empty.
+        // Final drain: every live entry pops once, and the queue ends empty.
         while let Some(token) = q.pop_expired(u64::MAX) {
-            let before = pending.len();
-            pending.retain(|&(_, t, _)| t != token);
-            prop_assert_eq!(pending.len() + 1, before, "popped a token never armed, or twice");
+            prop_assert!(model.remove(&token).is_some(), "popped a key not live");
         }
-        prop_assert!(q.next_entry().is_none() && pending.is_empty(), "queue did not drain to empty");
+        prop_assert!(q.next_entry().is_none() && model.is_empty(), "queue did not drain to empty");
+        prop_assert_eq!(q.held(), 0);
     }
 
     /// The spin window learns in bounded steps: whatever a loop measures

@@ -105,8 +105,8 @@ const TOKENS: SessionTokens = SessionTokens {
 /// Drain `lp` one wait at a time into `sender`'s measurement until it has
 /// an outcome, asserting the machine contract between batches — `poll()`
 /// returns `None` while the driver executes a command — and that the
-/// sender keeps O(1) timer entries pending: at most one paced deadline or
-/// idle, one watchdog, and an earlier measurement's watchdog. `after`
+/// sender keeps at most its one timer pending, whatever earlier waits and
+/// measurements armed, and none once the measurement is over. `after`
 /// runs after every batch of real events.
 fn hand_step(
     sender: &mut EventedSession,
@@ -142,12 +142,17 @@ fn hand_step(
         }
         after(sender, lp);
         assert!(
-            lp.timers_pending() <= 3,
+            lp.timers_pending() <= 1,
             "{} timer entries left behind by one sender",
             lp.timers_pending()
         );
     };
     assert!(saw_in_flight, "the loop never observed a command in flight");
+    assert_eq!(
+        lp.timers_pending(),
+        0,
+        "a finished measurement left its timer armed"
+    );
     let est = outcome.expect("loopback measurement succeeds");
     assert!(est.low.bps() <= est.high.bps());
     assert!(!est.fleets.is_empty(), "empty fleet trace");
